@@ -2,19 +2,21 @@
 //!
 //! The cycle-approximate [`SimEngine`](crate::SimEngine) is the reference
 //! for timing; this module executes the *same* merge schedule (presort,
-//! then `ceil(log_ℓ)` stages of `ℓ`-way merges) with a software loser
-//! tree, producing bit-identical output orders of magnitude faster. The
+//! then `ceil(log_ℓ)` stages of `ℓ`-way merges) on the host, producing
+//! bit-identical output orders of magnitude faster. Every merge group
+//! runs through the one software [`LoserTree`] kernel, and a sort
+//! ping-pongs between its input buffer and a single scratch buffer. The
 //! sorters crate uses it for gigabyte-scale data and pairs it with the
 //! analytic performance model for timing.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use bonsai_records::run::RunSet;
 use bonsai_records::Record;
 
-/// Merges `k` sorted runs into one sorted vector (heap-based `k`-way
-/// merge, ties broken by run index for determinism).
+use crate::loser_tree::LoserTree;
+
+/// Merges `k` sorted runs into one sorted vector (the [`LoserTree`]
+/// kernel behind a `Vec`-returning signature; also exported as
+/// [`crate::loser_tree_merge`]).
 ///
 /// # Example
 ///
@@ -28,25 +30,31 @@ use bonsai_records::Record;
 /// assert_eq!(merged, [1u32, 2, 3, 4].map(U32Rec::new).to_vec());
 /// ```
 pub fn kway_merge<R: Record>(runs: &[&[R]]) -> Vec<R> {
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    // Heap of (record, run index); Reverse turns max-heap into min-heap.
-    let mut heap: BinaryHeap<Reverse<(R, usize)>> = BinaryHeap::with_capacity(runs.len());
-    let mut cursors = vec![0usize; runs.len()];
-    for (i, run) in runs.iter().enumerate() {
-        if let Some(&first) = run.first() {
-            heap.push(Reverse((first, i)));
-            cursors[i] = 1;
-        }
-    }
-    while let Some(Reverse((rec, i))) = heap.pop() {
-        out.push(rec);
-        if let Some(&next) = runs[i].get(cursors[i]) {
-            heap.push(Reverse((next, i)));
-            cursors[i] += 1;
-        }
-    }
+    let mut out = vec![R::MAX; runs.iter().map(|r| r.len()).sum()];
+    LoserTree::default().merge_into(&mut runs.to_vec(), &mut out);
     out
+}
+
+/// Merges every group of `fan_in` consecutive runs of `src` (run `i`
+/// starts at `starts[i]`) into the same address range of `dst`, and
+/// returns the merged runs' starts.
+fn merge_pass_into<R: Record>(
+    tree: &mut LoserTree<R>,
+    src: &[R],
+    starts: &[usize],
+    fan_in: usize,
+    dst: &mut [R],
+) -> Vec<usize> {
+    assert!(fan_in >= 2, "merge fan-in must be at least 2");
+    let mut group: Vec<&[R]> = Vec::with_capacity(fan_in.min(starts.len()));
+    for (g, run_starts) in starts.chunks(fan_in).enumerate() {
+        let end = starts.get((g + 1) * fan_in).copied().unwrap_or(src.len());
+        let run_ends = run_starts[1..].iter().chain([&end]);
+        group.clear();
+        group.extend(run_starts.iter().zip(run_ends).map(|(&s, &e)| &src[s..e]));
+        tree.merge_into(&mut group, &mut dst[run_starts[0]..end]);
+    }
+    starts.iter().copied().step_by(fan_in).collect()
 }
 
 /// Executes one merge stage: every group of `fan_in` consecutive runs is
@@ -56,47 +64,54 @@ pub fn kway_merge<R: Record>(runs: &[&[R]]) -> Vec<R> {
 ///
 /// Panics if `fan_in < 2`.
 pub fn merge_pass<R: Record>(runs: &RunSet<R>, fan_in: usize) -> RunSet<R> {
-    assert!(fan_in >= 2, "merge fan-in must be at least 2");
-    if runs.num_runs() <= 1 {
-        return RunSet::single_run(runs.records().to_vec());
-    }
-    let mut records = Vec::with_capacity(runs.len());
-    let mut starts = Vec::with_capacity(runs.num_runs().div_ceil(fan_in));
-    let mut group: Vec<&[R]> = Vec::with_capacity(fan_in);
-    for i in (0..runs.num_runs()).step_by(fan_in) {
-        group.clear();
-        for j in i..(i + fan_in).min(runs.num_runs()) {
-            group.push(runs.run(j));
+    let mut merged = vec![R::MAX; runs.len()];
+    let starts = merge_pass_into(
+        &mut LoserTree::default(),
+        runs.records(),
+        runs.starts(),
+        fan_in,
+        &mut merged,
+    );
+    RunSet::from_parts(merged, starts)
+}
+
+/// Runs merge stages over `runs` until one run remains or `fan_ins`
+/// ends, stage `i` merging groups of the `i`-th fan-in. All stages share
+/// one scratch buffer and one [`LoserTree`]. Returns the records and the
+/// number of stages executed.
+fn merge_stages<R: Record>(
+    runs: RunSet<R>,
+    fan_ins: impl IntoIterator<Item = usize>,
+) -> (Vec<R>, u32) {
+    let (mut src, mut starts) = runs.into_parts();
+    let mut dst = Vec::new();
+    let mut tree = LoserTree::default();
+    let mut stages = 0u32;
+    for fan_in in fan_ins {
+        if starts.len() <= 1 {
+            break;
         }
-        let merged = kway_merge(&group);
-        if !merged.is_empty() {
-            starts.push(records.len());
-            records.extend(merged);
-        }
+        dst.resize(src.len(), R::MAX); // allocates in the first stage only
+        starts = merge_pass_into(&mut tree, &src, &starts, fan_in, &mut dst);
+        core::mem::swap(&mut src, &mut dst);
+        stages += 1;
     }
-    RunSet::from_parts(records, starts)
+    (src, stages)
 }
 
 /// Sorts `data` with the AMT merge schedule: presort into
-/// `initial_run_len`-record runs, then `ℓ`-way merge stages until one
-/// run remains. Returns the sorted data and the number of merge stages
-/// executed (the `ceil(log_ℓ(N / a))` of Equation 1).
+/// `initial_run_len`-record runs (`sort_unstable` on each chunk), then
+/// `ℓ`-way merge stages until one run remains. Returns the sorted data
+/// and the number of merge stages executed (the `ceil(log_ℓ(N / a))` of
+/// Equation 1).
 ///
 /// # Panics
 ///
 /// Panics if `fan_in < 2` or `initial_run_len == 0`.
 pub fn sort<R: Record>(data: Vec<R>, fan_in: usize, initial_run_len: usize) -> (Vec<R>, u32) {
-    assert!(initial_run_len >= 1, "initial run length must be positive");
-    if data.len() <= 1 {
-        return (data, 0);
-    }
-    let mut runs = RunSet::from_chunks(data, initial_run_len);
-    let mut stages = 0u32;
-    while runs.num_runs() > 1 {
-        runs = merge_pass(&runs, fan_in);
-        stages += 1;
-    }
-    (runs.into_records(), stages)
+    assert!(fan_in >= 2, "merge fan-in must be at least 2");
+    let runs = RunSet::from_chunks(data, initial_run_len);
+    merge_stages(runs, core::iter::repeat(fan_in))
 }
 
 /// Like [`sort`], but with the balanced per-stage fan-in schedule of
@@ -106,19 +121,11 @@ pub fn sort<R: Record>(data: Vec<R>, fan_in: usize, initial_run_len: usize) -> (
 ///
 /// # Panics
 ///
-/// Panics if `l < 2` or `initial_run_len == 0`.
+/// Panics if `l` is not a power of two `≥ 2` or `initial_run_len == 0`.
 pub fn sort_balanced<R: Record>(data: Vec<R>, l: usize, initial_run_len: usize) -> (Vec<R>, u32) {
-    assert!(initial_run_len >= 1, "initial run length must be positive");
-    if data.len() <= 1 {
-        return (data, 0);
-    }
-    let mut runs = RunSet::from_chunks(data, initial_run_len);
+    let runs = RunSet::from_chunks(data, initial_run_len);
     let fan_ins = crate::schedule::fan_in_schedule(runs.num_runs() as u64, l as u64);
-    let stages = fan_ins.len() as u32;
-    for &m in &fan_ins {
-        runs = merge_pass(&runs, m as usize);
-    }
-    (runs.into_records(), stages)
+    merge_stages(runs, fan_ins.into_iter().map(|m| m as usize))
 }
 
 #[cfg(test)]
@@ -184,6 +191,37 @@ mod tests {
         let mut expected = data;
         expected.sort_unstable();
         assert_eq!(out, expected);
+    }
+
+    #[test]
+    fn merge_pass_ragged_last_group_and_single_run_keep_starts() {
+        // 7 runs of 3, 3, 3, 3, 3, 3, 2 records at fan-in 3: groups of
+        // 3, 3 and a ragged 1, each landing on its first run's start.
+        let data = uniform_u32(20, 26);
+        let runs = RunSet::from_chunks(data.clone(), 3);
+        let next = merge_pass(&runs, 3);
+        assert_eq!(next.starts(), [0, 9, 18]);
+        assert!(next.validate().is_ok());
+        assert_eq!(next.run(2), runs.run(6), "lone run is copied through");
+        let last = merge_pass(&next, 3);
+        assert_eq!(last.starts(), [0]);
+        let mut expected = data;
+        expected.sort_unstable();
+        assert_eq!(last.records(), expected);
+        // A single run (and no run at all) round-trips unchanged.
+        assert_eq!(merge_pass(&last, 2), last);
+        let empty = RunSet::<U32Rec>::from_parts(vec![], vec![]);
+        assert_eq!(merge_pass(&empty, 2), empty);
+    }
+
+    #[test]
+    fn merge_stages_stops_with_the_schedule() {
+        let runs = RunSet::from_chunks(uniform_u32(1000, 27), 10); // 100 runs
+        let (_, stages) = merge_stages(runs.clone(), [4usize]);
+        assert_eq!(stages, 1);
+        let (out, stages) = merge_stages(runs, [4usize, 4, 4, 4, 4, 4]);
+        assert_eq!(stages, 4); // 100 -> 25 -> 7 -> 2 -> 1
+        assert!(bonsai_records::run::is_sorted(&out));
     }
 
     #[test]

@@ -60,7 +60,10 @@ pub use config::{AmtConfig, SimEngineConfig};
 pub use dag::{BatchSorted, PassPlan, SortPlan, VIRTUAL_WORKERS};
 pub use engine::{SimEngine, REFERENCE_LOOP_ENV};
 pub use error::SortError;
-pub use loser_tree::{loser_tree_merge, LoserTree};
+/// [`functional::kway_merge`] under the name the loser tree was first
+/// exported with; the one kernel stands behind both.
+pub use functional::kway_merge as loser_tree_merge;
+pub use loser_tree::LoserTree;
 pub use report::{PassReport, SortReport};
 pub use tree::{MergeTree, TreeStats};
 pub use unrolled::{UnrolledReport, UnrolledSim};

@@ -3,13 +3,9 @@
 //! Every buffer a pass touches per cycle — leaf FIFOs, merger output
 //! FIFOs, loader/drain in-flight queues, the output stream — is sized
 //! at construction, so driving a pass to completion (on either loop)
-//! must perform zero heap allocations after `PassSim::new`. A counting
-//! global allocator enforces this; it is armed only around the
-//! simulation loop, so construction and teardown may allocate freely.
-//!
-//! This file deliberately contains a single `#[test]`: the armed flag
-//! is process-global, and a concurrently running test would count its
-//! own allocations against the hot loop.
+//! must perform zero heap allocations after `PassSim::new`. The counting
+//! global allocator of `common` enforces this; it is armed only around
+//! the simulation loop, so construction and teardown may allocate freely.
 //!
 //! The contract applies to the production loop only: the opt-in
 //! `sanitize` feature weaves diagnostic probes into the cycle loop
@@ -17,8 +13,7 @@
 //! compiled out under that feature.
 #![cfg(not(feature = "sanitize"))]
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+mod common;
 
 use bonsai_amt::passsim::PassSim;
 use bonsai_amt::{AmtConfig, SimEngineConfig};
@@ -26,41 +21,6 @@ use bonsai_gensort::dist::uniform_u32;
 use bonsai_memsim::Memory;
 use bonsai_records::run::RunSet;
 use bonsai_records::{Record, U32Rec};
-
-struct CountingAlloc;
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-fn note_alloc() {
-    if ARMED.load(Ordering::Relaxed) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn drive(reference: bool) -> u64 {
     let cfg = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
@@ -70,19 +30,17 @@ fn drive(reference: bool) -> u64 {
     let mut sim = PassSim::new(&cfg, runs, 16);
     let mut memory = Memory::new(cfg.memory);
 
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    let mut cycle = 0u64;
-    while !sim.is_done() {
-        if reference {
-            sim.tick(cycle, &mut memory);
-            cycle += 1;
-        } else {
-            cycle += sim.advance(cycle, &mut memory);
+    let ((), allocs) = common::count_allocs(|| {
+        let mut cycle = 0u64;
+        while !sim.is_done() {
+            if reference {
+                sim.tick(cycle, &mut memory);
+                cycle += 1;
+            } else {
+                cycle += sim.advance(cycle, &mut memory);
+            }
         }
-    }
-    ARMED.store(false, Ordering::SeqCst);
-    let allocs = ALLOCS.load(Ordering::SeqCst);
+    });
 
     // Teardown sanity (unarmed): the pass actually ran to completion.
     let (out_runs, pass) = sim.finish(1);

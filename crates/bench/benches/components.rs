@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the hardware component models.
 
-use bonsai_amt::functional::kway_merge;
 use bonsai_amt::loser_tree_merge;
+use bonsai_baselines::radix::parallel_radix_sort;
 use bonsai_bench::harness::{bench, header, Throughput};
 use bonsai_bitonic::{sorter_network, HalfMerger, Presorter};
 use bonsai_gensort::dist::uniform_u32;
@@ -98,6 +98,9 @@ fn bench_kmerger_cycles() {
     );
 }
 
+/// The one host merge kernel at three fan-ins, next to the radix sort
+/// and `sort_unstable` on the same records (those two sort the
+/// concatenated runs; the kernel only has to merge them).
 fn bench_kway_merge() {
     for fan_in in [4usize, 64, 256] {
         let runs: Vec<Vec<U32Rec>> = (0..fan_in)
@@ -108,13 +111,26 @@ fn bench_kway_merge() {
             })
             .collect();
         let slices: Vec<&[U32Rec]> = runs.iter().map(Vec::as_slice).collect();
-        let elems = Throughput::Elements((fan_in * 4096) as u64);
-        bench("kway_merge", &format!("heap/{fan_in}"), elems, || {
-            kway_merge(black_box(&slices))
-        });
+        let flat: Vec<U32Rec> = runs.iter().flatten().copied().collect();
+        let elems = Throughput::Elements(flat.len() as u64);
         bench("kway_merge", &format!("loser_tree/{fan_in}"), elems, || {
             loser_tree_merge(black_box(&slices))
         });
+        bench("kway_merge", &format!("radix/{fan_in}"), elems, || {
+            let mut d = black_box(&flat).clone();
+            parallel_radix_sort(&mut d, 1);
+            d
+        });
+        bench(
+            "kway_merge",
+            &format!("std sort_unstable/{fan_in}"),
+            elems,
+            || {
+                let mut d = black_box(&flat).clone();
+                d.sort_unstable();
+                d
+            },
+        );
     }
 }
 

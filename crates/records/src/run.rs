@@ -215,6 +215,18 @@ impl<R: Record> RunSet<R> {
         self.records
     }
 
+    /// The start offset of every run, ascending; run `i` ends where run
+    /// `i + 1` starts (the last at [`RunSet::len`]).
+    pub fn starts(&self) -> &[usize] {
+        &self.starts
+    }
+
+    /// Consumes the set, returning the records and the run starts — the
+    /// inverse of [`RunSet::from_parts`].
+    pub fn into_parts(self) -> (Vec<R>, Vec<usize>) {
+        (self.records, self.starts)
+    }
+
     /// Returns the `i`-th run as a slice.
     ///
     /// # Panics

@@ -13,7 +13,7 @@ use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
-use bonsai_amt::functional;
+use bonsai_amt::{functional, LoserTree};
 use bonsai_records::wire::WireRecord;
 
 /// Statistics from one external sort.
@@ -161,6 +161,11 @@ impl<R: WireRecord> RecordReader<R> {
         }
     }
 
+    /// The next record as a merge head, `(true, MAX)` at end of file.
+    fn read_head(&mut self) -> io::Result<(bool, R)> {
+        Ok(self.read_one()?.map_or((true, R::MAX), |rec| (false, rec)))
+    }
+
     fn read_chunk(&mut self, n: usize) -> io::Result<Vec<R>> {
         let mut out = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
@@ -184,41 +189,34 @@ fn write_run<R: WireRecord>(path: &Path, records: &[R]) -> io::Result<u64> {
     Ok((records.len() * R::WIRE_BYTES) as u64)
 }
 
-/// Streams a k-way merge of sorted run files into `output` (a software
-/// loser-tree pass — one phase-two "stage").
+/// Streams a k-way merge of sorted run files into `output` through the
+/// loser-tree kernel — one phase-two "stage".
 fn merge_run_files<R: WireRecord>(inputs: &[PathBuf], output: &Path) -> io::Result<u64> {
-    merge_readers::<R>(
-        inputs
-            .iter()
-            .map(|p| RecordReader::open(p))
-            .collect::<io::Result<Vec<_>>>()?,
-        output,
-    )
-}
+    let mut readers = inputs
+        .iter()
+        .map(|p| RecordReader::<R>::open(p))
+        .collect::<io::Result<Vec<_>>>()?;
+    // A head is `(exhausted, record)`: a drained reader's `(true, MAX)`
+    // loses to every live head, even a real `MAX` record, so while any
+    // reader is live the winner is one of them.
+    let heads = readers
+        .iter_mut()
+        .map(RecordReader::read_head)
+        .collect::<io::Result<Vec<_>>>()?;
+    let mut live = heads.iter().filter(|head| !head.0).count();
+    let mut tree = LoserTree::default();
+    tree.reset(heads, (true, R::MAX));
 
-fn merge_readers<R: WireRecord>(
-    mut readers: Vec<RecordReader<R>>,
-    output: &Path,
-) -> io::Result<u64> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let mut heap: BinaryHeap<Reverse<(R, usize)>> = BinaryHeap::with_capacity(readers.len());
-    for (i, r) in readers.iter_mut().enumerate() {
-        if let Some(rec) = r.read_one()? {
-            heap.push(Reverse((rec, i)));
-        }
-    }
     let mut w = BufWriter::new(File::create(output)?);
     let mut buf = vec![0u8; R::WIRE_BYTES];
     let mut written = 0u64;
-    while let Some(Reverse((rec, i))) = heap.pop() {
-        rec.write_to(&mut buf);
+    while live > 0 {
+        tree.head().1.write_to(&mut buf);
         w.write_all(&buf)?;
         written += R::WIRE_BYTES as u64;
-        if let Some(next) = readers[i].read_one()? {
-            heap.push(Reverse((next, i)));
-        }
+        let next = readers[tree.winner()].read_head()?;
+        live -= usize::from(next.0);
+        tree.replace_winner(next);
     }
     w.flush()?;
     Ok(written)
@@ -229,7 +227,7 @@ mod tests {
     use super::*;
     use bonsai_gensort::dist::uniform_u32;
     use bonsai_gensort::io::{read_wire_file, valsort, write_wire_file};
-    use bonsai_records::U32Rec;
+    use bonsai_records::{Record, U32Rec};
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -241,9 +239,18 @@ mod tests {
     }
 
     fn run_case(n: usize, budget: usize, fan_in: usize, name: &str) -> ExternalSortStats {
+        run_case_on(uniform_u32(n, n as u64 + 1), budget, fan_in, name)
+    }
+
+    fn run_case_on(
+        data: Vec<U32Rec>,
+        budget: usize,
+        fan_in: usize,
+        name: &str,
+    ) -> ExternalSortStats {
+        let n = data.len();
         let input = tmp(&format!("{name}-in"));
         let output = tmp(&format!("{name}-out"));
-        let data = uniform_u32(n, n as u64 + 1);
         write_wire_file(&input, &data).expect("write input");
 
         let sorter =
@@ -272,6 +279,21 @@ mod tests {
         assert_eq!(stats.initial_runs, 25);
         assert_eq!(stats.merge_passes, 3); // 25 -> 7 -> 2 -> 1
         assert_eq!(stats.records, 50_000);
+    }
+
+    #[test]
+    fn max_records_outlive_drained_run_files() {
+        // Three run files of 2048, 2048 and 904 records, a third of them
+        // `MAX`: the short file drains while the others still hold real
+        // `MAX` records that tie with its sentinel head.
+        let mut data = uniform_u32(5_000, 9);
+        for rec in data.iter_mut().step_by(3) {
+            *rec = U32Rec::MAX;
+        }
+        let stats = run_case_on(data, 8 * 1024, 4, "max");
+        assert_eq!(stats.initial_runs, 3);
+        assert_eq!(stats.merge_passes, 1);
+        assert_eq!(stats.bytes_written, 2 * 5_000 * 4);
     }
 
     #[test]

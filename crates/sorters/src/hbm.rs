@@ -1,8 +1,7 @@
 //! The high-bandwidth-memory sorter of §IV-B.
 
-use bonsai_amt::functional::kway_merge;
+use bonsai_amt::functional;
 use bonsai_model::{ArrayParams, BonsaiOptimizer, HardwareParams};
-use bonsai_records::run::RunSet;
 use bonsai_records::Record;
 
 use crate::calibration::DRAM_STAGE_EFFICIENCY;
@@ -126,39 +125,11 @@ impl HbmSorter {
         let report = self.project(array.total_bytes(), array.record_bytes)?;
         let lambda = plan.config.unroll;
 
-        // Parallel phase: sort λ address ranges independently.
-        let mut sorted = data;
-        let n = sorted.len();
-        let chunk = n.div_ceil(lambda).max(1);
-        let mut starts = Vec::new();
-        let mut off = 0;
-        while off < n {
-            let end = (off + chunk).min(n);
-            sorted[off..end].sort_unstable();
-            starts.push(off);
-            off = end;
-        }
-        // Merge-down: pairwise merges until one run remains.
-        let mut runs = RunSet::from_parts(sorted, starts);
-        while runs.num_runs() > 1 {
-            let mut records = Vec::with_capacity(runs.len());
-            let mut new_starts = Vec::new();
-            let mut i = 0;
-            while i < runs.num_runs() {
-                let merged = if i + 1 < runs.num_runs() {
-                    kway_merge(&[runs.run(i), runs.run(i + 1)])
-                } else {
-                    runs.run(i).to_vec()
-                };
-                if !merged.is_empty() {
-                    new_starts.push(records.len());
-                    records.extend(merged);
-                }
-                i += 2;
-            }
-            runs = RunSet::from_parts(records, new_starts);
-        }
-        Ok((runs.into_records(), report))
+        // Parallel phase: sort λ address ranges independently; merge-down:
+        // pairwise merge stages until one run remains.
+        let chunk = data.len().div_ceil(lambda).max(1);
+        let (sorted, _) = functional::sort(data, 2, chunk);
+        Ok((sorted, report))
     }
 }
 

@@ -146,24 +146,11 @@ impl SsdSorter {
         }
         let report = self.project(bytes, R::WIDTH_BYTES as u64);
 
-        // Phase one: sort each DRAM-sized chunk independently.
+        // Phase one: sort each DRAM-sized chunk independently; phase two:
+        // merge the chunk runs 256 at a time.
         let chunk_records = (self.chunk_bytes as usize / R::WIDTH_BYTES).max(1);
-        let mut sorted = data;
-        let mut run_bounds = Vec::new();
-        let mut offset = 0;
-        while offset < sorted.len() {
-            let end = (offset + chunk_records).min(sorted.len());
-            sorted[offset..end].sort_unstable();
-            run_bounds.push(offset);
-            offset = end;
-        }
-        // Phase two: merge the chunk runs 256 at a time.
-        let runs = bonsai_records::run::RunSet::from_parts(sorted, run_bounds);
-        let mut runs = runs;
-        while runs.num_runs() > 1 {
-            runs = functional::merge_pass(&runs, self.phase2_leaves);
-        }
-        Ok((runs.into_records(), report))
+        let (sorted, _) = functional::sort(data, self.phase2_leaves, chunk_records);
+        Ok((sorted, report))
     }
 }
 
