@@ -141,7 +141,7 @@ impl SimEngineConfig {
 
     /// The merge-group count of the *first* (widest) merge pass when
     /// sorting `records` records, i.e. the most threads
-    /// [`SimEngine::try_sort_sharded`](crate::SimEngine::try_sort_sharded)
+    /// [`SimEngine::try_sort_pipelined`](crate::SimEngine::try_sort_pipelined)
     /// can ever keep busy on one job; later passes only have fewer
     /// groups. `None` when the input fits in a single presorted run and
     /// no merge pass runs at all.

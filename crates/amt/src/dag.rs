@@ -1,26 +1,36 @@
-//! Cross-pass pipelined group-DAG scheduling.
+//! The group DAG: the one way a sort is split across threads.
 //!
-//! The pass-sharded engine ([`crate::shard`]) runs a *barrier* between
-//! merge passes: every group of pass *p* must drain before any group of
-//! pass *p+1* starts, so workers idle on each pass's stragglers. But the
-//! data dependencies are finer than that: pass-*p+1* group *g* merges
-//! exactly the output runs of pass-*p* groups `[g·m, (g+1)·m)` (its
-//! leaves), and can start the moment *those* groups have drained —
-//! regardless of the rest of pass *p*. This module lowers a sort into
-//! `(pass, group)` tasks over that dependency DAG ([`SortPlan`]) and
+//! A merge pass is a set of *independent* merge groups: group `g`
+//! merges runs `[g·m, (g+1)·m)` into one output run, touching nobody
+//! else's runs, banks or tree state (§II–III — each group is its own
+//! engine fed by banked memory). Across passes the dependencies are just
+//! as narrow: pass-*p+1* group *g* merges exactly the output runs of
+//! pass-*p* groups `[g·m, (g+1)·m)` (its leaves), and can start the
+//! moment *those* groups have drained — regardless of the rest of pass
+//! *p*. This module lowers a sort, or a batch of same-shape sorts, into
+//! `(pass, group)` tasks over that dependency forest ([`SortPlan`]) and
 //! executes it with work-stealing workers ([`execute_dag`]).
 //!
-//! **Determinism guarantee.** Exactly as in [`crate::shard`], each task
-//! is a pure function of `(config, its input runs, fan-in)`: the DAG
-//! only changes *when* a group is simulated, never *what* it computes.
-//! Results land in per-task slots and the accounting is folded in
-//! `(pass, group)` order after the DAG drains, so the sorted output and
-//! the [`SortReport`] are bit-identical to the barrier scheduler at
-//! every worker count — completion order is invisible. On failure the
-//! minimum `(pass, group)` task's error wins, which is the same error
-//! the barrier path reports (the first failing group of the first
-//! failing pass; groups of later passes that fail under the DAG are,
-//! by construction, in a strictly larger pass).
+//! **Determinism guarantee.** Each task is a pure function of `(config,
+//! its input runs, fan-in)`, simulated against a private
+//! [`Memory`] built from [`bonsai_memsim::MemoryConfig::shard_view`]:
+//! the DAG only changes *when* a group is simulated, never *what* it
+//! computes. Results land in per-task slots and the accounting is folded
+//! in `(pass, group)` order after the DAG drains, so the worker count
+//! affects wall-clock time only — sorted output and [`SortReport`] are
+//! bit-identical at every worker count, and on failure the minimum
+//! `(pass, group)` task's error wins. The unit tests check all of this
+//! against a thread-free per-pass list schedule (the *barrier* oracle),
+//! which slices each group's input out of the previous pass's folded
+//! run set instead of concatenating child outputs.
+//!
+//! **Timing model.** Each group is charged the cycles of its standalone
+//! simulation and a pass reports their sum, i.e. the groups
+//! time-multiplexed on one tree with the pipeline drained between
+//! groups. The fused engine ([`SimEngine::sort`](crate::SimEngine::sort))
+//! instead overlaps adjacent groups in the tree pipeline, so its cycle
+//! counts are slightly lower; DESIGN.md §5 says which number is quoted
+//! where.
 //!
 //! **Model checking.** The readiness/claim protocol is written against
 //! the [`SyncOps`] facade, so `tests/mc_dag.rs` instantiates the same
@@ -40,13 +50,14 @@ use std::sync::Arc;
 
 use bonsai_check::Diagnostic;
 use bonsai_mc::facade::SyncOps;
+use bonsai_memsim::Memory;
 use bonsai_records::run::RunSet;
 use bonsai_records::Record;
 
 use crate::config::SimEngineConfig;
 use crate::error::SortError;
+use crate::passsim::PassSim;
 use crate::report::{PassReport, SortReport};
-use crate::shard::{group_input, resolve_workers, simulate_group, GroupOutcome};
 
 /// Size of the fixed *virtual* worker pool the utilization counters and
 /// the `pipeline_overlap_cycles` metric are computed against (matching
@@ -270,10 +281,10 @@ fn argmin(free: &[u64; VIRTUAL_WORKERS]) -> usize {
 /// List-schedules one pass's groups (in group order) on the virtual
 /// pool with the pipeline drained between passes — the barrier
 /// schedule. Returns `(makespan, busy)` in simulated cycles.
-pub(crate) fn pass_virtual_schedule(group_cycles: &[u64]) -> (u64, u64) {
+fn pass_virtual_schedule(group_cycles: impl IntoIterator<Item = u64>) -> (u64, u64) {
     let mut free = [0u64; VIRTUAL_WORKERS];
     let mut busy = 0u64;
-    for &c in group_cycles {
+    for c in group_cycles {
         let w = argmin(&free);
         free[w] += c;
         busy += c;
@@ -287,8 +298,9 @@ pub(crate) fn pass_virtual_schedule(group_cycles: &[u64]) -> (u64, u64) {
 /// can start soonest (lowest task id on ties, matching the executor's
 /// claim preference); a task is ready once every child has completed.
 /// The barrier equivalent is the sum of [`pass_virtual_schedule`]
-/// makespans; the difference is `pipeline_overlap_cycles`.
-pub(crate) fn dag_virtual_makespan(plan: &SortPlan, cycles: &[Vec<u64>]) -> u64 {
+/// makespans; the difference is `pipeline_overlap_cycles`. `cycles` is
+/// indexed by task id.
+fn dag_virtual_makespan(plan: &SortPlan, cycles: &[u64]) -> u64 {
     let tasks = plan.tasks();
     if tasks == 0 {
         return 0;
@@ -318,7 +330,7 @@ pub(crate) fn dag_virtual_makespan(plan: &SortPlan, cycles: &[Vec<u64>]) -> u64 
             .expect("a live DAG always has a ready task");
         let (id, at) = ready.swap_remove(pos);
         let (p, s) = plan.task_of(id);
-        let end = free[w].max(at) + cycles[p][s];
+        let end = free[w].max(at) + cycles[id];
         free[w] = end;
         done[id] = end;
         makespan = makespan.max(end);
@@ -363,7 +375,8 @@ struct ExecState<T, M> {
     slots: Vec<Slot<T>>,
     meta: Vec<Option<M>>,
     /// Minimum failed task id and its error (task ids are lexicographic
-    /// in `(pass, group)`, so min id = the barrier path's error).
+    /// in `(pass, group)`, so min id = the first failure a per-pass
+    /// barrier would report).
     failure: Option<(usize, SortError)>,
     /// First panic payload out of a task; re-raised after the drain.
     panic_msg: Option<String>,
@@ -422,9 +435,7 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// children's outputs out of their slots, run it outside the lock,
 /// resolve. A task whose children failed resolves as `Failed` without
 /// running (cancellation), so the DAG always drains and the pool always
-/// terminates — failure semantics stay identical to the barrier path,
-/// which also simulates every group of the failing pass before
-/// reporting the first failing group.
+/// terminates.
 fn worker_loop<S, T, M, F>(shared: &Shared<S, T, M>, run_task: &F)
 where
     S: SyncOps,
@@ -505,8 +516,8 @@ where
 ///
 /// # Errors
 ///
-/// The minimum-`(pass, group)` task failure, identical to the barrier
-/// scheduler's first-failing-group error.
+/// The minimum-`(pass, group)` task failure: the first failing group of
+/// the first failing pass, whatever order the tasks completed in.
 ///
 /// # Panics
 ///
@@ -605,125 +616,122 @@ where
     Ok((finals, meta))
 }
 
-// --- The pipelined sort skeleton ------------------------------------------
+// --- One merge group --------------------------------------------------------
 
-/// Sorts `data` with every `(pass, group)` merge task scheduled over
-/// the dependency DAG instead of per-pass barriers. Mirrors the
-/// skeleton of `SimEngine::sort_with` (sanitize → presort chunks →
-/// balanced fan-in schedule → fold a [`SortReport`]), with accounting
-/// folded in `(pass, group)` order after the drain.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sort_pipelined<R: Record, S: SyncOps>(
-    config: &SimEngineConfig,
-    data: Vec<R>,
-    workers: usize,
-    max_cycles: u64,
-    reference: bool,
-    #[cfg(feature = "sanitize")] diagnostics: &mut Vec<Diagnostic>,
-) -> Result<(Vec<R>, SortReport), SortError> {
-    let n_records = data.len() as u64;
-    let record_bytes = config.loader.record_bytes;
-    let sanitized: Vec<R> = data.into_iter().map(Record::sanitize).collect();
-    let runs = RunSet::from_chunks(sanitized, config.initial_run_len());
-    let plan = SortPlan::new(runs.num_runs(), config.amt.l);
-    if plan.num_passes() == 0 {
-        let report = SortReport::from_passes(Vec::new(), n_records, record_bytes);
-        return Ok((runs.into_records(), report));
+/// Resolves the worker knob: `0` means one worker per available core.
+fn resolve_workers(workers: usize) -> usize {
+    if workers == 0 {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    } else {
+        workers
     }
-
-    // `SyncOps::spawn` wants 'static tasks, so the task closure owns
-    // its captures: the config (Copy) and the presorted input (Arc —
-    // every pass-0 group reads its own disjoint slice).
-    let task_config = *config;
-    let task_plan = plan.clone();
-    let init = Arc::new(runs);
-    let run_task = move |pass: usize, group: usize, inputs: Vec<Vec<R>>| {
-        let fan_in = task_plan.pass(pass).fan_in;
-        let input = if pass == 0 {
-            group_input(&init, group, fan_in)
-        } else {
-            // Each child contributed exactly one sorted run, already in
-            // group order — the same input the barrier path slices out
-            // of the previous pass's folded RunSet.
-            let mut records = Vec::with_capacity(inputs.iter().map(Vec::len).sum());
-            let mut starts = Vec::with_capacity(inputs.len());
-            for child in inputs {
-                starts.push(records.len());
-                records.extend(child);
-            }
-            RunSet::from_parts(records, starts)
-        };
-        let stage = pass as u32 + 1;
-        simulate_group(&task_config, input, fan_in, stage, max_cycles, reference).map(|mut o| {
-            let out = core::mem::take(&mut o.out_records);
-            (out, o)
-        })
-    };
-
-    let (mut finals, meta) =
-        execute_dag::<S, Vec<R>, GroupOutcome<R>, _>(plan.clone(), workers, run_task)?;
-    debug_assert_eq!(finals.len(), 1, "the schedule fully sorts");
-    let sorted = finals.pop().unwrap_or_default();
-
-    // Fold the accounting in (pass, group) order — identical to the
-    // barrier path's fold, so the report cannot depend on completion
-    // order.
-    let mut meta = meta.into_iter();
-    let mut passes = Vec::with_capacity(plan.num_passes());
-    let mut per_pass_cycles: Vec<Vec<u64>> = Vec::with_capacity(plan.num_passes());
-    let mut barrier_makespan = 0u64;
-    for p in 0..plan.num_passes() {
-        let pp = plan.pass(p);
-        let stage = p as u32 + 1;
-        let mut pass = PassReport {
-            stage,
-            cycles: 0,
-            records: n_records,
-            runs_in: pp.runs_in as u64,
-            runs_out: pp.groups as u64,
-            bytes_read: 0,
-            bytes_written: 0,
-            input_stalls: 0,
-            output_stalls: 0,
-            fast_forwarded_cycles: 0,
-            busy_worker_cycles: 0,
-            idle_worker_cycles: 0,
-        };
-        let mut group_cycles = Vec::with_capacity(pp.groups);
-        for g in 0..pp.groups {
-            let outcome = meta.next().expect("one outcome per task");
-            pass.cycles += outcome.cycles;
-            pass.bytes_read += outcome.bytes_read;
-            pass.bytes_written += outcome.bytes_written;
-            pass.input_stalls += outcome.input_stalls;
-            pass.output_stalls += outcome.output_stalls;
-            pass.fast_forwarded_cycles += outcome.fast_forwarded_cycles;
-            group_cycles.push(outcome.cycles);
-            #[cfg(feature = "sanitize")]
-            diagnostics.extend(
-                outcome
-                    .diagnostics
-                    .into_iter()
-                    .map(|d| d.with("stage", stage).with("group", g)),
-            );
-            #[cfg(not(feature = "sanitize"))]
-            let _ = g;
-        }
-        let (makespan, busy) = pass_virtual_schedule(&group_cycles);
-        pass.busy_worker_cycles = busy;
-        pass.idle_worker_cycles = (VIRTUAL_WORKERS as u64) * makespan - busy;
-        barrier_makespan += makespan;
-        per_pass_cycles.push(group_cycles);
-        passes.push(pass);
-    }
-    let dag_makespan = dag_virtual_makespan(&plan, &per_pass_cycles);
-    let mut report = SortReport::from_passes(passes, n_records, record_bytes);
-    report.pipeline_overlap_cycles = barrier_makespan.saturating_sub(dag_makespan);
-    Ok((sorted, report))
 }
 
-/// A pipelined batch sort's value: each job's sorted output and
-/// [`SortReport`] (in submission order), plus the batch-level
+/// What one simulated merge group adds to its pass's accounting.
+struct GroupStats {
+    cycles: u64,
+    bytes_read: u64,
+    bytes_written: u64,
+    input_stalls: u64,
+    output_stalls: u64,
+    fast_forwarded_cycles: u64,
+    #[cfg(feature = "sanitize")]
+    diagnostics: Vec<Diagnostic>,
+}
+
+/// Copies group `g`'s runs (`[g·fan_in, (g+1)·fan_in)`, clamped) out of
+/// the pass input as a standalone [`RunSet`].
+fn group_input<R: Record>(runs: &RunSet<R>, g: usize, fan_in: usize) -> RunSet<R> {
+    let lo = g * fan_in;
+    let hi = ((g + 1) * fan_in).min(runs.num_runs());
+    let mut records = Vec::new();
+    let mut starts = Vec::with_capacity(hi - lo);
+    for i in lo..hi {
+        starts.push(records.len());
+        records.extend_from_slice(runs.run(i));
+    }
+    RunSet::from_parts(records, starts)
+}
+
+/// Simulates one merge group to completion against its own bank view,
+/// returning its single output run (terminal-free and sorted) and its
+/// accounting.
+fn simulate_group<R: Record>(
+    config: &SimEngineConfig,
+    runs: RunSet<R>,
+    fan_in: usize,
+    stage: u32,
+    max_cycles: u64,
+    reference: bool,
+) -> Result<(Vec<R>, GroupStats), SortError> {
+    let mut sim = PassSim::new(config, runs, fan_in);
+    let mut memory = Memory::new(config.memory.shard_view(fan_in));
+    sim.run(&mut memory, reference, max_cycles, stage)?;
+    #[cfg(feature = "sanitize")]
+    let diagnostics = sim.sanitize_check();
+    let (out_runs, pass) = sim.finish(stage);
+    let stats = GroupStats {
+        cycles: pass.cycles,
+        bytes_read: memory.bytes_read(),
+        bytes_written: memory.bytes_written(),
+        input_stalls: pass.input_stalls,
+        output_stalls: pass.output_stalls,
+        fast_forwarded_cycles: pass.fast_forwarded_cycles,
+        #[cfg(feature = "sanitize")]
+        diagnostics,
+    };
+    Ok((out_runs.into_records(), stats))
+}
+
+/// Folds one pass's groups, in group order, into its [`PassReport`];
+/// also returns the pass's barrier makespan on the virtual pool. The
+/// utilization counters come from that deterministic list schedule of
+/// the per-group cycle costs, not from wall clock, so the report stays
+/// bit-identical at every real worker count.
+fn fold_pass(
+    stage: u32,
+    records: u64,
+    runs_in: usize,
+    groups: &[GroupStats],
+    #[cfg(feature = "sanitize")] diagnostics: &mut Vec<Diagnostic>,
+) -> (PassReport, u64) {
+    let (makespan, busy) = pass_virtual_schedule(groups.iter().map(|g| g.cycles));
+    let mut pass = PassReport {
+        stage,
+        cycles: 0,
+        records,
+        runs_in: runs_in as u64,
+        runs_out: groups.len() as u64,
+        bytes_read: 0,
+        bytes_written: 0,
+        input_stalls: 0,
+        output_stalls: 0,
+        fast_forwarded_cycles: 0,
+        busy_worker_cycles: busy,
+        idle_worker_cycles: (VIRTUAL_WORKERS as u64) * makespan - busy,
+    };
+    for group in groups {
+        pass.cycles += group.cycles;
+        pass.bytes_read += group.bytes_read;
+        pass.bytes_written += group.bytes_written;
+        pass.input_stalls += group.input_stalls;
+        pass.output_stalls += group.output_stalls;
+        pass.fast_forwarded_cycles += group.fast_forwarded_cycles;
+    }
+    #[cfg(feature = "sanitize")]
+    for (g, group) in groups.iter().enumerate() {
+        let tagged = group.diagnostics.iter().cloned();
+        diagnostics.extend(tagged.map(|d| d.with("stage", stage).with("group", g)));
+    }
+    (pass, makespan)
+}
+
+// --- Sorting on the DAG -----------------------------------------------------
+
+/// A batch sort's value: each job's sorted output and [`SortReport`]
+/// (in submission order), plus the batch-level
 /// `pipeline_overlap_cycles` the forest saved over running the jobs
 /// back to back on the [`VIRTUAL_WORKERS`] reference pool.
 pub type BatchSorted<R> = (Vec<(Vec<R>, SortReport)>, u64);
@@ -734,21 +742,21 @@ pub type BatchSorted<R> = (Vec<(Vec<R>, SortReport)>, u64);
 /// next job's wide first pass. This is where cross-pass pipelining
 /// actually pays: a single sort is single-rooted (its final task
 /// transitively depends on every other task, bounding any scheduler
-/// near the barrier's makespan), but a batch keeps the pool
-/// work-conserving across jobs.
+/// near the per-pass barrier's makespan), but a batch keeps the pool
+/// work-conserving across jobs. A single sort is the batch of one.
 ///
 /// Each job's sorted output and [`SortReport`] are bit-identical to
-/// sorting it alone under the barrier scheduler (per-job
-/// `pipeline_overlap_cycles` stays 0); the batch-level overlap — the
-/// sum of the jobs' barrier virtual makespans minus the forest's DAG
-/// virtual makespan on the same [`VIRTUAL_WORKERS`] pool — is returned
+/// sorting it alone, except that per-job `pipeline_overlap_cycles`
+/// stays 0: the overlap — the sum of the jobs' barrier virtual
+/// makespans minus the forest's DAG virtual makespan on the same
+/// [`VIRTUAL_WORKERS`] pool — belongs to the batch and is returned
 /// alongside.
 ///
 /// # Panics
 ///
 /// Panics unless every dataset presorts into the same number of runs
 /// (the forest plan is uniform across jobs).
-pub(crate) fn sort_batch_pipelined<R: Record, S: SyncOps>(
+pub(crate) fn sort_batch<R: Record, S: SyncOps>(
     config: &SimEngineConfig,
     datasets: Vec<Vec<R>>,
     workers: usize,
@@ -757,20 +765,20 @@ pub(crate) fn sort_batch_pipelined<R: Record, S: SyncOps>(
     #[cfg(feature = "sanitize")] diagnostics: &mut Vec<Diagnostic>,
 ) -> Result<BatchSorted<R>, SortError> {
     let record_bytes = config.loader.record_bytes;
-    let jobs = datasets.len();
-    let mut inits = Vec::with_capacity(jobs);
-    let mut job_records = Vec::with_capacity(jobs);
-    for data in datasets {
-        job_records.push(data.len() as u64);
-        let sanitized: Vec<R> = data.into_iter().map(Record::sanitize).collect();
-        inits.push(RunSet::from_chunks(sanitized, config.initial_run_len()));
-    }
+    let inits: Vec<RunSet<R>> = datasets
+        .into_iter()
+        .map(|data| {
+            let sanitized = data.into_iter().map(Record::sanitize).collect();
+            RunSet::from_chunks(sanitized, config.initial_run_len())
+        })
+        .collect();
+    let job_records: Vec<u64> = inits.iter().map(|runs| runs.len() as u64).collect();
     let r0 = inits.first().map_or(0, RunSet::num_runs);
     assert!(
         inits.iter().all(|r| r.num_runs() == r0),
         "batch jobs must presort into the same number of runs"
     );
-    let plan = SortPlan::batch(jobs, r0, config.amt.l);
+    let plan = SortPlan::batch(inits.len(), r0, config.amt.l);
     if plan.num_passes() == 0 {
         let out = inits
             .into_iter()
@@ -784,6 +792,9 @@ pub(crate) fn sort_batch_pipelined<R: Record, S: SyncOps>(
     }
     let groups0 = plan.pass(0).groups;
 
+    // `SyncOps::spawn` wants 'static tasks, so the task closure owns
+    // its captures: the config (Copy) and the presorted inputs (Arc —
+    // every pass-0 group reads its own disjoint slice).
     let task_config = *config;
     let task_plan = plan.clone();
     let init = Arc::new(inits);
@@ -792,6 +803,8 @@ pub(crate) fn sort_batch_pipelined<R: Record, S: SyncOps>(
         let input = if pass == 0 {
             group_input(&init[slot / groups0], slot % groups0, fan_in)
         } else {
+            // Each child contributed exactly one sorted run, already in
+            // group order.
             let mut records = Vec::with_capacity(inputs.iter().map(Vec::len).sum());
             let mut starts = Vec::with_capacity(inputs.len());
             for child in inputs {
@@ -801,84 +814,39 @@ pub(crate) fn sort_batch_pipelined<R: Record, S: SyncOps>(
             RunSet::from_parts(records, starts)
         };
         let stage = pass as u32 + 1;
-        simulate_group(&task_config, input, fan_in, stage, max_cycles, reference).map(|mut o| {
-            let out = core::mem::take(&mut o.out_records);
-            (out, o)
-        })
+        simulate_group(&task_config, input, fan_in, stage, max_cycles, reference)
     };
 
-    let (finals, meta) =
-        execute_dag::<S, Vec<R>, GroupOutcome<R>, _>(plan.clone(), workers, run_task)?;
-    debug_assert_eq!(finals.len(), jobs, "one root per job");
+    let (finals, stats) = execute_dag::<S, Vec<R>, GroupStats, _>(plan.clone(), workers, run_task)?;
+    debug_assert_eq!(finals.len(), plan.jobs(), "one root per job");
+    let cycles: Vec<u64> = stats.iter().map(|g| g.cycles).collect();
+    let dag_makespan = dag_virtual_makespan(&plan, &cycles);
 
-    // The forest's virtual makespan needs every task's cycles in
-    // (pass, slot) order before the per-job folds consume the outcomes.
-    let mut meta: Vec<Option<GroupOutcome<R>>> = meta.into_iter().map(Some).collect();
-    let per_pass_cycles: Vec<Vec<u64>> = (0..plan.num_passes())
-        .map(|p| {
-            (0..plan.slots(p))
-                .map(|s| {
-                    meta[plan.task_id(p, s)]
-                        .as_ref()
-                        .expect("clean drain ran every task")
-                        .cycles
-                })
-                .collect()
-        })
-        .collect();
-    let dag_makespan = dag_virtual_makespan(&plan, &per_pass_cycles);
-
-    // Fold each job's accounting in (pass, group) order — exactly the
-    // barrier path's fold, so per-job reports are bit-identical to
-    // sorting that job alone (batch overlap is reported separately).
+    // Fold each job's accounting in (pass, group) order, so per-job
+    // reports cannot depend on completion order or on the other jobs.
     let mut batch_barrier = 0u64;
-    let mut out = Vec::with_capacity(jobs);
+    let mut out = Vec::with_capacity(finals.len());
     for (j, sorted) in finals.into_iter().enumerate() {
+        #[cfg(feature = "sanitize")]
+        let first = diagnostics.len();
         let mut passes = Vec::with_capacity(plan.num_passes());
         for p in 0..plan.num_passes() {
             let pp = plan.pass(p);
-            let stage = p as u32 + 1;
-            let mut pass = PassReport {
-                stage,
-                cycles: 0,
-                records: job_records[j],
-                runs_in: pp.runs_in as u64,
-                runs_out: pp.groups as u64,
-                bytes_read: 0,
-                bytes_written: 0,
-                input_stalls: 0,
-                output_stalls: 0,
-                fast_forwarded_cycles: 0,
-                busy_worker_cycles: 0,
-                idle_worker_cycles: 0,
-            };
-            let mut group_cycles = Vec::with_capacity(pp.groups);
-            for g in 0..pp.groups {
-                let outcome = meta[plan.task_id(p, j * pp.groups + g)]
-                    .take()
-                    .expect("clean drain ran every task");
-                pass.cycles += outcome.cycles;
-                pass.bytes_read += outcome.bytes_read;
-                pass.bytes_written += outcome.bytes_written;
-                pass.input_stalls += outcome.input_stalls;
-                pass.output_stalls += outcome.output_stalls;
-                pass.fast_forwarded_cycles += outcome.fast_forwarded_cycles;
-                group_cycles.push(outcome.cycles);
+            let lo = plan.task_id(p, j * pp.groups);
+            let (pass, makespan) = fold_pass(
+                p as u32 + 1,
+                job_records[j],
+                pp.runs_in,
+                &stats[lo..lo + pp.groups],
                 #[cfg(feature = "sanitize")]
-                diagnostics.extend(
-                    outcome
-                        .diagnostics
-                        .into_iter()
-                        .map(|d| d.with("stage", stage).with("group", g).with("job", j)),
-                );
-                #[cfg(not(feature = "sanitize"))]
-                let _ = g;
-            }
-            let (makespan, busy) = pass_virtual_schedule(&group_cycles);
-            pass.busy_worker_cycles = busy;
-            pass.idle_worker_cycles = (VIRTUAL_WORKERS as u64) * makespan - busy;
+                diagnostics,
+            );
             batch_barrier += makespan;
             passes.push(pass);
+        }
+        #[cfg(feature = "sanitize")]
+        for d in &mut diagnostics[first..] {
+            d.context.push(("job", j.to_string()));
         }
         let report = SortReport::from_passes(passes, job_records[j], record_bytes);
         out.push((sorted, report));
@@ -985,7 +953,7 @@ mod tests {
     #[test]
     fn virtual_schedules_are_consistent() {
         // One pass of equal groups fills the pool perfectly.
-        let (makespan, busy) = pass_virtual_schedule(&[10; VIRTUAL_WORKERS]);
+        let (makespan, busy) = pass_virtual_schedule([10; VIRTUAL_WORKERS]);
         assert_eq!((makespan, busy), (10, 10 * VIRTUAL_WORKERS as u64));
         // DAG makespan never exceeds the barrier sum and never beats
         // the critical path.
@@ -997,12 +965,96 @@ mod tests {
                     .collect()
             })
             .collect();
-        let barrier: u64 = cycles.iter().map(|c| pass_virtual_schedule(c).0).sum();
-        let dag = dag_virtual_makespan(&plan, &cycles);
+        let barrier: u64 = cycles
+            .iter()
+            .map(|c| pass_virtual_schedule(c.iter().copied()).0)
+            .sum();
+        let dag = dag_virtual_makespan(&plan, &cycles.concat());
         assert!(dag <= barrier, "{dag} vs {barrier}");
         let critical: u64 = (0..plan.num_passes())
             .map(|p| *cycles[p].iter().max().unwrap())
             .sum();
         assert!(dag >= critical.min(barrier) / 2, "sanity: {dag}");
+    }
+
+    /// The per-pass barrier as a thread-free list schedule: passes in
+    /// order, every group's input sliced out of the *folded* previous
+    /// run set (the DAG concatenates child outputs instead), the shared
+    /// fold. The first failing group in `(pass, group)` order wins.
+    fn barrier_oracle<R: Record>(
+        config: &SimEngineConfig,
+        data: Vec<R>,
+        max_cycles: u64,
+    ) -> Result<(Vec<R>, SortReport), SortError> {
+        let n = data.len() as u64;
+        let sanitized = data.into_iter().map(Record::sanitize).collect();
+        let mut runs = RunSet::from_chunks(sanitized, config.initial_run_len());
+        let plan = SortPlan::new(runs.num_runs(), config.amt.l);
+        let mut passes = Vec::new();
+        for p in 0..plan.num_passes() {
+            let PassPlan { fan_in, groups, .. } = plan.pass(p);
+            let stage = p as u32 + 1;
+            let mut records = Vec::with_capacity(runs.len());
+            let mut starts = Vec::with_capacity(groups);
+            let mut stats = Vec::with_capacity(groups);
+            for g in 0..groups {
+                let input = group_input(&runs, g, fan_in);
+                let (out, group) = simulate_group(config, input, fan_in, stage, max_cycles, false)?;
+                starts.push(records.len());
+                records.extend(out);
+                stats.push(group);
+            }
+            let (pass, _) = fold_pass(
+                stage,
+                n,
+                runs.num_runs(),
+                &stats,
+                #[cfg(feature = "sanitize")]
+                &mut Vec::new(),
+            );
+            passes.push(pass);
+            runs = RunSet::from_parts(records, starts);
+        }
+        let report = SortReport::from_passes(passes, n, config.loader.record_bytes);
+        Ok((runs.into_records(), report))
+    }
+
+    #[test]
+    fn dag_matches_the_barrier_oracle_on_random_shapes() {
+        use crate::{AmtConfig, SimEngine};
+        use bonsai_records::U32Rec;
+
+        let mut rng = bonsai_rng::Rng::seed_from_u64(0x0DA6_BA22);
+        for round in 0..10 {
+            let (p, l) = (1 << rng.below_usize(4), 1 << rng.range_usize(1, 6));
+            let mut cfg = SimEngineConfig::dram_sorter(AmtConfig::new(p, l), 4);
+            if rng.chance_percent(25) {
+                cfg = cfg.without_presort();
+            }
+            // Small inputs make passes narrower than the pool, large
+            // ones far wider.
+            let len = rng.range_usize(1, if round % 2 == 0 { 20_000 } else { 300 });
+            let data: Vec<U32Rec> = (0..len).map(|_| U32Rec::new(rng.next_u32())).collect();
+            let (sorted, report) =
+                barrier_oracle(&cfg, data.clone(), u64::MAX).expect("unbounded passes finish");
+            // Half the final group's cycles: the last pass always trips
+            // the bound, earlier (smaller) groups only sometimes — the
+            // oracle says which (pass, group) fails first.
+            let bound = report.passes.last().map_or(1, |pass| pass.cycles / 2);
+            let livelock = barrier_oracle(&cfg, data.clone(), bound).map(|_| ());
+            for workers in [1usize, 2, 0] {
+                let ctx = format!("round {round} AMT({p}, {l}) len {len} workers {workers}");
+                let (out, mut rep) = SimEngine::new(cfg).sort_pipelined(data.clone(), workers);
+                assert_eq!(out, sorted, "{ctx}: output");
+                // The oracle has no DAG to overlap; everything else is exact.
+                rep.pipeline_overlap_cycles = 0;
+                assert_eq!(rep, report, "{ctx}: report");
+                let bounded = SimEngine::new(cfg)
+                    .with_max_pass_cycles(bound)
+                    .try_sort_pipelined(data.clone(), workers)
+                    .map(|_| ());
+                assert_eq!(bounded, livelock, "{ctx}: BON040");
+            }
+        }
     }
 }

@@ -32,43 +32,24 @@ pub struct SimEngine {
     diagnostics: Vec<Diagnostic>,
 }
 
-/// Environment variable that forces the reference per-cycle loop
-/// (`BONSAI_SIM_REFERENCE=1`) instead of the event-driven fast path.
-/// The two paths produce bit-identical output and accounting (the
-/// equivalence suite enforces this); the variable exists so CI and
-/// debugging sessions can pin the loop that executes every cycle.
-pub const REFERENCE_LOOP_ENV: &str = "BONSAI_SIM_REFERENCE";
-
-fn reference_loop_from_env() -> bool {
-    std::env::var(REFERENCE_LOOP_ENV).is_ok_and(|v| v == "1")
-}
-
 impl SimEngine {
     /// Creates an engine from its configuration, rejecting invalid ones
     /// with the structured `BONxxx` diagnostics of
     /// [`SimEngineConfig::validate`] (e.g. `BON004` for a zero record
     /// width) instead of panicking.
     pub fn try_new(config: SimEngineConfig) -> Result<Self, Vec<Diagnostic>> {
-        let config = config.try_validated()?;
-        Ok(Self {
-            config,
-            max_pass_cycles: MAX_PASS_CYCLES,
-            reference_loop: reference_loop_from_env(),
-            #[cfg(feature = "sanitize")]
-            diagnostics: Vec::new(),
-        })
+        config.try_validated().map(Self::prevalidated)
     }
 
     /// Creates an engine from a configuration that is already known to
-    /// be valid — the compiled-shape cache's constructor
-    /// ([`CompiledShape::engine`](crate::CompiledShape::engine)), which
-    /// is the only caller, holds a `CompiledShape` as proof. Identical
-    /// to [`SimEngine::try_new`] minus the re-validation.
+    /// be valid: [`SimEngine::try_new`] after validating, and the
+    /// compiled-shape cache ([`CompiledShape::engine`](crate::CompiledShape::engine)),
+    /// which holds a `CompiledShape` as proof.
     pub(crate) fn prevalidated(config: SimEngineConfig) -> Self {
         Self {
             config,
             max_pass_cycles: MAX_PASS_CYCLES,
-            reference_loop: reference_loop_from_env(),
+            reference_loop: false,
             #[cfg(feature = "sanitize")]
             diagnostics: Vec::new(),
         }
@@ -99,20 +80,16 @@ impl SimEngine {
         self
     }
 
-    /// Selects the simulation loop: `true` forces the reference per-cycle
-    /// loop, `false` the event-driven fast path (the default unless
-    /// [`REFERENCE_LOOP_ENV`] is set to `1`). Both produce bit-identical
-    /// sorted output and reports; only wall-clock time and the
-    /// `fast_forwarded_cycles` observability counters differ.
+    /// Selects the simulation loop: `true` runs the reference per-cycle
+    /// loop, the oracle the event-driven fast path (the default, and what
+    /// every production caller runs) is checked against. Both produce
+    /// bit-identical sorted output and reports; only wall-clock time and
+    /// the `fast_forwarded_cycles` observability counters differ. This
+    /// builder is the only way to reach the reference loop.
     #[must_use]
     pub fn with_reference_loop(mut self, reference: bool) -> Self {
         self.reference_loop = reference;
         self
-    }
-
-    /// Whether this engine runs the reference per-cycle loop.
-    pub fn reference_loop(&self) -> bool {
-        self.reference_loop
     }
 
     /// The engine configuration.
@@ -152,66 +129,42 @@ impl SimEngine {
     /// aborting the process, so a batch runtime can fail one job and
     /// keep going.
     pub fn try_sort<R: Record>(&mut self, data: Vec<R>) -> Result<(Vec<R>, SortReport), SortError> {
-        self.sort_with(data, |engine, runs, fan_in, stage| {
-            engine.run_pass(runs, fan_in, stage)
-        })
-    }
+        #[cfg(feature = "sanitize")]
+        self.diagnostics.clear();
+        let n_records = data.len() as u64;
+        let record_bytes = self.config.loader.record_bytes;
+        let sanitized: Vec<R> = data.into_iter().map(Record::sanitize).collect();
 
-    /// Sorts `data` with each merge pass sharded across its independent
-    /// merge groups on `workers` threads (`0` = one per core).
-    ///
-    /// The sorted output and the report are bit-identical for every
-    /// worker count (see [`crate::shard`] for the determinism argument
-    /// and how the sharded timing model relates to [`SimEngine::sort`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pass exceeds the livelock cycle bound; use
-    /// [`SimEngine::try_sort_sharded`] for the structured error.
-    pub fn sort_sharded<R: Record>(
-        &mut self,
-        data: Vec<R>,
-        workers: usize,
-    ) -> (Vec<R>, SortReport) {
-        match self.try_sort_sharded(data, workers) {
-            Ok(out) => out,
-            Err(err) => panic!("{err}"),
+        // Presort into `initial_run_len`-record runs. In hardware this is
+        // pipelined with the first merge stage (§VI-C1), so it costs no
+        // extra cycles; it just shortens the stage count.
+        let mut runs = RunSet::from_chunks(sanitized, self.config.initial_run_len());
+
+        let mut passes = Vec::new();
+        // Balanced power-of-two fan-ins per stage (see `schedule`).
+        let fan_ins =
+            crate::schedule::fan_in_schedule(runs.num_runs() as u64, self.config.amt.l as u64);
+        for (stage0, &m) in fan_ins.iter().enumerate() {
+            debug_assert!(runs.num_runs() > 1);
+            let (next, pass) = self.run_pass(runs, m as usize, stage0 as u32 + 1)?;
+            runs = next;
+            passes.push(pass);
         }
+        debug_assert!(runs.num_runs() <= 1, "schedule must fully sort");
+        let report = SortReport::from_passes(passes, n_records, record_bytes);
+        Ok((runs.into_records(), report))
     }
 
-    /// Fallible [`SimEngine::sort_sharded`]: livelocked passes surface
-    /// as `BON040` [`SortError`]s. The first failing merge group in
-    /// group order wins, independent of the worker count.
-    pub fn try_sort_sharded<R: Record>(
-        &mut self,
-        data: Vec<R>,
-        workers: usize,
-    ) -> Result<(Vec<R>, SortReport), SortError> {
-        self.sort_with(data, |engine, runs, fan_in, stage| {
-            crate::shard::run_pass_sharded(
-                &engine.config,
-                &runs,
-                fan_in,
-                stage,
-                workers,
-                engine.max_pass_cycles,
-                engine.reference_loop,
-                #[cfg(feature = "sanitize")]
-                &mut engine.diagnostics,
-            )
-        })
-    }
-
-    /// Sorts `data` with the cross-pass pipelined group-DAG scheduler:
-    /// `(pass, group)` merge tasks run on `workers` threads (`0` = one
-    /// per core) as soon as their child groups have drained, instead of
-    /// waiting at a per-pass barrier (see [`crate::dag`]).
+    /// Sorts `data` split across threads: every `(pass, group)` merge
+    /// task runs on one of `workers` threads (`0` = one per core) as
+    /// soon as the child groups feeding its leaves have drained (see
+    /// [`crate::dag`]) — a batch of one through
+    /// [`SimEngine::sort_batch_pipelined`].
     ///
-    /// The sorted output and the [`SortReport`] are bit-identical to
-    /// [`SimEngine::sort_sharded`] at every worker count; only the
-    /// observability-only `pipeline_overlap_cycles` counter differs
-    /// (it reports the virtual-makespan cycles the DAG saved, always
-    /// `0` under the barrier scheduler).
+    /// The sorted output and the [`SortReport`] are bit-identical at
+    /// every worker count, `pipeline_overlap_cycles` (the
+    /// virtual-makespan cycles the DAG saved over a per-pass barrier)
+    /// included.
     ///
     /// # Panics
     ///
@@ -230,32 +183,26 @@ impl SimEngine {
 
     /// Fallible [`SimEngine::sort_pipelined`]: livelocked groups surface
     /// as `BON040` [`SortError`]s. The minimum failing `(pass, group)`
-    /// task wins error reporting — the same error the barrier scheduler
-    /// returns — independent of worker count and completion order.
+    /// task wins error reporting, independent of worker count and
+    /// completion order.
     pub fn try_sort_pipelined<R: Record>(
         &mut self,
         data: Vec<R>,
         workers: usize,
     ) -> Result<(Vec<R>, SortReport), SortError> {
-        #[cfg(feature = "sanitize")]
-        self.diagnostics.clear();
-        crate::dag::sort_pipelined::<R, bonsai_mc::facade::StdSync>(
-            &self.config,
-            data,
-            workers,
-            self.max_pass_cycles,
-            self.reference_loop,
-            #[cfg(feature = "sanitize")]
-            &mut self.diagnostics,
-        )
+        let (mut jobs, overlap) = self.try_sort_batch_pipelined(vec![data], workers)?;
+        let (sorted, mut report) = jobs.pop().expect("one job in, one job out");
+        report.pipeline_overlap_cycles = overlap;
+        Ok((sorted, report))
     }
 
     /// Sorts a batch of equally-sized inputs as one pipelined forest
-    /// DAG (see the `crate::dag` module docs): each job's
-    /// output and [`SortReport`] are bit-identical to sorting it alone
-    /// under the barrier scheduler, and the second return value is the
-    /// batch-level `pipeline_overlap_cycles` — the virtual-makespan
-    /// cycles the forest saved over running the jobs back to back.
+    /// DAG (see the `crate::dag` module docs): each job's output and
+    /// [`SortReport`] are bit-identical to sorting it alone (with
+    /// per-job `pipeline_overlap_cycles` left at 0), and the second
+    /// return value is the batch-level `pipeline_overlap_cycles` — the
+    /// virtual-makespan cycles the forest saved over running the jobs
+    /// back to back, each behind per-pass barriers.
     ///
     /// # Panics
     ///
@@ -276,8 +223,7 @@ impl SimEngine {
 
     /// Fallible [`SimEngine::sort_batch_pipelined`]: livelocked groups
     /// surface as `BON040` [`SortError`]s, the minimum failing
-    /// `(pass, slot)` task winning — so the reported error is the first
-    /// failing job's barrier-scheduler error.
+    /// `(pass, slot)` task winning.
     pub fn try_sort_batch_pipelined<R: Record>(
         &mut self,
         datasets: Vec<Vec<R>>,
@@ -285,7 +231,7 @@ impl SimEngine {
     ) -> Result<crate::dag::BatchSorted<R>, SortError> {
         #[cfg(feature = "sanitize")]
         self.diagnostics.clear();
-        crate::dag::sort_batch_pipelined::<R, bonsai_mc::facade::StdSync>(
+        crate::dag::sort_batch::<R, bonsai_mc::facade::StdSync>(
             &self.config,
             datasets,
             workers,
@@ -294,44 +240,6 @@ impl SimEngine {
             #[cfg(feature = "sanitize")]
             &mut self.diagnostics,
         )
-    }
-
-    /// The shared sort skeleton: presort, then run the balanced fan-in
-    /// schedule with `run_pass` executing each stage.
-    fn sort_with<R: Record>(
-        &mut self,
-        data: Vec<R>,
-        mut run_pass: impl FnMut(
-            &mut Self,
-            RunSet<R>,
-            usize,
-            u32,
-        ) -> Result<(RunSet<R>, PassReport), SortError>,
-    ) -> Result<(Vec<R>, SortReport), SortError> {
-        #[cfg(feature = "sanitize")]
-        self.diagnostics.clear();
-        let n_records = data.len() as u64;
-        let record_bytes = self.config.loader.record_bytes;
-        let sanitized: Vec<R> = data.into_iter().map(Record::sanitize).collect();
-
-        // Presort into `initial_run_len`-record runs. In hardware this is
-        // pipelined with the first merge stage (§VI-C1), so it costs no
-        // extra cycles; it just shortens the stage count.
-        let mut runs = RunSet::from_chunks(sanitized, self.config.initial_run_len());
-
-        let mut passes = Vec::new();
-        // Balanced power-of-two fan-ins per stage (see `schedule`).
-        let fan_ins =
-            crate::schedule::fan_in_schedule(runs.num_runs() as u64, self.config.amt.l as u64);
-        for (stage0, &m) in fan_ins.iter().enumerate() {
-            debug_assert!(runs.num_runs() > 1);
-            let (next, pass) = run_pass(self, runs, m as usize, stage0 as u32 + 1)?;
-            runs = next;
-            passes.push(pass);
-        }
-        debug_assert!(runs.num_runs() <= 1, "schedule must fully sort");
-        let report = SortReport::from_passes(passes, n_records, record_bytes);
-        Ok((runs.into_records(), report))
     }
 
     /// Executes one merge stage: merges every group of `fan_in ≤ ℓ` runs

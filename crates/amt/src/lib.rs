@@ -51,14 +51,13 @@ pub mod passsim;
 pub mod prove;
 mod report;
 pub mod schedule;
-pub mod shard;
 mod tree;
 mod unrolled;
 
 pub use cache::{CompiledShape, ShapeCache};
 pub use config::{AmtConfig, SimEngineConfig};
 pub use dag::{BatchSorted, PassPlan, SortPlan, VIRTUAL_WORKERS};
-pub use engine::{SimEngine, REFERENCE_LOOP_ENV};
+pub use engine::SimEngine;
 pub use error::SortError;
 /// [`functional::kway_merge`] under the name the loser tree was first
 /// exported with; the one kernel stands behind both.

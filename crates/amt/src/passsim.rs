@@ -355,8 +355,8 @@ impl<R: Record> PassSim<R> {
             output_stalls: tree_stats.total_output_stalls,
             fast_forwarded_cycles: self.fast_forwarded,
             // The fused single-engine path never idles a worker; the
-            // sharded/pipelined callers overwrite these from the
-            // deterministic virtual-pool schedule.
+            // group DAG's fold overwrites these from the deterministic
+            // virtual-pool schedule.
             busy_worker_cycles: self.cycles,
             idle_worker_cycles: 0,
         };

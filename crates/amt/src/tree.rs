@@ -449,6 +449,9 @@ mod tests {
         );
     }
 
+    // The range check is a hot-loop `debug_assert!`: release builds
+    // compile it out, so there is no message to expect there.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "leaf index out of range")]
     fn push_to_invalid_leaf_panics() {

@@ -1,6 +1,6 @@
-//! Worker-count invariance of the pass-sharded engine.
+//! Worker-count invariance of the group DAG.
 //!
-//! The sharded runtime's whole contract is that `workers` is a
+//! The DAG's whole contract is that `workers` is a
 //! wall-clock knob and nothing else: for any configuration, every worker
 //! count must produce the same sorted output and the same per-pass cycle
 //! counts, bit for bit. These tests draw randomized configurations and
@@ -21,7 +21,7 @@ fn test_workers() -> usize {
 }
 
 #[test]
-fn sharded_reports_are_worker_count_invariant_on_random_configs() {
+fn dag_reports_are_worker_count_invariant_on_random_configs() {
     let workers = test_workers();
     let mut rng = Rng::seed_from_u64(0xA370_0040);
     for round in 0..24 {
@@ -35,8 +35,8 @@ fn sharded_reports_are_worker_count_invariant_on_random_configs() {
         let mut cfg = SimEngineConfig::dram_sorter(AmtConfig::new(p, l), 4);
         cfg.presort = (presort > 1).then_some(presort);
 
-        let (out_1, report_1) = SimEngine::new(cfg).sort_sharded(data.clone(), 1);
-        let (out_n, report_n) = SimEngine::new(cfg).sort_sharded(data.clone(), workers);
+        let (out_1, report_1) = SimEngine::new(cfg).sort_pipelined(data.clone(), 1);
+        let (out_n, report_n) = SimEngine::new(cfg).sort_pipelined(data.clone(), workers);
         assert_eq!(
             out_1, out_n,
             "round {round} (p={p} l={l}): output depends on worker count"
@@ -46,10 +46,10 @@ fn sharded_reports_are_worker_count_invariant_on_random_configs() {
             "round {round} (p={p} l={l}): report depends on worker count"
         );
 
-        // The sharded path sorts exactly like the fused engine (the
+        // The DAG sorts exactly like the fused engine (the
         // timing models differ; the data path must not).
         let (out_fused, _) = SimEngine::new(cfg).sort(data);
-        assert_eq!(out_1, out_fused, "round {round}: sharded output diverges");
+        assert_eq!(out_1, out_fused, "round {round}: DAG output diverges");
         for pass in &report_1.passes {
             assert!(pass.cycles > 0, "round {round}: empty pass accounting");
         }
@@ -57,16 +57,16 @@ fn sharded_reports_are_worker_count_invariant_on_random_configs() {
 }
 
 #[test]
-fn sharded_and_fused_agree_on_bytes_moved() {
+fn dag_and_fused_agree_on_bytes_moved() {
     // Every pass reads and writes the whole array once, however the
     // groups are partitioned — byte accounting is partition-invariant
     // even though cycle accounting models a drained pipeline per group.
     let data: Vec<U32Rec> = bonsai_gensort::dist::uniform_u32(40_000, 17);
     let cfg = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
     let (_, fused) = SimEngine::new(cfg).sort(data.clone());
-    let (_, sharded) = SimEngine::new(cfg).sort_sharded(data, test_workers());
-    assert_eq!(fused.passes.len(), sharded.passes.len());
-    for (f, s) in fused.passes.iter().zip(&sharded.passes) {
+    let (_, dag) = SimEngine::new(cfg).sort_pipelined(data, test_workers());
+    assert_eq!(fused.passes.len(), dag.passes.len());
+    for (f, s) in fused.passes.iter().zip(&dag.passes) {
         assert_eq!(f.bytes_read, s.bytes_read, "stage {}", f.stage);
         assert_eq!(f.bytes_written, s.bytes_written, "stage {}", f.stage);
         assert_eq!(f.runs_in, s.runs_in);
@@ -79,8 +79,8 @@ fn sharded_and_fused_agree_on_bytes_moved() {
 fn worker_zero_means_auto_and_stays_deterministic() {
     let data: Vec<U32Rec> = bonsai_gensort::dist::uniform_u32(10_000, 23);
     let cfg = SimEngineConfig::dram_sorter(AmtConfig::new(2, 8), 4);
-    let (out_auto, report_auto) = SimEngine::new(cfg).sort_sharded(data.clone(), 0);
-    let (out_1, report_1) = SimEngine::new(cfg).sort_sharded(data, 1);
+    let (out_auto, report_auto) = SimEngine::new(cfg).sort_pipelined(data.clone(), 0);
+    let (out_1, report_1) = SimEngine::new(cfg).sort_pipelined(data, 1);
     assert_eq!(out_auto, out_1);
     assert_eq!(report_auto, report_1);
 }

@@ -6,25 +6,15 @@
 //! and the same `SortReport`, bit for bit, with the sole exception of
 //! the `fast_forwarded_cycles` observability counters (always zero on
 //! the reference path). These tests draw randomized configurations and
-//! check the invariant on the fused and the sharded engine; the in-repo
+//! check the invariant on the fused engine and the group DAG; the in-repo
 //! experiment configs are covered by the bench crate's equivalence
 //! suite.
 
-use bonsai_amt::{AmtConfig, SimEngine, SimEngineConfig, SortReport};
+use bonsai_amt::{AmtConfig, SimEngine, SimEngineConfig};
 use bonsai_gensort::dist::uniform_u32;
 use bonsai_memsim::MemoryConfig;
 use bonsai_records::U32Rec;
 use bonsai_rng::Rng;
-
-/// Strips the observability counters that legitimately differ between
-/// the two loops; everything else must match exactly.
-fn normalized(mut r: SortReport) -> SortReport {
-    r.fast_forwarded_cycles = 0;
-    for p in &mut r.passes {
-        p.fast_forwarded_cycles = 0;
-    }
-    r
-}
 
 fn engine(cfg: SimEngineConfig, reference: bool) -> SimEngine {
     SimEngine::new(cfg).with_reference_loop(reference)
@@ -64,31 +54,35 @@ fn fast_path_matches_reference_on_random_configs() {
             "round {round}: reference path must never fast-forward"
         );
         assert_eq!(
-            normalized(rep_ref),
-            normalized(rep_fast),
+            rep_ref.normalized(),
+            rep_fast.normalized(),
             "round {round}: fused reports diverge"
         );
     }
 }
 
 #[test]
-fn sharded_fast_path_matches_reference_at_every_worker_count() {
+fn dag_fast_path_matches_reference_at_every_worker_count() {
     let mut rng = Rng::seed_from_u64(0xEC01_2303);
     for round in 0..8 {
         let cfg = random_config(&mut rng);
         let data = random_data(&mut rng, 20_000);
-        let (out_ref, rep_ref) = engine(cfg, true).sort_sharded(data.clone(), 1);
+        let (out_ref, rep_ref) = engine(cfg, true).sort_pipelined(data.clone(), 1);
         // 0 = one worker per core, the "max" point of the matrix.
         for workers in [1usize, 2, 0] {
-            let (out_fast, rep_fast) = engine(cfg, false).sort_sharded(data.clone(), workers);
+            let (out_fast, rep_fast) = engine(cfg, false).sort_pipelined(data.clone(), workers);
             assert_eq!(
                 out_ref, out_fast,
-                "round {round} workers={workers}: sharded outputs diverge"
+                "round {round} workers={workers}: DAG outputs diverge"
             );
             assert_eq!(
-                normalized(rep_ref.clone()),
-                normalized(rep_fast),
-                "round {round} workers={workers}: sharded reports diverge"
+                rep_ref.pipeline_overlap_cycles, rep_fast.pipeline_overlap_cycles,
+                "round {round} workers={workers}: overlap depends on the loop"
+            );
+            assert_eq!(
+                rep_ref.clone().normalized(),
+                rep_fast.normalized(),
+                "round {round} workers={workers}: DAG reports diverge"
             );
         }
     }
@@ -118,7 +112,7 @@ fn memory_bound_config_fast_forwards_most_cycles() {
     );
     let (out_ref, rep_ref) = engine(cfg, true).sort(data);
     assert_eq!(out_ref, out_fast);
-    assert_eq!(normalized(rep_ref), normalized(rep_fast));
+    assert_eq!(rep_ref.normalized(), rep_fast.normalized());
 }
 
 #[test]

@@ -1,14 +1,13 @@
-//! Cross-scheduler equivalence: pipelined group DAG vs per-pass barrier
-//! vs the fused engine.
+//! The group DAG against the fused engine, across worker counts, both
+//! simulation loops and batches.
 //!
-//! The pipelined scheduler's contract is that it is a wall-clock
-//! optimization and nothing else: for any configuration and any worker
-//! count it must produce the same sorted output as the fused reference
-//! engine and the same `SortReport` as the barrier scheduler, bit for
-//! bit, with the sole exception of the observability-only
-//! `pipeline_overlap_cycles` counter (always zero under the barrier).
-//! Shapes are randomized so the suite crosses both regimes — passes
-//! with more groups than workers and workers than groups.
+//! The DAG's contract is that its worker count is a wall-clock knob and
+//! nothing else: for any configuration it must produce the same sorted
+//! output as the fused engine and the same `SortReport` at every worker
+//! count, bit for bit. (The per-pass barrier it replaced survives as the
+//! thread-free oracle in `dag.rs`'s unit tests, which pins the report
+//! itself.) Shapes are randomized so the suite crosses both regimes —
+//! passes with more groups than workers and workers than groups.
 
 use bonsai_amt::{AmtConfig, SimEngine, SimEngineConfig, SortReport, VIRTUAL_WORKERS};
 use bonsai_gensort::dist::uniform_u32;
@@ -23,21 +22,6 @@ fn test_workers() -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(4)
-}
-
-/// Strips the one counter the schedulers legitimately disagree on.
-fn no_overlap(mut r: SortReport) -> SortReport {
-    r.pipeline_overlap_cycles = 0;
-    r
-}
-
-/// Strips the counters that differ between simulation loops.
-fn no_fast_forward(mut r: SortReport) -> SortReport {
-    r.fast_forwarded_cycles = 0;
-    for p in &mut r.passes {
-        p.fast_forwarded_cycles = 0;
-    }
-    r
 }
 
 fn engine(cfg: SimEngineConfig) -> SimEngine {
@@ -65,7 +49,7 @@ fn random_data(rng: &mut Rng, max_len: usize) -> Vec<U32Rec> {
 }
 
 #[test]
-fn pipelined_matches_barrier_and_fused_on_random_shapes() {
+fn pipelined_matches_fused_on_random_shapes() {
     let mut rng = Rng::seed_from_u64(0xDA6_5EED);
     for round in 0..10 {
         let cfg = random_config(&mut rng);
@@ -74,20 +58,12 @@ fn pipelined_matches_barrier_and_fused_on_random_shapes() {
         // with thousands of groups).
         let data = random_data(&mut rng, if round % 2 == 0 { 20_000 } else { 200 });
         let (out_fused, rep_fused) = engine(cfg).sort(data.clone());
-        let (out_barrier, rep_barrier) = engine(cfg).sort_sharded(data.clone(), 1);
-        assert_eq!(out_fused, out_barrier, "round {round}: schedulers re-sort");
-        assert_eq!(rep_barrier.pipeline_overlap_cycles, 0);
         // 0 = one worker per core; test_workers() the CI matrix point.
         for workers in [1usize, 2, test_workers(), 0] {
             let (out, rep) = engine(cfg).sort_pipelined(data.clone(), workers);
             assert_eq!(
                 out, out_fused,
                 "round {round} workers={workers}: pipelined output diverges"
-            );
-            assert_eq!(
-                no_overlap(rep.clone()),
-                rep_barrier,
-                "round {round} workers={workers}: pipelined report diverges"
             );
             // Fused timing differs by design (pipeline overlap inside
             // one tree), but the data movement cannot.
@@ -130,10 +106,10 @@ fn fast_and_reference_loops_agree_under_pipelined() {
         assert_eq!(out_ref, out_fast, "round {round}");
         assert_eq!(rep_ref.fast_forwarded_cycles, 0);
         assert_eq!(
-            no_fast_forward(rep_ref),
-            no_fast_forward(rep_fast),
-            "round {round}"
+            rep_ref.pipeline_overlap_cycles, rep_fast.pipeline_overlap_cycles,
+            "round {round}: the virtual schedule must not see the loop"
         );
+        assert_eq!(rep_ref.normalized(), rep_fast.normalized(), "round {round}");
     }
 }
 
@@ -141,7 +117,7 @@ fn fast_and_reference_loops_agree_under_pipelined() {
 fn utilization_counters_are_consistent() {
     let cfg = SimEngineConfig::dram_sorter(AmtConfig::new(4, 4), 4);
     let data = uniform_u32(30_000, 17);
-    let (_, rep) = engine(cfg).sort_pipelined(data.clone(), 2);
+    let (_, rep) = engine(cfg).sort_pipelined(data, 2);
     assert!(rep.stages() >= 3, "shape must be multi-pass");
     for pass in &rep.passes {
         // Every group is simulated exactly once, so virtual busy time
@@ -158,13 +134,6 @@ fn utilization_counters_are_consistent() {
     }
     // A multi-pass sort with uneven tail groups overlaps something.
     assert!(rep.pipeline_overlap_cycles > 0, "{rep:?}");
-    // The barrier path reports the same utilization but zero overlap.
-    let (_, rep_barrier) = engine(cfg).sort_sharded(data, 2);
-    assert_eq!(rep_barrier.pipeline_overlap_cycles, 0);
-    for (a, b) in rep.passes.iter().zip(&rep_barrier.passes) {
-        assert_eq!(a.busy_worker_cycles, b.busy_worker_cycles);
-        assert_eq!(a.idle_worker_cycles, b.idle_worker_cycles);
-    }
 }
 
 #[test]
@@ -181,19 +150,14 @@ fn single_pass_shapes_have_zero_overlap() {
 #[test]
 fn livelock_bound_trips_identically_under_pipelined() {
     // BON040 parity (the SortError carries only stage and bound, and
-    // the minimum failing (pass, group) wins): every scheduler, loop
-    // and worker count must surface the same error.
+    // the minimum failing (pass, group) wins): the fused engine and the
+    // DAG on every loop and worker count must surface the same error.
     let cfg = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
     let data = uniform_u32(50_000, 4);
     let err_fused = engine(cfg)
         .with_max_pass_cycles(10)
         .try_sort(data.clone())
         .expect_err("bound of 10 cycles must trip");
-    let err_barrier = engine(cfg)
-        .with_max_pass_cycles(10)
-        .try_sort_sharded(data.clone(), 2)
-        .expect_err("bound of 10 cycles must trip");
-    assert_eq!(err_fused, err_barrier);
     for workers in [1usize, 2, test_workers(), 0] {
         for reference in [false, true] {
             let err = engine(cfg)
@@ -204,18 +168,18 @@ fn livelock_bound_trips_identically_under_pipelined() {
             assert_eq!(
                 err, err_fused,
                 "workers={workers} reference={reference}: BON040 must not \
-                 depend on the scheduler"
+                 depend on how the sort was split"
             );
         }
     }
 }
 
 #[test]
-fn batch_jobs_match_solo_barrier_sorts_on_random_shapes() {
+fn batch_jobs_match_solo_sorts_on_random_shapes() {
     // The forest DAG interleaves every job's tasks on one pool, but
     // each job's output and report must stay bit-identical to sorting
-    // it alone under the barrier (per-job overlap is 0 on both sides;
-    // only the batch-level overlap may be nonzero).
+    // it alone — except that the overlap belongs to the batch, so the
+    // per-job counter stays 0.
     let mut rng = Rng::seed_from_u64(0xBA7C_5EED);
     for round in 0..6 {
         let cfg = random_config(&mut rng);
@@ -231,7 +195,11 @@ fn batch_jobs_match_solo_barrier_sorts_on_random_shapes() {
             .collect();
         let solo: Vec<(Vec<U32Rec>, SortReport)> = datasets
             .iter()
-            .map(|d| engine(cfg).sort_sharded(d.clone(), 1))
+            .map(|d| {
+                let (out, mut rep) = engine(cfg).sort_pipelined(d.clone(), 1);
+                rep.pipeline_overlap_cycles = 0;
+                (out, rep)
+            })
             .collect();
         let mut at_workers = Vec::new();
         for workers in [1usize, 2, test_workers(), 0] {
@@ -286,7 +254,7 @@ fn batch_livelock_reports_the_first_failing_job() {
     let datasets: Vec<Vec<U32Rec>> = (0..3).map(|j| uniform_u32(20_000, 40 + j)).collect();
     let err_solo = engine(cfg)
         .with_max_pass_cycles(10)
-        .try_sort_sharded(datasets[0].clone(), 2)
+        .try_sort_pipelined(datasets[0].clone(), 2)
         .expect_err("bound of 10 cycles must trip");
     for workers in [1usize, 2, 0] {
         let err = engine(cfg)

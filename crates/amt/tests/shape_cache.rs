@@ -1,8 +1,8 @@
 //! Compiled-shape cache equivalence: an engine minted from a cache hit
 //! must be *bit-identical* in behavior to a cold `SimEngine::try_new` —
-//! same sorted output, same `SortReport` — at every worker count, fused
-//! and sharded. The cache may only skip validation work, never change
-//! the datapath.
+//! same sorted output, same `SortReport` — fused and on the group DAG
+//! at every worker count. The cache may only skip validation work, never
+//! change the datapath.
 
 use bonsai_amt::{AmtConfig, ShapeCache, SimEngine, SimEngineConfig, SortReport};
 use bonsai_gensort::dist::uniform_u32;
@@ -28,7 +28,7 @@ fn assert_cold_counters(report: &SortReport) {
 }
 
 #[test]
-fn cache_hit_is_bit_identical_to_cold_compile_fused_and_sharded() {
+fn cache_hit_is_bit_identical_to_cold_compile_fused_and_pipelined() {
     let data = uniform_u32(12_000, 33);
     for config in shapes() {
         let mut cache = ShapeCache::new(4);
@@ -47,21 +47,7 @@ fn cache_hit_is_bit_identical_to_cold_compile_fused_and_sharded() {
         assert_eq!(cold.1, cached.1, "fused report must match");
         assert_cold_counters(&cached.1);
 
-        // Sharded, at one, two and max (0 = all-cores) pass workers.
-        for workers in [1usize, 2, 0] {
-            let cold = SimEngine::try_new(config)
-                .expect("valid")
-                .try_sort_sharded(data.clone(), workers)
-                .expect("sorts");
-            let cached = hit
-                .engine()
-                .try_sort_sharded(data.clone(), workers)
-                .expect("sorts");
-            assert_eq!(cold.0, cached.0, "sharded({workers}) output must match");
-            assert_eq!(cold.1, cached.1, "sharded({workers}) report must match");
-        }
-
-        // Pipelined (what the adaptive scheduler actually drives).
+        // On the DAG, at one, two and max (0 = all-cores) pass workers.
         for workers in [1usize, 2, 0] {
             let cold = SimEngine::try_new(config)
                 .expect("valid")
@@ -89,11 +75,11 @@ fn eviction_and_recompile_still_match_cold() {
             let shape = cache.get_or_compile(&config).expect("valid");
             let cold = SimEngine::try_new(config)
                 .expect("valid")
-                .try_sort_sharded(data.clone(), 2)
+                .try_sort_pipelined(data.clone(), 2)
                 .expect("sorts");
             let cached = shape
                 .engine()
-                .try_sort_sharded(data.clone(), 2)
+                .try_sort_pipelined(data.clone(), 2)
                 .expect("sorts");
             assert_eq!(cold, cached);
         }

@@ -5,7 +5,7 @@
 //! interleaved with [`SMALL_JOBS`] small latency-class sorts, submitted
 //! in the same order — runs twice through the same two-worker runtime:
 //!
-//! - **fifo**: the pipelined scheduler, which executes every job with
+//! - **fifo**: `PassScheduler::Fifo`, which executes every job with
 //!   `try_sort_pipelined` on the one submitted shape in strict
 //!   submission order. This is the one-shape FIFO baseline.
 //! - **adaptive**: the adaptive scheduler — same per-job executor, plus
@@ -294,7 +294,7 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
     println!("== perf_adaptive: adaptive scheduling vs one-shape FIFO ==");
-    let fifo = run_mode("fifo", PassScheduler::Pipelined);
+    let fifo = run_mode("fifo", PassScheduler::Fifo);
     let adaptive = run_mode("adaptive", PassScheduler::Adaptive);
 
     // Identity across modes, every host: different shapes and dispatch

@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use bonsai_amt::{AmtConfig, SimEngine, SimEngineConfig, SortReport};
-use bonsai_bench::perf::{bench_json, bench_out_path, normalized, ssd_scale_config, JsonField};
+use bonsai_bench::perf::{bench_json, bench_out_path, ssd_scale_config, JsonField};
 use bonsai_gensort::dist::uniform_u32;
 use bonsai_memsim::MemoryConfig;
 
@@ -61,8 +61,8 @@ fn measure(name: &'static str, cfg: SimEngineConfig, records: usize) -> Row {
 
     assert_eq!(out_ref, out_fast, "{name}: paths sorted differently");
     assert_eq!(
-        normalized(rep_ref),
-        normalized(rep_fast.clone()),
+        rep_ref.normalized(),
+        rep_fast.clone().normalized(),
         "{name}: paths reported different accounting"
     );
 

@@ -1,6 +1,6 @@
 //! Parallel-throughput smoke bench for the batch sort runtime.
 //!
-//! CI gate for the sharded runtime: sorts the same batch of jobs with a
+//! CI gate for the batch runtime: sorts the same batch of jobs with a
 //! single worker and with one worker per core, verifies the results are
 //! bit-identical (the determinism contract), and — on a multi-core host
 //! — fails if the multi-worker runtime is slower than single-threaded
@@ -17,13 +17,13 @@ use std::time::{Duration, Instant};
 
 use bonsai_amt::{AmtConfig, SimEngine, SimEngineConfig, VIRTUAL_WORKERS};
 use bonsai_bench::perf::{
-    bench_json, normalized, percentile, resolve_bench_out, ssd_multipass_config, ssd_scale_config,
-    JsonField, MULTIPASS_RECORDS,
+    bench_json, percentile, resolve_bench_out, ssd_multipass_config, ssd_scale_config, JsonField,
+    MULTIPASS_RECORDS,
 };
 use bonsai_gensort::dist::uniform_u32;
 use bonsai_memsim::MemoryConfig;
 use bonsai_records::U32Rec;
-use bonsai_runtime::{JobOutput, PassScheduler, Runtime, RuntimeConfig, SortJob};
+use bonsai_runtime::{JobOutput, Runtime, RuntimeConfig, SortJob};
 
 /// One serial-or-parallel batch run, as a `BENCH_10.json` row.
 struct SmokeRow {
@@ -178,12 +178,11 @@ fn main() {
     println!("wrote {out_path}");
 
     // Worker-utilization observability: one multi-pass job through the
-    // runtime's pipelined DAG scheduler, reporting each pass's busy vs
-    // idle worker time on the deterministic virtual reference pool and
-    // the pipeline_overlap_cycles the DAG reclaimed from the barrier.
+    // runtime, reporting each pass's busy vs idle worker time on the
+    // deterministic virtual reference pool and the
+    // pipeline_overlap_cycles the DAG reclaimed from a per-pass barrier.
     let runtime = Runtime::start(RuntimeConfig {
         workers,
-        scheduler: PassScheduler::Pipelined,
         ..RuntimeConfig::default()
     });
     runtime
@@ -242,8 +241,8 @@ fn main() {
     let wall_fast = start.elapsed().as_secs_f64();
     assert_eq!(out_ref, out_fast, "ssd smoke: paths sorted differently");
     assert_eq!(
-        normalized(rep_ref),
-        normalized(rep_fast),
+        rep_ref.normalized(),
+        rep_fast.normalized(),
         "ssd smoke: paths reported different accounting"
     );
     println!(

@@ -150,9 +150,9 @@ pub const REF_CORES: usize = 8;
 
 /// Every runtime topology the repo itself runs: the default shape,
 /// both ends of `runtime_smoke`'s serial-vs-parallel gate, and the
-/// adaptive-scheduler shape `perf_adaptive` and the
-/// `BONSAI_RUNTIME_SCHEDULER=adaptive` CI lane exercise (whose
-/// `validate_for_cores` additionally runs the BON08x knob checks).
+/// adaptive-scheduler shape `perf_adaptive` and
+/// `bonsai-serve --adaptive` run (whose `validate_for_cores`
+/// additionally runs the BON08x knob checks).
 pub fn runtime_targets() -> Vec<(String, RuntimeConfig)> {
     vec![
         ("runtime/default".into(), RuntimeConfig::default()),
@@ -482,7 +482,7 @@ impl RawRuntimeLint {
         let mut diagnostics =
             self.config()
                 .validate_for_engine(self.records.map(|_| &engine), self.records, cores);
-        // The pipelined scheduler's capacity lint: a DAG whose ready
+        // The group DAG's capacity lint: a DAG whose ready
         // set outgrows the stated queue + pass-worker capacity has
         // tasks with nowhere to go (BON056). The `0` sentinels (auto
         // pool / unbounded queue) leave the capacity unstated, matching

@@ -1,11 +1,11 @@
 //! Shared shapes and helpers for the performance suite
 //! (`perf_baseline`, `perf_pipeline`, the `runtime_smoke` perf gate and
-//! the equivalence tests): machine shapes, report normalizers, and the
-//! `BENCH_*.json` writer every bench binary shares.
+//! the equivalence tests): machine shapes and the `BENCH_*.json` writer
+//! every bench binary shares.
 
 use std::fmt::Write as _;
 
-use bonsai_amt::{AmtConfig, SimEngineConfig, SortReport};
+use bonsai_amt::{AmtConfig, SimEngineConfig};
 use bonsai_memsim::MemoryConfig;
 
 /// The SSD-scale shape of the perf baseline: one slow flash access
@@ -25,7 +25,7 @@ pub fn ssd_scale_config() -> SimEngineConfig {
 /// (132 presorted runs) into a 4-pass sort with groups 33 → 9 → 3 → 1.
 /// On this latency-bound stream every merge group costs roughly the
 /// same simulated cycles regardless of pass (quadrupling the run
-/// length quarters the per-record cost), so the barrier scheduler's
+/// length quarters the per-record cost), so a per-pass barrier's
 /// ceil-waste — 5 + 2 + 1 + 1 = 9 group-waves for 46 groups of work
 /// that fit in 46/8 ≈ 5.75 — is exactly the idle cross-pass
 /// pipelining exists to reclaim.
@@ -38,34 +38,6 @@ pub fn ssd_multipass_config() -> SimEngineConfig {
 /// Records per job for [`ssd_multipass_config`]: 132 presorted
 /// 16-record runs.
 pub const MULTIPASS_RECORDS: usize = 2112;
-
-/// Strips the `fast_forwarded_cycles` observability counters (the only
-/// fields that legitimately differ between the reference loop and the
-/// fast path) so reports can be compared bit for bit.
-pub fn normalized(mut r: SortReport) -> SortReport {
-    r.fast_forwarded_cycles = 0;
-    for p in &mut r.passes {
-        p.fast_forwarded_cycles = 0;
-    }
-    r
-}
-
-/// Strips `pipeline_overlap_cycles` (the only field that legitimately
-/// differs between the barrier and pipelined schedulers) so reports can
-/// be compared bit for bit across schedulers.
-pub fn no_overlap(mut r: SortReport) -> SortReport {
-    r.pipeline_overlap_cycles = 0;
-    r
-}
-
-/// Strips the adaptive runtime's shape-cache counters (the only fields
-/// that legitimately differ between a cold compile and a cache hit) so
-/// reports can be compared bit for bit across cache states.
-pub fn no_cache_counters(mut r: SortReport) -> SortReport {
-    r.shape_cache_hits = 0;
-    r.shape_cache_misses = 0;
-    r
-}
 
 /// Nearest-rank percentile over an *ascending-sorted* sample: `p` in
 /// `[0, 100]`, so `percentile(s, 50.0)` is the median and
@@ -203,23 +175,6 @@ mod tests {
         assert_eq!(percentile(&s, 100.0), 10.0);
         assert_eq!(percentile(&[7.5], 50.0), 7.5);
         assert_eq!(percentile(&[], 50.0), 0.0);
-    }
-
-    #[test]
-    fn no_cache_counters_strips_only_the_cache_fields() {
-        let cfg = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
-        let mut engine = bonsai_amt::SimEngine::try_new(cfg).expect("valid shape");
-        let data = bonsai_gensort::dist::uniform_u32(2_000, 3);
-        let (_, mut report) = engine.sort(data);
-        report.shape_cache_hits = 5;
-        report.shape_cache_misses = 2;
-        let stripped = no_cache_counters(report.clone());
-        assert_eq!(stripped.shape_cache_hits, 0);
-        assert_eq!(stripped.shape_cache_misses, 0);
-        // Everything else survives untouched.
-        report.shape_cache_hits = 0;
-        report.shape_cache_misses = 0;
-        assert_eq!(stripped, report);
     }
 
     #[test]

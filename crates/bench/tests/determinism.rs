@@ -28,14 +28,14 @@ fn every_experiment_config_is_worker_count_invariant() {
         // the simulator's data path is record-typed; u32 keys exercise
         // the same schedule.
         let data = uniform_u32(n_records, 41);
-        let (out_1, report_1) = SimEngine::new(cfg).sort_sharded(data.clone(), 1);
-        let (out_n, report_n) = SimEngine::new(cfg).sort_sharded(data.clone(), workers);
+        let (out_1, report_1) = SimEngine::new(cfg).sort_pipelined(data.clone(), 1);
+        let (out_n, report_n) = SimEngine::new(cfg).sort_pipelined(data.clone(), workers);
         assert_eq!(out_1, out_n, "{target}: output depends on worker count");
         assert_eq!(
             report_1, report_n,
             "{target}: SortReport depends on worker count"
         );
         let (out_fused, _) = SimEngine::new(cfg).sort(data);
-        assert_eq!(out_1, out_fused, "{target}: sharded output diverges");
+        assert_eq!(out_1, out_fused, "{target}: DAG output diverges");
     }
 }

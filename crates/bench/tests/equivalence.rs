@@ -3,13 +3,12 @@
 //! Companion to the determinism suite: on all the configs the
 //! experiment suite actually runs (`lint::engine_targets`), the
 //! event-driven fast path and the reference per-cycle loop must produce
-//! bit-identical sorted output and `SortReport`s — fused and sharded,
-//! at every worker count — modulo only the `fast_forwarded_cycles`
-//! observability counters.
+//! bit-identical sorted output and `SortReport`s — fused and on the
+//! group DAG at every worker count — modulo only the
+//! `fast_forwarded_cycles` observability counters.
 
 use bonsai_amt::SimEngine;
 use bonsai_bench::lint::engine_targets;
-use bonsai_bench::perf::normalized;
 use bonsai_gensort::dist::uniform_u32;
 
 /// Worker count compared alongside 1 and max; `BONSAI_TEST_WORKERS`
@@ -40,24 +39,28 @@ fn every_experiment_config_agrees_across_paths() {
             "{target}: reference path must never fast-forward"
         );
         assert_eq!(
-            normalized(rep_ref),
-            normalized(rep_fast),
+            rep_ref.normalized(),
+            rep_fast.normalized(),
             "{target}: fused reports diverge"
         );
 
         let (out_s, rep_s) = SimEngine::new(cfg)
             .with_reference_loop(true)
-            .sort_sharded(data.clone(), 1);
+            .sort_pipelined(data.clone(), 1);
         // 0 = one worker per core, the "max" point of the matrix.
         for w in [1usize, workers, 0] {
             let (o, r) = SimEngine::new(cfg)
                 .with_reference_loop(false)
-                .sort_sharded(data.clone(), w);
-            assert_eq!(out_s, o, "{target} workers={w}: sharded outputs diverge");
+                .sort_pipelined(data.clone(), w);
+            assert_eq!(out_s, o, "{target} workers={w}: DAG outputs diverge");
             assert_eq!(
-                normalized(rep_s.clone()),
-                normalized(r),
-                "{target} workers={w}: sharded reports diverge"
+                rep_s.pipeline_overlap_cycles, r.pipeline_overlap_cycles,
+                "{target} workers={w}: overlap depends on the loop"
+            );
+            assert_eq!(
+                rep_s.clone().normalized(),
+                r.normalized(),
+                "{target} workers={w}: DAG reports diverge"
             );
         }
     }

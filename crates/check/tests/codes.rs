@@ -363,13 +363,13 @@ fn bon040_pass_livelock_is_a_structured_error() {
     assert_eq!(err.code(), codes::SIM_PASS_LIVELOCK);
     assert_eq!(err.stage, 1, "first pass trips the bound");
 
-    // The sharded runtime reports the identical error: the first
-    // failing group in group order wins, whatever the worker count.
+    // The group DAG reports the identical error: the minimum failing
+    // (pass, group) task wins, whatever the worker count.
     let mut engine = bonsai_amt::SimEngine::try_new(dram(4, 16, 4))
         .expect("valid config")
         .with_max_pass_cycles(10);
-    let sharded = engine.try_sort_sharded(data, 4).unwrap_err();
-    assert_eq!(err, sharded);
+    let pipelined = engine.try_sort_pipelined(data, 4).unwrap_err();
+    assert_eq!(err, pipelined);
 }
 
 #[test]
@@ -554,9 +554,9 @@ fn adaptive_codes_fire_through_the_runtime_config() {
     // ...and the default adaptive knobs are lint-clean.
     cfg.adaptive = bonsai_runtime::AdaptiveConfig::default();
     assert!(cfg.validate_for_cores(8).is_empty());
-    // A barrier-scheduled config never trips adaptive lints, whatever
-    // its (unused) adaptive knobs say.
-    cfg.scheduler = bonsai_runtime::PassScheduler::Barrier;
+    // A FIFO config never trips adaptive lints, whatever its (unused)
+    // adaptive knobs say.
+    cfg.scheduler = bonsai_runtime::PassScheduler::Fifo;
     cfg.adaptive.reprogram_cost_us = 0;
     assert!(cfg.validate_for_cores(8).is_empty());
 }

@@ -2,10 +2,13 @@
 //!
 //! ```text
 //! bonsai-serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
-//!              [--pass-workers N] [--max-payload-mb N]
+//!              [--pass-workers N] [--adaptive] [--max-payload-mb N]
 //!              [--max-inflight N] [--shutdown-token N]
 //!              [--amt-p N] [--amt-l N] [--quiet]
 //! ```
+//!
+//! `--adaptive` selects `PassScheduler::Adaptive` (per-job shape
+//! selection, two-lane queue); the default is `PassScheduler::Fifo`.
 //!
 //! Sorts 4-byte `U32Rec` records (the protocol rejects other widths
 //! with `BON075`). Prints `listening on ADDR` once ready, then serves
@@ -18,6 +21,7 @@ use std::process::ExitCode;
 use bonsai_amt::{AmtConfig, SimEngineConfig};
 use bonsai_net::{Server, ServerConfig};
 use bonsai_records::U32Rec;
+use bonsai_runtime::PassScheduler;
 
 struct Args {
     addr: String,
@@ -53,6 +57,7 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--pass-workers: {e}"))?;
             }
+            "--adaptive" => config.runtime.scheduler = PassScheduler::Adaptive,
             "--max-payload-mb" => {
                 let mb: u32 = value("--max-payload-mb")?
                     .parse()

@@ -484,12 +484,8 @@ fn adaptive_server_reports_cache_and_reprogram_counters() {
 }
 
 #[test]
-fn non_adaptive_server_reports_zero_adaptive_counters() {
-    // Pinned (not `scheduler_from_env`): this test is about the
-    // non-adaptive schedulers even when CI sets the adaptive env.
-    let mut config = test_config();
-    config.runtime.scheduler = bonsai_runtime::PassScheduler::Barrier;
-    let server = spawn_server(config);
+fn fifo_server_reports_zero_adaptive_counters() {
+    let server = spawn_server(test_config());
     let mut client = Client::<U32Rec>::connect(server.local_addr()).expect("connect");
     let mut rng = Rng::seed_from_u64(22);
     assert_sorts(&mut client, 1, &random_records(&mut rng, 2_000));

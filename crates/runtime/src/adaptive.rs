@@ -50,7 +50,8 @@ pub(crate) const SHAPE_CLASSES: usize = 2;
 pub struct AdaptiveConfig {
     /// Capacity of the compiled-shape cache (distinct validated
     /// [`SimEngineConfig`]s held; LRU beyond that). Below
-    /// [`SHAPE_CLASSES`] the job classes evict each other (`BON082`).
+    /// the number of job classes (2) the classes evict each other
+    /// (`BON082`).
     pub cache_shapes: usize,
     /// Jobs with at most this many records are latency class; larger
     /// jobs are throughput class.

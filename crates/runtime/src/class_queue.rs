@@ -1,11 +1,13 @@
-//! A two-lane, class-aware bounded queue for the adaptive scheduler.
+//! The runtime's one job queue: bounded, blocking, two lanes.
 //!
-//! [`ClassQueue`] carries the same blocking push/pop/close protocol as
-//! [`BoundedQueue`](crate::BoundedQueue) — one capacity shared by both
-//! lanes, backpressure on push, broadcast wakeup on close — but `pop`
-//! prefers the **latency** lane: small deadline-bound jobs overtake the
-//! queue position of large throughput-class jobs without preempting one
-//! already running.
+//! [`ClassQueue`] is the backpressure seam of the batch runtime —
+//! producers calling [`ClassQueue::push`] on a full queue block until a
+//! worker drains a slot, so a submitter can never race ahead of the pool
+//! by more than the configured depth (one capacity shared by both lanes)
+//! — and `close` is a broadcast: every parked producer and consumer
+//! wakes to observe the shutdown. `pop` prefers the **latency** lane:
+//! small deadline-bound jobs overtake the queue position of large
+//! throughput-class jobs without preempting one already running.
 //!
 //! Pure priority starves the throughput lane under a steady latency
 //! stream (`BON083`), so a *fairness stride* bounds the bypass: after
@@ -13,22 +15,29 @@
 //! waits, one throughput job is dispatched regardless. A `stride` of 0
 //! keeps pure priority.
 //!
-//! Items name their own lane via [`Classed`], so the queue slots into
-//! the generic [`WorkerPool`](crate::WorkerPool) behind the same
-//! [`PoolQueue`](crate::pool::PoolQueue) interface as the FIFO queue.
-//! When every item reports [`JobClass::Latency`] — what the runtime's
-//! non-adaptive schedulers do — the queue *is* a FIFO: one lane, zero
-//! reordering, identical observable behavior.
+//! Items name their own lane via [`Classed`]. When every item reports
+//! [`JobClass::Latency`] — what [`PassScheduler::Fifo`](crate::PassScheduler::Fifo)
+//! does — the queue *is* a FIFO: one lane, zero reordering.
 //!
-//! Like the FIFO queue, the queue is generic over the [`SyncOps`]
-//! facade; `tests/mc_class_queue.rs` model-checks the protocol and the
+//! The queue is generic over the [`SyncOps`] facade: production builds
+//! use [`StdSync`] (plain `std::sync`, the default type parameter, zero
+//! overhead), while `tests/mc_class_queue.rs` instantiates it with
+//! `bonsai_mc::sync::McSync` and model-checks the protocol and the
 //! starvation bound under every interleaving.
 
 use std::collections::VecDeque;
 
 use bonsai_mc::facade::{StdSync, SyncOps};
 
-use crate::queue::PushError;
+/// Why a push did not enqueue; the item is handed back either way.
+#[derive(Debug, PartialEq, Eq)]
+pub enum PushError<T> {
+    /// The queue is at capacity (non-blocking [`ClassQueue::try_push`]
+    /// only).
+    Full(T),
+    /// The queue was closed.
+    Closed(T),
+}
 
 /// Scheduling class of one job: which lane of the [`ClassQueue`] it
 /// waits in.
@@ -208,8 +217,9 @@ impl<T: Send + Classed, S: SyncOps> ClassQueue<T, S> {
     /// and blocked poppers wake up to observe the shutdown.
     pub fn close(&self) {
         S::lock(&self.state).closed = true;
-        // Broadcast, exactly like `BoundedQueue::close`: every parked
-        // producer and consumer must observe `closed`.
+        // Shutdown is a broadcast: every parked producer and consumer
+        // must observe `closed`, so `notify_one` would be a lost-wakeup
+        // bug here (the mutation test in `tests/mc_queue.rs` proves it).
         S::notify_all(&self.not_empty);
         S::notify_all(&self.not_full);
     }
@@ -250,8 +260,8 @@ mod tests {
 
     #[test]
     fn all_latency_items_are_plain_fifo() {
-        // The non-adaptive runtime tags everything Latency: the queue
-        // must then be indistinguishable from the FIFO BoundedQueue.
+        // The Fifo scheduler tags everything Latency: the queue must
+        // then be a plain bounded FIFO.
         let q = ClassQueue::<Item>::new(8, 4);
         for i in 0..5 {
             q.push(lat(i)).unwrap();

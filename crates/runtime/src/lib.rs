@@ -1,21 +1,22 @@
-//! Batch sort-job runtime over the pass-sharded [`SimEngine`].
+//! Batch sort-job runtime over the group-DAG [`SimEngine`].
 //!
 //! The bench configs are CPU-bound on one core; under batch traffic the
 //! host has two axes of parallelism to spend:
 //!
 //! - **across jobs** — independent sorts run on a pool of worker
-//!   threads fed by a [`BoundedQueue`], whose bounded depth gives
+//!   threads fed by the bounded [`ClassQueue`], whose depth gives
 //!   submitters backpressure instead of unbounded buffering;
 //! - **within a job** — each worker drives
-//!   [`SimEngine::try_sort_sharded`], which can further shard every
-//!   merge pass across its independent merge groups.
+//!   [`SimEngine::try_sort_pipelined`], which can further spread the
+//!   job's `(pass, group)` merge tasks over
+//!   [`RuntimeConfig::pass_workers`] threads.
 //!
 //! Failures stay per-job: an invalid configuration
 //! ([`JobError::Invalid`], `BONxxx` diagnostics), a livelocked pass
 //! ([`JobError::Sim`], `BON040`) or even a panicking job
 //! ([`JobError::Panic`]) fails that [`JobResult`] while the rest of the
 //! batch keeps sorting. Reports are bit-identical for every
-//! worker-count setting (see [`bonsai_amt::shard`]).
+//! worker-count setting (see [`bonsai_amt::dag`]).
 //!
 //! Results come back two ways:
 //!
@@ -32,8 +33,9 @@
 //!
 //! The queue and pool are generic over the `bonsai_mc` sync facade:
 //! production builds monomorphize to plain `std::sync` (zero overhead),
-//! while `tests/mc_queue.rs` instantiates the same code with the model
-//! checker's shims and exhaustively explores the shutdown protocols.
+//! while `tests/mc_class_queue.rs` and `tests/mc_queue.rs` instantiate
+//! the same code with the model checker's shims and exhaustively
+//! explore the queue and shutdown protocols.
 //! Static shape checks for [`RuntimeConfig`] live in
 //! [`bonsai_check::check_runtime_shape`] (BON05x) and are surfaced by
 //! `bonsai-lint --runtime`.
@@ -63,7 +65,6 @@
 mod adaptive;
 mod class_queue;
 mod pool;
-mod queue;
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -74,53 +75,31 @@ use bonsai_records::Record;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveStats};
 pub use bonsai_mc::facade::{StdSync, SyncOps};
-pub use class_queue::{ClassQueue, Classed, JobClass};
-pub use pool::{PoolQueue, WorkerPool};
-pub use queue::{BoundedQueue, PushError};
+pub use class_queue::{ClassQueue, Classed, JobClass, PushError};
+pub use pool::WorkerPool;
 
 use adaptive::AdaptiveState;
 
-/// Which scheduler a worker drives one job's merge passes with.
+/// How the runtime picks each job's queue lane and AMT shape. Within a
+/// job the merge passes always run on the group DAG
+/// ([`SimEngine::try_sort_pipelined`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PassScheduler {
-    /// Per-pass barrier: every group of pass *p* drains before pass
-    /// *p+1* starts ([`SimEngine::try_sort_sharded`]).
+    /// First in, first out, each job sorted on the shape it was
+    /// submitted with.
     #[default]
-    Barrier,
-    /// Cross-pass pipelined group DAG: a pass-*p+1* group starts as
-    /// soon as the pass-*p* groups feeding its leaves have drained
-    /// ([`SimEngine::try_sort_pipelined`]). Output and report are
-    /// bit-identical to [`PassScheduler::Barrier`] except the
-    /// observability-only `pipeline_overlap_cycles` counter.
-    Pipelined,
+    Fifo,
     /// Optimizer-driven adaptive scheduling: each job is classed by
-    /// size ([`JobClass`]), dispatched through the two-lane
+    /// size ([`JobClass`]), dispatched through the two lanes of the
     /// [`ClassQueue`] (small latency-bound jobs overtake queued batch
     /// work), and sorted on the AMT shape the analytical optimizer
     /// picks for it — latency-optimal for the latency class,
     /// throughput-optimal for the throughput class — with shape
     /// switches charged through the reconfiguration planner and
     /// validated shapes served from a bounded compiled-shape cache
-    /// ([`bonsai_amt::ShapeCache`]). Within a job, passes run on the
-    /// pipelined group DAG. Knobs live in [`AdaptiveConfig`]; shape
-    /// checks are `BON080`–`BON083`.
+    /// ([`bonsai_amt::ShapeCache`]). Knobs live in [`AdaptiveConfig`];
+    /// shape checks are `BON080`–`BON083`.
     Adaptive,
-}
-
-/// Environment variable selecting the default [`PassScheduler`] for
-/// [`RuntimeConfig::default`]: `pipelined` picks the cross-pass group
-/// DAG, `adaptive` the optimizer-driven adaptive scheduler, anything
-/// else (or unset) the per-pass barrier. Exists so CI can run the whole
-/// suite under any scheduler, mirroring
-/// [`bonsai_amt::REFERENCE_LOOP_ENV`] for the simulation loop.
-pub const SCHEDULER_ENV: &str = "BONSAI_RUNTIME_SCHEDULER";
-
-fn scheduler_from_env() -> PassScheduler {
-    match std::env::var(SCHEDULER_ENV).as_deref() {
-        Ok("pipelined") => PassScheduler::Pipelined,
-        Ok("adaptive") => PassScheduler::Adaptive,
-        _ => PassScheduler::Barrier,
-    }
 }
 
 /// Knobs of the batch runtime.
@@ -131,25 +110,16 @@ pub struct RuntimeConfig {
     /// Bounded queue depth; a full queue blocks [`Runtime::submit`]
     /// (backpressure).
     pub queue_depth: usize,
-    /// Threads each worker may spend sharding one job's merge passes
-    /// (`0` = one per core). The default of `1` keeps one job per core;
-    /// raise it when jobs are few and wide.
+    /// Threads each worker may spend on one job's group DAG (`0` = one
+    /// per core). The default of `1` keeps one job per core; raise it
+    /// when jobs are few and wide.
     pub pass_workers: usize,
-    /// How those pass workers are scheduled: per-pass barrier or
-    /// cross-pass pipelined group DAG. Defaults to the barrier unless
-    /// [`SCHEDULER_ENV`] says `pipelined`. Both produce bit-identical
-    /// sorted output and reports (modulo the observability-only
-    /// `pipeline_overlap_cycles` counter).
+    /// Lane and shape policy: [`PassScheduler::Fifo`] (the default) or
+    /// [`PassScheduler::Adaptive`].
     pub scheduler: PassScheduler,
     /// Per-pass livelock cycle bound handed to the engine; `None` keeps
     /// the engine default.
     pub max_pass_cycles: Option<u64>,
-    /// Simulation loop selection for every job: `Some(true)` forces the
-    /// reference per-cycle loop, `Some(false)` the event-driven fast
-    /// path, `None` keeps the engine default (fast path unless
-    /// [`bonsai_amt::REFERENCE_LOOP_ENV`] is set to `1`). Both loops
-    /// produce bit-identical reports.
-    pub reference_loop: Option<bool>,
     /// How many threads will call [`Runtime::submit`] concurrently.
     /// Purely declarative — used by the BON05x shape lints to judge the
     /// queue depth; the runtime itself accepts any number of
@@ -176,9 +146,8 @@ impl Default for RuntimeConfig {
             workers: 0,
             queue_depth: 16,
             pass_workers: 1,
-            scheduler: scheduler_from_env(),
+            scheduler: PassScheduler::Fifo,
             max_pass_cycles: None,
-            reference_loop: None,
             producers: 1,
             close_on_drop: true,
             join_on_drop: true,
@@ -430,23 +399,16 @@ fn run_job<R: Record>(
                 Some(bound) => engine.with_max_pass_cycles(bound),
                 None => engine,
             };
-            if let Some(reference) = config.reference_loop {
-                engine = engine.with_reference_loop(reference);
-            }
-            match config.scheduler {
-                PassScheduler::Barrier => engine.try_sort_sharded(job.data, config.pass_workers),
-                PassScheduler::Pipelined | PassScheduler::Adaptive => {
-                    engine.try_sort_pipelined(job.data, config.pass_workers)
-                }
-            }
-            .map(|(sorted, mut report)| {
-                if let Some(hit) = cache_hit {
-                    report.shape_cache_hits = u64::from(hit);
-                    report.shape_cache_misses = u64::from(!hit);
-                }
-                JobOutput { sorted, report }
-            })
-            .map_err(JobError::Sim)
+            engine
+                .try_sort_pipelined(job.data, config.pass_workers)
+                .map(|(sorted, mut report)| {
+                    if let Some(hit) = cache_hit {
+                        report.shape_cache_hits = u64::from(hit);
+                        report.shape_cache_misses = u64::from(!hit);
+                    }
+                    JobOutput { sorted, report }
+                })
+                .map_err(JobError::Sim)
         });
     JobResult {
         id,
@@ -481,16 +443,12 @@ pub struct Runtime<R: Record> {
     config: RuntimeConfig,
     next_ticket: std::sync::atomic::AtomicU64,
     // The adaptive brain (shape cache + planners), shared with the
-    // workers; `None` for the barrier/pipelined schedulers.
+    // workers; `None` under `PassScheduler::Fifo`.
     adaptive: Option<Arc<Mutex<AdaptiveState>>>,
     // Reply-path results are delivered through their channel and return
     // `None` from the runner, so an always-on service does not
     // accumulate results it will never `finish`.
-    //
-    // Every scheduler drains the two-lane class queue: the non-adaptive
-    // ones tag all jobs latency-class, which makes it an exact FIFO.
-    #[allow(clippy::type_complexity)]
-    pool: WorkerPool<Dispatch<R>, Option<JobResult<R>>, StdSync, ClassQueue<Dispatch<R>, StdSync>>,
+    pool: WorkerPool<Dispatch<R>, Option<JobResult<R>>>,
 }
 
 impl<R: Record> Runtime<R> {
@@ -538,7 +496,7 @@ impl<R: Record> Runtime<R> {
             }
         };
         let queue = ClassQueue::new(config.queue_depth, config.adaptive.fairness_stride);
-        let mut pool = WorkerPool::start_with_queue(workers, queue, runner);
+        let mut pool = WorkerPool::start(workers, queue, runner);
         pool.close_on_drop(config.close_on_drop)
             .join_on_drop(config.join_on_drop);
         Self {
@@ -550,8 +508,8 @@ impl<R: Record> Runtime<R> {
     }
 
     /// Snapshot of the adaptive layer's counters (shape-cache hit rate,
-    /// reprograms, per-lane job counts). All zero for the barrier and
-    /// pipelined schedulers.
+    /// reprograms, per-lane job counts). All zero under
+    /// [`PassScheduler::Fifo`].
     #[must_use]
     pub fn adaptive_stats(&self) -> AdaptiveStats {
         self.adaptive
@@ -568,7 +526,8 @@ impl<R: Record> Runtime<R> {
     /// The scheduling class the runtime assigns a `records`-record job:
     /// latency for small jobs under the adaptive scheduler's cutoff
     /// ([`AdaptiveConfig::small_job_records`]); everything is latency
-    /// class (exact FIFO) outside the adaptive scheduler.
+    /// class (which makes the queue an exact FIFO) under
+    /// [`PassScheduler::Fifo`].
     #[must_use]
     pub fn classify(&self, records: usize) -> JobClass {
         match self.config.scheduler {
@@ -784,34 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn reference_and_fast_loops_agree_end_to_end() {
-        fn normalized(mut r: SortReport) -> SortReport {
-            r.fast_forwarded_cycles = 0;
-            for p in &mut r.passes {
-                p.fast_forwarded_cycles = 0;
-            }
-            r
-        }
-        let data = uniform_u32(15_000, 12);
-        let run = |reference: bool| {
-            let runtime = Runtime::start(RuntimeConfig {
-                workers: 2,
-                reference_loop: Some(reference),
-                ..RuntimeConfig::default()
-            });
-            runtime
-                .submit(SortJob::new(0, dram_cfg(), data.clone()))
-                .expect("runtime open");
-            runtime.finish().remove(0).result.expect("sorts")
-        };
-        let fast = run(false);
-        let reference = run(true);
-        assert_eq!(fast.sorted, reference.sorted);
-        assert_eq!(reference.report.fast_forwarded_cycles, 0);
-        assert_eq!(normalized(fast.report), normalized(reference.report));
-    }
-
-    #[test]
     fn reports_are_identical_across_runtime_shapes() {
         let data = uniform_u32(20_000, 9);
         let shapes = [
@@ -893,8 +824,12 @@ mod tests {
 
     #[test]
     fn panicking_job_fails_alone_and_shutdown_still_joins() {
+        // The panic fires inside a DAG worker while its sibling may be
+        // parked in `wait_while`: the DAG must drain (catch_unwind in
+        // its loop) before the job-level catch records the failure.
         let runtime = Runtime::<PanicRec>::start(RuntimeConfig {
             workers: 2,
+            pass_workers: 2,
             ..RuntimeConfig::default()
         });
         let clean = |seed: u32| {
@@ -929,66 +864,6 @@ mod tests {
             }
             other => panic!("expected JobError::Panic, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn pipelined_scheduler_matches_barrier_modulo_overlap() {
-        let data = uniform_u32(20_000, 21);
-        let run = |scheduler: PassScheduler| {
-            let runtime = Runtime::start(RuntimeConfig {
-                workers: 2,
-                pass_workers: 2,
-                scheduler,
-                ..RuntimeConfig::default()
-            });
-            runtime
-                .submit(SortJob::new(0, dram_cfg(), data.clone()))
-                .expect("runtime open");
-            runtime.finish().remove(0).result.expect("sorts")
-        };
-        let barrier = run(PassScheduler::Barrier);
-        let pipelined = run(PassScheduler::Pipelined);
-        assert_eq!(barrier.sorted, pipelined.sorted);
-        assert_eq!(barrier.report.pipeline_overlap_cycles, 0);
-        let mut normalized = pipelined.report.clone();
-        normalized.pipeline_overlap_cycles = 0;
-        assert_eq!(
-            barrier.report, normalized,
-            "schedulers must agree on everything but the overlap counter"
-        );
-    }
-
-    #[test]
-    fn panicking_job_fails_alone_under_pipelined_scheduler() {
-        // Same poisoned-Ord shape as the barrier test above, but the
-        // panic now fires inside a DAG worker: catch_unwind in the DAG
-        // loop must drain the task graph (no wedged wait_while) before
-        // the job-level catch records the failure.
-        let runtime = Runtime::<PanicRec>::start(RuntimeConfig {
-            workers: 1,
-            pass_workers: 2,
-            scheduler: PassScheduler::Pipelined,
-            ..RuntimeConfig::default()
-        });
-        let mut poisoned: Vec<PanicRec> = (0..3_000u32)
-            .map(|i| PanicRec(i.wrapping_mul(2_654_435_761).wrapping_add(7) | 1))
-            .collect();
-        poisoned[1_234] = PanicRec(POISON);
-        runtime
-            .submit(SortJob::new(0, dram_cfg(), poisoned))
-            .expect("runtime open");
-        runtime
-            .submit(SortJob::new(1, dram_cfg(), vec![PanicRec(3), PanicRec(2)]))
-            .expect("runtime open");
-        let results = runtime.finish();
-        assert_eq!(results.len(), 2);
-        match &results[0].result {
-            Err(JobError::Panic(message)) => {
-                assert!(message.contains("poisoned record"), "got: {message}");
-            }
-            other => panic!("expected JobError::Panic, got {other:?}"),
-        }
-        assert!(results[1].result.is_ok(), "batch survives the DAG panic");
     }
 
     #[test]

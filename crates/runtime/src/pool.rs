@@ -1,9 +1,9 @@
-//! A generic worker pool over the [`BoundedQueue`].
+//! A generic worker pool draining a [`ClassQueue`].
 //!
-//! Workers drain jobs from the queue, run them through a shared runner
+//! Workers pop jobs from the queue, run them through a shared runner
 //! function and append the outputs to a results vector. Like the queue,
 //! the pool is generic over a [`SyncOps`] facade: production code uses
-//! [`StdSync`], while model-checking tests drive the full
+//! [`StdSync`], while `tests/mc_queue.rs` drives the full
 //! spawn/drain/shutdown protocol through `bonsai_mc::sync::McSync`.
 //!
 //! Shutdown is owned by the pool, not the caller:
@@ -21,114 +21,24 @@ use std::sync::Arc;
 
 use bonsai_mc::facade::{StdSync, SyncOps};
 
-use crate::class_queue::{ClassQueue, Classed};
-use crate::queue::{BoundedQueue, PushError};
+use crate::class_queue::{ClassQueue, Classed, PushError};
 
-/// The queue interface a [`WorkerPool`] drains: the blocking
-/// push/pop/close protocol shared by [`BoundedQueue`] (plain FIFO) and
-/// [`ClassQueue`] (two-lane, class-aware). Implementations must carry
-/// the same shutdown semantics: `close` is a broadcast, pending items
-/// still drain, `pop` returns `None` once closed *and* empty.
-pub trait PoolQueue<T: Send>: Send + Sync {
-    /// Enqueues `item`, blocking while the queue is full.
-    ///
-    /// # Errors
-    ///
-    /// [`PushError::Closed`] hands the item back after shutdown.
-    fn push(&self, item: T) -> Result<(), PushError<T>>;
-
-    /// Enqueues `item` without blocking.
-    ///
-    /// # Errors
-    ///
-    /// [`PushError::Full`] at capacity, [`PushError::Closed`] after
-    /// shutdown; both hand the item back.
-    fn try_push(&self, item: T) -> Result<(), PushError<T>>;
-
-    /// Dequeues the next item by the queue's policy, blocking while
-    /// empty; `None` once closed and drained.
-    fn pop(&self) -> Option<T>;
-
-    /// Closes the queue (broadcast: every parked producer and consumer
-    /// observes shutdown).
-    fn close(&self);
-
-    /// Items currently queued.
-    fn len(&self) -> usize;
-
-    /// `true` when nothing is queued.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<T: Send, S: SyncOps> PoolQueue<T> for BoundedQueue<T, S> {
-    fn push(&self, item: T) -> Result<(), PushError<T>> {
-        BoundedQueue::push(self, item)
-    }
-
-    fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        BoundedQueue::try_push(self, item)
-    }
-
-    fn pop(&self) -> Option<T> {
-        BoundedQueue::pop(self)
-    }
-
-    fn close(&self) {
-        BoundedQueue::close(self);
-    }
-
-    fn len(&self) -> usize {
-        BoundedQueue::len(self)
-    }
-}
-
-impl<T: Send + Classed, S: SyncOps> PoolQueue<T> for ClassQueue<T, S> {
-    fn push(&self, item: T) -> Result<(), PushError<T>> {
-        ClassQueue::push(self, item)
-    }
-
-    fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        ClassQueue::try_push(self, item)
-    }
-
-    fn pop(&self) -> Option<T> {
-        ClassQueue::pop(self)
-    }
-
-    fn close(&self) {
-        ClassQueue::close(self);
-    }
-
-    fn len(&self) -> usize {
-        ClassQueue::len(self)
-    }
-}
-
-struct PoolShared<R: Send, S: SyncOps, Q> {
-    queue: Q,
+struct PoolShared<J: Send + Classed, R: Send, S: SyncOps> {
+    queue: ClassQueue<J, S>,
     results: S::Mutex<Vec<R>>,
 }
 
-/// A fixed-size worker pool draining a [`PoolQueue`] (a FIFO
-/// [`BoundedQueue`] by default).
-pub struct WorkerPool<
-    J: Send + 'static,
-    R: Send + 'static,
-    S: SyncOps = StdSync,
-    Q: PoolQueue<J> + 'static = BoundedQueue<J, S>,
-> {
-    shared: Arc<PoolShared<R, S, Q>>,
+/// A fixed-size worker pool draining a [`ClassQueue`].
+pub struct WorkerPool<J: Send + Classed + 'static, R: Send + 'static, S: SyncOps = StdSync> {
+    shared: Arc<PoolShared<J, R, S>>,
     handles: Vec<S::JoinHandle>,
     workers: usize,
     close_on_drop: bool,
     join_on_drop: bool,
-    _jobs: std::marker::PhantomData<fn(J)>,
 }
 
-impl<J: Send + 'static, R: Send + 'static, S: SyncOps, Q: PoolQueue<J> + std::fmt::Debug>
-    std::fmt::Debug for WorkerPool<J, R, S, Q>
+impl<J: Send + Classed + 'static, R: Send + 'static, S: SyncOps> std::fmt::Debug
+    for WorkerPool<J, R, S>
 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
@@ -140,27 +50,12 @@ impl<J: Send + 'static, R: Send + 'static, S: SyncOps, Q: PoolQueue<J> + std::fm
     }
 }
 
-impl<J: Send + 'static, R: Send + 'static, S: SyncOps> WorkerPool<J, R, S> {
-    /// Spawns `workers ≥ 1` threads draining a FIFO queue of depth
-    /// `queue_depth`, each running jobs through `runner`.
+impl<J: Send + Classed + 'static, R: Send + 'static, S: SyncOps> WorkerPool<J, R, S> {
+    /// Spawns `workers ≥ 1` threads draining `queue`, each running jobs
+    /// through `runner`.
     pub fn start(
         workers: usize,
-        queue_depth: usize,
-        runner: impl Fn(J) -> R + Send + Sync + 'static,
-    ) -> Self {
-        Self::start_with_queue(workers, BoundedQueue::new(queue_depth), runner)
-    }
-}
-
-impl<J: Send + 'static, R: Send + 'static, S: SyncOps, Q: PoolQueue<J> + 'static>
-    WorkerPool<J, R, S, Q>
-{
-    /// Spawns `workers ≥ 1` threads draining `queue` — any
-    /// [`PoolQueue`], e.g. a [`ClassQueue`] whose pop order is
-    /// class-aware — each running jobs through `runner`.
-    pub fn start_with_queue(
-        workers: usize,
-        queue: Q,
+        queue: ClassQueue<J, S>,
         runner: impl Fn(J) -> R + Send + Sync + 'static,
     ) -> Self {
         let workers = workers.max(1);
@@ -187,7 +82,6 @@ impl<J: Send + 'static, R: Send + 'static, S: SyncOps, Q: PoolQueue<J> + 'static
             workers,
             close_on_drop: true,
             join_on_drop: true,
-            _jobs: std::marker::PhantomData,
         }
     }
 
@@ -276,9 +170,7 @@ impl<J: Send + 'static, R: Send + 'static, S: SyncOps, Q: PoolQueue<J> + 'static
     }
 }
 
-impl<J: Send + 'static, R: Send + 'static, S: SyncOps, Q: PoolQueue<J> + 'static> Drop
-    for WorkerPool<J, R, S, Q>
-{
+impl<J: Send + Classed + 'static, R: Send + 'static, S: SyncOps> Drop for WorkerPool<J, R, S> {
     fn drop(&mut self) {
         if self.close_on_drop {
             self.shared.queue.close();
@@ -297,12 +189,31 @@ impl<J: Send + 'static, R: Send + 'static, S: SyncOps, Q: PoolQueue<J> + 'static
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::class_queue::JobClass;
+
+    /// All-latency jobs: the queue is then a plain FIFO.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Job(u32);
+
+    impl Classed for Job {
+        fn job_class(&self) -> JobClass {
+            JobClass::Latency
+        }
+    }
+
+    fn pool(
+        workers: usize,
+        depth: usize,
+        runner: impl Fn(u32) -> u32 + Send + Sync + 'static,
+    ) -> WorkerPool<Job, u32> {
+        WorkerPool::start(workers, ClassQueue::new(depth, 0), move |Job(j)| runner(j))
+    }
 
     #[test]
     fn collects_all_results() {
-        let pool: WorkerPool<u32, u32> = WorkerPool::start(2, 4, |j| j * 10);
+        let pool = pool(2, 4, |j| j * 10);
         for j in 0..8 {
-            pool.submit(j).unwrap();
+            pool.submit(Job(j)).unwrap();
         }
         let mut results = pool.finish();
         results.sort_unstable();
@@ -313,13 +224,13 @@ mod tests {
     fn drop_without_finish_joins_workers() {
         let completed = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let observer = Arc::clone(&completed);
-        let pool: WorkerPool<u32, u32> = WorkerPool::start(2, 4, move |j| {
+        let pool = pool(2, 4, move |j| {
             std::thread::sleep(std::time::Duration::from_millis(2));
             observer.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             j + 1
         });
         for j in 0..4 {
-            pool.submit(j).unwrap();
+            pool.submit(Job(j)).unwrap();
         }
         // Dropping must close the queue and join both workers; a wedge
         // here hangs the test suite, which is the regression signal.
@@ -331,23 +242,23 @@ mod tests {
 
     #[test]
     fn submit_after_finish_is_observable_via_try_submit() {
-        let pool: WorkerPool<u32, u32> = WorkerPool::start(1, 2, |j| j);
+        let pool = pool(1, 2, |j| j);
         let shared = Arc::clone(&pool.shared);
         let _ = pool.finish();
-        assert!(matches!(
-            shared.queue.try_push(9),
-            Err(PushError::Closed(9))
-        ));
+        assert_eq!(
+            shared.queue.try_push(Job(9)),
+            Err(PushError::Closed(Job(9)))
+        );
     }
 
     #[test]
     fn panicking_runner_does_not_wedge_finish() {
-        let pool: WorkerPool<u32, u32> = WorkerPool::start(2, 4, |j| {
+        let pool = pool(2, 4, |j| {
             assert!(j != 3, "runner rejects job 3");
             j
         });
         for j in 0..6 {
-            pool.submit(j).unwrap();
+            pool.submit(Job(j)).unwrap();
         }
         // One worker dies on job 3; finish must still join both workers
         // and then surface the panic.

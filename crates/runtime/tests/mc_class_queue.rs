@@ -1,9 +1,9 @@
 //! Exhaustive model checking of the two-lane [`ClassQueue`] protocol.
 //!
-//! The class queue reuses the [`BoundedQueue`] Mutex+Condvar protocol
-//! (shared capacity across both lanes, `wait_while` parking, broadcast
-//! close) but adds a second lane and a fairness stride to the pop
-//! policy. These tests instantiate the *production* queue with
+//! The class queue is a bounded Mutex+Condvar queue (shared capacity
+//! across both lanes, `wait_while` parking, broadcast close) with a
+//! second lane and a fairness stride in its pop policy. These tests
+//! instantiate the *production* queue with
 //! `bonsai_mc::sync::McSync` and explore every schedule (within the
 //! preemption budget) of:
 //!
@@ -13,8 +13,6 @@
 //! - the broadcast-shutdown wakeup with multiple parked consumers,
 //! - the starvation bound: with stride `s`, at most `s` latency items
 //!   bypass a waiting throughput item before it is served.
-//!
-//! [`BoundedQueue`]: bonsai_runtime::BoundedQueue
 
 use std::sync::Arc;
 
@@ -57,9 +55,8 @@ impl Classed for Item {
 /// deadlock, no lost wakeup across the two lanes' shared condvars.
 ///
 /// Five threads at the default preemption budget explode the space, so
-/// this config runs at budget 1 like the equivalent `BoundedQueue`
-/// test — still exhaustive within the bound, with every switch at a
-/// blocking point (where queue bugs live) free.
+/// this config runs at budget 1 — still exhaustive within the bound,
+/// with every switch at a blocking point (where queue bugs live) free.
 #[test]
 fn mixed_class_push_pop_close_is_exhaustively_clean() {
     use bonsai_mc::sync::atomic::AtomicUsize;
@@ -171,7 +168,7 @@ fn queued_work_of_both_classes_drains_after_close() {
 
 /// Broadcast shutdown: two consumers parked on an *empty* class queue
 /// must both observe `close` (the same lost-wakeup scenario the
-/// `BoundedQueue` mutation test seeds — `close` must `notify_all`).
+/// `mc_queue.rs` mutation test seeds — `close` must `notify_all`).
 #[test]
 fn broadcast_close_wakes_every_parked_consumer() {
     let stats = Checker::new()

@@ -1,16 +1,17 @@
-//! Exhaustive model checking of the runtime's concurrency protocols.
+//! Exhaustive model checking of the worker pool's shutdown protocols.
 //!
-//! These tests instantiate the *production* [`BoundedQueue`] and
-//! [`WorkerPool`] code with `bonsai_mc::sync::McSync` and let the
+//! These tests instantiate the *production* [`WorkerPool`] and
+//! [`ClassQueue`] code with `bonsai_mc::sync::McSync` and let the
 //! checker explore every schedule (within the preemption budget) of the
-//! push/pop/close/backpressure and spawn/drain/shutdown protocols at
-//! small sizes — the sizes where essentially all interleaving bugs in
-//! this kind of code manifest.
+//! spawn/drain/shutdown protocol at small sizes — the sizes where
+//! essentially all interleaving bugs in this kind of code manifest. The
+//! queue's own push/pop/close/backpressure protocol is explored in
+//! `mc_class_queue.rs`.
 //!
 //! The mutation test at the bottom seeds the classic shutdown bug
 //! (`notify_one` where `notify_all` is required in `close`) into a
 //! line-for-line copy of the queue's wait logic and proves the checker
-//! flags it as a lost wakeup with a replayable schedule. `BoundedQueue`
+//! flags it as a lost wakeup with a replayable schedule. `ClassQueue`
 //! itself uses `notify_all` precisely because of this.
 
 use std::collections::VecDeque;
@@ -18,96 +19,19 @@ use std::sync::Arc;
 
 use bonsai_mc::sync::{self, McSync};
 use bonsai_mc::{Checker, Failure, Schedule};
-use bonsai_runtime::{BoundedQueue, WorkerPool};
+use bonsai_runtime::{ClassQueue, Classed, JobClass, WorkerPool};
 
-/// 2 producers + 2 consumers through a capacity-1 queue, closed by the
-/// coordinator after the producers drain: every schedule must deliver
-/// both items exactly once and terminate — no deadlock, no lost wakeup.
-///
-/// Five threads make the budget-2 space >2M schedules (~7 min of real
-/// thread handoffs), so this largest config runs at preemption budget
-/// 1 — still exhaustive within the bound, and every switch at a
-/// blocking point (where queue bugs live) stays free. The smaller
-/// configs below and the mutation test keep the default budget of 2.
-#[test]
-fn queue_push_pop_close_is_exhaustively_clean() {
-    use bonsai_mc::sync::atomic::AtomicUsize;
-    use std::sync::atomic::Ordering;
+/// All-latency jobs, as `PassScheduler::Fifo` tags them.
+struct Job(u32);
 
-    let stats = Checker::new()
-        .preemption_budget(1)
-        .max_schedules(1_000_000)
-        .check(|| {
-            let queue = Arc::new(BoundedQueue::<u32, McSync>::new(1));
-            // Tally delivered items with single-op atomic gates rather
-            // than a mutex: a contended harness lock would multiply the
-            // schedule space without exercising any queue code.
-            let sum = Arc::new(AtomicUsize::new(0));
-            let count = Arc::new(AtomicUsize::new(0));
-            let producers: Vec<_> = (1..=2_u32)
-                .map(|value| {
-                    let queue = Arc::clone(&queue);
-                    sync::thread::spawn(move || {
-                        queue.push(value).expect("queue closes after producers");
-                    })
-                })
-                .collect();
-            let consumers: Vec<_> = (0..2)
-                .map(|_| {
-                    let queue = Arc::clone(&queue);
-                    let sum = Arc::clone(&sum);
-                    let count = Arc::clone(&count);
-                    sync::thread::spawn(move || {
-                        while let Some(value) = queue.pop() {
-                            sum.fetch_add(value as usize, Ordering::SeqCst);
-                            count.fetch_add(1, Ordering::SeqCst);
-                        }
-                    })
-                })
-                .collect();
-            for p in producers {
-                p.join().unwrap();
-            }
-            queue.close();
-            for c in consumers {
-                c.join().unwrap();
-            }
-            assert_eq!(count.load(Ordering::SeqCst), 2, "both items delivered");
-            assert_eq!(sum.load(Ordering::SeqCst), 3, "delivered exactly 1 and 2");
-        })
-        .expect("the queue protocol must be schedule-clean");
-    assert!(
-        stats.complete,
-        "exploration must exhaust the budgeted space"
-    );
-    assert!(stats.schedules > 100, "2p/2c/cap-1 is not a trivial space");
+impl Classed for Job {
+    fn job_class(&self) -> JobClass {
+        JobClass::Latency
+    }
 }
 
-/// Backpressure focus: a single producer pushes two items through a
-/// capacity-1 queue while one consumer drains it — the push *must*
-/// block mid-protocol on every schedule where the consumer lags.
-#[test]
-fn queue_backpressure_handoff_is_exhaustively_clean() {
-    let stats = Checker::new()
-        .check(|| {
-            let queue = Arc::new(BoundedQueue::<u32, McSync>::new(1));
-            let consumer = {
-                let queue = Arc::clone(&queue);
-                sync::thread::spawn(move || {
-                    let mut got = Vec::new();
-                    while let Some(value) = queue.pop() {
-                        got.push(value);
-                    }
-                    assert_eq!(got, vec![7, 8], "FIFO order survives backpressure");
-                })
-            };
-            queue.push(7).unwrap();
-            queue.push(8).unwrap();
-            queue.close();
-            consumer.join().unwrap();
-        })
-        .expect("backpressure handoff must be schedule-clean");
-    assert!(stats.complete);
+fn pool(runner: fn(u32) -> u32) -> WorkerPool<Job, u32, McSync> {
+    WorkerPool::start(2, ClassQueue::new(1, 0), move |Job(job)| runner(job))
 }
 
 /// The pool's full spawn/drain/shutdown protocol: 2 workers over a
@@ -117,9 +41,9 @@ fn queue_backpressure_handoff_is_exhaustively_clean() {
 fn pool_spawn_drain_shutdown_is_exhaustively_clean() {
     let stats = Checker::new()
         .check(|| {
-            let pool: WorkerPool<u32, u32, McSync> = WorkerPool::start(2, 1, |job| job * 10);
-            pool.submit(1).unwrap();
-            pool.submit(2).unwrap();
+            let pool = pool(|job| job * 10);
+            pool.submit(Job(1)).ok().expect("pool is open");
+            pool.submit(Job(2)).ok().expect("pool is open");
             let mut results = pool.finish();
             results.sort_unstable();
             assert_eq!(results, vec![10, 20], "every job ran exactly once");
@@ -135,8 +59,8 @@ fn pool_spawn_drain_shutdown_is_exhaustively_clean() {
 fn pool_drop_without_finish_is_exhaustively_clean() {
     let stats = Checker::new()
         .check(|| {
-            let pool: WorkerPool<u32, u32, McSync> = WorkerPool::start(2, 1, |job| job + 1);
-            pool.submit(5).unwrap();
+            let pool = pool(|job| job + 1);
+            pool.submit(Job(5)).ok().expect("pool is open");
             drop(pool);
         })
         .expect("abandoned-pool shutdown must be schedule-clean");
@@ -145,10 +69,10 @@ fn pool_drop_without_finish_is_exhaustively_clean() {
 
 // --- Seeded-bug mutation -------------------------------------------------
 
-/// `BoundedQueue` with its `close` broadcast weakened to `notify_one` —
-/// the exact mutation the real queue's comment warns about. The wait
-/// logic is copied line-for-line from `queue.rs` so the checker is
-/// exercising the same protocol shape, minus the fix.
+/// `ClassQueue` (one lane of it) with its `close` broadcast weakened to
+/// `notify_one` — the exact mutation the real queue's comment warns
+/// about. The wait logic is copied line-for-line from `class_queue.rs`
+/// so the checker is exercising the same protocol shape, minus the fix.
 struct BuggyQueue {
     state: sync::Mutex<BuggyState>,
     not_empty: sync::Condvar,
@@ -254,7 +178,7 @@ fn notify_one_close_mutation_is_flagged_as_lost_wakeup() {
 fn broadcast_close_passes_the_mutation_scenario() {
     let stats = Checker::new()
         .check(|| {
-            let queue = Arc::new(BoundedQueue::<u32, McSync>::new(1));
+            let queue = Arc::new(ClassQueue::<Job, McSync>::new(1, 0));
             let consumers: Vec<_> = (0..2)
                 .map(|_| {
                     let queue = Arc::clone(&queue);

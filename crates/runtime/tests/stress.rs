@@ -1,10 +1,11 @@
 //! Randomized contention stress for the queue and the batch runtime.
 //!
-//! The model checker (`tests/mc_queue.rs`) proves the protocols correct
-//! at small sizes; these tests hammer the real `std::sync` build at
-//! realistic sizes — many producers and consumers, randomized pacing
-//! from `bonsai-rng`, worker counts 1 / 2 / all-cores, fused and
-//! sharded within-job modes — under a wall-clock watchdog, so a wedge
+//! The model checker (`tests/mc_class_queue.rs`, `tests/mc_queue.rs`)
+//! proves the protocols correct at small sizes; these tests hammer the
+//! real `std::sync` build at realistic sizes — many producers and
+//! consumers, randomized pacing from `bonsai-rng`, worker counts 1 / 2 /
+//! all-cores, one and all-cores DAG workers per job — under a wall-clock
+//! watchdog, so a wedge
 //! (missed wakeup, stuck backpressure) fails in seconds instead of
 //! hanging CI.
 
@@ -16,7 +17,7 @@ use bonsai_amt::{AmtConfig, SimEngineConfig};
 use bonsai_gensort::dist::uniform_u32;
 use bonsai_records::U32Rec;
 use bonsai_rng::Rng;
-use bonsai_runtime::{BoundedQueue, Runtime, RuntimeConfig, SortJob};
+use bonsai_runtime::{ClassQueue, Classed, JobClass, Runtime, RuntimeConfig, SortJob};
 
 /// Fails the test if `f` has not finished within `secs` seconds — the
 /// watchdog that turns a concurrency wedge into a fast, attributable
@@ -38,6 +39,20 @@ fn available_cores() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
+/// A value that picks its lane by parity, so the churn below crosses
+/// both lanes and the fairness stride.
+struct Item(u64);
+
+impl Classed for Item {
+    fn job_class(&self) -> JobClass {
+        if self.0.is_multiple_of(2) {
+            JobClass::Latency
+        } else {
+            JobClass::Throughput
+        }
+    }
+}
+
 /// Randomized MPMC churn through one queue: every pushed value must be
 /// popped exactly once, across a grid of producer/consumer counts and
 /// queue depths, with random per-thread pacing.
@@ -50,7 +65,7 @@ fn queue_contention_roundtrip_under_randomized_pacing() {
             let consumers = rng.range_usize(1, 5);
             let depth = rng.range_usize(1, 9);
             let per_producer = 200;
-            let queue = Arc::new(BoundedQueue::<u64>::new(depth));
+            let queue = Arc::new(ClassQueue::<Item>::new(depth, 4));
             let popped_sum = Arc::new(AtomicUsize::new(0));
             let popped_count = Arc::new(AtomicUsize::new(0));
 
@@ -60,7 +75,7 @@ fn queue_contention_roundtrip_under_randomized_pacing() {
                     let sum = Arc::clone(&popped_sum);
                     let count = Arc::clone(&popped_count);
                     std::thread::spawn(move || {
-                        while let Some(v) = queue.pop() {
+                        while let Some(Item(v)) = queue.pop() {
                             sum.fetch_add(v as usize, Ordering::Relaxed);
                             count.fetch_add(1, Ordering::Relaxed);
                         }
@@ -74,7 +89,7 @@ fn queue_contention_roundtrip_under_randomized_pacing() {
                     std::thread::spawn(move || {
                         for i in 0..per_producer {
                             let value = (p * per_producer + i) as u64 + 1;
-                            queue.push(value).expect("closed only after producers");
+                            assert!(queue.push(Item(value)).is_ok(), "closed after producers");
                             if rng.chance_percent(10) {
                                 std::thread::yield_now();
                             }
@@ -102,8 +117,8 @@ fn queue_contention_roundtrip_under_randomized_pacing() {
 }
 
 /// The full runtime under batch traffic at workers 1 / 2 / all-cores,
-/// in both within-job modes (fused `pass_workers = 1` and sharded
-/// `pass_workers = 0`), with a shallow queue forcing real backpressure:
+/// with one and all-cores DAG workers per job (`pass_workers` 1 and 0),
+/// and a shallow queue forcing real backpressure:
 /// results must be complete, id-ordered and identical across shapes.
 #[test]
 fn runtime_batch_identical_across_worker_shapes_and_modes() {

@@ -128,10 +128,10 @@ impl DramSorter {
         Ok((sorted, self.simulated_report(&array, &plan, &sim)))
     }
 
-    /// Like [`DramSorter::simulate`], but shards each merge pass across
-    /// its independent merge groups on `workers` threads (`0` = one per
-    /// core). The report is bit-identical for every worker count; see
-    /// [`bonsai_amt::shard`] for the sharded timing model.
+    /// Like [`DramSorter::simulate`], but splits the sort's independent
+    /// merge groups across `workers` threads (`0` = one per core). The
+    /// report is bit-identical for every worker count; see
+    /// [`bonsai_amt::dag`] for the per-group timing model.
     ///
     /// # Errors
     ///
@@ -144,7 +144,7 @@ impl DramSorter {
         let array = ArrayParams::new(data.len() as u64, R::WIDTH_BYTES as u64);
         let plan = self.plan(&array)?;
         let cfg = self.engine_config(&array, &plan);
-        let (sorted, sim) = SimEngine::new(cfg).sort_sharded(data, workers);
+        let (sorted, sim) = SimEngine::new(cfg).sort_pipelined(data, workers);
         Ok((sorted, self.simulated_report(&array, &plan, &sim)))
     }
 
@@ -261,7 +261,7 @@ mod tests {
         let (serial, _) = sorter().simulate(data.clone()).expect("fits");
         let (w1, r1) = sorter().simulate_parallel(data.clone(), 1).expect("fits");
         let (w4, r4) = sorter().simulate_parallel(data, 4).expect("fits");
-        assert_eq!(serial, w1, "sharded path must sort identically");
+        assert_eq!(serial, w1, "the DAG must sort identically");
         assert_eq!(w1, w4);
         assert_eq!(r1, r4, "reports must not depend on worker count");
     }

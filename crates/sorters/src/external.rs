@@ -12,6 +12,7 @@
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use bonsai_amt::{functional, LoserTree};
 use bonsai_records::wire::WireRecord;
@@ -37,9 +38,15 @@ pub struct ExternalSorter {
     mem_budget_bytes: usize,
     /// Merge fan-in per pass (the phase-two `ℓ`; 256 in the paper).
     fan_in: usize,
-    /// Scratch directory for run files.
+    /// Directory under which each sort creates (and removes) its own
+    /// scratch sub-directory of run files.
     scratch_dir: PathBuf,
 }
+
+/// Numbers the scratch sub-directories of this process, so concurrent
+/// sorts — two sorters, or one sorter shared by two threads — never
+/// write the same run file.
+static NEXT_SORT: AtomicU64 = AtomicU64::new(0);
 
 impl ExternalSorter {
     /// Creates an external sorter with the given memory budget, using
@@ -51,16 +58,16 @@ impl ExternalSorter {
     pub fn new(mem_budget_bytes: usize, fan_in: usize) -> Self {
         assert!(mem_budget_bytes > 0, "memory budget must be positive");
         assert!(fan_in >= 2, "merge fan-in must be at least 2");
-        let mut scratch_dir = std::env::temp_dir();
-        scratch_dir.push(format!("bonsai-external-{}", std::process::id()));
         Self {
             mem_budget_bytes,
             fan_in,
-            scratch_dir,
+            scratch_dir: std::env::temp_dir(),
         }
     }
 
-    /// Overrides the scratch directory.
+    /// Overrides the scratch directory. The directory stays the
+    /// caller's: a sort only ever creates and removes its own
+    /// sub-directory of it.
     #[must_use]
     pub fn with_scratch_dir(mut self, dir: PathBuf) -> Self {
         self.scratch_dir = dir;
@@ -77,9 +84,14 @@ impl ExternalSorter {
         input: &Path,
         output: &Path,
     ) -> io::Result<ExternalSortStats> {
-        fs::create_dir_all(&self.scratch_dir)?;
-        let result = self.sort_file_inner::<R>(input, output);
-        let _ = fs::remove_dir_all(&self.scratch_dir);
+        let run_dir = self.scratch_dir.join(format!(
+            "bonsai-external-{}-{}",
+            std::process::id(),
+            NEXT_SORT.fetch_add(1, Ordering::Relaxed)
+        ));
+        fs::create_dir_all(&run_dir)?;
+        let result = self.sort_file_inner::<R>(input, output, &run_dir);
+        let _ = fs::remove_dir_all(&run_dir);
         result
     }
 
@@ -87,6 +99,7 @@ impl ExternalSorter {
         &self,
         input: &Path,
         output: &Path,
+        run_dir: &Path,
     ) -> io::Result<ExternalSortStats> {
         let chunk_records = (self.mem_budget_bytes / R::WIRE_BYTES).max(1);
         let mut stats = ExternalSortStats {
@@ -106,7 +119,7 @@ impl ExternalSorter {
             }
             stats.records += chunk.len() as u64;
             let (sorted, _) = functional::sort_balanced(chunk, self.fan_in.max(2), 16);
-            let path = self.scratch_dir.join(format!("run-0-{}.bin", runs.len()));
+            let path = run_dir.join(format!("run-0-{}.bin", runs.len()));
             stats.bytes_written += write_run(&path, &sorted)?;
             runs.push(path);
         }
@@ -121,7 +134,7 @@ impl ExternalSorter {
         while runs.len() > 1 {
             let mut next: Vec<PathBuf> = Vec::new();
             for (g, group) in runs.chunks(self.fan_in).enumerate() {
-                let path = self.scratch_dir.join(format!("run-{pass}-{g}.bin"));
+                let path = run_dir.join(format!("run-{pass}-{g}.bin"));
                 stats.bytes_written += merge_run_files::<R>(group, &path)?;
                 next.push(path);
             }
@@ -253,9 +266,12 @@ mod tests {
         let output = tmp(&format!("{name}-out"));
         write_wire_file(&input, &data).expect("write input");
 
-        let sorter =
-            ExternalSorter::new(budget, fan_in).with_scratch_dir(tmp(&format!("{name}-scratch")));
+        let scratch = tmp(&format!("{name}-scratch"));
+        let sorter = ExternalSorter::new(budget, fan_in).with_scratch_dir(scratch.clone());
         let stats = sorter.sort_file::<U32Rec>(&input, &output).expect("sort");
+        // The sort removed its own sub-directory, so the caller's
+        // directory is empty again (`remove_dir` fails otherwise).
+        fs::remove_dir(&scratch).expect("scratch dir left empty");
 
         let sorted: Vec<U32Rec> = read_wire_file(&output).expect("read output");
         let summary = valsort(&sorted);
@@ -315,8 +331,9 @@ mod tests {
         let input = tmp("empty-in");
         let output = tmp("empty-out");
         fs::write(&input, []).expect("write");
-        let sorter = ExternalSorter::new(1024, 4).with_scratch_dir(tmp("empty-scratch"));
-        let stats = sorter.sort_file::<U32Rec>(&input, &output).expect("sort");
+        let stats = ExternalSorter::new(1024, 4)
+            .sort_file::<U32Rec>(&input, &output)
+            .expect("sort");
         assert_eq!(stats.records, 0);
         assert_eq!(fs::metadata(&output).expect("exists").len(), 0);
         fs::remove_file(&input).ok();
@@ -330,5 +347,42 @@ mod tests {
         let stats = run_case(20_000, 4 * 1024, 4, "amp");
         let expected = (1 + stats.merge_passes as u64) * stats.records * 4;
         assert_eq!(stats.bytes_written, expected);
+    }
+
+    #[test]
+    fn concurrent_sorts_share_a_scratch_dir_and_leave_it_alone() {
+        // Two threads, one sorter, one caller-owned scratch directory
+        // holding a file that is not ours: both sorts must come out
+        // right (they used to overwrite each other's `run-0-0.bin`, and
+        // the first to finish deleted the other's runs) and the file
+        // must survive (the whole directory used to be removed).
+        let scratch = tmp("shared-scratch");
+        fs::create_dir_all(&scratch).expect("create scratch");
+        let keep = scratch.join("keep.txt");
+        fs::write(&keep, b"not a run file").expect("write");
+        let sorter = ExternalSorter::new(8 * 1024, 4).with_scratch_dir(scratch.clone());
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for t in 0..2u64 {
+                let (sorter, start) = (&sorter, &start);
+                scope.spawn(move || {
+                    let data = uniform_u32(30_000 + 5_000 * t as usize, 70 + t);
+                    let input = tmp(&format!("shared-in-{t}"));
+                    let output = tmp(&format!("shared-out-{t}"));
+                    write_wire_file(&input, &data).expect("write input");
+                    start.wait();
+                    sorter.sort_file::<U32Rec>(&input, &output).expect("sort");
+                    let sorted: Vec<U32Rec> = read_wire_file(&output).expect("read output");
+                    let mut expected = data;
+                    expected.sort_unstable();
+                    assert_eq!(sorted, expected, "thread {t}");
+                    fs::remove_file(&input).ok();
+                    fs::remove_file(&output).ok();
+                });
+            }
+        });
+        assert_eq!(fs::read(&keep).expect("survives"), b"not a run file");
+        fs::remove_file(&keep).expect("remove");
+        fs::remove_dir(&scratch).expect("only our file was left");
     }
 }
