@@ -262,25 +262,6 @@ pub fn lower_to_graph(
     Ok(g)
 }
 
-/// Lowers the configuration and runs every graph analysis against its
-/// own required throughput. Lowering failures are returned as the
-/// diagnostics they are.
-#[must_use]
-pub fn analyze_graph(config: &SimEngineConfig, opts: &LowerOptions) -> Vec<Diagnostic> {
-    match lower_to_graph(config, opts) {
-        Ok(g) => g.analyze_all(required_bytes_per_cycle(config)),
-        Err(diags) => diags,
-    }
-}
-
-impl SimEngineConfig {
-    /// Lowers this configuration into the pipeline-graph IR with default
-    /// options; see [`lower_to_graph`].
-    pub fn lower_to_graph(&self) -> Result<PipelineGraph, Vec<Diagnostic>> {
-        lower_to_graph(self, &LowerOptions::default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,12 +272,22 @@ mod tests {
         SimEngineConfig::dram_sorter(AmtConfig::new(p, l), 4)
     }
 
+    fn lower(config: &SimEngineConfig) -> PipelineGraph {
+        lower_to_graph(config, &LowerOptions::default()).expect("lowers")
+    }
+
+    /// The graph findings for `config` against its own required rate.
+    fn graph_diags(config: &SimEngineConfig) -> Vec<Diagnostic> {
+        lower(config)
+            .analyze_all(required_bytes_per_cycle(config))
+            .diagnostics
+    }
+
     #[test]
     fn paper_shapes_lower_and_pass_every_analysis() {
         for (p, l) in [(4, 16), (8, 64), (16, 256), (32, 64)] {
             let cfg = dram(p, l);
-            let g = cfg.lower_to_graph().expect("lowers");
-            let diags = g.analyze_all(required_bytes_per_cycle(&cfg));
+            let diags = graph_diags(&cfg);
             assert!(diags.is_empty(), "AMT({p},{l}): {diags:?}");
         }
         // Tiny trees need a memory with no more banks than leaves,
@@ -307,8 +298,7 @@ mod tests {
                 4,
                 MemoryConfig::ddr4_single_bank(),
             );
-            let g = cfg.lower_to_graph().expect("lowers");
-            let diags = g.analyze_all(required_bytes_per_cycle(&cfg));
+            let diags = graph_diags(&cfg);
             assert!(diags.is_empty(), "AMT({p},{l}): {diags:?}");
         }
     }
@@ -316,7 +306,7 @@ mod tests {
     #[test]
     fn node_count_matches_tree_arithmetic() {
         let cfg = dram(4, 16);
-        let g = cfg.lower_to_graph().unwrap();
+        let g = lower(&cfg);
         // 15 mergers + 3 couplers (one l0, two l1) + loader + drain +
         // 4 read channels + 4 write channels + source + sink = 30.
         assert_eq!(g.nodes.len(), 30);
@@ -331,7 +321,7 @@ mod tests {
     #[test]
     fn max_flow_is_bounded_by_root_rate() {
         let cfg = dram(32, 64);
-        let g = cfg.lower_to_graph().unwrap();
+        let g = lower(&cfg);
         // p=32, r=4: the tree carries exactly 128 B/cyc, as does the
         // 4-bank DDR4 read side.
         assert_eq!(g.max_flow_bytes_per_cycle(), Some(128));
@@ -342,7 +332,7 @@ mod tests {
     fn zero_buffer_batches_deadlocks() {
         let mut cfg = dram(4, 16);
         cfg.loader.buffer_batches = 0;
-        let diags = analyze_graph(&cfg, &LowerOptions::default());
+        let diags = graph_diags(&cfg);
         assert!(
             diags.iter().any(|d| d.code == codes::GRAPH_DEADLOCK),
             "{diags:?}"
@@ -355,7 +345,7 @@ mod tests {
         // but 32-byte batches of 16-byte records double-buffer only 4.
         let mut cfg = SimEngineConfig::dram_sorter(AmtConfig::new(8, 4), 16);
         cfg.loader.batch_bytes = 32;
-        let diags = analyze_graph(&cfg, &LowerOptions::default());
+        let diags = graph_diags(&cfg);
         let errors: Vec<_> = diags.iter().filter(|d| d.is_error()).collect();
         assert!(!errors.is_empty());
         assert!(
@@ -370,7 +360,7 @@ mod tests {
     fn oversubscribed_tree_fails_min_cut() {
         // p=32 of 8-byte records needs 256 B/cyc; DDR4 reads 128.
         let cfg = SimEngineConfig::dram_sorter(AmtConfig::new(32, 64), 8);
-        let diags = analyze_graph(&cfg, &LowerOptions::default());
+        let diags = graph_diags(&cfg);
         let bw: Vec<_> = diags
             .iter()
             .filter(|d| d.code == codes::GRAPH_BANDWIDTH_INFEASIBLE)
@@ -392,7 +382,7 @@ mod tests {
     fn unused_channels_are_dead_components() {
         // 4 leaves cannot cover 32 HBM channels: 28 read channels idle.
         let cfg = SimEngineConfig::with_memory(AmtConfig::new(2, 4), 4, MemoryConfig::hbm_u50());
-        let diags = analyze_graph(&cfg, &LowerOptions::default());
+        let diags = graph_diags(&cfg);
         let dead: Vec<_> = diags
             .iter()
             .filter(|d| d.code == codes::GRAPH_DEAD_COMPONENT)
@@ -408,7 +398,7 @@ mod tests {
     fn zero_banks_lower_to_zero_bank_channels() {
         let mut cfg = dram(4, 16);
         cfg.memory.banks = 0;
-        let diags = analyze_graph(&cfg, &LowerOptions::default());
+        let diags = graph_diags(&cfg);
         assert!(
             diags
                 .iter()
@@ -437,7 +427,7 @@ mod tests {
     fn zero_record_width_is_rejected_at_lowering() {
         let mut cfg = dram(4, 16);
         cfg.loader.record_bytes = 0;
-        let err = cfg.lower_to_graph().unwrap_err();
+        let err = lower_to_graph(&cfg, &LowerOptions::default()).unwrap_err();
         assert!(
             err.iter().any(|d| d.code == codes::RECORD_WIDTH_ZERO),
             "{err:?}"
@@ -446,15 +436,15 @@ mod tests {
 
     #[test]
     fn graph_round_trips_through_json() {
-        let g = dram(8, 64).lower_to_graph().unwrap();
+        let g = lower(&dram(8, 64));
         let back = PipelineGraph::from_json(&g.to_json()).unwrap();
         assert_eq!(g, back);
     }
 
     #[test]
     fn critical_path_scales_with_depth() {
-        let shallow = dram(4, 16).lower_to_graph().unwrap();
-        let deep = dram(4, 256).lower_to_graph().unwrap();
+        let shallow = lower(&dram(4, 16));
+        let deep = lower(&dram(4, 256));
         let a = shallow.critical_path_cycles().unwrap();
         let b = deep.critical_path_cycles().unwrap();
         assert!(

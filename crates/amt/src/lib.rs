@@ -48,7 +48,6 @@ pub mod functional;
 pub mod graph;
 mod loser_tree;
 pub mod passsim;
-pub mod prove;
 mod report;
 pub mod schedule;
 mod tree;

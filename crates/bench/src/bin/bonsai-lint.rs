@@ -1,11 +1,13 @@
 //! `bonsai-lint`: the static configuration pass for CI.
 //!
 //! With no arguments, lints every configuration the experiment suite
-//! and examples construct — shape checks, the four pipeline-graph
-//! analyses (deadlock, FIFO flush depth, min-cut bandwidth, dead
-//! components), the latency-bound certification and one
-//! model-vs-simulation drift probe — and exits non-zero if any
-//! error-severity `BONxxx` diagnostic fires. With overrides, lints a
+//! and examples construct — the one engine pass
+//! (`bonsai_model::check::analyze_engine`: shape checks, the four
+//! pipeline-graph analyses for deadlock, FIFO flush depth, min-cut
+//! bandwidth and dead components, the latency-bound certification and
+//! the static throughput floor) plus one model-vs-simulation drift
+//! probe — and exits non-zero if any error-severity `BONxxx`
+//! diagnostic fires. With overrides, lints a
 //! single raw configuration instead — the hook CI uses to prove the
 //! linter rejects a deliberately broken config:
 //!
@@ -36,64 +38,30 @@
 //! bonsai-lint --runtime --cache-shapes 1 --shape-classes 2      # BON082
 //! bonsai-lint --runtime --fairness-stride 0     # BON083: starvation
 //! ```
-//!
-//! `--prove` switches to the BON06x occupancy-reachability pass: the
-//! configuration is lowered to a bounded token net and exhaustively
-//! explored, yielding a machine-checked certificate, a replayable
-//! counterexample, or a budget warning:
-//!
-//! ```sh
-//! bonsai-lint --prove                           # certify all in-repo configs
-//! bonsai-lint --prove --buffer-batches 0        # BON060: deadlock + replay
-//! bonsai-lint --prove --credit-slack 2          # BON061: FIFO overflow
-//! bonsai-lint --prove --state-budget 4          # BON062: budget exhausted
-//! bonsai-lint --prove --assume-throughput 1     # BON064: bound vs observed
-//! bonsai-lint --prove-selftest                  # BON063: checker liveness
-//! ```
 
-use bonsai_amt::graph::{lower_to_graph, LowerOptions};
-use bonsai_amt::prove::{net_from_config, NetOptions};
-use bonsai_bench::lint::{
-    self, LintFinding, ProveLintOptions, RawAdaptiveLint, RawEngineLint, RawRuntimeLint,
-};
-use bonsai_check::prove::certificate_selftest;
+use bonsai_amt::graph::lower_to_graph;
+use bonsai_amt::{AmtConfig, SimEngineConfig};
+use bonsai_bench::lint::{self, LintFinding, ProbeExtras};
 use bonsai_memsim::MemoryConfig;
+use bonsai_runtime::{AdaptiveConfig, RuntimeConfig};
 use std::process::ExitCode;
 
-#[derive(Debug, Default)]
-struct Overrides {
-    p: Option<usize>,
-    l: Option<usize>,
-    batch_bytes: Option<u64>,
-    record_bytes: Option<u64>,
-    buffer_batches: Option<u64>,
-    presort: Option<usize>,
-    memory: Option<MemoryConfig>,
-    banks: Option<usize>,
-    payload_bytes: Option<u64>,
+/// The parsed command line. Every value is held once: flags are parsed
+/// straight onto the defaults of the configuration they describe, and
+/// the `*_flags` markers only remember which mode's flags were seen.
+#[derive(Debug)]
+struct Cli {
+    /// Engine flags land here; the default is the paper's DRAM sorter,
+    /// AMT(32, 64) on 4-byte records.
+    engine: SimEngineConfig,
+    /// Runtime and adaptive flags land here.
+    runtime: RuntimeConfig,
+    extras: ProbeExtras,
+    engine_flags: bool,
+    runtime_flags: bool,
+    runtime_mode: bool,
     json: bool,
     dump_graph: Option<DumpFormat>,
-    runtime: bool,
-    workers: Option<usize>,
-    pass_workers: Option<usize>,
-    queue_depth: Option<usize>,
-    producers: Option<usize>,
-    cores: Option<usize>,
-    records: Option<usize>,
-    dag_width: Option<usize>,
-    detach: bool,
-    no_close_on_drop: bool,
-    cache_shapes: Option<usize>,
-    shape_classes: Option<usize>,
-    reprogram_us: Option<u64>,
-    deadline_us: Option<u64>,
-    fairness_stride: Option<u32>,
-    prove: bool,
-    prove_selftest: bool,
-    state_budget: Option<usize>,
-    credit_slack: Option<u32>,
-    replay_records: Option<usize>,
-    assume_throughput: Option<f64>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,103 +70,9 @@ enum DumpFormat {
     Json,
 }
 
-impl Overrides {
-    fn any_config(&self) -> bool {
-        self.p.is_some()
-            || self.l.is_some()
-            || self.batch_bytes.is_some()
-            || self.record_bytes.is_some()
-            || self.buffer_batches.is_some()
-            || self.presort.is_some()
-            || self.memory.is_some()
-            || self.banks.is_some()
-            || self.payload_bytes.is_some()
-    }
-
-    fn raw(&self) -> RawEngineLint {
-        let defaults = RawEngineLint::default();
-        RawEngineLint {
-            p: self.p.unwrap_or(defaults.p),
-            l: self.l.unwrap_or(defaults.l),
-            batch_bytes: self.batch_bytes.unwrap_or(defaults.batch_bytes),
-            record_bytes: self.record_bytes.unwrap_or(defaults.record_bytes),
-            buffer_batches: self.buffer_batches.unwrap_or(defaults.buffer_batches),
-            presort: Some(self.presort.unwrap_or(16)),
-            memory: self.memory.unwrap_or(defaults.memory),
-            banks: self.banks,
-            payload_bytes: self.payload_bytes,
-        }
-    }
-
-    fn any_adaptive_config(&self) -> bool {
-        self.cache_shapes.is_some()
-            || self.shape_classes.is_some()
-            || self.reprogram_us.is_some()
-            || self.deadline_us.is_some()
-            || self.fairness_stride.is_some()
-    }
-
-    fn any_runtime_config(&self) -> bool {
-        self.workers.is_some()
-            || self.pass_workers.is_some()
-            || self.queue_depth.is_some()
-            || self.producers.is_some()
-            || self.records.is_some()
-            || self.dag_width.is_some()
-            || self.detach
-            || self.no_close_on_drop
-            || self.any_adaptive_config()
-    }
-
-    fn raw_runtime(&self) -> RawRuntimeLint {
-        let defaults = RawRuntimeLint::default();
-        // Any adaptive flag arms the BON08x pass; unset knobs keep the
-        // runtime's `AdaptiveConfig` defaults.
-        let adaptive = self.any_adaptive_config().then(|| {
-            let a = RawAdaptiveLint::default();
-            RawAdaptiveLint {
-                cache_shapes: self.cache_shapes.unwrap_or(a.cache_shapes),
-                shape_classes: self.shape_classes.unwrap_or(a.shape_classes),
-                reprogram_us: self.reprogram_us.unwrap_or(a.reprogram_us),
-                deadline_us: self.deadline_us.unwrap_or(a.deadline_us),
-                fairness_stride: self.fairness_stride.unwrap_or(a.fairness_stride),
-            }
-        });
-        RawRuntimeLint {
-            workers: self.workers.unwrap_or(defaults.workers),
-            pass_workers: self.pass_workers.unwrap_or(defaults.pass_workers),
-            queue_depth: self.queue_depth.unwrap_or(defaults.queue_depth),
-            producers: self.producers.unwrap_or(defaults.producers),
-            close_on_drop: !self.no_close_on_drop,
-            join_on_drop: !self.detach,
-            cores: self.cores,
-            records: self.records,
-            dag_width: self.dag_width,
-            adaptive,
-        }
-    }
-
-    fn any_prove_config(&self) -> bool {
-        self.state_budget.is_some()
-            || self.credit_slack.is_some()
-            || self.replay_records.is_some()
-            || self.assume_throughput.is_some()
-    }
-
-    fn prove_options(&self) -> ProveLintOptions {
-        let defaults = ProveLintOptions::default();
-        ProveLintOptions {
-            state_budget: self.state_budget.unwrap_or(defaults.state_budget),
-            credit_slack: self.credit_slack.unwrap_or(defaults.credit_slack),
-            replay_records: self.replay_records.unwrap_or(defaults.replay_records),
-            assume_throughput: self.assume_throughput,
-        }
-    }
-}
-
 /// Every mode funnels its findings through this one serializer so
 /// `--json`'s schema and the 0/1 exit contract are identical across
-/// config-lint, `--runtime`, `--prove` and `--prove-selftest`.
+/// config-lint and `--runtime`.
 fn emit(findings: &[LintFinding], json: bool) -> ExitCode {
     let (report, errors, _warnings) = if json {
         let (json, errors, warnings) = lint::render_json(findings);
@@ -223,14 +97,11 @@ const USAGE: &str = "usage: bonsai-lint [--p N] [--l N] [--batch-bytes N] \
 [--dag-width N] [--detach] [--no-close-on-drop] [--cache-shapes N] \
 [--shape-classes N] [--reprogram-us N] [--deadline-us N] \
 [--fairness-stride N] [--json]
-       bonsai-lint --prove [engine flags] [--state-budget N] \
-[--credit-slack N] [--replay-records N] [--assume-throughput B/S] [--json]
-       bonsai-lint --prove-selftest [engine flags] [--json]
 
 Without overrides, lints every in-repo experiment configuration (shape
-checks, pipeline-graph analyses, latency-bound certification, drift
-probe) plus every in-repo runtime topology. With overrides, lints a
-single raw engine configuration.
+checks, pipeline-graph analyses, latency-bound certification, static
+throughput floor, drift probe) plus every in-repo runtime topology. With
+overrides, lints a single raw engine configuration.
 
   --json             emit the report as a JSON object for CI annotation
   --dump-graph FMT   print the lowered pipeline-graph IR (Graphviz `dot`
@@ -269,27 +140,6 @@ runtime's lint-clean `AdaptiveConfig` defaults:
                       throughput job runs; 0 is the starvation probe
                       (BON083)
 
-`--prove` runs the BON06x occupancy-reachability pass: exhaustive
-explicit-state exploration of the configuration's bounded token net.
-Without engine flags it proves every in-repo engine configuration; with
-engine flags it proves that one raw configuration. Certified configs get
-their inductive occupancy certificate independently re-verified (BON063)
-and their static throughput floor cross-checked (BON064); refuted ones
-get a minimal counterexample trace replayed against SimEngine (BON060/
-BON061, BON065 on divergence); exhausted budgets warn (BON062):
-
-  --state-budget N       explored-state budget (default 262144)
-  --credit-slack N       grant N extra leaf credits beyond capacity —
-                         the deliberate FIFO-overflow probe (BON061)
-  --replay-records N     records for counterexample replay (0 = skip)
-  --assume-throughput B  cross-check the static floor against an
-                         observed throughput of B bytes/second (BON064)
-
-`--prove-selftest` checks the certificate checker itself is alive: it
-corrupts a valid certificate and exits 1 with BON063 when the checker
-rejects it (a vacuous checker is reported distinctly and exits 1
-without BON063).
-
 exit codes:
   0  no error-severity diagnostics (warnings allowed)
   1  at least one BONxxx error diagnostic fired
@@ -300,74 +150,111 @@ fn usage_error() -> ! {
     std::process::exit(2);
 }
 
-fn parse_args() -> Overrides {
-    let mut over = Overrides::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = |what: &str| -> u64 {
-            args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("bonsai-lint: {what} needs an integer value");
+/// The command line after the program name.
+struct Args(std::iter::Skip<std::env::Args>);
+
+impl Args {
+    /// The integer value of `flag`, or a usage error.
+    fn int(&mut self, flag: &str) -> u64 {
+        self.0
+            .next()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| {
+                eprintln!("bonsai-lint: {flag} needs an integer value");
                 usage_error()
             })
-        };
+    }
+}
+
+/// Parses one engine flag onto `engine`/`extras`; `false` if `flag` is
+/// not an engine flag.
+fn engine_flag(
+    flag: &str,
+    args: &mut Args,
+    engine: &mut SimEngineConfig,
+    extras: &mut ProbeExtras,
+) -> bool {
+    match flag {
+        "--p" => engine.amt.p = args.int(flag) as usize,
+        "--l" => engine.amt.l = args.int(flag) as usize,
+        "--batch-bytes" => engine.loader.batch_bytes = args.int(flag),
+        "--record-bytes" => engine.loader.record_bytes = args.int(flag),
+        "--buffer-batches" => engine.loader.buffer_batches = args.int(flag),
+        "--presort" => engine.presort = Some(args.int(flag) as usize),
+        "--banks" => extras.banks = Some(args.int(flag) as usize),
+        "--payload-bytes" => extras.payload_bytes = Some(args.int(flag)),
+        "--memory" => {
+            engine.memory = match args.0.next().as_deref() {
+                Some("ddr4") => MemoryConfig::ddr4_aws_f1(),
+                Some("single") => MemoryConfig::ddr4_single_bank(),
+                Some("hbm") => MemoryConfig::hbm_u50(),
+                Some("ssd") => MemoryConfig::throttled_to_ssd(),
+                other => {
+                    eprintln!("bonsai-lint: --memory wants ddr4|single|hbm|ssd, got {other:?}");
+                    usage_error()
+                }
+            };
+        }
+        _ => return false,
+    }
+    true
+}
+
+/// Parses one runtime-topology flag onto `runtime`/`extras`; `false` if
+/// `flag` is not one.
+fn runtime_flag(
+    flag: &str,
+    args: &mut Args,
+    runtime: &mut RuntimeConfig,
+    extras: &mut ProbeExtras,
+) -> bool {
+    match flag {
+        "--workers" => runtime.workers = args.int(flag) as usize,
+        "--pass-workers" => runtime.pass_workers = args.int(flag) as usize,
+        "--queue-depth" => runtime.queue_depth = args.int(flag) as usize,
+        "--producers" => runtime.producers = args.int(flag) as usize,
+        "--records" => extras.records = Some(args.int(flag) as usize),
+        "--dag-width" => extras.dag_width = Some(args.int(flag) as usize),
+        "--detach" => runtime.join_on_drop = false,
+        "--no-close-on-drop" => runtime.close_on_drop = false,
+        "--shape-classes" => extras.shape_classes = Some(args.int(flag) as usize),
+        _ => return false,
+    }
+    true
+}
+
+/// Parses one adaptive-scheduler knob onto `adaptive`; `false` if
+/// `flag` is not one.
+fn adaptive_flag(flag: &str, args: &mut Args, adaptive: &mut AdaptiveConfig) -> bool {
+    match flag {
+        "--cache-shapes" => adaptive.cache_shapes = args.int(flag) as usize,
+        "--reprogram-us" => adaptive.reprogram_cost_us = args.int(flag),
+        "--deadline-us" => adaptive.latency_deadline_us = args.int(flag),
+        "--fairness-stride" => adaptive.fairness_stride = args.int(flag) as u32,
+        _ => return false,
+    }
+    true
+}
+
+fn parse_args() -> Cli {
+    let mut cli = Cli {
+        engine: SimEngineConfig::dram_sorter(AmtConfig { p: 32, l: 64 }, 4),
+        runtime: RuntimeConfig::default(),
+        extras: ProbeExtras::default(),
+        engine_flags: false,
+        runtime_flags: false,
+        runtime_mode: false,
+        json: false,
+        dump_graph: None,
+    };
+    let mut args = Args(std::env::args().skip(1));
+    while let Some(flag) = args.0.next() {
         match flag.as_str() {
-            "--p" => over.p = Some(value("--p") as usize),
-            "--l" => over.l = Some(value("--l") as usize),
-            "--batch-bytes" => over.batch_bytes = Some(value("--batch-bytes")),
-            "--record-bytes" => over.record_bytes = Some(value("--record-bytes")),
-            "--buffer-batches" => over.buffer_batches = Some(value("--buffer-batches")),
-            "--presort" => over.presort = Some(value("--presort") as usize),
-            "--banks" => over.banks = Some(value("--banks") as usize),
-            "--payload-bytes" => over.payload_bytes = Some(value("--payload-bytes")),
-            "--memory" => {
-                over.memory = Some(match args.next().as_deref() {
-                    Some("ddr4") => MemoryConfig::ddr4_aws_f1(),
-                    Some("single") => MemoryConfig::ddr4_single_bank(),
-                    Some("hbm") => MemoryConfig::hbm_u50(),
-                    Some("ssd") => MemoryConfig::throttled_to_ssd(),
-                    other => {
-                        eprintln!("bonsai-lint: --memory wants ddr4|single|hbm|ssd, got {other:?}");
-                        usage_error()
-                    }
-                });
-            }
-            "--json" => over.json = true,
-            "--runtime" => over.runtime = true,
-            "--prove" => over.prove = true,
-            "--prove-selftest" => over.prove_selftest = true,
-            "--state-budget" => over.state_budget = Some(value("--state-budget") as usize),
-            "--credit-slack" => over.credit_slack = Some(value("--credit-slack") as u32),
-            "--replay-records" => over.replay_records = Some(value("--replay-records") as usize),
-            "--assume-throughput" => {
-                over.assume_throughput = Some(
-                    args.next()
-                        .and_then(|v| v.parse::<f64>().ok())
-                        .filter(|v| v.is_finite() && *v >= 0.0)
-                        .unwrap_or_else(|| {
-                            eprintln!(
-                                "bonsai-lint: --assume-throughput needs bytes/second (a \
-                                 non-negative number)"
-                            );
-                            usage_error()
-                        }),
-                );
-            }
-            "--workers" => over.workers = Some(value("--workers") as usize),
-            "--pass-workers" => over.pass_workers = Some(value("--pass-workers") as usize),
-            "--queue-depth" => over.queue_depth = Some(value("--queue-depth") as usize),
-            "--producers" => over.producers = Some(value("--producers") as usize),
-            "--cores" => over.cores = Some(value("--cores") as usize),
-            "--records" => over.records = Some(value("--records") as usize),
-            "--dag-width" => over.dag_width = Some(value("--dag-width") as usize),
-            "--detach" => over.detach = true,
-            "--no-close-on-drop" => over.no_close_on_drop = true,
-            "--cache-shapes" => over.cache_shapes = Some(value("--cache-shapes") as usize),
-            "--shape-classes" => over.shape_classes = Some(value("--shape-classes") as usize),
-            "--reprogram-us" => over.reprogram_us = Some(value("--reprogram-us")),
-            "--deadline-us" => over.deadline_us = Some(value("--deadline-us")),
-            "--fairness-stride" => over.fairness_stride = Some(value("--fairness-stride") as u32),
+            "--json" => cli.json = true,
+            "--runtime" => cli.runtime_mode = true,
+            "--cores" => cli.extras.cores = Some(args.int("--cores") as usize),
             "--dump-graph" => {
-                over.dump_graph = Some(match args.next().as_deref() {
+                cli.dump_graph = Some(match args.0.next().as_deref() {
                     Some("dot") => DumpFormat::Dot,
                     Some("json") => DumpFormat::Json,
                     other => {
@@ -380,102 +267,54 @@ fn parse_args() -> Overrides {
                 println!("{USAGE}");
                 std::process::exit(0);
             }
+            f if engine_flag(f, &mut args, &mut cli.engine, &mut cli.extras) => {
+                cli.engine_flags = true;
+            }
+            f if runtime_flag(f, &mut args, &mut cli.runtime, &mut cli.extras) => {
+                cli.runtime_flags = true;
+            }
+            f if adaptive_flag(f, &mut args, &mut cli.runtime.adaptive) => {
+                cli.runtime_flags = true;
+                // Any adaptive knob arms the BON08x pass, against the
+                // two-lane runtime's class count (latency, throughput)
+                // unless `--shape-classes` says otherwise.
+                cli.extras.shape_classes.get_or_insert(2);
+            }
             other => {
                 eprintln!("bonsai-lint: unknown flag {other}");
                 usage_error()
             }
         }
     }
-    over
+    cli
 }
 
 fn main() -> ExitCode {
-    let over = parse_args();
+    let cli = parse_args();
 
     // Each mode's flags only make sense in that mode; a mixed line is a
     // usage error, not a silently ignored knob.
-    let proving = over.prove || over.prove_selftest;
-    if over.runtime && (over.any_config() || over.dump_graph.is_some() || proving) {
-        eprintln!("bonsai-lint: --runtime cannot be combined with engine or prove flags");
+    if cli.runtime_mode && (cli.engine_flags || cli.dump_graph.is_some()) {
+        eprintln!("bonsai-lint: --runtime cannot be combined with engine flags");
         usage_error();
     }
-    if !over.runtime && over.any_runtime_config() {
+    if !cli.runtime_mode && cli.runtime_flags {
         eprintln!("bonsai-lint: runtime topology flags need --runtime");
         usage_error();
     }
-    if proving && over.dump_graph.is_some() {
-        eprintln!("bonsai-lint: --prove cannot be combined with --dump-graph");
-        usage_error();
-    }
-    if !proving && over.any_prove_config() {
-        eprintln!("bonsai-lint: prove flags need --prove");
-        usage_error();
-    }
 
-    if over.runtime {
-        let findings = if over.any_runtime_config() || over.cores.is_some() {
-            vec![over.raw_runtime().lint()]
+    if cli.runtime_mode {
+        let findings = if cli.runtime_flags || cli.extras.cores.is_some() {
+            vec![lint::lint_runtime(&cli.runtime, &cli.extras)]
         } else {
             lint::lint_runtime_all()
         };
-        return emit(&findings, over.json);
+        return emit(&findings, cli.json);
     }
 
-    if over.prove_selftest {
-        // Arm the checker against the configuration's own net (the
-        // default raw engine unless overridden) and demand it reject a
-        // deliberately corrupted certificate.
-        let cfg = over.raw().config();
-        let net = match net_from_config(&cfg, &NetOptions::default()) {
-            Ok(net) => net,
-            Err(fatal) => {
-                return emit(
-                    &[LintFinding {
-                        target: "prove/selftest".into(),
-                        diagnostics: fatal,
-                    }],
-                    over.json,
-                );
-            }
-        };
-        return match certificate_selftest(&net) {
-            Ok(diag) => emit(
-                &[LintFinding {
-                    target: "prove/selftest".into(),
-                    diagnostics: vec![diag],
-                }],
-                over.json,
-            ),
-            Err(why) => {
-                eprintln!("bonsai-lint: certificate checker selftest FAILED: {why}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    if over.prove {
-        let opts = over.prove_options();
-        let findings = if over.any_config() {
-            let raw = over.raw();
-            vec![LintFinding {
-                target: format!(
-                    "prove/cli/p{}_l{}_b{}_r{}",
-                    raw.p, raw.l, raw.batch_bytes, raw.record_bytes
-                ),
-                diagnostics: lint::engine_prove_diagnostics(&raw.config(), &opts),
-            }]
-        } else {
-            lint::prove_all(&opts)
-        };
-        return emit(&findings, over.json);
-    }
-
-    if let Some(format) = over.dump_graph {
-        let raw = over.raw();
-        let opts = LowerOptions {
-            payload_bytes: raw.payload_bytes,
-        };
-        return match lower_to_graph(&raw.config(), &opts) {
+    if let Some(format) = cli.dump_graph {
+        let engine = cli.extras.apply_banks(cli.engine);
+        return match lower_to_graph(&engine, &cli.extras.lower_options()) {
             Ok(graph) => {
                 match format {
                     DumpFormat::Dot => print!("{}", graph.to_dot()),
@@ -492,10 +331,10 @@ fn main() -> ExitCode {
         };
     }
 
-    let findings = if over.any_config() {
-        vec![over.raw().lint()]
+    let findings = if cli.engine_flags {
+        vec![lint::lint_engine(&cli.engine, &cli.extras)]
     } else {
         lint::lint_all()
     };
-    emit(&findings, over.json)
+    emit(&findings, cli.json)
 }

@@ -8,24 +8,15 @@
 //! the whole suite so CI rejects a bad config before any simulation
 //! spends minutes on it.
 
-use bonsai_amt::graph::{lower_to_graph, required_bytes_per_cycle, LowerOptions};
-use bonsai_amt::prove::{replay_refutation, NetOptions, ReplayOutcome};
+use bonsai_amt::graph::LowerOptions;
 use bonsai_amt::{AmtConfig, SimEngineConfig};
-use bonsai_check::prove::{prove_with_diagnostics, ProveOptions, ProveOutcome};
 use bonsai_check::Diagnostic;
-use bonsai_memsim::{MemoryConfig, DEFAULT_FREQ_HZ};
-use bonsai_model::check::{
-    certify_latency_bound, check_bound_against_observed, check_full_config, check_static_bound,
-    model_drift_probe,
-};
+use bonsai_memsim::MemoryConfig;
+use bonsai_model::check::{analyze_engine, check_full_config, model_drift_probe};
 use bonsai_model::{ArrayParams, BonsaiOptimizer, ComponentLibrary, FullConfig, HardwareParams};
-use bonsai_runtime::{AdaptiveConfig, PassScheduler, RuntimeConfig};
+use bonsai_runtime::{PassScheduler, RuntimeConfig};
 
 use crate::experiments::fig8_9;
-
-/// Array the latency-bound certification runs each engine target
-/// against: 1 GiB of records keeps every stage count realistic.
-const CERTIFY_BYTES: u64 = 1 << 30;
 
 /// Record count for the model-drift simulation probe; small enough that
 /// the probe costs milliseconds, large enough for several merge stages.
@@ -192,159 +183,11 @@ pub fn lint_runtime_all() -> Vec<LintFinding> {
         .collect()
 }
 
-/// Options for the `bonsai-lint --prove` occupancy-reachability pass.
-#[derive(Debug, Clone, Copy)]
-pub struct ProveLintOptions {
-    /// Explicit-state budget for the reachability search.
-    pub state_budget: usize,
-    /// Extra leaf-edge credits beyond capacity (the `BON061` probe).
-    pub credit_slack: u32,
-    /// Records for the counterexample replay; `0` disables replay.
-    pub replay_records: usize,
-    /// Observed throughput in bytes/second to cross-check the static
-    /// lower bound against (`BON064`); `None` checks against the Eq. 1
-    /// model instead.
-    pub assume_throughput: Option<f64>,
-}
-
-impl Default for ProveLintOptions {
-    fn default() -> Self {
-        Self {
-            state_budget: bonsai_check::prove::DEFAULT_STATE_BUDGET,
-            credit_slack: 0,
-            replay_records: bonsai_amt::prove::REPLAY_RECORDS,
-            assume_throughput: None,
-        }
-    }
-}
-
-/// The occupancy-reachability pass for one engine configuration:
-/// lower to the token net, exhaustively explore it, and
-///
-/// - on **certified**: re-verify the certificate (`BON063` if the
-///   independent checker rejects it) and cross-check the static
-///   throughput floor against the Eq. 1 model — or against
-///   `assume_throughput` when given (`BON064`);
-/// - on **refuted**: report the counterexample (`BON060`/`BON061`) and
-///   replay it against `SimEngine`; a simulator that *completes* the
-///   statically-wedged configuration earns a `BON065` divergence
-///   warning, a reproduced wedge annotates the refutation with the
-///   simulator's own failure;
-/// - on **budget-exhausted**: pass through the `BON062` warning.
-pub fn engine_prove_diagnostics(cfg: &SimEngineConfig, opts: &ProveLintOptions) -> Vec<Diagnostic> {
-    let net = match bonsai_amt::prove::net_from_config(
-        cfg,
-        &NetOptions {
-            credit_slack: opts.credit_slack,
-        },
-    ) {
-        Ok(net) => net,
-        Err(fatal) => return fatal,
-    };
-    let (outcome, mut diagnostics) = prove_with_diagnostics(
-        &net,
-        &ProveOptions {
-            state_budget: opts.state_budget,
-            ..ProveOptions::default()
-        },
-    );
-    match outcome {
-        ProveOutcome::Certified(_) => {
-            let array = ArrayParams::from_bytes(CERTIFY_BYTES, cfg.loader.record_bytes.max(1));
-            diagnostics.extend(match opts.assume_throughput {
-                Some(observed) => {
-                    check_bound_against_observed(cfg, &array, DEFAULT_FREQ_HZ, observed)
-                }
-                None => check_static_bound(cfg, &array, &HardwareParams::aws_f1()),
-            });
-        }
-        ProveOutcome::Refuted(_) if opts.replay_records > 0 => {
-            match replay_refutation(cfg, opts.replay_records, REPLAY_LINT_PASS_CYCLES, 1) {
-                ReplayOutcome::Reproduced {
-                    code,
-                    stage,
-                    cycles,
-                } => {
-                    // Attach the simulator's confirmation to the
-                    // refutation diagnostic itself.
-                    if let Some(pos) = diagnostics.iter().position(Diagnostic::is_error) {
-                        let confirmed = diagnostics.remove(pos);
-                        diagnostics.insert(
-                            pos,
-                            confirmed
-                                .with("sim_reproduced", code)
-                                .with("sim_stage", stage)
-                                .with("sim_cycles", cycles),
-                        );
-                    }
-                }
-                ReplayOutcome::Completed { cycles } => {
-                    diagnostics.push(
-                        Diagnostic::warning(
-                            bonsai_check::codes::PROVE_REPLAY_DIVERGED,
-                            "static refutation did not reproduce in simulation: the cycle \
-                             simulator relaxes the hardware contract the token net enforces",
-                        )
-                        .with("sim_cycles", cycles)
-                        .with("replay_records", opts.replay_records),
-                    );
-                }
-                ReplayOutcome::Rejected { .. } => {}
-            }
-        }
-        _ => {}
-    }
-    diagnostics
-}
-
-/// Livelock bound for lint-time counterexample replays: generous for
-/// the small replay workloads, tight enough to fail fast on a wedge.
-const REPLAY_LINT_PASS_CYCLES: u64 = 300_000;
-
-/// The occupancy-reachability pass over every in-repo engine
-/// configuration.
-pub fn prove_all(opts: &ProveLintOptions) -> Vec<LintFinding> {
-    engine_targets()
-        .into_iter()
-        .map(|(target, cfg)| LintFinding {
-            target: format!("prove/{target}"),
-            diagnostics: engine_prove_diagnostics(&cfg, opts),
-        })
-        .collect()
-}
-
-/// The shape + graph + certification pass for one engine configuration:
-/// the shape checks, then the four pipeline-graph analyses against the
-/// config's own required throughput, then the Eq. 1 latency-bound
-/// certification. Lowering failures add only codes the shape checks did
-/// not already report (e.g. `BON017`, which only the lowering can see).
-pub fn engine_diagnostics(
-    cfg: &SimEngineConfig,
-    opts: &LowerOptions,
-    hw: &HardwareParams,
-) -> Vec<Diagnostic> {
-    let mut diagnostics = cfg.validate();
-    match lower_to_graph(cfg, opts) {
-        Ok(graph) => {
-            diagnostics.extend(graph.analyze_all(required_bytes_per_cycle(cfg)));
-            let array = ArrayParams::from_bytes(CERTIFY_BYTES, cfg.loader.record_bytes.max(1));
-            diagnostics.extend(certify_latency_bound(cfg, &array, hw));
-        }
-        Err(fatal) => {
-            for d in fatal {
-                if !diagnostics.iter().any(|seen| seen.code == d.code) {
-                    diagnostics.push(d);
-                }
-            }
-        }
-    }
-    diagnostics
-}
-
-/// Runs the static pass over every in-repo configuration: shape checks,
-/// the four pipeline-graph analyses and the latency-bound certification
-/// for every engine target, the resource-model checks for every full
-/// config, plus one model-vs-simulation drift probe.
+/// Runs the static pass over every in-repo configuration:
+/// [`analyze_engine`] (shape checks, pipeline-graph analyses,
+/// latency-bound certification, static throughput floor) for every
+/// engine target, the resource-model checks for every full config, plus
+/// one model-vs-simulation drift probe.
 pub fn lint_all() -> Vec<LintFinding> {
     let lib = ComponentLibrary::paper();
     let hw = HardwareParams::aws_f1();
@@ -353,7 +196,7 @@ pub fn lint_all() -> Vec<LintFinding> {
     for (target, cfg) in engine_targets() {
         findings.push(LintFinding {
             target,
-            diagnostics: engine_diagnostics(&cfg, &opts, &hw),
+            diagnostics: analyze_engine(&cfg, &opts, &hw),
         });
     }
     for (target, cfg, presort) in model_targets() {
@@ -374,23 +217,19 @@ pub fn lint_all() -> Vec<LintFinding> {
     findings
 }
 
-/// A raw runtime topology assembled from CLI numbers, for the
-/// `bonsai-lint --runtime` probe mode (BON05x codes).
-#[derive(Debug, Clone, Copy)]
-pub struct RawRuntimeLint {
-    /// Job workers (`0` = one per core).
-    pub workers: usize,
-    /// Per-job pass-sharding threads (`0` = one per core).
-    pub pass_workers: usize,
-    /// Bounded job-queue depth.
-    pub queue_depth: usize,
-    /// Concurrent submitting threads.
-    pub producers: usize,
-    /// Whether drop closes the queue before joining.
-    pub close_on_drop: bool,
-    /// Whether drop joins the workers at all.
-    pub join_on_drop: bool,
-    /// Host core count to judge against; `None` = this machine.
+/// The probe values `bonsai-lint` accepts that no configuration struct
+/// has a field for; everything else on its command line is parsed
+/// straight onto [`SimEngineConfig`] / [`RuntimeConfig`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ProbeExtras {
+    /// Override of the memory bank count (degenerate-config probe),
+    /// applied after `--memory` has picked the preset.
+    pub banks: Option<usize>,
+    /// Write-back payload width override; `Some(0)` is the `BON017`
+    /// probe.
+    pub payload_bytes: Option<u64>,
+    /// Host core count to judge a topology against; `None` = this
+    /// machine.
     pub cores: Option<usize>,
     /// When set, also bound `pass_workers` by the merge groups of a
     /// `records`-record job on the paper's reference DRAM engine
@@ -400,223 +239,88 @@ pub struct RawRuntimeLint {
     /// (`SortPlan::max_ready_width`) against the queue/worker capacity
     /// (`BON056`).
     pub dag_width: Option<usize>,
-    /// When set, also run the BON08x adaptive-scheduler pass over these
-    /// knobs (the CLI arms this whenever any of `--cache-shapes`,
-    /// `--shape-classes`, `--reprogram-us`, `--deadline-us` or
-    /// `--fairness-stride` is given).
-    pub adaptive: Option<RawAdaptiveLint>,
+    /// When set, also run the BON08x adaptive-scheduler pass over
+    /// `RuntimeConfig::adaptive` against this many job classes (the CLI
+    /// arms it, at the two-lane runtime's 2, whenever an adaptive flag
+    /// is given). Unlike `RuntimeConfig::validate*` (which always
+    /// judges the runtime's own two classes), the class count can vary
+    /// so CI can demonstrate the cache-below-classes warning (`BON082`)
+    /// at any cache size.
+    pub shape_classes: Option<usize>,
 }
 
-/// The adaptive scheduler's knobs as raw CLI numbers, for the BON08x
-/// pass of `bonsai-lint --runtime`. Unlike `RuntimeConfig::validate*`
-/// (which always judges the runtime's own two job classes), this probe
-/// lets `--shape-classes` vary so CI can demonstrate the
-/// cache-below-classes warning (`BON082`) at any cache size.
-#[derive(Debug, Clone, Copy)]
-pub struct RawAdaptiveLint {
-    /// Compiled-shape cache capacity (`BON082`).
-    pub cache_shapes: usize,
-    /// Job classes the scheduler selects shapes for (`BON082`).
-    pub shape_classes: usize,
-    /// Modeled shape-switch cost in microseconds (`BON080`).
-    pub reprogram_us: u64,
-    /// Per-job latency deadline in microseconds, `0` = none (`BON081`).
-    pub deadline_us: u64,
-    /// Consecutive latency-lane dispatches before a waiting
-    /// throughput-class job runs, `0` = pure priority (`BON083`).
-    pub fairness_stride: u32,
-}
-
-impl Default for RawAdaptiveLint {
-    fn default() -> Self {
-        let defaults = AdaptiveConfig::default();
-        Self {
-            cache_shapes: defaults.cache_shapes,
-            // The two-lane runtime's class count (latency, throughput).
-            shape_classes: 2,
-            reprogram_us: defaults.reprogram_cost_us,
-            deadline_us: defaults.latency_deadline_us,
-            fairness_stride: defaults.fairness_stride,
-        }
-    }
-}
-
-impl Default for RawRuntimeLint {
-    fn default() -> Self {
-        let defaults = RuntimeConfig::default();
-        Self {
-            workers: defaults.workers,
-            pass_workers: defaults.pass_workers,
-            queue_depth: defaults.queue_depth,
-            producers: defaults.producers,
-            close_on_drop: defaults.close_on_drop,
-            join_on_drop: defaults.join_on_drop,
-            cores: None,
-            records: None,
-            dag_width: None,
-            adaptive: None,
-        }
-    }
-}
-
-impl RawRuntimeLint {
-    /// The runtime configuration these raw numbers describe.
-    pub fn config(&self) -> RuntimeConfig {
-        RuntimeConfig {
-            workers: self.workers,
-            pass_workers: self.pass_workers,
-            queue_depth: self.queue_depth,
-            producers: self.producers,
-            close_on_drop: self.close_on_drop,
-            join_on_drop: self.join_on_drop,
-            ..RuntimeConfig::default()
-        }
-    }
-
-    /// Runs the BON05x topology pass over this raw configuration.
-    pub fn lint(&self) -> LintFinding {
-        let cores = self.cores.unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        });
-        let engine = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
-        let mut diagnostics =
-            self.config()
-                .validate_for_engine(self.records.map(|_| &engine), self.records, cores);
-        // The group DAG's capacity lint: a DAG whose ready
-        // set outgrows the stated queue + pass-worker capacity has
-        // tasks with nowhere to go (BON056). The `0` sentinels (auto
-        // pool / unbounded queue) leave the capacity unstated, matching
-        // `check_dag_capacity`'s contract.
-        if let Some(width) = self.dag_width {
-            diagnostics.extend(bonsai_check::check_dag_capacity(
-                width,
-                self.queue_depth,
-                self.pass_workers,
-            ));
-        }
-        // The adaptive scheduler's knob checks (BON08x), called
-        // directly rather than through an Adaptive `RuntimeConfig` so
-        // the probe's `--shape-classes` override is honored.
-        if let Some(a) = self.adaptive {
-            diagnostics.extend(bonsai_check::check_adaptive_runtime(
-                a.cache_shapes,
-                a.shape_classes,
-                a.reprogram_us,
-                a.deadline_us,
-                a.fairness_stride,
-            ));
-        }
-        LintFinding {
-            target: format!(
-                "cli/runtime_w{}_pw{}_q{}_prod{}",
-                self.workers, self.pass_workers, self.queue_depth, self.producers
-            ),
-            diagnostics,
-        }
-    }
-}
-
-/// A raw engine configuration assembled from CLI numbers — deliberately
-/// bypassing the panicking constructors so malformed shapes reach the
-/// analyzer instead of aborting.
-#[derive(Debug, Clone, Copy)]
-pub struct RawEngineLint {
-    /// Root throughput `p`.
-    pub p: usize,
-    /// Leaf count `l`.
-    pub l: usize,
-    /// Loader batch size in bytes.
-    pub batch_bytes: u64,
-    /// Record width in bytes.
-    pub record_bytes: u64,
-    /// Leaf buffer capacity in batches.
-    pub buffer_batches: u64,
-    /// Presorter chunk length.
-    pub presort: Option<usize>,
-    /// Memory model the engine streams through.
-    pub memory: MemoryConfig,
-    /// Override of the memory bank count (degenerate-config probe).
-    pub banks: Option<usize>,
-    /// Write-back payload width override; `Some(0)` is the `BON017`
-    /// probe.
-    pub payload_bytes: Option<u64>,
-}
-
-impl Default for RawEngineLint {
-    fn default() -> Self {
-        Self {
-            p: 32,
-            l: 64,
-            batch_bytes: 4096,
-            record_bytes: 4,
-            buffer_batches: 2,
-            presort: Some(16),
-            memory: MemoryConfig::ddr4_aws_f1(),
-            banks: None,
-            payload_bytes: None,
-        }
-    }
-}
-
-impl RawEngineLint {
-    /// The engine configuration these raw numbers describe.
-    pub fn config(&self) -> SimEngineConfig {
-        let mut memory = self.memory;
+impl ProbeExtras {
+    /// `engine` with the bank-count override applied.
+    pub fn apply_banks(&self, mut engine: SimEngineConfig) -> SimEngineConfig {
         if let Some(banks) = self.banks {
-            memory.banks = banks;
+            engine.memory.banks = banks;
         }
-        SimEngineConfig {
-            amt: AmtConfig {
-                p: self.p,
-                l: self.l,
-            },
-            loader: bonsai_memsim::LoaderConfig {
-                batch_bytes: self.batch_bytes,
-                record_bytes: self.record_bytes,
-                buffer_batches: self.buffer_batches,
-            },
-            memory,
-            presort: self.presort,
-        }
+        engine
     }
 
-    /// Runs the full engine pass (shape + graph + certification) over
-    /// this raw configuration.
-    pub fn lint(&self) -> LintFinding {
-        let cfg = self.config();
-        let opts = LowerOptions {
+    /// The lowering options these probes describe.
+    pub fn lower_options(&self) -> LowerOptions {
+        LowerOptions {
             payload_bytes: self.payload_bytes,
-        };
-        LintFinding {
-            target: format!(
-                "cli/p{}_l{}_b{}_r{}",
-                self.p, self.l, self.batch_bytes, self.record_bytes
-            ),
-            diagnostics: engine_diagnostics(&cfg, &opts, &HardwareParams::aws_f1()),
         }
     }
 }
 
-/// Lints a single raw engine configuration on the default DDR4 memory
-/// (back-compat wrapper over [`RawEngineLint`]).
-pub fn lint_raw_engine(
-    p: usize,
-    l: usize,
-    batch_bytes: u64,
-    record_bytes: u64,
-    buffer_batches: u64,
-    presort: Option<usize>,
-) -> LintFinding {
-    RawEngineLint {
-        p,
-        l,
-        batch_bytes,
-        record_bytes,
-        buffer_batches,
-        presort,
-        ..RawEngineLint::default()
+/// Runs the BON05x topology pass (and, when armed, the BON056 and
+/// BON08x probes) over one raw runtime configuration.
+pub fn lint_runtime(cfg: &RuntimeConfig, extras: &ProbeExtras) -> LintFinding {
+    let cores = extras.cores.unwrap_or_else(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    });
+    let engine = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
+    let mut diagnostics =
+        cfg.validate_for_engine(extras.records.map(|_| &engine), extras.records, cores);
+    // The group DAG's capacity lint: a DAG whose ready
+    // set outgrows the stated queue + pass-worker capacity has
+    // tasks with nowhere to go (BON056). The `0` sentinels (auto
+    // pool / unbounded queue) leave the capacity unstated, matching
+    // `check_dag_capacity`'s contract.
+    if let Some(width) = extras.dag_width {
+        diagnostics.extend(bonsai_check::check_dag_capacity(
+            width,
+            cfg.queue_depth,
+            cfg.pass_workers,
+        ));
     }
-    .lint()
+    // The adaptive scheduler's knob checks (BON08x), called
+    // directly rather than through an Adaptive `RuntimeConfig` so
+    // the probe's `--shape-classes` override is honored.
+    if let Some(shape_classes) = extras.shape_classes {
+        diagnostics.extend(bonsai_check::check_adaptive_runtime(
+            cfg.adaptive.cache_shapes,
+            shape_classes,
+            cfg.adaptive.reprogram_cost_us,
+            cfg.adaptive.latency_deadline_us,
+            cfg.adaptive.fairness_stride,
+        ));
+    }
+    LintFinding {
+        target: format!(
+            "cli/runtime_w{}_pw{}_q{}_prod{}",
+            cfg.workers, cfg.pass_workers, cfg.queue_depth, cfg.producers
+        ),
+        diagnostics,
+    }
+}
+
+/// Runs the full engine pass ([`analyze_engine`]) over one raw engine
+/// configuration — built field by field, deliberately bypassing the
+/// panicking constructors so malformed shapes reach the analyzer
+/// instead of aborting.
+pub fn lint_engine(cfg: &SimEngineConfig, extras: &ProbeExtras) -> LintFinding {
+    let cfg = &extras.apply_banks(*cfg);
+    LintFinding {
+        target: format!(
+            "cli/p{}_l{}_b{}_r{}",
+            cfg.amt.p, cfg.amt.l, cfg.loader.batch_bytes, cfg.loader.record_bytes
+        ),
+        diagnostics: analyze_engine(cfg, &extras.lower_options(), &HardwareParams::aws_f1()),
+    }
 }
 
 /// Renders findings as a report; returns `(report, error_count,
@@ -734,6 +438,7 @@ pub fn render_json(findings: &[LintFinding]) -> (String, usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bonsai_runtime::AdaptiveConfig;
 
     #[test]
     fn every_in_repo_config_is_clean_of_errors() {
@@ -744,20 +449,30 @@ mod tests {
         }
     }
 
+    /// The CLI's default engine with `p`/`l` set field by field (no
+    /// panicking constructor on the way).
+    fn raw_engine(p: usize, l: usize) -> SimEngineConfig {
+        SimEngineConfig {
+            amt: AmtConfig { p, l },
+            ..SimEngineConfig::dram_sorter(AmtConfig::new(32, 64), 4)
+        }
+    }
+
+    fn has_code(f: &LintFinding, code: &str) -> bool {
+        f.diagnostics.iter().any(|d| d.code == code)
+    }
+
     #[test]
     fn raw_override_catches_bad_shapes() {
-        let f = lint_raw_engine(6, 16, 4096, 4, 2, Some(16));
+        let f = lint_engine(&raw_engine(6, 16), &ProbeExtras::default());
         assert!(f.has_errors());
-        assert!(f
-            .diagnostics
-            .iter()
-            .any(|d| d.code == bonsai_check::codes::P_NOT_POWER_OF_TWO));
+        assert!(has_code(&f, bonsai_check::codes::P_NOT_POWER_OF_TWO));
 
-        let f = lint_raw_engine(4, 16, 16, 4, 2, Some(16));
+        let mut cfg = raw_engine(4, 16);
+        cfg.loader.batch_bytes = 16;
+        let f = lint_engine(&cfg, &ProbeExtras::default());
         assert!(
-            f.diagnostics
-                .iter()
-                .any(|d| d.code == bonsai_check::codes::BATCH_BELOW_BUS_WIDTH),
+            has_code(&f, bonsai_check::codes::BATCH_BELOW_BUS_WIDTH),
             "{:?}",
             f.diagnostics
         );
@@ -777,248 +492,156 @@ mod tests {
 
     #[test]
     fn raw_runtime_lint_catches_bad_topologies() {
+        let on_cores = |cores| ProbeExtras {
+            cores: Some(cores),
+            ..ProbeExtras::default()
+        };
+
         // Zero-depth queue under concurrent producers: BON050 (error).
-        let f = RawRuntimeLint {
-            queue_depth: 0,
-            producers: 2,
-            cores: Some(8),
-            ..RawRuntimeLint::default()
-        }
-        .lint();
+        let f = lint_runtime(
+            &RuntimeConfig {
+                queue_depth: 0,
+                producers: 2,
+                ..RuntimeConfig::default()
+            },
+            &on_cores(8),
+        );
         assert!(f.has_errors());
-        assert!(f
-            .diagnostics
-            .iter()
-            .any(|d| d.code == bonsai_check::codes::RUNTIME_QUEUE_ZERO));
+        assert!(has_code(&f, bonsai_check::codes::RUNTIME_QUEUE_ZERO));
 
         // Joining without closing wedges drop: BON052 (error).
-        let f = RawRuntimeLint {
-            close_on_drop: false,
-            cores: Some(8),
-            ..RawRuntimeLint::default()
-        }
-        .lint();
-        assert!(f
-            .diagnostics
-            .iter()
-            .any(|d| d.code == bonsai_check::codes::RUNTIME_JOIN_WITHOUT_CLOSE));
+        let f = lint_runtime(
+            &RuntimeConfig {
+                close_on_drop: false,
+                ..RuntimeConfig::default()
+            },
+            &on_cores(8),
+        );
+        assert!(has_code(
+            &f,
+            bonsai_check::codes::RUNTIME_JOIN_WITHOUT_CLOSE
+        ));
 
         // Oversubscription is judged on the *stated* core count, not
         // the machine the lint happens to run on.
-        let f = RawRuntimeLint {
-            workers: 4,
-            pass_workers: 4,
-            cores: Some(4),
-            ..RawRuntimeLint::default()
-        }
-        .lint();
-        assert!(f
-            .diagnostics
-            .iter()
-            .any(|d| d.code == bonsai_check::codes::RUNTIME_OVERSUBSCRIBED));
+        let f = lint_runtime(
+            &RuntimeConfig {
+                workers: 4,
+                pass_workers: 4,
+                ..RuntimeConfig::default()
+            },
+            &on_cores(4),
+        );
+        assert!(has_code(&f, bonsai_check::codes::RUNTIME_OVERSUBSCRIBED));
 
         // --dag-width judges a pipelined DAG's peak ready set against
         // the stated queue + pass-worker capacity: BON056 (error).
-        let f = RawRuntimeLint {
+        let dag_shape = RuntimeConfig {
             pass_workers: 4,
             queue_depth: 8,
-            dag_width: Some(100),
-            cores: Some(8),
-            ..RawRuntimeLint::default()
+            ..RuntimeConfig::default()
+        };
+        for (width, over) in [(100, true), (12, false)] {
+            let f = lint_runtime(
+                &dag_shape,
+                &ProbeExtras {
+                    dag_width: Some(width),
+                    ..on_cores(8)
+                },
+            );
+            assert_eq!(
+                has_code(&f, bonsai_check::codes::RUNTIME_DAG_OVER_CAPACITY),
+                over,
+                "width {width}: {:?}",
+                f.diagnostics
+            );
         }
-        .lint();
-        assert!(f
-            .diagnostics
-            .iter()
-            .any(|d| d.code == bonsai_check::codes::RUNTIME_DAG_OVER_CAPACITY));
-        let f = RawRuntimeLint {
-            pass_workers: 4,
-            queue_depth: 8,
-            dag_width: Some(12),
-            cores: Some(8),
-            ..RawRuntimeLint::default()
-        }
-        .lint();
-        assert!(
-            !f.diagnostics
-                .iter()
-                .any(|d| d.code == bonsai_check::codes::RUNTIME_DAG_OVER_CAPACITY),
-            "{:?}",
-            f.diagnostics
-        );
 
         // --records bounds pass-workers by the engine's merge groups.
-        let f = RawRuntimeLint {
-            pass_workers: 64,
-            records: Some(1_000),
-            cores: Some(128),
-            ..RawRuntimeLint::default()
-        }
-        .lint();
-        assert!(f
-            .diagnostics
-            .iter()
-            .any(|d| d.code == bonsai_check::codes::RUNTIME_WORKERS_EXCEED_GROUPS));
+        let f = lint_runtime(
+            &RuntimeConfig {
+                pass_workers: 64,
+                ..RuntimeConfig::default()
+            },
+            &ProbeExtras {
+                records: Some(1_000),
+                ..on_cores(128)
+            },
+        );
+        assert!(has_code(
+            &f,
+            bonsai_check::codes::RUNTIME_WORKERS_EXCEED_GROUPS
+        ));
     }
 
     #[test]
     fn raw_adaptive_lint_fires_the_bon08x_codes() {
-        let base = RawRuntimeLint {
+        let armed = |classes| ProbeExtras {
             cores: Some(8),
-            ..RawRuntimeLint::default()
+            shape_classes: Some(classes),
+            ..ProbeExtras::default()
         };
-        let adaptive = |a: RawAdaptiveLint| {
-            RawRuntimeLint {
-                adaptive: Some(a),
-                ..base
-            }
-            .lint()
+        let adaptive = |edit: fn(&mut AdaptiveConfig), classes| {
+            let mut cfg = RuntimeConfig::default();
+            edit(&mut cfg.adaptive);
+            lint_runtime(&cfg, &armed(classes))
         };
 
         // The defaults are lint-clean, so arming the pass alone adds
         // nothing.
-        let f = adaptive(RawAdaptiveLint::default());
+        let f = adaptive(|_| {}, 2);
         assert!(f.diagnostics.is_empty(), "{:?}", f.diagnostics);
 
         // Zero reprogram cost thrashes shapes: BON080 (warning).
-        let f = adaptive(RawAdaptiveLint {
-            reprogram_us: 0,
-            ..RawAdaptiveLint::default()
-        });
+        let f = adaptive(|a| a.reprogram_cost_us = 0, 2);
         assert!(!f.has_errors());
-        assert!(f
-            .diagnostics
-            .iter()
-            .any(|d| d.code == bonsai_check::codes::ADAPTIVE_RECONFIG_THRASH));
+        assert!(has_code(&f, bonsai_check::codes::ADAPTIVE_RECONFIG_THRASH));
 
         // Deadline not above the reprogram cost: BON081 (error).
-        let f = adaptive(RawAdaptiveLint {
-            deadline_us: 100,
-            reprogram_us: 200,
-            ..RawAdaptiveLint::default()
-        });
+        let f = adaptive(
+            |a| {
+                a.latency_deadline_us = 100;
+                a.reprogram_cost_us = 200;
+            },
+            2,
+        );
         assert!(f.has_errors());
-        assert!(f
-            .diagnostics
-            .iter()
-            .any(|d| d.code == bonsai_check::codes::ADAPTIVE_DEADLINE_INFEASIBLE));
+        assert!(has_code(
+            &f,
+            bonsai_check::codes::ADAPTIVE_DEADLINE_INFEASIBLE
+        ));
 
         // Cache below the stated class count: BON082 (warning) — the
         // --shape-classes override is what makes this reachable at any
         // cache size.
-        let f = adaptive(RawAdaptiveLint {
-            cache_shapes: 8,
-            shape_classes: 9,
-            ..RawAdaptiveLint::default()
-        });
-        assert!(f
-            .diagnostics
-            .iter()
-            .any(|d| d.code == bonsai_check::codes::ADAPTIVE_CACHE_BELOW_CLASSES));
+        let f = adaptive(|a| a.cache_shapes = 8, 9);
+        assert!(has_code(
+            &f,
+            bonsai_check::codes::ADAPTIVE_CACHE_BELOW_CLASSES
+        ));
 
         // Zero fairness stride starves the throughput lane: BON083
         // (warning).
-        let f = adaptive(RawAdaptiveLint {
-            fairness_stride: 0,
-            ..RawAdaptiveLint::default()
-        });
-        assert!(f
-            .diagnostics
-            .iter()
-            .any(|d| d.code == bonsai_check::codes::ADAPTIVE_FAIRNESS_STARVATION));
+        let f = adaptive(|a| a.fairness_stride = 0, 2);
+        assert!(has_code(
+            &f,
+            bonsai_check::codes::ADAPTIVE_FAIRNESS_STARVATION
+        ));
 
-        // An un-armed lint of the same base topology stays BON08x-free.
-        let f = base.lint();
+        // An un-armed lint of the same broken knobs stays BON08x-free.
+        let mut cfg = RuntimeConfig::default();
+        cfg.adaptive.fairness_stride = 0;
+        let f = lint_runtime(
+            &cfg,
+            &ProbeExtras {
+                cores: Some(8),
+                ..ProbeExtras::default()
+            },
+        );
         assert!(
             !f.diagnostics.iter().any(|d| d.code.starts_with("BON08")),
             "{:?}",
             f.diagnostics
-        );
-    }
-
-    #[test]
-    fn prove_pass_certifies_every_in_repo_config() {
-        let findings = prove_all(&ProveLintOptions::default());
-        assert!(!findings.is_empty());
-        for f in &findings {
-            assert!(f.target.starts_with("prove/"));
-            assert!(
-                f.diagnostics.is_empty(),
-                "{}: {:?}",
-                f.target,
-                f.diagnostics
-            );
-        }
-    }
-
-    #[test]
-    fn prove_pass_refutes_and_confirms_a_zero_credit_config() {
-        let mut cfg = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
-        cfg.loader.buffer_batches = 0;
-        let diags = engine_prove_diagnostics(&cfg, &ProveLintOptions::default());
-        let deadlock = diags
-            .iter()
-            .find(|d| d.code == bonsai_check::codes::PROVE_DEADLOCK_REACHABLE)
-            .unwrap_or_else(|| panic!("{diags:?}"));
-        // The replay confirmation is folded into the refutation itself.
-        assert!(
-            deadlock
-                .context
-                .iter()
-                .any(|(k, v)| *k == "sim_reproduced" && v == "BON040"),
-            "{deadlock:?}"
-        );
-    }
-
-    #[test]
-    fn prove_pass_reports_divergence_as_bon065() {
-        // Shallow leaf buffers wedge the hardware contract but not the
-        // software simulator.
-        let mut cfg = SimEngineConfig::dram_sorter(AmtConfig::new(8, 4), 16);
-        cfg.loader.batch_bytes = 32;
-        let diags = engine_prove_diagnostics(&cfg, &ProveLintOptions::default());
-        let codes: Vec<_> = diags.iter().map(|d| d.code).collect();
-        assert!(
-            codes.contains(&bonsai_check::codes::PROVE_DEADLOCK_REACHABLE),
-            "{codes:?}"
-        );
-        assert!(
-            codes.contains(&bonsai_check::codes::PROVE_REPLAY_DIVERGED),
-            "{codes:?}"
-        );
-    }
-
-    #[test]
-    fn prove_pass_budget_and_bound_probes() {
-        let cfg = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
-        let diags = engine_prove_diagnostics(
-            &cfg,
-            &ProveLintOptions {
-                state_budget: 4,
-                ..ProveLintOptions::default()
-            },
-        );
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.code == bonsai_check::codes::PROVE_BUDGET_EXHAUSTED),
-            "{diags:?}"
-        );
-        assert!(!bonsai_check::has_errors(&diags), "budget is a warning");
-
-        // Claiming 1 B/s observed contradicts any positive floor.
-        let diags = engine_prove_diagnostics(
-            &cfg,
-            &ProveLintOptions {
-                assume_throughput: Some(1.0),
-                ..ProveLintOptions::default()
-            },
-        );
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.code == bonsai_check::codes::PROVE_BOUND_UNSOUND),
-            "{diags:?}"
         );
     }
 
@@ -1074,54 +697,49 @@ mod tests {
     #[test]
     fn raw_lint_runs_the_graph_analyses() {
         // Zero buffer batches: credits dry up -> BON030.
-        let f = RawEngineLint {
-            buffer_batches: 0,
-            ..RawEngineLint::default()
-        }
-        .lint();
+        let mut cfg = raw_engine(32, 64);
+        cfg.loader.buffer_batches = 0;
+        let f = lint_engine(&cfg, &ProbeExtras::default());
         assert!(
-            f.diagnostics
-                .iter()
-                .any(|d| d.code == bonsai_check::codes::GRAPH_DEADLOCK),
+            has_code(&f, bonsai_check::codes::GRAPH_DEADLOCK),
             "{:?}",
             f.diagnostics
         );
 
         // Zero write payload: only the lowering can see this (BON017).
-        let f = RawEngineLint {
-            payload_bytes: Some(0),
-            ..RawEngineLint::default()
-        }
-        .lint();
+        let f = lint_engine(
+            &raw_engine(32, 64),
+            &ProbeExtras {
+                payload_bytes: Some(0),
+                ..ProbeExtras::default()
+            },
+        );
         assert!(
-            f.diagnostics
-                .iter()
-                .any(|d| d.code == bonsai_check::codes::WRITE_PAYLOAD_ZERO),
+            has_code(&f, bonsai_check::codes::WRITE_PAYLOAD_ZERO),
             "{:?}",
             f.diagnostics
         );
 
         // Zero banks: BON013 from the shape pass and BON035 from the
         // graph, without duplicating the shape codes.
-        let f = RawEngineLint {
-            banks: Some(0),
-            ..RawEngineLint::default()
-        }
-        .lint();
-        let codes: Vec<_> = f.diagnostics.iter().map(|d| d.code).collect();
-        assert!(
-            codes.contains(&bonsai_check::codes::MEMORY_ZERO_BANKS),
-            "{codes:?}"
+        let f = lint_engine(
+            &raw_engine(32, 64),
+            &ProbeExtras {
+                banks: Some(0),
+                ..ProbeExtras::default()
+            },
         );
         assert!(
-            codes.contains(&bonsai_check::codes::GRAPH_CHANNEL_ZERO_BANKS),
-            "{codes:?}"
+            has_code(&f, bonsai_check::codes::MEMORY_ZERO_BANKS)
+                && has_code(&f, bonsai_check::codes::GRAPH_CHANNEL_ZERO_BANKS),
+            "{:?}",
+            f.diagnostics
         );
     }
 
     #[test]
     fn shape_errors_are_not_duplicated_by_the_lowering() {
-        let f = lint_raw_engine(6, 16, 4096, 4, 2, Some(16));
+        let f = lint_engine(&raw_engine(6, 16), &ProbeExtras::default());
         let bon001 = f
             .diagnostics
             .iter()

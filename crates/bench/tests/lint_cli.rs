@@ -1,6 +1,6 @@
 //! Exit-code and `--json` schema contract test for the `bonsai-lint`
-//! binary, across every mode: the default config pass, `--runtime`,
-//! `--dag-width`, `--prove` and `--prove-selftest`.
+//! binary, across every mode: the default config pass, `--runtime`
+//! and `--dag-width`.
 //!
 //! The contract under test (documented in the binary's `--help`):
 //!
@@ -66,7 +66,6 @@ fn clean_invocations_exit_zero_in_every_mode() {
             "--cores",
             "8",
         ],
-        &["--prove", "--p", "4", "--l", "16"],
     ] {
         let out = lint(args);
         assert_eq!(exit_code(&out), 0, "{args:?}: {}", stdout(&out));
@@ -103,10 +102,11 @@ fn error_findings_exit_one_in_every_mode() {
             ],
             "BON056",
         ),
-        (&["--prove", "--buffer-batches", "0"], "BON060"),
-        (&["--prove", "--credit-slack", "2"], "BON061"),
-        (&["--prove-selftest"], "BON063"),
-        (&["--prove", "--assume-throughput", "1"], "BON064"),
+        // Values the certification's own arithmetic used to abort on:
+        // a record width that does not divide the certification array,
+        // and zero-length presorted runs.
+        (&["--record-bytes", "12"], "BON005"),
+        (&["--presort", "0"], "BON025"),
     ] {
         let out = lint(args);
         assert_eq!(exit_code(&out), 1, "{args:?}: {}", stdout(&out));
@@ -116,23 +116,26 @@ fn error_findings_exit_one_in_every_mode() {
 
 #[test]
 fn warnings_alone_keep_exit_zero() {
-    // A 4-state budget cannot exhaust any net: BON062 is a warning.
-    let out = lint(&["--prove", "--p", "4", "--l", "16", "--state-budget", "4"]);
+    // A detached pool leaks threads but still runs: BON053 is a warning.
+    let out = lint(&["--runtime", "--detach", "--cores", "8"]);
     assert_eq!(exit_code(&out), 0, "{}", stdout(&out));
-    assert!(stdout(&out).contains("BON062"), "{}", stdout(&out));
+    assert!(stdout(&out).contains("BON053"), "{}", stdout(&out));
 }
 
 #[test]
 fn usage_errors_exit_two() {
     for args in [
         &["--frobnicate"][..],
-        &["--p"],                            // missing value
-        &["--runtime", "--p", "4"],          // mixed modes
-        &["--prove", "--runtime"],           // mixed modes
-        &["--state-budget", "4"],            // prove flag without --prove
-        &["--workers", "2"],                 // runtime flag without --runtime
-        &["--prove", "--dump-graph", "dot"], // prove vs dump
-        &["--prove", "--assume-throughput", "nan"],
+        &["--p"],                              // missing value
+        &["--runtime", "--p", "4"],            // mixed modes
+        &["--runtime", "--dump-graph", "dot"], // mixed modes
+        &["--workers", "2"],                   // runtime flag without --runtime
+        &["--prove"],                          // the deleted prover's mode...
+        &["--prove-selftest"],                 // ...and each of its flags are
+        &["--state-budget", "4"],              // unknown flags now
+        &["--credit-slack", "2"],
+        &["--replay-records", "0"],
+        &["--assume-throughput", "1"],
     ] {
         let out = lint(args);
         assert_eq!(exit_code(&out), 2, "{args:?}");
@@ -156,9 +159,8 @@ fn json_schema_is_identical_across_all_modes() {
             "--cores",
             "8",
         ],
-        &["--json", "--prove", "--p", "4", "--l", "16"],
-        &["--json", "--prove", "--buffer-batches", "0"],
-        &["--json", "--prove-selftest"],
+        &["--json", "--p", "4", "--l", "16"],
+        &["--json", "--buffer-batches", "0"],
     ] {
         let out = lint(args);
         assert_shared_json_schema(&out);
@@ -167,7 +169,7 @@ fn json_schema_is_identical_across_all_modes() {
 
 #[test]
 fn json_counts_agree_with_exit_codes() {
-    let clean = lint(&["--json", "--prove", "--p", "4", "--l", "16"]);
+    let clean = lint(&["--json", "--p", "4", "--l", "16"]);
     assert_eq!(exit_code(&clean), 0);
     assert!(
         stdout(&clean).contains("\"errors\":0"),
@@ -175,10 +177,10 @@ fn json_counts_agree_with_exit_codes() {
         stdout(&clean)
     );
 
-    let failing = lint(&["--json", "--prove", "--buffer-batches", "0"]);
+    let failing = lint(&["--json", "--buffer-batches", "0"]);
     assert_eq!(exit_code(&failing), 1);
     assert!(
-        stdout(&failing).contains("\"code\":\"BON060\""),
+        stdout(&failing).contains("\"code\":\"BON030\""),
         "{}",
         stdout(&failing)
     );

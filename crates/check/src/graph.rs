@@ -122,6 +122,17 @@ pub struct PipelineGraph {
     pub edges: Vec<Edge>,
 }
 
+/// What [`PipelineGraph::analyze_all`] found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GraphAnalysis {
+    /// `BON030`–`BON035` and `BON037` findings (empty = clean).
+    pub diagnostics: Vec<Diagnostic>,
+    /// The max-flow the bandwidth analysis ran
+    /// ([`PipelineGraph::max_flow_bytes_per_cycle`]); `None` when the
+    /// graph is malformed.
+    pub max_flow_bytes_per_cycle: Option<u64>,
+}
+
 /// How many offending items a single aggregated diagnostic names before
 /// eliding the rest (the full count is always reported).
 const MAX_NAMED: usize = 4;
@@ -368,14 +379,17 @@ impl PipelineGraph {
         None
     }
 
-    /// Maximum sustained byte rate per cycle from source to sink
-    /// (Edmonds–Karp max-flow over the `bytes_per_cycle` capacities).
-    /// Returns `None` when the graph has no unique source/sink.
-    #[must_use]
-    pub fn max_flow_bytes_per_cycle(&self) -> Option<u64> {
+    /// One Edmonds–Karp run over the `bytes_per_cycle` capacities:
+    /// the max-flow value and, per node, whether it ends on the source
+    /// side of the min cut. `None` when the graph has no unique
+    /// source/sink or an edge dangles (`BON037`'s job).
+    fn max_flow_and_source_side(&self) -> Option<(u64, Vec<bool>)> {
         let (s, t) = (self.source()?, self.sink()?);
-        // Residual capacities: forward = edge index, backward = edge
-        // index + E.
+        let n = self.nodes.len();
+        if self.edges.iter().any(|e| e.from >= n || e.to >= n) {
+            return None;
+        }
+        // Residual arcs: forward = edge index, backward = edge index + E.
         let e_count = self.edges.len();
         let mut cap: Vec<u64> = self
             .edges
@@ -383,12 +397,8 @@ impl PipelineGraph {
             .map(|e| e.bytes_per_cycle)
             .chain(std::iter::repeat_n(0, e_count))
             .collect();
-        // adjacency of residual arcs per node.
-        let mut radj = vec![Vec::new(); self.nodes.len()];
+        let mut radj = vec![Vec::new(); n];
         for (i, e) in self.edges.iter().enumerate() {
-            if e.from >= self.nodes.len() || e.to >= self.nodes.len() {
-                return None;
-            }
             radj[e.from].push(i);
             radj[e.to].push(i + e_count);
         }
@@ -402,8 +412,8 @@ impl PipelineGraph {
         let mut flow = 0u64;
         loop {
             // BFS for an augmenting path.
-            let mut pred_arc = vec![usize::MAX; self.nodes.len()];
-            let mut seen = vec![false; self.nodes.len()];
+            let mut pred_arc = vec![usize::MAX; n];
+            let mut seen = vec![false; n];
             let mut queue = std::collections::VecDeque::from([s]);
             seen[s] = true;
             while let Some(u) = queue.pop_front() {
@@ -417,7 +427,8 @@ impl PipelineGraph {
                 }
             }
             if !seen[t] {
-                return Some(flow);
+                // Saturated: `seen` is the source side of the min cut.
+                return Some((flow, seen));
             }
             // Bottleneck along the path.
             let mut bottleneck = u64::MAX;
@@ -443,21 +454,54 @@ impl PipelineGraph {
         }
     }
 
+    /// Maximum sustained byte rate per cycle from source to sink.
+    /// Returns `None` when the graph is malformed (`BON037`).
+    #[must_use]
+    pub fn max_flow_bytes_per_cycle(&self) -> Option<u64> {
+        self.max_flow_and_source_side().map(|(flow, _)| flow)
+    }
+
+    /// Edge indices forming the min cut: the edges crossing from the
+    /// source side of the saturated residual graph. Empty when the
+    /// graph is malformed.
+    #[must_use]
+    pub fn min_cut_edges(&self) -> Vec<usize> {
+        self.max_flow_and_source_side()
+            .map_or_else(Vec::new, |(_, side)| self.cut_edges(&side))
+    }
+
+    fn cut_edges(&self, source_side: &[bool]) -> Vec<usize> {
+        self.edges
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| source_side[e.from] && !source_side[e.to])
+            .map(|(i, _)| i)
+            .collect()
+    }
+
     /// Bandwidth-feasibility analysis (`BON032`): the max-flow from the
     /// source to the sink must reach `required_bytes_per_cycle`. On
-    /// failure the min-cut (source-reachable side of the saturated
-    /// residual graph) localizes the bottleneck edges in the diagnostic
-    /// instead of just failing.
+    /// failure the min-cut localizes the bottleneck edges in the
+    /// diagnostic instead of just failing.
     #[must_use]
     pub fn analyze_bandwidth(&self, required_bytes_per_cycle: u64) -> Vec<Diagnostic> {
-        let Some(flow) = self.max_flow_bytes_per_cycle() else {
-            return Vec::new(); // structural errors are BON037's job
-        };
+        match self.max_flow_and_source_side() {
+            Some((flow, side)) => self.bandwidth_findings(required_bytes_per_cycle, flow, &side),
+            None => Vec::new(), // structural errors are BON037's job
+        }
+    }
+
+    fn bandwidth_findings(
+        &self,
+        required_bytes_per_cycle: u64,
+        flow: u64,
+        source_side: &[bool],
+    ) -> Vec<Diagnostic> {
         if flow >= required_bytes_per_cycle {
             return Vec::new();
         }
         let cut: Vec<String> = self
-            .min_cut_edges()
+            .cut_edges(source_side)
             .iter()
             .map(|&i| {
                 let e = &self.edges[i];
@@ -471,81 +515,6 @@ impl PipelineGraph {
         .with("max_flow_bytes_per_cycle", flow)
         .with("required_bytes_per_cycle", required_bytes_per_cycle)
         .with("bottleneck", self.name_some(&cut))]
-    }
-
-    /// Edge indices forming the min cut (computed by re-running max-flow
-    /// and taking saturated edges crossing the reachable frontier).
-    #[must_use]
-    pub fn min_cut_edges(&self) -> Vec<usize> {
-        let (Some(s), Some(_t)) = (self.source(), self.sink()) else {
-            return Vec::new();
-        };
-        // Recompute residual reachability with a fresh max-flow run.
-        let e_count = self.edges.len();
-        let mut cap: Vec<u64> = self
-            .edges
-            .iter()
-            .map(|e| e.bytes_per_cycle)
-            .chain(std::iter::repeat_n(0, e_count))
-            .collect();
-        let mut radj = vec![Vec::new(); self.nodes.len()];
-        for (i, e) in self.edges.iter().enumerate() {
-            radj[e.from].push(i);
-            radj[e.to].push(i + e_count);
-        }
-        let arc_ends = |i: usize| -> (usize, usize) {
-            if i < e_count {
-                (self.edges[i].from, self.edges[i].to)
-            } else {
-                (self.edges[i - e_count].to, self.edges[i - e_count].from)
-            }
-        };
-        let t = self.sink().unwrap_or(0);
-        loop {
-            let mut pred_arc = vec![usize::MAX; self.nodes.len()];
-            let mut seen = vec![false; self.nodes.len()];
-            let mut queue = std::collections::VecDeque::from([s]);
-            seen[s] = true;
-            while let Some(u) = queue.pop_front() {
-                for &arc in &radj[u] {
-                    let (_, v) = arc_ends(arc);
-                    if !seen[v] && cap[arc] > 0 {
-                        seen[v] = true;
-                        pred_arc[v] = arc;
-                        queue.push_back(v);
-                    }
-                }
-            }
-            if !seen[t] {
-                // `seen` is the source side of the min cut.
-                return self
-                    .edges
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| seen[e.from] && !seen[e.to])
-                    .map(|(i, _)| i)
-                    .collect();
-            }
-            let mut bottleneck = u64::MAX;
-            let mut v = t;
-            while v != s {
-                let arc = pred_arc[v];
-                bottleneck = bottleneck.min(cap[arc]);
-                v = arc_ends(arc).0;
-            }
-            let mut v = t;
-            while v != s {
-                let arc = pred_arc[v];
-                cap[arc] -= bottleneck;
-                let rev = if arc < e_count {
-                    arc + e_count
-                } else {
-                    arc - e_count
-                };
-                cap[rev] += bottleneck;
-                v = arc_ends(arc).0;
-            }
-        }
     }
 
     /// Static pipeline-fill latency: the longest source→sink path,
@@ -663,18 +632,29 @@ impl PipelineGraph {
     }
 
     /// Runs structure, deadlock, bandwidth and dead-component analyses
-    /// in order (the latency certification additionally needs the
-    /// analytical model and lives in `bonsai-model::check`).
+    /// in order, with one max-flow run whose value is handed back so
+    /// the latency certification (which additionally needs the
+    /// analytical model and lives in `bonsai-model::check`) reuses it.
     #[must_use]
-    pub fn analyze_all(&self, required_bytes_per_cycle: u64) -> Vec<Diagnostic> {
-        let mut out = self.validate();
-        if !out.is_empty() {
-            return out; // the other passes assume a structurally sound graph
+    pub fn analyze_all(&self, required_bytes_per_cycle: u64) -> GraphAnalysis {
+        let mut diagnostics = self.validate();
+        if !diagnostics.is_empty() {
+            // The other passes assume a structurally sound graph.
+            return GraphAnalysis {
+                diagnostics,
+                max_flow_bytes_per_cycle: None,
+            };
         }
-        out.extend(self.analyze_deadlock());
-        out.extend(self.analyze_bandwidth(required_bytes_per_cycle));
-        out.extend(self.analyze_dead_components());
-        out
+        diagnostics.extend(self.analyze_deadlock());
+        let flow = self.max_flow_and_source_side();
+        if let Some((flow, side)) = &flow {
+            diagnostics.extend(self.bandwidth_findings(required_bytes_per_cycle, *flow, side));
+        }
+        diagnostics.extend(self.analyze_dead_components());
+        GraphAnalysis {
+            diagnostics,
+            max_flow_bytes_per_cycle: flow.map(|(flow, _)| flow),
+        }
     }
 
     // --- Emitters --------------------------------------------------------
@@ -1106,7 +1086,9 @@ mod tests {
     fn healthy_graph_passes_all_analyses() {
         let g = tiny_graph();
         assert!(g.validate().is_empty());
-        assert!(g.analyze_all(8).is_empty(), "{:?}", g.analyze_all(8));
+        let all = g.analyze_all(8);
+        assert!(all.diagnostics.is_empty(), "{all:?}");
+        assert_eq!(all.max_flow_bytes_per_cycle, Some(8));
     }
 
     #[test]
@@ -1210,7 +1192,12 @@ mod tests {
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].code, codes::GRAPH_MALFORMED);
         // analyze_all stops at structural errors.
-        assert_eq!(g.analyze_all(8).len(), 1);
+        assert_eq!(g.analyze_all(8).diagnostics.len(), 1);
+        // Both faces of the max-flow helper decline the graph instead
+        // of indexing past the node list (`from_json` admits it).
+        assert_eq!(g.max_flow_bytes_per_cycle(), None);
+        assert_eq!(g.min_cut_edges(), Vec::<usize>::new());
+        assert!(g.analyze_bandwidth(8).is_empty());
     }
 
     #[test]

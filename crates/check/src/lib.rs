@@ -18,7 +18,7 @@
 //! | `BON03x`   | Pipeline graph       | [`codes::GRAPH_DEADLOCK`] |
 //! | `BON04x`   | Simulation runtime   | [`codes::SIM_PASS_LIVELOCK`] |
 //! | `BON05x`   | Runtime topology     | [`codes::RUNTIME_QUEUE_ZERO`] |
-//! | `BON06x`   | Occupancy reachability | [`codes::PROVE_DEADLOCK_REACHABLE`] |
+//! | `BON06x`   | Static throughput floor | [`codes::THROUGHPUT_FLOOR_UNSOUND`] |
 //! | `BON07x`   | Wire protocol        | [`codes::WIRE_BAD_MAGIC`] |
 //! | `BON1xx`   | Simulation sanitizer | [`codes::SAN_FIFO_OVERFLOW`] |
 //!
@@ -32,7 +32,6 @@
 //! stack through dev-dependencies.
 
 pub mod graph;
-pub mod prove;
 
 use std::fmt;
 
@@ -136,17 +135,11 @@ pub fn has_errors(diagnostics: &[Diagnostic]) -> bool {
     diagnostics.iter().any(Diagnostic::is_error)
 }
 
-/// Partition a finding list: `(errors, warnings)`.
-#[must_use]
-pub fn partition(diagnostics: Vec<Diagnostic>) -> (Vec<Diagnostic>, Vec<Diagnostic>) {
-    diagnostics.into_iter().partition(Diagnostic::is_error)
-}
-
 /// The stable diagnostic code registry.
 ///
-/// Codes are never renumbered or reused; retired codes would be kept as
-/// tombstones. Each constant documents its own trigger; cause and fix
-/// live in `docs/diagnostics.md`.
+/// Codes are never renumbered or reused; retired codes stay registered
+/// as tombstones. Each constant documents its own trigger; cause and
+/// fix live in `docs/diagnostics.md`.
 pub mod codes {
     use super::Severity;
 
@@ -161,470 +154,180 @@ pub mod codes {
         pub summary: &'static str,
     }
 
-    // --- BON00x: AMT / record shape -------------------------------------
+    /// The one table behind the registry: each row declares a code's
+    /// `pub const` *and* its [`CodeInfo`] entry in [`ALL`], so adding a
+    /// code is a single edit.
+    macro_rules! registry {
+        ($($(#[$doc:meta])+ $name:ident = $code:literal, $severity:ident, $summary:literal;)+) => {
+            $($(#[$doc])+ pub const $name: &str = $code;)+
 
-    /// Root throughput `p` is not a power of two (or is zero).
-    pub const P_NOT_POWER_OF_TWO: &str = "BON001";
-    /// Leaf count `l` is not a power of two >= 2.
-    pub const L_NOT_POWER_OF_TWO: &str = "BON002";
-    /// Root width `p` exceeds the leaf count `l`.
-    pub const P_EXCEEDS_LEAVES: &str = "BON003";
-    /// Record width is zero bytes.
-    pub const RECORD_WIDTH_ZERO: &str = "BON004";
-    /// Loader batch is not a whole number of records.
-    pub const BATCH_NOT_RECORD_MULTIPLE: &str = "BON005";
+            /// Every registered code, in catalogue order.
+            pub const ALL: &[CodeInfo] = &[$(CodeInfo {
+                code: $name,
+                severity: Severity::$severity,
+                summary: $summary,
+            }),+];
+        };
+    }
 
-    // --- BON01x: loader / memory ----------------------------------------
+    registry! {
+        // --- BON00x: AMT / record shape ---------------------------------
+        /// Root throughput `p` is not a power of two (or is zero).
+        P_NOT_POWER_OF_TWO = "BON001", Error, "p not a power of two";
+        /// Leaf count `l` is not a power of two >= 2.
+        L_NOT_POWER_OF_TWO = "BON002", Error, "l not a power of two >= 2";
+        /// Root width `p` exceeds the leaf count `l`.
+        P_EXCEEDS_LEAVES = "BON003", Warning, "p exceeds leaf count l";
+        /// Record width is zero bytes.
+        RECORD_WIDTH_ZERO = "BON004", Error, "record width is zero";
+        /// Loader batch is not a whole number of records.
+        BATCH_NOT_RECORD_MULTIPLE = "BON005", Error, "batch not a whole number of records";
 
-    /// Loader batch smaller than one DRAM bus beat.
-    pub const BATCH_BELOW_BUS_WIDTH: &str = "BON010";
-    /// Leaf buffers are not double-buffered.
-    pub const BUFFER_NOT_DOUBLE: &str = "BON011";
-    /// Loader batch size is zero bytes.
-    pub const BATCH_ZERO: &str = "BON012";
-    /// Memory model has zero banks.
-    pub const MEMORY_ZERO_BANKS: &str = "BON013";
-    /// Memory port bandwidth is zero bytes/cycle.
-    pub const MEMORY_ZERO_BANDWIDTH: &str = "BON014";
-    /// Memory capacity cannot hold a single loader batch.
-    pub const CAPACITY_BELOW_BATCH: &str = "BON015";
-    /// Burst setup overhead wastes most of the bandwidth.
-    pub const BURST_EFFICIENCY_LOW: &str = "BON016";
-    /// Write-back payload width is zero bytes.
-    pub const WRITE_PAYLOAD_ZERO: &str = "BON017";
+        // --- BON01x: loader / memory ------------------------------------
+        /// Loader batch smaller than one DRAM bus beat.
+        BATCH_BELOW_BUS_WIDTH = "BON010", Error, "loader batch smaller than one DRAM burst";
+        /// Leaf buffers are not double-buffered.
+        BUFFER_NOT_DOUBLE = "BON011", Warning, "leaf buffers not double-buffered";
+        /// Loader batch size is zero bytes.
+        BATCH_ZERO = "BON012", Error, "loader batch size is zero";
+        /// Memory model has zero banks.
+        MEMORY_ZERO_BANKS = "BON013", Error, "memory has zero banks";
+        /// Memory port bandwidth is zero bytes/cycle.
+        MEMORY_ZERO_BANDWIDTH = "BON014", Error, "memory port bandwidth is zero";
+        /// Memory capacity cannot hold a single loader batch.
+        CAPACITY_BELOW_BATCH = "BON015", Error, "memory capacity below one batch";
+        /// Burst setup overhead wastes most of the bandwidth.
+        BURST_EFFICIENCY_LOW = "BON016", Warning, "burst efficiency below 50%";
+        /// Write-back payload width is zero bytes.
+        WRITE_PAYLOAD_ZERO = "BON017", Error, "write-back payload width is zero";
 
-    // --- BON02x: resource model -----------------------------------------
+        // --- BON02x: resource model -------------------------------------
+        /// Configuration exceeds the LUT budget (Eq. 9).
+        LUT_BUDGET_EXCEEDED = "BON020", Error, "LUT budget exceeded (Eq. 9)";
+        /// Configuration exceeds the BRAM budget (Eq. 10).
+        BRAM_BUDGET_EXCEEDED = "BON021", Error, "BRAM budget exceeded (Eq. 10)";
+        /// `p` exceeds the hardware's maximum synthesizable root width.
+        P_EXCEEDS_MAX = "BON022", Error, "p exceeds hardware max_p";
+        /// `l` exceeds the hardware's maximum routable leaf count.
+        L_EXCEEDS_MAX = "BON023", Error, "l exceeds hardware max_l";
+        /// Unroll or pipeline factor is zero.
+        COPIES_ZERO = "BON024", Error, "unroll or pipeline factor is zero";
+        /// Presorter chunk is not a power of two >= 2.
+        PRESORT_NOT_POWER_OF_TWO = "BON025", Error, "presort chunk not a power of two >= 2";
+        /// Presorter chunk exceeds one loader batch of records.
+        PRESORT_EXCEEDS_BATCH = "BON026", Warning, "presort chunk exceeds one batch";
 
-    /// Configuration exceeds the LUT budget (Eq. 9).
-    pub const LUT_BUDGET_EXCEEDED: &str = "BON020";
-    /// Configuration exceeds the BRAM budget (Eq. 10).
-    pub const BRAM_BUDGET_EXCEEDED: &str = "BON021";
-    /// `p` exceeds the hardware's maximum synthesizable root width.
-    pub const P_EXCEEDS_MAX: &str = "BON022";
-    /// `l` exceeds the hardware's maximum routable leaf count.
-    pub const L_EXCEEDS_MAX: &str = "BON023";
-    /// Unroll or pipeline factor is zero.
-    pub const COPIES_ZERO: &str = "BON024";
-    /// Presorter chunk is not a power of two >= 2.
-    pub const PRESORT_NOT_POWER_OF_TWO: &str = "BON025";
-    /// Presorter chunk exceeds one loader batch of records.
-    pub const PRESORT_EXCEEDS_BATCH: &str = "BON026";
+        // --- BON03x: pipeline-graph analyses ----------------------------
+        /// The pipeline graph can deadlock (zero-credit edge or dataflow
+        /// cycle over the credit/backpressure dependency graph).
+        GRAPH_DEADLOCK = "BON030", Error, "pipeline graph can deadlock";
+        /// An edge FIFO is shallower than the consumer's flush requirement.
+        GRAPH_FIFO_BELOW_FLUSH = "BON031", Error, "FIFO below the consumer's flush requirement";
+        /// Source→sink min-cut bandwidth below the required throughput.
+        GRAPH_BANDWIDTH_INFEASIBLE = "BON032", Error, "min-cut bandwidth below required throughput";
+        /// The analytical model predicts below the graph's static latency
+        /// lower bound (critical path / min-cut certification failed).
+        GRAPH_LATENCY_BOUND_VIOLATION = "BON033", Error, "model predicts below the static latency bound";
+        /// A node lies on no source→sink dataflow path.
+        GRAPH_DEAD_COMPONENT = "BON034", Error, "node on no source->sink path";
+        /// A memory-channel node has zero assigned banks.
+        GRAPH_CHANNEL_ZERO_BANKS = "BON035", Error, "memory channel has zero assigned banks";
+        /// Model latency drifted beyond tolerance from a SimEngine probe.
+        GRAPH_MODEL_DRIFT = "BON036", Warning, "model drifted from simulation beyond tolerance";
+        /// The graph IR itself is malformed (dangling edge, missing
+        /// source/sink).
+        GRAPH_MALFORMED = "BON037", Error, "pipeline graph IR is malformed";
 
-    // --- BON04x: simulation runtime -------------------------------------
+        // --- BON04x: simulation runtime ---------------------------------
+        /// A simulated merge pass exceeded its livelock cycle bound.
+        SIM_PASS_LIVELOCK = "BON040", Error, "simulated pass exceeded its livelock cycle bound";
 
-    /// A simulated merge pass exceeded its livelock cycle bound.
-    pub const SIM_PASS_LIVELOCK: &str = "BON040";
+        // --- BON05x: runtime topology -----------------------------------
+        /// Job queue depth is zero while more than one producer submits.
+        RUNTIME_QUEUE_ZERO = "BON050", Error, "zero-depth job queue with concurrent producers";
+        /// Pass workers exceed the merge groups any pass can offer.
+        RUNTIME_WORKERS_EXCEED_GROUPS = "BON051", Warning, "pass workers exceed available merge groups";
+        /// Drop joins workers without closing the queue first (wedge).
+        RUNTIME_JOIN_WITHOUT_CLOSE = "BON052", Error, "drop joins workers without closing the queue";
+        /// Drop leaks detached worker threads (join disabled).
+        RUNTIME_UNJOINED_WORKERS = "BON053", Warning, "drop leaks detached worker threads";
+        /// Worker × pass-worker product oversubscribes the host cores.
+        RUNTIME_OVERSUBSCRIBED = "BON054", Warning, "worker x pass-worker product oversubscribes cores";
+        /// Queue depth below the worker count starves the pool.
+        RUNTIME_QUEUE_BELOW_WORKERS = "BON055", Warning, "queue depth below worker count starves the pool";
+        /// A task DAG's peak ready width exceeds queue + worker capacity.
+        RUNTIME_DAG_OVER_CAPACITY = "BON056", Error, "DAG ready set can exceed queue + worker capacity";
 
-    // --- BON05x: runtime topology ---------------------------------------
+        // --- BON06x: static throughput floor ----------------------------
+        //
+        // BON060–BON063 and BON065 belonged to the occupancy-reachability
+        // prover, deleted once a full-lattice differential showed its
+        // deadlock verdict equal to BON030/BON031 on every configuration
+        // (docs/GRAPH_IR.md). Nothing emits them; they stay registered
+        // so the numbers are never reused.
+        /// Retired: occupancy reachability found a deadlocked marking.
+        RETIRED_PROVE_DEADLOCK_REACHABLE = "BON060", Error, "retired: occupancy reachability found a deadlock";
+        /// Retired: occupancy reachability found a FIFO/credit overflow.
+        RETIRED_PROVE_OVERFLOW_REACHABLE = "BON061", Error, "retired: occupancy reachability found an overflow";
+        /// Retired: the reachability state budget ran out before coverage.
+        RETIRED_PROVE_BUDGET_EXHAUSTED = "BON062", Warning, "retired: reachability state budget exhausted";
+        /// Retired: a certified occupancy bound failed re-verification.
+        RETIRED_PROVE_CERTIFICATE_INVALID = "BON063", Error, "retired: occupancy certificate failed re-verification";
+        /// The static throughput floor exceeds an observed/model throughput.
+        THROUGHPUT_FLOOR_UNSOUND = "BON064", Error, "static throughput floor exceeds observed throughput";
+        /// Retired: a static refutation did not reproduce in simulation.
+        RETIRED_PROVE_REPLAY_DIVERGED = "BON065", Warning, "retired: static refutation did not reproduce in simulation";
 
-    /// Job queue depth is zero while more than one producer submits.
-    pub const RUNTIME_QUEUE_ZERO: &str = "BON050";
-    /// Pass workers exceed the merge groups any pass can offer.
-    pub const RUNTIME_WORKERS_EXCEED_GROUPS: &str = "BON051";
-    /// Drop joins workers without closing the queue first (wedge).
-    pub const RUNTIME_JOIN_WITHOUT_CLOSE: &str = "BON052";
-    /// Drop leaks detached worker threads (join disabled).
-    pub const RUNTIME_UNJOINED_WORKERS: &str = "BON053";
-    /// Worker × pass-worker product oversubscribes the host cores.
-    pub const RUNTIME_OVERSUBSCRIBED: &str = "BON054";
-    /// Queue depth below the worker count starves the pool.
-    pub const RUNTIME_QUEUE_BELOW_WORKERS: &str = "BON055";
-    /// A task DAG's peak ready width exceeds queue + worker capacity.
-    pub const RUNTIME_DAG_OVER_CAPACITY: &str = "BON056";
+        // --- BON07x: wire protocol (bonsai-net) -------------------------
+        /// A wire frame's magic word did not match; the byte stream is
+        /// desynchronized and the connection cannot be trusted further.
+        WIRE_BAD_MAGIC = "BON070", Error, "wire frame magic mismatch (stream desynchronized)";
+        /// A wire frame carried an unsupported protocol version.
+        WIRE_BAD_VERSION = "BON071", Error, "wire protocol version unsupported";
+        /// The connection closed mid-frame (truncated header or payload).
+        WIRE_TRUNCATED = "BON072", Error, "wire frame truncated mid-header or mid-payload";
+        /// A wire frame declared a payload larger than the server accepts.
+        WIRE_PAYLOAD_OVERSIZED = "BON073", Error, "wire payload exceeds the server's frame limit";
+        /// A wire payload is not a whole number of records.
+        WIRE_PAYLOAD_RAGGED = "BON074", Error, "wire payload not a whole number of records";
+        /// A wire frame's record width does not match the server's record
+        /// type.
+        WIRE_WIDTH_UNSUPPORTED = "BON075", Error, "wire record width unsupported by the server";
+        /// The server is shutting down; the job was rejected, not run.
+        WIRE_SERVER_CLOSED = "BON076", Error, "server shutting down; job rejected at submit";
+        /// The job was accepted but failed server-side (invalid config,
+        /// BON040 livelock, or a panicking job); the payload carries the
+        /// underlying diagnostic text.
+        WIRE_JOB_FAILED = "BON077", Error, "accepted job failed server-side";
 
-    // --- BON06x: occupancy reachability (bonsai-prove) ------------------
+        // --- BON08x: adaptive runtime -----------------------------------
+        /// Zero reprogram cost disables the keep-vs-switch comparison: the
+        /// planner chases the per-job optimum and thrashes shapes.
+        ADAPTIVE_RECONFIG_THRASH = "BON080", Warning, "zero reprogram cost makes the planner thrash shapes";
+        /// The latency deadline is no larger than the reprogram cost, so
+        /// any job that needs a shape switch has already missed it.
+        ADAPTIVE_DEADLINE_INFEASIBLE = "BON081", Error, "latency deadline not larger than the reprogram cost";
+        /// The compiled-shape cache holds fewer shapes than the scheduler's
+        /// job classes; the classes evict each other on every alternation.
+        ADAPTIVE_CACHE_BELOW_CLASSES = "BON082", Warning, "shape cache smaller than the scheduler's job classes";
+        /// A zero fairness stride lets latency-class jobs starve the
+        /// throughput lane indefinitely.
+        ADAPTIVE_FAIRNESS_STARVATION = "BON083", Warning, "zero fairness stride starves the throughput lane";
 
-    /// Exhaustive occupancy reachability found a deadlocked marking.
-    pub const PROVE_DEADLOCK_REACHABLE: &str = "BON060";
-    /// Exhaustive occupancy reachability found a FIFO/credit overflow.
-    pub const PROVE_OVERFLOW_REACHABLE: &str = "BON061";
-    /// The reachability state budget ran out before coverage.
-    pub const PROVE_BUDGET_EXHAUSTED: &str = "BON062";
-    /// A certified occupancy bound failed independent re-verification.
-    pub const PROVE_CERTIFICATE_INVALID: &str = "BON063";
-    /// The static throughput floor exceeds an observed/model throughput.
-    pub const PROVE_BOUND_UNSOUND: &str = "BON064";
-    /// A static refutation did not reproduce in simulation.
-    pub const PROVE_REPLAY_DIVERGED: &str = "BON065";
-
-    // --- BON07x: wire protocol (bonsai-net) -----------------------------
-
-    /// A wire frame's magic word did not match; the byte stream is
-    /// desynchronized and the connection cannot be trusted further.
-    pub const WIRE_BAD_MAGIC: &str = "BON070";
-    /// A wire frame carried an unsupported protocol version.
-    pub const WIRE_BAD_VERSION: &str = "BON071";
-    /// The connection closed mid-frame (truncated header or payload).
-    pub const WIRE_TRUNCATED: &str = "BON072";
-    /// A wire frame declared a payload larger than the server accepts.
-    pub const WIRE_PAYLOAD_OVERSIZED: &str = "BON073";
-    /// A wire payload is not a whole number of records.
-    pub const WIRE_PAYLOAD_RAGGED: &str = "BON074";
-    /// A wire frame's record width does not match the server's record
-    /// type.
-    pub const WIRE_WIDTH_UNSUPPORTED: &str = "BON075";
-    /// The server is shutting down; the job was rejected, not run.
-    pub const WIRE_SERVER_CLOSED: &str = "BON076";
-    /// The job was accepted but failed server-side (invalid config,
-    /// BON040 livelock, or a panicking job); the payload carries the
-    /// underlying diagnostic text.
-    pub const WIRE_JOB_FAILED: &str = "BON077";
-
-    // --- BON08x: adaptive runtime ---------------------------------------
-
-    /// Zero reprogram cost disables the keep-vs-switch comparison: the
-    /// planner chases the per-job optimum and thrashes shapes.
-    pub const ADAPTIVE_RECONFIG_THRASH: &str = "BON080";
-    /// The latency deadline is no larger than the reprogram cost, so
-    /// any job that needs a shape switch has already missed it.
-    pub const ADAPTIVE_DEADLINE_INFEASIBLE: &str = "BON081";
-    /// The compiled-shape cache holds fewer shapes than the scheduler's
-    /// job classes; the classes evict each other on every alternation.
-    pub const ADAPTIVE_CACHE_BELOW_CLASSES: &str = "BON082";
-    /// A zero fairness stride lets latency-class jobs starve the
-    /// throughput lane indefinitely.
-    pub const ADAPTIVE_FAIRNESS_STARVATION: &str = "BON083";
-
-    // --- BON03x: pipeline-graph analyses --------------------------------
-
-    /// The pipeline graph can deadlock (zero-credit edge or dataflow
-    /// cycle over the credit/backpressure dependency graph).
-    pub const GRAPH_DEADLOCK: &str = "BON030";
-    /// An edge FIFO is shallower than the consumer's flush requirement.
-    pub const GRAPH_FIFO_BELOW_FLUSH: &str = "BON031";
-    /// Source→sink min-cut bandwidth below the required throughput.
-    pub const GRAPH_BANDWIDTH_INFEASIBLE: &str = "BON032";
-    /// The analytical model predicts below the graph's static latency
-    /// lower bound (critical path / min-cut certification failed).
-    pub const GRAPH_LATENCY_BOUND_VIOLATION: &str = "BON033";
-    /// A node lies on no source→sink dataflow path.
-    pub const GRAPH_DEAD_COMPONENT: &str = "BON034";
-    /// A memory-channel node has zero assigned banks.
-    pub const GRAPH_CHANNEL_ZERO_BANKS: &str = "BON035";
-    /// Model latency drifted beyond tolerance from a SimEngine probe.
-    pub const GRAPH_MODEL_DRIFT: &str = "BON036";
-    /// The graph IR itself is malformed (dangling edge, missing
-    /// source/sink).
-    pub const GRAPH_MALFORMED: &str = "BON037";
-
-    // --- BON1xx: simulation sanitizer -----------------------------------
-
-    /// A FIFO rejected a push (overflow) during simulation.
-    pub const SAN_FIFO_OVERFLOW: &str = "BON101";
-    /// A merger emitted a descending record inside one run.
-    pub const SAN_OUT_OF_ORDER: &str = "BON102";
-    /// A merger consumed and produced different record counts.
-    pub const SAN_RECORD_CONSERVATION: &str = "BON103";
-    /// A simulation pass lost or duplicated records end to end.
-    pub const SAN_PASS_CONSERVATION: &str = "BON104";
-    /// Per-bank byte accounting disagrees with aggregate counters.
-    pub const SAN_BYTE_ACCOUNTING: &str = "BON105";
-    /// Terminal-record flush protocol violated at the root.
-    pub const SAN_FLUSH_PROTOCOL: &str = "BON106";
-
-    /// Every registered code, in catalogue order.
-    pub const ALL: &[CodeInfo] = &[
-        CodeInfo {
-            code: P_NOT_POWER_OF_TWO,
-            severity: Severity::Error,
-            summary: "p not a power of two",
-        },
-        CodeInfo {
-            code: L_NOT_POWER_OF_TWO,
-            severity: Severity::Error,
-            summary: "l not a power of two >= 2",
-        },
-        CodeInfo {
-            code: P_EXCEEDS_LEAVES,
-            severity: Severity::Warning,
-            summary: "p exceeds leaf count l",
-        },
-        CodeInfo {
-            code: RECORD_WIDTH_ZERO,
-            severity: Severity::Error,
-            summary: "record width is zero",
-        },
-        CodeInfo {
-            code: BATCH_NOT_RECORD_MULTIPLE,
-            severity: Severity::Error,
-            summary: "batch not a whole number of records",
-        },
-        CodeInfo {
-            code: BATCH_BELOW_BUS_WIDTH,
-            severity: Severity::Error,
-            summary: "loader batch smaller than one DRAM burst",
-        },
-        CodeInfo {
-            code: BUFFER_NOT_DOUBLE,
-            severity: Severity::Warning,
-            summary: "leaf buffers not double-buffered",
-        },
-        CodeInfo {
-            code: BATCH_ZERO,
-            severity: Severity::Error,
-            summary: "loader batch size is zero",
-        },
-        CodeInfo {
-            code: MEMORY_ZERO_BANKS,
-            severity: Severity::Error,
-            summary: "memory has zero banks",
-        },
-        CodeInfo {
-            code: MEMORY_ZERO_BANDWIDTH,
-            severity: Severity::Error,
-            summary: "memory port bandwidth is zero",
-        },
-        CodeInfo {
-            code: CAPACITY_BELOW_BATCH,
-            severity: Severity::Error,
-            summary: "memory capacity below one batch",
-        },
-        CodeInfo {
-            code: BURST_EFFICIENCY_LOW,
-            severity: Severity::Warning,
-            summary: "burst efficiency below 50%",
-        },
-        CodeInfo {
-            code: WRITE_PAYLOAD_ZERO,
-            severity: Severity::Error,
-            summary: "write-back payload width is zero",
-        },
-        CodeInfo {
-            code: LUT_BUDGET_EXCEEDED,
-            severity: Severity::Error,
-            summary: "LUT budget exceeded (Eq. 9)",
-        },
-        CodeInfo {
-            code: BRAM_BUDGET_EXCEEDED,
-            severity: Severity::Error,
-            summary: "BRAM budget exceeded (Eq. 10)",
-        },
-        CodeInfo {
-            code: P_EXCEEDS_MAX,
-            severity: Severity::Error,
-            summary: "p exceeds hardware max_p",
-        },
-        CodeInfo {
-            code: L_EXCEEDS_MAX,
-            severity: Severity::Error,
-            summary: "l exceeds hardware max_l",
-        },
-        CodeInfo {
-            code: COPIES_ZERO,
-            severity: Severity::Error,
-            summary: "unroll or pipeline factor is zero",
-        },
-        CodeInfo {
-            code: PRESORT_NOT_POWER_OF_TWO,
-            severity: Severity::Error,
-            summary: "presort chunk not a power of two >= 2",
-        },
-        CodeInfo {
-            code: PRESORT_EXCEEDS_BATCH,
-            severity: Severity::Warning,
-            summary: "presort chunk exceeds one batch",
-        },
-        CodeInfo {
-            code: SIM_PASS_LIVELOCK,
-            severity: Severity::Error,
-            summary: "simulated pass exceeded its livelock cycle bound",
-        },
-        CodeInfo {
-            code: RUNTIME_QUEUE_ZERO,
-            severity: Severity::Error,
-            summary: "zero-depth job queue with concurrent producers",
-        },
-        CodeInfo {
-            code: RUNTIME_WORKERS_EXCEED_GROUPS,
-            severity: Severity::Warning,
-            summary: "pass workers exceed available merge groups",
-        },
-        CodeInfo {
-            code: RUNTIME_JOIN_WITHOUT_CLOSE,
-            severity: Severity::Error,
-            summary: "drop joins workers without closing the queue",
-        },
-        CodeInfo {
-            code: RUNTIME_UNJOINED_WORKERS,
-            severity: Severity::Warning,
-            summary: "drop leaks detached worker threads",
-        },
-        CodeInfo {
-            code: RUNTIME_OVERSUBSCRIBED,
-            severity: Severity::Warning,
-            summary: "worker x pass-worker product oversubscribes cores",
-        },
-        CodeInfo {
-            code: RUNTIME_QUEUE_BELOW_WORKERS,
-            severity: Severity::Warning,
-            summary: "queue depth below worker count starves the pool",
-        },
-        CodeInfo {
-            code: RUNTIME_DAG_OVER_CAPACITY,
-            severity: Severity::Error,
-            summary: "DAG ready set can exceed queue + worker capacity",
-        },
-        CodeInfo {
-            code: PROVE_DEADLOCK_REACHABLE,
-            severity: Severity::Error,
-            summary: "occupancy reachability found a deadlock",
-        },
-        CodeInfo {
-            code: PROVE_OVERFLOW_REACHABLE,
-            severity: Severity::Error,
-            summary: "occupancy reachability found an overflow",
-        },
-        CodeInfo {
-            code: PROVE_BUDGET_EXHAUSTED,
-            severity: Severity::Warning,
-            summary: "reachability state budget exhausted",
-        },
-        CodeInfo {
-            code: PROVE_CERTIFICATE_INVALID,
-            severity: Severity::Error,
-            summary: "occupancy certificate failed re-verification",
-        },
-        CodeInfo {
-            code: PROVE_BOUND_UNSOUND,
-            severity: Severity::Error,
-            summary: "static throughput floor exceeds observed throughput",
-        },
-        CodeInfo {
-            code: PROVE_REPLAY_DIVERGED,
-            severity: Severity::Warning,
-            summary: "static refutation did not reproduce in simulation",
-        },
-        CodeInfo {
-            code: WIRE_BAD_MAGIC,
-            severity: Severity::Error,
-            summary: "wire frame magic mismatch (stream desynchronized)",
-        },
-        CodeInfo {
-            code: WIRE_BAD_VERSION,
-            severity: Severity::Error,
-            summary: "wire protocol version unsupported",
-        },
-        CodeInfo {
-            code: WIRE_TRUNCATED,
-            severity: Severity::Error,
-            summary: "wire frame truncated mid-header or mid-payload",
-        },
-        CodeInfo {
-            code: WIRE_PAYLOAD_OVERSIZED,
-            severity: Severity::Error,
-            summary: "wire payload exceeds the server's frame limit",
-        },
-        CodeInfo {
-            code: WIRE_PAYLOAD_RAGGED,
-            severity: Severity::Error,
-            summary: "wire payload not a whole number of records",
-        },
-        CodeInfo {
-            code: WIRE_WIDTH_UNSUPPORTED,
-            severity: Severity::Error,
-            summary: "wire record width unsupported by the server",
-        },
-        CodeInfo {
-            code: WIRE_SERVER_CLOSED,
-            severity: Severity::Error,
-            summary: "server shutting down; job rejected at submit",
-        },
-        CodeInfo {
-            code: WIRE_JOB_FAILED,
-            severity: Severity::Error,
-            summary: "accepted job failed server-side",
-        },
-        CodeInfo {
-            code: ADAPTIVE_RECONFIG_THRASH,
-            severity: Severity::Warning,
-            summary: "zero reprogram cost makes the planner thrash shapes",
-        },
-        CodeInfo {
-            code: ADAPTIVE_DEADLINE_INFEASIBLE,
-            severity: Severity::Error,
-            summary: "latency deadline not larger than the reprogram cost",
-        },
-        CodeInfo {
-            code: ADAPTIVE_CACHE_BELOW_CLASSES,
-            severity: Severity::Warning,
-            summary: "shape cache smaller than the scheduler's job classes",
-        },
-        CodeInfo {
-            code: ADAPTIVE_FAIRNESS_STARVATION,
-            severity: Severity::Warning,
-            summary: "zero fairness stride starves the throughput lane",
-        },
-        CodeInfo {
-            code: GRAPH_DEADLOCK,
-            severity: Severity::Error,
-            summary: "pipeline graph can deadlock",
-        },
-        CodeInfo {
-            code: GRAPH_FIFO_BELOW_FLUSH,
-            severity: Severity::Error,
-            summary: "FIFO below the consumer's flush requirement",
-        },
-        CodeInfo {
-            code: GRAPH_BANDWIDTH_INFEASIBLE,
-            severity: Severity::Error,
-            summary: "min-cut bandwidth below required throughput",
-        },
-        CodeInfo {
-            code: GRAPH_LATENCY_BOUND_VIOLATION,
-            severity: Severity::Error,
-            summary: "model predicts below the static latency bound",
-        },
-        CodeInfo {
-            code: GRAPH_DEAD_COMPONENT,
-            severity: Severity::Error,
-            summary: "node on no source->sink path",
-        },
-        CodeInfo {
-            code: GRAPH_CHANNEL_ZERO_BANKS,
-            severity: Severity::Error,
-            summary: "memory channel has zero assigned banks",
-        },
-        CodeInfo {
-            code: GRAPH_MODEL_DRIFT,
-            severity: Severity::Warning,
-            summary: "model drifted from simulation beyond tolerance",
-        },
-        CodeInfo {
-            code: GRAPH_MALFORMED,
-            severity: Severity::Error,
-            summary: "pipeline graph IR is malformed",
-        },
-        CodeInfo {
-            code: SAN_FIFO_OVERFLOW,
-            severity: Severity::Error,
-            summary: "sanitizer: FIFO overflow",
-        },
-        CodeInfo {
-            code: SAN_OUT_OF_ORDER,
-            severity: Severity::Error,
-            summary: "sanitizer: out-of-order output in run",
-        },
-        CodeInfo {
-            code: SAN_RECORD_CONSERVATION,
-            severity: Severity::Error,
-            summary: "sanitizer: merger record conservation",
-        },
-        CodeInfo {
-            code: SAN_PASS_CONSERVATION,
-            severity: Severity::Error,
-            summary: "sanitizer: pass record conservation",
-        },
-        CodeInfo {
-            code: SAN_BYTE_ACCOUNTING,
-            severity: Severity::Error,
-            summary: "sanitizer: byte accounting mismatch",
-        },
-        CodeInfo {
-            code: SAN_FLUSH_PROTOCOL,
-            severity: Severity::Error,
-            summary: "sanitizer: flush protocol violation",
-        },
-    ];
+        // --- BON1xx: simulation sanitizer -------------------------------
+        /// A FIFO rejected a push (overflow) during simulation.
+        SAN_FIFO_OVERFLOW = "BON101", Error, "sanitizer: FIFO overflow";
+        /// A merger emitted a descending record inside one run.
+        SAN_OUT_OF_ORDER = "BON102", Error, "sanitizer: out-of-order output in run";
+        /// A merger consumed and produced different record counts.
+        SAN_RECORD_CONSERVATION = "BON103", Error, "sanitizer: merger record conservation";
+        /// A simulation pass lost or duplicated records end to end.
+        SAN_PASS_CONSERVATION = "BON104", Error, "sanitizer: pass record conservation";
+        /// Per-bank byte accounting disagrees with aggregate counters.
+        SAN_BYTE_ACCOUNTING = "BON105", Error, "sanitizer: byte accounting mismatch";
+        /// Terminal-record flush protocol violated at the root.
+        SAN_FLUSH_PROTOCOL = "BON106", Error, "sanitizer: flush protocol violation";
+    }
 
     /// Look up a code's registry entry.
     #[must_use]

@@ -243,20 +243,25 @@ fn dram(p: usize, l: usize, record_bytes: u64) -> bonsai_amt::SimEngineConfig {
     bonsai_amt::SimEngineConfig::dram_sorter(bonsai_amt::AmtConfig::new(p, l), record_bytes)
 }
 
+/// The one engine pass, with an optional write-back payload override.
+fn engine_diags(cfg: &bonsai_amt::SimEngineConfig, payload_bytes: Option<u64>) -> Vec<Diagnostic> {
+    bonsai_model::check::analyze_engine(
+        cfg,
+        &bonsai_amt::graph::LowerOptions { payload_bytes },
+        &bonsai_model::HardwareParams::aws_f1(),
+    )
+}
+
 fn graph_diags(cfg: &bonsai_amt::SimEngineConfig) -> Vec<Diagnostic> {
-    bonsai_amt::graph::analyze_graph(cfg, &bonsai_amt::graph::LowerOptions::default())
+    engine_diags(cfg, None)
 }
 
 #[test]
 fn bon017_zero_write_payload() {
-    let err = bonsai_amt::graph::lower_to_graph(
-        &dram(4, 16, 4),
-        &bonsai_amt::graph::LowerOptions {
-            payload_bytes: Some(0),
-        },
-    )
-    .unwrap_err();
-    assert_emits(&err, codes::WRITE_PAYLOAD_ZERO);
+    assert_emits(
+        &engine_diags(&dram(4, 16, 4), Some(0)),
+        codes::WRITE_PAYLOAD_ZERO,
+    );
 }
 
 #[test]
@@ -293,12 +298,7 @@ fn bon033_model_promises_more_than_the_min_cut() {
         4,
         bonsai_memsim::MemoryConfig::throttled_to_ssd(),
     );
-    let diags = bonsai_model::check::certify_latency_bound(
-        &config,
-        &bonsai_model::ArrayParams::from_bytes(1 << 30, 4),
-        &bonsai_model::HardwareParams::aws_f1(),
-    );
-    assert_emits(&diags, codes::GRAPH_LATENCY_BOUND_VIOLATION);
+    assert_emits(&graph_diags(&config), codes::GRAPH_LATENCY_BOUND_VIOLATION);
 }
 
 #[test]

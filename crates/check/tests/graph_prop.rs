@@ -61,7 +61,7 @@ fn accepted_configs_pass_deadlock_and_min_cut() {
         assert_eq!(g.validate(), Vec::new(), "{name}");
         assert_eq!(g.analyze_deadlock(), Vec::new(), "{name}");
         assert_eq!(g.analyze_bandwidth(required), Vec::new(), "{name}");
-        let all = g.analyze_all(required);
+        let all = g.analyze_all(required).diagnostics;
         assert!(all.is_empty(), "{name}: {all:?}");
     }
 }
@@ -75,7 +75,7 @@ fn zeroing_credits_on_one_edge_flips_exactly_bon030() {
             let idx = rng.next_u64() as usize % clean.edges.len();
             let mut g = clean.clone();
             g.edges[idx].credits = 0;
-            let diags = g.analyze_all(required);
+            let diags = g.analyze_all(required).diagnostics;
             assert_eq!(diags.len(), 1, "{name} edge {idx}: {diags:?}");
             assert_eq!(diags[0].code, codes::GRAPH_DEADLOCK, "{name} edge {idx}");
         }
@@ -91,7 +91,7 @@ fn zeroing_fifo_depth_on_one_edge_flips_exactly_bon031() {
             let idx = rng.next_u64() as usize % clean.edges.len();
             let mut g = clean.clone();
             g.edges[idx].fifo_depth = 0;
-            let diags = g.analyze_all(required);
+            let diags = g.analyze_all(required).diagnostics;
             assert_eq!(diags.len(), 1, "{name} edge {idx}: {diags:?}");
             assert_eq!(
                 diags[0].code,
@@ -115,7 +115,7 @@ fn zeroing_byte_rate_on_the_root_edge_flips_exactly_bon032() {
             .expect("every lowered graph has a root->drain edge");
         let mut g = clean.clone();
         g.edges[root_edge].bytes_per_cycle = 0;
-        let diags = g.analyze_all(required);
+        let diags = g.analyze_all(required).diagnostics;
         assert_eq!(diags.len(), 1, "{name}: {diags:?}");
         assert_eq!(diags[0].code, codes::GRAPH_BANDWIDTH_INFEASIBLE, "{name}");
         let bottleneck = &diags[0]
@@ -140,7 +140,7 @@ fn zeroing_byte_rate_on_any_edge_never_cascades_past_bon032() {
             let idx = rng.next_u64() as usize % clean.edges.len();
             let mut g = clean.clone();
             g.edges[idx].bytes_per_cycle = 0;
-            let diags = g.analyze_all(required);
+            let diags = g.analyze_all(required).diagnostics;
             assert!(diags.len() <= 1, "{name} edge {idx}: {diags:?}");
             for d in &diags {
                 assert_eq!(
@@ -171,7 +171,7 @@ fn the_three_annotations_map_to_three_distinct_codes() {
     ] {
         let mut g = clean.clone();
         corrupt(&mut g.edges[root_edge]);
-        let diags = g.analyze_all(required);
+        let diags = g.analyze_all(required).diagnostics;
         assert_eq!(diags.len(), 1, "{diags:?}");
         seen.push(diags[0].code);
     }

@@ -1,9 +1,8 @@
 //! Round-trip property tests for the `Schedule` print/parse contract.
 //!
-//! The dotted-index format is shared infrastructure: `bonsai-mc`
-//! reports print schedules for `Checker::replay`, and the occupancy
-//! prover's counterexample traces (`bonsai_check::prove::Trace`) reuse
-//! the same grammar — so the contract is pinned here, property-style.
+//! `bonsai-mc` failure reports print the schedule that reaches the
+//! failure, and `Checker::replay` parses it back — so the dotted-index
+//! format is a contract, pinned here property-style.
 
 use bonsai_mc::Schedule;
 

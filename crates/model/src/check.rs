@@ -6,18 +6,20 @@
 //! checks that need the component cost library — the LUT budget of
 //! Equation 9 and the BRAM budget of Equation 10.
 //!
-//! It also owns the model side of the pipeline-graph analyses
-//! (`BON03x`): [`certify_latency_bound`] asserts the analytical latency
-//! model (Eqs. 1–2) never predicts below the static lower bound derived
-//! from the lowered graph's min-cut and critical path, and
-//! [`model_drift_probe`] cross-checks the model against an actual
-//! `SimEngine` measurement with a tolerance gate.
+//! It also owns [`analyze_engine`], the one static pass over an engine
+//! configuration: shape checks, one lowering to the pipeline graph, the
+//! graph analyses (`BON03x`), the certification that the analytical
+//! latency model (Eqs. 1–2) never predicts below the static lower bound
+//! derived from that graph's min-cut and critical path (`BON033`) and
+//! the static throughput floor (`BON064`). [`model_drift_probe`]
+//! cross-checks the model against an actual `SimEngine` measurement
+//! with a tolerance gate.
 
 use crate::components::ComponentLibrary;
 use crate::optimizer::FullConfig;
 use crate::params::{ArrayParams, HardwareParams};
 use crate::{perf, resource};
-use bonsai_amt::graph::{lower_to_graph, LowerOptions};
+use bonsai_amt::graph::{lower_to_graph, required_bytes_per_cycle, LowerOptions};
 use bonsai_amt::{SimEngine, SimEngineConfig};
 use bonsai_check::{codes, Diagnostic};
 
@@ -96,12 +98,72 @@ pub fn check_full_config(
     out
 }
 
+/// Array [`analyze_engine`] certifies each configuration against:
+/// 1 GiB of records keeps every stage count realistic.
+const CERTIFY_BYTES: u64 = 1 << 30;
+
+/// The static pass over one engine configuration, and the only place a
+/// configuration is lowered and analyzed: the shape checks, then — on
+/// the graph lowered **once** — the four pipeline-graph analyses
+/// against the config's own required throughput (one max-flow run),
+/// the Eq. 1 latency-bound certification (`BON033`) on that same flow
+/// and, for configurations clean so far, the static throughput floor
+/// (`BON064`). Lowering failures add only codes the shape checks did
+/// not already report (e.g. `BON017`, which only the lowering can see).
+#[must_use]
+pub fn analyze_engine(
+    config: &SimEngineConfig,
+    opts: &LowerOptions,
+    hw: &HardwareParams,
+) -> Vec<Diagnostic> {
+    let mut diagnostics = config.validate();
+    let graph = match lower_to_graph(config, opts) {
+        Ok(graph) => graph,
+        Err(fatal) => {
+            for d in fatal {
+                if !diagnostics.iter().any(|seen| seen.code == d.code) {
+                    diagnostics.push(d);
+                }
+            }
+            return diagnostics;
+        }
+    };
+    let analysis = graph.analyze_all(required_bytes_per_cycle(config));
+    diagnostics.extend(analysis.diagnostics);
+    // Built by hand: `from_bytes` asserts divisibility, and a record
+    // width that does not divide the array (`--record-bytes 12`) is a
+    // finding to report, not a reason to abort the linter.
+    let array = ArrayParams {
+        n_records: CERTIFY_BYTES / config.loader.record_bytes,
+        record_bytes: config.loader.record_bytes,
+    };
+    // Malformed/cyclic graphs are BON037/BON030's job, not BON033's.
+    if let (Some(cut), Some(critical_path)) = (
+        analysis.max_flow_bytes_per_cycle,
+        graph.critical_path_cycles(),
+    ) {
+        diagnostics.extend(certify_latency_bound(
+            config,
+            &array,
+            hw,
+            cut,
+            critical_path,
+        ));
+    }
+    // A throughput guarantee means nothing for a pipeline that wedges.
+    if !bonsai_check::has_errors(&diagnostics) {
+        diagnostics.extend(check_static_bound(config, &array, hw));
+    }
+    diagnostics
+}
+
 /// Latency-bound certification (`BON033`).
 ///
-/// Lowers `config` to the pipeline graph and derives a static lower
-/// bound on sorting `array`: each of the `s` merge stages must move
-/// every byte through the graph's min-cut, plus one pipeline fill along
-/// the critical path —
+/// From the lowered graph's min-cut `cut` (bytes/cycle) and critical
+/// path `critical_path` (cycles), derives a static lower bound on
+/// sorting `array`: each of the `s` merge stages must move every byte
+/// through the min-cut, plus one pipeline fill along the critical
+/// path —
 ///
 /// ```text
 /// bound = s · bytes / (min_cut · f)  +  critical_path / f
@@ -112,25 +174,19 @@ pub fn check_full_config(
 /// `beta_dram` promising bandwidth the configured `MemoryConfig` does
 /// not have. A [`CERTIFY_TOLERANCE`] relative slack absorbs the
 /// critical-path term on configurations that sit exactly on the bound.
-///
-/// Configurations that fail to lower return no findings here: the shape
-/// diagnostics are already reported by the shape checks.
-#[must_use]
-pub fn certify_latency_bound(
+fn certify_latency_bound(
     config: &SimEngineConfig,
     array: &ArrayParams,
     hw: &HardwareParams,
+    cut: u64,
+    critical_path: u64,
 ) -> Vec<Diagnostic> {
-    let Ok(graph) = lower_to_graph(config, &LowerOptions::default()) else {
-        return Vec::new();
-    };
-    let (Some(cut), Some(cp)) = (
-        graph.max_flow_bytes_per_cycle(),
-        graph.critical_path_cycles(),
-    ) else {
-        return Vec::new(); // malformed/cyclic graphs are BON037/BON030's job
-    };
     let presort = config.presort.unwrap_or(1);
+    if presort == 0 {
+        // BON025 is already reported, and Eq. 1 has no stage count for
+        // zero-length initial runs (`perf::stages` asserts on it).
+        return Vec::new();
+    }
     let s = perf::stages(array.n_records, config.amt.l, presort);
     if s == 0 {
         return Vec::new();
@@ -140,7 +196,7 @@ pub fn certify_latency_bound(
     let bound_secs = if cut == 0 {
         f64::INFINITY
     } else {
-        f64::from(s) * array.total_bytes() as f64 / (cut as f64 * f) + cp as f64 / f
+        f64::from(s) * array.total_bytes() as f64 / (cut as f64 * f) + critical_path as f64 / f
     };
     if model_secs * (1.0 + CERTIFY_TOLERANCE) < bound_secs {
         vec![Diagnostic::error(
@@ -150,7 +206,7 @@ pub fn certify_latency_bound(
         .with("model_ms", format!("{:.3}", model_secs * 1e3))
         .with("bound_ms", format!("{:.3}", bound_secs * 1e3))
         .with("min_cut_bytes_per_cycle", cut)
-        .with("critical_path_cycles", cp)
+        .with("critical_path_cycles", critical_path)
         .with("stages", s)]
     } else {
         Vec::new()
@@ -215,7 +271,8 @@ pub fn model_drift_probe(
 /// every overlap the simulator can miss; the factor absorbs fill/drain
 /// artifacts on tiny arrays so the ceiling is *unconditionally* above
 /// any simulated run — that inequality is the soundness contract
-/// `prove_fuzz` differentially enforces.
+/// `bonsai-check`'s `accept_then_run` test enforces on every
+/// configuration [`analyze_engine`] accepts.
 pub const CEILING_SAFETY_FACTOR: u64 = 2;
 
 /// Conservative static upper bound on the total cycles [`SimEngine`]
@@ -300,46 +357,14 @@ pub fn throughput_floor(
     Some(total_bytes as f64 * freq_hz / ceiling as f64)
 }
 
-/// Soundness cross-check of the static bound against an *observed*
-/// throughput in bytes per second (`BON064`). A lower bound exceeding
-/// what was actually achieved is a contradiction — the ceiling
-/// under-counted some cost — and is reported as an error.
-#[must_use]
-pub fn check_bound_against_observed(
-    config: &SimEngineConfig,
-    array: &ArrayParams,
-    freq_hz: f64,
-    observed_bytes_per_sec: f64,
-) -> Vec<Diagnostic> {
-    let Some(floor) = throughput_floor(config, array, freq_hz) else {
-        return Vec::new();
-    };
-    if floor > observed_bytes_per_sec {
-        vec![Diagnostic::error(
-            codes::PROVE_BOUND_UNSOUND,
-            "static throughput lower bound exceeds the observed throughput",
-        )
-        .with("floor_mb_s", format!("{:.3}", floor / 1e6))
-        .with(
-            "observed_mb_s",
-            format!("{:.3}", observed_bytes_per_sec / 1e6),
-        )
-        .with("n_records", array.n_records)]
-    } else {
-        Vec::new()
-    }
-}
-
 /// Consistency check of the static throughput floor against the Eq. 1
 /// analytical model (`BON064`).
 ///
 /// The floor assumes full serialization, so it must sit *below* the
-/// model's overlap-aware prediction; a floor above the model means the
-/// ceiling's cost accounting dropped a term the model still charges
-/// for — the same soundness bug [`check_bound_against_observed`]
-/// catches dynamically, found statically.
-#[must_use]
-pub fn check_static_bound(
+/// model's overlap-aware prediction; a floor above the model is a
+/// contradiction — the ceiling's cost accounting dropped a term the
+/// model still charges for — and is reported as an error.
+fn check_static_bound(
     config: &SimEngineConfig,
     array: &ArrayParams,
     hw: &HardwareParams,
@@ -350,8 +375,17 @@ pub fn check_static_bound(
         return Vec::new();
     }
     let total_bytes = array.n_records.saturating_mul(config.loader.record_bytes);
-    let model_throughput = total_bytes as f64 / model_secs;
-    check_bound_against_observed(config, array, hw.freq_hz, model_throughput)
+    let model_bytes_per_sec = total_bytes as f64 / model_secs;
+    match throughput_floor(config, array, hw.freq_hz) {
+        Some(floor) if floor > model_bytes_per_sec => vec![Diagnostic::error(
+            codes::THROUGHPUT_FLOOR_UNSOUND,
+            "static throughput lower bound exceeds the analytical model's throughput",
+        )
+        .with("floor_mb_s", format!("{:.3}", floor / 1e6))
+        .with("model_mb_s", format!("{:.3}", model_bytes_per_sec / 1e6))
+        .with("n_records", array.n_records)],
+        _ => Vec::new(),
+    }
 }
 
 #[cfg(test)]
@@ -425,24 +459,26 @@ mod tests {
         );
     }
 
+    fn engine_pass(config: &SimEngineConfig) -> Vec<Diagnostic> {
+        analyze_engine(config, &LowerOptions::default(), &HardwareParams::aws_f1())
+    }
+
     #[test]
-    fn in_repo_shapes_certify_against_their_graphs() {
-        let hw = HardwareParams::aws_f1();
-        let array = ArrayParams::from_bytes(1 << 30, 4);
+    fn in_repo_shapes_pass_the_whole_engine_pass() {
         for (p, l) in [(4, 16), (8, 64), (16, 256), (32, 64), (32, 256)] {
             let config = SimEngineConfig::dram_sorter(AmtConfig::new(p, l), 4);
-            let diags = certify_latency_bound(&config, &array, &hw);
+            let diags = engine_pass(&config);
             assert!(diags.is_empty(), "AMT({p},{l}): {diags:?}");
         }
         // The SSD-throttled validation shapes are p-bound at 8 GB/s on
-        // both sides of the comparison.
+        // both sides of the latency comparison.
         for l in [64, 256] {
             let config = SimEngineConfig::with_memory(
                 AmtConfig::new(8, l),
                 4,
                 MemoryConfig::throttled_to_ssd(),
             );
-            let diags = certify_latency_bound(&config, &array, &hw);
+            let diags = engine_pass(&config);
             assert!(diags.is_empty(), "ssd l={l}: {diags:?}");
         }
     }
@@ -452,33 +488,51 @@ mod tests {
         // p=16 against SSD-throttled memory: Eq. 1 with the F1 hardware
         // card claims 16 GB/s, but the lowered graph's min-cut carries
         // only 8 GB/s.
-        let hw = HardwareParams::aws_f1();
-        let array = ArrayParams::from_bytes(1 << 30, 4);
         let config = SimEngineConfig::with_memory(
             AmtConfig::new(16, 64),
             4,
             MemoryConfig::throttled_to_ssd(),
         );
-        let diags = certify_latency_bound(&config, &array, &hw);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].code, codes::GRAPH_LATENCY_BOUND_VIOLATION);
+        let diags = engine_pass(&config);
+        assert!(
+            diags
+                .iter()
+                .any(|d| d.code == codes::GRAPH_LATENCY_BOUND_VIOLATION),
+            "{diags:?}"
+        );
     }
 
     #[test]
     fn certification_skips_trivial_and_unlowerable_configs() {
         let hw = HardwareParams::aws_f1();
         let config = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
-        // 16 records presorted in one chunk: zero merge stages.
+        // 16 records presorted in one chunk: zero merge stages, so even
+        // a one-byte-per-cycle cut certifies.
         let tiny = ArrayParams {
             n_records: 16,
             record_bytes: 4,
         };
-        assert!(certify_latency_bound(&config, &tiny, &hw).is_empty());
-        // Unlowerable configs are the shape checks' problem.
+        assert!(certify_latency_bound(&config, &tiny, &hw, 1, 1).is_empty());
+        // Unlowerable configs stop at the shape checks, each code once.
         let mut broken = config;
         broken.loader.record_bytes = 0;
-        let array = ArrayParams::from_bytes(1 << 30, 4);
-        assert!(certify_latency_bound(&broken, &array, &hw).is_empty());
+        let codes: Vec<_> = engine_pass(&broken).iter().map(|d| d.code).collect();
+        assert_eq!(codes, [codes::RECORD_WIDTH_ZERO]);
+    }
+
+    #[test]
+    fn engine_pass_reports_a_record_width_that_does_not_divide_the_array() {
+        // 12-byte records do not divide the 1 GiB certification array
+        // (nor the 4 KiB batch): BON005, not an assertion failure.
+        let mut config = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
+        config.loader.record_bytes = 12;
+        let diags = engine_pass(&config);
+        assert!(
+            diags
+                .iter()
+                .any(|d| d.code == codes::BATCH_NOT_RECORD_MULTIPLE),
+            "{diags:?}"
+        );
     }
 
     #[test]
@@ -564,11 +618,13 @@ mod tests {
     fn contradicted_floor_reports_bon064() {
         let config = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
         let array = ArrayParams::from_bytes(1 << 24, 4);
-        // Claiming the hardware only achieved 1 B/s contradicts any
-        // positive lower bound.
-        let diags = check_bound_against_observed(&config, &array, 250e6, 1.0);
+        // A model card whose memory moves 1 B/s predicts a throughput
+        // below any positive lower bound.
+        let mut hw = HardwareParams::aws_f1();
+        hw.beta_dram = 1.0;
+        let diags = check_static_bound(&config, &array, &hw);
         assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].code, codes::PROVE_BOUND_UNSOUND);
+        assert_eq!(diags[0].code, codes::THROUGHPUT_FLOOR_UNSOUND);
         assert!(diags[0].is_error());
     }
 }
