@@ -503,8 +503,9 @@ where
     }
 }
 
-/// Executes `plan`'s task DAG on `workers` threads (`0` = one per
-/// core), calling `run_task(pass, slot, child_outputs)` for each task
+/// Executes `plan`'s task DAG on `workers` workers (`0` = one per
+/// core) — the calling thread plus `workers − 1` spawned ones —
+/// calling `run_task(pass, slot, child_outputs)` for each task
 /// as it becomes ready (for a single-job plan the slot is the group
 /// index; for a batch, `job = slot / groups` and `group = slot %
 /// groups`). Returns the final pass's outputs (in slot = job order)
@@ -570,13 +571,16 @@ where
     });
     let run_task = Arc::new(run_task);
 
-    let handles: Vec<S::JoinHandle> = (0..threads)
+    // The calling thread is worker 0: only `threads - 1` are spawned,
+    // so a one-worker sort never pays a thread spawn and join.
+    let handles: Vec<S::JoinHandle> = (1..threads)
         .map(|_| {
             let shared = Arc::clone(&shared);
             let run_task = Arc::clone(&run_task);
             S::spawn(move || worker_loop(shared.as_ref(), run_task.as_ref()))
         })
         .collect();
+    worker_loop(shared.as_ref(), run_task.as_ref());
     let mut join_err = None;
     for handle in handles {
         if let Err(msg) = S::join(handle) {

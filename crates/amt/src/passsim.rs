@@ -37,6 +37,9 @@ pub struct PassSim<R> {
     groups: u64,
     leaf_streams: Vec<Vec<R>>,
     leaf_pos: Vec<usize>,
+    /// Leaves with `leaf_pos < leaf_streams.len()`, i.e. still holding
+    /// records to feed; `0` means the pass's input is fully on chip.
+    leaves_open: usize,
     tree: MergeTree<R>,
     loader: DataLoader,
     drain: WriteDrain,
@@ -94,6 +97,8 @@ impl<R: Record> PassSim<R> {
             #[cfg(feature = "sanitize")]
             groups: groups as u64,
             leaf_pos: vec![0; l],
+            // Every stream ends in at least one terminal per group.
+            leaves_open: leaf_streams.iter().filter(|s| !s.is_empty()).count(),
             leaf_streams,
             tree: MergeTree::new(config.amt),
             loader: DataLoader::new(config.loader, leaf_payload),
@@ -131,61 +136,66 @@ impl<R: Record> PassSim<R> {
         // zero-append unit); payload is gated by the loader. Free FIFO
         // space and loader availability are sampled once per leaf per
         // cycle and the records move as one batch.
-        for leaf in 0..self.l {
-            let stream = &self.leaf_streams[leaf];
-            let pos = self.leaf_pos[leaf];
-            if pos == stream.len() {
-                continue;
-            }
-            let free = self.tree.leaf_free(leaf);
-            if free == 0 {
-                continue;
-            }
-            let avail = self.loader.available(leaf);
-            let mut take = 0usize;
-            let mut payload = 0u64;
-            while take < free && pos + take < stream.len() {
-                if stream[pos + take].is_terminal() {
-                    take += 1;
-                } else if payload < avail {
-                    payload += 1;
-                    take += 1;
-                } else {
-                    break;
+        if self.leaves_open > 0 {
+            for leaf in 0..self.l {
+                let stream = &self.leaf_streams[leaf];
+                let pos = self.leaf_pos[leaf];
+                if pos == stream.len() {
+                    continue;
                 }
+                let free = self.tree.leaf_free(leaf);
+                if free == 0 {
+                    continue;
+                }
+                let avail = self.loader.available(leaf);
+                let mut take = 0usize;
+                let mut payload = 0u64;
+                for rec in &stream[pos..stream.len().min(pos + free)] {
+                    if !rec.is_terminal() {
+                        if payload == avail {
+                            break;
+                        }
+                        payload += 1;
+                    }
+                    take += 1;
+                }
+                if take == 0 {
+                    continue;
+                }
+                if payload > 0 {
+                    self.loader.consume(leaf, payload);
+                }
+                let pushed = self.tree.push_leaf_slice(leaf, &stream[pos..pos + take]);
+                debug_assert_eq!(pushed, take, "leaf_free promised space");
+                self.leaf_pos[leaf] = pos + take;
+                if pos + take == stream.len() {
+                    self.leaves_open -= 1;
+                }
+                changed = true;
             }
-            if take == 0 {
-                continue;
-            }
-            if payload > 0 {
-                self.loader.consume(leaf, payload);
-            }
-            let pushed = self.tree.push_leaf_slice(leaf, &stream[pos..pos + take]);
-            debug_assert_eq!(pushed, take, "leaf_free promised space");
-            self.leaf_pos[leaf] += take;
-            changed = true;
         }
 
         changed |= self.tree.tick();
 
         // Zero filter + packer: move root output into the write drain;
-        // terminals mark run boundaries and cost no bandwidth.
-        while self.drain.free_space() > 0 {
+        // terminals mark run boundaries and cost no bandwidth. The
+        // drain's free space is sampled once and the cycle's payload is
+        // handed over in one call.
+        let space = self.drain.free_space();
+        let mut payload = 0u64;
+        while payload < space {
             let Some(rec) = self.tree.pop_root() else {
                 break;
             };
-            if !rec.is_terminal() {
-                self.drain.push_records(1);
-            }
+            payload += u64::from(!rec.is_terminal());
             self.out_stream.push(rec);
             changed = true;
         }
+        if payload > 0 {
+            self.drain.push_records(payload);
+        }
 
-        let input_done = self
-            .leaf_pos
-            .iter()
-            .enumerate()
-            .all(|(i, &p)| p == self.leaf_streams[i].len());
+        let input_done = self.leaves_open == 0;
         if input_done && self.tree.is_drained() && !self.draining_signalled {
             self.drain.set_draining();
             self.draining_signalled = true;

@@ -51,18 +51,47 @@ pub struct TreeStats {
 pub struct MergeTree<R> {
     config: AmtConfig,
     /// Heap-ordered mergers, length `ℓ - 1`.
-    nodes: Vec<KMerger<R>>,
+    nodes: Vec<Node<R>>,
     /// Index of the first deepest-level merger.
     first_leaf_node: usize,
     /// Completed tree ticks (including fast-forwarded spans).
     tick_count: u64,
-    /// Per-node count of ticks already reflected in its `MergerStats`;
-    /// `tick_count - accounted[i]` is node `i`'s stall arrears.
-    accounted: Vec<u64>,
-    /// Worklist membership: only active nodes are ticked.
-    active: Vec<bool>,
-    /// Number of `true` entries in `active`.
+    /// Number of nodes on the worklist.
     active_count: usize,
+}
+
+/// One merger with its worklist bookkeeping, kept together so a tick
+/// touches one slot per node.
+#[derive(Debug, Clone)]
+struct Node<R> {
+    merger: KMerger<R>,
+    /// Tree ticks already reflected in the merger's `MergerStats`;
+    /// `tick_count - accounted` is the node's stall arrears.
+    accounted: u64,
+    /// Worklist membership: only active nodes are ticked.
+    active: bool,
+}
+
+impl<R: Record> Node<R> {
+    /// Settles the node's stall arrears up to `now` completed ticks, so
+    /// its stats reflect every one of them. Must be called before any
+    /// mutation that could change the node's stall classification
+    /// (popping its output).
+    #[inline]
+    fn settle(&mut self, now: u64) {
+        if self.accounted < now {
+            self.merger.add_stalled_cycles(now - self.accounted);
+            self.accounted = now;
+        }
+    }
+
+    /// Settles arrears and puts the node back on the worklist; returns
+    /// how many nodes that added to it (0 or 1).
+    #[inline]
+    fn wake(&mut self, now: u64) -> usize {
+        self.settle(now);
+        usize::from(!std::mem::replace(&mut self.active, true))
+    }
 }
 
 impl<R: Record> MergeTree<R> {
@@ -78,39 +107,21 @@ impl<R: Record> MergeTree<R> {
             // tuples is enough that deeper buffers no longer help.
             let fifo = (8 * k).max(16);
             for _ in 0..config.mergers_at_level(level) {
-                nodes.push(KMerger::new(k, fifo));
+                nodes.push(Node {
+                    merger: KMerger::new(k, fifo),
+                    accounted: 0,
+                    active: true,
+                });
             }
         }
         let first_leaf_node = (config.l / 2) - 1;
-        let n = nodes.len();
+        let active_count = nodes.len();
         Self {
             config,
             nodes,
             first_leaf_node,
             tick_count: 0,
-            accounted: vec![0; n],
-            active: vec![true; n],
-            active_count: n,
-        }
-    }
-
-    /// Settles node `idx`'s stall arrears so its stats reflect every
-    /// completed tick. Must be called before any mutation that could
-    /// change the node's stall classification (popping its output).
-    fn settle(&mut self, idx: usize) {
-        let due = self.tick_count.saturating_sub(self.accounted[idx]);
-        if due > 0 {
-            self.nodes[idx].add_stalled_cycles(due);
-            self.accounted[idx] = self.tick_count;
-        }
-    }
-
-    /// Settles arrears and puts node `idx` back on the worklist.
-    fn wake(&mut self, idx: usize) {
-        self.settle(idx);
-        if !self.active[idx] {
-            self.active[idx] = true;
-            self.active_count += 1;
+            active_count,
         }
     }
 
@@ -140,7 +151,7 @@ impl<R: Record> MergeTree<R> {
     /// Free FIFO space (records) at leaf port `leaf`.
     pub fn leaf_free(&self, leaf: usize) -> usize {
         let (node, side) = self.leaf_port(leaf);
-        self.nodes[node].input_free(side)
+        self.nodes[node].merger.input_free(side)
     }
 
     /// Pushes one record (payload or terminal) into leaf `leaf`.
@@ -151,8 +162,9 @@ impl<R: Record> MergeTree<R> {
     /// first.
     pub fn push_leaf(&mut self, leaf: usize, rec: R) {
         let (node, side) = self.leaf_port(leaf);
-        self.wake(node);
-        self.nodes[node]
+        let node = &mut self.nodes[node];
+        self.active_count += node.wake(self.tick_count);
+        node.merger
             .push_input(side, rec)
             .unwrap_or_else(|_| panic!("leaf {leaf} FIFO overflow"));
     }
@@ -165,30 +177,28 @@ impl<R: Record> MergeTree<R> {
             return 0;
         }
         let (node, side) = self.leaf_port(leaf);
-        self.wake(node);
-        self.nodes[node].push_input_slice(side, recs)
+        let node = &mut self.nodes[node];
+        self.active_count += node.wake(self.tick_count);
+        node.merger.push_input_slice(side, recs)
     }
 
     /// Pops the next root output record, if any.
     pub fn pop_root(&mut self) -> Option<R> {
-        if self.nodes[0].output_len() == 0 {
+        let root = &mut self.nodes[0];
+        if root.merger.output_len() == 0 {
             return None;
         }
-        // Settle before the pop: removing output can flip the root's
-        // stall class from output- to input-stalled.
-        self.settle(0);
-        let rec = self.nodes[0].pop_output();
+        // Settle before the pop (inside `wake`): removing output can
+        // flip the root's stall class from output- to input-stalled.
+        self.active_count += root.wake(self.tick_count);
+        let rec = root.merger.pop_output();
         debug_assert!(rec.is_some(), "output_len promised a record");
-        if !self.active[0] {
-            self.active[0] = true;
-            self.active_count += 1;
-        }
         rec
     }
 
     /// Records currently queued at the root output.
     pub fn root_output_len(&self) -> usize {
-        self.nodes[0].output_len()
+        self.nodes[0].merger.output_len()
     }
 
     /// Advances the whole tree one cycle: mergers tick deepest level
@@ -202,67 +212,61 @@ impl<R: Record> MergeTree<R> {
     /// return is stable: with no external push or pop, every future tick
     /// is also a no-op, so the caller may [`MergeTree::fast_forward`].
     pub fn tick(&mut self) -> bool {
+        let now = self.tick_count;
+        self.tick_count = now + 1;
         if self.active_count == 0 {
-            self.tick_count += 1;
             return false;
         }
         let mut tree_changed = false;
         for node_idx in (0..self.nodes.len()).rev() {
-            if !self.active[node_idx] {
+            let (below, rest) = self.nodes.split_at_mut(node_idx);
+            let Some((node, above)) = rest.split_first_mut() else {
+                break;
+            };
+            if !node.active {
                 continue;
             }
             // A node woken mid-previous-tick may still owe one stall
             // cycle; settle before ticking so stats stay exact.
-            self.settle(node_idx);
-            let node_changed = self.nodes[node_idx].tick();
-            self.accounted[node_idx] += 1;
+            node.settle(now);
+            let node_changed = node.merger.tick();
+            node.accounted = now + 1;
 
             let mut coupler_moved = false;
             if node_idx > 0 {
-                let parent = (node_idx - 1) / 2;
+                let parent = &mut below[(node_idx - 1) / 2];
                 let side = if node_idx % 2 == 1 {
                     Side::Left
                 } else {
                     Side::Right
                 };
-                if self.nodes[node_idx].output_len() > 0 && self.nodes[parent].input_free(side) > 0
-                {
+                if node.merger.output_len() > 0 && parent.merger.input_free(side) > 0 {
                     // The parent's input is about to change: settle its
                     // arrears and put it on the worklist (it sits at a
                     // lower index, so it still ticks later this cycle —
                     // same order the always-tick schedule sees).
-                    self.wake(parent);
-                    while self.nodes[parent].input_free(side) > 0 {
-                        let Some(rec) = self.nodes[node_idx].pop_output() else {
-                            break;
-                        };
-                        self.nodes[parent]
-                            .push_input(side, rec)
-                            .expect("space checked above");
-                        coupler_moved = true;
-                    }
+                    self.active_count += parent.wake(now);
+                    coupler_moved = node.merger.couple_into(&mut parent.merger, side) > 0;
                 }
             }
 
             if node_changed || coupler_moved {
                 tree_changed = true;
                 // The node consumed input and/or drained output, so its
-                // children may have coupler space again next cycle.
-                let child = 2 * node_idx + 1;
-                if child < self.nodes.len() {
-                    self.wake(child);
-                    if child + 1 < self.nodes.len() {
-                        self.wake(child + 1);
+                // children (heap slots 2i+1 and 2i+2, i.e. `above[i..]`)
+                // may have coupler space again next cycle.
+                if let Some(children) = above.get_mut(node_idx..node_idx + 2) {
+                    for child in children {
+                        self.active_count += child.wake(now);
                     }
                 }
             } else {
                 // Pure stall (already recorded by its own tick): freeze
                 // the node until an external event can unblock it.
-                self.active[node_idx] = false;
+                node.active = false;
                 self.active_count -= 1;
             }
         }
-        self.tick_count += 1;
         tree_changed
     }
 
@@ -287,7 +291,7 @@ impl<R: Record> MergeTree<R> {
 
     /// Returns `true` when no records remain anywhere in the tree.
     pub fn is_drained(&self) -> bool {
-        self.nodes.iter().all(KMerger::is_drained)
+        self.nodes.iter().all(|n| n.merger.is_drained())
     }
 
     /// Collects sanitizer findings (`BON101`–`BON103`) from every
@@ -298,7 +302,12 @@ impl<R: Record> MergeTree<R> {
     pub fn sanitize_check(&mut self) -> Vec<bonsai_check::Diagnostic> {
         let mut out = Vec::new();
         for (i, node) in self.nodes.iter_mut().enumerate() {
-            out.extend(node.sanitize_check().into_iter().map(|d| d.with("node", i)));
+            out.extend(
+                node.merger
+                    .sanitize_check()
+                    .into_iter()
+                    .map(|d| d.with("node", i)),
+            );
         }
         out
     }
@@ -309,19 +318,19 @@ impl<R: Record> MergeTree<R> {
     /// as settling would), so the result is independent of when skipped
     /// nodes were last woken.
     pub fn stats(&self) -> TreeStats {
-        let root = self.nodes[0].stats();
+        let root = self.nodes[0].merger.stats();
         let mut s = TreeStats {
             root_records_out: root.records_out,
             root_flushes: root.flushes,
             ..TreeStats::default()
         };
-        for (idx, node) in self.nodes.iter().enumerate() {
-            let st = node.stats();
+        for node in &self.nodes {
+            let st = node.merger.stats();
             s.total_input_stalls += st.input_stalls;
             s.total_output_stalls += st.output_stalls;
-            let due = self.tick_count.saturating_sub(self.accounted[idx]);
+            let due = self.tick_count.saturating_sub(node.accounted);
             if due > 0 {
-                if node.output_full() {
+                if node.merger.output_full() {
                     s.total_output_stalls += due;
                 } else {
                     s.total_input_stalls += due;
@@ -479,9 +488,11 @@ mod tests {
                 let _ = tree.pop_root();
             }
             let n = tree.nodes.len() as u64;
-            let settled: u64 = tree.nodes.iter().map(|m| m.stats().cycles).sum();
-            let arrears: u64 = (0..tree.nodes.len())
-                .map(|i| tree.tick_count - tree.accounted[i])
+            let settled: u64 = tree.nodes.iter().map(|n| n.merger.stats().cycles).sum();
+            let arrears: u64 = tree
+                .nodes
+                .iter()
+                .map(|n| tree.tick_count - n.accounted)
                 .sum();
             assert_eq!(settled + arrears, tree.tick_count * n, "cycle {t}");
             assert_eq!(tree.tick_count(), t + 1);
@@ -559,7 +570,7 @@ mod tests {
         assert_eq!(stats.total_input_stalls, want.input_stalls);
         assert_eq!(stats.total_output_stalls, want.output_stalls);
         // And settling for real matches too.
-        tree.settle(0);
-        assert_eq!(tree.nodes[0].stats(), want);
+        tree.nodes[0].settle(tree.tick_count);
+        assert_eq!(tree.nodes[0].merger.stats(), want);
     }
 }

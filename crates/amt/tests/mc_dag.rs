@@ -5,8 +5,10 @@
 //! with `bonsai_mc::sync::McSync` and let the checker explore every
 //! schedule (within the preemption budget) of the claim / resolve /
 //! wait-while protocol on the ISSUE's canonical small shape: 2 workers
-//! over a 2-pass / 4-group plan (8 presorted runs on a 4-leaf tree →
-//! fan-ins [2, 4] → 4 + 1 tasks). Every schedule must run every task
+//! — the thread that calls `execute_dag`, which is worker 0, and the
+//! one thread it spawns — over a 2-pass / 4-group plan (8 presorted
+//! runs on a 4-leaf tree → fan-ins [2, 4] → 4 + 1 tasks). Every
+//! schedule must run every task
 //! exactly once, feed the parent its children's outputs in group
 //! order, and terminate — no deadlock, no lost wakeup.
 
@@ -78,8 +80,9 @@ fn dag_claim_protocol_is_exhaustively_clean_at_two_workers() {
     );
 }
 
-/// One worker degenerates to sequential execution but still crosses
-/// every wait/notify edge (the worker parks only when the DAG drains).
+/// One worker is the calling thread alone — nothing is spawned — and
+/// degenerates to sequential execution, but still crosses every
+/// wait/notify edge (the worker parks only when the DAG drains).
 /// Cheap enough for the Miri job, which runs this test by name.
 #[test]
 fn dag_claim_protocol_single_worker_smoke() {

@@ -5,10 +5,13 @@
 //! the memory-bound SSD-scale stream — verifies the two paths agree bit
 //! for bit, and writes the measured speedups to `BENCH_5.json`.
 //!
-//! Gates: the fast path must be no slower than the reference loop on
-//! the compute-bound DRAM config (where there is little to skip) and at
-//! least 5x faster on the SSD-scale config (where the machine spends
-//! most cycles waiting on flash).
+//! Gates: on every config the fast path must be no slower than the
+//! reference loop (5 % wall-clock slack), and on the SSD-scale config
+//! (where the machine spends most cycles waiting on flash) it must step
+//! at most one simulated cycle in 40 — the deterministic stepped-cycle
+//! ratio, 44.6 as committed, identical on every host. The wall-clock
+//! speedup is reported but not gated: it *falls* when no-op steps get
+//! cheaper, even though both walls improve.
 //!
 //! Usage: `perf_baseline [out.json]` (default `BENCH_5.json`; the
 //! `BONSAI_BENCH_OUT` environment variable overrides the default when
@@ -17,7 +20,10 @@
 use std::time::Instant;
 
 use bonsai_amt::{AmtConfig, SimEngine, SimEngineConfig, SortReport};
-use bonsai_bench::perf::{bench_json, bench_out_path, ssd_scale_config, JsonField};
+use bonsai_bench::perf::{
+    assert_fast_forward_gate, bench_json, bench_out_path, ssd_scale_config, stepped_cycle_ratio,
+    JsonField,
+};
 use bonsai_gensort::dist::uniform_u32;
 use bonsai_memsim::MemoryConfig;
 
@@ -27,8 +33,10 @@ struct Row {
     reference_wall_s: f64,
     fast_wall_s: f64,
     speedup: f64,
-    total_cycles: u64,
-    fast_forwarded_cycles: u64,
+    fast_report: SortReport,
+    /// The config's gate on [`stepped_cycle_ratio`] (1.0 = no gate:
+    /// nothing to skip on a compute-bound shape).
+    min_stepped_ratio: f64,
 }
 
 fn time_once(
@@ -43,7 +51,12 @@ fn time_once(
     (start.elapsed().as_secs_f64(), result)
 }
 
-fn measure(name: &'static str, cfg: SimEngineConfig, records: usize) -> Row {
+fn measure(
+    name: &'static str,
+    cfg: SimEngineConfig,
+    records: usize,
+    min_stepped_ratio: f64,
+) -> Row {
     let data = uniform_u32(records, 2025);
     // Interleave the paths and keep each one's best wall time: min
     // absorbs scheduler noise, interleaving cancels thermal/load drift.
@@ -72,15 +85,16 @@ fn measure(name: &'static str, cfg: SimEngineConfig, records: usize) -> Row {
         reference_wall_s,
         fast_wall_s,
         speedup: reference_wall_s / fast_wall_s,
-        total_cycles: rep_fast.total_cycles,
-        fast_forwarded_cycles: rep_fast.fast_forwarded_cycles,
+        fast_report: rep_fast,
+        min_stepped_ratio,
     };
     println!(
         "{name:<12} {records:>7} records: reference {reference_wall_s:>7.3}s, fast {fast_wall_s:>7.3}s \
          ({:.2}x; {:.1}% of {} cycles fast-forwarded)",
         row.speedup,
-        100.0 * row.fast_forwarded_cycles as f64 / row.total_cycles.max(1) as f64,
-        row.total_cycles,
+        100.0 * row.fast_report.fast_forwarded_cycles as f64
+            / row.fast_report.total_cycles.max(1) as f64,
+        row.fast_report.total_cycles,
     );
     row
 }
@@ -113,10 +127,17 @@ fn render_json(rows: &[Row]) -> String {
                         precision: 3,
                     },
                 ),
-                ("total_cycles", JsonField::U64(r.total_cycles)),
+                ("total_cycles", JsonField::U64(r.fast_report.total_cycles)),
                 (
                     "fast_forwarded_cycles",
-                    JsonField::U64(r.fast_forwarded_cycles),
+                    JsonField::U64(r.fast_report.fast_forwarded_cycles),
+                ),
+                (
+                    "stepped_cycle_ratio",
+                    JsonField::F64 {
+                        value: stepped_cycle_ratio(&r.fast_report),
+                        precision: 1,
+                    },
                 ),
             ]
         })
@@ -133,33 +154,31 @@ fn main() {
             "dram_small",
             SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4),
             150_000,
+            1.0,
         ),
         measure(
             "hbm",
             SimEngineConfig::with_memory(AmtConfig::new(8, 64), 4, MemoryConfig::hbm_u50()),
             150_000,
+            1.0,
         ),
-        measure("ssd_scale", ssd_scale_config(), 150_000),
+        measure("ssd_scale", ssd_scale_config(), 150_000, 40.0),
     ];
 
-    let dram = &rows[0];
-    let ssd = &rows[2];
-    // Compute-bound gate: the fast path has almost nothing to skip here
-    // (< 1% of cycles), so the requirement is parity — it must not
-    // regress the per-cycle loop. 5% floor absorbs wall-clock noise on
-    // shared CI hosts; the raw single-pass loop measures slightly
-    // *faster* than the reference (the quiescent windows it does skip
-    // are free wins).
-    assert!(
-        dram.speedup >= 0.95,
-        "fast path regressed the compute-bound config beyond noise: {:.2}x",
-        dram.speedup
-    );
-    assert!(
-        ssd.speedup >= 5.0,
-        "fast path under 5x on the memory-bound SSD-scale config: {:.2}x",
-        ssd.speedup
-    );
+    // Parity everywhere: the compute-bound configs have almost nothing
+    // to skip (< 1 % of cycles), so all the fast path owes them is not
+    // to regress the per-cycle loop. The SSD-scale stream additionally
+    // has to collapse: 44.6 simulated cycles per stepped one as
+    // committed, gated at 40.
+    for row in &rows {
+        assert_fast_forward_gate(
+            row.name,
+            &row.fast_report,
+            row.reference_wall_s,
+            row.fast_wall_s,
+            row.min_stepped_ratio,
+        );
+    }
 
     std::fs::write(&out_path, render_json(&rows)).expect("write baseline json");
     println!("gates passed; wrote {out_path}");

@@ -5,7 +5,7 @@
 
 use std::fmt::Write as _;
 
-use bonsai_amt::{AmtConfig, SimEngineConfig};
+use bonsai_amt::{AmtConfig, SimEngineConfig, SortReport};
 use bonsai_memsim::MemoryConfig;
 
 /// The SSD-scale shape of the perf baseline: one slow flash access
@@ -38,6 +38,45 @@ pub fn ssd_multipass_config() -> SimEngineConfig {
 /// Records per job for [`ssd_multipass_config`]: 132 presorted
 /// 16-record runs.
 pub const MULTIPASS_RECORDS: usize = 2112;
+
+/// Simulated cycles per cycle the fast path actually stepped:
+/// `total_cycles / (total_cycles − fast_forwarded_cycles)`. This is how
+/// much simulated time the event-driven scheduler collapses, and it is
+/// a property of the simulated machine and input alone — identical on
+/// every host and unmoved by how fast either loop's `step` runs.
+pub fn stepped_cycle_ratio(fast: &SortReport) -> f64 {
+    let stepped = fast.total_cycles - fast.fast_forwarded_cycles;
+    fast.total_cycles as f64 / stepped.max(1) as f64
+}
+
+/// The fast-forward gate on a latency-bound shape, in two host-
+/// independent parts: the fast path must step at most one in
+/// `min_stepped_ratio` of the simulated cycles (deterministic), and it
+/// must not be slower than the reference loop it skips ahead of (5 %
+/// wall-clock slack). A ratio of the two walls is deliberately *not*
+/// gated: making a no-op reference step cheaper shrinks that ratio
+/// while improving both walls.
+///
+/// # Panics
+///
+/// When either part fails.
+pub fn assert_fast_forward_gate(
+    name: &str,
+    fast: &SortReport,
+    reference_wall_s: f64,
+    fast_wall_s: f64,
+    min_stepped_ratio: f64,
+) {
+    let ratio = stepped_cycle_ratio(fast);
+    assert!(
+        ratio >= min_stepped_ratio,
+        "{name}: the fast path stepped one cycle in {ratio:.1}, the gate is one in {min_stepped_ratio}"
+    );
+    assert!(
+        fast_wall_s <= 1.05 * reference_wall_s,
+        "{name}: the fast path ({fast_wall_s:.3}s) is slower than the reference loop ({reference_wall_s:.3}s)"
+    );
+}
 
 /// Nearest-rank percentile over an *ascending-sorted* sample: `p` in
 /// `[0, 100]`, so `percentile(s, 50.0)` is the median and

@@ -32,6 +32,17 @@ struct LeafState {
     in_flight: VecDeque<(u64, u64)>, // (completion cycle, records)
     in_flight_records: u64,
     buffered: u64,
+    /// Whether this leaf currently counts towards `DataLoader::hungry`.
+    hungry: bool,
+}
+
+impl LeafState {
+    /// The issue condition of §V-A: records left in memory and buffer
+    /// space for a full read batch (or the short tail).
+    fn wants_burst(&self, batch: u64, capacity: u64) -> bool {
+        let committed = self.buffered + self.in_flight_records;
+        self.remaining > 0 && capacity.saturating_sub(committed) >= batch.min(self.remaining)
+    }
 }
 
 /// The data loader of §V-A: issues batched reads round-robin into
@@ -61,8 +72,22 @@ struct LeafState {
 #[derive(Debug, Clone)]
 pub struct DataLoader {
     cfg: LoaderConfig,
+    /// `cfg.batch_records()` and `cfg.buffer_records()`, each a 64-bit
+    /// division, computed once.
+    batch: u64,
+    capacity: u64,
     leaves: Vec<LeafState>,
     rr: usize,
+    /// Leaves whose [`LeafState::wants_burst`] holds. The condition only
+    /// moves when a leaf is consumed from or issued for, so it is
+    /// re-evaluated there and the per-cycle issue scan runs only when
+    /// it will find a leaf.
+    hungry: usize,
+    /// Earliest completion cycle over the leaves' *oldest* in-flight
+    /// bursts (`u64::MAX` with nothing in flight): delivery is
+    /// front-blocked per leaf, so no burst can land before this cycle
+    /// and the per-cycle delivery scan is skipped until then.
+    next_delivery: u64,
     #[cfg(feature = "sanitize")]
     initial_records: u64,
     #[cfg(feature = "sanitize")]
@@ -83,8 +108,9 @@ impl DataLoader {
         // never reallocates: a leaf can commit at most
         // `buffer_records / batch_records` simultaneous bursts (plus one
         // short tail burst).
-        let max_bursts = (cfg.buffer_records() / cfg.batch_records().max(1)) as usize + 2;
-        let leaves: Vec<LeafState> = per_leaf_records
+        let (batch, capacity) = (cfg.batch_records(), cfg.buffer_records());
+        let max_bursts = (capacity / batch) as usize + 2;
+        let mut leaves: Vec<LeafState> = per_leaf_records
             .into_iter()
             .map(|remaining| LeafState {
                 remaining,
@@ -92,10 +118,19 @@ impl DataLoader {
                 ..LeafState::default()
             })
             .collect();
+        let mut hungry = 0;
+        for leaf in &mut leaves {
+            leaf.hungry = leaf.wants_burst(batch, capacity);
+            hungry += usize::from(leaf.hungry);
+        }
         Self {
             cfg,
+            batch,
+            capacity,
             leaves,
             rr: 0,
+            hungry,
+            next_delivery: u64::MAX,
             #[cfg(feature = "sanitize")]
             initial_records,
             #[cfg(feature = "sanitize")]
@@ -128,6 +163,7 @@ impl DataLoader {
     }
 
     /// Records ready to consume at leaf `i`.
+    #[inline]
     pub fn available(&self, i: usize) -> u64 {
         self.leaves[i].buffered
     }
@@ -142,15 +178,33 @@ impl DataLoader {
         (0..self.leaves.len()).all(|i| self.is_exhausted(i))
     }
 
+    /// Re-evaluates leaf `i`'s issue condition after its buffer or
+    /// request state moved, keeping `hungry` exact.
+    #[inline]
+    fn refresh_hungry(&mut self, i: usize) {
+        let l = &mut self.leaves[i];
+        let wants = l.wants_burst(self.batch, self.capacity);
+        if wants != l.hungry {
+            l.hungry = wants;
+            if wants {
+                self.hungry += 1;
+            } else {
+                self.hungry -= 1;
+            }
+        }
+    }
+
     /// Consumes `n` buffered records from leaf `i`.
     ///
     /// # Panics
     ///
     /// Panics if fewer than `n` records are buffered.
+    #[inline]
     pub fn consume(&mut self, i: usize, n: u64) {
         let l = &mut self.leaves[i];
         assert!(l.buffered >= n, "consuming more records than buffered");
         l.buffered -= n;
+        self.refresh_hungry(i);
         #[cfg(feature = "sanitize")]
         {
             self.consumed_records += n;
@@ -203,49 +257,52 @@ impl DataLoader {
     pub fn tick(&mut self, cycle: u64, memory: &mut Memory) -> bool {
         let mut changed = false;
         // Deliver completed bursts.
-        for leaf in &mut self.leaves {
-            while let Some(&(done, records)) = leaf.in_flight.front() {
-                if done > cycle {
-                    break;
+        if cycle >= self.next_delivery {
+            let mut next = u64::MAX;
+            for leaf in &mut self.leaves {
+                while let Some(&(done, records)) = leaf.in_flight.front() {
+                    if done > cycle {
+                        next = next.min(done);
+                        break;
+                    }
+                    leaf.in_flight.pop_front();
+                    leaf.in_flight_records -= records;
+                    leaf.buffered += records;
+                    changed = true;
                 }
-                leaf.in_flight.pop_front();
-                leaf.in_flight_records -= records;
-                leaf.buffered += records;
-                changed = true;
             }
+            self.next_delivery = next;
         }
 
         // Issue new bursts while ports and hungry leaves remain.
         let n_leaves = self.leaves.len();
-        if n_leaves == 0 {
-            return changed;
-        }
-        let batch = self.cfg.batch_records();
-        let capacity = self.cfg.buffer_records();
-        while let Some(port_idx) = memory.free_read_port(cycle) {
-            // Find the next leaf (round-robin) with work and buffer space.
-            let mut chosen = None;
-            for off in 0..n_leaves {
-                let i = (self.rr + off) % n_leaves;
-                let l = &self.leaves[i];
-                let committed = l.buffered + l.in_flight_records;
-                if l.remaining > 0 && capacity.saturating_sub(committed) >= batch.min(l.remaining) {
-                    chosen = Some(i);
-                    break;
+        while self.hungry > 0 {
+            let Some(port_idx) = memory.free_read_port(cycle) else {
+                break;
+            };
+            // The next hungry leaf in round-robin order.
+            let mut i = self.rr;
+            while !self.leaves[i].hungry {
+                i += 1;
+                if i == n_leaves {
+                    i = 0;
                 }
             }
-            let Some(i) = chosen else { break };
-            self.rr = (i + 1) % n_leaves;
+            self.rr = if i + 1 == n_leaves { 0 } else { i + 1 };
             let l = &mut self.leaves[i];
-            let records = batch.min(l.remaining);
+            let records = self.batch.min(l.remaining);
             let bytes = records * self.cfg.record_bytes;
             let done = memory
                 .read_port_mut(port_idx)
                 .try_start(cycle, bytes)
                 .expect("port reported free");
             l.remaining -= records;
+            if l.in_flight.is_empty() {
+                self.next_delivery = self.next_delivery.min(done);
+            }
             l.in_flight.push_back((done, records));
             l.in_flight_records += records;
+            self.refresh_hungry(i);
             changed = true;
         }
         changed
@@ -263,21 +320,13 @@ impl DataLoader {
         let mut next: Option<u64> = None;
         let mut fold = |event: u64| next = Some(next.map_or(event, |n| n.min(event)));
         // Deliveries are strictly front-blocked per leaf (tick only ever
-        // pops the oldest burst), so each front's completion cycle is
-        // the exact next delivery event for that leaf.
-        for leaf in &self.leaves {
-            if let Some(&(done, _)) = leaf.in_flight.front() {
-                fold(done.max(cycle + 1));
-            }
+        // pops the oldest burst), so the earliest front completion is
+        // the exact next delivery event.
+        if self.next_delivery != u64::MAX {
+            fold(self.next_delivery.max(cycle + 1));
         }
         // Issues: only relevant while some leaf still wants a burst.
-        let batch = self.cfg.batch_records();
-        let capacity = self.cfg.buffer_records();
-        let hungry = self.leaves.iter().any(|l| {
-            let committed = l.buffered + l.in_flight_records;
-            l.remaining > 0 && capacity.saturating_sub(committed) >= batch.min(l.remaining)
-        });
-        if hungry {
+        if self.hungry > 0 {
             if let Some(free) = memory.next_read_port_free() {
                 fold(free.max(cycle + 1));
             }
@@ -291,6 +340,9 @@ impl DataLoader {
 #[derive(Debug, Clone)]
 pub struct WriteDrain {
     cfg: LoaderConfig,
+    /// `cfg.batch_records()` and `cfg.buffer_records()`, computed once.
+    batch: u64,
+    capacity: u64,
     pending: u64,
     in_flight: VecDeque<(u64, u64)>,
     completed: u64,
@@ -302,16 +354,17 @@ pub struct WriteDrain {
 impl WriteDrain {
     /// Creates an empty drain.
     pub fn new(cfg: LoaderConfig) -> Self {
+        let (batch, capacity) = (cfg.batch_records(), cfg.buffer_records());
         Self {
             cfg,
+            batch,
+            capacity,
             pending: 0,
             // Sized so the steady-state tick loop never reallocates: the
             // number of simultaneous write bursts is bounded by the
             // write-port count (each port holds one outstanding burst),
             // which never exceeds 64 banks for any in-repo memory.
-            in_flight: VecDeque::with_capacity(
-                64.max((cfg.buffer_records() / cfg.batch_records().max(1)) as usize + 2),
-            ),
+            in_flight: VecDeque::with_capacity(64.max((capacity / batch) as usize + 2)),
             completed: 0,
             draining: false,
             #[cfg(feature = "sanitize")]
@@ -320,8 +373,9 @@ impl WriteDrain {
     }
 
     /// Free space (in records) in the on-chip write buffer.
+    #[inline]
     pub fn free_space(&self) -> u64 {
-        self.cfg.buffer_records().saturating_sub(self.pending)
+        self.capacity.saturating_sub(self.pending)
     }
 
     /// Buffers `n` records for write-back.
@@ -329,6 +383,7 @@ impl WriteDrain {
     /// # Panics
     ///
     /// Panics if `n` exceeds [`WriteDrain::free_space`].
+    #[inline]
     pub fn push_records(&mut self, n: u64) {
         assert!(n <= self.free_space(), "write buffer overflow");
         self.pending += n;
@@ -390,7 +445,7 @@ impl WriteDrain {
             changed = true;
         }
 
-        let batch = self.cfg.batch_records();
+        let batch = self.batch;
         while self.pending >= batch || (self.draining && self.pending > 0) {
             let Some(port_idx) = memory.free_write_port(cycle) else {
                 break;
@@ -425,8 +480,7 @@ impl WriteDrain {
         if let Some(&(done, _)) = self.in_flight.front() {
             fold(done.max(cycle + 1));
         }
-        let batch = self.cfg.batch_records();
-        if self.pending >= batch || (self.draining && self.pending > 0) {
+        if self.pending >= self.batch || (self.draining && self.pending > 0) {
             if let Some(free) = memory.next_write_port_free() {
                 fold(free.max(cycle + 1));
             }
@@ -611,6 +665,51 @@ mod tests {
             assert!(events < 100_000, "runaway");
         }
         assert_eq!(loader.next_event_cycle(cycle, &mem), None);
+    }
+
+    /// `hungry` and `next_delivery` are caches of what a full scan of
+    /// the leaves would find; under random consumption, short tails and
+    /// every buffer depth they must equal that scan after every tick.
+    #[test]
+    fn loader_counters_match_a_full_rescan() {
+        let mut rng = bonsai_rng::Rng::seed_from_u64(0x10AD_0015);
+        for round in 0..24 {
+            let cfg = LoaderConfig {
+                batch_bytes: [256, 1024, 4096][round % 3],
+                record_bytes: 4,
+                buffer_batches: 1 + (round as u64 / 3) % 3,
+            };
+            let mut mem = Memory::new(if round % 2 == 0 {
+                MemoryConfig::ddr4_aws_f1()
+            } else {
+                MemoryConfig::ddr4_single_bank()
+            });
+            let per_leaf: Vec<u64> = (0..rng.range_usize(1, 9))
+                .map(|_| rng.below_u64(6 * cfg.batch_records()))
+                .collect();
+            let mut loader = DataLoader::new(cfg, per_leaf);
+            for cycle in 0..4_000 {
+                loader.tick(cycle, &mut mem);
+                for i in 0..loader.leaves() {
+                    let take = rng.below_u64(loader.available(i) + 1);
+                    loader.consume(i, take.min(3));
+                }
+                let (batch, capacity) = (cfg.batch_records(), cfg.buffer_records());
+                let hungry = loader
+                    .leaves
+                    .iter()
+                    .filter(|l| l.wants_burst(batch, capacity))
+                    .count();
+                assert_eq!(loader.hungry, hungry, "round {round} cycle {cycle}");
+                let next = loader
+                    .leaves
+                    .iter()
+                    .filter_map(|l| l.in_flight.front().map(|&(done, _)| done))
+                    .min()
+                    .unwrap_or(u64::MAX);
+                assert_eq!(loader.next_delivery, next, "round {round} cycle {cycle}");
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! record (§V-B). This crate models each of those components at cycle
 //! granularity:
 //!
-//! - [`Fifo`]: a bounded queue with occupancy statistics, standing in for
-//!   the 512-bit-wide BRAM FIFOs of Figure 7,
+//! - [`Fifo`]: a bounded ring of plain records with an exact capacity,
+//!   standing in for the 512-bit-wide BRAM FIFOs of Figure 7,
 //! - [`KMerger`]: a merger that emits up to `k` records per cycle with the
 //!   same stall, back-pressure and single-cycle flush semantics as the
 //!   hardware unit built from two bitonic half-mergers (§II-A),

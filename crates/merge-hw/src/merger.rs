@@ -136,11 +136,11 @@ impl<R: Record> KMerger<R> {
         );
         Self {
             k,
-            left: Fifo::new(fifo_capacity),
-            right: Fifo::new(fifo_capacity),
+            left: Fifo::new(fifo_capacity, R::TERMINAL),
+            right: Fifo::new(fifo_capacity, R::TERMINAL),
             // Output holds two tuples plus a terminal slot so a full
             // tuple can always be produced while the parent drains.
-            out: Fifo::new(2 * k + 1),
+            out: Fifo::new(2 * k + 1, R::TERMINAL),
             left_run_done: false,
             right_run_done: false,
             stats: MergerStats::default(),
@@ -252,10 +252,10 @@ impl<R: Record> KMerger<R> {
         let side_ready = |done: bool, fifo: &Fifo<R>| done || !fifo.is_empty();
         // A leading terminal on a not-yet-done side is absorbed (state
         // change) even if the opposite side then starves the merge.
-        if !self.left_run_done && self.left.peek().is_some_and(Record::is_terminal) {
+        if !self.left_run_done && self.left.get(0).is_some_and(|r| r.is_terminal()) {
             return true;
         }
-        if !self.right_run_done && self.right.peek().is_some_and(Record::is_terminal) {
+        if !self.right_run_done && self.right.get(0).is_some_and(|r| r.is_terminal()) {
             return true;
         }
         side_ready(self.left_run_done, &self.left) && side_ready(self.right_run_done, &self.right)
@@ -290,23 +290,22 @@ impl<R: Record> KMerger<R> {
             && !self.right_run_done
     }
 
-    /// Consume a leading terminal (if any) on `side`, marking the run done.
-    /// Returns `true` if a terminal was absorbed.
-    fn absorb_terminal(&mut self, side: Side) -> bool {
-        let (fifo, done) = match side {
-            Side::Left => (&mut self.left, &mut self.left_run_done),
-            Side::Right => (&mut self.right, &mut self.right_run_done),
+    /// Moves as much of this merger's output as fits into `parent`'s
+    /// `side` input FIFO in one bulk transfer — the coupler between two
+    /// tree levels — and returns how many records (terminals included)
+    /// moved.
+    pub fn couple_into(&mut self, parent: &mut KMerger<R>, side: Side) -> usize {
+        let input = match side {
+            Side::Left => &mut parent.left,
+            Side::Right => &mut parent.right,
         };
-        if !*done {
-            if let Some(head) = fifo.peek() {
-                if head.is_terminal() {
-                    fifo.pop();
-                    *done = true;
-                    return true;
-                }
+        #[cfg(feature = "sanitize")]
+        for i in 0..self.out.len().min(input.free()) {
+            if let Some(rec) = self.out.get(i) {
+                parent.san.on_input(&rec);
             }
         }
-        false
+        self.out.transfer_to(input)
     }
 
     /// Advances the merger by one cycle. Returns `true` when any state
@@ -316,98 +315,84 @@ impl<R: Record> KMerger<R> {
     /// popped.
     pub fn tick(&mut self) -> bool {
         self.stats.cycles += 1;
-        if self.out.is_full() {
+        // Every record emitted takes one output slot and nothing frees
+        // one mid-cycle, so the cycle's budget is known up front.
+        let mut budget = self.k.min(self.out.free());
+        if budget == 0 {
             self.stats.output_stalls += 1;
             return false;
         }
 
+        let (mut left_done, mut right_done) = (self.left_run_done, self.right_run_done);
         let mut moved = 0usize;
+        let mut payload = 0u64;
         let mut absorbed = false;
-        let mut input_starved = false;
-        while moved < self.k && !self.out.is_full() {
-            absorbed |= self.absorb_terminal(Side::Left);
-            absorbed |= self.absorb_terminal(Side::Right);
-
-            if self.left_run_done && self.right_run_done {
-                // Both runs exhausted: emit the terminal and flush state.
-                // The flush consumes the remainder of the cycle (§V-B).
-                if self.out.push(R::TERMINAL).is_err() {
-                    // Unreachable: the loop condition guarantees space.
-                    debug_assert!(false, "output fifo overflow on flush");
-                    #[cfg(feature = "sanitize")]
-                    self.san.report(Diagnostic::error(
-                        codes::SAN_FIFO_OVERFLOW,
-                        "merger output FIFO rejected the flush terminal",
-                    ));
-                    break;
-                }
-                #[cfg(feature = "sanitize")]
-                self.san.on_output(&R::TERMINAL);
-                self.left_run_done = false;
-                self.right_run_done = false;
-                self.stats.flushes += 1;
-                moved += 1;
-                break;
+        while moved < budget {
+            // Head slots are plain records, readable even when the FIFO
+            // is empty; the emptiness tests below decide whether the
+            // value means anything.
+            let (l, r) = (self.left.head_slot(), self.right.head_slot());
+            if !left_done && !self.left.is_empty() && l.is_terminal() {
+                self.left.advance(1);
+                left_done = true;
+                absorbed = true;
+            }
+            if !right_done && !self.right.is_empty() && r.is_terminal() {
+                self.right.advance(1);
+                right_done = true;
+                absorbed = true;
             }
 
-            let left_head = if self.left_run_done {
-                None
-            } else {
-                match self.left.peek() {
-                    Some(h) => Some(*h),
-                    None => {
-                        input_starved = true;
-                        break;
-                    }
-                }
-            };
-            let right_head = if self.right_run_done {
-                None
-            } else {
-                match self.right.peek() {
-                    Some(h) => Some(*h),
-                    None => {
-                        input_starved = true;
-                        break;
-                    }
-                }
-            };
-
-            let take_left = match (left_head, right_head) {
-                (Some(l), Some(r)) => l <= r,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => unreachable!("both-done case handled above"),
-            };
-            let popped = if take_left {
-                self.left.pop()
-            } else {
-                self.right.pop()
-            };
-            let Some(rec) = popped else {
-                // Unreachable: the head was just peeked.
-                debug_assert!(false, "peeked head vanished");
+            let rec = if left_done && right_done {
+                // Both runs exhausted: emit the terminal and flush state.
+                // The flush consumes the remainder of the cycle (§V-B),
+                // so the terminal is the last record in the budget.
+                left_done = false;
+                right_done = false;
+                self.stats.flushes += 1;
+                budget = moved + 1;
+                R::TERMINAL
+            } else if (!left_done && self.left.is_empty()) || (!right_done && self.right.is_empty())
+            {
+                // A live run with no head: the next record might be
+                // smaller than anything the other side offers.
                 break;
+            } else {
+                // Both heads are real unless their side is done, and a
+                // done side never wins: no branch on the keys.
+                let take_left = right_done | (!left_done & (l <= r));
+                self.left.advance(usize::from(take_left));
+                self.right.advance(usize::from(!take_left));
+                payload += 1;
+                if take_left {
+                    l
+                } else {
+                    r
+                }
             };
             if self.out.push(rec).is_err() {
-                // Unreachable: the loop condition guarantees space.
+                // Unreachable: the budget guarantees space.
                 debug_assert!(false, "output fifo overflow");
                 #[cfg(feature = "sanitize")]
                 self.san.report(Diagnostic::error(
                     codes::SAN_FIFO_OVERFLOW,
-                    "merger output FIFO rejected a payload record",
+                    "merger output FIFO rejected a record within the cycle's budget",
                 ));
                 break;
             }
             #[cfg(feature = "sanitize")]
             self.san.on_output(&rec);
-            self.stats.records_out += 1;
             moved += 1;
         }
+        self.left_run_done = left_done;
+        self.right_run_done = right_done;
+        self.stats.records_out += payload;
 
         if moved > 0 {
             self.stats.busy_cycles += 1;
-        } else if input_starved {
+        } else {
+            // Nothing moved with budget in hand: the loop can only have
+            // left through the starvation arm.
             self.stats.input_stalls += 1;
         }
         moved > 0 || absorbed
@@ -665,6 +650,216 @@ mod tests {
         let _ = KMerger::<U32Rec>::new(8, 4);
     }
 
+    /// The per-record merger loop this crate shipped before `tick` was
+    /// straightened out, kept word for word (only `peek` became
+    /// `get(0)`) as the reference model `tick` is checked against.
+    fn reference_tick(m: &mut KMerger<U32Rec>) -> bool {
+        fn absorb_terminal(m: &mut KMerger<U32Rec>, side: Side) -> bool {
+            let (fifo, done) = match side {
+                Side::Left => (&mut m.left, &mut m.left_run_done),
+                Side::Right => (&mut m.right, &mut m.right_run_done),
+            };
+            if !*done {
+                if let Some(head) = fifo.get(0) {
+                    if head.is_terminal() {
+                        fifo.pop();
+                        *done = true;
+                        return true;
+                    }
+                }
+            }
+            false
+        }
+
+        m.stats.cycles += 1;
+        if m.out.is_full() {
+            m.stats.output_stalls += 1;
+            return false;
+        }
+
+        let mut moved = 0usize;
+        let mut absorbed = false;
+        let mut input_starved = false;
+        while moved < m.k && !m.out.is_full() {
+            absorbed |= absorb_terminal(m, Side::Left);
+            absorbed |= absorb_terminal(m, Side::Right);
+
+            if m.left_run_done && m.right_run_done {
+                m.out.push(U32Rec::TERMINAL).expect("loop condition");
+                m.left_run_done = false;
+                m.right_run_done = false;
+                m.stats.flushes += 1;
+                moved += 1;
+                break;
+            }
+
+            let left_head = if m.left_run_done {
+                None
+            } else {
+                match m.left.get(0) {
+                    Some(h) => Some(h),
+                    None => {
+                        input_starved = true;
+                        break;
+                    }
+                }
+            };
+            let right_head = if m.right_run_done {
+                None
+            } else {
+                match m.right.get(0) {
+                    Some(h) => Some(h),
+                    None => {
+                        input_starved = true;
+                        break;
+                    }
+                }
+            };
+
+            let take_left = match (left_head, right_head) {
+                (Some(l), Some(r)) => l <= r,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => unreachable!("both-done case handled above"),
+            };
+            let popped = if take_left {
+                m.left.pop()
+            } else {
+                m.right.pop()
+            };
+            let rec = popped.expect("peeked head");
+            m.out.push(rec).expect("loop condition");
+            m.stats.records_out += 1;
+            moved += 1;
+        }
+
+        if moved > 0 {
+            m.stats.busy_cycles += 1;
+        } else if input_starved {
+            m.stats.input_stalls += 1;
+        }
+        moved > 0 || absorbed
+    }
+
+    /// Random feed / tick / pop scripts on `tick` and the reference
+    /// model side by side: same return value, same output, same stats,
+    /// same quiescence verdict after every cycle. Runs are short and
+    /// often empty so flushes, mid-cycle terminal absorption, one-sided
+    /// starvation and output back-pressure all occur at every width.
+    #[test]
+    fn tick_matches_the_reference_model_on_random_scripts() {
+        let mut rng = bonsai_rng::Rng::seed_from_u64(0x71C4_0015);
+        for k in [1usize, 2, 4, 8] {
+            let mut seen = MergerStats::default();
+            for script in 0..40 {
+                let fifo = (8 * k).max(16);
+                let mut fast: KMerger<U32Rec> = KMerger::new(k, fifo);
+                let mut model: KMerger<U32Rec> = KMerger::new(k, fifo);
+                // Per side: next key of the current run, records left in it.
+                let mut runs = [(1u32, 0usize); 2];
+                for cycle in 0..400 {
+                    let ctx = format!("k {k} script {script} cycle {cycle}");
+                    for (i, side) in [Side::Left, Side::Right].into_iter().enumerate() {
+                        // Scripts differ in feed rate: from half a record
+                        // per side per cycle (starves every width) to
+                        // more than `k` (back-pressures the inputs).
+                        let burst = rng.below_usize([2, 3, k + 2, 2 * k + 2][script % 4]);
+                        for _ in 0..burst.min(fast.input_free(side)) {
+                            let (key, left_in_run) = &mut runs[i];
+                            let rec = if *left_in_run == 0 {
+                                *left_in_run = rng.below_usize(3 * k + 1);
+                                *key = 1;
+                                U32Rec::TERMINAL
+                            } else {
+                                *left_in_run -= 1;
+                                *key += rng.below_u64(3) as u32;
+                                U32Rec::new(*key)
+                            };
+                            fast.push_input(side, rec).expect("space checked");
+                            model.push_input(side, rec).expect("space checked");
+                        }
+                    }
+                    assert_eq!(
+                        fast.can_make_progress(),
+                        model.can_make_progress(),
+                        "{ctx}: quiescence"
+                    );
+                    assert_eq!(fast.tick(), reference_tick(&mut model), "{ctx}: changed");
+                    assert_eq!(fast.stats(), model.stats(), "{ctx}: stats");
+                    assert_eq!(fast.output_len(), model.output_len(), "{ctx}: output_len");
+                    assert_eq!(fast.is_drained(), model.is_drained(), "{ctx}: drained");
+                    // Pop rarely in every third script: back-pressure.
+                    let pops = if script % 3 == 0 {
+                        rng.below_usize(2)
+                    } else {
+                        rng.below_usize(2 * k + 2)
+                    };
+                    for _ in 0..pops {
+                        assert_eq!(fast.pop_output(), model.pop_output(), "{ctx}: output");
+                    }
+                }
+                seen.flushes += fast.stats().flushes;
+                seen.input_stalls += fast.stats().input_stalls;
+                seen.output_stalls += fast.stats().output_stalls;
+            }
+            assert!(
+                seen.flushes > 0 && seen.input_stalls > 0 && seen.output_stalls > 0,
+                "k {k}: scripts must flush, starve and back-pressure: {seen:?}"
+            );
+        }
+    }
+
+    /// `couple_into` is the per-record `pop_output` / `push_input` loop
+    /// in one call: same records moved, same stop at the parent's
+    /// capacity, nothing lost.
+    #[test]
+    fn couple_into_matches_the_per_record_loop() {
+        let mut rng = bonsai_rng::Rng::seed_from_u64(0xC0B1_0015);
+        for side in [Side::Left, Side::Right] {
+            let mut child: KMerger<U32Rec> = KMerger::new(4, 32);
+            let mut parent: KMerger<U32Rec> = KMerger::new(8, 16);
+            let (mut child_ref, mut parent_ref) = (child.clone(), parent.clone());
+            let mut key = 1u32;
+            for step in 0..300 {
+                for m in [&mut child, &mut child_ref] {
+                    if m.input_free(Side::Left) >= 2 && m.input_free(Side::Right) >= 2 {
+                        feed_run(m, Side::Left, &[key]);
+                        feed_run(m, Side::Right, &[key + 1]);
+                    }
+                    m.tick();
+                }
+                key += 2;
+                let moved = child.couple_into(&mut parent, side);
+                let mut want = 0;
+                while parent_ref.input_free(side) > 0 {
+                    let Some(rec) = child_ref.pop_output() else {
+                        break;
+                    };
+                    parent_ref.push_input(side, rec).expect("space checked");
+                    want += 1;
+                }
+                assert_eq!(moved, want, "step {step}");
+                assert_eq!(child.output_len(), child_ref.output_len(), "step {step}");
+                assert_eq!(parent.input_free(side), parent_ref.input_free(side));
+                // Drain the parent's input now and then so the coupler
+                // meets both a roomy and a nearly full target.
+                if rng.below_usize(4) == 0 {
+                    for p in [&mut parent, &mut parent_ref] {
+                        let other = if side == Side::Left {
+                            Side::Right
+                        } else {
+                            Side::Left
+                        };
+                        let _ = p.push_input(other, U32Rec::new(u32::MAX));
+                        p.tick();
+                        while p.pop_output().is_some() {}
+                    }
+                }
+                assert_eq!(parent.stats(), parent_ref.stats(), "step {step}");
+            }
+        }
+    }
+
     #[cfg(feature = "sanitize")]
     #[test]
     fn clean_merge_trips_no_probes() {
@@ -689,6 +884,35 @@ mod tests {
         assert!(
             diags.iter().any(|d| d.code == codes::SAN_OUT_OF_ORDER),
             "{diags:?}"
+        );
+    }
+
+    #[cfg(feature = "sanitize")]
+    #[test]
+    fn couple_into_feeds_the_parent_probes() {
+        use bonsai_check::codes;
+        // A child whose (contract-violating) input run descends emits a
+        // descending output run; moved through the coupler, the parent
+        // must both flag it (BON102) and count every record it was
+        // handed (no false BON103).
+        let mut child = KMerger::new(2, 16);
+        feed_run(&mut child, Side::Left, &[9, 1]);
+        feed_run(&mut child, Side::Right, &[5]);
+        let mut parent = KMerger::new(4, 16);
+        feed_run(&mut parent, Side::Right, &[]);
+        for _ in 0..16 {
+            child.tick();
+            child.couple_into(&mut parent, Side::Left);
+            parent.tick();
+            while parent.pop_output().is_some() {}
+        }
+        assert!(child.is_drained() && parent.is_drained());
+        assert_eq!(parent.stats().records_out, 3);
+        let codes_seen: Vec<&str> = parent.sanitize_check().iter().map(|d| d.code).collect();
+        assert_eq!(
+            codes_seen,
+            vec![codes::SAN_OUT_OF_ORDER],
+            "exactly the order probe"
         );
     }
 }

@@ -446,9 +446,9 @@ pub struct Runtime<R: Record> {
     // workers; `None` under `PassScheduler::Fifo`.
     adaptive: Option<Arc<Mutex<AdaptiveState>>>,
     // Reply-path results are delivered through their channel and return
-    // `None` from the runner, so an always-on service does not
-    // accumulate results it will never `finish`.
-    pool: WorkerPool<Dispatch<R>, Option<JobResult<R>>>,
+    // `None` from the runner, which the pool does not store, so an
+    // always-on service does not accumulate anything per job.
+    pool: WorkerPool<Dispatch<R>, JobResult<R>>,
 }
 
 impl<R: Record> Runtime<R> {
@@ -648,7 +648,7 @@ impl<R: Record> Runtime<R> {
     /// are not duplicated here.
     #[must_use]
     pub fn finish(self) -> Vec<JobResult<R>> {
-        let mut results: Vec<JobResult<R>> = self.pool.finish().into_iter().flatten().collect();
+        let mut results = self.pool.finish();
         results.sort_by_key(|r| r.ticket);
         results
     }
@@ -1010,6 +1010,33 @@ mod tests {
             runtime.finish().is_empty(),
             "streamed results must not be collected a second time"
         );
+    }
+
+    /// Regression: the pool used to keep one `None` per reply-path job
+    /// until `finish`, so a server that never finishes grew by a
+    /// full-width empty slot per job served. Reply-path jobs must leave
+    /// nothing stored, while they run and at `finish`.
+    #[test]
+    fn reply_path_jobs_leave_nothing_in_the_pool() {
+        let runtime = Runtime::start(RuntimeConfig {
+            workers: 2,
+            ..RuntimeConfig::default()
+        });
+        let (tx, rx) = std::sync::mpsc::channel();
+        let jobs = 64;
+        for id in 0..jobs {
+            runtime
+                .submit_with_reply(
+                    SortJob::new(id, dram_cfg(), uniform_u32(64, id)),
+                    tx.clone(),
+                )
+                .expect("runtime open");
+            assert_eq!(runtime.pool.stored_results(), 0, "after submitting {id}");
+        }
+        drop(tx);
+        assert_eq!(rx.iter().count() as u64, jobs, "every job replies");
+        assert_eq!(runtime.pool.stored_results(), 0);
+        assert!(runtime.finish().is_empty());
     }
 
     /// Streamed and batch-collected runs of the same jobs produce

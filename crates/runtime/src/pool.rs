@@ -1,7 +1,9 @@
 //! A generic worker pool draining a [`ClassQueue`].
 //!
 //! Workers pop jobs from the queue, run them through a shared runner
-//! function and append the outputs to a results vector. Like the queue,
+//! function and append what it returns — `Some` outputs only, so a job
+//! that delivered its result elsewhere leaves nothing behind — to a
+//! results vector. Like the queue,
 //! the pool is generic over a [`SyncOps`] facade: production code uses
 //! [`StdSync`], while `tests/mc_queue.rs` drives the full
 //! spawn/drain/shutdown protocol through `bonsai_mc::sync::McSync`.
@@ -52,11 +54,14 @@ impl<J: Send + Classed + 'static, R: Send + 'static, S: SyncOps> std::fmt::Debug
 
 impl<J: Send + Classed + 'static, R: Send + 'static, S: SyncOps> WorkerPool<J, R, S> {
     /// Spawns `workers ≥ 1` threads draining `queue`, each running jobs
-    /// through `runner`.
+    /// through `runner`. A `Some` return is kept for
+    /// [`WorkerPool::finish`]; `None` (the job's result already went
+    /// where it was wanted) stores nothing, so a pool that is never
+    /// finished does not grow with the jobs it has run.
     pub fn start(
         workers: usize,
         queue: ClassQueue<J, S>,
-        runner: impl Fn(J) -> R + Send + Sync + 'static,
+        runner: impl Fn(J) -> Option<R> + Send + Sync + 'static,
     ) -> Self {
         let workers = workers.max(1);
         let shared = Arc::new(PoolShared {
@@ -70,8 +75,9 @@ impl<J: Send + Classed + 'static, R: Send + 'static, S: SyncOps> WorkerPool<J, R
                 let runner = Arc::clone(&runner);
                 S::spawn(move || {
                     while let Some(job) = shared.queue.pop() {
-                        let result = runner(job);
-                        S::lock::<Vec<R>>(&shared.results).push(result);
+                        if let Some(result) = runner(job) {
+                            S::lock::<Vec<R>>(&shared.results).push(result);
+                        }
                     }
                 })
             })
@@ -111,6 +117,13 @@ impl<J: Send + Classed + 'static, R: Send + 'static, S: SyncOps> WorkerPool<J, R
     #[must_use]
     pub fn pending(&self) -> usize {
         self.shared.queue.len()
+    }
+
+    /// Results collected so far and not yet handed out by
+    /// [`WorkerPool::finish`].
+    #[must_use]
+    pub fn stored_results(&self) -> usize {
+        S::lock::<Vec<R>>(&self.shared.results).len()
     }
 
     /// Enqueues a job, blocking while the queue is full.
@@ -206,7 +219,9 @@ mod tests {
         depth: usize,
         runner: impl Fn(u32) -> u32 + Send + Sync + 'static,
     ) -> WorkerPool<Job, u32> {
-        WorkerPool::start(workers, ClassQueue::new(depth, 0), move |Job(j)| runner(j))
+        WorkerPool::start(workers, ClassQueue::new(depth, 0), move |Job(j)| {
+            Some(runner(j))
+        })
     }
 
     #[test]
@@ -218,6 +233,18 @@ mod tests {
         let mut results = pool.finish();
         results.sort_unstable();
         assert_eq!(results, (0..8).map(|j| j * 10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn none_results_are_not_stored() {
+        // Odd jobs "reply elsewhere": only the even ones are kept.
+        let pool: WorkerPool<Job, u32> =
+            WorkerPool::start(1, ClassQueue::new(4, 0), |Job(j)| (j % 2 == 0).then_some(j));
+        for j in 0..8 {
+            pool.submit(Job(j)).unwrap();
+        }
+        assert!(pool.stored_results() <= 4);
+        assert_eq!(pool.finish(), vec![0, 2, 4, 6]);
     }
 
     #[test]
