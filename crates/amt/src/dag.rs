@@ -45,6 +45,8 @@
 //! that width; [`SortPlan::validate_capacity`] (code `BON056`) rejects
 //! plans that can overflow it.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
@@ -300,6 +302,13 @@ fn pass_virtual_schedule(group_cycles: impl IntoIterator<Item = u64>) -> (u64, u
 /// The barrier equivalent is the sum of [`pass_virtual_schedule`]
 /// makespans; the difference is `pipeline_overlap_cycles`. `cycles` is
 /// indexed by task id.
+///
+/// The earliest-free time never decreases from one claim to the next,
+/// so a task whose children are done by then stays startable at once
+/// for good: such tasks wait in `now`, ordered by id, and the rest in
+/// `later`, ordered by `(ready_at, id)` — the same pick as a scan of all
+/// ready tasks for the least `(max(free, ready_at), id)`, in
+/// `O(log tasks)` a claim.
 fn dag_virtual_makespan(plan: &SortPlan, cycles: &[u64]) -> u64 {
     let tasks = plan.tasks();
     if tasks == 0 {
@@ -308,11 +317,10 @@ fn dag_virtual_makespan(plan: &SortPlan, cycles: &[u64]) -> u64 {
     let mut free = [0u64; VIRTUAL_WORKERS];
     let mut done = vec![0u64; tasks];
     let mut deps_left = vec![0usize; tasks];
-    // Ready tasks with the time their last child completed.
-    let mut ready: Vec<(usize, u64)> = Vec::new();
-    for s in 0..plan.slots(0) {
-        ready.push((plan.task_id(0, s), 0));
-    }
+    let mut now: BinaryHeap<Reverse<usize>> = (0..plan.slots(0))
+        .map(|s| Reverse(plan.task_id(0, s)))
+        .collect();
+    let mut later: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
     for p in 1..plan.num_passes() {
         for s in 0..plan.slots(p) {
             deps_left[plan.task_id(p, s)] = plan.deps(p, s).len();
@@ -321,16 +329,22 @@ fn dag_virtual_makespan(plan: &SortPlan, cycles: &[u64]) -> u64 {
     let mut makespan = 0u64;
     for _ in 0..tasks {
         let w = argmin(&free);
-        // The task this worker can start soonest; ties go to the lowest
-        // id, the executor's deterministic claim order.
-        let (pos, _) = ready
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &(id, at))| (free[w].max(at), id))
-            .expect("a live DAG always has a ready task");
-        let (id, at) = ready.swap_remove(pos);
+        while let Some(&Reverse((at, id))) = later.peek() {
+            if at > free[w] {
+                break;
+            }
+            later.pop();
+            now.push(Reverse(id));
+        }
+        let (id, at) = match now.pop() {
+            Some(Reverse(id)) => (id, free[w]),
+            None => {
+                let Reverse((at, id)) = later.pop().expect("a live DAG always has a ready task");
+                (id, at)
+            }
+        };
         let (p, s) = plan.task_of(id);
-        let end = free[w].max(at) + cycles[id];
+        let end = at + cycles[id];
         free[w] = end;
         done[id] = end;
         makespan = makespan.max(end);
@@ -343,7 +357,7 @@ fn dag_virtual_makespan(plan: &SortPlan, cycles: &[u64]) -> u64 {
                     .map(|d| done[plan.task_id(p, d)])
                     .max()
                     .unwrap_or(0);
-                ready.push((parent, ready_at));
+                later.push(Reverse((ready_at, parent)));
             }
         }
     }
@@ -368,8 +382,9 @@ enum Slot<T> {
 /// itself always runs *outside* the lock; the lock only covers claim,
 /// store and readiness bookkeeping.
 struct ExecState<T, M> {
-    /// Task ids whose dependencies have all resolved, not yet claimed.
-    ready: Vec<usize>,
+    /// Task ids whose dependencies have all resolved, not yet claimed;
+    /// a min-heap, claims take the lowest id.
+    ready: BinaryHeap<Reverse<usize>>,
     /// Unresolved-child count per task.
     deps_left: Vec<usize>,
     slots: Vec<Slot<T>>,
@@ -417,7 +432,7 @@ fn resolve<S: SyncOps, T: Send, M: Send>(
         let parent = shared.plan.task_id(pass + 1, ps);
         state.deps_left[parent] -= 1;
         if state.deps_left[parent] == 0 {
-            state.ready.push(parent);
+            state.ready.push(Reverse(parent));
         }
     }
     S::notify_all(&shared.ready_cv);
@@ -435,14 +450,17 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// children's outputs out of their slots, run it outside the lock,
 /// resolve. A task whose children failed resolves as `Failed` without
 /// running (cancellation), so the DAG always drains and the pool always
-/// terminates.
-fn worker_loop<S, T, M, F>(shared: &Shared<S, T, M>, run_task: &F)
+/// terminates. The worker owns one `W`, handed to every task it runs
+/// and dropped when the DAG has drained.
+fn worker_loop<S, T, M, W, F>(shared: &Shared<S, T, M>, run_task: &F)
 where
     S: SyncOps,
     T: Send,
     M: Send,
-    F: Fn(usize, usize, Vec<T>) -> Result<(T, M), SortError>,
+    W: Default,
+    F: Fn(&mut W, usize, usize, Vec<T>) -> Result<(T, M), SortError>,
 {
+    let mut scratch = W::default();
     loop {
         let guard = S::lock(&shared.state);
         let mut guard = S::wait_while(&shared.ready_cv, &shared.state, guard, |s| {
@@ -451,16 +469,9 @@ where
         // Lowest id first: a deterministic preference for earlier
         // (pass, group) work, which keeps the claim order close to the
         // virtual-schedule model (correctness never depends on it).
-        let Some(pos) = guard
-            .ready
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &id)| id)
-            .map(|(i, _)| i)
-        else {
+        let Some(Reverse(id)) = guard.ready.pop() else {
             break; // remaining == 0: the DAG is drained
         };
-        let id = guard.ready.swap_remove(pos);
         let (pass, group) = shared.plan.task_of(id);
         let mut inputs = Vec::new();
         let mut dep_failed = false;
@@ -486,7 +497,9 @@ where
         // A panicking task (e.g. a user Ord impl) must not strand the
         // other workers in wait_while: catch it, resolve the task as
         // failed so the drain completes, and re-raise from the caller.
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| run_task(pass, group, inputs)));
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_task(&mut scratch, pass, group, inputs)
+        }));
         let mut guard = S::lock(&shared.state);
         match outcome {
             Ok(Ok((out, m))) => {
@@ -535,6 +548,28 @@ where
     M: Send + 'static,
     F: Fn(usize, usize, Vec<T>) -> Result<(T, M), SortError> + Send + Sync + 'static,
 {
+    execute_dag_with_scratch::<S, T, M, (), _>(plan, workers, move |_, pass, slot, inputs| {
+        run_task(pass, slot, inputs)
+    })
+}
+
+/// [`execute_dag`] for tasks that reuse per-worker state: every worker
+/// builds one `W::default()` when it starts, passes it to each task it
+/// runs, and drops it when the DAG has drained. Which tasks share a `W`
+/// depends on the schedule, so a task's result must not depend on what
+/// an earlier task left in it.
+pub(crate) fn execute_dag_with_scratch<S, T, M, W, F>(
+    plan: SortPlan,
+    workers: usize,
+    run_task: F,
+) -> Result<(Vec<T>, Vec<M>), SortError>
+where
+    S: SyncOps,
+    T: Send + 'static,
+    M: Send + 'static,
+    W: Default,
+    F: Fn(&mut W, usize, usize, Vec<T>) -> Result<(T, M), SortError> + Send + Sync + 'static,
+{
     let tasks = plan.tasks();
     if tasks == 0 {
         return Ok((Vec::new(), Vec::new()));
@@ -542,15 +577,12 @@ where
     let threads = resolve_workers(workers).min(plan.max_ready_width()).max(1);
 
     let mut deps_left = vec![0usize; tasks];
-    let mut ready = Vec::with_capacity(plan.slots(0));
-    for p in 0..plan.num_passes() {
+    let ready = (0..plan.slots(0))
+        .map(|s| Reverse(plan.task_id(0, s)))
+        .collect();
+    for p in 1..plan.num_passes() {
         for s in 0..plan.slots(p) {
-            let id = plan.task_id(p, s);
-            if p == 0 {
-                ready.push(id);
-            } else {
-                deps_left[id] = plan.deps(p, s).len();
-            }
+            deps_left[plan.task_id(p, s)] = plan.deps(p, s).len();
         }
     }
     let shared = Arc::new(Shared::<S, T, M> {
@@ -577,10 +609,10 @@ where
         .map(|_| {
             let shared = Arc::clone(&shared);
             let run_task = Arc::clone(&run_task);
-            S::spawn(move || worker_loop(shared.as_ref(), run_task.as_ref()))
+            S::spawn(move || worker_loop::<S, T, M, W, F>(shared.as_ref(), run_task.as_ref()))
         })
         .collect();
-    worker_loop(shared.as_ref(), run_task.as_ref());
+    worker_loop::<S, T, M, W, F>(shared.as_ref(), run_task.as_ref());
     let mut join_err = None;
     for handle in handles {
         if let Err(msg) = S::join(handle) {
@@ -659,20 +691,37 @@ fn group_input<R: Record>(runs: &RunSet<R>, g: usize, fan_in: usize) -> RunSet<R
     RunSet::from_parts(records, starts)
 }
 
-/// Simulates one merge group to completion against its own bank view,
-/// returning its single output run (terminal-free and sorted) and its
-/// accounting.
+/// One worker's simulation state: the pass (tree, streams, loader and
+/// drain) and the memory it runs against, built by the worker's first
+/// task and reset for every later one — a group costs its streams'
+/// growth, not the ≈100 allocations of a new tree. Lives as long as the
+/// worker, i.e. one sort.
+type PassScratch<R> = Option<(PassSim<R>, Memory)>;
+
+/// Simulates one merge group to completion against its own bank view on
+/// the worker's scratch, returning its single output run (terminal-free
+/// and sorted) and its accounting. What an earlier group left in the
+/// scratch — finished or abandoned on an error — never shows: a reset
+/// scratch equals a new one.
 fn simulate_group<R: Record>(
     config: &SimEngineConfig,
+    scratch: &mut PassScratch<R>,
     runs: RunSet<R>,
     fan_in: usize,
     stage: u32,
     max_cycles: u64,
     reference: bool,
 ) -> Result<(Vec<R>, GroupStats), SortError> {
-    let mut sim = PassSim::new(config, runs, fan_in);
-    let mut memory = Memory::new(config.memory.shard_view(fan_in));
-    sim.run(&mut memory, reference, max_cycles, stage)?;
+    let view = config.memory.shard_view(fan_in);
+    let (sim, memory) = match scratch {
+        Some(used) => {
+            used.0.reset(runs, fan_in);
+            used.1.reset(view);
+            used
+        }
+        None => scratch.insert((PassSim::new(config, runs, fan_in), Memory::new(view))),
+    };
+    sim.run(memory, reference, max_cycles, stage)?;
     #[cfg(feature = "sanitize")]
     let diagnostics = sim.sanitize_check();
     let (out_runs, pass) = sim.finish(stage);
@@ -802,26 +851,39 @@ pub(crate) fn sort_batch<R: Record, S: SyncOps>(
     let task_config = *config;
     let task_plan = plan.clone();
     let init = Arc::new(inits);
-    let run_task = move |pass: usize, slot: usize, inputs: Vec<Vec<R>>| {
-        let fan_in = task_plan.pass(pass).fan_in;
-        let input = if pass == 0 {
-            group_input(&init[slot / groups0], slot % groups0, fan_in)
-        } else {
-            // Each child contributed exactly one sorted run, already in
-            // group order.
-            let mut records = Vec::with_capacity(inputs.iter().map(Vec::len).sum());
-            let mut starts = Vec::with_capacity(inputs.len());
-            for child in inputs {
-                starts.push(records.len());
-                records.extend(child);
-            }
-            RunSet::from_parts(records, starts)
+    let run_task =
+        move |scratch: &mut PassScratch<R>, pass: usize, slot: usize, inputs: Vec<Vec<R>>| {
+            let fan_in = task_plan.pass(pass).fan_in;
+            let input = if pass == 0 {
+                group_input(&init[slot / groups0], slot % groups0, fan_in)
+            } else {
+                // Each child contributed exactly one sorted run, already in
+                // group order.
+                let mut records = Vec::with_capacity(inputs.iter().map(Vec::len).sum());
+                let mut starts = Vec::with_capacity(inputs.len());
+                for child in inputs {
+                    starts.push(records.len());
+                    records.extend(child);
+                }
+                RunSet::from_parts(records, starts)
+            };
+            let stage = pass as u32 + 1;
+            simulate_group(
+                &task_config,
+                scratch,
+                input,
+                fan_in,
+                stage,
+                max_cycles,
+                reference,
+            )
         };
-        let stage = pass as u32 + 1;
-        simulate_group(&task_config, input, fan_in, stage, max_cycles, reference)
-    };
 
-    let (finals, stats) = execute_dag::<S, Vec<R>, GroupStats, _>(plan.clone(), workers, run_task)?;
+    let (finals, stats) = execute_dag_with_scratch::<S, Vec<R>, GroupStats, PassScratch<R>, _>(
+        plan.clone(),
+        workers,
+        run_task,
+    )?;
     debug_assert_eq!(finals.len(), plan.jobs(), "one root per job");
     let cycles: Vec<u64> = stats.iter().map(|g| g.cycles).collect();
     let dag_makespan = dag_virtual_makespan(&plan, &cycles);
@@ -981,6 +1043,190 @@ mod tests {
         assert!(dag >= critical.min(barrier) / 2, "sanity: {dag}");
     }
 
+    /// [`dag_virtual_makespan`] as it was before the heaps: a scan of
+    /// the whole ready list for every claim.
+    fn quadratic_virtual_makespan(plan: &SortPlan, cycles: &[u64]) -> u64 {
+        let tasks = plan.tasks();
+        if tasks == 0 {
+            return 0;
+        }
+        let mut free = [0u64; VIRTUAL_WORKERS];
+        let mut done = vec![0u64; tasks];
+        let mut deps_left = vec![0usize; tasks];
+        // Ready tasks with the time their last child completed.
+        let mut ready: Vec<(usize, u64)> = Vec::new();
+        for s in 0..plan.slots(0) {
+            ready.push((plan.task_id(0, s), 0));
+        }
+        for p in 1..plan.num_passes() {
+            for s in 0..plan.slots(p) {
+                deps_left[plan.task_id(p, s)] = plan.deps(p, s).len();
+            }
+        }
+        let mut makespan = 0u64;
+        for _ in 0..tasks {
+            let w = argmin(&free);
+            // The task this worker can start soonest; ties go to the lowest
+            // id, the executor's deterministic claim order.
+            let (pos, _) = ready
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &(id, at))| (free[w].max(at), id))
+                .expect("a live DAG always has a ready task");
+            let (id, at) = ready.swap_remove(pos);
+            let (p, s) = plan.task_of(id);
+            let end = free[w].max(at) + cycles[id];
+            free[w] = end;
+            done[id] = end;
+            makespan = makespan.max(end);
+            if let Some(ps) = plan.parent_slot(p, s) {
+                let parent = plan.task_id(p + 1, ps);
+                deps_left[parent] -= 1;
+                if deps_left[parent] == 0 {
+                    let ready_at = plan
+                        .deps(p + 1, ps)
+                        .map(|d| done[plan.task_id(p, d)])
+                        .max()
+                        .unwrap_or(0);
+                    ready.push((parent, ready_at));
+                }
+            }
+        }
+        makespan
+    }
+
+    #[test]
+    fn heap_makespan_matches_the_quadratic_scan_on_random_plans() {
+        let mut rng = bonsai_rng::Rng::seed_from_u64(0x4EA9_0019);
+        let mut pipelined = 0;
+        for round in 0..300 {
+            let jobs = rng.range_usize(1, 5);
+            let runs = rng.range_usize(0, 700);
+            let l = 1 << rng.range_usize(1, 6);
+            let plan = SortPlan::batch(jobs, runs, l);
+            // Zero-cycle tasks, equal costs (ties everywhere) and a
+            // long tail: every way two ready tasks can compare.
+            let spread = [1u64, 2, 50, 10_000][round % 4];
+            let cycles: Vec<u64> = (0..plan.tasks()).map(|_| rng.below_u64(spread)).collect();
+            let want = quadratic_virtual_makespan(&plan, &cycles);
+            assert_eq!(
+                dag_virtual_makespan(&plan, &cycles),
+                want,
+                "round {round}: {jobs} jobs x {runs} runs on {l} leaves"
+            );
+            let barrier: u64 = (0..plan.num_passes())
+                .map(|p| {
+                    let lo = plan.task_id(p, 0);
+                    pass_virtual_schedule(cycles[lo..lo + plan.slots(p)].iter().copied()).0
+                })
+                .sum();
+            pipelined += usize::from(want < barrier);
+        }
+        assert!(pipelined > 20, "few plans overlapped passes: {pipelined}");
+    }
+
+    /// One scratch carried through groups of differing fan-in and size —
+    /// including right after a group abandoned on `BON040` — must yield
+    /// what a new scratch yields for each: output run, every accounting
+    /// field and (under `sanitize`) the probes' findings.
+    #[test]
+    fn reused_scratch_matches_a_new_one_group_after_group() {
+        use crate::AmtConfig;
+        use bonsai_memsim::MemoryConfig;
+        use bonsai_records::U32Rec;
+
+        fn observe(
+            result: Result<(Vec<U32Rec>, GroupStats), SortError>,
+        ) -> Result<(Vec<U32Rec>, [u64; 6], String), SortError> {
+            result.map(|(out, g)| {
+                #[cfg(feature = "sanitize")]
+                let findings = format!("{:?}", g.diagnostics);
+                #[cfg(not(feature = "sanitize"))]
+                let findings = String::new();
+                let counts = [
+                    g.cycles,
+                    g.bytes_read,
+                    g.bytes_written,
+                    g.input_stalls,
+                    g.output_stalls,
+                    g.fast_forwarded_cycles,
+                ];
+                (out, counts, findings)
+            })
+        }
+
+        let mut ssd =
+            SimEngineConfig::with_memory(AmtConfig::new(8, 128), 4, MemoryConfig::ssd_direct());
+        ssd.loader.batch_bytes = 131_072;
+        let mut rng = bonsai_rng::Rng::seed_from_u64(0x5C2A_0019);
+        for cfg in [
+            SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4),
+            SimEngineConfig::dram_sorter(AmtConfig::new(2, 2), 4),
+            ssd,
+        ] {
+            let l = cfg.amt.l;
+            let mut scratch: PassScratch<U32Rec> = None;
+            let mut failed = 0;
+            for step in 0..24 {
+                let fan_in = rng.range_usize(2, l);
+                let n_runs = rng.range_usize(1, fan_in);
+                let run_len = [1usize, 16, 300][step % 3];
+                let data: Vec<U32Rec> = (0..rng.range_usize(1, n_runs * run_len))
+                    .map(|_| U32Rec::new(rng.next_u32().max(1)))
+                    .collect();
+                let runs = RunSet::from_chunks(data, run_len);
+                let want = observe(simulate_group(
+                    &cfg,
+                    &mut None,
+                    runs.clone(),
+                    fan_in,
+                    1,
+                    u64::MAX,
+                    false,
+                ))
+                .expect("an unbounded group finishes");
+                // Every third group is cut off half way: the scratch is
+                // abandoned mid-pass, records in every FIFO.
+                let bound = if step % 3 == 1 {
+                    want.1[0] / 2
+                } else {
+                    u64::MAX
+                };
+                let fresh = observe(simulate_group(
+                    &cfg,
+                    &mut None,
+                    runs.clone(),
+                    fan_in,
+                    1,
+                    bound,
+                    false,
+                ));
+                let reused = observe(simulate_group(
+                    &cfg,
+                    &mut scratch,
+                    runs,
+                    fan_in,
+                    1,
+                    bound,
+                    step % 2 == 0,
+                ))
+                .map(|(out, mut counts, findings)| {
+                    // The reference loop (even steps) fast-forwards nothing.
+                    if step % 2 == 0 {
+                        counts[5] = want.1[5];
+                    }
+                    (out, counts, findings)
+                });
+                assert_eq!(reused, fresh, "AMT({}, {l}) step {step}", cfg.amt.p);
+                match fresh {
+                    Ok(got) => assert_eq!(got, want),
+                    Err(_) => failed += 1,
+                }
+            }
+            assert!(failed >= 4, "too few BON040 groups: {failed}");
+        }
+    }
+
     /// The per-pass barrier as a thread-free list schedule: passes in
     /// order, every group's input sliced out of the *folded* previous
     /// run set (the DAG concatenates child outputs instead), the shared
@@ -1003,7 +1249,9 @@ mod tests {
             let mut stats = Vec::with_capacity(groups);
             for g in 0..groups {
                 let input = group_input(&runs, g, fan_in);
-                let (out, group) = simulate_group(config, input, fan_in, stage, max_cycles, false)?;
+                // A new scratch per group: the oracle never reuses one.
+                let (out, group) =
+                    simulate_group(config, &mut None, input, fan_in, stage, max_cycles, false)?;
                 starts.push(records.len());
                 records.extend(out);
                 stats.push(group);

@@ -27,16 +27,23 @@ use crate::tree::MergeTree;
 /// One merge stage of one tree, advanced cycle by cycle against a
 /// caller-provided [`Memory`] (so several passes can share the memory's
 /// ports and contend for bandwidth, as unrolled trees do on real banks).
+///
+/// A `PassSim` is also a reusable scratch: [`PassSim::reset`] re-arms it
+/// for another group of runs on the same configuration, keeping the
+/// tree's FIFOs, the leaf and output streams and the loader/drain queues
+/// allocated, and is indistinguishable from a [`PassSim::new`] built for
+/// that group.
 #[derive(Debug)]
 pub struct PassSim<R> {
     l: usize,
     n_records: u64,
     runs_in: u64,
     /// Merge groups in this pass (= output runs = root flushes expected).
-    #[cfg(feature = "sanitize")]
     groups: u64,
     leaf_streams: Vec<Vec<R>>,
     leaf_pos: Vec<usize>,
+    /// Payload records per leaf stream (what the loader has to fetch).
+    leaf_payload: Vec<u64>,
     /// Leaves with `leaf_pos < leaf_streams.len()`, i.e. still holding
     /// records to feed; `0` means the pass's input is fully on chip.
     leaves_open: usize,
@@ -58,10 +65,43 @@ impl<R: Record> PassSim<R> {
     /// Panics unless `2 <= fan_in <= l`.
     pub fn new(config: &SimEngineConfig, runs: RunSet<R>, fan_in: usize) -> Self {
         let l = config.amt.l;
+        let mut sim = Self {
+            l,
+            n_records: 0,
+            runs_in: 0,
+            groups: 0,
+            leaf_streams: vec![Vec::new(); l],
+            leaf_pos: vec![0; l],
+            leaf_payload: vec![0; l],
+            leaves_open: 0,
+            tree: MergeTree::new(config.amt),
+            loader: DataLoader::new(config.loader, vec![0; l]),
+            drain: WriteDrain::new(config.loader),
+            out_stream: Vec::new(),
+            draining_signalled: false,
+            done: false,
+            cycles: 0,
+            fast_forwarded: 0,
+        };
+        sim.reset(runs, fan_in);
+        sim
+    }
+
+    /// Re-arms the simulation for another stage on the same
+    /// configuration, merging groups of `fan_in` runs of `runs`: the
+    /// tree, loader and drain return to their just-built state
+    /// (`sanitize` probes included), every counter to zero, and the
+    /// streams are rebuilt in place — whatever state the previous pass
+    /// was left in, finished or abandoned on an error. Allocates only
+    /// where a stream outgrows the capacity earlier passes left behind.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `2 <= fan_in <= l`.
+    pub fn reset(&mut self, runs: RunSet<R>, fan_in: usize) {
+        let l = self.l;
         assert!(fan_in >= 2 && fan_in <= l, "fan-in must be in [2, l]");
-        let runs_in = runs.num_runs() as u64;
         let groups = runs.num_runs().div_ceil(fan_in);
-        let n_records = runs.len() as u64;
 
         // Build the ℓ leaf streams, each terminal-delimited; leaves with
         // no run in a group get bare terminals so every leaf sees exactly
@@ -72,43 +112,44 @@ impl<R: Record> PassSim<R> {
         // the hardware data loader uses).
         let log_l = l.trailing_zeros();
         let bitrev = |j: usize| j.reverse_bits() >> (usize::BITS - log_l);
-        let mut leaf_streams: Vec<Vec<R>> = vec![Vec::new(); l];
-        let mut leaf_payload: Vec<u64> = vec![0; l];
+        self.leaf_payload.fill(0);
+        for (run_idx, run) in runs.iter_runs().enumerate() {
+            self.leaf_payload[bitrev(run_idx % fan_in)] += run.len() as u64;
+        }
+        for (stream, &payload) in self.leaf_streams.iter_mut().zip(&self.leaf_payload) {
+            stream.clear();
+            stream.reserve(payload as usize + groups);
+        }
         for g in 0..groups {
             for j in 0..fan_in {
-                let leaf = bitrev(j);
                 let run_idx = g * fan_in + j;
                 if run_idx < runs.num_runs() {
-                    let run = runs.run(run_idx);
-                    leaf_streams[leaf].extend_from_slice(run);
-                    leaf_payload[leaf] += run.len() as u64;
+                    self.leaf_streams[bitrev(j)].extend_from_slice(runs.run(run_idx));
                 }
             }
-            for stream in &mut leaf_streams {
+            for stream in &mut self.leaf_streams {
                 stream.push(R::TERMINAL);
             }
         }
+
+        self.n_records = runs.len() as u64;
+        self.runs_in = runs.num_runs() as u64;
+        self.groups = groups as u64;
+        // The input is copied out; free it before sizing the output.
         drop(runs);
 
-        Self {
-            l,
-            n_records,
-            runs_in,
-            #[cfg(feature = "sanitize")]
-            groups: groups as u64,
-            leaf_pos: vec![0; l],
-            // Every stream ends in at least one terminal per group.
-            leaves_open: leaf_streams.iter().filter(|s| !s.is_empty()).count(),
-            leaf_streams,
-            tree: MergeTree::new(config.amt),
-            loader: DataLoader::new(config.loader, leaf_payload),
-            drain: WriteDrain::new(config.loader),
-            out_stream: Vec::with_capacity(n_records as usize + groups),
-            draining_signalled: false,
-            done: false,
-            cycles: 0,
-            fast_forwarded: 0,
-        }
+        self.leaf_pos.fill(0);
+        // Every stream ends in at least one terminal per group.
+        self.leaves_open = if groups == 0 { 0 } else { l };
+        self.tree.reset();
+        self.loader.reset(&self.leaf_payload);
+        self.drain.reset();
+        self.out_stream.clear();
+        self.out_stream.reserve(self.n_records as usize + groups);
+        self.draining_signalled = false;
+        self.done = false;
+        self.cycles = 0;
+        self.fast_forwarded = 0;
     }
 
     /// Returns `true` once the pass has run to completion.
@@ -126,52 +167,73 @@ impl<R: Record> PassSim<R> {
         self.fast_forwarded
     }
 
+    /// Moves what fits of leaf `leaf`'s stream into its FIFO: terminals
+    /// flow freely (generated on chip by the zero-append unit), payload
+    /// is gated by the loader. Free FIFO space and loader availability
+    /// are sampled once and the records move as one batch. Returns
+    /// `true` when any record moved.
+    ///
+    /// A leaf left behind has hit the end of its stream, a full FIFO, or
+    /// an empty loader buffer in front of a payload record — states only
+    /// its merger consuming input or a burst landing can end, which is
+    /// what makes the candidate sets in [`PassSim::step`] sufficient.
+    #[inline]
+    fn feed_leaf(&mut self, leaf: usize) -> bool {
+        let stream = &self.leaf_streams[leaf];
+        let pos = self.leaf_pos[leaf];
+        if pos == stream.len() {
+            return false;
+        }
+        let free = self.tree.leaf_free(leaf);
+        if free == 0 {
+            return false;
+        }
+        let avail = self.loader.available(leaf);
+        let mut take = 0usize;
+        let mut payload = 0u64;
+        for rec in &stream[pos..stream.len().min(pos + free)] {
+            if !rec.is_terminal() {
+                if payload == avail {
+                    break;
+                }
+                payload += 1;
+            }
+            take += 1;
+        }
+        if take == 0 {
+            return false;
+        }
+        if payload > 0 {
+            self.loader.consume(leaf, payload);
+        }
+        let pushed = self.tree.push_leaf_slice(leaf, &stream[pos..pos + take]);
+        debug_assert_eq!(pushed, take, "leaf_free promised space");
+        self.leaf_pos[leaf] = pos + take;
+        if pos + take == stream.len() {
+            self.leaves_open -= 1;
+        }
+        true
+    }
+
     /// Simulates exactly one cycle; returns `true` when any state in the
     /// pass changed (the quiescence signal the fast path keys on).
     fn step(&mut self, cycle: u64, memory: &mut Memory) -> bool {
         self.cycles += 1;
         let mut changed = self.loader.tick(cycle, memory);
 
-        // Feed leaves: terminals flow freely (generated on chip by the
-        // zero-append unit); payload is gated by the loader. Free FIFO
-        // space and loader availability are sampled once per leaf per
-        // cycle and the records move as one batch.
+        // Feed the candidate leaves, in leaf order: those whose FIFO may
+        // have gained room since the last feed (all of them on the first
+        // cycle) and those a burst just landed on. Every other leaf is
+        // where the last feed left it and would move nothing.
         if self.leaves_open > 0 {
-            for leaf in 0..self.l {
-                let stream = &self.leaf_streams[leaf];
-                let pos = self.leaf_pos[leaf];
-                if pos == stream.len() {
-                    continue;
+            for word in 0..self.l.div_ceil(64) {
+                let mut candidates =
+                    self.tree.take_freed_leaves(word) | self.loader.take_delivered(word);
+                while candidates != 0 {
+                    let leaf = 64 * word + candidates.trailing_zeros() as usize;
+                    candidates &= candidates - 1;
+                    changed |= self.feed_leaf(leaf);
                 }
-                let free = self.tree.leaf_free(leaf);
-                if free == 0 {
-                    continue;
-                }
-                let avail = self.loader.available(leaf);
-                let mut take = 0usize;
-                let mut payload = 0u64;
-                for rec in &stream[pos..stream.len().min(pos + free)] {
-                    if !rec.is_terminal() {
-                        if payload == avail {
-                            break;
-                        }
-                        payload += 1;
-                    }
-                    take += 1;
-                }
-                if take == 0 {
-                    continue;
-                }
-                if payload > 0 {
-                    self.loader.consume(leaf, payload);
-                }
-                let pushed = self.tree.push_leaf_slice(leaf, &stream[pos..pos + take]);
-                debug_assert_eq!(pushed, take, "leaf_free promised space");
-                self.leaf_pos[leaf] = pos + take;
-                if pos + take == stream.len() {
-                    self.leaves_open -= 1;
-                }
-                changed = true;
             }
         }
 
@@ -195,15 +257,21 @@ impl<R: Record> PassSim<R> {
             self.drain.push_records(payload);
         }
 
-        let input_done = self.leaves_open == 0;
-        if input_done && self.tree.is_drained() && !self.draining_signalled {
+        // Input done and tree drained, which then stays true. The tree
+        // cannot be drained before the root has flushed once per group,
+        // so the walk over its nodes runs at the end of the pass only.
+        if !self.draining_signalled
+            && self.leaves_open == 0
+            && self.tree.root_flushes() == self.groups
+            && self.tree.is_drained()
+        {
             self.drain.set_draining();
             self.draining_signalled = true;
             changed = true;
         }
 
         changed |= self.drain.tick(cycle, memory);
-        if input_done && self.tree.is_drained() && self.drain.is_idle() {
+        if self.draining_signalled && self.drain.is_idle() {
             self.done = true;
             changed = true;
         }
@@ -340,12 +408,12 @@ impl<R: Record> PassSim<R> {
         out
     }
 
-    /// Consumes the finished pass, returning the output runs and report.
+    /// The finished pass's output runs and report.
     ///
     /// # Panics
     ///
     /// Panics if the pass is not done.
-    pub fn finish(self, stage: u32) -> (RunSet<R>, PassReport) {
+    pub fn finish(&self, stage: u32) -> (RunSet<R>, PassReport) {
         assert!(self.done, "pass must run to completion before finish()");
         debug_assert_eq!(self.drain.completed_records(), self.n_records);
         let out_runs = split_runs(&self.out_stream).expect("root output is terminal-delimited");
@@ -371,5 +439,80 @@ impl<R: Record> PassSim<R> {
             idle_worker_cycles: 0,
         };
         (out_runs, pass)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::AmtConfig;
+    use bonsai_memsim::MemoryConfig;
+    use bonsai_records::U32Rec;
+
+    /// The candidate sets are caches of what a scan of every leaf would
+    /// find: on random shapes, memories and group sizes, before every
+    /// step each leaf the full feed loop would move a record of — given
+    /// what the loader will hold once it has ticked — is in the tree's
+    /// freed set or the loader's delivered set.
+    #[test]
+    fn feed_candidates_cover_a_full_rescan() {
+        let mut rng = bonsai_rng::Rng::seed_from_u64(0xFEED_0019);
+        let memories = [
+            MemoryConfig::ddr4_aws_f1(),
+            MemoryConfig::ddr4_single_bank(),
+            MemoryConfig::hbm_u50(),
+            MemoryConfig::ssd_direct(),
+        ];
+        let (mut steps, mut candidates, mut fed) = (0u64, 0u64, 0u64);
+        for (round, (p, l)) in [(2, 2), (4, 16), (8, 64), (8, 128), (32, 256)]
+            .into_iter()
+            .cycle()
+            .take(40)
+            .enumerate()
+        {
+            let mut cfg =
+                SimEngineConfig::with_memory(AmtConfig::new(p, l), 4, memories[round % 4]);
+            cfg.loader.batch_bytes = [256, 1024, 4096][round % 3];
+            cfg.loader.buffer_batches = 1 + (round as u64 / 3) % 3;
+            let fan_in = rng.range_usize(2, l);
+            let run_len = [1usize, 16, 90][round % 3];
+            let n_runs = rng.range_usize(1, 3 * fan_in);
+            let data: Vec<U32Rec> = (0..rng.range_usize(1, n_runs * run_len))
+                .map(|_| U32Rec::new(rng.next_u32().max(1)))
+                .collect();
+            let mut sim = PassSim::new(&cfg, RunSet::from_chunks(data, run_len), fan_in);
+            let mut memory = Memory::new(cfg.memory.shard_view(fan_in));
+            let mut cycle = 0u64;
+            while !sim.is_done() {
+                let ctx = format!("round {round} AMT({p}, {l}) cycle {cycle}");
+                // What the step about to run will see after its loader tick.
+                let mut loader = sim.loader.clone();
+                loader.tick(cycle, &mut memory.clone());
+                let landed: Vec<u64> = (0..l.div_ceil(64))
+                    .map(|word| loader.take_delivered(word))
+                    .collect();
+                for leaf in 0..l {
+                    let (word, bit) = (leaf / 64, leaf % 64);
+                    let listed = ((sim.tree.freed_leaves()[word] | landed[word]) >> bit) & 1 == 1;
+                    candidates += u64::from(listed);
+                    let (stream, pos) = (&sim.leaf_streams[leaf], sim.leaf_pos[leaf]);
+                    let feedable = pos < stream.len()
+                        && sim.tree.leaf_free(leaf) > 0
+                        && (stream[pos].is_terminal() || loader.available(leaf) > 0);
+                    fed += u64::from(feedable);
+                    assert!(
+                        listed || !feedable,
+                        "{ctx}: leaf {leaf} would be fed but is no candidate"
+                    );
+                }
+                steps += l as u64;
+                cycle += sim.advance(cycle, &mut memory);
+                assert!(cycle < 50_000_000, "{ctx}: livelock");
+            }
+            let (out, _) = sim.finish(1);
+            assert_eq!(out.len() as u64, sim.n_records);
+        }
+        // The sets are worth having: most leaves are not on them.
+        assert!(fed > 0 && candidates < steps / 2, "{candidates} of {steps}");
     }
 }

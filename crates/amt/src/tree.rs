@@ -35,11 +35,15 @@ pub struct TreeStats {
 ///
 /// Ticking every merger every cycle wastes work on settled subtrees, so
 /// the tree keeps a worklist: a merger whose tick changes nothing (and
-/// whose coupler moves nothing) is *deactivated* and skipped until an
-/// event that could unblock it — input pushed ([`MergeTree::push_leaf`]),
-/// root output popped ([`MergeTree::pop_root`]), its coupler delivering
-/// into the parent, or its parent consuming input (which frees coupler
-/// space). Skipped cycles are still accounted: each node carries an
+/// whose coupler moves nothing) leaves it and is skipped until an event
+/// that lets it act again — input pushed ([`MergeTree::push_leaf`] or a
+/// child's coupler), root output popped ([`MergeTree::pop_root`]), or
+/// its parent consuming input on its side while it holds output (the one
+/// thing a quiescent child can respond to: its coupler has room again).
+/// The worklist is a bitset over the heap-ordered nodes, so a cycle
+/// costs the nodes that are on it, not the width of the tree.
+///
+/// Skipped cycles are still accounted: each node carries an
 /// `accounted`-through counter, and the arrears are settled in bulk via
 /// [`bonsai_merge_hw::KMerger::add_stalled_cycles`] before the node's
 /// state can next change (or virtually, in [`MergeTree::stats`]). Since a
@@ -56,11 +60,17 @@ pub struct MergeTree<R> {
     first_leaf_node: usize,
     /// Completed tree ticks (including fast-forwarded spans).
     tick_count: u64,
-    /// Number of nodes on the worklist.
-    active_count: usize,
+    /// The worklist: bit `i % 64` of word `i / 64` is set while node `i`
+    /// has to be ticked.
+    active: Vec<u64>,
+    /// Leaf ports (same bit layout, over leaves) whose FIFO may have
+    /// gained room since [`MergeTree::take_freed_leaves`] last handed
+    /// them out: both ports of every deepest-level merger whose tick
+    /// consumed input, and every port of a new or reset tree.
+    freed_leaves: Vec<u64>,
 }
 
-/// One merger with its worklist bookkeeping, kept together so a tick
+/// One merger with its arrears bookkeeping, kept together so a tick
 /// touches one slot per node.
 #[derive(Debug, Clone)]
 struct Node<R> {
@@ -68,15 +78,13 @@ struct Node<R> {
     /// Tree ticks already reflected in the merger's `MergerStats`;
     /// `tick_count - accounted` is the node's stall arrears.
     accounted: u64,
-    /// Worklist membership: only active nodes are ticked.
-    active: bool,
 }
 
 impl<R: Record> Node<R> {
     /// Settles the node's stall arrears up to `now` completed ticks, so
     /// its stats reflect every one of them. Must be called before any
     /// mutation that could change the node's stall classification
-    /// (popping its output).
+    /// (pushing its input, popping its output).
     #[inline]
     fn settle(&mut self, now: u64) {
         if self.accounted < now {
@@ -84,13 +92,22 @@ impl<R: Record> Node<R> {
             self.accounted = now;
         }
     }
+}
 
-    /// Settles arrears and puts the node back on the worklist; returns
-    /// how many nodes that added to it (0 or 1).
-    #[inline]
-    fn wake(&mut self, now: u64) -> usize {
-        self.settle(now);
-        usize::from(!std::mem::replace(&mut self.active, true))
+/// Sets bit `idx` of a bitset: bit `idx % 64` of word `idx / 64`.
+#[inline]
+fn set_bit(words: &mut [u64], idx: usize) {
+    words[idx / 64] |= 1 << (idx % 64);
+}
+
+/// Sets bits `0..n` of a bitset and clears the rest.
+fn set_low_bits(words: &mut [u64], n: usize) {
+    for (w, word) in words.iter_mut().enumerate() {
+        *word = match n.saturating_sub(64 * w) {
+            0 => 0,
+            live @ 1..=63 => (1 << live) - 1,
+            _ => u64::MAX,
+        };
     }
 }
 
@@ -110,19 +127,34 @@ impl<R: Record> MergeTree<R> {
                 nodes.push(Node {
                     merger: KMerger::new(k, fifo),
                     accounted: 0,
-                    active: true,
                 });
             }
         }
-        let first_leaf_node = (config.l / 2) - 1;
-        let active_count = nodes.len();
-        Self {
+        let mut tree = Self {
             config,
-            nodes,
-            first_leaf_node,
+            first_leaf_node: (config.l / 2) - 1,
             tick_count: 0,
-            active_count,
+            active: vec![0; nodes.len().div_ceil(64)],
+            freed_leaves: vec![0; config.l.div_ceil(64)],
+            nodes,
+        };
+        tree.reset();
+        tree
+    }
+
+    /// Returns the tree to its just-built state — every FIFO empty, no
+    /// run in progress, clock and statistics at zero, `sanitize` probes
+    /// fresh, every merger on the worklist and every leaf port marked
+    /// free — keeping all `3·(ℓ − 1)` FIFO allocations for the next
+    /// merge group.
+    pub fn reset(&mut self) {
+        for node in &mut self.nodes {
+            node.merger.reset();
+            node.accounted = 0;
         }
+        self.tick_count = 0;
+        set_low_bits(&mut self.active, self.nodes.len());
+        set_low_bits(&mut self.freed_leaves, self.config.l);
     }
 
     /// The tree's shape.
@@ -154,6 +186,14 @@ impl<R: Record> MergeTree<R> {
         self.nodes[node].merger.input_free(side)
     }
 
+    /// Settles node `idx`'s arrears up to `now` completed ticks and puts
+    /// it (back) on the worklist.
+    #[inline]
+    fn wake(&mut self, idx: usize, now: u64) {
+        self.nodes[idx].settle(now);
+        set_bit(&mut self.active, idx);
+    }
+
     /// Pushes one record (payload or terminal) into leaf `leaf`.
     ///
     /// # Panics
@@ -162,9 +202,9 @@ impl<R: Record> MergeTree<R> {
     /// first.
     pub fn push_leaf(&mut self, leaf: usize, rec: R) {
         let (node, side) = self.leaf_port(leaf);
-        let node = &mut self.nodes[node];
-        self.active_count += node.wake(self.tick_count);
-        node.merger
+        self.wake(node, self.tick_count);
+        self.nodes[node]
+            .merger
             .push_input(side, rec)
             .unwrap_or_else(|_| panic!("leaf {leaf} FIFO overflow"));
     }
@@ -172,26 +212,45 @@ impl<R: Record> MergeTree<R> {
     /// Pushes as many records from `recs` as fit into leaf `leaf`, in
     /// order, and returns how many were accepted — the bulk counterpart
     /// of [`MergeTree::push_leaf`] for batched leaf feeding.
+    #[inline]
     pub fn push_leaf_slice(&mut self, leaf: usize, recs: &[R]) -> usize {
         if recs.is_empty() {
             return 0;
         }
         let (node, side) = self.leaf_port(leaf);
-        let node = &mut self.nodes[node];
-        self.active_count += node.wake(self.tick_count);
-        node.merger.push_input_slice(side, recs)
+        self.wake(node, self.tick_count);
+        self.nodes[node].merger.push_input_slice(side, recs)
+    }
+
+    /// Takes (returns and clears) one 64-leaf word of the freed-port
+    /// set: bit `b` of word `w` is leaf `64·w + b`, set when that port's
+    /// FIFO may have gained room since the word was last taken. A feeder
+    /// that stopped at a full FIFO need not look at the leaf again until
+    /// its bit shows up here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `word >= leaves().div_ceil(64)`.
+    #[inline]
+    pub fn take_freed_leaves(&mut self, word: usize) -> u64 {
+        std::mem::take(&mut self.freed_leaves[word])
+    }
+
+    /// The freed-port set, not taken.
+    #[cfg(test)]
+    pub(crate) fn freed_leaves(&self) -> &[u64] {
+        &self.freed_leaves
     }
 
     /// Pops the next root output record, if any.
     pub fn pop_root(&mut self) -> Option<R> {
-        let root = &mut self.nodes[0];
-        if root.merger.output_len() == 0 {
+        if self.nodes[0].merger.output_len() == 0 {
             return None;
         }
         // Settle before the pop (inside `wake`): removing output can
         // flip the root's stall class from output- to input-stalled.
-        self.active_count += root.wake(self.tick_count);
-        let rec = root.merger.pop_output();
+        self.wake(0, self.tick_count);
+        let rec = self.nodes[0].merger.pop_output();
         debug_assert!(rec.is_some(), "output_len promised a record");
         rec
     }
@@ -201,70 +260,101 @@ impl<R: Record> MergeTree<R> {
         self.nodes[0].merger.output_len()
     }
 
+    /// Flushes (terminal records, one per merged group) the root has
+    /// emitted so far.
+    pub fn root_flushes(&self) -> u64 {
+        self.nodes[0].merger.stats().flushes
+    }
+
     /// Advances the whole tree one cycle: mergers tick deepest level
     /// first, each level's output moving straight into its parent's input
     /// FIFO (the couplers), so the root sees this cycle's production —
     /// modeling the fully pipelined hardware datapath.
     ///
-    /// Only active (worklist) nodes are ticked; skipped nodes' stall
-    /// cycles accrue as arrears (see the type-level docs). Returns `true`
-    /// when any merger or coupler changed state this cycle. A `false`
-    /// return is stable: with no external push or pop, every future tick
-    /// is also a no-op, so the caller may [`MergeTree::fast_forward`].
+    /// Only worklist nodes are ticked; skipped nodes' stall cycles accrue
+    /// as arrears (see the type-level docs). Returns `true` when any
+    /// merger or coupler changed state this cycle. A `false` return is
+    /// stable: with no external push or pop, every future tick is also a
+    /// no-op, so the caller may [`MergeTree::fast_forward`].
     pub fn tick(&mut self) -> bool {
         let now = self.tick_count;
         self.tick_count = now + 1;
-        if self.active_count == 0 {
-            return false;
-        }
         let mut tree_changed = false;
-        for node_idx in (0..self.nodes.len()).rev() {
-            let (below, rest) = self.nodes.split_at_mut(node_idx);
-            let Some((node, above)) = rest.split_first_mut() else {
-                break;
-            };
-            if !node.active {
-                continue;
-            }
-            // A node woken mid-previous-tick may still owe one stall
-            // cycle; settle before ticking so stats stay exact.
-            node.settle(now);
-            let node_changed = node.merger.tick();
-            node.accounted = now + 1;
-
-            let mut coupler_moved = false;
-            if node_idx > 0 {
-                let parent = &mut below[(node_idx - 1) / 2];
-                let side = if node_idx % 2 == 1 {
-                    Side::Left
-                } else {
-                    Side::Right
-                };
-                if node.merger.output_len() > 0 && parent.merger.input_free(side) > 0 {
-                    // The parent's input is about to change: settle its
-                    // arrears and put it on the worklist (it sits at a
-                    // lower index, so it still ticks later this cycle —
-                    // same order the always-tick schedule sees).
-                    self.active_count += parent.wake(now);
-                    coupler_moved = node.merger.couple_into(&mut parent.merger, side) > 0;
+        for word in (0..self.active.len()).rev() {
+            // Highest set bit first, which is the always-tick order
+            // (deepest node first). The word is read again after every
+            // visit: a visit may put the node's parent on the worklist —
+            // a lower bit, or a word still to come, so it ticks later
+            // this cycle and sees this cycle's production — or a child,
+            // a higher bit that `unvisited` masks off until next cycle.
+            let mut unvisited = u64::MAX;
+            loop {
+                let pending = self.active[word] & unvisited;
+                if pending == 0 {
+                    break;
                 }
-            }
+                let bit = 63 - pending.leading_zeros() as usize;
+                unvisited = (1 << bit) - 1;
+                let node_idx = 64 * word + bit;
+                let (below, rest) = self.nodes.split_at_mut(node_idx);
+                let Some((node, above)) = rest.split_first_mut() else {
+                    unreachable!("worklist bits name existing nodes");
+                };
+                // A node woken mid-previous-tick may still owe one stall
+                // cycle; settle before ticking so stats stay exact.
+                node.settle(now);
+                let node_changed = node.merger.tick();
+                node.accounted = now + 1;
 
-            if node_changed || coupler_moved {
-                tree_changed = true;
-                // The node consumed input and/or drained output, so its
-                // children (heap slots 2i+1 and 2i+2, i.e. `above[i..]`)
-                // may have coupler space again next cycle.
-                if let Some(children) = above.get_mut(node_idx..node_idx + 2) {
-                    for child in children {
-                        self.active_count += child.wake(now);
+                let mut coupler_moved = false;
+                if node_idx > 0 {
+                    let parent_idx = (node_idx - 1) / 2;
+                    let parent = &mut below[parent_idx];
+                    let side = if node_idx % 2 == 1 {
+                        Side::Left
+                    } else {
+                        Side::Right
+                    };
+                    if node.merger.output_len() > 0 && parent.merger.input_free(side) > 0 {
+                        // The parent's input is about to change: settle
+                        // its arrears and put it on the worklist.
+                        parent.settle(now);
+                        set_bit(&mut self.active, parent_idx);
+                        coupler_moved = node.merger.couple_into(&mut parent.merger, side) > 0;
                     }
                 }
-            } else {
-                // Pure stall (already recorded by its own tick): freeze
-                // the node until an external event can unblock it.
-                node.active = false;
-                self.active_count -= 1;
+
+                if node_changed {
+                    // A tick that changed state consumed input (a flush
+                    // always rides on the terminal absorbed before it),
+                    // which is the only way an input FIFO gains room.
+                    if node_idx >= self.first_leaf_node {
+                        let left_leaf = 2 * (node_idx - self.first_leaf_node);
+                        self.freed_leaves[left_leaf / 64] |= 0b11 << (left_leaf % 64);
+                    } else {
+                        // Heap slots 2i+1 and 2i+2, i.e. `above[i..]`. A
+                        // quiescent child can respond in exactly one
+                        // way: couple held output into a side that now
+                        // has room. Any other child stays frozen, its
+                        // arrears classified as before.
+                        let children = &mut above[node_idx..node_idx + 2];
+                        for (c, side) in [Side::Left, Side::Right].into_iter().enumerate() {
+                            let child = &mut children[c];
+                            if child.merger.output_len() > 0 && node.merger.input_free(side) > 0 {
+                                child.settle(now);
+                                set_bit(&mut self.active, 2 * node_idx + 1 + c);
+                            }
+                        }
+                    }
+                }
+
+                if node_changed || coupler_moved {
+                    tree_changed = true;
+                } else {
+                    // Pure stall (already recorded by its own tick):
+                    // freeze the node until an event can unblock it.
+                    self.active[word] &= !(1 << bit);
+                }
             }
         }
         tree_changed
@@ -282,8 +372,8 @@ impl<R: Record> MergeTree<R> {
     /// last one; the span lands in the same per-node stall counters via
     /// the arrears mechanism.
     pub fn fast_forward(&mut self, cycles: u64) {
-        debug_assert_eq!(
-            self.active_count, 0,
+        debug_assert!(
+            self.active.iter().all(|&word| word == 0),
             "fast-forward requires a quiescent tree (last tick returned false)"
         );
         self.tick_count += cycles;
@@ -466,6 +556,253 @@ mod tests {
     fn push_to_invalid_leaf_panics() {
         let mut tree: MergeTree<U32Rec> = MergeTree::new(AmtConfig::new(2, 4));
         tree.push_leaf(4, U32Rec::new(1));
+    }
+
+    impl MergeTree<U32Rec> {
+        fn on_worklist(&self, idx: usize) -> bool {
+            self.active[idx / 64] >> (idx % 64) & 1 == 1
+        }
+
+        /// The walk-every-node `tick` this crate shipped before the
+        /// worklist became a bitset, kept word for word — a node's
+        /// `active` flag is now its worklist bit, `wake` sets it — as
+        /// the reference model `tick` is checked against: every node is
+        /// looked at every cycle, and a node that changed wakes both
+        /// its children, whether or not they can do anything about it.
+        fn reference_tick(&mut self) -> bool {
+            let now = self.tick_count;
+            self.tick_count = now + 1;
+            if self.active.iter().all(|&word| word == 0) {
+                return false;
+            }
+            let mut tree_changed = false;
+            for node_idx in (0..self.nodes.len()).rev() {
+                if !self.on_worklist(node_idx) {
+                    continue;
+                }
+                let (below, rest) = self.nodes.split_at_mut(node_idx);
+                let Some((node, above)) = rest.split_first_mut() else {
+                    break;
+                };
+                // A node woken mid-previous-tick may still owe one stall
+                // cycle; settle before ticking so stats stay exact.
+                node.settle(now);
+                let node_changed = node.merger.tick();
+                node.accounted = now + 1;
+
+                let mut coupler_moved = false;
+                if node_idx > 0 {
+                    let parent_idx = (node_idx - 1) / 2;
+                    let parent = &mut below[parent_idx];
+                    let side = if node_idx % 2 == 1 {
+                        Side::Left
+                    } else {
+                        Side::Right
+                    };
+                    if node.merger.output_len() > 0 && parent.merger.input_free(side) > 0 {
+                        // The parent's input is about to change: settle its
+                        // arrears and put it on the worklist (it sits at a
+                        // lower index, so it still ticks later this cycle —
+                        // same order the always-tick schedule sees).
+                        parent.settle(now);
+                        set_bit(&mut self.active, parent_idx);
+                        coupler_moved = node.merger.couple_into(&mut parent.merger, side) > 0;
+                    }
+                }
+
+                if node_changed || coupler_moved {
+                    tree_changed = true;
+                    // The node consumed input and/or drained output, so its
+                    // children (heap slots 2i+1 and 2i+2, i.e. `above[i..]`)
+                    // may have coupler space again next cycle.
+                    if let Some(children) = above.get_mut(node_idx..node_idx + 2) {
+                        for (c, child) in children.iter_mut().enumerate() {
+                            child.settle(now);
+                            set_bit(&mut self.active, 2 * node_idx + 1 + c);
+                        }
+                    }
+                } else {
+                    // Pure stall (already recorded by its own tick): freeze
+                    // the node until an external event can unblock it.
+                    self.active[node_idx / 64] &= !(1 << (node_idx % 64));
+                }
+            }
+            tree_changed
+        }
+
+        /// Node `idx`'s statistics with its arrears settled, classified
+        /// as [`MergeTree::stats`] does.
+        fn settled_stats(&self, idx: usize) -> bonsai_merge_hw::MergerStats {
+            let node = &self.nodes[idx];
+            let mut stats = node.merger.stats();
+            let due = self.tick_count - node.accounted;
+            stats.cycles += due;
+            if node.merger.output_full() {
+                stats.output_stalls += due;
+            } else {
+                stats.input_stalls += due;
+            }
+            stats
+        }
+    }
+
+    /// Random leaf-push / root-pop scripts on `tick` and the reference
+    /// model side by side, from one node to four worklist words: same
+    /// return value, root output, tree statistics and per-node merger
+    /// statistics after every cycle. After every `tick` the worklist
+    /// also has to be *complete*: no node off it could make progress,
+    /// and no child off it holds output its parent's side has room for.
+    #[test]
+    fn tick_matches_the_reference_walk_on_random_scripts() {
+        let mut rng = bonsai_rng::Rng::seed_from_u64(0x7EE5_0019);
+        for (p, l, scripts, cycles) in [
+            (4, 2, 12, 400),
+            (4, 16, 12, 500),
+            (8, 64, 8, 500),
+            (32, 256, 6, 400),
+        ] {
+            let (mut visits, mut reference_visits) = (0u64, 0u64);
+            let (mut idle_ticks, mut flushes) = (0u64, 0u64);
+            for script in 0..scripts {
+                let mut fast: MergeTree<U32Rec> = MergeTree::new(AmtConfig::new(p, l));
+                let mut model = fast.clone();
+                // Per leaf: next key of the current run, records left in it.
+                let mut runs = vec![(1u32, 0usize); l];
+                // Scripts differ in how many leaves are fed at all, how
+                // fast, and how often the root is popped: starved
+                // subtrees, saturated ones and back-pressure from the top.
+                let fed_leaves = [l, l, l / 2 + 1, 2][script % 4];
+                let feed_pct = [100, 30, 60, 8][(script / 2) % 4];
+                let pop_every = [1, 1, 5, 23][script % 4];
+                for cycle in 0..cycles {
+                    let ctx = format!("AMT({p}, {l}) script {script} cycle {cycle}");
+                    for (leaf, (key, left_in_run)) in runs.iter_mut().enumerate().take(fed_leaves) {
+                        if !rng.chance_percent(feed_pct) {
+                            continue;
+                        }
+                        for _ in 0..rng.below_usize(fast.leaf_free(leaf).min(6) + 1) {
+                            let rec = if *left_in_run == 0 {
+                                *left_in_run = rng.below_usize(40);
+                                *key = 1;
+                                U32Rec::TERMINAL
+                            } else {
+                                *left_in_run -= 1;
+                                *key += rng.below_u64(3) as u32;
+                                U32Rec::new(*key)
+                            };
+                            fast.push_leaf(leaf, rec);
+                            model.push_leaf(leaf, rec);
+                        }
+                    }
+                    visits += fast
+                        .active
+                        .iter()
+                        .map(|w| u64::from(w.count_ones()))
+                        .sum::<u64>();
+                    reference_visits += model
+                        .active
+                        .iter()
+                        .map(|w| u64::from(w.count_ones()))
+                        .sum::<u64>();
+                    let changed = fast.tick();
+                    assert_eq!(changed, model.reference_tick(), "{ctx}: changed");
+                    idle_ticks += u64::from(!changed);
+                    assert_eq!(fast.stats(), model.stats(), "{ctx}: tree stats");
+                    for idx in 0..fast.nodes.len() {
+                        assert_eq!(
+                            fast.settled_stats(idx),
+                            model.settled_stats(idx),
+                            "{ctx}: node {idx} stats"
+                        );
+                        if fast.on_worklist(idx) {
+                            continue;
+                        }
+                        let node = &fast.nodes[idx].merger;
+                        assert!(!node.can_make_progress(), "{ctx}: node {idx} left behind");
+                        if idx > 0 {
+                            let side = if idx % 2 == 1 {
+                                Side::Left
+                            } else {
+                                Side::Right
+                            };
+                            let room = fast.nodes[(idx - 1) / 2].merger.input_free(side);
+                            assert!(
+                                node.output_len() == 0 || room == 0,
+                                "{ctx}: node {idx} holds output its parent has room for"
+                            );
+                        }
+                    }
+                    if !changed {
+                        assert!(fast.active.iter().all(|&w| w == 0), "{ctx}: quiescent");
+                    }
+                    if cycle % pop_every == 0 {
+                        for _ in 0..rng.below_usize(2 * p + 2) {
+                            assert_eq!(fast.pop_root(), model.pop_root(), "{ctx}: root output");
+                        }
+                    }
+                    assert_eq!(fast.root_output_len(), model.root_output_len(), "{ctx}");
+                }
+                flushes += fast.stats().root_flushes;
+            }
+            assert!(
+                flushes > 0 && idle_ticks > 0,
+                "AMT({p}, {l}): {flushes} flushes, {idle_ticks} idle ticks"
+            );
+            // A lone node has no child to leave asleep.
+            assert!(
+                if l == 2 {
+                    visits == reference_visits
+                } else {
+                    visits < reference_visits
+                },
+                "AMT({p}, {l}): the precise wake must skip visits ({visits} vs {reference_visits})"
+            );
+        }
+    }
+
+    /// Every leaf port whose FIFO gained room is reported by
+    /// `take_freed_leaves` before the next feed, across word boundaries.
+    #[test]
+    fn freed_leaves_cover_every_port_that_gained_room() {
+        let mut rng = bonsai_rng::Rng::seed_from_u64(0xF4EE_0019);
+        for l in [2usize, 16, 256] {
+            let mut tree: MergeTree<U32Rec> = MergeTree::new(AmtConfig::new(4, l));
+            let all: Vec<u64> = (0..l.div_ceil(64))
+                .map(|w| tree.take_freed_leaves(w))
+                .collect();
+            assert_eq!(
+                all.iter().map(|w| w.count_ones() as usize).sum::<usize>(),
+                l
+            );
+            let mut key = 1u32;
+            for cycle in 0..600 {
+                for leaf in 0..l {
+                    if rng.chance_percent(40) && tree.leaf_free(leaf) > 0 {
+                        let rec = if rng.chance_percent(10) {
+                            U32Rec::TERMINAL
+                        } else {
+                            key += 1;
+                            U32Rec::new(key)
+                        };
+                        tree.push_leaf(leaf, rec);
+                    }
+                }
+                let before: Vec<usize> = (0..l).map(|leaf| tree.leaf_free(leaf)).collect();
+                tree.tick();
+                while tree.pop_root().is_some() {}
+                let freed: Vec<u64> = (0..l.div_ceil(64))
+                    .map(|w| tree.take_freed_leaves(w))
+                    .collect();
+                for leaf in 0..l {
+                    if tree.leaf_free(leaf) > before[leaf] {
+                        assert!(
+                            freed[leaf / 64] >> (leaf % 64) & 1 == 1,
+                            "l {l} cycle {cycle}: leaf {leaf} gained room unreported"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// Every node must account for every elapsed cycle, either in its

@@ -96,17 +96,24 @@ pub fn parallel_radix_sort<R: RadixKey>(data: &mut [R], threads: usize) {
     }
 }
 
+/// The part of an `n`-record input that thread `t` of `threads` counts
+/// and scatters: consecutive chunks of `ceil(n / threads)` records, the
+/// last ones short or empty, together covering `0..n` exactly once.
+fn chunk_range(n: usize, threads: usize, t: usize) -> std::ops::Range<usize> {
+    let chunk = n.div_ceil(threads);
+    (t * chunk).min(n)..((t + 1) * chunk).min(n)
+}
+
 /// One stable counting pass on byte `pass`, parallelized over chunks.
 fn radix_pass<R: RadixKey>(src: &[R], dst: &mut [R], pass: usize, threads: usize) {
     let n = src.len();
     let threads = threads.min(n).max(1);
-    let chunk = n.div_ceil(threads);
 
     // Per-chunk histograms.
     let mut histograms = vec![[0usize; RADIX]; threads];
     std::thread::scope(|scope| {
         for (t, hist) in histograms.iter_mut().enumerate() {
-            let slice = &src[(t * chunk).min(n)..((t + 1) * chunk).min(n)];
+            let slice = &src[chunk_range(n, threads, t)];
             scope.spawn(move || {
                 for rec in slice {
                     hist[rec.radix_byte(pass) as usize] += 1;
@@ -131,7 +138,7 @@ fn radix_pass<R: RadixKey>(src: &[R], dst: &mut [R], pass: usize, threads: usize
     let dst_ptr = SendPtr(dst.as_mut_ptr());
     std::thread::scope(|scope| {
         for (t, offs) in offsets.iter_mut().enumerate() {
-            let slice = &src[(t * chunk).min(n)..((t + 1) * chunk).min(n)];
+            let slice = &src[chunk_range(n, threads, t)];
             scope.spawn(move || {
                 let dst_ptr = dst_ptr;
                 for rec in slice {
@@ -237,6 +244,22 @@ mod tests {
             expected.sort_unstable();
             parallel_radix_sort(&mut data, 4);
             assert_eq!(data, expected);
+        }
+    }
+
+    #[test]
+    fn per_thread_chunks_cover_the_input_exactly_once() {
+        for n in [1usize, 2, 3, 255, 256, 1_000, 400_000] {
+            for threads in [1usize, 2, 3, 4, 7, 64] {
+                let threads = threads.min(n);
+                let mut next = 0;
+                for t in 0..threads {
+                    let range = chunk_range(n, threads, t);
+                    assert_eq!(range.start, next, "n {n} threads {threads} chunk {t}");
+                    next = range.end;
+                }
+                assert_eq!(next, n, "n {n} threads {threads}");
+            }
         }
     }
 

@@ -88,6 +88,11 @@ pub struct DataLoader {
     /// front-blocked per leaf, so no burst can land before this cycle
     /// and the per-cycle delivery scan is skipped until then.
     next_delivery: u64,
+    /// Leaves a burst has landed on since the consumer last asked
+    /// ([`DataLoader::take_delivered`]), one bit per leaf: a consumer
+    /// that found a leaf's buffer empty need not look at it again until
+    /// its bit shows up here.
+    delivered: Vec<u64>,
     #[cfg(feature = "sanitize")]
     initial_records: u64,
     #[cfg(feature = "sanitize")]
@@ -98,43 +103,71 @@ impl DataLoader {
     /// Creates a loader for one merge pass: `per_leaf_records[i]` records
     /// stream into leaf `i`.
     pub fn new(cfg: LoaderConfig, per_leaf_records: Vec<u64>) -> Self {
-        // Saturating: tests model "infinite" streams as u64::MAX-ish
-        // per-leaf counts, whose exact total can exceed u64.
-        #[cfg(feature = "sanitize")]
-        let initial_records = per_leaf_records
-            .iter()
-            .fold(0u64, |acc, &n| acc.saturating_add(n));
         // Pre-size the in-flight queues so the steady-state tick loop
         // never reallocates: a leaf can commit at most
         // `buffer_records / batch_records` simultaneous bursts (plus one
         // short tail burst).
         let (batch, capacity) = (cfg.batch_records(), cfg.buffer_records());
         let max_bursts = (capacity / batch) as usize + 2;
-        let mut leaves: Vec<LeafState> = per_leaf_records
-            .into_iter()
-            .map(|remaining| LeafState {
-                remaining,
+        let leaves: Vec<LeafState> = per_leaf_records
+            .iter()
+            .map(|_| LeafState {
                 in_flight: VecDeque::with_capacity(max_bursts),
                 ..LeafState::default()
             })
             .collect();
-        let mut hungry = 0;
-        for leaf in &mut leaves {
-            leaf.hungry = leaf.wants_burst(batch, capacity);
-            hungry += usize::from(leaf.hungry);
-        }
-        Self {
+        let mut loader = Self {
             cfg,
             batch,
             capacity,
+            delivered: vec![0; leaves.len().div_ceil(64)],
             leaves,
             rr: 0,
-            hungry,
+            hungry: 0,
             next_delivery: u64::MAX,
             #[cfg(feature = "sanitize")]
-            initial_records,
+            initial_records: 0,
             #[cfg(feature = "sanitize")]
             consumed_records: 0,
+        };
+        loader.reset(&per_leaf_records);
+        loader
+    }
+
+    /// Re-arms the loader for another pass over the same leaves, as
+    /// [`DataLoader::new`] would build it — nothing requested, in
+    /// flight, buffered or delivered, round-robin at leaf 0, fresh
+    /// `sanitize` accounting — without giving up any allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `per_leaf_records` does not name every leaf.
+    pub fn reset(&mut self, per_leaf_records: &[u64]) {
+        assert_eq!(
+            per_leaf_records.len(),
+            self.leaves.len(),
+            "a loader is reset for the leaves it was built with"
+        );
+        self.hungry = 0;
+        for (leaf, &remaining) in self.leaves.iter_mut().zip(per_leaf_records) {
+            leaf.remaining = remaining;
+            leaf.in_flight.clear();
+            leaf.in_flight_records = 0;
+            leaf.buffered = 0;
+            leaf.hungry = leaf.wants_burst(self.batch, self.capacity);
+            self.hungry += usize::from(leaf.hungry);
+        }
+        self.rr = 0;
+        self.next_delivery = u64::MAX;
+        self.delivered.fill(0);
+        #[cfg(feature = "sanitize")]
+        {
+            // Saturating: tests model "infinite" streams as u64::MAX-ish
+            // per-leaf counts, whose exact total can exceed u64.
+            self.initial_records = per_leaf_records
+                .iter()
+                .fold(0u64, |acc, &n| acc.saturating_add(n));
+            self.consumed_records = 0;
         }
     }
 
@@ -166,6 +199,18 @@ impl DataLoader {
     #[inline]
     pub fn available(&self, i: usize) -> u64 {
         self.leaves[i].buffered
+    }
+
+    /// Takes (returns and clears) one 64-leaf word of the delivered set:
+    /// bit `b` of word `w` is leaf `64·w + b`, set when a burst landed on
+    /// that leaf since the word was last taken.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `word >= leaves().div_ceil(64)`.
+    #[inline]
+    pub fn take_delivered(&mut self, word: usize) -> u64 {
+        std::mem::take(&mut self.delivered[word])
     }
 
     /// Returns `true` when leaf `i` will never produce more records.
@@ -259,7 +304,7 @@ impl DataLoader {
         // Deliver completed bursts.
         if cycle >= self.next_delivery {
             let mut next = u64::MAX;
-            for leaf in &mut self.leaves {
+            for (i, leaf) in self.leaves.iter_mut().enumerate() {
                 while let Some(&(done, records)) = leaf.in_flight.front() {
                     if done > cycle {
                         next = next.min(done);
@@ -268,6 +313,7 @@ impl DataLoader {
                     leaf.in_flight.pop_front();
                     leaf.in_flight_records -= records;
                     leaf.buffered += records;
+                    self.delivered[i / 64] |= 1 << (i % 64);
                     changed = true;
                 }
             }
@@ -369,6 +415,19 @@ impl WriteDrain {
             draining: false,
             #[cfg(feature = "sanitize")]
             pushed_records: 0,
+        }
+    }
+
+    /// Returns the drain to its just-constructed, empty state, keeping
+    /// the in-flight queue's allocation.
+    pub fn reset(&mut self) {
+        self.pending = 0;
+        self.in_flight.clear();
+        self.completed = 0;
+        self.draining = false;
+        #[cfg(feature = "sanitize")]
+        {
+            self.pushed_records = 0;
         }
     }
 
@@ -689,7 +748,18 @@ mod tests {
                 .collect();
             let mut loader = DataLoader::new(cfg, per_leaf);
             for cycle in 0..4_000 {
+                let before: Vec<u64> = loader.leaves.iter().map(|l| l.buffered).collect();
                 loader.tick(cycle, &mut mem);
+                // The delivered set is exactly the leaves whose buffer
+                // grew this tick (it was taken empty last cycle).
+                let landed = (0..loader.leaves())
+                    .filter(|&i| loader.leaves[i].buffered > before[i])
+                    .fold(0u64, |set, i| set | 1 << i);
+                assert_eq!(
+                    loader.take_delivered(0),
+                    landed,
+                    "round {round} cycle {cycle}"
+                );
                 for i in 0..loader.leaves() {
                     let take = rng.below_u64(loader.available(i) + 1);
                     loader.consume(i, take.min(3));
@@ -710,6 +780,82 @@ mod tests {
                 assert_eq!(loader.next_delivery, next, "round {round} cycle {cycle}");
             }
         }
+    }
+
+    /// A loader and drain abandoned mid-pass and then reset must replay
+    /// a fresh pair tick for tick, including the delivered set and the
+    /// round-robin position.
+    #[test]
+    fn reset_loader_and_drain_replay_fresh_ones() {
+        let cfg = LoaderConfig {
+            batch_bytes: 256,
+            record_bytes: 4,
+            buffer_batches: 2,
+        };
+        let mut rng = bonsai_rng::Rng::seed_from_u64(0x2E5E_0019);
+        let first: Vec<u64> = (0..70).map(|_| rng.below_u64(400)).collect();
+        let second: Vec<u64> = (0..70).map(|_| rng.below_u64(300)).collect();
+        let mut mem = Memory::new(MemoryConfig::ddr4_aws_f1());
+        let mut used = DataLoader::new(cfg, first);
+        let mut used_drain = WriteDrain::new(cfg);
+        for cycle in 0..150 {
+            used.tick(cycle, &mut mem);
+            // 37 at a time: the drain is left with a partial batch.
+            let leaf = rng.below_usize(8);
+            let a = used.available(leaf).min(37);
+            used.consume(leaf, a);
+            used_drain.push_records(a.min(used_drain.free_space()));
+            used_drain.tick(cycle, &mut mem);
+        }
+        assert!(used.next_delivery != u64::MAX, "a burst is in flight");
+        assert!(!used_drain.is_idle(), "the drain holds records");
+        used.reset(&second);
+        used_drain.reset();
+
+        let mut fresh = DataLoader::new(cfg, second);
+        let mut fresh_drain = WriteDrain::new(cfg);
+        let mut mems = [
+            Memory::new(MemoryConfig::ddr4_aws_f1()),
+            Memory::new(MemoryConfig::ddr4_aws_f1()),
+        ];
+        for cycle in 0..3_000 {
+            let take_from = rng.below_usize(70);
+            let mut seen = Vec::new();
+            for ((loader, drain), mem) in
+                [(&mut used, &mut used_drain), (&mut fresh, &mut fresh_drain)]
+                    .into_iter()
+                    .zip(&mut mems)
+            {
+                let changed = loader.tick(cycle, mem);
+                let landed = [loader.take_delivered(0), loader.take_delivered(1)];
+                let a = loader.available(take_from).min(drain.free_space());
+                loader.consume(take_from, a);
+                drain.push_records(a);
+                if loader.all_exhausted() {
+                    drain.set_draining();
+                }
+                let drained = drain.tick(cycle, mem);
+                let status: Vec<LeafStatus> = (0..70).map(|i| loader.leaf_status(i)).collect();
+                seen.push((
+                    (changed, drained, landed, status),
+                    (
+                        loader.rr,
+                        loader.hungry,
+                        loader.next_event_cycle(cycle, mem),
+                    ),
+                    (
+                        drain.completed_records(),
+                        drain.next_event_cycle(cycle, mem),
+                    ),
+                ));
+            }
+            assert_eq!(seen[0], seen[1], "cycle {cycle}");
+        }
+        #[cfg(feature = "sanitize")]
+        assert_eq!(
+            (used.sanitize_check(), used_drain.sanitize_check()),
+            (Vec::new(), Vec::new())
+        );
     }
 
     #[test]

@@ -97,6 +97,14 @@ impl<T: Copy> Fifo<T> {
         self.len == self.capacity
     }
 
+    /// Empties the queue in O(1), keeping the backing storage: the slots
+    /// keep their stale values, which no accessor hands out.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.head = 0;
+        self.len = 0;
+    }
+
     /// Slot index `offset` positions past `head`. Masking with
     /// `buf.len() - 1` (a power of two, never zero) is what lets the
     /// compiler drop the bounds check on the slot access.
@@ -244,6 +252,23 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!(f.pop(), Some(7));
         assert_eq!(f.get(0), None);
+    }
+
+    #[test]
+    fn clear_empties_without_exposing_stale_slots() {
+        let mut f = Fifo::new(3, 0);
+        f.push(1).unwrap();
+        f.push(2).unwrap();
+        f.advance(1);
+        f.clear();
+        assert!(f.is_empty());
+        assert_eq!(f.free(), 3);
+        assert_eq!(f.get(0), None, "a stale slot is not an item");
+        assert_eq!(f.push_slice(&[7, 8, 9, 10]), 3);
+        assert_eq!(
+            (f.pop(), f.pop(), f.pop(), f.pop()),
+            (Some(7), Some(8), Some(9), None)
+        );
     }
 
     #[test]

@@ -149,6 +149,23 @@ impl<R: Record> KMerger<R> {
         }
     }
 
+    /// Returns the merger to its just-constructed state — empty FIFOs, no
+    /// run in progress, zeroed statistics and (with `sanitize`) fresh
+    /// probes — keeping every allocation, so a tree can be reused for
+    /// the next merge group.
+    pub fn reset(&mut self) {
+        self.left.clear();
+        self.right.clear();
+        self.out.clear();
+        self.left_run_done = false;
+        self.right_run_done = false;
+        self.stats = MergerStats::default();
+        #[cfg(feature = "sanitize")]
+        {
+            self.san = MergerSanitizer::new();
+        }
+    }
+
     /// Records-per-cycle width `k`.
     pub fn k(&self) -> usize {
         self.k
@@ -626,6 +643,33 @@ mod tests {
         d.add_stalled_cycles(7);
         assert_eq!(c.stats(), d.stats());
         assert_eq!(d.stats().output_stalls, 7);
+    }
+
+    #[test]
+    fn reset_merger_behaves_like_a_new_one() {
+        let mut used: KMerger<U32Rec> = KMerger::new(2, 8);
+        // Abandon a merge mid-run: left run absorbed, right starved,
+        // output half full, counters and probes non-zero.
+        feed_run(&mut used, Side::Left, &[1, 2, 3]);
+        used.push_right(U32Rec::new(9)).unwrap();
+        for _ in 0..4 {
+            used.tick();
+        }
+        assert!(!used.is_drained() && used.stats().cycles == 4);
+        used.reset();
+        assert!(used.is_drained());
+        assert_eq!(used.stats(), MergerStats::default());
+
+        let mut fresh: KMerger<U32Rec> = KMerger::new(2, 8);
+        let mut outs = Vec::new();
+        for m in [&mut used, &mut fresh] {
+            feed_run(m, Side::Left, &[4, 6]);
+            feed_run(m, Side::Right, &[5]);
+            outs.push((run_to_completion(m, 8), m.stats()));
+            #[cfg(feature = "sanitize")]
+            assert_eq!(m.sanitize_check(), Vec::new());
+        }
+        assert_eq!(outs[0], outs[1]);
     }
 
     #[test]
