@@ -88,9 +88,8 @@ fn dag_fast_path_matches_reference_at_every_worker_count() {
     }
 }
 
-/// The SSD-scale shape of the perf baseline: a single slow access
-/// stream with flash-scale burst setup, so the machine spends most of
-/// its cycles waiting on memory.
+/// A memory-bound shape: one slow flash access stream, so the machine
+/// spends most of its cycles waiting on memory.
 fn ssd_scale_config() -> SimEngineConfig {
     let mut cfg =
         SimEngineConfig::with_memory(AmtConfig::new(8, 64), 4, MemoryConfig::ssd_direct());
@@ -113,6 +112,29 @@ fn memory_bound_config_fast_forwards_most_cycles() {
     let (out_ref, rep_ref) = engine(cfg, true).sort(data);
     assert_eq!(out_ref, out_fast);
     assert_eq!(rep_ref.normalized(), rep_fast.normalized());
+
+    // 150 000 uniform records on three machines, exact because
+    // simulated counts are: the flash stream steps 66 482 of its cycles,
+    // one in 44.6; the two compute-bound shapes have under 1 % of their
+    // cycles to skip and must say so.
+    let dram = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
+    let hbm = SimEngineConfig::with_memory(AmtConfig::new(8, 64), 4, MemoryConfig::hbm_u50());
+    let data = uniform_u32(150_000, 2025);
+    for (name, cfg, total, skipped) in [
+        ("ssd", ssd_scale_config(), 2_963_861u64, 2_897_379u64),
+        ("dram", dram, 166_965, 1_481),
+        ("hbm", hbm, 64_622, 582),
+    ] {
+        let (out_fast, rep_fast) = engine(cfg, false).sort(data.clone());
+        assert_eq!(
+            (rep_fast.total_cycles, rep_fast.fast_forwarded_cycles),
+            (total, skipped),
+            "{name}: (total, fast-forwarded) cycles"
+        );
+        let (out_ref, rep_ref) = engine(cfg, true).sort(data.clone());
+        assert_eq!(out_ref, out_fast, "{name}");
+        assert_eq!(rep_ref.normalized(), rep_fast.normalized(), "{name}");
+    }
 }
 
 #[test]

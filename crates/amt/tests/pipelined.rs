@@ -246,6 +246,39 @@ fn batch_of_multipass_sorts_overlaps_across_jobs() {
         "cross-job pipelining must reclaim more than per-job stragglers: \
          {overlap} vs {solo_overlap}"
     );
+
+    // The same on a latency-bound flash stream, where every merge group
+    // costs about the same whatever its pass: 8 jobs of 2 112 records
+    // (132 presorted runs) on a 4-leaf tree, groups 33 -> 9 -> 3 -> 1,
+    // so a per-pass barrier wastes 9 group-waves on work that fits in
+    // six. Virtual time on the reference pool, so exact at any worker
+    // count.
+    let mut cfg = SimEngineConfig::with_memory(AmtConfig::new(4, 4), 4, MemoryConfig::ssd_direct());
+    cfg.loader.batch_bytes = 131_072;
+    let datasets: Vec<Vec<U32Rec>> = (0..8).map(|j| uniform_u32(2_112, 2026 + j)).collect();
+    for workers in [1usize, 2, test_workers()] {
+        let (batch, overlap) = engine(cfg).sort_batch_pipelined(datasets.clone(), workers);
+        let groups: Vec<u64> = batch[0].1.passes.iter().map(|p| p.runs_out).collect();
+        assert_eq!(groups, [33, 9, 3, 1], "workers={workers}");
+        assert_eq!(overlap, 2_596_989, "workers={workers}");
+        let total: u64 = batch.iter().map(|(_, r)| r.total_cycles).sum();
+        assert_eq!(total, 44_753_137, "workers={workers}");
+        // busy + idle is VIRTUAL_WORKERS x the pass's barrier makespan;
+        // the overlap is what the forest takes off the sum of them.
+        let barrier: u64 = batch
+            .iter()
+            .flat_map(|(_, r)| &r.passes)
+            .map(|p| (p.busy_worker_cycles + p.idle_worker_cycles) / VIRTUAL_WORKERS as u64)
+            .sum();
+        assert!(
+            10 * barrier >= 13 * (barrier - overlap),
+            "workers={workers}: barrier {barrier} over forest {} is under 1.3x",
+            barrier - overlap
+        );
+        // One such sort alone is pinned near 1x by its single root.
+        let (_, lone) = engine(cfg).sort_pipelined(datasets[0].clone(), workers);
+        assert_eq!(lone.pipeline_overlap_cycles, 50_168, "workers={workers}");
+    }
 }
 
 #[test]

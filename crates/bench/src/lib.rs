@@ -18,7 +18,9 @@
 //! | Figure 13 | `fig13` | latency/GB from 0.5 GB to 1024 TB |
 //!
 //! `cargo run -p bonsai-bench --bin make_all --release` regenerates
-//! everything at once.
+//! everything at once. Every number here is simulated or modeled time;
+//! host time is measured by `bonsai-benchmark` (`crates/benchmark`) and
+//! nowhere else.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -26,5 +28,4 @@
 pub mod experiments;
 pub mod harness;
 pub mod lint;
-pub mod perf;
 pub mod table;

@@ -140,22 +140,22 @@ pub fn model_targets() -> Vec<(String, FullConfig, Option<usize>)> {
 pub const REF_CORES: usize = 8;
 
 /// Every runtime topology the repo itself runs: the default shape,
-/// both ends of `runtime_smoke`'s serial-vs-parallel gate, and the
-/// adaptive-scheduler shape `perf_adaptive` and
-/// `bonsai-serve --adaptive` run (whose `validate_for_cores`
-/// additionally runs the BON08x knob checks).
+/// one worker and one worker per core (the two ends the runtime's
+/// determinism tests compare), and the adaptive-scheduler shape
+/// `bonsai-serve --adaptive` and the benchmark's `svc_mixed` run (whose
+/// `validate_for_cores` additionally runs the BON08x knob checks).
 pub fn runtime_targets() -> Vec<(String, RuntimeConfig)> {
     vec![
         ("runtime/default".into(), RuntimeConfig::default()),
         (
-            "runtime_smoke/serial".into(),
+            "runtime/serial".into(),
             RuntimeConfig {
                 workers: 1,
                 ..RuntimeConfig::default()
             },
         ),
         (
-            "runtime_smoke/per_core".into(),
+            "runtime/per_core".into(),
             RuntimeConfig {
                 workers: 0,
                 ..RuntimeConfig::default()

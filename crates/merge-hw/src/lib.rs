@@ -10,8 +10,8 @@
 //!   standing in for the 512-bit-wide BRAM FIFOs of Figure 7,
 //! - [`KMerger`]: a merger that emits up to `k` records per cycle with the
 //!   same stall, back-pressure and single-cycle flush semantics as the
-//!   hardware unit built from two bitonic half-mergers (§II-A),
-//! - [`Coupler`]: the tuple-concatenation unit placed between tree levels,
+//!   hardware unit built from two bitonic half-mergers (§II-A);
+//!   [`KMerger::couple_into`] is the coupler between two tree levels,
 //! - [`stream`]: zero-append / zero-filter helpers.
 //!
 //! The model is *throughput- and occupancy-accurate*: a merger moves `k`
@@ -47,11 +47,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod coupler;
 mod fifo;
 mod merger;
 pub mod stream;
 
-pub use coupler::Coupler;
 pub use fifo::{Fifo, FifoFullError};
 pub use merger::{KMerger, MergerStats, Side};

@@ -1,6 +1,7 @@
 //! End-to-end behavior of the adaptive scheduler: per-job shape
 //! selection, compiled-shape cache observability, cached-vs-cold
-//! equivalence through the runtime, and deadline-lane dispatch order.
+//! equivalence through the runtime, deadline-lane dispatch order, and
+//! what the two together buy a mixed load in simulated time.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -8,7 +9,9 @@ use std::time::Duration;
 use bonsai_amt::{AmtConfig, SimEngineConfig, SortReport};
 use bonsai_gensort::dist::uniform_u32;
 use bonsai_records::{Record, U32Rec};
-use bonsai_runtime::{JobClass, PassScheduler, Runtime, RuntimeConfig, SortJob};
+use bonsai_runtime::{
+    AdaptiveStats, ClassQueue, Classed, JobClass, PassScheduler, Runtime, RuntimeConfig, SortJob,
+};
 
 fn dram_cfg() -> SimEngineConfig {
     SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4)
@@ -256,4 +259,87 @@ fn latency_jobs_overtake_queued_throughput_jobs() {
         "the latency-class job must overtake the queued throughput job"
     );
     let _ = runtime.finish();
+}
+
+/// A queued job of the mixed load: its index in submission order.
+struct Queued(usize, JobClass);
+
+impl Classed for Queued {
+    fn job_class(&self) -> JobClass {
+        self.1
+    }
+}
+
+/// One mixed load — 8 jobs of 65 536 records, each followed by 3 of
+/// 1 024, all queued at time 0 behind one warm-up job that has already
+/// programmed the modeled device — on two workers under `scheduler`, in
+/// simulated cycles. A job costs the `total_cycles` the runtime reports
+/// for it, the order is what the runtime's own queue dispatches, and a
+/// free worker takes the next job. Returns the slowest small job's
+/// completion (the nearest-rank p99 of 24), the makespan, every sorted
+/// output in submission order and the adaptive counters.
+fn mixed_load_in_virtual_time(
+    scheduler: PassScheduler,
+) -> (u64, u64, Vec<Vec<U32Rec>>, AdaptiveStats) {
+    let config = RuntimeConfig {
+        workers: 1,
+        scheduler,
+        queue_depth: 64,
+        ..RuntimeConfig::default()
+    };
+    let runtime = Runtime::start(config);
+    // One job at a time, so the planner sees them in submission order.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let sort = |data: Vec<U32Rec>| {
+        runtime
+            .submit_with_reply(SortJob::new(0, dram_cfg(), data), tx.clone())
+            .expect("open");
+        rx.recv().expect("replies").result.expect("sorts")
+    };
+    sort(uniform_u32(65_536, 6_999));
+    let (mut cycles, mut outputs) = (Vec::new(), Vec::new());
+    let queue = ClassQueue::<Queued>::new(config.queue_depth, config.adaptive.fairness_stride);
+    for round in 0..8u64 {
+        let smalls = (0..3).map(|s| uniform_u32(1_024, 10_000 + round * 3 + s));
+        for data in std::iter::once(uniform_u32(65_536, 7_000 + round)).chain(smalls) {
+            let class = runtime.classify(data.len());
+            assert!(queue.push(Queued(cycles.len(), class)).is_ok());
+            let output = sort(data);
+            cycles.push(output.report.total_cycles);
+            outputs.push(output.sorted);
+        }
+    }
+    let stats = runtime.adaptive_stats();
+    let _ = runtime.finish();
+
+    queue.close();
+    let mut free_at = [0u64; 2];
+    let mut slowest_small = 0;
+    while let Some(Queued(job, _)) = queue.pop() {
+        let worker = free_at.iter_mut().min().expect("two workers");
+        *worker += cycles[job];
+        if outputs[job].len() == 1_024 {
+            slowest_small = slowest_small.max(*worker);
+        }
+    }
+    (slowest_small, free_at[0].max(free_at[1]), outputs, stats)
+}
+
+#[test]
+fn adaptive_cuts_small_job_tail_at_no_cost_in_makespan() {
+    let (fifo_p99, fifo_makespan, fifo_out, fifo_stats) =
+        mixed_load_in_virtual_time(PassScheduler::Fifo);
+    let (p99, makespan, out, stats) = mixed_load_in_virtual_time(PassScheduler::Adaptive);
+    // The optimizer may change the shape and the lanes the order, never
+    // the answer.
+    assert_eq!(fifo_out, out);
+    assert_eq!(fifo_stats, AdaptiveStats::default());
+    // The warm-up job is throughput class too.
+    assert_eq!((stats.latency_jobs, stats.throughput_jobs), (24, 9));
+    assert!(stats.shape_cache_hits >= 1, "{stats:?}");
+    assert!(stats.reprograms >= 1, "{stats:?}");
+    // Small jobs overtake queued large ones, 2.762x on their tail, and
+    // the optimizer's shapes finish the whole load 1.456x sooner.
+    assert_eq!((fifo_p99, fifo_makespan), (324_566, 324_745));
+    assert_eq!((p99, makespan), (117_501, 223_047));
 }

@@ -1,46 +1,31 @@
-//! Bonsai core: the adaptive merge tree sorter behind one front door.
-//!
-//! This facade crate re-exports the paper's contribution — the AMT
-//! architecture (`bonsai-amt`) and the Bonsai optimizer
-//! (`bonsai-model`) — together with the end-to-end sorting systems
-//! (`bonsai-sorters`) and the substrates they run on, and adds the
-//! [`Bonsai`] entry point that mirrors how the paper's system is used:
-//! pick a platform, let Bonsai choose the tree, sort.
+//! The [`Bonsai`] front door, which mirrors how the paper's system is
+//! used: pick a platform, let Bonsai choose the tree, sort.
 //!
 //! # Example
 //!
 //! ```
-//! use bonsai_core::Bonsai;
-//! use bonsai_records::U32Rec;
+//! use bonsai::core::Bonsai;
+//! use bonsai::records::U32Rec;
 //!
 //! let bonsai = Bonsai::aws_f1();
 //! let data: Vec<U32Rec> = [5u32, 3, 9, 1].map(U32Rec::new).to_vec();
 //! let (sorted, report) = bonsai.sort(data)?;
 //! assert_eq!(sorted, [1u32, 3, 5, 9].map(U32Rec::new).to_vec());
 //! println!("{} via {}", report.name, report.config);
-//! # Ok::<(), bonsai_sorters::SorterError>(())
+//! # Ok::<(), bonsai::sorters::SorterError>(())
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub use bonsai_amt::{
-    functional, schedule, AmtConfig, MergeTree, PassReport, SimEngine, SimEngineConfig, SortReport,
-};
-pub use bonsai_model::{
-    perf, resource, ArrayParams, BonsaiOptimizer, ComponentLibrary, FullConfig, HardwareParams,
-    OptimizerError, RankedConfig,
-};
-pub use bonsai_sorters::{
-    DramSorter, HbmSorter, Phase, SorterError, SorterReport, SsdSorter, Timing,
-};
-
+use bonsai_model::{BonsaiOptimizer, HardwareParams};
 use bonsai_records::Record;
+use bonsai_sorters::{DramSorter, HbmSorter, SorterError, SorterReport, SsdSorter};
 
 /// The top-level Bonsai system: a hardware description plus the
 /// machinery to plan and run sorts on it.
 ///
-/// See the crate-level example.
+/// See the module-level example.
 #[derive(Debug, Clone)]
 pub struct Bonsai {
     hw: HardwareParams,
@@ -112,6 +97,7 @@ impl Bonsai {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bonsai_model::ArrayParams;
     use bonsai_records::U64Rec;
 
     #[test]

@@ -20,6 +20,9 @@
 //! - [`baselines`]: CPU radix-sort baseline and published-number models,
 //! - [`gensort`]: workload generation (including gensort 100-byte records).
 //!
+//! Its own [`core`] module adds the [`core::Bonsai`] front door: pick a
+//! platform, let Bonsai choose the tree, sort.
+//!
 //! # Quick start
 //!
 //! ```
@@ -32,10 +35,11 @@
 //! println!("optimal AMT: p = {}, l = {}", best.config.throughput_p, best.config.leaves_l);
 //! ```
 
+pub mod core;
+
 pub use bonsai_amt as amt;
 pub use bonsai_baselines as baselines;
 pub use bonsai_bitonic as bitonic;
-pub use bonsai_core as core;
 pub use bonsai_gensort as gensort;
 pub use bonsai_memsim as memsim;
 pub use bonsai_merge_hw as merge_hw;
