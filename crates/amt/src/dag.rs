@@ -7,9 +7,9 @@
 //! as narrow: pass-*p+1* group *g* merges exactly the output runs of
 //! pass-*p* groups `[g·m, (g+1)·m)` (its leaves), and can start the
 //! moment *those* groups have drained — regardless of the rest of pass
-//! *p*. This module lowers a sort, or a batch of same-shape sorts, into
-//! `(pass, group)` tasks over that dependency forest ([`SortPlan`]) and
-//! executes it with work-stealing workers ([`execute_dag`]).
+//! *p*. This module lowers a sort into `(pass, group)` tasks over that
+//! dependency tree ([`SortPlan`]) and executes it with work-stealing
+//! workers ([`execute_dag`]).
 //!
 //! **Determinism guarantee.** Each task is a pure function of `(config,
 //! its input runs, fan-in)`, simulated against a private
@@ -28,28 +28,24 @@
 //! simulation and a pass reports their sum, i.e. the groups
 //! time-multiplexed on one tree with the pipeline drained between
 //! groups. The fused engine ([`SimEngine::sort`](crate::SimEngine::sort))
-//! instead overlaps adjacent groups in the tree pipeline, so its cycle
-//! counts are slightly lower; DESIGN.md §5 says which number is quoted
-//! where.
+//! instead overlaps adjacent groups in the tree pipeline. Over the 36
+//! non-empty cases of `tests/golden_report.txt` the per-group sum is
+//! 1.00–20.4× the fused total (median 1.29×): equal for one-group
+//! sorts, up to 20.4× on the flash stream, where every standalone group
+//! pays the access latency the fused tree hides; DESIGN.md §5 has the
+//! table and says which number is quoted where.
 //!
 //! **Model checking.** The readiness/claim protocol is written against
 //! the [`SyncOps`] facade, so `tests/mc_dag.rs` instantiates the same
 //! code with `bonsai_mc::sync::McSync` and exhaustively explores its
 //! schedules at small sizes (2 workers, 2-pass/4-group plan).
-//!
-//! **Capacity lint.** The ready set of this layered DAG can never hold
-//! more than the widest pass's group count ([`SortPlan::max_ready_width`]):
-//! pass-*p+1* groups only become ready as pass-*p* groups resolve, and
-//! with fan-in ≥ 2 each resolved child retires at least itself from the
-//! frontier. A dispatcher with bounded task buffering must be sized for
-//! that width; [`SortPlan::validate_capacity`] (code `BON056`) rejects
-//! plans that can overflow it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
+#[cfg(feature = "sanitize")]
 use bonsai_check::Diagnostic;
 use bonsai_mc::facade::SyncOps;
 use bonsai_memsim::Memory;
@@ -80,25 +76,19 @@ pub struct PassPlan {
     pub groups: usize,
 }
 
-/// The `(pass, slot)` task DAG of one sort — or of a *batch* of
-/// identically-shaped sorts ([`SortPlan::batch`]): the balanced fan-in
+/// The `(pass, group)` task DAG of one sort: the balanced fan-in
 /// schedule ([`crate::schedule::fan_in_schedule`]) lowered to per-pass
 /// group counts plus the child-range dependency structure.
 ///
-/// A batch plan is a forest: pass *p* holds `jobs × groups_p` task
-/// slots, job *j* owning the contiguous block `[j·groups_p,
-/// (j+1)·groups_p)`, and dependencies never cross jobs. Forests are
-/// where cross-pass pipelining pays: a single sort is single-rooted
-/// (its final task transitively depends on every other task, so no
-/// schedule can start it early), but one job's narrow tail passes
-/// overlap with the next job's wide first pass.
+/// The DAG is a tree with one root — the final pass's single group —
+/// which transitively depends on every other task, so no schedule can
+/// start it early: what the DAG saves over a per-pass barrier is each
+/// pass's ragged last wave, not whole passes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SortPlan {
     passes: Vec<PassPlan>,
-    /// Independent same-shape sorts in the plan (1 for a single sort).
-    jobs: usize,
-    /// First flat task id of each pass (cumulative slot counts), so
-    /// task ids order tasks lexicographically by `(pass, slot)`.
+    /// First flat task id of each pass (cumulative group counts), so
+    /// task ids order tasks lexicographically by `(pass, group)`.
     base: Vec<usize>,
     tasks: usize,
 }
@@ -114,24 +104,7 @@ impl SortPlan {
     /// [`crate::schedule::fan_in_schedule`]).
     #[must_use]
     pub fn new(initial_runs: usize, l: usize) -> Self {
-        Self::batch(1, initial_runs, l)
-    }
-
-    /// Lowers a batch of `jobs` independent sorts, each of
-    /// `initial_runs` presorted runs on an `l`-leaf tree, into one
-    /// forest DAG. Empty when `jobs == 0` or `initial_runs <= 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l` is not a power of two `>= 2` (as
-    /// [`crate::schedule::fan_in_schedule`]).
-    #[must_use]
-    pub fn batch(jobs: usize, initial_runs: usize, l: usize) -> Self {
-        let fan_ins = if jobs == 0 {
-            Vec::new()
-        } else {
-            crate::schedule::fan_in_schedule(initial_runs as u64, l as u64)
-        };
+        let fan_ins = crate::schedule::fan_in_schedule(initial_runs as u64, l as u64);
         let mut passes = Vec::with_capacity(fan_ins.len());
         let mut base = Vec::with_capacity(fan_ins.len());
         let mut runs = initial_runs;
@@ -140,7 +113,7 @@ impl SortPlan {
             let fan_in = m as usize;
             let groups = runs.div_ceil(fan_in);
             base.push(tasks);
-            tasks += jobs * groups;
+            tasks += groups;
             passes.push(PassPlan {
                 fan_in,
                 runs_in: runs,
@@ -150,23 +123,9 @@ impl SortPlan {
         }
         Self {
             passes,
-            jobs,
             base,
             tasks,
         }
-    }
-
-    /// Independent sorts in the plan (1 unless built with
-    /// [`SortPlan::batch`]).
-    #[must_use]
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// Task slots in pass `p`: `jobs × groups_p`.
-    #[must_use]
-    pub fn slots(&self, p: usize) -> usize {
-        self.jobs * self.passes[p].groups
     }
 
     /// Number of merge passes.
@@ -187,13 +146,12 @@ impl SortPlan {
         self.tasks
     }
 
-    /// Flat task id of `(pass, slot)`; ids are lexicographic in
-    /// `(pass, slot)` (and a job's slots are contiguous within a pass,
-    /// so for a single-job plan slot = group).
+    /// Flat task id of `(pass, group)`; ids are lexicographic in
+    /// `(pass, group)`.
     #[must_use]
-    pub fn task_id(&self, pass: usize, slot: usize) -> usize {
-        debug_assert!(slot < self.slots(pass));
-        self.base[pass] + slot
+    pub fn task_id(&self, pass: usize, group: usize) -> usize {
+        debug_assert!(group < self.passes[pass].groups);
+        self.base[pass] + group
     }
 
     /// Inverse of [`SortPlan::task_id`].
@@ -206,64 +164,43 @@ impl SortPlan {
         (pass, id - self.base[pass])
     }
 
-    /// The pass-`pass − 1` slot indices feeding `(pass, slot)`'s
-    /// leaves: for job `j = slot / groups_pass` and in-job group
-    /// `g = slot % groups_pass`, the range `j·prev_groups + [g·m,
-    /// min((g+1)·m, prev_groups))` for fan-in `m`. The ranges of one
-    /// pass partition the previous pass (within each job, and jobs
-    /// never cross), so every child has exactly one parent.
+    /// The pass-`pass − 1` groups feeding `(pass, group)`'s leaves:
+    /// `[group·m, min((group+1)·m, prev_groups))` for fan-in `m`. The
+    /// ranges of one pass partition the previous pass, so every child
+    /// has exactly one parent.
     ///
     /// # Panics
     ///
     /// Panics if `pass == 0` (first-pass groups read the presorted
     /// input, they have no task dependencies).
     #[must_use]
-    pub fn deps(&self, pass: usize, slot: usize) -> core::ops::Range<usize> {
+    pub fn deps(&self, pass: usize, group: usize) -> core::ops::Range<usize> {
         assert!(pass > 0, "pass-0 groups have no dependencies");
         let m = self.passes[pass].fan_in;
         let prev = self.passes[pass - 1].groups;
-        let (job, g) = (
-            slot / self.passes[pass].groups,
-            slot % self.passes[pass].groups,
-        );
-        (job * prev + g * m)..(job * prev + ((g + 1) * m).min(prev))
+        group * m..((group + 1) * m).min(prev)
     }
 
-    /// The pass-`pass + 1` slot that consumes `(pass, slot)`'s output
+    /// The pass-`pass + 1` group that consumes `(pass, group)`'s output
     /// run, or `None` in the final pass.
     #[must_use]
-    pub fn parent_slot(&self, pass: usize, slot: usize) -> Option<usize> {
-        if pass + 1 >= self.passes.len() {
-            return None;
-        }
-        let groups = self.passes[pass].groups;
-        let (job, g) = (slot / groups, slot % groups);
-        Some(job * self.passes[pass + 1].groups + g / self.passes[pass + 1].fan_in)
+    pub fn parent_group(&self, pass: usize, group: usize) -> Option<usize> {
+        let next = self.passes.get(pass + 1)?;
+        Some(group / next.fan_in)
     }
 
-    /// The most tasks that can ever be ready (claimable) at once.
+    /// The most tasks that can ever be ready (claimable) at once; it
+    /// caps [`execute_dag`]'s thread count.
     ///
     /// For this layered tree-reduction DAG that is the widest pass's
-    /// slot count: initially only pass 0 is ready (`jobs × groups_0`
-    /// tasks), and thereafter a pass-*p+1* group becomes ready only
-    /// once its `fan_in ≥ 2` pass-*p* children resolved — each arrival
-    /// at the frontier retires at least two departures, so the frontier
-    /// never grows past the widest single pass.
+    /// group count: initially only pass 0 is ready, and thereafter a
+    /// pass-*p+1* group becomes ready only once its `fan_in ≥ 2`
+    /// pass-*p* children resolved — each arrival at the frontier
+    /// retires at least two departures, so the frontier never grows
+    /// past the widest single pass.
     #[must_use]
     pub fn max_ready_width(&self) -> usize {
-        (0..self.passes.len())
-            .map(|p| self.slots(p))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Checks this DAG's peak ready width against a dispatcher that can
-    /// buffer at most `queue_depth` pending tasks beyond its `workers`
-    /// in-flight ones. Emits `BON056` when the ready set can overflow
-    /// that capacity (see [`bonsai_check::check_dag_capacity`]).
-    #[must_use]
-    pub fn validate_capacity(&self, queue_depth: usize, workers: usize) -> Vec<Diagnostic> {
-        bonsai_check::check_dag_capacity(self.max_ready_width(), queue_depth, workers)
+        self.passes.iter().map(|p| p.groups).max().unwrap_or(0)
     }
 }
 
@@ -316,16 +253,9 @@ fn dag_virtual_makespan(plan: &SortPlan, cycles: &[u64]) -> u64 {
     }
     let mut free = [0u64; VIRTUAL_WORKERS];
     let mut done = vec![0u64; tasks];
-    let mut deps_left = vec![0usize; tasks];
-    let mut now: BinaryHeap<Reverse<usize>> = (0..plan.slots(0))
-        .map(|s| Reverse(plan.task_id(0, s)))
-        .collect();
+    let mut deps_left = initial_deps_left(plan);
+    let mut now: BinaryHeap<Reverse<usize>> = (0..plan.pass(0).groups).map(Reverse).collect();
     let mut later: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-    for p in 1..plan.num_passes() {
-        for s in 0..plan.slots(p) {
-            deps_left[plan.task_id(p, s)] = plan.deps(p, s).len();
-        }
-    }
     let mut makespan = 0u64;
     for _ in 0..tasks {
         let w = argmin(&free);
@@ -343,17 +273,17 @@ fn dag_virtual_makespan(plan: &SortPlan, cycles: &[u64]) -> u64 {
                 (id, at)
             }
         };
-        let (p, s) = plan.task_of(id);
+        let (p, g) = plan.task_of(id);
         let end = at + cycles[id];
         free[w] = end;
         done[id] = end;
         makespan = makespan.max(end);
-        if let Some(ps) = plan.parent_slot(p, s) {
-            let parent = plan.task_id(p + 1, ps);
+        if let Some(pg) = plan.parent_group(p, g) {
+            let parent = plan.task_id(p + 1, pg);
             deps_left[parent] -= 1;
             if deps_left[parent] == 0 {
                 let ready_at = plan
-                    .deps(p + 1, ps)
+                    .deps(p + 1, pg)
                     .map(|d| done[plan.task_id(p, d)])
                     .max()
                     .unwrap_or(0);
@@ -362,6 +292,18 @@ fn dag_virtual_makespan(plan: &SortPlan, cycles: &[u64]) -> u64 {
         }
     }
     makespan
+}
+
+/// Unresolved-child count per task id: 0 for pass 0 (ready at once),
+/// the dependency range's length for every later group.
+fn initial_deps_left(plan: &SortPlan) -> Vec<usize> {
+    let mut deps_left = vec![0usize; plan.tasks()];
+    for p in 1..plan.num_passes() {
+        for g in 0..plan.pass(p).groups {
+            deps_left[plan.task_id(p, g)] = plan.deps(p, g).len();
+        }
+    }
+    deps_left
 }
 
 // --- The ready/claim protocol ---------------------------------------------
@@ -427,9 +369,9 @@ fn resolve<S: SyncOps, T: Send, M: Send>(
         }
     }
     state.remaining -= 1;
-    let (pass, slot) = shared.plan.task_of(id);
-    if let Some(ps) = shared.plan.parent_slot(pass, slot) {
-        let parent = shared.plan.task_id(pass + 1, ps);
+    let (pass, group) = shared.plan.task_of(id);
+    if let Some(pg) = shared.plan.parent_group(pass, group) {
+        let parent = shared.plan.task_id(pass + 1, pg);
         state.deps_left[parent] -= 1;
         if state.deps_left[parent] == 0 {
             state.ready.push(Reverse(parent));
@@ -518,11 +460,9 @@ where
 
 /// Executes `plan`'s task DAG on `workers` workers (`0` = one per
 /// core) — the calling thread plus `workers − 1` spawned ones —
-/// calling `run_task(pass, slot, child_outputs)` for each task
-/// as it becomes ready (for a single-job plan the slot is the group
-/// index; for a batch, `job = slot / groups` and `group = slot %
-/// groups`). Returns the final pass's outputs (in slot = job order)
-/// and every task's metadata in `(pass, slot)` order.
+/// calling `run_task(pass, group, child_outputs)` for each task as it
+/// becomes ready. Returns the root task's output and every task's
+/// metadata in `(pass, group)` order.
 ///
 /// Generic over the [`SyncOps`] facade: production callers pass
 /// `StdSync`, the model-check suite passes `McSync` and explores every
@@ -535,21 +475,22 @@ where
 ///
 /// # Panics
 ///
-/// Re-raises the first panic thrown by a `run_task` invocation (after
-/// the DAG has fully drained, so no worker thread is leaked).
+/// Panics if the plan is empty (it has no root). Re-raises the first
+/// panic thrown by a `run_task` invocation (after the DAG has fully
+/// drained, so no worker thread is leaked).
 pub fn execute_dag<S, T, M, F>(
     plan: SortPlan,
     workers: usize,
     run_task: F,
-) -> Result<(Vec<T>, Vec<M>), SortError>
+) -> Result<(T, Vec<M>), SortError>
 where
     S: SyncOps,
     T: Send + 'static,
     M: Send + 'static,
     F: Fn(usize, usize, Vec<T>) -> Result<(T, M), SortError> + Send + Sync + 'static,
 {
-    execute_dag_with_scratch::<S, T, M, (), _>(plan, workers, move |_, pass, slot, inputs| {
-        run_task(pass, slot, inputs)
+    execute_dag_with_scratch::<S, T, M, (), _>(plan, workers, move |_, pass, group, inputs| {
+        run_task(pass, group, inputs)
     })
 }
 
@@ -562,7 +503,7 @@ pub(crate) fn execute_dag_with_scratch<S, T, M, W, F>(
     plan: SortPlan,
     workers: usize,
     run_task: F,
-) -> Result<(Vec<T>, Vec<M>), SortError>
+) -> Result<(T, Vec<M>), SortError>
 where
     S: SyncOps,
     T: Send + 'static,
@@ -571,27 +512,16 @@ where
     F: Fn(&mut W, usize, usize, Vec<T>) -> Result<(T, M), SortError> + Send + Sync + 'static,
 {
     let tasks = plan.tasks();
-    if tasks == 0 {
-        return Ok((Vec::new(), Vec::new()));
-    }
+    assert!(tasks > 0, "an empty plan has no root to return");
     let threads = resolve_workers(workers).min(plan.max_ready_width()).max(1);
 
-    let mut deps_left = vec![0usize; tasks];
-    let ready = (0..plan.slots(0))
-        .map(|s| Reverse(plan.task_id(0, s)))
-        .collect();
-    for p in 1..plan.num_passes() {
-        for s in 0..plan.slots(p) {
-            deps_left[plan.task_id(p, s)] = plan.deps(p, s).len();
-        }
-    }
+    let ready = (0..plan.pass(0).groups).map(Reverse).collect();
     let shared = Arc::new(Shared::<S, T, M> {
-        plan,
         state: S::mutex_named(
             "dag.state",
             ExecState {
                 ready,
-                deps_left,
+                deps_left: initial_deps_left(&plan),
                 slots: (0..tasks).map(|_| Slot::Empty).collect(),
                 meta: (0..tasks).map(|_| None).collect(),
                 failure: None,
@@ -600,6 +530,7 @@ where
             },
         ),
         ready_cv: S::condvar_named("dag.ready"),
+        plan,
     });
     let run_task = Arc::new(run_task);
 
@@ -639,17 +570,11 @@ where
         .iter_mut()
         .map(|m| m.take().expect("clean drain ran every task"))
         .collect();
-    let last = shared.plan.num_passes() - 1;
-    let finals: Vec<T> = (0..shared.plan.slots(last))
-        .map(|s| {
-            let id = shared.plan.task_id(last, s);
-            match core::mem::replace(&mut guard.slots[id], Slot::Taken) {
-                Slot::Done(t) => t,
-                _ => unreachable!("final task resolved without output"),
-            }
-        })
-        .collect();
-    Ok((finals, meta))
+    // The root is the final pass's one group: the highest task id.
+    match core::mem::replace(&mut guard.slots[tasks - 1], Slot::Taken) {
+        Slot::Done(root) => Ok((root, meta)),
+        _ => unreachable!("root task resolved without output"),
+    }
 }
 
 // --- One merge group --------------------------------------------------------
@@ -783,79 +708,41 @@ fn fold_pass(
 
 // --- Sorting on the DAG -----------------------------------------------------
 
-/// A batch sort's value: each job's sorted output and [`SortReport`]
-/// (in submission order), plus the batch-level
-/// `pipeline_overlap_cycles` the forest saved over running the jobs
-/// back to back on the [`VIRTUAL_WORKERS`] reference pool.
-pub type BatchSorted<R> = (Vec<(Vec<R>, SortReport)>, u64);
-
-/// Sorts a batch of equally-sized inputs as **one** forest DAG: every
-/// `(pass, group)` merge task of every job is scheduled over the shared
-/// dependency DAG, so one job's narrow tail passes overlap with the
-/// next job's wide first pass. This is where cross-pass pipelining
-/// actually pays: a single sort is single-rooted (its final task
-/// transitively depends on every other task, bounding any scheduler
-/// near the per-pass barrier's makespan), but a batch keeps the pool
-/// work-conserving across jobs. A single sort is the batch of one.
-///
-/// Each job's sorted output and [`SortReport`] are bit-identical to
-/// sorting it alone, except that per-job `pipeline_overlap_cycles`
-/// stays 0: the overlap — the sum of the jobs' barrier virtual
-/// makespans minus the forest's DAG virtual makespan on the same
-/// [`VIRTUAL_WORKERS`] pool — belongs to the batch and is returned
-/// alongside.
-///
-/// # Panics
-///
-/// Panics unless every dataset presorts into the same number of runs
-/// (the forest plan is uniform across jobs).
-pub(crate) fn sort_batch<R: Record, S: SyncOps>(
+/// Sorts `data` on its group DAG: every `(pass, group)` merge task runs
+/// on one of `workers` threads as soon as its children have drained,
+/// and the accounting is folded in `(pass, group)` order after the DAG
+/// drains. `pipeline_overlap_cycles` is the per-pass barrier's virtual
+/// makespan minus the DAG's, both on the [`VIRTUAL_WORKERS`] reference
+/// pool.
+pub(crate) fn sort<R: Record, S: SyncOps>(
     config: &SimEngineConfig,
-    datasets: Vec<Vec<R>>,
+    data: Vec<R>,
     workers: usize,
     max_cycles: u64,
     reference: bool,
     #[cfg(feature = "sanitize")] diagnostics: &mut Vec<Diagnostic>,
-) -> Result<BatchSorted<R>, SortError> {
+) -> Result<(Vec<R>, SortReport), SortError> {
     let record_bytes = config.loader.record_bytes;
-    let inits: Vec<RunSet<R>> = datasets
-        .into_iter()
-        .map(|data| {
-            let sanitized = data.into_iter().map(Record::sanitize).collect();
-            RunSet::from_chunks(sanitized, config.initial_run_len())
-        })
-        .collect();
-    let job_records: Vec<u64> = inits.iter().map(|runs| runs.len() as u64).collect();
-    let r0 = inits.first().map_or(0, RunSet::num_runs);
-    assert!(
-        inits.iter().all(|r| r.num_runs() == r0),
-        "batch jobs must presort into the same number of runs"
-    );
-    let plan = SortPlan::batch(inits.len(), r0, config.amt.l);
+    let n_records = data.len() as u64;
+    let sanitized = data.into_iter().map(Record::sanitize).collect();
+    let init = RunSet::from_chunks(sanitized, config.initial_run_len());
+    let plan = SortPlan::new(init.num_runs(), config.amt.l);
     if plan.num_passes() == 0 {
-        let out = inits
-            .into_iter()
-            .zip(job_records)
-            .map(|(runs, n)| {
-                let report = SortReport::from_passes(Vec::new(), n, record_bytes);
-                (runs.into_records(), report)
-            })
-            .collect();
-        return Ok((out, 0));
+        let report = SortReport::from_passes(Vec::new(), n_records, record_bytes);
+        return Ok((init.into_records(), report));
     }
-    let groups0 = plan.pass(0).groups;
 
     // `SyncOps::spawn` wants 'static tasks, so the task closure owns
-    // its captures: the config (Copy) and the presorted inputs (Arc —
+    // its captures: the config (Copy) and the presorted input (Arc —
     // every pass-0 group reads its own disjoint slice).
     let task_config = *config;
     let task_plan = plan.clone();
-    let init = Arc::new(inits);
+    let init = Arc::new(init);
     let run_task =
-        move |scratch: &mut PassScratch<R>, pass: usize, slot: usize, inputs: Vec<Vec<R>>| {
+        move |scratch: &mut PassScratch<R>, pass: usize, group: usize, inputs: Vec<Vec<R>>| {
             let fan_in = task_plan.pass(pass).fan_in;
             let input = if pass == 0 {
-                group_input(&init[slot / groups0], slot % groups0, fan_in)
+                group_input(&init, group, fan_in)
             } else {
                 // Each child contributed exactly one sorted run, already in
                 // group order.
@@ -879,45 +766,35 @@ pub(crate) fn sort_batch<R: Record, S: SyncOps>(
             )
         };
 
-    let (finals, stats) = execute_dag_with_scratch::<S, Vec<R>, GroupStats, PassScratch<R>, _>(
+    let (sorted, stats) = execute_dag_with_scratch::<S, Vec<R>, GroupStats, PassScratch<R>, _>(
         plan.clone(),
         workers,
         run_task,
     )?;
-    debug_assert_eq!(finals.len(), plan.jobs(), "one root per job");
     let cycles: Vec<u64> = stats.iter().map(|g| g.cycles).collect();
     let dag_makespan = dag_virtual_makespan(&plan, &cycles);
 
-    // Fold each job's accounting in (pass, group) order, so per-job
-    // reports cannot depend on completion order or on the other jobs.
-    let mut batch_barrier = 0u64;
-    let mut out = Vec::with_capacity(finals.len());
-    for (j, sorted) in finals.into_iter().enumerate() {
-        #[cfg(feature = "sanitize")]
-        let first = diagnostics.len();
-        let mut passes = Vec::with_capacity(plan.num_passes());
-        for p in 0..plan.num_passes() {
-            let pp = plan.pass(p);
-            let lo = plan.task_id(p, j * pp.groups);
-            let (pass, makespan) = fold_pass(
-                p as u32 + 1,
-                job_records[j],
-                pp.runs_in,
-                &stats[lo..lo + pp.groups],
-                #[cfg(feature = "sanitize")]
-                diagnostics,
-            );
-            batch_barrier += makespan;
-            passes.push(pass);
-        }
-        #[cfg(feature = "sanitize")]
-        for d in &mut diagnostics[first..] {
-            d.context.push(("job", j.to_string()));
-        }
-        let report = SortReport::from_passes(passes, job_records[j], record_bytes);
-        out.push((sorted, report));
+    // Fold the accounting in (pass, group) order, so the report cannot
+    // depend on completion order.
+    let mut barrier = 0u64;
+    let mut passes = Vec::with_capacity(plan.num_passes());
+    for p in 0..plan.num_passes() {
+        let pp = plan.pass(p);
+        let lo = plan.task_id(p, 0);
+        let (pass, makespan) = fold_pass(
+            p as u32 + 1,
+            n_records,
+            pp.runs_in,
+            &stats[lo..lo + pp.groups],
+            #[cfg(feature = "sanitize")]
+            diagnostics,
+        );
+        barrier += makespan;
+        passes.push(pass);
     }
-    Ok((out, batch_barrier.saturating_sub(dag_makespan)))
+    let mut report = SortReport::from_passes(passes, n_records, record_bytes);
+    report.pipeline_overlap_cycles = barrier.saturating_sub(dag_makespan);
+    Ok((sorted, report))
 }
 
 #[cfg(test)]
@@ -943,11 +820,14 @@ mod tests {
                     assert_eq!(d.start, covered);
                     assert!(!d.is_empty());
                     covered = d.end;
+                    // ...and each child names this group as its parent.
+                    assert!(d.clone().all(|c| plan.parent_group(p - 1, c) == Some(g)));
                 }
                 assert_eq!(covered, plan.pass(p - 1).groups);
             }
         }
         assert_eq!(runs, 1, "the plan fully sorts");
+        assert_eq!(plan.parent_group(plan.num_passes() - 1, 0), None);
         assert_eq!(
             plan.tasks(),
             (0..plan.num_passes()).map(|p| plan.pass(p).groups).sum()
@@ -965,25 +845,6 @@ mod tests {
                 expect += 1;
             }
         }
-    }
-
-    #[test]
-    fn batch_plans_are_job_block_forests() {
-        // 2 jobs × (8 runs on 4 leaves): per job fan-ins [2, 4] with
-        // groups [4, 1] — 10 tasks, dependencies never crossing jobs.
-        let plan = SortPlan::batch(2, 8, 4);
-        assert_eq!(plan.jobs(), 2);
-        assert_eq!(plan.num_passes(), 2);
-        assert_eq!((plan.slots(0), plan.slots(1)), (8, 2));
-        assert_eq!(plan.tasks(), 10);
-        assert_eq!(plan.max_ready_width(), 8);
-        // Job 0's root consumes slots 0..4, job 1's slots 4..8.
-        assert_eq!(plan.deps(1, 0), 0..4);
-        assert_eq!(plan.deps(1, 1), 4..8);
-        for s in 0..plan.slots(0) {
-            assert_eq!(plan.parent_slot(0, s), Some(s / 4));
-        }
-        assert_eq!(plan.parent_slot(1, 0), None);
     }
 
     #[test]
@@ -1006,14 +867,6 @@ mod tests {
     fn max_ready_width_is_the_widest_pass() {
         let plan = SortPlan::new(9375, 16);
         assert_eq!(plan.max_ready_width(), plan.pass(0).groups);
-        assert!(plan.validate_capacity(16, 0).is_empty(), "0 = uncapped");
-        let found = plan.validate_capacity(4, 8);
-        assert!(
-            found
-                .iter()
-                .any(|d| d.code == bonsai_check::codes::RUNTIME_DAG_OVER_CAPACITY),
-            "{found:?}"
-        );
     }
 
     #[test]
@@ -1052,17 +905,9 @@ mod tests {
         }
         let mut free = [0u64; VIRTUAL_WORKERS];
         let mut done = vec![0u64; tasks];
-        let mut deps_left = vec![0usize; tasks];
+        let mut deps_left = initial_deps_left(plan);
         // Ready tasks with the time their last child completed.
-        let mut ready: Vec<(usize, u64)> = Vec::new();
-        for s in 0..plan.slots(0) {
-            ready.push((plan.task_id(0, s), 0));
-        }
-        for p in 1..plan.num_passes() {
-            for s in 0..plan.slots(p) {
-                deps_left[plan.task_id(p, s)] = plan.deps(p, s).len();
-            }
-        }
+        let mut ready: Vec<(usize, u64)> = (0..plan.pass(0).groups).map(|g| (g, 0)).collect();
         let mut makespan = 0u64;
         for _ in 0..tasks {
             let w = argmin(&free);
@@ -1074,17 +919,17 @@ mod tests {
                 .min_by_key(|&(_, &(id, at))| (free[w].max(at), id))
                 .expect("a live DAG always has a ready task");
             let (id, at) = ready.swap_remove(pos);
-            let (p, s) = plan.task_of(id);
+            let (p, g) = plan.task_of(id);
             let end = free[w].max(at) + cycles[id];
             free[w] = end;
             done[id] = end;
             makespan = makespan.max(end);
-            if let Some(ps) = plan.parent_slot(p, s) {
-                let parent = plan.task_id(p + 1, ps);
+            if let Some(pg) = plan.parent_group(p, g) {
+                let parent = plan.task_id(p + 1, pg);
                 deps_left[parent] -= 1;
                 if deps_left[parent] == 0 {
                     let ready_at = plan
-                        .deps(p + 1, ps)
+                        .deps(p + 1, pg)
                         .map(|d| done[plan.task_id(p, d)])
                         .max()
                         .unwrap_or(0);
@@ -1100,10 +945,9 @@ mod tests {
         let mut rng = bonsai_rng::Rng::seed_from_u64(0x4EA9_0019);
         let mut pipelined = 0;
         for round in 0..300 {
-            let jobs = rng.range_usize(1, 5);
             let runs = rng.range_usize(0, 700);
             let l = 1 << rng.range_usize(1, 6);
-            let plan = SortPlan::batch(jobs, runs, l);
+            let plan = SortPlan::new(runs, l);
             // Zero-cycle tasks, equal costs (ties everywhere) and a
             // long tail: every way two ready tasks can compare.
             let spread = [1u64, 2, 50, 10_000][round % 4];
@@ -1112,12 +956,12 @@ mod tests {
             assert_eq!(
                 dag_virtual_makespan(&plan, &cycles),
                 want,
-                "round {round}: {jobs} jobs x {runs} runs on {l} leaves"
+                "round {round}: {runs} runs on {l} leaves"
             );
             let barrier: u64 = (0..plan.num_passes())
                 .map(|p| {
                     let lo = plan.task_id(p, 0);
-                    pass_virtual_schedule(cycles[lo..lo + plan.slots(p)].iter().copied()).0
+                    pass_virtual_schedule(cycles[lo..lo + plan.pass(p).groups].iter().copied()).0
                 })
                 .sum();
             pipelined += usize::from(want < barrier);

@@ -158,8 +158,7 @@ impl SimEngine {
     /// Sorts `data` split across threads: every `(pass, group)` merge
     /// task runs on one of `workers` threads (`0` = one per core) as
     /// soon as the child groups feeding its leaves have drained (see
-    /// [`crate::dag`]) — a batch of one through
-    /// [`SimEngine::sort_batch_pipelined`].
+    /// [`crate::dag`]).
     ///
     /// The sorted output and the [`SortReport`] are bit-identical at
     /// every worker count, `pipeline_overlap_cycles` (the
@@ -190,50 +189,11 @@ impl SimEngine {
         data: Vec<R>,
         workers: usize,
     ) -> Result<(Vec<R>, SortReport), SortError> {
-        let (mut jobs, overlap) = self.try_sort_batch_pipelined(vec![data], workers)?;
-        let (sorted, mut report) = jobs.pop().expect("one job in, one job out");
-        report.pipeline_overlap_cycles = overlap;
-        Ok((sorted, report))
-    }
-
-    /// Sorts a batch of equally-sized inputs as one pipelined forest
-    /// DAG (see the `crate::dag` module docs): each job's output and
-    /// [`SortReport`] are bit-identical to sorting it alone (with
-    /// per-job `pipeline_overlap_cycles` left at 0), and the second
-    /// return value is the batch-level `pipeline_overlap_cycles` — the
-    /// virtual-makespan cycles the forest saved over running the jobs
-    /// back to back, each behind per-pass barriers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pass exceeds the livelock cycle bound or the jobs
-    /// presort into differing run counts; use
-    /// [`SimEngine::try_sort_batch_pipelined`] for the structured
-    /// livelock error.
-    pub fn sort_batch_pipelined<R: Record>(
-        &mut self,
-        datasets: Vec<Vec<R>>,
-        workers: usize,
-    ) -> crate::dag::BatchSorted<R> {
-        match self.try_sort_batch_pipelined(datasets, workers) {
-            Ok(out) => out,
-            Err(err) => panic!("{err}"),
-        }
-    }
-
-    /// Fallible [`SimEngine::sort_batch_pipelined`]: livelocked groups
-    /// surface as `BON040` [`SortError`]s, the minimum failing
-    /// `(pass, slot)` task winning.
-    pub fn try_sort_batch_pipelined<R: Record>(
-        &mut self,
-        datasets: Vec<Vec<R>>,
-        workers: usize,
-    ) -> Result<crate::dag::BatchSorted<R>, SortError> {
         #[cfg(feature = "sanitize")]
         self.diagnostics.clear();
-        crate::dag::sort_batch::<R, bonsai_mc::facade::StdSync>(
+        crate::dag::sort::<R, bonsai_mc::facade::StdSync>(
             &self.config,
-            datasets,
+            data,
             workers,
             self.max_pass_cycles,
             self.reference_loop,

@@ -55,7 +55,7 @@ mod unrolled;
 
 pub use cache::{CompiledShape, ShapeCache};
 pub use config::{AmtConfig, SimEngineConfig};
-pub use dag::{BatchSorted, PassPlan, SortPlan, VIRTUAL_WORKERS};
+pub use dag::{PassPlan, SortPlan, VIRTUAL_WORKERS};
 pub use engine::SimEngine;
 pub use error::SortError;
 /// [`functional::kway_merge`] under the name the loser tree was first

@@ -232,7 +232,7 @@ impl<R: Record> MergeTree<R> {
     ///
     /// Panics if `word >= leaves().div_ceil(64)`.
     #[inline]
-    pub fn take_freed_leaves(&mut self, word: usize) -> u64 {
+    pub(crate) fn take_freed_leaves(&mut self, word: usize) -> u64 {
         std::mem::take(&mut self.freed_leaves[word])
     }
 
@@ -262,7 +262,7 @@ impl<R: Record> MergeTree<R> {
 
     /// Flushes (terminal records, one per merged group) the root has
     /// emitted so far.
-    pub fn root_flushes(&self) -> u64 {
+    pub(crate) fn root_flushes(&self) -> u64 {
         self.nodes[0].merger.stats().flushes
     }
 

@@ -25,7 +25,7 @@ fn count_own_threads() -> usize {
 fn observe(workers: usize) -> Vec<(ThreadId, usize)> {
     let seen = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&seen);
-    let (finals, meta) = execute_dag::<StdSync, u64, (), _>(
+    let (root, meta) = execute_dag::<StdSync, u64, (), _>(
         SortPlan::new(8, 4),
         workers,
         move |_pass, _group, inputs| {
@@ -36,7 +36,7 @@ fn observe(workers: usize) -> Vec<(ThreadId, usize)> {
         },
     )
     .expect("no task fails");
-    assert_eq!((finals, meta.len()), (vec![5], 5));
+    assert_eq!((root, meta.len()), (5, 5));
     let seen = seen.lock().expect("no task panics").clone();
     assert_eq!(seen.len(), 5, "every task ran exactly once");
     seen

@@ -1,5 +1,5 @@
-//! The group DAG against the fused engine, across worker counts, both
-//! simulation loops and batches.
+//! The group DAG against the fused engine, across worker counts and
+//! both simulation loops.
 //!
 //! The DAG's contract is that its worker count is a wall-clock knob and
 //! nothing else: for any configuration it must produce the same sorted
@@ -9,7 +9,7 @@
 //! itself.) Shapes are randomized so the suite crosses both regimes —
 //! passes with more groups than workers and workers than groups.
 
-use bonsai_amt::{AmtConfig, SimEngine, SimEngineConfig, SortReport, VIRTUAL_WORKERS};
+use bonsai_amt::{AmtConfig, SimEngine, SimEngineConfig, VIRTUAL_WORKERS};
 use bonsai_gensort::dist::uniform_u32;
 use bonsai_memsim::MemoryConfig;
 use bonsai_records::U32Rec;
@@ -175,142 +175,22 @@ fn livelock_bound_trips_identically_under_pipelined() {
 }
 
 #[test]
-fn batch_jobs_match_solo_sorts_on_random_shapes() {
-    // The forest DAG interleaves every job's tasks on one pool, but
-    // each job's output and report must stay bit-identical to sorting
-    // it alone — except that the overlap belongs to the batch, so the
-    // per-job counter stays 0.
-    let mut rng = Rng::seed_from_u64(0xBA7C_5EED);
-    for round in 0..6 {
-        let cfg = random_config(&mut rng);
-        let jobs = rng.range_usize(2, 4);
-        // Equal lengths per job: the forest plan is uniform.
-        let len = rng.range_usize(1, 8_000);
-        let datasets: Vec<Vec<U32Rec>> = (0..jobs)
-            .map(|_| {
-                (0..len)
-                    .map(|_| U32Rec::new(rng.next_u32().max(1)))
-                    .collect()
-            })
-            .collect();
-        let solo: Vec<(Vec<U32Rec>, SortReport)> = datasets
-            .iter()
-            .map(|d| {
-                let (out, mut rep) = engine(cfg).sort_pipelined(d.clone(), 1);
-                rep.pipeline_overlap_cycles = 0;
-                (out, rep)
-            })
-            .collect();
-        let mut at_workers = Vec::new();
-        for workers in [1usize, 2, test_workers(), 0] {
-            let (batch, overlap) = engine(cfg).sort_batch_pipelined(datasets.clone(), workers);
-            for (j, ((out_b, rep_b), (out_s, rep_s))) in batch.iter().zip(&solo).enumerate() {
-                assert_eq!(out_b, out_s, "round {round} workers={workers} job {j}");
-                assert_eq!(rep_b, rep_s, "round {round} workers={workers} job {j}");
-            }
-            at_workers.push((batch, overlap));
-        }
-        // Batch results — including the batch-level overlap — must not
-        // see the real worker count.
-        for (batch, overlap) in &at_workers[1..] {
-            assert_eq!(batch, &at_workers[0].0, "round {round}");
-            assert_eq!(*overlap, at_workers[0].1, "round {round}");
-        }
-    }
-}
-
-#[test]
-fn batch_of_multipass_sorts_overlaps_across_jobs() {
-    // A single 4-pass sort is single-rooted, so its overlap is small;
-    // a batch of them pipelines job j+1's wide first pass into job j's
-    // serial tail. The batch overlap must beat the sum of the solo
-    // overlaps.
-    let cfg = SimEngineConfig::dram_sorter(AmtConfig::new(4, 4), 4);
-    let datasets: Vec<Vec<U32Rec>> = (0..3).map(|j| uniform_u32(4_000, 7 + j)).collect();
-    let solo_overlap: u64 = datasets
-        .iter()
-        .map(|d| {
-            engine(cfg)
-                .sort_pipelined(d.clone(), 2)
-                .1
-                .pipeline_overlap_cycles
-        })
-        .sum();
-    let (batch, overlap) = engine(cfg).sort_batch_pipelined(datasets, 2);
-    assert!(
-        batch.iter().all(|(_, r)| r.stages() >= 3),
-        "must be multi-pass"
-    );
-    assert!(
-        overlap > solo_overlap,
-        "cross-job pipelining must reclaim more than per-job stragglers: \
-         {overlap} vs {solo_overlap}"
-    );
-
-    // The same on a latency-bound flash stream, where every merge group
-    // costs about the same whatever its pass: 8 jobs of 2 112 records
-    // (132 presorted runs) on a 4-leaf tree, groups 33 -> 9 -> 3 -> 1,
-    // so a per-pass barrier wastes 9 group-waves on work that fits in
-    // six. Virtual time on the reference pool, so exact at any worker
-    // count.
+fn multipass_flash_sort_overlaps_only_its_ragged_waves() {
+    // A latency-bound flash stream, where every merge group costs about
+    // the same whatever its pass: 2 112 records (132 presorted runs) on
+    // a 4-leaf tree, groups 33 -> 9 -> 3 -> 1. The DAG is one-rooted,
+    // so all it can reclaim over the per-pass barrier is each pass's
+    // ragged last wave. Virtual time on the reference pool, so exact at
+    // any worker count.
     let mut cfg = SimEngineConfig::with_memory(AmtConfig::new(4, 4), 4, MemoryConfig::ssd_direct());
     cfg.loader.batch_bytes = 131_072;
-    let datasets: Vec<Vec<U32Rec>> = (0..8).map(|j| uniform_u32(2_112, 2026 + j)).collect();
+    let data = uniform_u32(2_112, 2026);
     for workers in [1usize, 2, test_workers()] {
-        let (batch, overlap) = engine(cfg).sort_batch_pipelined(datasets.clone(), workers);
-        let groups: Vec<u64> = batch[0].1.passes.iter().map(|p| p.runs_out).collect();
+        let (_, rep) = engine(cfg).sort_pipelined(data.clone(), workers);
+        let groups: Vec<u64> = rep.passes.iter().map(|p| p.runs_out).collect();
         assert_eq!(groups, [33, 9, 3, 1], "workers={workers}");
-        assert_eq!(overlap, 2_596_989, "workers={workers}");
-        let total: u64 = batch.iter().map(|(_, r)| r.total_cycles).sum();
-        assert_eq!(total, 44_753_137, "workers={workers}");
-        // busy + idle is VIRTUAL_WORKERS x the pass's barrier makespan;
-        // the overlap is what the forest takes off the sum of them.
-        let barrier: u64 = batch
-            .iter()
-            .flat_map(|(_, r)| &r.passes)
-            .map(|p| (p.busy_worker_cycles + p.idle_worker_cycles) / VIRTUAL_WORKERS as u64)
-            .sum();
-        assert!(
-            10 * barrier >= 13 * (barrier - overlap),
-            "workers={workers}: barrier {barrier} over forest {} is under 1.3x",
-            barrier - overlap
-        );
-        // One such sort alone is pinned near 1x by its single root.
-        let (_, lone) = engine(cfg).sort_pipelined(datasets[0].clone(), workers);
-        assert_eq!(lone.pipeline_overlap_cycles, 50_168, "workers={workers}");
+        assert_eq!(rep.pipeline_overlap_cycles, 50_168, "workers={workers}");
     }
-}
-
-#[test]
-fn batch_livelock_reports_the_first_failing_job() {
-    let cfg = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
-    let datasets: Vec<Vec<U32Rec>> = (0..3).map(|j| uniform_u32(20_000, 40 + j)).collect();
-    let err_solo = engine(cfg)
-        .with_max_pass_cycles(10)
-        .try_sort_pipelined(datasets[0].clone(), 2)
-        .expect_err("bound of 10 cycles must trip");
-    for workers in [1usize, 2, 0] {
-        let err = engine(cfg)
-            .with_max_pass_cycles(10)
-            .try_sort_batch_pipelined(datasets.clone(), workers)
-            .expect_err("bound of 10 cycles must trip");
-        assert_eq!(err, err_solo, "workers={workers}");
-    }
-}
-
-#[test]
-fn batch_trivial_and_empty_inputs() {
-    let cfg = SimEngineConfig::dram_sorter(AmtConfig::new(2, 4), 4);
-    let (batch, overlap) = engine(cfg).sort_batch_pipelined(Vec::<Vec<U32Rec>>::new(), 2);
-    assert!(batch.is_empty());
-    assert_eq!(overlap, 0);
-    // Single-run jobs: no merge passes, nothing to overlap.
-    let (batch, overlap) =
-        engine(cfg).sort_batch_pipelined(vec![vec![U32Rec::new(3)], vec![U32Rec::new(2)]], 2);
-    assert_eq!(batch[0].0, vec![U32Rec::new(3)]);
-    assert_eq!(batch[1].0, vec![U32Rec::new(2)]);
-    assert!(batch.iter().all(|(_, r)| r.stages() == 0));
-    assert_eq!(overlap, 0);
 }
 
 #[test]

@@ -26,16 +26,11 @@
 //!
 //! ```sh
 //! bonsai-lint --runtime                         # lint in-repo topologies
-//! bonsai-lint --runtime --queue-depth 0 --producers 2   # BON050
-//! bonsai-lint --runtime --no-close-on-drop      # BON052: drop wedges
-//! bonsai-lint --runtime --detach                # BON053: leaked threads
+//! bonsai-lint --runtime --pass-workers 64 --records 1000 --cores 128  # BON051
 //! bonsai-lint --runtime --workers 4 --pass-workers 4 --cores 4  # BON054
-//! bonsai-lint --runtime --dag-width 100 --queue-depth 8 --pass-workers 4
-//!                                               # BON056: DAG over capacity
+//! bonsai-lint --runtime --workers 8 --queue-depth 0 --cores 16  # BON055
 //! bonsai-lint --runtime --reprogram-us 0        # BON080: shape thrash
-//! bonsai-lint --runtime --deadline-us 100 --reprogram-us 200
-//!                                               # BON081: deadline infeasible
-//! bonsai-lint --runtime --cache-shapes 1 --shape-classes 2      # BON082
+//! bonsai-lint --runtime --cache-shapes 1        # BON082: cache misses
 //! bonsai-lint --runtime --fairness-stride 0     # BON083: starvation
 //! ```
 
@@ -43,7 +38,7 @@ use bonsai_amt::graph::lower_to_graph;
 use bonsai_amt::{AmtConfig, SimEngineConfig};
 use bonsai_bench::lint::{self, LintFinding, ProbeExtras};
 use bonsai_memsim::MemoryConfig;
-use bonsai_runtime::{AdaptiveConfig, RuntimeConfig};
+use bonsai_runtime::{AdaptiveConfig, PassScheduler, RuntimeConfig};
 use std::process::ExitCode;
 
 /// The parsed command line. Every value is held once: flags are parsed
@@ -93,10 +88,8 @@ const USAGE: &str = "usage: bonsai-lint [--p N] [--l N] [--batch-bytes N] \
 [--memory ddr4|single|hbm|ssd] [--banks N] [--payload-bytes N] \
 [--json] [--dump-graph dot|json]
        bonsai-lint --runtime [--workers N] [--pass-workers N] \
-[--queue-depth N] [--producers N] [--cores N] [--records N] \
-[--dag-width N] [--detach] [--no-close-on-drop] [--cache-shapes N] \
-[--shape-classes N] [--reprogram-us N] [--deadline-us N] \
-[--fairness-stride N] [--json]
+[--queue-depth N] [--cores N] [--records N] [--cache-shapes N] \
+[--reprogram-us N] [--fairness-stride N] [--json]
 
 Without overrides, lints every in-repo experiment configuration (shape
 checks, pipeline-graph analyses, latency-bound certification, static
@@ -114,31 +107,26 @@ judges one raw topology (docs/diagnostics.md, Runtime topology):
 
   --workers N        job workers (0 = one per core)
   --pass-workers N   per-job pass-sharding threads (0 = one per core)
-  --queue-depth N    bounded job-queue depth
-  --producers N      concurrent submitting threads
+  --queue-depth N    bounded job-queue depth (0 holds one job)
   --cores N          judge against an N-core host (default: this host)
   --records N        also bound pass-workers by the merge groups of an
                      N-record job on the reference DRAM engine (BON051)
-  --dag-width N      judge a pipelined group-DAG whose ready set can
-                     reach N tasks against the queue + pass-worker
-                     capacity (BON056)
-  --detach           model join_on_drop = false (BON053)
-  --no-close-on-drop model close_on_drop = false (BON052)
 
-Any adaptive-scheduler flag additionally runs the BON08x knob checks
-(docs/diagnostics.md, Adaptive runtime); unset knobs keep the
-runtime's lint-clean `AdaptiveConfig` defaults:
+Any adaptive-scheduler flag selects the adaptive scheduler, which
+additionally runs the BON08x knob checks (docs/diagnostics.md,
+Adaptive runtime); unset knobs keep the runtime's lint-clean
+`AdaptiveConfig` defaults:
 
-  --cache-shapes N    compiled-shape cache capacity (BON082)
-  --shape-classes N   job classes shapes are selected for (default 2:
-                      the latency and throughput lanes)
+  --cache-shapes N    compiled-shape cache capacity; below the
+                      runtime's two job classes is the cache-miss
+                      probe (BON082)
   --reprogram-us N    modeled shape-switch cost in microseconds; 0 is
                       the shape-thrash probe (BON080)
-  --deadline-us N     per-job latency deadline in microseconds, 0 =
-                      none; must exceed the reprogram cost (BON081)
   --fairness-stride N latency-lane dispatches before a waiting
                       throughput job runs; 0 is the starvation probe
                       (BON083)
+
+Every runtime finding is a warning: --runtime exits 0 or 2.
 
 exit codes:
   0  no error-severity diagnostics (warnings allowed)
@@ -212,12 +200,7 @@ fn runtime_flag(
         "--workers" => runtime.workers = args.int(flag) as usize,
         "--pass-workers" => runtime.pass_workers = args.int(flag) as usize,
         "--queue-depth" => runtime.queue_depth = args.int(flag) as usize,
-        "--producers" => runtime.producers = args.int(flag) as usize,
         "--records" => extras.records = Some(args.int(flag) as usize),
-        "--dag-width" => extras.dag_width = Some(args.int(flag) as usize),
-        "--detach" => runtime.join_on_drop = false,
-        "--no-close-on-drop" => runtime.close_on_drop = false,
-        "--shape-classes" => extras.shape_classes = Some(args.int(flag) as usize),
         _ => return false,
     }
     true
@@ -229,7 +212,6 @@ fn adaptive_flag(flag: &str, args: &mut Args, adaptive: &mut AdaptiveConfig) -> 
     match flag {
         "--cache-shapes" => adaptive.cache_shapes = args.int(flag) as usize,
         "--reprogram-us" => adaptive.reprogram_cost_us = args.int(flag),
-        "--deadline-us" => adaptive.latency_deadline_us = args.int(flag),
         "--fairness-stride" => adaptive.fairness_stride = args.int(flag) as u32,
         _ => return false,
     }
@@ -275,10 +257,9 @@ fn parse_args() -> Cli {
             }
             f if adaptive_flag(f, &mut args, &mut cli.runtime.adaptive) => {
                 cli.runtime_flags = true;
-                // Any adaptive knob arms the BON08x pass, against the
-                // two-lane runtime's class count (latency, throughput)
-                // unless `--shape-classes` says otherwise.
-                cli.extras.shape_classes.get_or_insert(2);
+                // A knob of the adaptive scheduler only means something
+                // under it, and selecting it arms the BON08x pass.
+                cli.runtime.scheduler = PassScheduler::Adaptive;
             }
             other => {
                 eprintln!("bonsai-lint: unknown flag {other}");

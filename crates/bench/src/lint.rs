@@ -235,18 +235,6 @@ pub struct ProbeExtras {
     /// `records`-record job on the paper's reference DRAM engine
     /// (`BON051`).
     pub records: Option<usize>,
-    /// When set, judge a pipelined group-DAG of this peak ready width
-    /// (`SortPlan::max_ready_width`) against the queue/worker capacity
-    /// (`BON056`).
-    pub dag_width: Option<usize>,
-    /// When set, also run the BON08x adaptive-scheduler pass over
-    /// `RuntimeConfig::adaptive` against this many job classes (the CLI
-    /// arms it, at the two-lane runtime's 2, whenever an adaptive flag
-    /// is given). Unlike `RuntimeConfig::validate*` (which always
-    /// judges the runtime's own two classes), the class count can vary
-    /// so CI can demonstrate the cache-below-classes warning (`BON082`)
-    /// at any cache size.
-    pub shape_classes: Option<usize>,
 }
 
 impl ProbeExtras {
@@ -266,45 +254,24 @@ impl ProbeExtras {
     }
 }
 
-/// Runs the BON05x topology pass (and, when armed, the BON056 and
-/// BON08x probes) over one raw runtime configuration.
+/// Runs the BON05x topology pass over one raw runtime configuration
+/// (plus the BON08x knob checks when it selects
+/// [`PassScheduler::Adaptive`]).
 pub fn lint_runtime(cfg: &RuntimeConfig, extras: &ProbeExtras) -> LintFinding {
     let cores = extras.cores.unwrap_or_else(|| {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     });
     let engine = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
-    let mut diagnostics =
-        cfg.validate_for_engine(extras.records.map(|_| &engine), extras.records, cores);
-    // The group DAG's capacity lint: a DAG whose ready
-    // set outgrows the stated queue + pass-worker capacity has
-    // tasks with nowhere to go (BON056). The `0` sentinels (auto
-    // pool / unbounded queue) leave the capacity unstated, matching
-    // `check_dag_capacity`'s contract.
-    if let Some(width) = extras.dag_width {
-        diagnostics.extend(bonsai_check::check_dag_capacity(
-            width,
-            cfg.queue_depth,
-            cfg.pass_workers,
-        ));
-    }
-    // The adaptive scheduler's knob checks (BON08x), called
-    // directly rather than through an Adaptive `RuntimeConfig` so
-    // the probe's `--shape-classes` override is honored.
-    if let Some(shape_classes) = extras.shape_classes {
-        diagnostics.extend(bonsai_check::check_adaptive_runtime(
-            cfg.adaptive.cache_shapes,
-            shape_classes,
-            cfg.adaptive.reprogram_cost_us,
-            cfg.adaptive.latency_deadline_us,
-            cfg.adaptive.fairness_stride,
-        ));
-    }
     LintFinding {
         target: format!(
-            "cli/runtime_w{}_pw{}_q{}_prod{}",
-            cfg.workers, cfg.pass_workers, cfg.queue_depth, cfg.producers
+            "cli/runtime_w{}_pw{}_q{}",
+            cfg.workers, cfg.pass_workers, cfg.queue_depth
         ),
-        diagnostics,
+        diagnostics: cfg.validate_for_engine(
+            extras.records.map(|_| &engine),
+            extras.records,
+            cores,
+        ),
     }
 }
 
@@ -497,29 +464,20 @@ mod tests {
             ..ProbeExtras::default()
         };
 
-        // Zero-depth queue under concurrent producers: BON050 (error).
+        // A zero-depth queue holds one job, too few for an explicit
+        // pool of two: BON055 (warning).
         let f = lint_runtime(
             &RuntimeConfig {
+                workers: 2,
                 queue_depth: 0,
-                producers: 2,
                 ..RuntimeConfig::default()
             },
             &on_cores(8),
         );
-        assert!(f.has_errors());
-        assert!(has_code(&f, bonsai_check::codes::RUNTIME_QUEUE_ZERO));
-
-        // Joining without closing wedges drop: BON052 (error).
-        let f = lint_runtime(
-            &RuntimeConfig {
-                close_on_drop: false,
-                ..RuntimeConfig::default()
-            },
-            &on_cores(8),
-        );
+        assert!(!f.has_errors());
         assert!(has_code(
             &f,
-            bonsai_check::codes::RUNTIME_JOIN_WITHOUT_CLOSE
+            bonsai_check::codes::RUNTIME_QUEUE_BELOW_WORKERS
         ));
 
         // Oversubscription is judged on the *stated* core count, not
@@ -533,29 +491,6 @@ mod tests {
             &on_cores(4),
         );
         assert!(has_code(&f, bonsai_check::codes::RUNTIME_OVERSUBSCRIBED));
-
-        // --dag-width judges a pipelined DAG's peak ready set against
-        // the stated queue + pass-worker capacity: BON056 (error).
-        let dag_shape = RuntimeConfig {
-            pass_workers: 4,
-            queue_depth: 8,
-            ..RuntimeConfig::default()
-        };
-        for (width, over) in [(100, true), (12, false)] {
-            let f = lint_runtime(
-                &dag_shape,
-                &ProbeExtras {
-                    dag_width: Some(width),
-                    ..on_cores(8)
-                },
-            );
-            assert_eq!(
-                has_code(&f, bonsai_check::codes::RUNTIME_DAG_OVER_CAPACITY),
-                over,
-                "width {width}: {:?}",
-                f.diagnostics
-            );
-        }
 
         // --records bounds pass-workers by the engine's merge groups.
         let f = lint_runtime(
@@ -576,45 +511,31 @@ mod tests {
 
     #[test]
     fn raw_adaptive_lint_fires_the_bon08x_codes() {
-        let armed = |classes| ProbeExtras {
+        let on_8_cores = ProbeExtras {
             cores: Some(8),
-            shape_classes: Some(classes),
             ..ProbeExtras::default()
         };
-        let adaptive = |edit: fn(&mut AdaptiveConfig), classes| {
-            let mut cfg = RuntimeConfig::default();
+        let adaptive = |edit: fn(&mut AdaptiveConfig)| {
+            let mut cfg = RuntimeConfig {
+                scheduler: PassScheduler::Adaptive,
+                ..RuntimeConfig::default()
+            };
             edit(&mut cfg.adaptive);
-            lint_runtime(&cfg, &armed(classes))
+            lint_runtime(&cfg, &on_8_cores)
         };
 
-        // The defaults are lint-clean, so arming the pass alone adds
-        // nothing.
-        let f = adaptive(|_| {}, 2);
+        // The defaults are lint-clean.
+        let f = adaptive(|_| {});
         assert!(f.diagnostics.is_empty(), "{:?}", f.diagnostics);
 
         // Zero reprogram cost thrashes shapes: BON080 (warning).
-        let f = adaptive(|a| a.reprogram_cost_us = 0, 2);
+        let f = adaptive(|a| a.reprogram_cost_us = 0);
         assert!(!f.has_errors());
         assert!(has_code(&f, bonsai_check::codes::ADAPTIVE_RECONFIG_THRASH));
 
-        // Deadline not above the reprogram cost: BON081 (error).
-        let f = adaptive(
-            |a| {
-                a.latency_deadline_us = 100;
-                a.reprogram_cost_us = 200;
-            },
-            2,
-        );
-        assert!(f.has_errors());
-        assert!(has_code(
-            &f,
-            bonsai_check::codes::ADAPTIVE_DEADLINE_INFEASIBLE
-        ));
-
-        // Cache below the stated class count: BON082 (warning) — the
-        // --shape-classes override is what makes this reachable at any
-        // cache size.
-        let f = adaptive(|a| a.cache_shapes = 8, 9);
+        // One cached shape for the runtime's two job classes: BON082
+        // (warning).
+        let f = adaptive(|a| a.cache_shapes = 1);
         assert!(has_code(
             &f,
             bonsai_check::codes::ADAPTIVE_CACHE_BELOW_CLASSES
@@ -622,22 +543,17 @@ mod tests {
 
         // Zero fairness stride starves the throughput lane: BON083
         // (warning).
-        let f = adaptive(|a| a.fairness_stride = 0, 2);
+        let f = adaptive(|a| a.fairness_stride = 0);
         assert!(has_code(
             &f,
             bonsai_check::codes::ADAPTIVE_FAIRNESS_STARVATION
         ));
 
-        // An un-armed lint of the same broken knobs stays BON08x-free.
+        // A FIFO runtime never consults the same broken knobs, so its
+        // lint stays BON08x-free.
         let mut cfg = RuntimeConfig::default();
         cfg.adaptive.fairness_stride = 0;
-        let f = lint_runtime(
-            &cfg,
-            &ProbeExtras {
-                cores: Some(8),
-                ..ProbeExtras::default()
-            },
-        );
+        let f = lint_runtime(&cfg, &on_8_cores);
         assert!(
             !f.diagnostics.iter().any(|d| d.code.starts_with("BON08")),
             "{:?}",

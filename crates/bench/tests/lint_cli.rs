@@ -1,6 +1,5 @@
 //! Exit-code and `--json` schema contract test for the `bonsai-lint`
-//! binary, across every mode: the default config pass, `--runtime`
-//! and `--dag-width`.
+//! binary, across both modes: the default config pass and `--runtime`.
 //!
 //! The contract under test (documented in the binary's `--help`):
 //!
@@ -57,12 +56,10 @@ fn clean_invocations_exit_zero_in_every_mode() {
         &["--runtime", "--cores", "8"],
         &[
             "--runtime",
-            "--dag-width",
-            "8",
+            "--workers",
+            "4",
             "--queue-depth",
             "8",
-            "--pass-workers",
-            "4",
             "--cores",
             "8",
         ],
@@ -72,36 +69,12 @@ fn clean_invocations_exit_zero_in_every_mode() {
     }
 }
 
+/// Only the engine pass has error codes; every runtime finding is a
+/// warning (see `warnings_alone_keep_exit_zero`).
 #[test]
-fn error_findings_exit_one_in_every_mode() {
+fn error_findings_exit_one() {
     for (args, code) in [
         (&["--p", "6", "--l", "16"][..], "BON001"),
-        (
-            &[
-                "--runtime",
-                "--queue-depth",
-                "0",
-                "--producers",
-                "2",
-                "--cores",
-                "8",
-            ],
-            "BON050",
-        ),
-        (
-            &[
-                "--runtime",
-                "--dag-width",
-                "100",
-                "--queue-depth",
-                "8",
-                "--pass-workers",
-                "4",
-                "--cores",
-                "8",
-            ],
-            "BON056",
-        ),
         // Values the certification's own arithmetic used to abort on:
         // a record width that does not divide the certification array,
         // and zero-length presorted runs.
@@ -116,10 +89,30 @@ fn error_findings_exit_one_in_every_mode() {
 
 #[test]
 fn warnings_alone_keep_exit_zero() {
-    // A detached pool leaks threads but still runs: BON053 is a warning.
-    let out = lint(&["--runtime", "--detach", "--cores", "8"]);
-    assert_eq!(exit_code(&out), 0, "{}", stdout(&out));
-    assert!(stdout(&out).contains("BON053"), "{}", stdout(&out));
+    for (args, code) in [
+        // A zero-depth queue holds one job, too few for eight workers.
+        (
+            &[
+                "--runtime",
+                "--workers",
+                "8",
+                "--queue-depth",
+                "0",
+                "--cores",
+                "16",
+            ][..],
+            "BON055",
+        ),
+        // One cached shape for the runtime's two job classes.
+        (
+            &["--runtime", "--cache-shapes", "1", "--cores", "8"],
+            "BON082",
+        ),
+    ] {
+        let out = lint(args);
+        assert_eq!(exit_code(&out), 0, "{args:?}: {}", stdout(&out));
+        assert!(stdout(&out).contains(code), "{args:?}: {}", stdout(&out));
+    }
 }
 
 #[test]
@@ -150,14 +143,12 @@ fn json_schema_is_identical_across_all_modes() {
         &[
             "--json",
             "--runtime",
-            "--dag-width",
-            "100",
+            "--workers",
+            "8",
             "--queue-depth",
-            "8",
-            "--pass-workers",
-            "4",
+            "0",
             "--cores",
-            "8",
+            "16",
         ],
         &["--json", "--p", "4", "--l", "16"],
         &["--json", "--buffer-batches", "0"],

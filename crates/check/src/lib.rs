@@ -17,7 +17,7 @@
 //! | `BON02x`   | Resource model       | [`codes::LUT_BUDGET_EXCEEDED`] |
 //! | `BON03x`   | Pipeline graph       | [`codes::GRAPH_DEADLOCK`] |
 //! | `BON04x`   | Simulation runtime   | [`codes::SIM_PASS_LIVELOCK`] |
-//! | `BON05x`   | Runtime topology     | [`codes::RUNTIME_QUEUE_ZERO`] |
+//! | `BON05x`   | Runtime topology     | [`codes::RUNTIME_QUEUE_BELOW_WORKERS`] |
 //! | `BON06x`   | Static throughput floor | [`codes::THROUGHPUT_FLOOR_UNSOUND`] |
 //! | `BON07x`   | Wire protocol        | [`codes::WIRE_BAD_MAGIC`] |
 //! | `BON1xx`   | Simulation sanitizer | [`codes::SAN_FIFO_OVERFLOW`] |
@@ -137,9 +137,11 @@ pub fn has_errors(diagnostics: &[Diagnostic]) -> bool {
 
 /// The stable diagnostic code registry.
 ///
-/// Codes are never renumbered or reused; retired codes stay registered
-/// as tombstones. Each constant documents its own trigger; cause and
-/// fix live in `docs/diagnostics.md`.
+/// Codes are never renumbered or reused. A retired code leaves the
+/// registry; the "Retired codes" section of `docs/diagnostics.md` is its
+/// record, and a test fails if a number listed there is registered
+/// again. Each constant documents its own trigger; cause and fix live
+/// in `docs/diagnostics.md`.
 pub mod codes {
     use super::Severity;
 
@@ -243,40 +245,16 @@ pub mod codes {
         SIM_PASS_LIVELOCK = "BON040", Error, "simulated pass exceeded its livelock cycle bound";
 
         // --- BON05x: runtime topology -----------------------------------
-        /// Job queue depth is zero while more than one producer submits.
-        RUNTIME_QUEUE_ZERO = "BON050", Error, "zero-depth job queue with concurrent producers";
         /// Pass workers exceed the merge groups any pass can offer.
         RUNTIME_WORKERS_EXCEED_GROUPS = "BON051", Warning, "pass workers exceed available merge groups";
-        /// Drop joins workers without closing the queue first (wedge).
-        RUNTIME_JOIN_WITHOUT_CLOSE = "BON052", Error, "drop joins workers without closing the queue";
-        /// Drop leaks detached worker threads (join disabled).
-        RUNTIME_UNJOINED_WORKERS = "BON053", Warning, "drop leaks detached worker threads";
         /// Worker × pass-worker product oversubscribes the host cores.
         RUNTIME_OVERSUBSCRIBED = "BON054", Warning, "worker x pass-worker product oversubscribes cores";
         /// Queue depth below the worker count starves the pool.
         RUNTIME_QUEUE_BELOW_WORKERS = "BON055", Warning, "queue depth below worker count starves the pool";
-        /// A task DAG's peak ready width exceeds queue + worker capacity.
-        RUNTIME_DAG_OVER_CAPACITY = "BON056", Error, "DAG ready set can exceed queue + worker capacity";
 
         // --- BON06x: static throughput floor ----------------------------
-        //
-        // BON060–BON063 and BON065 belonged to the occupancy-reachability
-        // prover, deleted once a full-lattice differential showed its
-        // deadlock verdict equal to BON030/BON031 on every configuration
-        // (docs/GRAPH_IR.md). Nothing emits them; they stay registered
-        // so the numbers are never reused.
-        /// Retired: occupancy reachability found a deadlocked marking.
-        RETIRED_PROVE_DEADLOCK_REACHABLE = "BON060", Error, "retired: occupancy reachability found a deadlock";
-        /// Retired: occupancy reachability found a FIFO/credit overflow.
-        RETIRED_PROVE_OVERFLOW_REACHABLE = "BON061", Error, "retired: occupancy reachability found an overflow";
-        /// Retired: the reachability state budget ran out before coverage.
-        RETIRED_PROVE_BUDGET_EXHAUSTED = "BON062", Warning, "retired: reachability state budget exhausted";
-        /// Retired: a certified occupancy bound failed re-verification.
-        RETIRED_PROVE_CERTIFICATE_INVALID = "BON063", Error, "retired: occupancy certificate failed re-verification";
         /// The static throughput floor exceeds an observed/model throughput.
         THROUGHPUT_FLOOR_UNSOUND = "BON064", Error, "static throughput floor exceeds observed throughput";
-        /// Retired: a static refutation did not reproduce in simulation.
-        RETIRED_PROVE_REPLAY_DIVERGED = "BON065", Warning, "retired: static refutation did not reproduce in simulation";
 
         // --- BON07x: wire protocol (bonsai-net) -------------------------
         /// A wire frame's magic word did not match; the byte stream is
@@ -304,9 +282,6 @@ pub mod codes {
         /// Zero reprogram cost disables the keep-vs-switch comparison: the
         /// planner chases the per-job optimum and thrashes shapes.
         ADAPTIVE_RECONFIG_THRASH = "BON080", Warning, "zero reprogram cost makes the planner thrash shapes";
-        /// The latency deadline is no larger than the reprogram cost, so
-        /// any job that needs a shape switch has already missed it.
-        ADAPTIVE_DEADLINE_INFEASIBLE = "BON081", Error, "latency deadline not larger than the reprogram cost";
         /// The compiled-shape cache holds fewer shapes than the scheduler's
         /// job classes; the classes evict each other on every alternation.
         ADAPTIVE_CACHE_BELOW_CLASSES = "BON082", Warning, "shape cache smaller than the scheduler's job classes";
@@ -593,22 +568,17 @@ pub fn check_presort(chunk: usize, batch_records: usize) -> Vec<Diagnostic> {
     out
 }
 
-/// Check the parallel runtime's thread/queue topology. Emits `BON050`,
-/// `BON052`, `BON053`, `BON054`, `BON055`.
+/// Check the parallel runtime's thread/queue topology. Emits `BON054`,
+/// `BON055`.
 ///
 /// `workers` and `pass_workers` follow the runtime convention that `0`
 /// means "one per core"; `cores` is the host core count used to resolve
-/// them (and the oversubscription bound). `producers` is the number of
-/// threads submitting jobs concurrently. `close_on_drop` /
-/// `join_on_drop` describe the runtime's shutdown-on-drop behavior.
+/// them (and the oversubscription bound).
 #[must_use]
 pub fn check_runtime_shape(
     workers: usize,
     pass_workers: usize,
     queue_depth: usize,
-    producers: usize,
-    close_on_drop: bool,
-    join_on_drop: bool,
     cores: usize,
 ) -> Vec<Diagnostic> {
     let cores = cores.max(1);
@@ -619,38 +589,6 @@ pub fn check_runtime_shape(
         pass_workers
     };
     let mut out = Vec::new();
-    if queue_depth == 0 && producers > 1 {
-        out.push(
-            Diagnostic::error(
-                codes::RUNTIME_QUEUE_ZERO,
-                "a zero-depth job queue serializes concurrent producers through a single \
-                 clamped slot; give the queue real capacity",
-            )
-            .with("queue_depth", queue_depth)
-            .with("producers", producers),
-        );
-    }
-    if join_on_drop && !close_on_drop {
-        out.push(
-            Diagnostic::error(
-                codes::RUNTIME_JOIN_WITHOUT_CLOSE,
-                "dropping the runtime would join workers that are still parked in pop \
-                 because the queue is never closed; drop wedges forever",
-            )
-            .with("close_on_drop", close_on_drop)
-            .with("join_on_drop", join_on_drop),
-        );
-    }
-    if !join_on_drop {
-        out.push(
-            Diagnostic::warning(
-                codes::RUNTIME_UNJOINED_WORKERS,
-                "dropping the runtime without joining leaks detached worker threads; \
-                 they may outlive the results they write to",
-            )
-            .with("join_on_drop", join_on_drop),
-        );
-    }
     if resolved_workers * resolved_pass_workers > cores {
         out.push(
             Diagnostic::warning(
@@ -665,8 +603,10 @@ pub fn check_runtime_shape(
     }
     // Only an *explicit* worker count can contradict the queue depth;
     // the auto (`0`) sentinel sizes the pool to whatever host it lands
-    // on, so there is no stated intent for the depth to mismatch.
-    if queue_depth > 0 && workers > 0 && queue_depth < workers {
+    // on, so there is no stated intent for the depth to mismatch. The
+    // queue clamps a depth of 0 to one slot, so 0 starves the pool
+    // exactly like 1.
+    if workers > 0 && queue_depth.max(1) < workers {
         out.push(
             Diagnostic::warning(
                 codes::RUNTIME_QUEUE_BELOW_WORKERS,
@@ -678,38 +618,6 @@ pub fn check_runtime_shape(
         );
     }
     out
-}
-
-/// Check a task DAG's peak ready width against a dispatcher that holds
-/// at most `workers` tasks in flight plus `queue_depth` buffered ready
-/// tasks. Emits `BON056`.
-///
-/// `max_ready_width` is the largest ready set the DAG can ever expose
-/// (for the sort engine's layered group DAG, the widest pass's group
-/// count). A ready task that fits in neither a worker nor the queue has
-/// nowhere to go: a dispatcher that blocks on the publish side can then
-/// deadlock against its own workers, and one that drops loses the task.
-/// Either `0` sentinel (unbounded queue / auto-sized pool) leaves the
-/// capacity unstated, so — as with `BON055` — only explicit values can
-/// contradict the DAG and nothing is emitted.
-#[must_use]
-pub fn check_dag_capacity(
-    max_ready_width: usize,
-    queue_depth: usize,
-    workers: usize,
-) -> Vec<Diagnostic> {
-    if queue_depth > 0 && workers > 0 && max_ready_width > queue_depth + workers {
-        vec![Diagnostic::error(
-            codes::RUNTIME_DAG_OVER_CAPACITY,
-            "the task DAG can expose more ready tasks than the queue and workers \
-             can hold; a bounded dispatcher would block or drop tasks",
-        )
-        .with("max_ready_width", max_ready_width)
-        .with("queue_depth", queue_depth)
-        .with("workers", workers)]
-    } else {
-        Vec::new()
-    }
 }
 
 /// Check one job's pass-sharding width against the merge groups the
@@ -733,13 +641,12 @@ pub fn check_pass_sharding(pass_workers: usize, max_groups: usize) -> Vec<Diagno
     }
 }
 
-/// Check the adaptive scheduler's knobs (`BON080`–`BON083`).
+/// Check the adaptive scheduler's knobs (`BON080`, `BON082`, `BON083`).
 ///
 /// `cache_shapes` is the compiled-shape cache capacity, `shape_classes`
 /// the number of distinct job classes the scheduler selects shapes for
 /// (the two-lane runtime has 2: latency and throughput),
-/// `reprogram_cost_us` the modeled shape-switch cost,
-/// `latency_deadline_us` the per-job deadline (`0` = none) and
+/// `reprogram_cost_us` the modeled shape-switch cost and
 /// `fairness_stride` how many consecutive latency-lane jobs may run
 /// while the throughput lane waits (`0` = pure priority).
 #[must_use]
@@ -747,7 +654,6 @@ pub fn check_adaptive_runtime(
     cache_shapes: usize,
     shape_classes: usize,
     reprogram_cost_us: u64,
-    latency_deadline_us: u64,
     fairness_stride: u32,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
@@ -758,17 +664,6 @@ pub fn check_adaptive_runtime(
                 "a zero reprogram cost disables the keep-vs-switch comparison; the \
                  planner reprograms to every job's optimum and thrashes shapes",
             )
-            .with("reprogram_cost_us", reprogram_cost_us),
-        );
-    }
-    if latency_deadline_us > 0 && reprogram_cost_us >= latency_deadline_us {
-        out.push(
-            Diagnostic::error(
-                codes::ADAPTIVE_DEADLINE_INFEASIBLE,
-                "the latency deadline is not larger than the reprogram cost; any job \
-                 whose shape must switch has missed its deadline before sorting starts",
-            )
-            .with("latency_deadline_us", latency_deadline_us)
             .with("reprogram_cost_us", reprogram_cost_us),
         );
     }
@@ -848,7 +743,7 @@ mod tests {
         assert!(check_bram_budget(1 << 20, 1 << 21).is_empty());
         assert!(check_copies(1, 2).is_empty());
         assert!(check_presort(16, 1024).is_empty());
-        assert!(check_runtime_shape(2, 1, 16, 1, true, true, 8).is_empty());
+        assert!(check_runtime_shape(2, 1, 16, 8).is_empty());
         assert!(check_pass_sharding(2, 8).is_empty());
     }
 }

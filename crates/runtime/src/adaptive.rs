@@ -9,8 +9,7 @@
 //! shape the job was submitted with:
 //!
 //! - **latency class** (small jobs): the latency-optimal design of
-//!   Equation 2, deadline-aware when
-//!   [`AdaptiveConfig::latency_deadline_us`] is set;
+//!   Equation 2;
 //! - **throughput class** (large jobs): the throughput-optimal design
 //!   of Equation 5.
 //!
@@ -61,12 +60,6 @@ pub struct AdaptiveConfig {
     /// more than this; `0` disables the comparison and thrashes
     /// (`BON080`).
     pub reprogram_cost_us: u64,
-    /// Per-job deadline for latency-class jobs in microseconds
-    /// (`0` = none). When set, a keep decision that would miss the
-    /// deadline is overridden if the optimal shape meets it. Must
-    /// exceed `reprogram_cost_us` to be satisfiable across a shape
-    /// switch (`BON081`).
-    pub latency_deadline_us: u64,
     /// How many consecutive latency-lane jobs may overtake a waiting
     /// throughput-class job before one is dispatched anyway
     /// (`0` = pure priority, which can starve large jobs — `BON083`).
@@ -79,7 +72,6 @@ impl Default for AdaptiveConfig {
             cache_shapes: 8,
             small_job_records: 4096,
             reprogram_cost_us: 200,
-            latency_deadline_us: 0,
             fairness_stride: 4,
         }
     }
@@ -112,7 +104,6 @@ pub(crate) struct AdaptiveState {
     cache: ShapeCache,
     planners: HashMap<MemoryConfig, ReconfigPlanner>,
     reprogram_seconds: f64,
-    deadline_seconds: Option<f64>,
     latency_jobs: u64,
     throughput_jobs: u64,
 }
@@ -132,8 +123,6 @@ impl AdaptiveState {
             cache: ShapeCache::new(config.cache_shapes),
             planners: HashMap::new(),
             reprogram_seconds: config.reprogram_cost_us as f64 * 1e-6,
-            deadline_seconds: (config.latency_deadline_us > 0)
-                .then_some(config.latency_deadline_us as f64 * 1e-6),
             latency_jobs: 0,
             throughput_jobs: 0,
         }
@@ -215,7 +204,7 @@ impl AdaptiveState {
             .entry(base.memory)
             .or_insert_with(|| ReconfigPlanner::new(hardware_for(&base.memory), reprogram_seconds));
         let plan = match class {
-            JobClass::Latency => planner.plan_job_with_deadline(&array, self.deadline_seconds),
+            JobClass::Latency => planner.plan_job(&array),
             JobClass::Throughput => planner.plan_throughput_job(&array),
         }
         .ok()?;
@@ -273,7 +262,6 @@ mod tests {
             d.cache_shapes,
             SHAPE_CLASSES,
             d.reprogram_cost_us,
-            d.latency_deadline_us,
             d.fairness_stride,
         )
         .is_empty());

@@ -219,7 +219,8 @@ impl<T: Send + Classed, S: SyncOps> ClassQueue<T, S> {
         S::lock(&self.state).closed = true;
         // Shutdown is a broadcast: every parked producer and consumer
         // must observe `closed`, so `notify_one` would be a lost-wakeup
-        // bug here (the mutation test in `tests/mc_queue.rs` proves it).
+        // bug here (the mutation test in `tests/mc_pool_shutdown.rs`
+        // proves it).
         S::notify_all(&self.not_empty);
         S::notify_all(&self.not_full);
     }

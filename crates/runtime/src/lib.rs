@@ -33,9 +33,9 @@
 //!
 //! The queue and pool are generic over the `bonsai_mc` sync facade:
 //! production builds monomorphize to plain `std::sync` (zero overhead),
-//! while `tests/mc_class_queue.rs` and `tests/mc_queue.rs` instantiate
-//! the same code with the model checker's shims and exhaustively
-//! explore the queue and shutdown protocols.
+//! while `tests/mc_class_queue.rs` and `tests/mc_pool_shutdown.rs`
+//! instantiate the same code with the model checker's shims and
+//! exhaustively explore the queue and shutdown protocols.
 //! Static shape checks for [`RuntimeConfig`] live in
 //! [`bonsai_check::check_runtime_shape`] (BON05x) and are surfaced by
 //! `bonsai-lint --runtime`.
@@ -120,21 +120,8 @@ pub struct RuntimeConfig {
     /// Per-pass livelock cycle bound handed to the engine; `None` keeps
     /// the engine default.
     pub max_pass_cycles: Option<u64>,
-    /// How many threads will call [`Runtime::submit`] concurrently.
-    /// Purely declarative — used by the BON05x shape lints to judge the
-    /// queue depth; the runtime itself accepts any number of
-    /// submitters.
-    pub producers: usize,
-    /// Whether dropping the runtime without [`Runtime::finish`] closes
-    /// the job queue first (default `true`). Disabling this while
-    /// `join_on_drop` stays on deadlocks the drop (BON052).
-    pub close_on_drop: bool,
-    /// Whether dropping the runtime without [`Runtime::finish`] joins
-    /// the workers (default `true`). Disabling this leaks detached
-    /// threads (BON053).
-    pub join_on_drop: bool,
     /// Knobs of the adaptive scheduler (shape cache size, small-job
-    /// cutoff, reprogram cost, deadline, fairness stride). Only
+    /// cutoff, reprogram cost, fairness stride). Only
     /// consulted when [`RuntimeConfig::scheduler`] is
     /// [`PassScheduler::Adaptive`].
     pub adaptive: AdaptiveConfig,
@@ -148,9 +135,6 @@ impl Default for RuntimeConfig {
             pass_workers: 1,
             scheduler: PassScheduler::Fifo,
             max_pass_cycles: None,
-            producers: 1,
-            close_on_drop: true,
-            join_on_drop: true,
             adaptive: AdaptiveConfig::default(),
         }
     }
@@ -176,9 +160,6 @@ impl RuntimeConfig {
             self.workers,
             self.pass_workers,
             self.queue_depth,
-            self.producers,
-            self.close_on_drop,
-            self.join_on_drop,
             cores,
         );
         if let (Some(engine), Some(records)) = (engine, records) {
@@ -199,7 +180,6 @@ impl RuntimeConfig {
                 self.adaptive.cache_shapes,
                 adaptive::SHAPE_CLASSES,
                 self.adaptive.reprogram_cost_us,
-                self.adaptive.latency_deadline_us,
                 self.adaptive.fairness_stride,
             ));
         }
@@ -435,9 +415,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// result through the caller's channel the moment they complete
 /// instead, so a long-lived service never has to consume the runtime to
 /// observe results. Dropping the runtime without `finish` also closes
-/// the queue and joins the workers (per
-/// [`RuntimeConfig::close_on_drop`] / [`RuntimeConfig::join_on_drop`]),
-/// discarding any collected results.
+/// the queue and joins the workers, discarding any collected results.
 #[derive(Debug)]
 pub struct Runtime<R: Record> {
     config: RuntimeConfig,
@@ -496,9 +474,7 @@ impl<R: Record> Runtime<R> {
             }
         };
         let queue = ClassQueue::new(config.queue_depth, config.adaptive.fairness_stride);
-        let mut pool = WorkerPool::start(workers, queue, runner);
-        pool.close_on_drop(config.close_on_drop)
-            .join_on_drop(config.join_on_drop);
+        let pool = WorkerPool::start(workers, queue, runner);
         Self {
             config,
             next_ticket: std::sync::atomic::AtomicU64::new(0),
@@ -880,8 +856,8 @@ mod tests {
             runtime
                 .submit(SortJob::new(0, dram_cfg(), data))
                 .expect("runtime open");
-            // Dropped without finish: close_on_drop unparks any worker
-            // still waiting in pop, join_on_drop reclaims both threads.
+            // Dropped without finish: the drop closes the queue, which
+            // unparks any worker still waiting in pop, then joins both.
         }
         // Other tests run concurrently in this process, so poll for the
         // count to come back down instead of demanding instant equality.

@@ -5,7 +5,7 @@
 //! that delivered its result elsewhere leaves nothing behind — to a
 //! results vector. Like the queue,
 //! the pool is generic over a [`SyncOps`] facade: production code uses
-//! [`StdSync`], while `tests/mc_queue.rs` drives the full
+//! [`StdSync`], while `tests/mc_pool_shutdown.rs` drives the full
 //! spawn/drain/shutdown protocol through `bonsai_mc::sync::McSync`.
 //!
 //! Shutdown is owned by the pool, not the caller:
@@ -13,11 +13,9 @@
 //! - [`WorkerPool::finish`] closes the queue, joins every worker and
 //!   hands back the results (panicking — after all joins — only if a
 //!   worker thread itself died).
-//! - Dropping the pool without calling `finish` closes the queue and
-//!   joins the workers anyway (configurable via
-//!   [`WorkerPool::close_on_drop`] / [`WorkerPool::join_on_drop`]), so
-//!   an abandoned pool can neither wedge parked workers nor leak
-//!   detached threads.
+//! - Dropping the pool without calling `finish` closes the queue, then
+//!   joins the workers anyway, so an abandoned pool can neither wedge
+//!   parked workers nor leak detached threads.
 
 use std::sync::Arc;
 
@@ -35,8 +33,6 @@ pub struct WorkerPool<J: Send + Classed + 'static, R: Send + 'static, S: SyncOps
     shared: Arc<PoolShared<J, R, S>>,
     handles: Vec<S::JoinHandle>,
     workers: usize,
-    close_on_drop: bool,
-    join_on_drop: bool,
 }
 
 impl<J: Send + Classed + 'static, R: Send + 'static, S: SyncOps> std::fmt::Debug
@@ -46,8 +42,6 @@ impl<J: Send + Classed + 'static, R: Send + 'static, S: SyncOps> std::fmt::Debug
         f.debug_struct("WorkerPool")
             .field("workers", &self.workers)
             .field("queue", &self.shared.queue)
-            .field("close_on_drop", &self.close_on_drop)
-            .field("join_on_drop", &self.join_on_drop)
             .finish()
     }
 }
@@ -86,25 +80,7 @@ impl<J: Send + Classed + 'static, R: Send + 'static, S: SyncOps> WorkerPool<J, R
             shared,
             handles,
             workers,
-            close_on_drop: true,
-            join_on_drop: true,
         }
-    }
-
-    /// Whether dropping the pool closes the queue first (default
-    /// `true`). Turning this off while keeping [`Self::join_on_drop`]
-    /// deadlocks the drop: workers park in `pop` forever
-    /// (`bonsai-lint` flags the equivalent runtime config as BON052).
-    pub fn close_on_drop(&mut self, close: bool) -> &mut Self {
-        self.close_on_drop = close;
-        self
-    }
-
-    /// Whether dropping the pool joins the workers (default `true`).
-    /// Turning this off leaks detached threads on drop (BON053).
-    pub fn join_on_drop(&mut self, join: bool) -> &mut Self {
-        self.join_on_drop = join;
-        self
     }
 
     /// Worker threads in the pool.
@@ -185,16 +161,14 @@ impl<J: Send + Classed + 'static, R: Send + 'static, S: SyncOps> WorkerPool<J, R
 
 impl<J: Send + Classed + 'static, R: Send + 'static, S: SyncOps> Drop for WorkerPool<J, R, S> {
     fn drop(&mut self) {
-        if self.close_on_drop {
-            self.shared.queue.close();
-        }
-        if self.join_on_drop {
-            // Join even if a worker panicked: swallowing the Err here
-            // keeps drop from double-panicking while still reclaiming
-            // every thread.
-            for handle in self.handles.drain(..) {
-                let _ = S::join(handle);
-            }
+        // Close first: joining a worker still parked in `pop` would
+        // wedge the drop forever.
+        self.shared.queue.close();
+        // Join even if a worker panicked: swallowing the Err here
+        // keeps drop from double-panicking while still reclaiming
+        // every thread.
+        for handle in self.handles.drain(..) {
+            let _ = S::join(handle);
         }
     }
 }

@@ -168,7 +168,8 @@ fn queued_work_of_both_classes_drains_after_close() {
 
 /// Broadcast shutdown: two consumers parked on an *empty* class queue
 /// must both observe `close` (the same lost-wakeup scenario the
-/// `mc_queue.rs` mutation test seeds — `close` must `notify_all`).
+/// `mc_pool_shutdown.rs` mutation test seeds — `close` must
+/// `notify_all`).
 #[test]
 fn broadcast_close_wakes_every_parked_consumer() {
     let stats = Checker::new()

@@ -1,7 +1,8 @@
 //! Randomized contention stress for the queue and the batch runtime.
 //!
-//! The model checker (`tests/mc_class_queue.rs`, `tests/mc_queue.rs`)
-//! proves the protocols correct at small sizes; these tests hammer the
+//! The model checker (`tests/mc_class_queue.rs`,
+//! `tests/mc_pool_shutdown.rs`) proves the protocols correct at small
+//! sizes; these tests hammer the
 //! real `std::sync` build at realistic sizes — many producers and
 //! consumers, randomized pacing from `bonsai-rng`, worker counts 1 / 2 /
 //! all-cores, one and all-cores DAG workers per job — under a wall-clock
@@ -176,7 +177,6 @@ fn runtime_concurrent_submitters_with_tiny_queue() {
         let runtime = Arc::new(Runtime::start(RuntimeConfig {
             workers: 2,
             queue_depth: 1,
-            producers: 3,
             ..RuntimeConfig::default()
         }));
         let submitters: Vec<_> = (0..3u64)
