@@ -15,7 +15,7 @@
 //! `shape_cache_misses`) and `bonsai-net` aggregates them on its
 //! `ServerStats`. A cached engine is *bit-identical* in behaviour to a
 //! cold one — the `shape_cache` equivalence suite compares output and
-//! reports fused and on the group DAG at every worker count.
+//! reports fused and per group at every worker count.
 
 use bonsai_check::Diagnostic;
 

@@ -1,28 +1,24 @@
-//! The group DAG: the one way a sort is split across threads.
+//! The merge groups of a sort and how they are spread across threads.
 //!
 //! A merge pass is a set of *independent* merge groups: group `g`
 //! merges runs `[g·m, (g+1)·m)` into one output run, touching nobody
 //! else's runs, banks or tree state (§II–III — each group is its own
-//! engine fed by banked memory). Across passes the dependencies are just
-//! as narrow: pass-*p+1* group *g* merges exactly the output runs of
-//! pass-*p* groups `[g·m, (g+1)·m)` (its leaves), and can start the
-//! moment *those* groups have drained — regardless of the rest of pass
-//! *p*. This module lowers a sort into `(pass, group)` tasks over that
-//! dependency tree ([`SortPlan`]) and executes it with work-stealing
-//! workers ([`execute_dag`]).
+//! engine fed by banked memory). [`SortPlan`] lowers a sort into those
+//! `(pass, group)` tasks. The sort runs one pass at a time, as the
+//! hardware does (§II, Fig. 2: every stage streams the whole array back
+//! to memory and the next stage reads what it wrote): [`map_pass`]
+//! spreads one pass's groups over the calling thread and scoped helper
+//! threads, and the next pass starts once they have all joined.
 //!
-//! **Determinism guarantee.** Each task is a pure function of `(config,
-//! its input runs, fan-in)`, simulated against a private
-//! [`Memory`] built from [`bonsai_memsim::MemoryConfig::shard_view`]:
-//! the DAG only changes *when* a group is simulated, never *what* it
-//! computes. Results land in per-task slots and the accounting is folded
-//! in `(pass, group)` order after the DAG drains, so the worker count
-//! affects wall-clock time only — sorted output and [`SortReport`] are
-//! bit-identical at every worker count, and on failure the minimum
-//! `(pass, group)` task's error wins. The unit tests check all of this
-//! against a thread-free per-pass list schedule (the *barrier* oracle),
-//! which slices each group's input out of the previous pass's folded
-//! run set instead of concatenating child outputs.
+//! **Determinism guarantee.** Each group is a pure function of
+//! `(config, its input runs, fan-in)`, simulated against a private
+//! memory built from [`bonsai_memsim::MemoryConfig::shard_view`]: the
+//! worker count only changes *where* a group is simulated, never *what*
+//! it computes. Results are folded in `(pass, group)` order after each
+//! pass joins, so sorted output and [`SortReport`] are bit-identical at
+//! every worker count, and on failure the first failing pass's minimum
+//! failing group wins. The unit tests check this against a thread-free
+//! oracle that runs every group in order.
 //!
 //! **Timing model.** Each group is charged the cycles of its standalone
 //! simulation and a pass reports their sum, i.e. the groups
@@ -35,26 +31,27 @@
 //! pays the access latency the fused tree hides; DESIGN.md §5 has the
 //! table and says which number is quoted where.
 //!
-//! **Model checking.** The readiness/claim protocol is written against
-//! the [`SyncOps`] facade, so `tests/mc_dag.rs` instantiates the same
-//! code with `bonsai_mc::sync::McSync` and exhaustively explores its
-//! schedules at small sizes (2 workers, 2-pass/4-group plan).
+//! **Modelled overlap.** Across passes the dependencies are narrow:
+//! pass-*p+1* group *g* merges exactly the output runs of pass-*p*
+//! groups `[g·m, (g+1)·m)`, so the plan is also a dependency tree.
+//! `pipeline_overlap_cycles` is what a schedule that starts each group
+//! as soon as its children drain would save over the per-pass barrier,
+//! both list-scheduled from simulated cycles on the [`VIRTUAL_WORKERS`]
+//! reference pool. It is modelled hardware time; the host executor
+//! itself keeps the barrier.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::panic::AssertUnwindSafe;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[cfg(feature = "sanitize")]
 use bonsai_check::Diagnostic;
-use bonsai_mc::facade::SyncOps;
-use bonsai_memsim::Memory;
 use bonsai_records::run::RunSet;
 use bonsai_records::Record;
 
 use crate::config::SimEngineConfig;
 use crate::error::SortError;
-use crate::passsim::PassSim;
+use crate::passsim::{simulate, PassScratch, PassStats};
 use crate::report::{PassReport, SortReport};
 
 /// Size of the fixed *virtual* worker pool the utilization counters and
@@ -76,14 +73,15 @@ pub struct PassPlan {
     pub groups: usize,
 }
 
-/// The `(pass, group)` task DAG of one sort: the balanced fan-in
-/// schedule ([`crate::schedule::fan_in_schedule`]) lowered to per-pass
-/// group counts plus the child-range dependency structure.
+/// The `(pass, group)` tasks of one sort: the balanced fan-in schedule
+/// ([`crate::schedule::fan_in_schedule`]) lowered to per-pass group
+/// counts plus the child-range dependency structure.
 ///
-/// The DAG is a tree with one root — the final pass's single group —
-/// which transitively depends on every other task, so no schedule can
-/// start it early: what the DAG saves over a per-pass barrier is each
-/// pass's ragged last wave, not whole passes.
+/// The dependencies form a tree with one root — the final pass's single
+/// group — which transitively depends on every other task, so no
+/// schedule can start it early: what a dependency-driven schedule saves
+/// over a per-pass barrier (`pipeline_overlap_cycles`) is each pass's
+/// ragged last wave, not whole passes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SortPlan {
     passes: Vec<PassPlan>,
@@ -95,7 +93,7 @@ pub struct SortPlan {
 
 impl SortPlan {
     /// Lowers a sort of `initial_runs` presorted runs on an `l`-leaf
-    /// tree into its task DAG. Empty (zero passes) when `initial_runs
+    /// tree into its tasks. Empty (zero passes) when `initial_runs
     /// <= 1`.
     ///
     /// # Panics
@@ -140,7 +138,7 @@ impl SortPlan {
         self.passes[p]
     }
 
-    /// Total `(pass, group)` tasks in the DAG.
+    /// Total `(pass, group)` tasks in the plan.
     #[must_use]
     pub fn tasks(&self) -> usize {
         self.tasks
@@ -188,20 +186,6 @@ impl SortPlan {
         let next = self.passes.get(pass + 1)?;
         Some(group / next.fan_in)
     }
-
-    /// The most tasks that can ever be ready (claimable) at once; it
-    /// caps [`execute_dag`]'s thread count.
-    ///
-    /// For this layered tree-reduction DAG that is the widest pass's
-    /// group count: initially only pass 0 is ready, and thereafter a
-    /// pass-*p+1* group becomes ready only once its `fan_in ≥ 2`
-    /// pass-*p* children resolved — each arrival at the frontier
-    /// retires at least two departures, so the frontier never grows
-    /// past the widest single pass.
-    #[must_use]
-    pub fn max_ready_width(&self) -> usize {
-        self.passes.iter().map(|p| p.groups).max().unwrap_or(0)
-    }
 }
 
 // --- Virtual utilization schedule ----------------------------------------
@@ -232,10 +216,10 @@ fn pass_virtual_schedule(group_cycles: impl IntoIterator<Item = u64>) -> (u64, u
 }
 
 /// Deterministic makespan of the group DAG on the virtual pool: an
-/// event-driven list schedule mirroring the real executor. Whenever the
-/// earliest-free virtual worker comes up, it claims the ready task it
-/// can start soonest (lowest task id on ties, matching the executor's
-/// claim preference); a task is ready once every child has completed.
+/// event-driven list schedule that starts each task once its children
+/// are done. Whenever the earliest-free virtual worker comes up, it
+/// claims the ready task it can start soonest (lowest task id on ties);
+/// a task is ready once every child has completed.
 /// The barrier equivalent is the sum of [`pass_virtual_schedule`]
 /// makespans; the difference is `pipeline_overlap_cycles`. `cycles` is
 /// indexed by task id.
@@ -306,278 +290,64 @@ fn initial_deps_left(plan: &SortPlan) -> Vec<usize> {
     deps_left
 }
 
-// --- The ready/claim protocol ---------------------------------------------
+// --- The per-pass parallel map ----------------------------------------------
 
-/// Lifecycle of one task's output slot.
-enum Slot<T> {
-    /// Not resolved yet.
-    Empty,
-    /// Succeeded; output waiting for its parent (or final collection).
-    Done(T),
-    /// Failed, or cancelled because a child failed.
-    Failed,
-    /// Output consumed by the parent.
-    Taken,
-}
-
-/// Everything the workers share, behind one mutex. The simulation work
-/// itself always runs *outside* the lock; the lock only covers claim,
-/// store and readiness bookkeeping.
-struct ExecState<T, M> {
-    /// Task ids whose dependencies have all resolved, not yet claimed;
-    /// a min-heap, claims take the lowest id.
-    ready: BinaryHeap<Reverse<usize>>,
-    /// Unresolved-child count per task.
-    deps_left: Vec<usize>,
-    slots: Vec<Slot<T>>,
-    meta: Vec<Option<M>>,
-    /// Minimum failed task id and its error (task ids are lexicographic
-    /// in `(pass, group)`, so min id = the first failure a per-pass
-    /// barrier would report).
-    failure: Option<(usize, SortError)>,
-    /// First panic payload out of a task; re-raised after the drain.
-    panic_msg: Option<String>,
-    /// Tasks not yet resolved; 0 = drained, workers exit.
-    remaining: usize,
-}
-
-struct Shared<S: SyncOps, T: Send, M: Send> {
-    plan: SortPlan,
-    state: S::Mutex<ExecState<T, M>>,
-    ready_cv: S::Condvar,
-}
-
-/// Resolves task `id` under the lock: stores its slot, records a
-/// failure, retires it from the drain count, unlocks any parent whose
-/// children are now all resolved, and wakes the pool. `notify_all`
-/// (not `notify_one`): a resolve can simultaneously publish new ready
-/// work *and* be the final drain — every parked worker's predicate may
-/// have flipped, and a single wakeup could strand the rest (the exact
-/// lost-wakeup shape `tests/mc_dag.rs` checks for).
-fn resolve<S: SyncOps, T: Send, M: Send>(
-    shared: &Shared<S, T, M>,
-    state: &mut ExecState<T, M>,
-    id: usize,
-    slot: Slot<T>,
-    err: Option<SortError>,
-) {
-    state.slots[id] = slot;
-    if let Some(err) = err {
-        match &state.failure {
-            Some((prev, _)) if *prev <= id => {}
-            _ => state.failure = Some((id, err)),
-        }
-    }
-    state.remaining -= 1;
-    let (pass, group) = shared.plan.task_of(id);
-    if let Some(pg) = shared.plan.parent_group(pass, group) {
-        let parent = shared.plan.task_id(pass + 1, pg);
-        state.deps_left[parent] -= 1;
-        if state.deps_left[parent] == 0 {
-            state.ready.push(Reverse(parent));
-        }
-    }
-    S::notify_all(&shared.ready_cv);
-}
-
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(ToString::to_string)
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "DAG task panicked".to_string())
-}
-
-/// The work-stealing loop: claim the lowest ready task, move its
-/// children's outputs out of their slots, run it outside the lock,
-/// resolve. A task whose children failed resolves as `Failed` without
-/// running (cancellation), so the DAG always drains and the pool always
-/// terminates. The worker owns one `W`, handed to every task it runs
-/// and dropped when the DAG has drained.
-fn worker_loop<S, T, M, W, F>(shared: &Shared<S, T, M>, run_task: &F)
-where
-    S: SyncOps,
-    T: Send,
-    M: Send,
-    W: Default,
-    F: Fn(&mut W, usize, usize, Vec<T>) -> Result<(T, M), SortError>,
-{
-    let mut scratch = W::default();
-    loop {
-        let guard = S::lock(&shared.state);
-        let mut guard = S::wait_while(&shared.ready_cv, &shared.state, guard, |s| {
-            s.ready.is_empty() && s.remaining > 0
-        });
-        // Lowest id first: a deterministic preference for earlier
-        // (pass, group) work, which keeps the claim order close to the
-        // virtual-schedule model (correctness never depends on it).
-        let Some(Reverse(id)) = guard.ready.pop() else {
-            break; // remaining == 0: the DAG is drained
-        };
-        let (pass, group) = shared.plan.task_of(id);
-        let mut inputs = Vec::new();
-        let mut dep_failed = false;
-        if pass > 0 {
-            let deps = shared.plan.deps(pass, group);
-            inputs.reserve(deps.len());
-            for d in deps {
-                let child = shared.plan.task_id(pass - 1, d);
-                match core::mem::replace(&mut guard.slots[child], Slot::Taken) {
-                    Slot::Done(t) => inputs.push(t),
-                    Slot::Failed => dep_failed = true,
-                    Slot::Empty | Slot::Taken => {
-                        unreachable!("ready task with an unresolved or reused child")
-                    }
-                }
-            }
-        }
-        if dep_failed {
-            resolve(shared, &mut guard, id, Slot::Failed, None);
-            continue;
-        }
-        drop(guard);
-        // A panicking task (e.g. a user Ord impl) must not strand the
-        // other workers in wait_while: catch it, resolve the task as
-        // failed so the drain completes, and re-raise from the caller.
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_task(&mut scratch, pass, group, inputs)
-        }));
-        let mut guard = S::lock(&shared.state);
-        match outcome {
-            Ok(Ok((out, m))) => {
-                guard.meta[id] = Some(m);
-                resolve(shared, &mut guard, id, Slot::Done(out), None);
-            }
-            Ok(Err(err)) => resolve(shared, &mut guard, id, Slot::Failed, Some(err)),
-            Err(payload) => {
-                let msg = panic_text(payload.as_ref());
-                guard.panic_msg.get_or_insert(msg);
-                resolve(shared, &mut guard, id, Slot::Failed, None);
-            }
-        }
-    }
-}
-
-/// Executes `plan`'s task DAG on `workers` workers (`0` = one per
-/// core) — the calling thread plus `workers − 1` spawned ones —
-/// calling `run_task(pass, group, child_outputs)` for each task as it
-/// becomes ready. Returns the root task's output and every task's
-/// metadata in `(pass, group)` order.
-///
-/// Generic over the [`SyncOps`] facade: production callers pass
-/// `StdSync`, the model-check suite passes `McSync` and explores every
-/// schedule of the claim protocol.
+/// Runs `task(scratch, group)` once for every `group` in `0..groups`
+/// and returns the results in group order. There is one worker per
+/// `scratch` element, each handed only its own: the calling thread is
+/// worker 0, and `min(scratch.len(), groups) − 1` scoped threads are
+/// the rest, every worker claiming the next unclaimed group from one
+/// shared counter. One worker spawns nothing.
 ///
 /// # Errors
 ///
-/// The minimum-`(pass, group)` task failure: the first failing group of
-/// the first failing pass, whatever order the tasks completed in.
+/// The minimum failing group's error, whatever order the groups ran
+/// in (every group runs, so the minimum is always known).
 ///
 /// # Panics
 ///
-/// Panics if the plan is empty (it has no root). Re-raises the first
-/// panic thrown by a `run_task` invocation (after the DAG has fully
-/// drained, so no worker thread is leaked).
-pub fn execute_dag<S, T, M, F>(
-    plan: SortPlan,
-    workers: usize,
-    run_task: F,
-) -> Result<(T, Vec<M>), SortError>
+/// Panics if `scratch` is empty. A panicking task is re-raised with
+/// its own payload once every thread has joined.
+pub fn map_pass<W, U, F>(scratch: &mut [W], groups: usize, task: F) -> Result<Vec<U>, SortError>
 where
-    S: SyncOps,
-    T: Send + 'static,
-    M: Send + 'static,
-    F: Fn(usize, usize, Vec<T>) -> Result<(T, M), SortError> + Send + Sync + 'static,
+    W: Send,
+    U: Send,
+    F: Fn(&mut W, usize) -> Result<U, SortError> + Sync,
 {
-    execute_dag_with_scratch::<S, T, M, (), _>(plan, workers, move |_, pass, group, inputs| {
-        run_task(pass, group, inputs)
-    })
-}
-
-/// [`execute_dag`] for tasks that reuse per-worker state: every worker
-/// builds one `W::default()` when it starts, passes it to each task it
-/// runs, and drops it when the DAG has drained. Which tasks share a `W`
-/// depends on the schedule, so a task's result must not depend on what
-/// an earlier task left in it.
-pub(crate) fn execute_dag_with_scratch<S, T, M, W, F>(
-    plan: SortPlan,
-    workers: usize,
-    run_task: F,
-) -> Result<(T, Vec<M>), SortError>
-where
-    S: SyncOps,
-    T: Send + 'static,
-    M: Send + 'static,
-    W: Default,
-    F: Fn(&mut W, usize, usize, Vec<T>) -> Result<(T, M), SortError> + Send + Sync + 'static,
-{
-    let tasks = plan.tasks();
-    assert!(tasks > 0, "an empty plan has no root to return");
-    let threads = resolve_workers(workers).min(plan.max_ready_width()).max(1);
-
-    let ready = (0..plan.pass(0).groups).map(Reverse).collect();
-    let shared = Arc::new(Shared::<S, T, M> {
-        state: S::mutex_named(
-            "dag.state",
-            ExecState {
-                ready,
-                deps_left: initial_deps_left(&plan),
-                slots: (0..tasks).map(|_| Slot::Empty).collect(),
-                meta: (0..tasks).map(|_| None).collect(),
-                failure: None,
-                panic_msg: None,
-                remaining: tasks,
-            },
-        ),
-        ready_cv: S::condvar_named("dag.ready"),
-        plan,
-    });
-    let run_task = Arc::new(run_task);
-
-    // The calling thread is worker 0: only `threads - 1` are spawned,
-    // so a one-worker sort never pays a thread spawn and join.
-    let handles: Vec<S::JoinHandle> = (1..threads)
-        .map(|_| {
-            let shared = Arc::clone(&shared);
-            let run_task = Arc::clone(&run_task);
-            S::spawn(move || worker_loop::<S, T, M, W, F>(shared.as_ref(), run_task.as_ref()))
-        })
-        .collect();
-    worker_loop::<S, T, M, W, F>(shared.as_ref(), run_task.as_ref());
-    let mut join_err = None;
-    for handle in handles {
-        if let Err(msg) = S::join(handle) {
-            join_err.get_or_insert(msg);
+    let threads = scratch.len().min(groups).max(1);
+    let (caller, helpers) = scratch.split_first_mut().expect("a pass needs a worker");
+    // The counter hands out indices and publishes nothing else: results
+    // come back through the joins, so `Relaxed` is enough.
+    let next = AtomicUsize::new(0);
+    let work = |scratch: &mut W| {
+        // Exact at one worker, where the caller runs every group.
+        let mut done = Vec::with_capacity(groups.div_ceil(threads));
+        loop {
+            let group = next.fetch_add(1, Ordering::Relaxed);
+            if group >= groups {
+                return done;
+            }
+            done.push((group, task(scratch, group)));
         }
-    }
-    // catch_unwind inside worker_loop makes a join error unreachable,
-    // but a facade is free to report its own aborts — don't swallow it.
-    if let Some(msg) = join_err {
-        panic!("{msg}");
-    }
-
-    let mut guard = S::lock(&shared.state);
-    if let Some(msg) = guard.panic_msg.take() {
-        drop(guard);
-        panic!("{msg}");
-    }
-    if let Some((_, err)) = guard.failure.take() {
-        return Err(err);
-    }
-    debug_assert_eq!(guard.remaining, 0, "clean drain resolves every task");
-    let meta: Vec<M> = guard
-        .meta
-        .iter_mut()
-        .map(|m| m.take().expect("clean drain ran every task"))
-        .collect();
-    // The root is the final pass's one group: the highest task id.
-    match core::mem::replace(&mut guard.slots[tasks - 1], Slot::Taken) {
-        Slot::Done(root) => Ok((root, meta)),
-        _ => unreachable!("root task resolved without output"),
-    }
+    };
+    let mut results = std::thread::scope(|s| {
+        let handles: Vec<_> = helpers[..threads - 1]
+            .iter_mut()
+            .map(|scratch| s.spawn(|| work(scratch)))
+            .collect();
+        // A panic here is re-raised by `scope` after it joins the rest.
+        let mut results = work(caller);
+        for handle in handles {
+            match handle.join() {
+                Ok(done) => results.extend(done),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        results
+    });
+    results.sort_unstable_by_key(|&(group, _)| group);
+    results.into_iter().map(|(_, result)| result).collect()
 }
-
-// --- One merge group --------------------------------------------------------
 
 /// Resolves the worker knob: `0` means one worker per available core.
 fn resolve_workers(workers: usize) -> usize {
@@ -590,16 +360,32 @@ fn resolve_workers(workers: usize) -> usize {
     }
 }
 
-/// What one simulated merge group adds to its pass's accounting.
-struct GroupStats {
-    cycles: u64,
-    bytes_read: u64,
-    bytes_written: u64,
-    input_stalls: u64,
-    output_stalls: u64,
-    fast_forwarded_cycles: u64,
-    #[cfg(feature = "sanitize")]
-    diagnostics: Vec<Diagnostic>,
+// --- One sort, pass by pass --------------------------------------------------
+
+/// The loop both of [`SimEngine`](crate::SimEngine)'s sorts run:
+/// sanitizes `data`, presorts it into runs, lowers those to their
+/// [`SortPlan`], and hands each pass the previous pass's output runs.
+/// `pass` returns the pass's output runs and report.
+pub(crate) fn run_plan<R: Record>(
+    config: &SimEngineConfig,
+    data: Vec<R>,
+    mut pass: impl FnMut(RunSet<R>, PassPlan, u32) -> Result<(RunSet<R>, PassReport), SortError>,
+) -> Result<(Vec<R>, SortReport, SortPlan), SortError> {
+    let n_records = data.len() as u64;
+    let sanitized = data.into_iter().map(Record::sanitize).collect();
+    // Presorting is pipelined with the first merge stage in hardware
+    // (§VI-C1), so it costs no cycles; it only shortens the stage count.
+    let mut runs = RunSet::from_chunks(sanitized, config.initial_run_len());
+    let plan = SortPlan::new(runs.num_runs(), config.amt.l);
+    let mut passes = Vec::with_capacity(plan.num_passes());
+    for p in 0..plan.num_passes() {
+        let (next, report) = pass(runs, plan.pass(p), p as u32 + 1)?;
+        runs = next;
+        passes.push(report);
+    }
+    debug_assert!(runs.num_runs() <= 1, "the plan fully sorts");
+    let report = SortReport::from_passes(passes, n_records, config.loader.record_bytes);
+    Ok((runs.into_records(), report, plan))
 }
 
 /// Copies group `g`'s runs (`[g·fan_in, (g+1)·fan_in)`, clamped) out of
@@ -616,66 +402,19 @@ fn group_input<R: Record>(runs: &RunSet<R>, g: usize, fan_in: usize) -> RunSet<R
     RunSet::from_parts(records, starts)
 }
 
-/// One worker's simulation state: the pass (tree, streams, loader and
-/// drain) and the memory it runs against, built by the worker's first
-/// task and reset for every later one — a group costs its streams'
-/// growth, not the ≈100 allocations of a new tree. Lives as long as the
-/// worker, i.e. one sort.
-type PassScratch<R> = Option<(PassSim<R>, Memory)>;
-
-/// Simulates one merge group to completion against its own bank view on
-/// the worker's scratch, returning its single output run (terminal-free
-/// and sorted) and its accounting. What an earlier group left in the
-/// scratch — finished or abandoned on an error — never shows: a reset
-/// scratch equals a new one.
-fn simulate_group<R: Record>(
-    config: &SimEngineConfig,
-    scratch: &mut PassScratch<R>,
-    runs: RunSet<R>,
-    fan_in: usize,
-    stage: u32,
-    max_cycles: u64,
-    reference: bool,
-) -> Result<(Vec<R>, GroupStats), SortError> {
-    let view = config.memory.shard_view(fan_in);
-    let (sim, memory) = match scratch {
-        Some(used) => {
-            used.0.reset(runs, fan_in);
-            used.1.reset(view);
-            used
-        }
-        None => scratch.insert((PassSim::new(config, runs, fan_in), Memory::new(view))),
-    };
-    sim.run(memory, reference, max_cycles, stage)?;
-    #[cfg(feature = "sanitize")]
-    let diagnostics = sim.sanitize_check();
-    let (out_runs, pass) = sim.finish(stage);
-    let stats = GroupStats {
-        cycles: pass.cycles,
-        bytes_read: memory.bytes_read(),
-        bytes_written: memory.bytes_written(),
-        input_stalls: pass.input_stalls,
-        output_stalls: pass.output_stalls,
-        fast_forwarded_cycles: pass.fast_forwarded_cycles,
-        #[cfg(feature = "sanitize")]
-        diagnostics,
-    };
-    Ok((out_runs.into_records(), stats))
-}
-
 /// Folds one pass's groups, in group order, into its [`PassReport`];
 /// also returns the pass's barrier makespan on the virtual pool. The
 /// utilization counters come from that deterministic list schedule of
 /// the per-group cycle costs, not from wall clock, so the report stays
 /// bit-identical at every real worker count.
-fn fold_pass(
+fn fold_pass<'a>(
     stage: u32,
     records: u64,
     runs_in: usize,
-    groups: &[GroupStats],
+    groups: impl ExactSizeIterator<Item = &'a PassStats> + Clone,
     #[cfg(feature = "sanitize")] diagnostics: &mut Vec<Diagnostic>,
 ) -> (PassReport, u64) {
-    let (makespan, busy) = pass_virtual_schedule(groups.iter().map(|g| g.cycles));
+    let (makespan, busy) = pass_virtual_schedule(groups.clone().map(|g| g.report.cycles));
     let mut pass = PassReport {
         stage,
         cycles: 0,
@@ -690,7 +429,7 @@ fn fold_pass(
         busy_worker_cycles: busy,
         idle_worker_cycles: (VIRTUAL_WORKERS as u64) * makespan - busy,
     };
-    for group in groups {
+    for group in groups.clone().map(|g| &g.report) {
         pass.cycles += group.cycles;
         pass.bytes_read += group.bytes_read;
         pass.bytes_written += group.bytes_written;
@@ -699,22 +438,20 @@ fn fold_pass(
         pass.fast_forwarded_cycles += group.fast_forwarded_cycles;
     }
     #[cfg(feature = "sanitize")]
-    for (g, group) in groups.iter().enumerate() {
+    for (g, group) in groups.enumerate() {
         let tagged = group.diagnostics.iter().cloned();
         diagnostics.extend(tagged.map(|d| d.with("stage", stage).with("group", g)));
     }
     (pass, makespan)
 }
 
-// --- Sorting on the DAG -----------------------------------------------------
-
-/// Sorts `data` on its group DAG: every `(pass, group)` merge task runs
-/// on one of `workers` threads as soon as its children have drained,
-/// and the accounting is folded in `(pass, group)` order after the DAG
-/// drains. `pipeline_overlap_cycles` is the per-pass barrier's virtual
-/// makespan minus the DAG's, both on the [`VIRTUAL_WORKERS`] reference
-/// pool.
-pub(crate) fn sort<R: Record, S: SyncOps>(
+/// Sorts `data` one pass at a time, each pass's merge groups spread
+/// over `workers` threads by [`map_pass`], every group simulated
+/// against its own bank view on its worker's scratch. Accounting folds
+/// in `(pass, group)` order; `pipeline_overlap_cycles` is the per-pass
+/// barrier's virtual makespan minus the group DAG's, both on the
+/// [`VIRTUAL_WORKERS`] reference pool.
+pub(crate) fn sort<R: Record>(
     config: &SimEngineConfig,
     data: Vec<R>,
     workers: usize,
@@ -722,78 +459,43 @@ pub(crate) fn sort<R: Record, S: SyncOps>(
     reference: bool,
     #[cfg(feature = "sanitize")] diagnostics: &mut Vec<Diagnostic>,
 ) -> Result<(Vec<R>, SortReport), SortError> {
-    let record_bytes = config.loader.record_bytes;
     let n_records = data.len() as u64;
-    let sanitized = data.into_iter().map(Record::sanitize).collect();
-    let init = RunSet::from_chunks(sanitized, config.initial_run_len());
-    let plan = SortPlan::new(init.num_runs(), config.amt.l);
-    if plan.num_passes() == 0 {
-        let report = SortReport::from_passes(Vec::new(), n_records, record_bytes);
-        return Ok((init.into_records(), report));
-    }
-
-    // `SyncOps::spawn` wants 'static tasks, so the task closure owns
-    // its captures: the config (Copy) and the presorted input (Arc —
-    // every pass-0 group reads its own disjoint slice).
-    let task_config = *config;
-    let task_plan = plan.clone();
-    let init = Arc::new(init);
-    let run_task =
-        move |scratch: &mut PassScratch<R>, pass: usize, group: usize, inputs: Vec<Vec<R>>| {
-            let fan_in = task_plan.pass(pass).fan_in;
-            let input = if pass == 0 {
-                group_input(&init, group, fan_in)
-            } else {
-                // Each child contributed exactly one sorted run, already in
-                // group order.
-                let mut records = Vec::with_capacity(inputs.iter().map(Vec::len).sum());
-                let mut starts = Vec::with_capacity(inputs.len());
-                for child in inputs {
-                    starts.push(records.len());
-                    records.extend(child);
-                }
-                RunSet::from_parts(records, starts)
-            };
-            let stage = pass as u32 + 1;
-            simulate_group(
-                &task_config,
-                scratch,
-                input,
-                fan_in,
-                stage,
-                max_cycles,
-                reference,
-            )
-        };
-
-    let (sorted, stats) = execute_dag_with_scratch::<S, Vec<R>, GroupStats, PassScratch<R>, _>(
-        plan.clone(),
-        workers,
-        run_task,
-    )?;
-    let cycles: Vec<u64> = stats.iter().map(|g| g.cycles).collect();
-    let dag_makespan = dag_virtual_makespan(&plan, &cycles);
-
-    // Fold the accounting in (pass, group) order, so the report cannot
-    // depend on completion order.
+    // Each worker's scratch outlives every pass: at one worker, the
+    // caller's lasts the whole sort.
+    let mut scratch: Vec<PassScratch<R>> = (0..resolve_workers(workers)).map(|_| None).collect();
+    let mut cycles = Vec::new();
     let mut barrier = 0u64;
-    let mut passes = Vec::with_capacity(plan.num_passes());
-    for p in 0..plan.num_passes() {
-        let pp = plan.pass(p);
-        let lo = plan.task_id(p, 0);
+    let (sorted, mut report, plan) = run_plan(config, data, |runs, pp, stage| {
+        let memory = config.memory.shard_view(pp.fan_in);
+        let outputs = map_pass(&mut scratch, pp.groups, |scratch, g| {
+            let input = group_input(&runs, g, pp.fan_in);
+            let (out, stats) = simulate(
+                config, scratch, input, pp.fan_in, memory, stage, max_cycles, reference,
+            )?;
+            // Each group leaves exactly one sorted run.
+            Ok((out.into_records(), stats))
+        })?;
         let (pass, makespan) = fold_pass(
-            p as u32 + 1,
+            stage,
             n_records,
             pp.runs_in,
-            &stats[lo..lo + pp.groups],
+            outputs.iter().map(|(_, stats)| stats),
             #[cfg(feature = "sanitize")]
             diagnostics,
         );
         barrier += makespan;
-        passes.push(pass);
-    }
-    let mut report = SortReport::from_passes(passes, n_records, record_bytes);
-    report.pipeline_overlap_cycles = barrier.saturating_sub(dag_makespan);
+        cycles.extend(outputs.iter().map(|(_, stats)| stats.report.cycles));
+        // The pass input is read; its buffer takes the pass output.
+        let mut records = runs.into_records();
+        records.clear();
+        let mut starts = Vec::with_capacity(pp.groups);
+        for (out, _) in outputs {
+            starts.push(records.len());
+            records.extend(out);
+        }
+        Ok((RunSet::from_parts(records, starts), pass))
+    })?;
+    report.pipeline_overlap_cycles = barrier.saturating_sub(dag_virtual_makespan(&plan, &cycles));
     Ok((sorted, report))
 }
 
@@ -859,14 +561,7 @@ mod tests {
             let plan = SortPlan::new(runs, 16);
             assert_eq!(plan.num_passes(), 0);
             assert_eq!(plan.tasks(), 0);
-            assert_eq!(plan.max_ready_width(), 0);
         }
-    }
-
-    #[test]
-    fn max_ready_width_is_the_widest_pass() {
-        let plan = SortPlan::new(9375, 16);
-        assert_eq!(plan.max_ready_width(), plan.pass(0).groups);
     }
 
     #[test]
@@ -969,112 +664,95 @@ mod tests {
         assert!(pipelined > 20, "few plans overlapped passes: {pipelined}");
     }
 
-    /// One scratch carried through groups of differing fan-in and size —
-    /// including right after a group abandoned on `BON040` — must yield
-    /// what a new scratch yields for each: output run, every accounting
-    /// field and (under `sanitize`) the probes' findings.
     #[test]
-    fn reused_scratch_matches_a_new_one_group_after_group() {
-        use crate::AmtConfig;
-        use bonsai_memsim::MemoryConfig;
-        use bonsai_records::U32Rec;
-
-        fn observe(
-            result: Result<(Vec<U32Rec>, GroupStats), SortError>,
-        ) -> Result<(Vec<U32Rec>, [u64; 6], String), SortError> {
-            result.map(|(out, g)| {
-                #[cfg(feature = "sanitize")]
-                let findings = format!("{:?}", g.diagnostics);
-                #[cfg(not(feature = "sanitize"))]
-                let findings = String::new();
-                let counts = [
-                    g.cycles,
-                    g.bytes_read,
-                    g.bytes_written,
-                    g.input_stalls,
-                    g.output_stalls,
-                    g.fast_forwarded_cycles,
-                ];
-                (out, counts, findings)
-            })
-        }
-
-        let mut ssd =
-            SimEngineConfig::with_memory(AmtConfig::new(8, 128), 4, MemoryConfig::ssd_direct());
-        ssd.loader.batch_bytes = 131_072;
-        let mut rng = bonsai_rng::Rng::seed_from_u64(0x5C2A_0019);
-        for cfg in [
-            SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4),
-            SimEngineConfig::dram_sorter(AmtConfig::new(2, 2), 4),
-            ssd,
-        ] {
-            let l = cfg.amt.l;
-            let mut scratch: PassScratch<U32Rec> = None;
-            let mut failed = 0;
-            for step in 0..24 {
-                let fan_in = rng.range_usize(2, l);
-                let n_runs = rng.range_usize(1, fan_in);
-                let run_len = [1usize, 16, 300][step % 3];
-                let data: Vec<U32Rec> = (0..rng.range_usize(1, n_runs * run_len))
-                    .map(|_| U32Rec::new(rng.next_u32().max(1)))
-                    .collect();
-                let runs = RunSet::from_chunks(data, run_len);
-                let want = observe(simulate_group(
-                    &cfg,
-                    &mut None,
-                    runs.clone(),
-                    fan_in,
-                    1,
-                    u64::MAX,
-                    false,
-                ))
-                .expect("an unbounded group finishes");
-                // Every third group is cut off half way: the scratch is
-                // abandoned mid-pass, records in every FIFO.
-                let bound = if step % 3 == 1 {
-                    want.1[0] / 2
-                } else {
-                    u64::MAX
-                };
-                let fresh = observe(simulate_group(
-                    &cfg,
-                    &mut None,
-                    runs.clone(),
-                    fan_in,
-                    1,
-                    bound,
-                    false,
-                ));
-                let reused = observe(simulate_group(
-                    &cfg,
-                    &mut scratch,
-                    runs,
-                    fan_in,
-                    1,
-                    bound,
-                    step % 2 == 0,
-                ))
-                .map(|(out, mut counts, findings)| {
-                    // The reference loop (even steps) fast-forwards nothing.
-                    if step % 2 == 0 {
-                        counts[5] = want.1[5];
-                    }
-                    (out, counts, findings)
+    fn map_pass_runs_every_group_once_and_returns_them_in_order() {
+        for workers in [1usize, 2, 8] {
+            // No group, one, fewer than the widest pool, more than any.
+            for groups in [0usize, 1, 5, 37] {
+                let runs: Vec<AtomicUsize> = (0..groups).map(|_| AtomicUsize::new(0)).collect();
+                // Each worker counts the groups it ran in its scratch.
+                let mut ran = vec![0usize; workers];
+                let out = map_pass(&mut ran, groups, |ran, g| {
+                    runs[g].fetch_add(1, Ordering::Relaxed);
+                    *ran += 1;
+                    Ok(10 * g + 1)
                 });
-                assert_eq!(reused, fresh, "AMT({}, {l}) step {step}", cfg.amt.p);
-                match fresh {
-                    Ok(got) => assert_eq!(got, want),
-                    Err(_) => failed += 1,
-                }
+                let want: Vec<usize> = (0..groups).map(|g| 10 * g + 1).collect();
+                assert_eq!(out, Ok(want), "workers {workers} groups {groups}");
+                assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
+                assert_eq!(ran.iter().sum::<usize>(), groups);
+                // Only the first `min(workers, groups)` scratches are lent.
+                assert!(ran[groups.max(1).min(workers)..].iter().all(|&n| n == 0));
             }
-            assert!(failed >= 4, "too few BON040 groups: {failed}");
         }
     }
 
-    /// The per-pass barrier as a thread-free list schedule: passes in
-    /// order, every group's input sliced out of the *folded* previous
-    /// run set (the DAG concatenates child outputs instead), the shared
-    /// fold. The first failing group in `(pass, group)` order wins.
+    #[test]
+    fn map_pass_reports_the_minimum_failing_group() {
+        for workers in [1usize, 2, 8] {
+            let three_failed = std::sync::atomic::AtomicBool::new(false);
+            let result = map_pass(&mut vec![(); workers], 6, |(), g| match g {
+                // With helpers, group 1 fails after group 3: its worker
+                // waits while another claims and fails group 3.
+                1 => {
+                    while workers > 1 && !three_failed.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    Err(SortError::livelock(1, 1))
+                }
+                3 => {
+                    three_failed.store(true, Ordering::SeqCst);
+                    Err(SortError::livelock(1, 3))
+                }
+                _ => Ok(g),
+            });
+            assert_eq!(result, Err(SortError::livelock(1, 1)), "workers {workers}");
+        }
+    }
+
+    #[test]
+    fn map_pass_reraises_a_panic_with_its_payload_after_every_thread_joined() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::Duration;
+
+        for workers in [1usize, 2, 8] {
+            let caller = std::thread::current().id();
+            let helper_claimed = AtomicBool::new(false);
+            let in_flight = AtomicUsize::new(0);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                map_pass(&mut vec![(); workers], 16, |(), g| {
+                    // With helpers, the panic comes from a spawned thread
+                    // while the other workers are mid-task: the first
+                    // helper to claim a group panics, and every worker
+                    // holds its group until that has happened.
+                    let helper = std::thread::current().id() != caller;
+                    if helper && !helper_claimed.swap(true, Ordering::SeqCst) {
+                        panic!("group {g} panicked");
+                    }
+                    if workers == 1 && g == 3 {
+                        panic!("group {g} panicked");
+                    }
+                    in_flight.fetch_add(1, Ordering::SeqCst);
+                    while workers > 1 && !helper_claimed.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    std::thread::sleep(Duration::from_millis(2));
+                    in_flight.fetch_sub(1, Ordering::SeqCst);
+                    Ok(g)
+                })
+            }));
+            let payload = outcome.expect_err("a task panicked");
+            let text = payload
+                .downcast_ref::<String>()
+                .expect("the task's own payload, not a replacement");
+            assert!(text.ends_with(" panicked"), "workers {workers}: {text}");
+            assert_eq!(in_flight.load(Ordering::SeqCst), 0, "workers {workers}");
+        }
+    }
+
+    /// The per-pass barrier without threads or scratch reuse: passes in
+    /// order, every group in order on a new scratch, the shared fold.
+    /// The first failing group in `(pass, group)` order wins.
     fn barrier_oracle<R: Record>(
         config: &SimEngineConfig,
         data: Vec<R>,
@@ -1094,17 +772,19 @@ mod tests {
             for g in 0..groups {
                 let input = group_input(&runs, g, fan_in);
                 // A new scratch per group: the oracle never reuses one.
-                let (out, group) =
-                    simulate_group(config, &mut None, input, fan_in, stage, max_cycles, false)?;
+                let memory = config.memory.shard_view(fan_in);
+                let (out, group) = simulate(
+                    config, &mut None, input, fan_in, memory, stage, max_cycles, false,
+                )?;
                 starts.push(records.len());
-                records.extend(out);
+                records.extend(out.into_records());
                 stats.push(group);
             }
             let (pass, _) = fold_pass(
                 stage,
                 n,
                 runs.num_runs(),
-                &stats,
+                stats.iter(),
                 #[cfg(feature = "sanitize")]
                 &mut Vec::new(),
             );
@@ -1142,7 +822,7 @@ mod tests {
                 let ctx = format!("round {round} AMT({p}, {l}) len {len} workers {workers}");
                 let (out, mut rep) = SimEngine::new(cfg).sort_pipelined(data.clone(), workers);
                 assert_eq!(out, sorted, "{ctx}: output");
-                // The oracle has no DAG to overlap; everything else is exact.
+                // The oracle models no overlap; everything else is exact.
                 rep.pipeline_overlap_cycles = 0;
                 assert_eq!(rep, report, "{ctx}: report");
                 let bounded = SimEngine::new(cfg)

@@ -1,13 +1,12 @@
 //! The cycle-approximate merge-sort engine.
 
 use bonsai_check::Diagnostic;
-use bonsai_memsim::Memory;
-use bonsai_records::run::RunSet;
 use bonsai_records::Record;
 
 use crate::config::SimEngineConfig;
 use crate::error::SortError;
-use crate::report::{PassReport, SortReport};
+use crate::passsim::simulate;
+use crate::report::SortReport;
 
 /// Safety bound: a single pass may never exceed this many cycles (a
 /// livelock would otherwise spin forever).
@@ -131,39 +130,41 @@ impl SimEngine {
     pub fn try_sort<R: Record>(&mut self, data: Vec<R>) -> Result<(Vec<R>, SortReport), SortError> {
         #[cfg(feature = "sanitize")]
         self.diagnostics.clear();
-        let n_records = data.len() as u64;
-        let record_bytes = self.config.loader.record_bytes;
-        let sanitized: Vec<R> = data.into_iter().map(Record::sanitize).collect();
-
-        // Presort into `initial_run_len`-record runs. In hardware this is
-        // pipelined with the first merge stage (§VI-C1), so it costs no
-        // extra cycles; it just shortens the stage count.
-        let mut runs = RunSet::from_chunks(sanitized, self.config.initial_run_len());
-
-        let mut passes = Vec::new();
-        // Balanced power-of-two fan-ins per stage (see `schedule`).
-        let fan_ins =
-            crate::schedule::fan_in_schedule(runs.num_runs() as u64, self.config.amt.l as u64);
-        for (stage0, &m) in fan_ins.iter().enumerate() {
-            debug_assert!(runs.num_runs() > 1);
-            let (next, pass) = self.run_pass(runs, m as usize, stage0 as u32 + 1)?;
-            runs = next;
-            passes.push(pass);
-        }
-        debug_assert!(runs.num_runs() <= 1, "schedule must fully sort");
-        let report = SortReport::from_passes(passes, n_records, record_bytes);
-        Ok((runs.into_records(), report))
+        // One tree on the whole memory: each pass merges all of its
+        // groups, back to back, on one scratch kept across passes.
+        let mut scratch = None;
+        let (sorted, report, _) = crate::dag::run_plan(&self.config, data, |runs, pass, stage| {
+            let (out, stats) = simulate(
+                &self.config,
+                &mut scratch,
+                runs,
+                pass.fan_in,
+                self.config.memory,
+                stage,
+                self.max_pass_cycles,
+                self.reference_loop,
+            )?;
+            #[cfg(feature = "sanitize")]
+            self.diagnostics.extend(
+                stats
+                    .diagnostics
+                    .into_iter()
+                    .map(|d| d.with("stage", stage)),
+            );
+            Ok((out, stats.report))
+        })?;
+        Ok((sorted, report))
     }
 
-    /// Sorts `data` split across threads: every `(pass, group)` merge
-    /// task runs on one of `workers` threads (`0` = one per core) as
-    /// soon as the child groups feeding its leaves have drained (see
-    /// [`crate::dag`]).
+    /// Sorts `data` one pass at a time, each pass's merge groups spread
+    /// over `workers` threads (`0` = one per core; `1` spawns none) and
+    /// each group simulated standalone against its share of the banks
+    /// (see [`crate::dag`]).
     ///
     /// The sorted output and the [`SortReport`] are bit-identical at
-    /// every worker count, `pipeline_overlap_cycles` (the
-    /// virtual-makespan cycles the DAG saved over a per-pass barrier)
-    /// included.
+    /// every worker count, `pipeline_overlap_cycles` (the modelled
+    /// virtual-makespan cycles a dependency-driven schedule of the
+    /// groups would save over the per-pass barrier) included.
     ///
     /// # Panics
     ///
@@ -181,9 +182,9 @@ impl SimEngine {
     }
 
     /// Fallible [`SimEngine::sort_pipelined`]: livelocked groups surface
-    /// as `BON040` [`SortError`]s. The minimum failing `(pass, group)`
-    /// task wins error reporting, independent of worker count and
-    /// completion order.
+    /// as `BON040` [`SortError`]s. The first failing pass stops the sort
+    /// and its minimum failing group wins error reporting, independent
+    /// of worker count and completion order.
     pub fn try_sort_pipelined<R: Record>(
         &mut self,
         data: Vec<R>,
@@ -191,7 +192,7 @@ impl SimEngine {
     ) -> Result<(Vec<R>, SortReport), SortError> {
         #[cfg(feature = "sanitize")]
         self.diagnostics.clear();
-        crate::dag::sort::<R, bonsai_mc::facade::StdSync>(
+        crate::dag::sort(
             &self.config,
             data,
             workers,
@@ -200,34 +201,6 @@ impl SimEngine {
             #[cfg(feature = "sanitize")]
             &mut self.diagnostics,
         )
-    }
-
-    /// Executes one merge stage: merges every group of `fan_in ≤ ℓ` runs
-    /// into one.
-    fn run_pass<R: Record>(
-        &mut self,
-        runs: RunSet<R>,
-        fan_in: usize,
-        stage: u32,
-    ) -> Result<(RunSet<R>, PassReport), SortError> {
-        let mut sim = crate::passsim::PassSim::new(&self.config, runs, fan_in);
-        let mut memory = Memory::new(self.config.memory);
-        sim.run(
-            &mut memory,
-            self.reference_loop,
-            self.max_pass_cycles,
-            stage,
-        )?;
-        #[cfg(feature = "sanitize")]
-        self.diagnostics.extend(
-            sim.sanitize_check()
-                .into_iter()
-                .map(|d| d.with("stage", stage)),
-        );
-        let (out_runs, mut pass) = sim.finish(stage);
-        pass.bytes_read = memory.bytes_read();
-        pass.bytes_written = memory.bytes_written();
-        Ok((out_runs, pass))
     }
 }
 

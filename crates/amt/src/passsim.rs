@@ -1,6 +1,7 @@
-//! A steppable single-stage pass simulation, shared by [`crate::SimEngine`]
-//! (one tree, private memory) and [`crate::UnrolledSim`] (λ trees
-//! contending for one memory).
+//! A steppable single-stage pass simulation, shared by both of
+//! [`crate::SimEngine`]'s sorts (one pass at a time on a private memory,
+//! through one `simulate` function) and by [`crate::UnrolledSim`] (λ
+//! trees contending for one memory).
 //!
 //! The pass can be driven two ways with bit-identical accounting:
 //!
@@ -14,7 +15,7 @@
 //!   folded into the same `cycles`/stall counters the per-cycle loop
 //!   would have produced (see `docs/SIMULATOR.md` for the argument).
 
-use bonsai_memsim::{DataLoader, Memory, WriteDrain};
+use bonsai_memsim::{DataLoader, Memory, MemoryConfig, WriteDrain};
 use bonsai_merge_hw::stream::split_runs;
 use bonsai_records::run::RunSet;
 use bonsai_records::Record;
@@ -433,8 +434,8 @@ impl<R: Record> PassSim<R> {
             output_stalls: tree_stats.total_output_stalls,
             fast_forwarded_cycles: self.fast_forwarded,
             // The fused single-engine path never idles a worker; the
-            // group DAG's fold overwrites these from the deterministic
-            // virtual-pool schedule.
+            // per-group sort's fold overwrites these from the
+            // deterministic virtual-pool schedule.
             busy_worker_cycles: self.cycles,
             idle_worker_cycles: 0,
         };
@@ -442,11 +443,69 @@ impl<R: Record> PassSim<R> {
     }
 }
 
+/// One worker's simulation state: the pass (tree, streams, loader and
+/// drain) and the memory it runs against, built by the worker's first
+/// pass and reset for every later one — a pass costs its streams'
+/// growth, not the ≈100 allocations of a new tree. Lives for one sort.
+pub(crate) type PassScratch<R> = Option<(PassSim<R>, Memory)>;
+
+/// What one simulated pass adds to its sort's accounting: its
+/// [`PassReport`], memory traffic included, and under `sanitize` the
+/// probes' findings, not yet tagged with a stage or group.
+#[derive(Debug)]
+pub(crate) struct PassStats {
+    pub(crate) report: PassReport,
+    #[cfg(feature = "sanitize")]
+    pub(crate) diagnostics: Vec<bonsai_check::Diagnostic>,
+}
+
+/// Simulates one pass merging groups of `fan_in` runs of `runs` to
+/// completion on `scratch`, against a memory built from `memory` — the
+/// whole memory for the fused sort's single tree, a group's
+/// [`MemoryConfig::shard_view`] for one merge group — and returns the
+/// output runs (terminal-free and sorted) and the accounting. What an
+/// earlier pass left in the scratch, finished or abandoned on an error,
+/// never shows: a reset scratch equals a new one.
+///
+/// Fails with `BON040` for `stage` when the pass is still running at
+/// `max_cycles` ([`PassSim::run`]).
+#[allow(clippy::too_many_arguments)] // one pass's whole input, no more
+pub(crate) fn simulate<R: Record>(
+    config: &SimEngineConfig,
+    scratch: &mut PassScratch<R>,
+    runs: RunSet<R>,
+    fan_in: usize,
+    memory: MemoryConfig,
+    stage: u32,
+    max_cycles: u64,
+    reference: bool,
+) -> Result<(RunSet<R>, PassStats), SortError> {
+    let (sim, mem) = match scratch {
+        Some(used) => {
+            used.0.reset(runs, fan_in);
+            used.1.reset(memory);
+            used
+        }
+        None => scratch.insert((PassSim::new(config, runs, fan_in), Memory::new(memory))),
+    };
+    sim.run(mem, reference, max_cycles, stage)?;
+    #[cfg(feature = "sanitize")]
+    let diagnostics = sim.sanitize_check();
+    let (out_runs, mut report) = sim.finish(stage);
+    report.bytes_read = mem.bytes_read();
+    report.bytes_written = mem.bytes_written();
+    let stats = PassStats {
+        report,
+        #[cfg(feature = "sanitize")]
+        diagnostics,
+    };
+    Ok((out_runs, stats))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::AmtConfig;
-    use bonsai_memsim::MemoryConfig;
     use bonsai_records::U32Rec;
 
     /// The candidate sets are caches of what a scan of every leaf would
@@ -514,5 +573,84 @@ mod tests {
         }
         // The sets are worth having: most leaves are not on them.
         assert!(fed > 0 && candidates < steps / 2, "{candidates} of {steps}");
+    }
+
+    /// One scratch carried through passes of differing fan-in, size and
+    /// memory (a group's bank view, or the whole memory as the fused
+    /// sort uses it) — including right after a pass abandoned on
+    /// `BON040` — must yield what a new scratch yields for each: output
+    /// runs, the whole report and (under `sanitize`) the probes'
+    /// findings.
+    #[test]
+    fn reused_scratch_matches_a_new_one_group_after_group() {
+        type Observed = (Vec<U32Rec>, PassReport, String);
+
+        fn observe(
+            result: Result<(RunSet<U32Rec>, PassStats), SortError>,
+        ) -> Result<Observed, SortError> {
+            result.map(|(out, stats)| {
+                #[cfg(feature = "sanitize")]
+                let findings = format!("{:?}", stats.diagnostics);
+                #[cfg(not(feature = "sanitize"))]
+                let findings = String::new();
+                (out.into_records(), stats.report, findings)
+            })
+        }
+
+        let mut ssd =
+            SimEngineConfig::with_memory(AmtConfig::new(8, 128), 4, MemoryConfig::ssd_direct());
+        ssd.loader.batch_bytes = 131_072;
+        let mut rng = bonsai_rng::Rng::seed_from_u64(0x5C2A_0019);
+        for cfg in [
+            SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4),
+            SimEngineConfig::dram_sorter(AmtConfig::new(2, 2), 4),
+            ssd,
+        ] {
+            let l = cfg.amt.l;
+            let mut scratch: PassScratch<U32Rec> = None;
+            let mut failed = 0;
+            for step in 0..24 {
+                let fan_in = rng.range_usize(2, l);
+                let n_runs = rng.range_usize(1, fan_in);
+                let run_len = [1usize, 16, 300][step % 3];
+                let data: Vec<U32Rec> = (0..rng.range_usize(1, n_runs * run_len))
+                    .map(|_| U32Rec::new(rng.next_u32().max(1)))
+                    .collect();
+                let runs = RunSet::from_chunks(data, run_len);
+                let memory = if step % 4 == 3 {
+                    cfg.memory
+                } else {
+                    cfg.memory.shard_view(fan_in)
+                };
+                let run = |scratch: &mut PassScratch<U32Rec>, bound, reference| {
+                    let runs = runs.clone();
+                    observe(simulate(
+                        &cfg, scratch, runs, fan_in, memory, 1, bound, reference,
+                    ))
+                };
+                let want = run(&mut None, u64::MAX, false).expect("an unbounded pass finishes");
+                // Every third pass is cut off half way: the scratch is
+                // abandoned mid-pass, records in every FIFO.
+                let bound = if step % 3 == 1 {
+                    want.1.cycles / 2
+                } else {
+                    u64::MAX
+                };
+                let fresh = run(&mut None, bound, false);
+                let reused = run(&mut scratch, bound, step % 2 == 0).map(|(out, mut report, f)| {
+                    // The reference loop (even steps) fast-forwards nothing.
+                    if step % 2 == 0 {
+                        report.fast_forwarded_cycles = want.1.fast_forwarded_cycles;
+                    }
+                    (out, report, f)
+                });
+                assert_eq!(reused, fresh, "AMT({}, {l}) step {step}", cfg.amt.p);
+                match fresh {
+                    Ok(got) => assert_eq!(got, want),
+                    Err(_) => failed += 1,
+                }
+            }
+            assert!(failed >= 4, "too few BON040 passes: {failed}");
+        }
     }
 }

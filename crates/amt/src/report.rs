@@ -32,16 +32,18 @@ pub struct PassReport {
     /// Simulated cycles a virtual worker spent executing this pass's
     /// merge groups, summed across the [`VIRTUAL_WORKERS`] reference
     /// pool (equals `cycles` — every group is simulated exactly once).
-    /// Observability only: computed from a deterministic list schedule
-    /// of the per-group cycle costs, never from wall-clock threads, so
-    /// it is bit-identical at every real worker count.
+    /// Modelled hardware time, not the host executor's: computed from a
+    /// deterministic list schedule of the per-group cycle costs, never
+    /// from wall-clock threads, so it is bit-identical at every real
+    /// worker count. Observability only.
     ///
     /// [`VIRTUAL_WORKERS`]: crate::dag::VIRTUAL_WORKERS
     pub busy_worker_cycles: u64,
     /// Simulated cycles virtual workers sat idle while this pass ran
-    /// under the per-pass-barrier schedule (pass makespan ×
-    /// [`VIRTUAL_WORKERS`] − busy). `0` on the fused single-engine
-    /// path. Observability only, like [`busy_worker_cycles`].
+    /// under the per-pass-barrier schedule on the reference pool (pass
+    /// makespan × [`VIRTUAL_WORKERS`] − busy). `0` on the fused
+    /// single-engine path. Modelled time and observability only, like
+    /// [`busy_worker_cycles`].
     ///
     /// [`busy_worker_cycles`]: PassReport::busy_worker_cycles
     /// [`VIRTUAL_WORKERS`]: crate::dag::VIRTUAL_WORKERS
@@ -78,12 +80,13 @@ pub struct SortReport {
     /// Total simulated cycles the fast-forward scheduler skipped instead
     /// of ticking (see [`PassReport::fast_forwarded_cycles`]).
     pub fast_forwarded_cycles: u64,
-    /// Virtual-makespan cycles the cross-pass pipelined group-DAG
-    /// scheduler saved versus the per-pass-barrier schedule on the
+    /// Virtual-makespan cycles a schedule that starts each merge group
+    /// as soon as its child groups drain would save over the
+    /// per-pass-barrier schedule, both on the
     /// [`VIRTUAL_WORKERS`](crate::dag::VIRTUAL_WORKERS) reference pool:
-    /// barrier makespan − DAG makespan. Always `0` on the fused path
-    /// and on the jobs of a batch (the batch reports its overlap
-    /// once). Observability only (cleared by
+    /// barrier makespan − group-DAG makespan. Modelled hardware time,
+    /// not the host executor's (which keeps the barrier). Always `0` on
+    /// the fused path. Observability only (cleared by
     /// [`SortReport::normalized`]), and deterministic: derived from
     /// per-group simulated cycles, not wall clock.
     pub pipeline_overlap_cycles: u64,

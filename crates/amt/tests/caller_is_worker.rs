@@ -1,18 +1,16 @@
-//! One worker means no thread: the caller of `execute_dag` is worker 0.
+//! One worker means no thread: the caller of `map_pass` is worker 0.
 //!
 //! The runtime's default (`pass_workers = 1`) and every benchmark path
-//! run each sort's group DAG with one worker, so a spawn and join per
-//! sort is pure overhead on a ~1 ms job. This file holds a single test
-//! on purpose: an integration-test binary is its own process, so the
+//! sort with one worker, so a spawn and join per pass is pure overhead
+//! on a ~1 ms job. This file holds a single test on purpose: an
+//! integration-test binary is its own process, so the
 //! `/proc/self/task` count (the way the runtime's leak tests count
 //! threads) is not disturbed by other tests' threads.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::thread::ThreadId;
 
-use bonsai_amt::dag::execute_dag;
-use bonsai_amt::SortPlan;
-use bonsai_mc::facade::StdSync;
+use bonsai_amt::dag::map_pass;
 
 /// Thread count of this process via /proc (Linux-only; 0 elsewhere, so
 /// the count assertions pass trivially and the `ThreadId` ones remain).
@@ -20,25 +18,20 @@ fn count_own_threads() -> usize {
     std::fs::read_dir("/proc/self/task").map_or(0, Iterator::count)
 }
 
-/// Runs the 5-task plan (8 runs on 4 leaves) and returns what each task
-/// saw: the thread it ran on and the process's thread count.
+/// Runs a 5-group pass and returns what each group saw: the thread it
+/// ran on and the process's thread count.
 fn observe(workers: usize) -> Vec<(ThreadId, usize)> {
-    let seen = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&seen);
-    let (root, meta) = execute_dag::<StdSync, u64, (), _>(
-        SortPlan::new(8, 4),
-        workers,
-        move |_pass, _group, inputs| {
-            sink.lock()
-                .expect("no task panics")
-                .push((std::thread::current().id(), count_own_threads()));
-            Ok((1 + inputs.iter().sum::<u64>(), ()))
-        },
-    )
+    let seen = Mutex::new(Vec::new());
+    let out = map_pass(&mut vec![(); workers], 5, |(), group| {
+        seen.lock()
+            .expect("no task panics")
+            .push((std::thread::current().id(), count_own_threads()));
+        Ok(group)
+    })
     .expect("no task fails");
-    assert_eq!((root, meta.len()), (5, 5));
-    let seen = seen.lock().expect("no task panics").clone();
-    assert_eq!(seen.len(), 5, "every task ran exactly once");
+    assert_eq!(out, [0, 1, 2, 3, 4]);
+    let seen = seen.into_inner().expect("no task panics");
+    assert_eq!(seen.len(), 5, "every group ran exactly once");
     seen
 }
 
@@ -53,13 +46,12 @@ fn one_worker_runs_every_task_on_the_calling_thread() {
     }
     assert_eq!(count_own_threads(), before);
 
-    // Two workers are the caller plus exactly one spawned thread, alive
-    // for as long as any task is unresolved and joined on return.
+    // Two workers are the caller plus exactly one scoped thread, which
+    // is alive at least while it runs a group and is joined on return.
     let seen = observe(2);
-    for &(_, threads_alive) in &seen {
-        if before > 0 {
-            assert_eq!(threads_alive, before + 1, "workers = 2 spawns one thread");
-        }
+    if before > 0 {
+        let most = seen.iter().map(|&(_, alive)| alive).max();
+        assert_eq!(most, Some(before + 1), "workers = 2 spawns one thread");
     }
     assert_eq!(count_own_threads(), before, "the spawned worker is joined");
 }

@@ -1,6 +1,6 @@
-//! Worker-count invariance of the group DAG.
+//! Worker-count invariance of the per-group sort.
 //!
-//! The DAG's whole contract is that `workers` is a
+//! Its whole contract is that `workers` is a
 //! wall-clock knob and nothing else: for any configuration, every worker
 //! count must produce the same sorted output and the same per-pass cycle
 //! counts, bit for bit. These tests draw randomized configurations and
@@ -11,18 +11,11 @@ use bonsai_amt::{AmtConfig, SimEngine, SimEngineConfig};
 use bonsai_records::U32Rec;
 use bonsai_rng::Rng;
 
-/// Worker count the suite compares against 1; override with
-/// `BONSAI_TEST_WORKERS` (CI runs the matrix at 1, 2 and max).
-fn test_workers() -> usize {
-    std::env::var("BONSAI_TEST_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4)
-}
+/// Worker counts compared against 1 (`0` = one per core).
+const WORKERS: [usize; 4] = [1, 2, 3, 0];
 
 #[test]
 fn dag_reports_are_worker_count_invariant_on_random_configs() {
-    let workers = test_workers();
     let mut rng = Rng::seed_from_u64(0xA370_0040);
     for round in 0..24 {
         let len = rng.range_usize(1, 30_000);
@@ -36,20 +29,22 @@ fn dag_reports_are_worker_count_invariant_on_random_configs() {
         cfg.presort = (presort > 1).then_some(presort);
 
         let (out_1, report_1) = SimEngine::new(cfg).sort_pipelined(data.clone(), 1);
-        let (out_n, report_n) = SimEngine::new(cfg).sort_pipelined(data.clone(), workers);
-        assert_eq!(
-            out_1, out_n,
-            "round {round} (p={p} l={l}): output depends on worker count"
-        );
-        assert_eq!(
-            report_1, report_n,
-            "round {round} (p={p} l={l}): report depends on worker count"
-        );
+        for workers in WORKERS {
+            let (out_n, report_n) = SimEngine::new(cfg).sort_pipelined(data.clone(), workers);
+            assert_eq!(
+                out_1, out_n,
+                "round {round} (p={p} l={l}) workers={workers}: output depends on worker count"
+            );
+            assert_eq!(
+                report_1, report_n,
+                "round {round} (p={p} l={l}) workers={workers}: report depends on worker count"
+            );
+        }
 
-        // The DAG sorts exactly like the fused engine (the
+        // The per-group sort sorts exactly like the fused engine (the
         // timing models differ; the data path must not).
         let (out_fused, _) = SimEngine::new(cfg).sort(data);
-        assert_eq!(out_1, out_fused, "round {round}: DAG output diverges");
+        assert_eq!(out_1, out_fused, "round {round}: per-group output diverges");
         for pass in &report_1.passes {
             assert!(pass.cycles > 0, "round {round}: empty pass accounting");
         }
@@ -64,14 +59,16 @@ fn dag_and_fused_agree_on_bytes_moved() {
     let data: Vec<U32Rec> = bonsai_gensort::dist::uniform_u32(40_000, 17);
     let cfg = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
     let (_, fused) = SimEngine::new(cfg).sort(data.clone());
-    let (_, dag) = SimEngine::new(cfg).sort_pipelined(data, test_workers());
-    assert_eq!(fused.passes.len(), dag.passes.len());
-    for (f, s) in fused.passes.iter().zip(&dag.passes) {
-        assert_eq!(f.bytes_read, s.bytes_read, "stage {}", f.stage);
-        assert_eq!(f.bytes_written, s.bytes_written, "stage {}", f.stage);
-        assert_eq!(f.runs_in, s.runs_in);
-        assert_eq!(f.runs_out, s.runs_out);
-        assert_eq!(f.records, s.records);
+    for workers in WORKERS {
+        let (_, dag) = SimEngine::new(cfg).sort_pipelined(data.clone(), workers);
+        assert_eq!(fused.passes.len(), dag.passes.len());
+        for (f, s) in fused.passes.iter().zip(&dag.passes) {
+            assert_eq!(f.bytes_read, s.bytes_read, "stage {}", f.stage);
+            assert_eq!(f.bytes_written, s.bytes_written, "stage {}", f.stage);
+            assert_eq!(f.runs_in, s.runs_in);
+            assert_eq!(f.runs_out, s.runs_out);
+            assert_eq!(f.records, s.records);
+        }
     }
 }
 

@@ -6,7 +6,7 @@
 //! and the same `SortReport`, bit for bit, with the sole exception of
 //! the `fast_forwarded_cycles` observability counters (always zero on
 //! the reference path). These tests draw randomized configurations and
-//! check the invariant on the fused engine and the group DAG; the in-repo
+//! check the invariant on the fused and the per-group sort; the in-repo
 //! experiment configs are covered by the bench crate's equivalence
 //! suite.
 

@@ -1,13 +1,13 @@
-//! The group DAG against the fused engine, across worker counts and
+//! The per-group sort against the fused engine, across worker counts and
 //! both simulation loops.
 //!
-//! The DAG's contract is that its worker count is a wall-clock knob and
+//! Its contract is that the worker count is a wall-clock knob and
 //! nothing else: for any configuration it must produce the same sorted
 //! output as the fused engine and the same `SortReport` at every worker
-//! count, bit for bit. (The per-pass barrier it replaced survives as the
-//! thread-free oracle in `dag.rs`'s unit tests, which pins the report
-//! itself.) Shapes are randomized so the suite crosses both regimes —
-//! passes with more groups than workers and workers than groups.
+//! count, bit for bit. (The thread-free oracle in `dag.rs`'s unit tests
+//! pins the report itself.) Shapes are randomized so the suite crosses
+//! both regimes — passes with more groups than workers and workers than
+//! groups.
 
 use bonsai_amt::{AmtConfig, SimEngine, SimEngineConfig, VIRTUAL_WORKERS};
 use bonsai_gensort::dist::uniform_u32;
@@ -15,14 +15,9 @@ use bonsai_memsim::MemoryConfig;
 use bonsai_records::U32Rec;
 use bonsai_rng::Rng;
 
-/// The "max" worker point of the matrix: `BONSAI_TEST_WORKERS` when
-/// set (CI pins it per matrix row), otherwise 4.
-fn test_workers() -> usize {
-    std::env::var("BONSAI_TEST_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4)
-}
+/// Worker counts every invariant is checked at: the caller alone, one
+/// and two helper threads, and one per core (`0`).
+const WORKERS: [usize; 4] = [1, 2, 3, 0];
 
 fn engine(cfg: SimEngineConfig) -> SimEngine {
     SimEngine::new(cfg)
@@ -58,8 +53,7 @@ fn pipelined_matches_fused_on_random_shapes() {
         // with thousands of groups).
         let data = random_data(&mut rng, if round % 2 == 0 { 20_000 } else { 200 });
         let (out_fused, rep_fused) = engine(cfg).sort(data.clone());
-        // 0 = one worker per core; test_workers() the CI matrix point.
-        for workers in [1usize, 2, test_workers(), 0] {
+        for workers in WORKERS {
             let (out, rep) = engine(cfg).sort_pipelined(data.clone(), workers);
             assert_eq!(
                 out, out_fused,
@@ -81,7 +75,7 @@ fn pipelined_report_is_bit_identical_across_worker_counts() {
         let cfg = random_config(&mut rng);
         let data = random_data(&mut rng, 15_000);
         let (out_1, rep_1) = engine(cfg).sort_pipelined(data.clone(), 1);
-        for workers in [2usize, 3, test_workers(), 0] {
+        for workers in WORKERS {
             let (out_n, rep_n) = engine(cfg).sort_pipelined(data.clone(), workers);
             assert_eq!(out_1, out_n, "round {round} workers={workers}");
             // Raw equality: even pipeline_overlap_cycles and the
@@ -151,14 +145,15 @@ fn single_pass_shapes_have_zero_overlap() {
 fn livelock_bound_trips_identically_under_pipelined() {
     // BON040 parity (the SortError carries only stage and bound, and
     // the minimum failing (pass, group) wins): the fused engine and the
-    // DAG on every loop and worker count must surface the same error.
+    // per-group sort on every loop and worker count must surface the
+    // same error.
     let cfg = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
     let data = uniform_u32(50_000, 4);
     let err_fused = engine(cfg)
         .with_max_pass_cycles(10)
         .try_sort(data.clone())
         .expect_err("bound of 10 cycles must trip");
-    for workers in [1usize, 2, test_workers(), 0] {
+    for workers in WORKERS {
         for reference in [false, true] {
             let err = engine(cfg)
                 .with_max_pass_cycles(10)
@@ -178,14 +173,14 @@ fn livelock_bound_trips_identically_under_pipelined() {
 fn multipass_flash_sort_overlaps_only_its_ragged_waves() {
     // A latency-bound flash stream, where every merge group costs about
     // the same whatever its pass: 2 112 records (132 presorted runs) on
-    // a 4-leaf tree, groups 33 -> 9 -> 3 -> 1. The DAG is one-rooted,
-    // so all it can reclaim over the per-pass barrier is each pass's
-    // ragged last wave. Virtual time on the reference pool, so exact at
-    // any worker count.
+    // a 4-leaf tree, groups 33 -> 9 -> 3 -> 1. The group DAG is
+    // one-rooted, so all a dependency-driven schedule can reclaim over
+    // the per-pass barrier is each pass's ragged last wave. Modelled
+    // time on the reference pool, so exact at any worker count.
     let mut cfg = SimEngineConfig::with_memory(AmtConfig::new(4, 4), 4, MemoryConfig::ssd_direct());
     cfg.loader.batch_bytes = 131_072;
     let data = uniform_u32(2_112, 2026);
-    for workers in [1usize, 2, test_workers()] {
+    for workers in WORKERS {
         let (_, rep) = engine(cfg).sort_pipelined(data.clone(), workers);
         let groups: Vec<u64> = rep.passes.iter().map(|p| p.runs_out).collect();
         assert_eq!(groups, [33, 9, 3, 1], "workers={workers}");

@@ -1,7 +1,7 @@
 //! Compiled-shape cache equivalence: an engine minted from a cache hit
 //! must be *bit-identical* in behavior to a cold `SimEngine::try_new` —
-//! same sorted output, same `SortReport` — fused and on the group DAG
-//! at every worker count. The cache may only skip validation work, never
+//! same sorted output, same `SortReport` — fused and per group at
+//! every worker count. The cache may only skip validation work, never
 //! change the datapath.
 
 use bonsai_amt::{AmtConfig, ShapeCache, SimEngine, SimEngineConfig, SortReport};

@@ -26,6 +26,5 @@
 #![warn(missing_debug_implementations)]
 
 pub mod experiments;
-pub mod harness;
 pub mod lint;
 pub mod table;

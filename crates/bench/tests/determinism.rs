@@ -8,18 +8,11 @@ use bonsai_amt::SimEngine;
 use bonsai_bench::lint::engine_targets;
 use bonsai_gensort::dist::uniform_u32;
 
-/// Worker count compared against 1; `BONSAI_TEST_WORKERS` overrides
-/// (CI runs the matrix at 1, 2 and max).
-fn test_workers() -> usize {
-    std::env::var("BONSAI_TEST_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4)
-}
+/// Worker counts compared against 1 (`0` = one per core).
+const WORKERS: [usize; 4] = [1, 2, 3, 0];
 
 #[test]
 fn every_experiment_config_is_worker_count_invariant() {
-    let workers = test_workers();
     // Small enough to keep the widest (l = 256, SSD-throttled) targets
     // fast, large enough that every target runs at least two passes.
     let n_records = 20_000;
@@ -29,13 +22,18 @@ fn every_experiment_config_is_worker_count_invariant() {
         // the same schedule.
         let data = uniform_u32(n_records, 41);
         let (out_1, report_1) = SimEngine::new(cfg).sort_pipelined(data.clone(), 1);
-        let (out_n, report_n) = SimEngine::new(cfg).sort_pipelined(data.clone(), workers);
-        assert_eq!(out_1, out_n, "{target}: output depends on worker count");
-        assert_eq!(
-            report_1, report_n,
-            "{target}: SortReport depends on worker count"
-        );
+        for workers in WORKERS {
+            let (out_n, report_n) = SimEngine::new(cfg).sort_pipelined(data.clone(), workers);
+            assert_eq!(
+                out_1, out_n,
+                "{target} workers={workers}: output depends on worker count"
+            );
+            assert_eq!(
+                report_1, report_n,
+                "{target} workers={workers}: SortReport depends on worker count"
+            );
+        }
         let (out_fused, _) = SimEngine::new(cfg).sort(data);
-        assert_eq!(out_1, out_fused, "{target}: DAG output diverges");
+        assert_eq!(out_1, out_fused, "{target}: per-group output diverges");
     }
 }

@@ -3,26 +3,19 @@
 //! Companion to the determinism suite: on all the configs the
 //! experiment suite actually runs (`lint::engine_targets`), the
 //! event-driven fast path and the reference per-cycle loop must produce
-//! bit-identical sorted output and `SortReport`s — fused and on the
-//! group DAG at every worker count — modulo only the
-//! `fast_forwarded_cycles` observability counters.
+//! bit-identical sorted output and `SortReport`s — fused and per group
+//! at every worker count — modulo only the `fast_forwarded_cycles`
+//! observability counters.
 
 use bonsai_amt::SimEngine;
 use bonsai_bench::lint::engine_targets;
 use bonsai_gensort::dist::uniform_u32;
 
-/// Worker count compared alongside 1 and max; `BONSAI_TEST_WORKERS`
-/// overrides (CI runs the matrix at 1, 2 and max).
-fn test_workers() -> usize {
-    std::env::var("BONSAI_TEST_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2)
-}
+/// Worker counts the fast path is compared at (`0` = one per core).
+const WORKERS: [usize; 4] = [1, 2, 3, 0];
 
 #[test]
 fn every_experiment_config_agrees_across_paths() {
-    let workers = test_workers();
     let n_records = 20_000;
     for (target, cfg) in engine_targets() {
         let data = uniform_u32(n_records, 47);
@@ -47,12 +40,11 @@ fn every_experiment_config_agrees_across_paths() {
         let (out_s, rep_s) = SimEngine::new(cfg)
             .with_reference_loop(true)
             .sort_pipelined(data.clone(), 1);
-        // 0 = one worker per core, the "max" point of the matrix.
-        for w in [1usize, workers, 0] {
+        for w in WORKERS {
             let (o, r) = SimEngine::new(cfg)
                 .with_reference_loop(false)
                 .sort_pipelined(data.clone(), w);
-            assert_eq!(out_s, o, "{target} workers={w}: DAG outputs diverge");
+            assert_eq!(out_s, o, "{target} workers={w}: per-group outputs diverge");
             assert_eq!(
                 rep_s.pipeline_overlap_cycles, r.pipeline_overlap_cycles,
                 "{target} workers={w}: overlap depends on the loop"
@@ -60,7 +52,7 @@ fn every_experiment_config_agrees_across_paths() {
             assert_eq!(
                 rep_s.clone().normalized(),
                 r.normalized(),
-                "{target} workers={w}: DAG reports diverge"
+                "{target} workers={w}: per-group reports diverge"
             );
         }
     }

@@ -202,23 +202,6 @@ fn bon024_copies_zero() {
 }
 
 #[test]
-fn bon024_guards_pipeline_config_depth() {
-    // The §III-A3 pipeline model routes its depth through the same
-    // copies check: depth 0 must be a diagnostic, not a silent `inf`
-    // from Equation 3's `β_DRAM / λ_pipe` term.
-    let cfg = bonsai_sorters::pipeline::PipelineConfig {
-        depth: 0,
-        ..bonsai_sorters::pipeline::PipelineConfig::ssd_phase_one()
-    };
-    let diags = cfg.validate();
-    assert_emits(&diags, codes::COPIES_ZERO);
-    assert!(has_errors(&diags));
-    assert!(bonsai_sorters::pipeline::PipelineConfig::ssd_phase_one()
-        .validate()
-        .is_empty());
-}
-
-#[test]
 fn bon025_presort_not_power_of_two() {
     assert_emits(
         &bonsai_check::check_presort(10, 1024),
@@ -363,8 +346,8 @@ fn bon040_pass_livelock_is_a_structured_error() {
     assert_eq!(err.code(), codes::SIM_PASS_LIVELOCK);
     assert_eq!(err.stage, 1, "first pass trips the bound");
 
-    // The group DAG reports the identical error: the minimum failing
-    // (pass, group) task wins, whatever the worker count.
+    // The per-group sort reports the identical error: the first failing
+    // pass's minimum failing group wins, whatever the worker count.
     let mut engine = bonsai_amt::SimEngine::try_new(dram(4, 16, 4))
         .expect("valid config")
         .with_max_pass_cycles(10);

@@ -1,4 +1,4 @@
-//! Batch sort-job runtime over the group-DAG [`SimEngine`].
+//! Batch sort-job runtime over the per-group [`SimEngine`] sort.
 //!
 //! The bench configs are CPU-bound on one core; under batch traffic the
 //! host has two axes of parallelism to spend:
@@ -7,9 +7,8 @@
 //!   threads fed by the bounded [`ClassQueue`], whose depth gives
 //!   submitters backpressure instead of unbounded buffering;
 //! - **within a job** — each worker drives
-//!   [`SimEngine::try_sort_pipelined`], which can further spread the
-//!   job's `(pass, group)` merge tasks over
-//!   [`RuntimeConfig::pass_workers`] threads.
+//!   [`SimEngine::try_sort_pipelined`], which can further spread each
+//!   pass's merge groups over [`RuntimeConfig::pass_workers`] threads.
 //!
 //! Failures stay per-job: an invalid configuration
 //! ([`JobError::Invalid`], `BONxxx` diagnostics), a livelocked pass
@@ -81,7 +80,7 @@ pub use pool::WorkerPool;
 use adaptive::AdaptiveState;
 
 /// How the runtime picks each job's queue lane and AMT shape. Within a
-/// job the merge passes always run on the group DAG
+/// job the merge passes always run group by group
 /// ([`SimEngine::try_sort_pipelined`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PassScheduler {
@@ -110,8 +109,8 @@ pub struct RuntimeConfig {
     /// Bounded queue depth; a full queue blocks [`Runtime::submit`]
     /// (backpressure).
     pub queue_depth: usize,
-    /// Threads each worker may spend on one job's group DAG (`0` = one
-    /// per core). The default of `1` keeps one job per core; raise it
+    /// Threads each worker may spend on one pass of a job's merge groups
+    /// (`0` = one per core). The default of `1` keeps one job per core; raise it
     /// when jobs are few and wide.
     pub pass_workers: usize,
     /// Lane and shape policy: [`PassScheduler::Fifo`] (the default) or
@@ -800,9 +799,9 @@ mod tests {
 
     #[test]
     fn panicking_job_fails_alone_and_shutdown_still_joins() {
-        // The panic fires inside a DAG worker while its sibling may be
-        // parked in `wait_while`: the DAG must drain (catch_unwind in
-        // its loop) before the job-level catch records the failure.
+        // The panic fires inside a pass worker while its sibling may
+        // still be simulating: the pass must join (scoped threads)
+        // before the job-level catch records the failure.
         let runtime = Runtime::<PanicRec>::start(RuntimeConfig {
             workers: 2,
             pass_workers: 2,

@@ -128,26 +128,6 @@ impl DramSorter {
         Ok((sorted, self.simulated_report(&array, &plan, &sim)))
     }
 
-    /// Like [`DramSorter::simulate`], but splits the sort's independent
-    /// merge groups across `workers` threads (`0` = one per core). The
-    /// report is bit-identical for every worker count; see
-    /// [`bonsai_amt::dag`] for the per-group timing model.
-    ///
-    /// # Errors
-    ///
-    /// See [`DramSorter::plan`].
-    pub fn simulate_parallel<R: Record>(
-        &self,
-        data: Vec<R>,
-        workers: usize,
-    ) -> Result<(Vec<R>, SorterReport), SorterError> {
-        let array = ArrayParams::new(data.len() as u64, R::WIDTH_BYTES as u64);
-        let plan = self.plan(&array)?;
-        let cfg = self.engine_config(&array, &plan);
-        let (sorted, sim) = SimEngine::new(cfg).sort_pipelined(data, workers);
-        Ok((sorted, self.simulated_report(&array, &plan, &sim)))
-    }
-
     /// The cycle-simulator configuration for this plan, with the memory
     /// model's bandwidth scaled to this sorter's hardware.
     fn engine_config(&self, array: &ArrayParams, plan: &RankedConfig) -> SimEngineConfig {
@@ -253,17 +233,6 @@ mod tests {
         // Simulated and modeled times agree within the validation band.
         let ratio = rb.seconds() / ra.seconds();
         assert!((0.5..1.7).contains(&ratio), "sim/model ratio {ratio}");
-    }
-
-    #[test]
-    fn parallel_simulate_matches_serial_output() {
-        let data = uniform_u32(100_000, 9);
-        let (serial, _) = sorter().simulate(data.clone()).expect("fits");
-        let (w1, r1) = sorter().simulate_parallel(data.clone(), 1).expect("fits");
-        let (w4, r4) = sorter().simulate_parallel(data, 4).expect("fits");
-        assert_eq!(serial, w1, "the DAG must sort identically");
-        assert_eq!(w1, w4);
-        assert_eq!(r1, r4, "reports must not depend on worker count");
     }
 
     #[test]

@@ -24,7 +24,6 @@ pub mod calibration;
 mod dram;
 pub mod external;
 mod hbm;
-pub mod pipeline;
 mod report;
 mod ssd;
 
