@@ -18,6 +18,7 @@
 use crate::components::ComponentLibrary;
 use crate::optimizer::FullConfig;
 use crate::params::{ArrayParams, HardwareParams};
+use crate::resource::Footprint;
 use crate::{perf, resource};
 use bonsai_amt::graph::{lower_to_graph, required_bytes_per_cycle, LowerOptions};
 use bonsai_amt::{SimEngine, SimEngineConfig};
@@ -35,8 +36,9 @@ pub const CERTIFY_TOLERANCE: f64 = 0.02;
 pub const DRIFT_TOLERANCE: f64 = 0.35;
 
 /// Cross-validate a [`FullConfig`] against the hardware and component
-/// library, exactly mirroring [`resource::config_fits`] but returning
-/// the analyzer's findings instead of a bare `bool`.
+/// library through the same Equation 9/10 budget path as
+/// [`resource::config_fits`], returning the analyzer's findings instead
+/// of a bare `bool`.
 ///
 /// Emits `BON001`/`BON002` for malformed shapes, `BON022`/`BON023` for
 /// tool-flow limits, `BON024` for zero replication factors,
@@ -84,15 +86,14 @@ pub fn check_full_config(
         return out;
     }
 
-    let copies = (unroll * pipeline) as u64;
-    let per_tree = resource::amt_lut(lib, p, l, record_bits)
-        + presorter_chunk.map_or(0, |c| resource::presorter_lut(c, record_bits));
+    let tree = resource::tree_lut(lib, p, l, record_bits, presorter_chunk);
+    let footprint = Footprint::replicated(hw, tree, l, unroll * pipeline);
     out.extend(bonsai_check::check_lut_budget(
-        (copies * per_tree) as f64,
+        footprint.lut as f64,
         hw.c_lut as f64,
     ));
     out.extend(bonsai_check::check_bram_budget(
-        copies * hw.loader_bram_bytes(l as u64),
+        footprint.bram_bytes,
         hw.c_bram,
     ));
     out

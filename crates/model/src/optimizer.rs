@@ -4,7 +4,7 @@
 use crate::components::ComponentLibrary;
 use crate::params::{ArrayParams, HardwareParams};
 use crate::perf;
-use crate::resource;
+use crate::resource::{self, Footprint};
 
 /// A complete AMT configuration (Table III).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -167,14 +167,6 @@ impl BonsaiOptimizer {
         &self.hw
     }
 
-    fn presort_choices(&self) -> Vec<usize> {
-        if self.presort > 1 {
-            vec![self.presort, 1]
-        } else {
-            vec![1]
-        }
-    }
-
     fn candidate_ps(&self) -> impl Iterator<Item = usize> + '_ {
         (0..=self.hw.max_p.trailing_zeros()).map(|e| 1usize << e)
     }
@@ -183,7 +175,13 @@ impl BonsaiOptimizer {
         (1..=self.hw.max_l.trailing_zeros()).map(|e| 1usize << e)
     }
 
-    fn score(&self, array: &ArrayParams, config: FullConfig, presort: usize) -> RankedConfig {
+    fn score(
+        &self,
+        array: &ArrayParams,
+        config: FullConfig,
+        presort: usize,
+        footprint: Footprint,
+    ) -> RankedConfig {
         let FullConfig {
             throughput_p: p,
             leaves_l: l,
@@ -196,63 +194,82 @@ impl BonsaiOptimizer {
             perf::eq4_pipeline_latency(array, &self.hw, p, pipeline)
         };
         let throughput = perf::eq7_throughput(&self.hw, p, array.record_bytes, pipeline, unroll);
-        let copies = (unroll * pipeline) as u64;
-        let per_tree = resource::amt_lut(&self.lib, p, l, array.record_bits())
-            + if presort > 1 {
-                resource::presorter_lut(presort, array.record_bits())
-            } else {
-                0
-            };
         RankedConfig {
             config,
             presort,
             latency_s,
             throughput,
-            lut: copies * per_tree,
-            bram_bytes: copies * self.hw.loader_bram_bytes(l as u64),
+            lut: footprint.lut,
+            bram_bytes: footprint.bram_bytes,
             stages: perf::stages(array.n_records.div_ceil(unroll as u64), l, presort),
         }
     }
 
-    /// Enumerates every implementable (Eq. 9, Eq. 10) configuration for
-    /// the given pipeline depths.
-    fn enumerate(&self, array: &ArrayParams, pipelines: &[usize]) -> Vec<RankedConfig> {
-        let mut out = Vec::new();
-        for &pipeline in pipelines {
-            for p in self.candidate_ps() {
-                for l in self.candidate_ls() {
-                    for unroll_log in 0..=6 {
-                        let unroll = 1usize << unroll_log;
-                        let copies = unroll * pipeline;
-                        for presort in self.presort_choices() {
-                            let chunk = (presort > 1).then_some(presort);
-                            if !resource::config_fits(
-                                &self.lib,
-                                &self.hw,
-                                p,
-                                l,
-                                array.record_bits(),
-                                copies,
-                                chunk,
-                            ) {
+    /// Scores every implementable (Eq. 9, Eq. 10) configuration for the
+    /// given pipeline depths and hands each to `visit`, in no particular
+    /// order. Each `(p, ℓ)` tree and the presorter are costed once per
+    /// search, and nothing is allocated.
+    fn search(
+        &self,
+        array: &ArrayParams,
+        pipelines: &[usize],
+        mut visit: impl FnMut(RankedConfig),
+    ) {
+        let bits = array.record_bits();
+        // (run length, LUTs) of the configured presorter, if any.
+        let presorter =
+            (self.presort > 1).then(|| (self.presort, resource::presorter_lut(self.presort, bits)));
+        for p in self.candidate_ps() {
+            for l in self.candidate_ls() {
+                let tree = resource::amt_lut(&self.lib, p, l, bits);
+                for (presort, presorter_lut) in presorter.into_iter().chain([(1, 0)]) {
+                    let tree_lut = tree + presorter_lut;
+                    for &pipeline in pipelines {
+                        for unroll_log in 0..=6 {
+                            let unroll = 1usize << unroll_log;
+                            let footprint =
+                                Footprint::replicated(&self.hw, tree_lut, l, unroll * pipeline);
+                            if !footprint.fits(&self.hw) {
                                 continue;
                             }
-                            out.push(self.score(
-                                array,
-                                FullConfig {
-                                    throughput_p: p,
-                                    leaves_l: l,
-                                    unroll,
-                                    pipeline,
-                                },
-                                presort,
-                            ));
+                            let config = FullConfig {
+                                throughput_p: p,
+                                leaves_l: l,
+                                unroll,
+                                pipeline,
+                            };
+                            visit(self.score(array, config, presort, footprint));
                         }
                     }
                 }
             }
         }
-        out
+    }
+
+    /// The latency search: pipelining does not improve single-array
+    /// sorting time (§III-C), so it fixes λ_pipe = 1.
+    fn latency_search(&self, array: &ArrayParams, visit: impl FnMut(RankedConfig)) {
+        self.search(array, &[1], visit);
+    }
+
+    /// The throughput search, subject to the Eq. 5 capacity constraint
+    /// for `array`.
+    fn throughput_search(&self, array: &ArrayParams, mut visit: impl FnMut(RankedConfig)) {
+        self.search(array, &[1, 2, 3, 4, 6, 8], |c| {
+            // §IV-C assumes phase one presorts into 256-record runs
+            // before the pipeline's first merge stage (Equation 5).
+            let capacity = perf::eq5_max_pipeline_records(
+                &self.hw,
+                array.record_bytes,
+                c.config.leaves_l,
+                256,
+                c.config.pipeline,
+                c.config.unroll,
+            );
+            if capacity >= array.n_records {
+                visit(c);
+            }
+        });
     }
 
     /// Scores one specific configuration for `array`, if it fits the
@@ -265,77 +282,83 @@ impl BonsaiOptimizer {
         presort: usize,
     ) -> Option<RankedConfig> {
         let chunk = (presort > 1).then_some(presort);
-        let copies = config.unroll * config.pipeline;
-        if !resource::config_fits(
+        let tree = resource::tree_lut(
             &self.lib,
-            &self.hw,
             config.throughput_p,
             config.leaves_l,
             array.record_bits(),
-            copies,
             chunk,
-        ) {
-            return None;
-        }
-        Some(self.score(array, config, presort))
+        );
+        let footprint = Footprint::replicated(
+            &self.hw,
+            tree,
+            config.leaves_l,
+            config.unroll * config.pipeline,
+        );
+        footprint
+            .fits(&self.hw)
+            .then(|| self.score(array, config, presort, footprint))
     }
 
     /// All implementable configurations in increasing order of predicted
     /// sorting time, under the total [`latency_order`] (ties broken by
     /// leaves, LUT count, BRAM, then the identity tuple).
     pub fn ranked_by_latency(&self, array: &ArrayParams) -> Vec<RankedConfig> {
-        // Pipelining does not improve single-array sorting time (§III-C),
-        // so the latency search fixes λ_pipe = 1.
-        let mut configs = self.enumerate(array, &[1]);
+        let mut configs = Vec::new();
+        self.latency_search(array, |c| configs.push(c));
         configs.sort_by(latency_order);
         configs
     }
 
-    /// The latency-optimal configuration (§III-C latency model).
+    /// The latency-optimal configuration (§III-C latency model): the
+    /// first entry of [`BonsaiOptimizer::ranked_by_latency`], found
+    /// without building the ranking.
     ///
     /// # Errors
     ///
     /// Returns [`OptimizerError`] when nothing fits the device.
     pub fn latency_optimal(&self, array: &ArrayParams) -> Result<RankedConfig, OptimizerError> {
-        self.ranked_by_latency(array)
-            .into_iter()
-            .next()
-            .ok_or(OptimizerError)
+        let mut best = None;
+        self.latency_search(array, |c| keep_least(&mut best, c, latency_order));
+        best.ok_or(OptimizerError)
     }
 
     /// All implementable configurations in decreasing order of sustained
     /// throughput, subject to the Eq. 5 capacity constraint for `array`,
     /// under the total [`throughput_order`].
     pub fn ranked_by_throughput(&self, array: &ArrayParams) -> Vec<RankedConfig> {
-        let mut configs = self.enumerate(array, &[1, 2, 3, 4, 6, 8]);
-        configs.retain(|c| {
-            // §IV-C assumes phase one presorts into 256-record runs
-            // before the pipeline's first merge stage (Equation 5).
-            perf::eq5_max_pipeline_records(
-                &self.hw,
-                array.record_bytes,
-                c.config.leaves_l,
-                256,
-                c.config.pipeline,
-                c.config.unroll,
-            ) >= array.n_records
-        });
+        let mut configs = Vec::new();
+        self.throughput_search(array, |c| configs.push(c));
         configs.sort_by(throughput_order);
         configs
     }
 
     /// The throughput-optimal configuration (§III-C throughput model),
-    /// used for phase one of the SSD sorter.
+    /// used for phase one of the SSD sorter: the first entry of
+    /// [`BonsaiOptimizer::ranked_by_throughput`], found without building
+    /// the ranking.
     ///
     /// # Errors
     ///
     /// Returns [`OptimizerError`] when nothing fits the device or no
     /// configuration can hold the array (Equation 5).
     pub fn throughput_optimal(&self, array: &ArrayParams) -> Result<RankedConfig, OptimizerError> {
-        self.ranked_by_throughput(array)
-            .into_iter()
-            .next()
-            .ok_or(OptimizerError)
+        let mut best = None;
+        self.throughput_search(array, |c| keep_least(&mut best, c, throughput_order));
+        best.ok_or(OptimizerError)
+    }
+}
+
+/// Keeps in `best` the least of it and `c` under `order`. Both ranking
+/// orders are total, so a running minimum is the first entry the sorted
+/// ranking would have, whatever the order the search visits entries in.
+fn keep_least(
+    best: &mut Option<RankedConfig>,
+    c: RankedConfig,
+    order: fn(&RankedConfig, &RankedConfig) -> core::cmp::Ordering,
+) {
+    if best.as_ref().is_none_or(|b| order(&c, b).is_lt()) {
+        *best = Some(c);
     }
 }
 
@@ -345,6 +368,221 @@ mod tests {
 
     fn u32_array(gib: u64) -> ArrayParams {
         ArrayParams::from_bytes(gib << 30, 4)
+    }
+
+    /// The enumerate-then-sort search this crate shipped before the
+    /// search costed each tree once and kept a running minimum, kept
+    /// word for word (`self` became `opt`, and `resource::config_fits`
+    /// and `resource::presorter_lut` are inlined as they were then, the
+    /// presorter still counted off a built network) as the oracle the
+    /// search is checked against.
+    mod reference {
+        use super::*;
+
+        fn presorter_lut(chunk: usize, record_bits: u32) -> u64 {
+            const CAS_LUT_32BIT: f64 = 943.0;
+            let cas = bonsai_bitonic::sorter_network(chunk).cas_count() as f64;
+            (cas * CAS_LUT_32BIT * f64::from(record_bits) / 32.0).round() as u64
+        }
+
+        fn config_fits(
+            lib: &ComponentLibrary,
+            hw: &HardwareParams,
+            p: usize,
+            l: usize,
+            record_bits: u32,
+            copies: usize,
+            presorter_chunk: Option<usize>,
+        ) -> bool {
+            let per_tree = resource::amt_lut(lib, p, l, record_bits)
+                + presorter_chunk.map_or(0, |c| presorter_lut(c, record_bits));
+            let lut_ok = copies as u64 * per_tree <= hw.c_lut; // Eq. 9
+            let bram_ok = copies as u64 * hw.loader_bram_bytes(l as u64) <= hw.c_bram; // Eq. 10
+            lut_ok && bram_ok
+        }
+
+        fn presort_choices(opt: &BonsaiOptimizer) -> Vec<usize> {
+            if opt.presort > 1 {
+                vec![opt.presort, 1]
+            } else {
+                vec![1]
+            }
+        }
+
+        fn score(
+            opt: &BonsaiOptimizer,
+            array: &ArrayParams,
+            config: FullConfig,
+            presort: usize,
+        ) -> RankedConfig {
+            let FullConfig {
+                throughput_p: p,
+                leaves_l: l,
+                unroll,
+                pipeline,
+            } = config;
+            let latency_s = if pipeline == 1 {
+                perf::eq2_latency(array, &opt.hw, p, l, presort, unroll)
+            } else {
+                perf::eq4_pipeline_latency(array, &opt.hw, p, pipeline)
+            };
+            let throughput = perf::eq7_throughput(&opt.hw, p, array.record_bytes, pipeline, unroll);
+            let copies = (unroll * pipeline) as u64;
+            let per_tree = resource::amt_lut(&opt.lib, p, l, array.record_bits())
+                + if presort > 1 {
+                    presorter_lut(presort, array.record_bits())
+                } else {
+                    0
+                };
+            RankedConfig {
+                config,
+                presort,
+                latency_s,
+                throughput,
+                lut: copies * per_tree,
+                bram_bytes: copies * opt.hw.loader_bram_bytes(l as u64),
+                stages: perf::stages(array.n_records.div_ceil(unroll as u64), l, presort),
+            }
+        }
+
+        fn enumerate(
+            opt: &BonsaiOptimizer,
+            array: &ArrayParams,
+            pipelines: &[usize],
+        ) -> Vec<RankedConfig> {
+            let mut out = Vec::new();
+            for &pipeline in pipelines {
+                for p in opt.candidate_ps() {
+                    for l in opt.candidate_ls() {
+                        for unroll_log in 0..=6 {
+                            let unroll = 1usize << unroll_log;
+                            let copies = unroll * pipeline;
+                            for presort in presort_choices(opt) {
+                                let chunk = (presort > 1).then_some(presort);
+                                if !config_fits(
+                                    &opt.lib,
+                                    &opt.hw,
+                                    p,
+                                    l,
+                                    array.record_bits(),
+                                    copies,
+                                    chunk,
+                                ) {
+                                    continue;
+                                }
+                                out.push(score(
+                                    opt,
+                                    array,
+                                    FullConfig {
+                                        throughput_p: p,
+                                        leaves_l: l,
+                                        unroll,
+                                        pipeline,
+                                    },
+                                    presort,
+                                ));
+                            }
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        pub(super) fn ranked_by_latency(
+            opt: &BonsaiOptimizer,
+            array: &ArrayParams,
+        ) -> Vec<RankedConfig> {
+            let mut configs = enumerate(opt, array, &[1]);
+            configs.sort_by(latency_order);
+            configs
+        }
+
+        pub(super) fn ranked_by_throughput(
+            opt: &BonsaiOptimizer,
+            array: &ArrayParams,
+        ) -> Vec<RankedConfig> {
+            let mut configs = enumerate(opt, array, &[1, 2, 3, 4, 6, 8]);
+            configs.retain(|c| {
+                perf::eq5_max_pipeline_records(
+                    &opt.hw,
+                    array.record_bytes,
+                    c.config.leaves_l,
+                    256,
+                    c.config.pipeline,
+                    c.config.unroll,
+                ) >= array.n_records
+            });
+            configs.sort_by(throughput_order);
+            configs
+        }
+    }
+
+    /// Random hardware, record widths, sizes (2 … 2^40 records, the
+    /// adaptive runtime's 1 024 and 65 536 buckets among them) and
+    /// presorters: the search ranks exactly as the reference does, each
+    /// optimum is its ranking's first entry, and `evaluate` re-scores
+    /// every ranked entry to itself.
+    #[test]
+    fn search_matches_the_reference_enumerate_then_sort() {
+        let mut rng = bonsai_rng::Rng::seed_from_u64(0x0971_4123);
+        let presets = [
+            HardwareParams::aws_f1(),
+            HardwareParams::aws_f1_single_bank(),
+            HardwareParams::hbm_u50(),
+            HardwareParams::aws_f1_ssd(),
+        ];
+        for round in 0..200 {
+            let mut hw = presets[rng.below_usize(presets.len())];
+            if rng.chance_percent(75) {
+                hw = hw.with_beta_dram(rng.range_u64(1, 256) as f64 * 1e9);
+            }
+            let record_bytes = [4u64, 8, 16, 32, 64][rng.below_usize(5)];
+            let n_records = match rng.below_usize(6) {
+                0 => 1 << 10,
+                1 => 1 << 16,
+                2 => [2, 1 << 40][rng.below_usize(2)],
+                _ => {
+                    let log_max = rng.range_u64(1, 40);
+                    rng.range_u64(2, 1 << log_max)
+                }
+            };
+            let array = ArrayParams::new(n_records, record_bytes);
+            let presort = [16, 1][rng.below_usize(2)];
+            let opt = BonsaiOptimizer::new(hw).with_presort(presort);
+            let context =
+                format!("round {round}: n={n_records} r={record_bytes} presort={presort}");
+
+            let by_latency = opt.ranked_by_latency(&array);
+            assert_eq!(
+                by_latency,
+                reference::ranked_by_latency(&opt, &array),
+                "{context}"
+            );
+            assert_eq!(
+                opt.latency_optimal(&array).ok(),
+                by_latency.first().copied(),
+                "{context}"
+            );
+            let by_throughput = opt.ranked_by_throughput(&array);
+            assert_eq!(
+                by_throughput,
+                reference::ranked_by_throughput(&opt, &array),
+                "{context}"
+            );
+            assert_eq!(
+                opt.throughput_optimal(&array).ok(),
+                by_throughput.first().copied(),
+                "{context}"
+            );
+            for c in by_latency.iter().chain(&by_throughput) {
+                assert_eq!(
+                    opt.evaluate(&array, c.config, c.presort),
+                    Some(*c),
+                    "{context}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -55,8 +55,56 @@ pub fn amt_lut(lib: &ComponentLibrary, p: usize, l: usize, record_bits: u32) -> 
 /// Panics unless `chunk` is a power of two ≥ 2.
 pub fn presorter_lut(chunk: usize, record_bits: u32) -> u64 {
     const CAS_LUT_32BIT: f64 = 943.0;
-    let cas = bonsai_bitonic::sorter_network(chunk).cas_count() as f64;
+    assert!(
+        chunk >= 2 && chunk.is_power_of_two(),
+        "presorter chunk must be a power of two >= 2, got {chunk}"
+    );
+    let cas = sorter_cas_units(chunk) as f64;
     (cas * CAS_LUT_32BIT * f64::from(record_bits) / 32.0).round() as u64
+}
+
+/// CAS units of Batcher's bitonic sorting network over `n` lanes (`n` a
+/// power of two): `log₂n·(log₂n + 1)/2` stages of `n/2` units each.
+fn sorter_cas_units(n: usize) -> usize {
+    let log_n = n.trailing_zeros() as usize;
+    n / 2 * log_n * (log_n + 1) / 2
+}
+
+/// LUTs of one tree: Equation 8 plus the presorter feeding it, if any.
+pub(crate) fn tree_lut(
+    lib: &ComponentLibrary,
+    p: usize,
+    l: usize,
+    record_bits: u32,
+    presorter_chunk: Option<usize>,
+) -> u64 {
+    amt_lut(lib, p, l, record_bits) + presorter_chunk.map_or(0, |c| presorter_lut(c, record_bits))
+}
+
+/// The left-hand sides of Equations 9 and 10 for `copies` identical
+/// trees (`λ_pipe · λ_unrl`): the one budget path behind
+/// [`config_fits`], the optimizer and `check_full_config`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Footprint {
+    /// Total LUTs (Equation 9).
+    pub(crate) lut: u64,
+    /// Total leaf-buffer BRAM bytes (Equation 10).
+    pub(crate) bram_bytes: u64,
+}
+
+impl Footprint {
+    /// `copies` trees of `tree_lut` LUTs and `l` leaf buffers each.
+    pub(crate) fn replicated(hw: &HardwareParams, tree_lut: u64, l: usize, copies: usize) -> Self {
+        Self {
+            lut: copies as u64 * tree_lut,
+            bram_bytes: copies as u64 * hw.loader_bram_bytes(l as u64),
+        }
+    }
+
+    /// Both budgets hold.
+    pub(crate) fn fits(&self, hw: &HardwareParams) -> bool {
+        self.lut <= hw.c_lut && self.bram_bytes <= hw.c_bram
+    }
 }
 
 /// A LUT / flip-flop / BRAM triple, as broken down in Table IV.
@@ -184,11 +232,8 @@ pub fn config_fits(
     copies: usize,
     presorter_chunk: Option<usize>,
 ) -> bool {
-    let per_tree = amt_lut(lib, p, l, record_bits)
-        + presorter_chunk.map_or(0, |c| presorter_lut(c, record_bits));
-    let lut_ok = copies as u64 * per_tree <= hw.c_lut; // Eq. 9
-    let bram_ok = copies as u64 * hw.loader_bram_bytes(l as u64) <= hw.c_bram; // Eq. 10
-    lut_ok && bram_ok
+    let tree = tree_lut(lib, p, l, record_bits, presorter_chunk);
+    Footprint::replicated(hw, tree, l, copies).fits(hw)
 }
 
 #[cfg(test)]
@@ -216,6 +261,24 @@ mod tests {
         // Paper presorter: 16-record, 32-bit -> 75 412 LUTs.
         let predicted = presorter_lut(16, 32) as f64;
         assert!((predicted - 75_412.0).abs() / 75_412.0 < 0.01);
+    }
+
+    #[test]
+    fn closed_form_cas_count_matches_the_built_network() {
+        for log_n in 1..=12 {
+            let n = 1usize << log_n;
+            assert_eq!(
+                sorter_cas_units(n),
+                bonsai_bitonic::sorter_network(n).cas_count(),
+                "n = {n}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn presorter_rejects_a_non_power_of_two_chunk() {
+        let _ = presorter_lut(12, 32);
     }
 
     #[test]
