@@ -6,12 +6,15 @@
 //! record (§V-B). This crate models each of those components at cycle
 //! granularity:
 //!
-//! - [`Fifo`]: a bounded ring of plain records with an exact capacity,
-//!   standing in for the 512-bit-wide BRAM FIFOs of Figure 7,
-//! - [`KMerger`]: a merger that emits up to `k` records per cycle with the
-//!   same stall, back-pressure and single-cycle flush semantics as the
-//!   hardware unit built from two bitonic half-mergers (§II-A);
-//!   [`KMerger::couple_into`] is the coupler between two tree levels,
+//! - [`Edge`]: one tree edge — a child merger's output FIFO and its
+//!   parent's input FIFO (the 512-bit-wide BRAM FIFOs of Figure 7) as one
+//!   bounded ring of plain records with an exact capacity per side, the
+//!   coupler between the two levels being a cursor move,
+//! - [`MergeStep`]: one merger's cycle over its three edges, emitting up
+//!   to `k` records per cycle with the same stall, back-pressure and
+//!   single-cycle flush semantics as the hardware unit built from two
+//!   bitonic half-mergers (§II-A); [`KMerger`] is a merge step that owns
+//!   its edges,
 //! - [`stream`]: zero-append / zero-filter helpers.
 //!
 //! The model is *throughput- and occupancy-accurate*: a merger moves `k`
@@ -47,9 +50,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod fifo;
+mod edge;
 mod merger;
 pub mod stream;
 
-pub use fifo::{Fifo, FifoFullError};
-pub use merger::{KMerger, MergerStats, Side};
+pub use edge::{Edge, FifoFullError};
+pub use merger::{KMerger, MergeStep, MergerStats, Side};
