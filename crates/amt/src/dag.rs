@@ -8,7 +8,9 @@
 //! hardware does (§II, Fig. 2: every stage streams the whole array back
 //! to memory and the next stage reads what it wrote): [`map_pass`]
 //! spreads one pass's groups over the calling thread and scoped helper
-//! threads, and the next pass starts once they have all joined.
+//! threads, and the next pass starts once they have all joined. The
+//! functional sort ([`crate::functional`]) spreads its presort and its
+//! merge stages through the same map.
 //!
 //! **Determinism guarantee.** Each group is a pure function of
 //! `(config, its input runs, fan-in)`, simulated against a private
@@ -42,7 +44,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 #[cfg(feature = "sanitize")]
 use bonsai_check::Diagnostic;
@@ -51,6 +53,7 @@ use bonsai_records::Record;
 
 use crate::config::SimEngineConfig;
 use crate::error::SortError;
+use crate::functional::presorted_runs;
 use crate::passsim::{simulate, PassScratch, PassStats};
 use crate::report::{PassReport, SortReport};
 
@@ -292,42 +295,49 @@ fn initial_deps_left(plan: &SortPlan) -> Vec<usize> {
 
 // --- The per-pass parallel map ----------------------------------------------
 
-/// Runs `task(scratch, group)` once for every `group` in `0..groups`
-/// and returns the results in group order. There is one worker per
-/// `scratch` element, each handed only its own: the calling thread is
-/// worker 0, and `min(scratch.len(), groups) − 1` scoped threads are
-/// the rest, every worker claiming the next unclaimed group from one
-/// shared counter. One worker spawns nothing.
+/// Runs `task(scratch, item)` once for every item of `items` and
+/// returns the results in item order. An item is whatever a task owns:
+/// a group index for the simulator, a merge task's runs and the `&mut`
+/// output range they fill for [`crate::functional`]. There is one
+/// worker per `scratch` element, each handed only its own: the calling
+/// thread is worker 0, and `min(scratch.len(), items) − 1` scoped
+/// threads are the rest, every worker taking the next unclaimed item
+/// from one shared iterator. One worker spawns nothing.
 ///
 /// # Errors
 ///
-/// The minimum failing group's error, whatever order the groups ran
-/// in (every group runs, so the minimum is always known).
+/// The error of the first failing item in item order, whatever order
+/// the items ran in (every item runs, so the first is always known).
 ///
 /// # Panics
 ///
 /// Panics if `scratch` is empty. A panicking task is re-raised with
 /// its own payload once every thread has joined.
-pub fn map_pass<W, U, F>(scratch: &mut [W], groups: usize, task: F) -> Result<Vec<U>, SortError>
+pub fn map_pass<W, T, U, E, I, F>(scratch: &mut [W], items: I, task: F) -> Result<Vec<U>, E>
 where
     W: Send,
     U: Send,
-    F: Fn(&mut W, usize) -> Result<U, SortError> + Sync,
+    E: Send,
+    I: IntoIterator<Item = T>,
+    I::IntoIter: ExactSizeIterator + Send,
+    F: Fn(&mut W, T) -> Result<U, E> + Sync,
 {
-    let threads = scratch.len().min(groups).max(1);
+    let items = items.into_iter();
+    let count = items.len();
+    let threads = scratch.len().min(count).max(1);
     let (caller, helpers) = scratch.split_first_mut().expect("a pass needs a worker");
-    // The counter hands out indices and publishes nothing else: results
-    // come back through the joins, so `Relaxed` is enough.
-    let next = AtomicUsize::new(0);
+    // The lock is held only to take the next item; the task runs
+    // outside it, so a panicking task cannot poison it.
+    let next = Mutex::new(items.enumerate());
     let work = |scratch: &mut W| {
-        // Exact at one worker, where the caller runs every group.
-        let mut done = Vec::with_capacity(groups.div_ceil(threads));
+        // Exact at one worker, where the caller runs every item.
+        let mut done = Vec::with_capacity(count.div_ceil(threads));
         loop {
-            let group = next.fetch_add(1, Ordering::Relaxed);
-            if group >= groups {
+            let claimed = next.lock().expect("taking an item never panics").next();
+            let Some((index, item)) = claimed else {
                 return done;
-            }
-            done.push((group, task(scratch, group)));
+            };
+            done.push((index, task(scratch, item)));
         }
     };
     let mut results = std::thread::scope(|s| {
@@ -345,12 +355,12 @@ where
         }
         results
     });
-    results.sort_unstable_by_key(|&(group, _)| group);
+    results.sort_unstable_by_key(|&(index, _)| index);
     results.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Resolves the worker knob: `0` means one worker per available core.
-fn resolve_workers(workers: usize) -> usize {
+pub(crate) fn resolve_workers(workers: usize) -> usize {
     if workers == 0 {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
@@ -375,7 +385,7 @@ pub(crate) fn run_plan<R: Record>(
     let sanitized = data.into_iter().map(Record::sanitize).collect();
     // Presorting is pipelined with the first merge stage in hardware
     // (§VI-C1), so it costs no cycles; it only shortens the stage count.
-    let mut runs = RunSet::from_chunks(sanitized, config.initial_run_len());
+    let mut runs = presorted_runs(sanitized, config.initial_run_len());
     let plan = SortPlan::new(runs.num_runs(), config.amt.l);
     let mut passes = Vec::with_capacity(plan.num_passes());
     for p in 0..plan.num_passes() {
@@ -467,13 +477,13 @@ pub(crate) fn sort<R: Record>(
     let mut barrier = 0u64;
     let (sorted, mut report, plan) = run_plan(config, data, |runs, pp, stage| {
         let memory = config.memory.shard_view(pp.fan_in);
-        let outputs = map_pass(&mut scratch, pp.groups, |scratch, g| {
+        let outputs = map_pass(&mut scratch, 0..pp.groups, |scratch, g| {
             let input = group_input(&runs, g, pp.fan_in);
             let (out, stats) = simulate(
                 config, scratch, input, pp.fan_in, memory, stage, max_cycles, reference,
             )?;
             // Each group leaves exactly one sorted run.
-            Ok((out.into_records(), stats))
+            Ok::<_, SortError>((out.into_records(), stats))
         })?;
         let (pass, makespan) = fold_pass(
             stage,
@@ -502,6 +512,7 @@ pub(crate) fn sort<R: Record>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn plan_chains_group_counts_and_partitions_deps() {
@@ -672,10 +683,10 @@ mod tests {
                 let runs: Vec<AtomicUsize> = (0..groups).map(|_| AtomicUsize::new(0)).collect();
                 // Each worker counts the groups it ran in its scratch.
                 let mut ran = vec![0usize; workers];
-                let out = map_pass(&mut ran, groups, |ran, g| {
+                let out = map_pass(&mut ran, 0..groups, |ran, g| {
                     runs[g].fetch_add(1, Ordering::Relaxed);
                     *ran += 1;
-                    Ok(10 * g + 1)
+                    Ok::<_, SortError>(10 * g + 1)
                 });
                 let want: Vec<usize> = (0..groups).map(|g| 10 * g + 1).collect();
                 assert_eq!(out, Ok(want), "workers {workers} groups {groups}");
@@ -688,10 +699,27 @@ mod tests {
     }
 
     #[test]
+    fn map_pass_hands_out_owned_items() {
+        // Disjoint `&mut` ranges of one buffer, as the functional sort's
+        // merge tasks are: each task fills its own and returns its start.
+        for workers in [1usize, 2, 8] {
+            let mut buffer = vec![0usize; 100];
+            let items = buffer.chunks_mut(7).enumerate();
+            let starts = map_pass(&mut vec![(); workers], items, |(), (i, chunk)| {
+                chunk.fill(i + 1);
+                Ok::<_, core::convert::Infallible>(7 * i)
+            });
+            let want: Vec<usize> = (0..100).step_by(7).collect();
+            assert_eq!(starts, Ok(want), "workers {workers}");
+            assert!(buffer.iter().enumerate().all(|(at, &v)| v == at / 7 + 1));
+        }
+    }
+
+    #[test]
     fn map_pass_reports_the_minimum_failing_group() {
         for workers in [1usize, 2, 8] {
             let three_failed = std::sync::atomic::AtomicBool::new(false);
-            let result = map_pass(&mut vec![(); workers], 6, |(), g| match g {
+            let result = map_pass(&mut vec![(); workers], 0..6, |(), g| match g {
                 // With helpers, group 1 fails after group 3: its worker
                 // waits while another claims and fails group 3.
                 1 => {
@@ -720,7 +748,7 @@ mod tests {
             let helper_claimed = AtomicBool::new(false);
             let in_flight = AtomicUsize::new(0);
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                map_pass(&mut vec![(); workers], 16, |(), g| {
+                map_pass(&mut vec![(); workers], 0..16, |(), g| {
                     // With helpers, the panic comes from a spawned thread
                     // while the other workers are mid-task: the first
                     // helper to claim a group panics, and every worker
@@ -738,7 +766,7 @@ mod tests {
                     }
                     std::thread::sleep(Duration::from_millis(2));
                     in_flight.fetch_sub(1, Ordering::SeqCst);
-                    Ok(g)
+                    Ok::<_, SortError>(g)
                 })
             }));
             let payload = outcome.expect_err("a task panicked");

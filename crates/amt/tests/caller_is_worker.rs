@@ -1,8 +1,8 @@
 //! One worker means no thread: the caller of `map_pass` is worker 0.
 //!
-//! The runtime's default (`pass_workers = 1`) and every benchmark path
-//! sort with one worker, so a spawn and join per pass is pure overhead
-//! on a ~1 ms job. This file holds a single test on purpose: an
+//! The runtime's default (`pass_workers = 1`) and every simulator
+//! benchmark path sort with one worker, so a spawn and join per pass is
+//! pure overhead on a ~1 ms job. This file holds a single test on purpose: an
 //! integration-test binary is its own process, so the
 //! `/proc/self/task` count (the way the runtime's leak tests count
 //! threads) is not disturbed by other tests' threads.
@@ -22,11 +22,11 @@ fn count_own_threads() -> usize {
 /// ran on and the process's thread count.
 fn observe(workers: usize) -> Vec<(ThreadId, usize)> {
     let seen = Mutex::new(Vec::new());
-    let out = map_pass(&mut vec![(); workers], 5, |(), group| {
+    let out = map_pass(&mut vec![(); workers], 0..5, |(), group| {
         seen.lock()
             .expect("no task panics")
             .push((std::thread::current().id(), count_own_threads()));
-        Ok(group)
+        Ok::<_, bonsai_amt::SortError>(group)
     })
     .expect("no task fails");
     assert_eq!(out, [0, 1, 2, 3, 4]);
@@ -54,4 +54,13 @@ fn one_worker_runs_every_task_on_the_calling_thread() {
         assert_eq!(most, Some(before + 1), "workers = 2 spawns one thread");
     }
     assert_eq!(count_own_threads(), before, "the spawned worker is joined");
+
+    // The functional sort runs its presort and every merge stage through
+    // the same map, one worker per core (two on a 2-core host): every
+    // helper is joined by the time the sort returns.
+    let data = bonsai_gensort::dist::uniform_u32(200_000, 5);
+    let (sorted, stages) = bonsai_amt::functional::sort_balanced(data, 16, 16);
+    assert_eq!(stages, 4); // 12 500 runs on 16 leaves
+    assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
+    assert_eq!(count_own_threads(), before, "the sort's helpers are joined");
 }

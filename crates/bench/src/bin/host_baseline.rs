@@ -1,4 +1,5 @@
-//! Measures the runnable host-CPU sorters (std, radix, AMT functional).
+//! Measures the runnable host-CPU sorters (std, radix, AMT functional
+//! on every core).
 //! Run with `--release`; pass a record count to change scale.
 
 fn main() {

@@ -53,23 +53,24 @@ impl Network {
         &self.stages
     }
 
-    /// Runs the network over `lanes` in place.
+    /// Runs the network over `lanes` in place. Each CAS unit is what the
+    /// hardware wires up: one compare and two selects, no branch on the
+    /// data.
     ///
     /// # Panics
     ///
     /// Panics if `lanes.len() != self.width()`.
-    pub fn apply<T: Ord>(&self, lanes: &mut [T]) {
+    pub fn apply<T: Ord + Copy>(&self, lanes: &mut [T]) {
         assert_eq!(
             lanes.len(),
             self.width,
             "lane count must match network width"
         );
-        for stage in &self.stages {
-            for &(lo, hi) in stage {
-                if lanes[lo] > lanes[hi] {
-                    lanes.swap(lo, hi);
-                }
-            }
+        for &(lo, hi) in self.stages.iter().flatten() {
+            let (a, b) = (lanes[lo], lanes[hi]);
+            let swap = b < a;
+            lanes[lo] = if swap { b } else { a };
+            lanes[hi] = if swap { a } else { b };
         }
     }
 }

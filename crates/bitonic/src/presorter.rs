@@ -144,19 +144,17 @@ impl Presorter {
     /// Sorts each consecutive `chunk`-record chunk of `data` in place. A
     /// trailing partial chunk is padded with [`Record::MAX`] internally.
     pub fn presort<R: Record>(&self, data: &mut [R]) {
-        let mut offset = 0;
-        while offset < data.len() {
-            let end = (offset + self.chunk).min(data.len());
-            if end - offset == self.chunk {
-                self.network.apply(&mut data[offset..end]);
-            } else {
-                let mut lanes = Vec::with_capacity(self.chunk);
-                lanes.extend_from_slice(&data[offset..end]);
-                lanes.resize(self.chunk, R::MAX);
-                self.network.apply(&mut lanes);
-                data[offset..end].copy_from_slice(&lanes[..end - offset]);
-            }
-            offset = end;
+        let mut chunks = data.chunks_exact_mut(self.chunk);
+        for chunk in &mut chunks {
+            self.network.apply(chunk);
+        }
+        let tail = chunks.into_remainder();
+        if !tail.is_empty() {
+            // The padding sorts to the end, behind the tail's records.
+            let mut lanes = vec![R::MAX; self.chunk];
+            lanes[..tail.len()].copy_from_slice(tail);
+            self.network.apply(&mut lanes);
+            tail.copy_from_slice(&lanes[..tail.len()]);
         }
     }
 

@@ -20,6 +20,8 @@
 //! | `BON05x`   | Runtime topology     | [`codes::RUNTIME_QUEUE_BELOW_WORKERS`] |
 //! | `BON06x`   | Static throughput floor | [`codes::THROUGHPUT_FLOOR_UNSOUND`] |
 //! | `BON07x`   | Wire protocol        | [`codes::WIRE_BAD_MAGIC`] |
+//! | `BON08x`   | Adaptive runtime     | [`codes::ADAPTIVE_RECONFIG_THRASH`] |
+//! | `BON09x`   | External sorter      | [`codes::EXTERNAL_SORTER_INVALID`] |
 //! | `BON1xx`   | Simulation sanitizer | [`codes::SAN_FIFO_OVERFLOW`] |
 //!
 //! Every code is catalogued with cause and fix in
@@ -288,6 +290,11 @@ pub mod codes {
         /// A zero fairness stride lets latency-class jobs starve the
         /// throughput lane indefinitely.
         ADAPTIVE_FAIRNESS_STARVATION = "BON083", Warning, "zero fairness stride starves the throughput lane";
+
+        // --- BON09x: external sorter ------------------------------------
+        /// `ExternalSorter::try_new` got a zero memory budget or a merge
+        /// fan-in below 2.
+        EXTERNAL_SORTER_INVALID = "BON090", Error, "external sorter budget zero or fan-in below 2";
 
         // --- BON1xx: simulation sanitizer -------------------------------
         /// A FIFO rejected a push (overflow) during simulation.

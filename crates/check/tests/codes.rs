@@ -479,6 +479,18 @@ fn default_runtime_config_is_shape_clean_on_any_host() {
     }
 }
 
+// --- External-sorter codes (BON09x) ----------------------------------
+
+#[test]
+fn bon090_external_sorter_rejects_each_bad_argument() {
+    use bonsai_sorters::ExternalSorter;
+    for (budget, fan_in) in [(0, 256), (1 << 20, 1), (1 << 20, 0)] {
+        let diag = ExternalSorter::try_new(budget, fan_in).unwrap_err();
+        assert_emits(&[diag], codes::EXTERNAL_SORTER_INVALID);
+    }
+    assert!(ExternalSorter::try_new(1 << 20, 2).is_ok());
+}
+
 // --- Sanitizer codes (BON1xx) ---------------------------------------
 //
 // BON102 has a reachable trigger from outside (violating the sorted-run

@@ -222,6 +222,19 @@ mod tests {
     }
 
     #[test]
+    fn functional_stages_are_the_plan_stages() {
+        // `sort` runs the plan on every core; the stage count it executes
+        // is the one the model charges for.
+        for n in [2usize, 17, 100_000, 1_000_000] {
+            let plan = sorter().plan(&ArrayParams::new(n as u64, 4)).expect("fits");
+            let data = uniform_u32(n, 5);
+            let (_, stages) =
+                functional::sort_balanced(data, plan.config.leaves_l, plan.presort.max(1));
+            assert_eq!(stages, plan.stages, "n = {n}");
+        }
+    }
+
+    #[test]
     fn simulate_agrees_with_functional_output() {
         // Large enough that per-stage pipeline-fill overheads are small
         // relative to steady-state streaming.

@@ -15,6 +15,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bonsai_amt::{functional, LoserTree};
+use bonsai_check::{codes, Diagnostic};
 use bonsai_records::wire::WireRecord;
 
 /// Statistics from one external sort.
@@ -52,17 +53,35 @@ impl ExternalSorter {
     /// Creates an external sorter with the given memory budget, using
     /// the system temp directory for scratch files.
     ///
+    /// # Errors
+    ///
+    /// `BON090` if `mem_budget_bytes` is zero or `fan_in < 2`; its
+    /// context carries both arguments.
+    pub fn try_new(mem_budget_bytes: usize, fan_in: usize) -> Result<Self, Diagnostic> {
+        let problem = if mem_budget_bytes == 0 {
+            "memory budget must be positive"
+        } else if fan_in < 2 {
+            "merge fan-in must be at least 2"
+        } else {
+            return Ok(Self {
+                mem_budget_bytes,
+                fan_in,
+                scratch_dir: std::env::temp_dir(),
+            });
+        };
+        Err(Diagnostic::error(codes::EXTERNAL_SORTER_INVALID, problem)
+            .with("mem_budget_bytes", mem_budget_bytes)
+            .with("fan_in", fan_in))
+    }
+
+    /// [`ExternalSorter::try_new`] for arguments known to be valid.
+    ///
     /// # Panics
     ///
-    /// Panics if `mem_budget_bytes` is zero or `fan_in < 2`.
+    /// Panics with the `BON090` diagnostic if `mem_budget_bytes` is zero
+    /// or `fan_in < 2`.
     pub fn new(mem_budget_bytes: usize, fan_in: usize) -> Self {
-        assert!(mem_budget_bytes > 0, "memory budget must be positive");
-        assert!(fan_in >= 2, "merge fan-in must be at least 2");
-        Self {
-            mem_budget_bytes,
-            fan_in,
-            scratch_dir: std::env::temp_dir(),
-        }
+        Self::try_new(mem_budget_bytes, fan_in).unwrap_or_else(|d| panic!("{d}"))
     }
 
     /// Overrides the scratch directory. The directory stays the
@@ -286,6 +305,33 @@ mod tests {
         fs::remove_file(&input).ok();
         fs::remove_file(&output).ok();
         stats
+    }
+
+    #[test]
+    fn try_new_rejects_a_zero_memory_budget() {
+        let d = ExternalSorter::try_new(0, 4).unwrap_err();
+        assert_eq!(d.code, codes::EXTERNAL_SORTER_INVALID);
+        assert!(d.is_error());
+        assert!(d.message.contains("memory budget"), "{d}");
+        assert!(d.context.contains(&("mem_budget_bytes", "0".into())), "{d}");
+    }
+
+    #[test]
+    fn try_new_rejects_a_fan_in_below_two() {
+        for fan_in in [0, 1] {
+            let d = ExternalSorter::try_new(1024, fan_in).unwrap_err();
+            assert_eq!(d.code, codes::EXTERNAL_SORTER_INVALID);
+            assert!(d.message.contains("fan-in"), "{d}");
+            assert!(d.context.contains(&("fan_in", fan_in.to_string())), "{d}");
+        }
+        // The smallest valid arguments are accepted.
+        assert!(ExternalSorter::try_new(1, 2).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "BON090 [error] memory budget must be positive")]
+    fn new_panics_with_the_diagnostic() {
+        let _ = ExternalSorter::new(0, 4);
     }
 
     #[test]

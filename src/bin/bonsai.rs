@@ -191,7 +191,7 @@ fn cmd_sort(flags: &Flags) -> Result<(), String> {
         .unwrap_or("256")
         .parse()
         .map_err(|e| format!("bad --fan-in: {e}"))?;
-    let sorter = ExternalSorter::new(budget, fan_in);
+    let sorter = ExternalSorter::try_new(budget, fan_in).map_err(|d| d.to_string())?;
     let stats = match flags.get("format").unwrap_or("u32") {
         "u32" => sorter.sort_file::<U32Rec>(&input, &output),
         "u64" => sorter.sort_file::<U64Rec>(&input, &output),
