@@ -14,6 +14,7 @@ use bonsai_records::run::RunSet;
 use bonsai_records::Record;
 
 use crate::config::SimEngineConfig;
+use crate::functional::presorted_runs;
 use crate::passsim::PassSim;
 use crate::report::{PassReport, SortReport};
 
@@ -95,7 +96,7 @@ impl UnrolledSim {
         let mut trees: Vec<TreeState<R>> = sanitized
             .chunks(chunk)
             .map(|part| {
-                let runs = RunSet::from_chunks(part.to_vec(), self.config.initial_run_len());
+                let runs = presorted_runs(part.to_vec(), self.config.initial_run_len());
                 let fan_ins = crate::schedule::fan_in_schedule(
                     runs.num_runs() as u64,
                     self.config.amt.l as u64,
