@@ -45,7 +45,6 @@ pub mod dag;
 mod engine;
 mod error;
 pub mod functional;
-pub mod graph;
 mod loser_tree;
 pub mod passsim;
 mod report;

@@ -2,10 +2,10 @@
 //!
 //! With no arguments, lints every configuration the experiment suite
 //! and examples construct — the one engine pass
-//! (`bonsai_model::check::analyze_engine`: shape checks, the four
-//! pipeline-graph analyses for deadlock, FIFO flush depth, min-cut
-//! bandwidth and dead components, the latency-bound certification and
-//! the static throughput floor) plus one model-vs-simulation drift
+//! (`bonsai_model::check::analyze_engine`: shape checks, the pipeline
+//! dataflow checks for deadlock, FIFO flush depth, min-cut bandwidth
+//! and dead components, the latency-bound certification and the static
+//! throughput floor) plus one model-vs-simulation drift
 //! probe — and exits non-zero if any error-severity `BONxxx`
 //! diagnostic fires. With overrides, lints a
 //! single raw configuration instead — the hook CI uses to prove the
@@ -17,7 +17,6 @@
 //! bonsai-lint --buffer-batches 0     # BON030: zero-credit deadlock
 //! bonsai-lint --p 32 --record-bytes 8  # BON032: min-cut infeasible
 //! bonsai-lint --json                 # machine-readable report
-//! bonsai-lint --dump-graph dot       # emit the pipeline-graph IR
 //! ```
 //!
 //! `--runtime` switches to the BON05x runtime-topology pass over the
@@ -34,7 +33,6 @@
 //! bonsai-lint --runtime --fairness-stride 0     # BON083: starvation
 //! ```
 
-use bonsai_amt::graph::lower_to_graph;
 use bonsai_amt::{AmtConfig, SimEngineConfig};
 use bonsai_bench::lint::{self, LintFinding, ProbeExtras};
 use bonsai_memsim::MemoryConfig;
@@ -56,13 +54,6 @@ struct Cli {
     runtime_flags: bool,
     runtime_mode: bool,
     json: bool,
-    dump_graph: Option<DumpFormat>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DumpFormat {
-    Dot,
-    Json,
 }
 
 /// Every mode funnels its findings through this one serializer so
@@ -86,20 +77,17 @@ fn emit(findings: &[LintFinding], json: bool) -> ExitCode {
 const USAGE: &str = "usage: bonsai-lint [--p N] [--l N] [--batch-bytes N] \
 [--record-bytes N] [--buffer-batches N] [--presort N] \
 [--memory ddr4|single|hbm|ssd] [--banks N] [--payload-bytes N] \
-[--json] [--dump-graph dot|json]
+[--json]
        bonsai-lint --runtime [--workers N] [--pass-workers N] \
 [--queue-depth N] [--cores N] [--records N] [--cache-shapes N] \
 [--reprogram-us N] [--fairness-stride N] [--json]
 
 Without overrides, lints every in-repo experiment configuration (shape
-checks, pipeline-graph analyses, latency-bound certification, static
+checks, pipeline dataflow checks, latency-bound certification, static
 throughput floor, drift probe) plus every in-repo runtime topology. With
 overrides, lints a single raw engine configuration.
 
   --json             emit the report as a JSON object for CI annotation
-  --dump-graph FMT   print the lowered pipeline-graph IR (Graphviz `dot`
-                     or the documented `json` schema, docs/GRAPH_IR.md)
-                     instead of a lint report
 
 `--runtime` runs the BON05x thread/queue topology pass instead. Without
 further overrides it lints the in-repo runtime shapes; with overrides it
@@ -227,7 +215,6 @@ fn parse_args() -> Cli {
         runtime_flags: false,
         runtime_mode: false,
         json: false,
-        dump_graph: None,
     };
     let mut args = Args(std::env::args().skip(1));
     while let Some(flag) = args.0.next() {
@@ -235,16 +222,6 @@ fn parse_args() -> Cli {
             "--json" => cli.json = true,
             "--runtime" => cli.runtime_mode = true,
             "--cores" => cli.extras.cores = Some(args.int("--cores") as usize),
-            "--dump-graph" => {
-                cli.dump_graph = Some(match args.0.next().as_deref() {
-                    Some("dot") => DumpFormat::Dot,
-                    Some("json") => DumpFormat::Json,
-                    other => {
-                        eprintln!("bonsai-lint: --dump-graph wants dot|json, got {other:?}");
-                        usage_error()
-                    }
-                });
-            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -275,7 +252,7 @@ fn main() -> ExitCode {
 
     // Each mode's flags only make sense in that mode; a mixed line is a
     // usage error, not a silently ignored knob.
-    if cli.runtime_mode && (cli.engine_flags || cli.dump_graph.is_some()) {
+    if cli.runtime_mode && cli.engine_flags {
         eprintln!("bonsai-lint: --runtime cannot be combined with engine flags");
         usage_error();
     }
@@ -291,25 +268,6 @@ fn main() -> ExitCode {
             lint::lint_runtime_all()
         };
         return emit(&findings, cli.json);
-    }
-
-    if let Some(format) = cli.dump_graph {
-        let engine = cli.extras.apply_banks(cli.engine);
-        return match lower_to_graph(&engine, &cli.extras.lower_options()) {
-            Ok(graph) => {
-                match format {
-                    DumpFormat::Dot => print!("{}", graph.to_dot()),
-                    DumpFormat::Json => println!("{}", graph.to_json()),
-                }
-                ExitCode::SUCCESS
-            }
-            Err(diags) => {
-                for d in diags {
-                    eprintln!("{d}");
-                }
-                ExitCode::FAILURE
-            }
-        };
     }
 
     let findings = if cli.engine_flags {

@@ -8,7 +8,6 @@
 //! the whole suite so CI rejects a bad config before any simulation
 //! spends minutes on it.
 
-use bonsai_amt::graph::LowerOptions;
 use bonsai_amt::{AmtConfig, SimEngineConfig};
 use bonsai_check::Diagnostic;
 use bonsai_memsim::MemoryConfig;
@@ -184,19 +183,18 @@ pub fn lint_runtime_all() -> Vec<LintFinding> {
 }
 
 /// Runs the static pass over every in-repo configuration:
-/// [`analyze_engine`] (shape checks, pipeline-graph analyses,
+/// [`analyze_engine`] (shape checks, pipeline dataflow checks,
 /// latency-bound certification, static throughput floor) for every
 /// engine target, the resource-model checks for every full config, plus
 /// one model-vs-simulation drift probe.
 pub fn lint_all() -> Vec<LintFinding> {
     let lib = ComponentLibrary::paper();
     let hw = HardwareParams::aws_f1();
-    let opts = LowerOptions::default();
     let mut findings = Vec::new();
     for (target, cfg) in engine_targets() {
         findings.push(LintFinding {
             target,
-            diagnostics: analyze_engine(&cfg, &opts, &hw),
+            diagnostics: analyze_engine(&cfg, None, &hw),
         });
     }
     for (target, cfg, presort) in model_targets() {
@@ -245,13 +243,6 @@ impl ProbeExtras {
         }
         engine
     }
-
-    /// The lowering options these probes describe.
-    pub fn lower_options(&self) -> LowerOptions {
-        LowerOptions {
-            payload_bytes: self.payload_bytes,
-        }
-    }
 }
 
 /// Runs the BON05x topology pass over one raw runtime configuration
@@ -286,7 +277,7 @@ pub fn lint_engine(cfg: &SimEngineConfig, extras: &ProbeExtras) -> LintFinding {
             "cli/p{}_l{}_b{}_r{}",
             cfg.amt.p, cfg.amt.l, cfg.loader.batch_bytes, cfg.loader.record_bytes
         ),
-        diagnostics: analyze_engine(cfg, &extras.lower_options(), &HardwareParams::aws_f1()),
+        diagnostics: analyze_engine(cfg, extras.payload_bytes, &HardwareParams::aws_f1()),
     }
 }
 
@@ -405,6 +396,7 @@ pub fn render_json(findings: &[LintFinding]) -> (String, usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bonsai_benchmark::json::Value;
     use bonsai_runtime::AdaptiveConfig;
 
     #[test]
@@ -598,20 +590,19 @@ mod tests {
         ];
         let (json, errors, warnings) = render_json(&findings);
         assert_eq!((errors, warnings), (1, 0));
-        // The graph module's strict JSON reader doubles as a validator.
-        assert!(
-            bonsai_check::graph::PipelineGraph::from_json(&json)
-                .unwrap_err()
-                .contains("version"),
-            "output must be syntactically valid JSON (only the schema differs)"
-        );
-        assert!(json.contains("\"code\":\"BON012\""));
-        assert!(json.contains("\"status\":\"fail\""));
-        assert!(json.contains("clean \\\"quoted\\\""));
+        let report = bonsai_benchmark::json::parse(&json).expect("output is valid JSON");
+        let field = |v: &Value, key| v.get(key).and_then(Value::as_str).map(str::to_owned);
+        let targets = report.get("targets").and_then(Value::as_arr).unwrap();
+        assert_eq!(field(&targets[0], "target").unwrap(), "clean \"quoted\"");
+        assert_eq!(field(&targets[1], "status").unwrap(), "fail");
+        let diagnostics = targets[1].get("diagnostics").and_then(Value::as_arr);
+        assert_eq!(field(&diagnostics.unwrap()[0], "code").unwrap(), "BON012");
+        assert_eq!(report.get("errors").and_then(Value::as_f64), Some(1.0));
+        assert_eq!(report.get("warnings").and_then(Value::as_f64), Some(0.0));
     }
 
     #[test]
-    fn raw_lint_runs_the_graph_analyses() {
+    fn raw_lint_runs_the_dataflow_checks() {
         // Zero buffer batches: credits dry up -> BON030.
         let mut cfg = raw_engine(32, 64);
         cfg.loader.buffer_batches = 0;
@@ -622,7 +613,7 @@ mod tests {
             f.diagnostics
         );
 
-        // Zero write payload: only the lowering can see this (BON017).
+        // Zero write payload: only the engine pass can see this (BON017).
         let f = lint_engine(
             &raw_engine(32, 64),
             &ProbeExtras {
@@ -637,7 +628,7 @@ mod tests {
         );
 
         // Zero banks: BON013 from the shape pass and BON035 from the
-        // graph, without duplicating the shape codes.
+        // dataflow checks, without duplicating the shape codes.
         let f = lint_engine(
             &raw_engine(32, 64),
             &ProbeExtras {
@@ -654,7 +645,7 @@ mod tests {
     }
 
     #[test]
-    fn shape_errors_are_not_duplicated_by_the_lowering() {
+    fn shape_errors_are_reported_once() {
         let f = lint_engine(&raw_engine(6, 16), &ProbeExtras::default());
         let bon001 = f
             .diagnostics

@@ -10,6 +10,7 @@
 //!   `{"targets": [...], "errors": N, "warnings": N}` schema in every
 //!   mode — one serializer, no per-mode dialects.
 
+use bonsai_benchmark::json::{self, Value};
 use std::process::{Command, Output};
 
 fn lint(args: &[&str]) -> Output {
@@ -27,25 +28,31 @@ fn stdout(out: &Output) -> String {
     String::from_utf8(out.stdout.clone()).expect("utf8 stdout")
 }
 
-/// Asserts the `--json` output is one syntactically valid JSON object
-/// carrying the shared schema keys. The strict JSON reader in
-/// `bonsai_check::graph` doubles as the syntax validator: it parses the
-/// text fully before rejecting it for lacking a `version` field.
-fn assert_shared_json_schema(out: &Output) {
+/// The `--json` output parsed as one JSON object.
+fn report(out: &Output) -> Value {
     let json = stdout(out);
-    assert!(
-        bonsai_check::graph::PipelineGraph::from_json(&json)
-            .unwrap_err()
-            .contains("version"),
-        "must be syntactically valid JSON: {json}"
-    );
-    for key in [
-        "\"targets\":",
-        "\"status\":",
-        "\"errors\":",
-        "\"warnings\":",
-    ] {
-        assert!(json.contains(key), "missing {key}: {json}");
+    json::parse(&json).unwrap_or_else(|e| panic!("must be valid JSON ({e}): {json}"))
+}
+
+/// The integer `key` of a report.
+fn count(report: &Value, key: &str) -> f64 {
+    report.get(key).and_then(Value::as_f64).expect(key)
+}
+
+/// Asserts the `--json` output carries the shared schema: a `targets`
+/// array whose every entry has a `target`, a `status` and a
+/// `diagnostics` array, next to integer `errors` and `warnings`.
+fn assert_shared_json_schema(out: &Output) {
+    let report = report(out);
+    let targets = report.get("targets").and_then(Value::as_arr);
+    for target in targets.expect("a targets array") {
+        assert!(target.get("target").and_then(Value::as_str).is_some());
+        let status = target.get("status").and_then(Value::as_str);
+        assert!(matches!(status, Some("ok" | "warn" | "fail")), "{status:?}");
+        assert!(target.get("diagnostics").and_then(Value::as_arr).is_some());
+    }
+    for key in ["errors", "warnings"] {
+        assert_eq!(count(&report, key).fract(), 0.0, "{key}");
     }
 }
 
@@ -119,13 +126,13 @@ fn warnings_alone_keep_exit_zero() {
 fn usage_errors_exit_two() {
     for args in [
         &["--frobnicate"][..],
-        &["--p"],                              // missing value
-        &["--runtime", "--p", "4"],            // mixed modes
-        &["--runtime", "--dump-graph", "dot"], // mixed modes
-        &["--workers", "2"],                   // runtime flag without --runtime
-        &["--prove"],                          // the deleted prover's mode...
-        &["--prove-selftest"],                 // ...and each of its flags are
-        &["--state-budget", "4"],              // unknown flags now
+        &["--p"],                   // missing value
+        &["--runtime", "--p", "4"], // mixed modes
+        &["--workers", "2"],        // runtime flag without --runtime
+        &["--dump-graph", "dot"],   // the deleted graph dump,
+        &["--prove"],               // the deleted prover's mode...
+        &["--prove-selftest"],      // ...and each of its flags are
+        &["--state-budget", "4"],   // unknown flags now
         &["--credit-slack", "2"],
         &["--replay-records", "0"],
         &["--assume-throughput", "1"],
@@ -162,22 +169,19 @@ fn json_schema_is_identical_across_all_modes() {
 fn json_counts_agree_with_exit_codes() {
     let clean = lint(&["--json", "--p", "4", "--l", "16"]);
     assert_eq!(exit_code(&clean), 0);
-    assert!(
-        stdout(&clean).contains("\"errors\":0"),
-        "{}",
-        stdout(&clean)
-    );
+    assert_eq!(count(&report(&clean), "errors"), 0.0);
 
     let failing = lint(&["--json", "--buffer-batches", "0"]);
     assert_eq!(exit_code(&failing), 1);
-    assert!(
-        stdout(&failing).contains("\"code\":\"BON030\""),
-        "{}",
-        stdout(&failing)
-    );
-    assert!(
-        !stdout(&failing).contains("\"errors\":0"),
-        "{}",
-        stdout(&failing)
-    );
+    let failing = report(&failing);
+    assert!(count(&failing, "errors") > 0.0);
+    let target = &failing.get("targets").and_then(Value::as_arr).unwrap()[0];
+    let codes: Vec<_> = target
+        .get("diagnostics")
+        .and_then(Value::as_arr)
+        .unwrap()
+        .iter()
+        .filter_map(|d| d.get("code").and_then(Value::as_str))
+        .collect();
+    assert!(codes.contains(&"BON030"), "{codes:?}");
 }

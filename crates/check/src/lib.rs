@@ -15,7 +15,7 @@
 //! | `BON00x`   | AMT / record shape   | [`codes::P_NOT_POWER_OF_TWO`] |
 //! | `BON01x`   | Loader / memory      | [`codes::BATCH_BELOW_BUS_WIDTH`] |
 //! | `BON02x`   | Resource model       | [`codes::LUT_BUDGET_EXCEEDED`] |
-//! | `BON03x`   | Pipeline graph       | [`codes::GRAPH_DEADLOCK`] |
+//! | `BON03x`   | Pipeline dataflow    | [`codes::GRAPH_DEADLOCK`] |
 //! | `BON04x`   | Simulation runtime   | [`codes::SIM_PASS_LIVELOCK`] |
 //! | `BON05x`   | Runtime topology     | [`codes::RUNTIME_QUEUE_BELOW_WORKERS`] |
 //! | `BON06x`   | Static throughput floor | [`codes::THROUGHPUT_FLOOR_UNSOUND`] |
@@ -28,12 +28,16 @@
 //! [`docs/diagnostics.md`](https://github.com/bonsai-sort/bonsai/blob/main/docs/diagnostics.md);
 //! a test in this crate keeps that catalogue in sync with the registry.
 //!
+//! The crate is this one file: [`Diagnostic`], the [`codes`] registry
+//! and the `check_*` functions. Checks that need the configuration
+//! types live with those types and only report through this crate: the
+//! `BON03x` dataflow checks, for one, are closed forms over an engine
+//! configuration in `bonsai_model::check::analyze_engine`.
+//!
 //! This crate deliberately has **no dependencies** — not even on
 //! `bonsai-records` — so that every other crate in the workspace can
 //! depend on it without cycles. The integration tests reach back up the
 //! stack through dev-dependencies.
-
-pub mod graph;
 
 use std::fmt;
 
@@ -221,16 +225,17 @@ pub mod codes {
         /// Presorter chunk exceeds one loader batch of records.
         PRESORT_EXCEEDS_BATCH = "BON026", Warning, "presort chunk exceeds one batch";
 
-        // --- BON03x: pipeline-graph analyses ----------------------------
-        /// The pipeline graph can deadlock (zero-credit edge or dataflow
-        /// cycle over the credit/backpressure dependency graph).
+        // --- BON03x: pipeline dataflow -----------------------------------
+        /// The pipeline can deadlock: a leaf refill edge holds zero
+        /// credits.
         GRAPH_DEADLOCK = "BON030", Error, "pipeline graph can deadlock";
         /// An edge FIFO is shallower than the consumer's flush requirement.
         GRAPH_FIFO_BELOW_FLUSH = "BON031", Error, "FIFO below the consumer's flush requirement";
         /// Source→sink min-cut bandwidth below the required throughput.
         GRAPH_BANDWIDTH_INFEASIBLE = "BON032", Error, "min-cut bandwidth below required throughput";
-        /// The analytical model predicts below the graph's static latency
-        /// lower bound (critical path / min-cut certification failed).
+        /// The analytical model predicts below the pipeline's static
+        /// latency lower bound (critical path / min-cut certification
+        /// failed).
         GRAPH_LATENCY_BOUND_VIOLATION = "BON033", Error, "model predicts below the static latency bound";
         /// A node lies on no source→sink dataflow path.
         GRAPH_DEAD_COMPONENT = "BON034", Error, "node on no source->sink path";
@@ -238,9 +243,6 @@ pub mod codes {
         GRAPH_CHANNEL_ZERO_BANKS = "BON035", Error, "memory channel has zero assigned banks";
         /// Model latency drifted beyond tolerance from a SimEngine probe.
         GRAPH_MODEL_DRIFT = "BON036", Warning, "model drifted from simulation beyond tolerance";
-        /// The graph IR itself is malformed (dangling edge, missing
-        /// source/sink).
-        GRAPH_MALFORMED = "BON037", Error, "pipeline graph IR is malformed";
 
         // --- BON04x: simulation runtime ---------------------------------
         /// A simulated merge pass exceeded its livelock cycle bound.

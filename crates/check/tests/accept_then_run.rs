@@ -7,7 +7,6 @@
 //! Configurations are drawn from a seeded generator so the sweep is
 //! deterministic but covers shapes no in-repo experiment uses.
 
-use bonsai_amt::graph::LowerOptions;
 use bonsai_amt::{AmtConfig, SimEngine, SimEngineConfig};
 use bonsai_check::{codes, has_errors, Diagnostic};
 use bonsai_gensort::dist::uniform_u32;
@@ -19,7 +18,7 @@ use bonsai_rng::Rng;
 
 /// The referee: the whole static engine pass.
 fn analyze(cfg: &SimEngineConfig) -> Vec<Diagnostic> {
-    analyze_engine(cfg, &LowerOptions::default(), &HardwareParams::aws_f1())
+    analyze_engine(cfg, None, &HardwareParams::aws_f1())
 }
 
 /// Draws a config from a space that includes both valid and invalid

@@ -220,7 +220,7 @@ fn bon026_presort_exceeds_batch() {
     assert!(!has_errors(&diags));
 }
 
-// --- Pipeline-graph codes (BON017, BON03x) ---------------------------
+// --- Pipeline dataflow codes (BON017, BON03x) ------------------------
 
 fn dram(p: usize, l: usize, record_bytes: u64) -> bonsai_amt::SimEngineConfig {
     bonsai_amt::SimEngineConfig::dram_sorter(bonsai_amt::AmtConfig::new(p, l), record_bytes)
@@ -228,11 +228,14 @@ fn dram(p: usize, l: usize, record_bytes: u64) -> bonsai_amt::SimEngineConfig {
 
 /// The one engine pass, with an optional write-back payload override.
 fn engine_diags(cfg: &bonsai_amt::SimEngineConfig, payload_bytes: Option<u64>) -> Vec<Diagnostic> {
-    bonsai_model::check::analyze_engine(
-        cfg,
-        &bonsai_amt::graph::LowerOptions { payload_bytes },
-        &bonsai_model::HardwareParams::aws_f1(),
-    )
+    bonsai_model::check::analyze_engine(cfg, payload_bytes, &bonsai_model::HardwareParams::aws_f1())
+}
+
+/// The one `code` finding in `diags`, as `(name, value)` context pairs.
+fn context_of(diags: &[Diagnostic], code: &str) -> Vec<(&'static str, String)> {
+    let found: Vec<_> = diags.iter().filter(|d| d.code == code).collect();
+    assert_eq!(found.len(), 1, "expected one {code} in {diags:?}");
+    found[0].context.clone()
 }
 
 fn graph_diags(cfg: &bonsai_amt::SimEngineConfig) -> Vec<Diagnostic> {
@@ -251,7 +254,15 @@ fn bon017_zero_write_payload() {
 fn bon030_zero_credit_deadlock() {
     let mut cfg = dram(4, 16, 4);
     cfg.loader.buffer_batches = 0;
-    assert_emits(&graph_diags(&cfg), codes::GRAPH_DEADLOCK);
+    let diags = graph_diags(&cfg);
+    assert_emits(&diags, codes::GRAPH_DEADLOCK);
+    // Two leaf edges into each of the eight bottom (level 3) mergers.
+    let edges = "loader->merger_l3_0, loader->merger_l3_0, \
+                 loader->merger_l3_1, loader->merger_l3_1 (+12 more)";
+    assert_eq!(
+        context_of(&diags, codes::GRAPH_DEADLOCK),
+        [("edges", edges.to_string()), ("count", "16".to_string())]
+    );
 }
 
 #[test]
@@ -260,22 +271,81 @@ fn bon031_fifo_below_flush() {
     // 16-byte records double-buffer only 4.
     let mut cfg = dram(8, 4, 16);
     cfg.loader.batch_bytes = 32;
-    assert_emits(&graph_diags(&cfg), codes::GRAPH_FIFO_BELOW_FLUSH);
+    let diags = graph_diags(&cfg);
+    assert_emits(&diags, codes::GRAPH_FIFO_BELOW_FLUSH);
+    // Exactly four offenders: all named, none elided.
+    let edges = "loader->merger_l1_0 (depth 4, need 5), loader->merger_l1_0 (depth 4, need 5), \
+                 loader->merger_l1_1 (depth 4, need 5), loader->merger_l1_1 (depth 4, need 5)";
+    assert_eq!(
+        context_of(&diags, codes::GRAPH_FIFO_BELOW_FLUSH),
+        [("edges", edges.to_string()), ("count", "4".to_string())]
+    );
+}
+
+#[test]
+fn bon031_write_payload_wider_than_a_batch() {
+    // A 5000-byte payload leaves a 4 KiB write batch room for no record,
+    // so both edges of each of the four write channels fall short.
+    let diags = engine_diags(&dram(4, 16, 4), Some(5000));
+    assert_emits(&diags, codes::GRAPH_FIFO_BELOW_FLUSH);
+    assert_eq!(
+        context_of(&diags, codes::GRAPH_FIFO_BELOW_FLUSH),
+        [
+            (
+                "edges",
+                "drain->chan_w0 (depth 0, need 1), chan_w0->sink (depth 0, need 1), \
+                 drain->chan_w1 (depth 0, need 1), chan_w1->sink (depth 0, need 1) (+4 more)"
+                    .to_string()
+            ),
+            ("count", "8".to_string()),
+        ]
+    );
 }
 
 #[test]
 fn bon032_min_cut_below_required() {
     // p=32 of 8-byte records needs 256 B/cyc; DDR4 reads 128.
-    assert_emits(
-        &graph_diags(&dram(32, 64, 8)),
-        codes::GRAPH_BANDWIDTH_INFEASIBLE,
+    let diags = graph_diags(&dram(32, 64, 8));
+    assert_emits(&diags, codes::GRAPH_BANDWIDTH_INFEASIBLE);
+    let bottleneck = "source->chan_r0 (32 B/cyc), source->chan_r1 (32 B/cyc), \
+                      source->chan_r2 (32 B/cyc), source->chan_r3 (32 B/cyc)";
+    assert_eq!(
+        context_of(&diags, codes::GRAPH_BANDWIDTH_INFEASIBLE),
+        [
+            ("max_flow_bytes_per_cycle", "128".to_string()),
+            ("required_bytes_per_cycle", "256".to_string()),
+            ("bottleneck", bottleneck.to_string()),
+        ]
+    );
+}
+
+#[test]
+fn bon032_write_side_bottleneck() {
+    // Every preset writes as fast as it reads; a memory that writes a
+    // quarter as fast cuts the pipeline at its write channels.
+    let mut cfg = dram(32, 64, 4);
+    cfg.memory = bonsai_memsim::MemoryConfig {
+        write_bytes_per_cycle: 8,
+        ..bonsai_memsim::MemoryConfig::ddr4_aws_f1()
+    };
+    let diags = graph_diags(&cfg);
+    assert_emits(&diags, codes::GRAPH_BANDWIDTH_INFEASIBLE);
+    let bottleneck = "drain->chan_w0 (8 B/cyc), drain->chan_w1 (8 B/cyc), \
+                      drain->chan_w2 (8 B/cyc), drain->chan_w3 (8 B/cyc)";
+    assert_eq!(
+        context_of(&diags, codes::GRAPH_BANDWIDTH_INFEASIBLE),
+        [
+            ("max_flow_bytes_per_cycle", "32".to_string()),
+            ("required_bytes_per_cycle", "128".to_string()),
+            ("bottleneck", bottleneck.to_string()),
+        ]
     );
 }
 
 #[test]
 fn bon033_model_promises_more_than_the_min_cut() {
     // p=16 on SSD-throttled memory: Eq. 1 with the F1 card claims twice
-    // what the lowered graph's min cut can carry.
+    // what the one throttled channel can carry.
     let config = bonsai_amt::SimEngineConfig::with_memory(
         bonsai_amt::AmtConfig::new(16, 64),
         4,
@@ -292,14 +362,33 @@ fn bon034_dead_memory_channels() {
         4,
         bonsai_memsim::MemoryConfig::hbm_u50(),
     );
-    assert_emits(&graph_diags(&cfg), codes::GRAPH_DEAD_COMPONENT);
+    let diags = graph_diags(&cfg);
+    assert_emits(&diags, codes::GRAPH_DEAD_COMPONENT);
+    assert_eq!(
+        context_of(&diags, codes::GRAPH_DEAD_COMPONENT),
+        [
+            (
+                "nodes",
+                "chan_r4, chan_r5, chan_r6, chan_r7 (+24 more)".to_string()
+            ),
+            ("count", "28".to_string()),
+        ]
+    );
 }
 
 #[test]
 fn bon035_zero_bank_channel() {
     let mut cfg = dram(4, 16, 4);
     cfg.memory.banks = 0;
-    assert_emits(&graph_diags(&cfg), codes::GRAPH_CHANNEL_ZERO_BANKS);
+    let diags = graph_diags(&cfg);
+    assert_emits(&diags, codes::GRAPH_CHANNEL_ZERO_BANKS);
+    assert_eq!(
+        context_of(&diags, codes::GRAPH_CHANNEL_ZERO_BANKS),
+        [
+            ("channels", "chan_r0, chan_w0".to_string()),
+            ("count", "2".to_string()),
+        ]
+    );
 }
 
 #[test]
@@ -314,18 +403,66 @@ fn bon036_model_drift_is_a_warning() {
     assert!(!has_errors(&diags));
 }
 
+/// Pins the engine pass over the 20 160-point lattice p ∈ {1..32} ×
+/// ℓ ∈ {2..256} × r ∈ {4, 8, 16} × batch ∈ {32..1024, 4096} B ×
+/// `buffer_batches` ∈ {0..3} × the five memory presets: how often each
+/// code fires (`BON064` on none). The `BON03x` counts are the ones the
+/// pipeline-graph IR (max-flow, critical path, reachability over a
+/// lowered graph) gave before its closed forms replaced it.
 #[test]
-fn bon037_malformed_graph() {
-    use bonsai_check::graph::{Edge, PipelineGraph};
-    let mut g = PipelineGraph::new();
-    g.add_edge(Edge {
-        from: 0,
-        to: 7,
-        fifo_depth: 1,
-        credits: 1,
-        bytes_per_cycle: 1,
-    });
-    assert_emits(&g.validate(), codes::GRAPH_MALFORMED);
+fn engine_pass_code_counts_over_the_lattice() {
+    use bonsai_memsim::{LoaderConfig, MemoryConfig};
+    let hw = bonsai_model::HardwareParams::aws_f1();
+    let presets = [
+        MemoryConfig::ddr4_aws_f1(),
+        MemoryConfig::ddr4_single_bank(),
+        MemoryConfig::hbm_u50(),
+        MemoryConfig::throttled_to_ssd(),
+        MemoryConfig::ssd_direct(),
+    ];
+    let mut counts = std::collections::BTreeMap::new();
+    let mut points = 0;
+    for (memory, p, l) in presets
+        .into_iter()
+        .flat_map(|m| [1, 2, 4, 8, 16, 32].map(|p| (m, p)))
+        .flat_map(|(m, p)| (1..=8).map(move |k| (m, p, 1 << k)))
+    {
+        for record_bytes in [4, 8, 16] {
+            for batch_bytes in [32, 64, 128, 256, 512, 1024, 4096] {
+                for buffer_batches in 0..4 {
+                    let cfg = bonsai_amt::SimEngineConfig {
+                        amt: bonsai_amt::AmtConfig { p, l },
+                        loader: LoaderConfig {
+                            batch_bytes,
+                            record_bytes,
+                            buffer_batches,
+                        },
+                        memory,
+                        presort: Some(16),
+                    };
+                    points += 1;
+                    for d in bonsai_model::check::analyze_engine(&cfg, None, &hw) {
+                        *counts.entry(d.code).or_insert(0) += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(points, 20_160);
+    assert_eq!(
+        counts.into_iter().collect::<Vec<_>>(),
+        [
+            (codes::P_EXCEEDS_LEAVES, 4_200),
+            (codes::BUFFER_NOT_DOUBLE, 10_080),
+            (codes::BURST_EFFICIENCY_LOW, 10_944),
+            (codes::PRESORT_EXCEEDS_BATCH, 5_760),
+            (codes::GRAPH_DEADLOCK, 5_040),
+            (codes::GRAPH_FIFO_BELOW_FLUSH, 5_610),
+            (codes::GRAPH_BANDWIDTH_INFEASIBLE, 8_876),
+            (codes::GRAPH_LATENCY_BOUND_VIOLATION, 8_176),
+            (codes::GRAPH_DEAD_COMPONENT, 2_520),
+        ]
+    );
 }
 
 // --- Simulation-runtime codes (BON04x) -------------------------------

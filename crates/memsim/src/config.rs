@@ -187,8 +187,9 @@ impl MemoryConfig {
 
     /// How many banks serve at least one leaf under the round-robin
     /// striping of [`MemoryConfig::bank_for_leaf`]. Banks beyond this
-    /// count are idle on the read side — dead hardware that the
-    /// pipeline-graph analysis flags (`BON034`).
+    /// count are idle on the read side: dead hardware (`BON034`), and
+    /// this count times the bank read rate bounds the sustained read
+    /// rate (`BON032`), both judged by `bonsai_model::check::analyze_engine`.
     pub fn banks_serving(&self, leaves: usize) -> usize {
         self.banks.min(leaves)
     }

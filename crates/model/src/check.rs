@@ -7,11 +7,12 @@
 //! Equation 9 and the BRAM budget of Equation 10.
 //!
 //! It also owns [`analyze_engine`], the one static pass over an engine
-//! configuration: shape checks, one lowering to the pipeline graph, the
-//! graph analyses (`BON03x`), the certification that the analytical
-//! latency model (Eqs. 1–2) never predicts below the static lower bound
-//! derived from that graph's min-cut and critical path (`BON033`) and
-//! the static throughput floor (`BON064`). [`model_drift_probe`]
+//! configuration: shape checks, the dataflow checks of the composed
+//! loader → tree → memory pipeline (`BON03x`, each a closed form over
+//! the configuration), the certification that the analytical latency
+//! model (Eqs. 1–2) never predicts below the static lower bound derived
+//! from that pipeline's max-flow and critical path (`BON033`) and the
+//! static throughput floor (`BON064`). [`model_drift_probe`]
 //! cross-checks the model against an actual `SimEngine` measurement
 //! with a tolerance gate.
 
@@ -20,20 +21,19 @@ use crate::optimizer::FullConfig;
 use crate::params::{ArrayParams, HardwareParams};
 use crate::resource::Footprint;
 use crate::{perf, resource};
-use bonsai_amt::graph::{lower_to_graph, required_bytes_per_cycle, LowerOptions};
 use bonsai_amt::{SimEngine, SimEngineConfig};
-use bonsai_check::{codes, Diagnostic};
+use bonsai_check::{codes, has_errors, Diagnostic};
 
 /// Relative slack granted to the model before `BON033` fires: the model
 /// may predict down to `bound / (1 + CERTIFY_TOLERANCE)` to absorb the
 /// critical-path term on equality-bound configurations.
-pub const CERTIFY_TOLERANCE: f64 = 0.02;
+const CERTIFY_TOLERANCE: f64 = 0.02;
 
 /// Relative model-vs-simulation drift tolerated by
 /// [`model_drift_probe`] before `BON036` fires. §VI-B reports the model
 /// within 10 % of measurement at scale; small probe arrays see extra
 /// fill/drain overhead, hence the looser gate.
-pub const DRIFT_TOLERANCE: f64 = 0.35;
+const DRIFT_TOLERANCE: f64 = 0.35;
 
 /// Cross-validate a [`FullConfig`] against the hardware and component
 /// library through the same Equation 9/10 budget path as
@@ -82,7 +82,7 @@ pub fn check_full_config(
     // The budget equations need well-formed inputs; if the shape or the
     // replication factors are already broken, stop here rather than
     // panic inside `amt_lut`.
-    if bonsai_check::has_errors(&out) {
+    if has_errors(&out) {
         return out;
     }
 
@@ -103,75 +103,234 @@ pub fn check_full_config(
 /// 1 GiB of records keeps every stage count realistic.
 const CERTIFY_BYTES: u64 = 1 << 30;
 
-/// The static pass over one engine configuration, and the only place a
-/// configuration is lowered and analyzed: the shape checks, then — on
-/// the graph lowered **once** — the four pipeline-graph analyses
-/// against the config's own required throughput (one max-flow run),
-/// the Eq. 1 latency-bound certification (`BON033`) on that same flow
-/// and, for configurations clean so far, the static throughput floor
-/// (`BON064`). Lowering failures add only codes the shape checks did
-/// not already report (e.g. `BON017`, which only the lowering can see).
+/// The static pass over one engine configuration: the shape checks,
+/// then the dataflow checks of the composed pipeline (`BON030`–`BON035`,
+/// each a closed form over the configuration), the Eq. 1 latency-bound
+/// certification (`BON033`) on that pipeline's max-flow and critical
+/// path and, for configurations clean so far, the static throughput
+/// floor (`BON064`).
+///
+/// `payload_bytes` is the width written back per record; `None` means
+/// the full record width. `Some(0)` is `BON017`: each write channel
+/// would have to buffer infinitely many records per batch. A payload of
+/// zero, an invalid tree shape or a zero record width leaves no
+/// pipeline to judge, so the pass stops after the shape checks.
 #[must_use]
 pub fn analyze_engine(
     config: &SimEngineConfig,
-    opts: &LowerOptions,
+    payload_bytes: Option<u64>,
     hw: &HardwareParams,
 ) -> Vec<Diagnostic> {
     let mut diagnostics = config.validate();
-    let graph = match lower_to_graph(config, opts) {
-        Ok(graph) => graph,
-        Err(fatal) => {
-            for d in fatal {
-                if !diagnostics.iter().any(|seen| seen.code == d.code) {
-                    diagnostics.push(d);
-                }
-            }
-            return diagnostics;
-        }
-    };
-    let analysis = graph.analyze_all(required_bytes_per_cycle(config));
-    diagnostics.extend(analysis.diagnostics);
+    if payload_bytes == Some(0) {
+        diagnostics.push(
+            Diagnostic::error(
+                codes::WRITE_PAYLOAD_ZERO,
+                "cannot lower to a pipeline graph: write-back payload width is zero",
+            )
+            .with("payload_bytes", 0),
+        );
+    }
+    let record_bytes = config.loader.record_bytes;
+    if payload_bytes == Some(0) || record_bytes == 0 || has_errors(&config.amt.validate()) {
+        return diagnostics;
+    }
+    let flow = dataflow(config, payload_bytes.unwrap_or(record_bytes));
+    diagnostics.extend(flow.diagnostics);
     // Built by hand: `from_bytes` asserts divisibility, and a record
     // width that does not divide the array (`--record-bytes 12`) is a
     // finding to report, not a reason to abort the linter.
     let array = ArrayParams {
-        n_records: CERTIFY_BYTES / config.loader.record_bytes,
-        record_bytes: config.loader.record_bytes,
+        n_records: CERTIFY_BYTES / record_bytes,
+        record_bytes,
     };
-    // Malformed/cyclic graphs are BON037/BON030's job, not BON033's.
-    if let (Some(cut), Some(critical_path)) = (
-        analysis.max_flow_bytes_per_cycle,
-        graph.critical_path_cycles(),
-    ) {
-        diagnostics.extend(certify_latency_bound(
-            config,
-            &array,
-            hw,
-            cut,
-            critical_path,
-        ));
-    }
+    diagnostics.extend(certify_latency_bound(
+        config,
+        &array,
+        hw,
+        flow.max_flow,
+        flow.critical_path,
+    ));
     // A throughput guarantee means nothing for a pipeline that wedges.
-    if !bonsai_check::has_errors(&diagnostics) {
+    if !has_errors(&diagnostics) {
         diagnostics.extend(check_static_bound(config, &array, hw));
     }
     diagnostics
 }
 
+/// How many offending items one aggregated diagnostic names before
+/// eliding the rest as `(+N more)`; its `count` is always the total.
+const MAX_NAMED: usize = 4;
+
+/// The first [`MAX_NAMED`] of `count` items, item `i` named `name(i)`.
+fn name_some(count: usize, name: impl Fn(usize) -> String) -> String {
+    let shown: Vec<String> = (0..count.min(MAX_NAMED)).map(name).collect();
+    if count > MAX_NAMED {
+        format!("{} (+{} more)", shown.join(", "), count - MAX_NAMED)
+    } else {
+        shown.join(", ")
+    }
+}
+
+/// What [`dataflow`] finds in one configuration.
+struct Dataflow {
+    /// `BON030`, `BON031`, `BON032`, `BON034`, `BON035`, in that order.
+    diagnostics: Vec<Diagnostic>,
+    /// Sustained memory-to-memory rate in bytes per cycle.
+    max_flow: u64,
+    /// Pipeline-fill latency from read channel to write channel, cycles.
+    critical_path: u64,
+}
+
+/// The dataflow checks of the composed pipeline — read channels →
+/// loader → leaf buffers → merger/coupler tree → write drain → write
+/// channels — each a closed form over the configuration. With ℓ leaves,
+/// `w` the bottom merger width, `n = max(banks, 1)` channels per
+/// direction, `serving = max(min(banks, ℓ), [banks = 0])` read channels
+/// that feed a leaf (leaf `j` reads bank `j mod banks`), and `R` / `W`
+/// the per-bank read / write rates (0 without banks):
+///
+/// - `BON030` ⇔ `buffer_batches == 0`: the ℓ leaf edges hold no credit.
+/// - `BON031` ⇔ a leaf buffer (`batch_records · buffer_batches`) holds
+///   fewer than `w + 1` records, the §V-B tuple plus terminal (the ℓ
+///   leaf edges), or a write channel's `batch_bytes / payload_bytes`
+///   holds none (both edges of every write channel).
+/// - max-flow = `min(serving·R, p·r, n·W)`, and `BON032` ⇔ it is below
+///   the root's `p·r`. The cut is the serving read channels (all `n`
+///   when `R = 0`) while `serving·R ≤ n·W`, the write channels otherwise.
+/// - critical path = `2·burst_setup + 2 + log₂ℓ + min(log₂p, log₂ℓ − 1)`:
+///   a setup per channel, the loader, the drain, one cycle per merger
+///   level and one per coupler.
+/// - `BON034` ⇔ `serving < n`: channels `serving..n` read for no leaf.
+/// - `BON035` ⇔ `banks == 0`.
+///
+/// No other term can bind: an internal tree FIFO holds `max(8·w, 16)`
+/// records, and every tree level carries at least the root's `p·r`.
+/// Needs a valid tree shape and non-zero record and payload widths.
+fn dataflow(config: &SimEngineConfig, payload_bytes: u64) -> Dataflow {
+    let (amt, loader, memory) = (config.amt, config.loader, config.memory);
+    let leaves = amt.l;
+    let levels = amt.levels();
+    let bottom = levels - 1;
+    let need = amt.merger_width_at_level(bottom) as u64 + 1;
+    let leaf_depth = loader.batch_bytes / loader.record_bytes * loader.buffer_batches;
+    let channels = memory.banks.max(1);
+    let serving = memory
+        .banks_serving(leaves)
+        .max(usize::from(memory.banks == 0));
+    let (read, write) = if memory.banks == 0 {
+        (0, 0)
+    } else {
+        (memory.read_bytes_per_cycle, memory.write_bytes_per_cycle)
+    };
+    // Two leaf edges per bottom merger.
+    let leaf_edge = |j: usize| format!("loader->merger_l{bottom}_{}", j / 2);
+
+    let mut diagnostics = Vec::new();
+    if loader.buffer_batches == 0 {
+        diagnostics.push(
+            Diagnostic::error(
+                codes::GRAPH_DEADLOCK,
+                "zero-credit edge: the producer can never obtain a send credit",
+            )
+            .with("edges", name_some(leaves, leaf_edge))
+            .with("count", leaves),
+        );
+    }
+
+    let shallow_leaves = if leaf_depth < need { leaves } else { 0 };
+    let shallow_writes = if loader.batch_bytes / payload_bytes == 0 {
+        2 * channels
+    } else {
+        0
+    };
+    let shallow = shallow_leaves + shallow_writes;
+    if shallow > 0 {
+        let edge = |i: usize| match i.checked_sub(shallow_leaves) {
+            None => format!("{} (depth {leaf_depth}, need {need})", leaf_edge(i)),
+            Some(w) if w % 2 == 0 => format!("drain->chan_w{} (depth 0, need 1)", w / 2),
+            Some(w) => format!("chan_w{}->sink (depth 0, need 1)", w / 2),
+        };
+        diagnostics.push(
+            Diagnostic::error(
+                codes::GRAPH_FIFO_BELOW_FLUSH,
+                "FIFO depth below the consumer's flush requirement (k-record tuple + terminal)",
+            )
+            .with("edges", name_some(shallow, edge))
+            .with("count", shallow),
+        );
+    }
+
+    let required = amt.p as u64 * loader.record_bytes;
+    let read_cut = serving as u64 * read;
+    let write_cut = channels as u64 * write;
+    let max_flow = read_cut.min(required).min(write_cut);
+    if max_flow < required {
+        let bottleneck = if read_cut <= write_cut {
+            // A channel that reads nothing is cut whether or not it
+            // serves a leaf.
+            let cut = if read == 0 { channels } else { serving };
+            name_some(cut, |c| format!("source->chan_r{c} ({read} B/cyc)"))
+        } else {
+            name_some(channels, |c| format!("drain->chan_w{c} ({write} B/cyc)"))
+        };
+        diagnostics.push(
+            Diagnostic::error(
+                codes::GRAPH_BANDWIDTH_INFEASIBLE,
+                "pipeline min-cut bandwidth is below the required sustained throughput",
+            )
+            .with("max_flow_bytes_per_cycle", max_flow)
+            .with("required_bytes_per_cycle", required)
+            .with("bottleneck", bottleneck),
+        );
+    }
+
+    if serving < channels {
+        let dead = channels - serving;
+        diagnostics.push(
+            Diagnostic::error(
+                codes::GRAPH_DEAD_COMPONENT,
+                "node lies on no source->sink dataflow path (dead hardware)",
+            )
+            .with(
+                "nodes",
+                name_some(dead, |i| format!("chan_r{}", serving + i)),
+            )
+            .with("count", dead),
+        );
+    }
+    if memory.banks == 0 {
+        diagnostics.push(
+            Diagnostic::error(
+                codes::GRAPH_CHANNEL_ZERO_BANKS,
+                "memory channel has zero assigned banks",
+            )
+            .with("channels", "chan_r0, chan_w0")
+            .with("count", 2),
+        );
+    }
+
+    let couplers = u64::from(amt.p.trailing_zeros()).min(levels as u64 - 1);
+    Dataflow {
+        diagnostics,
+        max_flow,
+        critical_path: 2 * memory.burst_setup_cycles + 2 + levels as u64 + couplers,
+    }
+}
+
 /// Latency-bound certification (`BON033`).
 ///
-/// From the lowered graph's min-cut `cut` (bytes/cycle) and critical
-/// path `critical_path` (cycles), derives a static lower bound on
-/// sorting `array`: each of the `s` merge stages must move every byte
-/// through the min-cut, plus one pipeline fill along the critical
-/// path —
+/// From the pipeline's max-flow `cut` (bytes/cycle) and critical path
+/// `critical_path` (cycles), derives a static lower bound on sorting
+/// `array`: each of the `s` merge stages must move every byte through
+/// the min-cut, plus one pipeline fill along the critical path —
 ///
 /// ```text
 /// bound = s · bytes / (min_cut · f)  +  critical_path / f
 /// ```
 ///
 /// The analytical model (Eq. 1 with `hw`) predicting *below* this bound
-/// means the model and the lowered hardware disagree — typically `hw`'s
+/// means the model and the configured hardware disagree — typically `hw`'s
 /// `beta_dram` promising bandwidth the configured `MemoryConfig` does
 /// not have. A [`CERTIFY_TOLERANCE`] relative slack absorbs the
 /// critical-path term on configurations that sit exactly on the bound.
@@ -218,7 +377,7 @@ fn certify_latency_bound(
 ///
 /// Sorts `n_records` pseudo-random `u32` records through the actual
 /// [`SimEngine`] and compares the measured latency against the Eq. 1
-/// prediction for the same array. Drift beyond [`DRIFT_TOLERANCE`]
+/// prediction for the same array. Drift beyond 35 % (`DRIFT_TOLERANCE`)
 /// means the analytical model no longer tracks the simulator it claims
 /// to describe — a warning, because either side may have legitimately
 /// moved first.
@@ -274,7 +433,7 @@ pub fn model_drift_probe(
 /// any simulated run — that inequality is the soundness contract
 /// `bonsai-check`'s `accept_then_run` test enforces on every
 /// configuration [`analyze_engine`] accepts.
-pub const CEILING_SAFETY_FACTOR: u64 = 2;
+const CEILING_SAFETY_FACTOR: u64 = 2;
 
 /// Conservative static upper bound on the total cycles [`SimEngine`]
 /// can spend sorting `array` under `config`, assuming **zero overlap**
@@ -282,15 +441,15 @@ pub const CEILING_SAFETY_FACTOR: u64 = 2;
 /// burst setup and serialized transfer on both the read and write side,
 /// every record pays the full tree depth (plus the presorter network
 /// depth), every run pays a per-level flush bubble, and a generous
-/// pipeline-fill term is added — the whole sum then scaled by
-/// [`CEILING_SAFETY_FACTOR`].
+/// pipeline-fill term is added — the whole sum then doubled
+/// (`CEILING_SAFETY_FACTOR`).
 ///
 /// Returns `None` when the configuration is malformed (the shape checks
 /// own that report) or the array needs zero merge stages (nothing to
 /// bound).
 #[must_use]
 pub fn static_cycle_ceiling(config: &SimEngineConfig, array: &ArrayParams) -> Option<u64> {
-    if bonsai_check::has_errors(&config.validate()) {
+    if has_errors(&config.validate()) {
         return None;
     }
     let presort = config.presort.unwrap_or(1);
@@ -344,12 +503,7 @@ pub fn static_cycle_ceiling(config: &SimEngineConfig, array: &ArrayParams) -> Op
 /// derived from [`static_cycle_ceiling`] at clock `freq_hz`: the engine
 /// is guaranteed to sort `array` at *at least* this rate. `None` when
 /// no ceiling exists.
-#[must_use]
-pub fn throughput_floor(
-    config: &SimEngineConfig,
-    array: &ArrayParams,
-    freq_hz: f64,
-) -> Option<f64> {
+fn throughput_floor(config: &SimEngineConfig, array: &ArrayParams, freq_hz: f64) -> Option<f64> {
     let ceiling = static_cycle_ceiling(config, array)?;
     if ceiling == 0 || freq_hz <= 0.0 {
         return None;
@@ -412,7 +566,7 @@ mod tests {
             let fits = resource::config_fits(&lib, &hw, p, l, 32, copies, Some(16));
             let diags = check_full_config(&lib, &hw, &cfg(p, l, copies, 1), 32, Some(16));
             assert_eq!(
-                !bonsai_check::has_errors(&diags),
+                !has_errors(&diags),
                 fits,
                 "p={p} l={l} copies={copies}: {diags:?}"
             );
@@ -461,7 +615,26 @@ mod tests {
     }
 
     fn engine_pass(config: &SimEngineConfig) -> Vec<Diagnostic> {
-        analyze_engine(config, &LowerOptions::default(), &HardwareParams::aws_f1())
+        analyze_engine(config, None, &HardwareParams::aws_f1())
+    }
+
+    #[test]
+    fn dataflow_numbers_follow_the_tree_arithmetic() {
+        // AMT(32, 64) on 4-byte records needs exactly the 128 B/cyc the
+        // four DDR4 banks read.
+        let flow = dataflow(&SimEngineConfig::dram_sorter(AmtConfig::new(32, 64), 4), 4);
+        assert_eq!((flow.max_flow, flow.diagnostics), (128, Vec::new()));
+        // AMT(4, 16) fills through two 8-cycle channel setups, the
+        // loader, the drain, four merger levels and two couplers.
+        let flow = dataflow(&SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4), 4);
+        assert_eq!(flow.critical_path, 24);
+        // A tree with fewer leaves than DDR4 banks needs a memory with
+        // no more banks than leaves, or the spare channels are dead.
+        for (p, l) in [(1, 2), (2, 4)] {
+            let single = MemoryConfig::ddr4_single_bank();
+            let config = SimEngineConfig::with_memory(AmtConfig::new(p, l), 4, single);
+            assert_eq!(dataflow(&config, 4).diagnostics, Vec::new(), "AMT({p},{l})");
+        }
     }
 
     #[test]
@@ -487,7 +660,7 @@ mod tests {
     #[test]
     fn model_promising_more_than_the_memory_violates_the_bound() {
         // p=16 against SSD-throttled memory: Eq. 1 with the F1 hardware
-        // card claims 16 GB/s, but the lowered graph's min-cut carries
+        // card claims 16 GB/s, but the one throttled channel carries
         // only 8 GB/s.
         let config = SimEngineConfig::with_memory(
             AmtConfig::new(16, 64),
@@ -504,7 +677,7 @@ mod tests {
     }
 
     #[test]
-    fn certification_skips_trivial_and_unlowerable_configs() {
+    fn certification_skips_trivial_and_shapeless_configs() {
         let hw = HardwareParams::aws_f1();
         let config = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
         // 16 records presorted in one chunk: zero merge stages, so even
@@ -514,7 +687,8 @@ mod tests {
             record_bytes: 4,
         };
         assert!(certify_latency_bound(&config, &tiny, &hw, 1, 1).is_empty());
-        // Unlowerable configs stop at the shape checks, each code once.
+        // Configs with no pipeline to judge stop at the shape checks,
+        // each code once.
         let mut broken = config;
         broken.loader.record_bytes = 0;
         let codes: Vec<_> = engine_pass(&broken).iter().map(|d| d.code).collect();
