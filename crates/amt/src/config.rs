@@ -139,19 +139,6 @@ impl SimEngineConfig {
         self.presort.unwrap_or(1)
     }
 
-    /// The merge-group count of the *first* (widest) merge pass when
-    /// sorting `records` records, i.e. the most threads
-    /// [`SimEngine::try_sort_pipelined`](crate::SimEngine::try_sort_pipelined)
-    /// can ever keep busy on one job; later passes only have fewer
-    /// groups. `None` when the input fits in a single presorted run and
-    /// no merge pass runs at all.
-    pub fn max_first_pass_groups(&self, records: usize) -> Option<usize> {
-        let r0 = records.div_ceil(self.initial_run_len().max(1));
-        let fan_ins = crate::schedule::fan_in_schedule(r0 as u64, self.amt.l as u64);
-        let first = *fan_ins.first()?;
-        Some((r0 as u64).div_ceil(first) as usize)
-    }
-
     /// Cross-validates the whole engine configuration: AMT shape, loader
     /// shape, memory shape, loader-vs-memory coupling and the presorter
     /// chunk. Returns every finding; construction-breaking ones are

@@ -3,7 +3,7 @@
 //! A merge pass is a set of *independent* merge groups: group `g`
 //! merges runs `[g·m, (g+1)·m)` into one output run, touching nobody
 //! else's runs, banks or tree state (§II–III — each group is its own
-//! engine fed by banked memory). [`SortPlan`] lowers a sort into those
+//! engine fed by banked memory). `SortPlan` lowers a sort into those
 //! `(pass, group)` tasks. The sort runs one pass at a time, as the
 //! hardware does (§II, Fig. 2: every stage streams the whole array back
 //! to memory and the next stage reads what it wrote): [`map_pass`]
@@ -67,13 +67,13 @@ pub const VIRTUAL_WORKERS: usize = 8;
 
 /// One merge pass of a [`SortPlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PassPlan {
+pub(crate) struct PassPlan {
     /// Runs merged per group this pass (`≤ ℓ`).
-    pub fan_in: usize,
+    pub(crate) fan_in: usize,
     /// Sorted runs entering the pass.
-    pub runs_in: usize,
+    pub(crate) runs_in: usize,
     /// Merge groups (= runs leaving the pass): `ceil(runs_in / fan_in)`.
-    pub groups: usize,
+    pub(crate) groups: usize,
 }
 
 /// The `(pass, group)` tasks of one sort: the balanced fan-in schedule
@@ -86,7 +86,7 @@ pub struct PassPlan {
 /// over a per-pass barrier (`pipeline_overlap_cycles`) is each pass's
 /// ragged last wave, not whole passes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SortPlan {
+pub(crate) struct SortPlan {
     passes: Vec<PassPlan>,
     /// First flat task id of each pass (cumulative group counts), so
     /// task ids order tasks lexicographically by `(pass, group)`.
@@ -104,7 +104,7 @@ impl SortPlan {
     /// Panics if `l` is not a power of two `>= 2` (as
     /// [`crate::schedule::fan_in_schedule`]).
     #[must_use]
-    pub fn new(initial_runs: usize, l: usize) -> Self {
+    pub(crate) fn new(initial_runs: usize, l: usize) -> Self {
         let fan_ins = crate::schedule::fan_in_schedule(initial_runs as u64, l as u64);
         let mut passes = Vec::with_capacity(fan_ins.len());
         let mut base = Vec::with_capacity(fan_ins.len());
@@ -131,33 +131,33 @@ impl SortPlan {
 
     /// Number of merge passes.
     #[must_use]
-    pub fn num_passes(&self) -> usize {
+    pub(crate) fn num_passes(&self) -> usize {
         self.passes.len()
     }
 
     /// The plan of pass `p` (0-based).
     #[must_use]
-    pub fn pass(&self, p: usize) -> PassPlan {
+    pub(crate) fn pass(&self, p: usize) -> PassPlan {
         self.passes[p]
     }
 
     /// Total `(pass, group)` tasks in the plan.
     #[must_use]
-    pub fn tasks(&self) -> usize {
+    pub(crate) fn tasks(&self) -> usize {
         self.tasks
     }
 
     /// Flat task id of `(pass, group)`; ids are lexicographic in
     /// `(pass, group)`.
     #[must_use]
-    pub fn task_id(&self, pass: usize, group: usize) -> usize {
+    pub(crate) fn task_id(&self, pass: usize, group: usize) -> usize {
         debug_assert!(group < self.passes[pass].groups);
         self.base[pass] + group
     }
 
     /// Inverse of [`SortPlan::task_id`].
     #[must_use]
-    pub fn task_of(&self, id: usize) -> (usize, usize) {
+    pub(crate) fn task_of(&self, id: usize) -> (usize, usize) {
         let pass = match self.base.binary_search(&id) {
             Ok(p) => p,
             Err(p) => p - 1,
@@ -175,7 +175,7 @@ impl SortPlan {
     /// Panics if `pass == 0` (first-pass groups read the presorted
     /// input, they have no task dependencies).
     #[must_use]
-    pub fn deps(&self, pass: usize, group: usize) -> core::ops::Range<usize> {
+    pub(crate) fn deps(&self, pass: usize, group: usize) -> core::ops::Range<usize> {
         assert!(pass > 0, "pass-0 groups have no dependencies");
         let m = self.passes[pass].fan_in;
         let prev = self.passes[pass - 1].groups;
@@ -185,7 +185,7 @@ impl SortPlan {
     /// The pass-`pass + 1` group that consumes `(pass, group)`'s output
     /// run, or `None` in the final pass.
     #[must_use]
-    pub fn parent_group(&self, pass: usize, group: usize) -> Option<usize> {
+    pub(crate) fn parent_group(&self, pass: usize, group: usize) -> Option<usize> {
         let next = self.passes.get(pass + 1)?;
         Some(group / next.fan_in)
     }

@@ -1,7 +1,7 @@
 //! One worker means no thread: the caller of `map_pass` is worker 0.
 //!
-//! The runtime's default (`pass_workers = 1`) and every simulator
-//! benchmark path sort with one worker, so a spawn and join per pass is
+//! Every runtime job (its passes run on the job's own worker) and every
+//! simulator benchmark path sort with one worker, so a spawn and join per pass is
 //! pure overhead on a ~1 ms job. This file holds a single test on purpose: an
 //! integration-test binary is its own process, so the
 //! `/proc/self/task` count (the way the runtime's leak tests count

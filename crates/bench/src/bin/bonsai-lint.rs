@@ -25,12 +25,10 @@
 //!
 //! ```sh
 //! bonsai-lint --runtime                         # lint in-repo topologies
-//! bonsai-lint --runtime --pass-workers 64 --records 1000 --cores 128  # BON051
-//! bonsai-lint --runtime --workers 4 --pass-workers 4 --cores 4  # BON054
+//! bonsai-lint --runtime --workers 8 --cores 4   # BON054
 //! bonsai-lint --runtime --workers 8 --queue-depth 0 --cores 16  # BON055
 //! bonsai-lint --runtime --reprogram-us 0        # BON080: shape thrash
 //! bonsai-lint --runtime --cache-shapes 1        # BON082: cache misses
-//! bonsai-lint --runtime --fairness-stride 0     # BON083: starvation
 //! ```
 
 use bonsai_amt::{AmtConfig, SimEngineConfig};
@@ -78,9 +76,8 @@ const USAGE: &str = "usage: bonsai-lint [--p N] [--l N] [--batch-bytes N] \
 [--record-bytes N] [--buffer-batches N] [--presort N] \
 [--memory ddr4|single|hbm|ssd] [--banks N] [--payload-bytes N] \
 [--json]
-       bonsai-lint --runtime [--workers N] [--pass-workers N] \
-[--queue-depth N] [--cores N] [--records N] [--cache-shapes N] \
-[--reprogram-us N] [--fairness-stride N] [--json]
+       bonsai-lint --runtime [--workers N] [--queue-depth N] [--cores N] \
+[--cache-shapes N] [--reprogram-us N] [--json]
 
 Without overrides, lints every in-repo experiment configuration (shape
 checks, pipeline dataflow checks, latency-bound certification, static
@@ -93,12 +90,9 @@ overrides, lints a single raw engine configuration.
 further overrides it lints the in-repo runtime shapes; with overrides it
 judges one raw topology (docs/diagnostics.md, Runtime topology):
 
-  --workers N        job workers (0 = one per core)
-  --pass-workers N   per-job pass-sharding threads (0 = one per core)
+  --workers N        job workers, one thread each (0 = one per core)
   --queue-depth N    bounded job-queue depth (0 holds one job)
   --cores N          judge against an N-core host (default: this host)
-  --records N        also bound pass-workers by the merge groups of an
-                     N-record job on the reference DRAM engine (BON051)
 
 Any adaptive-scheduler flag selects the adaptive scheduler, which
 additionally runs the BON08x knob checks (docs/diagnostics.md,
@@ -110,9 +104,6 @@ Adaptive runtime); unset knobs keep the runtime's lint-clean
                       probe (BON082)
   --reprogram-us N    modeled shape-switch cost in microseconds; 0 is
                       the shape-thrash probe (BON080)
-  --fairness-stride N latency-lane dispatches before a waiting
-                      throughput job runs; 0 is the starvation probe
-                      (BON083)
 
 Every runtime finding is a warning: --runtime exits 0 or 2.
 
@@ -176,19 +167,12 @@ fn engine_flag(
     true
 }
 
-/// Parses one runtime-topology flag onto `runtime`/`extras`; `false` if
-/// `flag` is not one.
-fn runtime_flag(
-    flag: &str,
-    args: &mut Args,
-    runtime: &mut RuntimeConfig,
-    extras: &mut ProbeExtras,
-) -> bool {
+/// Parses one runtime-topology flag onto `runtime`; `false` if `flag`
+/// is not one.
+fn runtime_flag(flag: &str, args: &mut Args, runtime: &mut RuntimeConfig) -> bool {
     match flag {
         "--workers" => runtime.workers = args.int(flag) as usize,
-        "--pass-workers" => runtime.pass_workers = args.int(flag) as usize,
         "--queue-depth" => runtime.queue_depth = args.int(flag) as usize,
-        "--records" => extras.records = Some(args.int(flag) as usize),
         _ => return false,
     }
     true
@@ -200,7 +184,6 @@ fn adaptive_flag(flag: &str, args: &mut Args, adaptive: &mut AdaptiveConfig) -> 
     match flag {
         "--cache-shapes" => adaptive.cache_shapes = args.int(flag) as usize,
         "--reprogram-us" => adaptive.reprogram_cost_us = args.int(flag),
-        "--fairness-stride" => adaptive.fairness_stride = args.int(flag) as u32,
         _ => return false,
     }
     true
@@ -229,7 +212,7 @@ fn parse_args() -> Cli {
             f if engine_flag(f, &mut args, &mut cli.engine, &mut cli.extras) => {
                 cli.engine_flags = true;
             }
-            f if runtime_flag(f, &mut args, &mut cli.runtime, &mut cli.extras) => {
+            f if runtime_flag(f, &mut args, &mut cli.runtime) => {
                 cli.runtime_flags = true;
             }
             f if adaptive_flag(f, &mut args, &mut cli.runtime.adaptive) => {

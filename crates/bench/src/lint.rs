@@ -229,10 +229,6 @@ pub struct ProbeExtras {
     /// Host core count to judge a topology against; `None` = this
     /// machine.
     pub cores: Option<usize>,
-    /// When set, also bound `pass_workers` by the merge groups of a
-    /// `records`-record job on the paper's reference DRAM engine
-    /// (`BON051`).
-    pub records: Option<usize>,
 }
 
 impl ProbeExtras {
@@ -252,17 +248,10 @@ pub fn lint_runtime(cfg: &RuntimeConfig, extras: &ProbeExtras) -> LintFinding {
     let cores = extras.cores.unwrap_or_else(|| {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     });
-    let engine = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
     LintFinding {
-        target: format!(
-            "cli/runtime_w{}_pw{}_q{}",
-            cfg.workers, cfg.pass_workers, cfg.queue_depth
-        ),
-        diagnostics: cfg.validate_for_engine(
-            extras.records.map(|_| &engine),
-            extras.records,
-            cores,
-        ),
+        // `pw1`: every job runs its passes on its own worker.
+        target: format!("cli/runtime_w{}_pw1_q{}", cfg.workers, cfg.queue_depth),
+        diagnostics: cfg.validate_for_cores(cores),
     }
 }
 
@@ -476,29 +465,12 @@ mod tests {
         // the machine the lint happens to run on.
         let f = lint_runtime(
             &RuntimeConfig {
-                workers: 4,
-                pass_workers: 4,
+                workers: 8,
                 ..RuntimeConfig::default()
             },
             &on_cores(4),
         );
         assert!(has_code(&f, bonsai_check::codes::RUNTIME_OVERSUBSCRIBED));
-
-        // --records bounds pass-workers by the engine's merge groups.
-        let f = lint_runtime(
-            &RuntimeConfig {
-                pass_workers: 64,
-                ..RuntimeConfig::default()
-            },
-            &ProbeExtras {
-                records: Some(1_000),
-                ..on_cores(128)
-            },
-        );
-        assert!(has_code(
-            &f,
-            bonsai_check::codes::RUNTIME_WORKERS_EXCEED_GROUPS
-        ));
     }
 
     #[test]
@@ -533,18 +505,10 @@ mod tests {
             bonsai_check::codes::ADAPTIVE_CACHE_BELOW_CLASSES
         ));
 
-        // Zero fairness stride starves the throughput lane: BON083
-        // (warning).
-        let f = adaptive(|a| a.fairness_stride = 0);
-        assert!(has_code(
-            &f,
-            bonsai_check::codes::ADAPTIVE_FAIRNESS_STARVATION
-        ));
-
         // A FIFO runtime never consults the same broken knobs, so its
         // lint stays BON08x-free.
         let mut cfg = RuntimeConfig::default();
-        cfg.adaptive.fairness_stride = 0;
+        cfg.adaptive.reprogram_cost_us = 0;
         let f = lint_runtime(&cfg, &on_8_cores);
         assert!(
             !f.diagnostics.iter().any(|d| d.code.starts_with("BON08")),

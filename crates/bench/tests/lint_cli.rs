@@ -136,6 +136,9 @@ fn usage_errors_exit_two() {
         &["--credit-slack", "2"],
         &["--replay-records", "0"],
         &["--assume-throughput", "1"],
+        &["--runtime", "--pass-workers", "2"], // the retired runtime
+        &["--runtime", "--records", "1000"],   // knobs and their probe
+        &["--runtime", "--fairness-stride", "0"],
     ] {
         let out = lint(args);
         assert_eq!(exit_code(&out), 2, "{args:?}");

@@ -249,10 +249,8 @@ pub mod codes {
         SIM_PASS_LIVELOCK = "BON040", Error, "simulated pass exceeded its livelock cycle bound";
 
         // --- BON05x: runtime topology -----------------------------------
-        /// Pass workers exceed the merge groups any pass can offer.
-        RUNTIME_WORKERS_EXCEED_GROUPS = "BON051", Warning, "pass workers exceed available merge groups";
-        /// Worker × pass-worker product oversubscribes the host cores.
-        RUNTIME_OVERSUBSCRIBED = "BON054", Warning, "worker x pass-worker product oversubscribes cores";
+        /// More job workers than the host has cores.
+        RUNTIME_OVERSUBSCRIBED = "BON054", Warning, "job workers oversubscribe the host cores";
         /// Queue depth below the worker count starves the pool.
         RUNTIME_QUEUE_BELOW_WORKERS = "BON055", Warning, "queue depth below worker count starves the pool";
 
@@ -289,9 +287,6 @@ pub mod codes {
         /// The compiled-shape cache holds fewer shapes than the scheduler's
         /// job classes; the classes evict each other on every alternation.
         ADAPTIVE_CACHE_BELOW_CLASSES = "BON082", Warning, "shape cache smaller than the scheduler's job classes";
-        /// A zero fairness stride lets latency-class jobs starve the
-        /// throughput lane indefinitely.
-        ADAPTIVE_FAIRNESS_STARVATION = "BON083", Warning, "zero fairness stride starves the throughput lane";
 
         // --- BON09x: external sorter ------------------------------------
         /// `ExternalSorter::try_new` got a zero memory budget or a merge
@@ -580,33 +575,22 @@ pub fn check_presort(chunk: usize, batch_records: usize) -> Vec<Diagnostic> {
 /// Check the parallel runtime's thread/queue topology. Emits `BON054`,
 /// `BON055`.
 ///
-/// `workers` and `pass_workers` follow the runtime convention that `0`
-/// means "one per core"; `cores` is the host core count used to resolve
-/// them (and the oversubscription bound).
+/// `workers` follows the runtime convention that `0` means "one per
+/// core"; `cores` is the host core count, the oversubscription bound.
+/// Every job runs its passes on its own worker's thread, so the worker
+/// count is the runtime's thread count.
 #[must_use]
-pub fn check_runtime_shape(
-    workers: usize,
-    pass_workers: usize,
-    queue_depth: usize,
-    cores: usize,
-) -> Vec<Diagnostic> {
+pub fn check_runtime_shape(workers: usize, queue_depth: usize, cores: usize) -> Vec<Diagnostic> {
     let cores = cores.max(1);
-    let resolved_workers = if workers == 0 { cores } else { workers };
-    let resolved_pass_workers = if pass_workers == 0 {
-        cores
-    } else {
-        pass_workers
-    };
     let mut out = Vec::new();
-    if resolved_workers * resolved_pass_workers > cores {
+    if workers > cores {
         out.push(
             Diagnostic::warning(
                 codes::RUNTIME_OVERSUBSCRIBED,
-                "job workers times pass workers exceeds the host cores; threads will \
-                 time-slice instead of running in parallel",
+                "job workers exceed the host cores; threads will time-slice instead \
+                 of running in parallel",
             )
-            .with("workers", resolved_workers)
-            .with("pass_workers", resolved_pass_workers)
+            .with("workers", workers)
             .with("cores", cores),
         );
     }
@@ -629,41 +613,17 @@ pub fn check_runtime_shape(
     out
 }
 
-/// Check one job's pass-sharding width against the merge groups the
-/// engine can actually offer. Emits `BON051`.
-///
-/// `pass_workers` must already be resolved (no `0` sentinel);
-/// `max_groups` is the group count of the widest merge pass — for the
-/// first pass, `ceil(initial_runs / fan_in)`; later passes only shrink.
-#[must_use]
-pub fn check_pass_sharding(pass_workers: usize, max_groups: usize) -> Vec<Diagnostic> {
-    if max_groups > 0 && pass_workers > max_groups {
-        vec![Diagnostic::warning(
-            codes::RUNTIME_WORKERS_EXCEED_GROUPS,
-            "pass workers exceed the merge groups of the widest pass; the surplus \
-             threads never claim a group",
-        )
-        .with("pass_workers", pass_workers)
-        .with("max_groups", max_groups)]
-    } else {
-        Vec::new()
-    }
-}
-
-/// Check the adaptive scheduler's knobs (`BON080`, `BON082`, `BON083`).
+/// Check the adaptive scheduler's knobs (`BON080`, `BON082`).
 ///
 /// `cache_shapes` is the compiled-shape cache capacity, `shape_classes`
 /// the number of distinct job classes the scheduler selects shapes for
-/// (the two-lane runtime has 2: latency and throughput),
-/// `reprogram_cost_us` the modeled shape-switch cost and
-/// `fairness_stride` how many consecutive latency-lane jobs may run
-/// while the throughput lane waits (`0` = pure priority).
+/// (the two-lane runtime has 2: latency and throughput) and
+/// `reprogram_cost_us` the modeled shape-switch cost.
 #[must_use]
 pub fn check_adaptive_runtime(
     cache_shapes: usize,
     shape_classes: usize,
     reprogram_cost_us: u64,
-    fairness_stride: u32,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     if reprogram_cost_us == 0 {
@@ -685,16 +645,6 @@ pub fn check_adaptive_runtime(
             )
             .with("cache_shapes", cache_shapes)
             .with("shape_classes", shape_classes),
-        );
-    }
-    if fairness_stride == 0 {
-        out.push(
-            Diagnostic::warning(
-                codes::ADAPTIVE_FAIRNESS_STARVATION,
-                "a zero fairness stride never yields the queue to the throughput lane; \
-                 a steady latency-class stream starves large jobs indefinitely",
-            )
-            .with("fairness_stride", fairness_stride),
         );
     }
     out
@@ -752,7 +702,6 @@ mod tests {
         assert!(check_bram_budget(1 << 20, 1 << 21).is_empty());
         assert!(check_copies(1, 2).is_empty());
         assert!(check_presort(16, 1024).is_empty());
-        assert!(check_runtime_shape(2, 1, 16, 8).is_empty());
-        assert!(check_pass_sharding(2, 8).is_empty());
+        assert!(check_runtime_shape(2, 16, 8).is_empty());
     }
 }

@@ -503,83 +503,59 @@ fn engine_try_new_reports_bon004_instead_of_panicking() {
 // --- Runtime-topology codes (BON05x) ---------------------------------
 
 /// Shorthand: shape-check a runtime config on a fixed 8-core host.
-fn runtime_shape(workers: usize, pass_workers: usize, queue_depth: usize) -> Vec<Diagnostic> {
-    bonsai_check::check_runtime_shape(workers, pass_workers, queue_depth, 8)
-}
-
-#[test]
-fn bon051_pass_workers_beyond_merge_groups() {
-    let diags = bonsai_check::check_pass_sharding(16, 4);
-    assert_emits(&diags, codes::RUNTIME_WORKERS_EXCEED_GROUPS);
-    assert!(!has_errors(&diags), "surplus threads waste, not break");
-    assert!(bonsai_check::check_pass_sharding(4, 4).is_empty());
-
-    // Through the runtime config: 64 pass workers against a job whose
-    // first pass only has ceil(1000/16)/8 = 8 groups.
-    let cfg = bonsai_runtime::RuntimeConfig {
-        workers: 1,
-        pass_workers: 64,
-        ..bonsai_runtime::RuntimeConfig::default()
-    };
-    let engine = bonsai_amt::SimEngineConfig::dram_sorter(bonsai_amt::AmtConfig::new(4, 16), 4);
-    let diags = cfg.validate_for_engine(Some(&engine), Some(1_000), 128);
-    assert_emits(&diags, codes::RUNTIME_WORKERS_EXCEED_GROUPS);
+fn runtime_shape(workers: usize, queue_depth: usize) -> Vec<Diagnostic> {
+    bonsai_check::check_runtime_shape(workers, queue_depth, 8)
 }
 
 #[test]
 fn bon054_oversubscribed_host() {
-    let diags = runtime_shape(4, 4, 16);
+    let diags = runtime_shape(9, 16);
     assert_emits(&diags, codes::RUNTIME_OVERSUBSCRIBED);
     assert!(!has_errors(&diags));
-    // `0` sentinels resolve to the core count: all-cores workers with
-    // more-than-one pass worker each oversubscribes too.
-    let diags = runtime_shape(0, 2, 16);
-    assert_emits(&diags, codes::RUNTIME_OVERSUBSCRIBED);
+    assert_eq!(
+        diags[0].context,
+        [("workers", "9".to_string()), ("cores", "8".to_string())]
+    );
+    assert!(runtime_shape(8, 16).is_empty());
+    // The `0` sentinel is one worker per core: never more than the host.
+    assert!(runtime_shape(0, 16).is_empty());
 }
 
 #[test]
 fn bon055_queue_shallower_than_pool() {
-    let diags = runtime_shape(8, 1, 2);
+    let diags = runtime_shape(8, 2);
     assert_emits(&diags, codes::RUNTIME_QUEUE_BELOW_WORKERS);
     assert!(!has_errors(&diags));
-    assert!(runtime_shape(8, 1, 8).is_empty());
+    assert!(runtime_shape(8, 8).is_empty());
     // The queue clamps a depth of 0 to one slot: it starves a pool of
     // two or more exactly like a depth of 1, and one worker not at all.
-    assert_emits(&runtime_shape(2, 1, 0), codes::RUNTIME_QUEUE_BELOW_WORKERS);
-    assert!(runtime_shape(1, 1, 0).is_empty());
+    assert_emits(&runtime_shape(2, 0), codes::RUNTIME_QUEUE_BELOW_WORKERS);
+    assert!(runtime_shape(1, 0).is_empty());
     // The auto-sized pool (`0`) states no worker count to contradict.
-    assert!(runtime_shape(0, 1, 0).is_empty());
+    assert!(runtime_shape(0, 0).is_empty());
 }
 
 // --- Adaptive-runtime codes (BON08x) ----------------------------------
 
 /// Shorthand: adaptive knobs with 2 job classes (the two-lane runtime).
-fn adaptive(cache_shapes: usize, reprogram_cost_us: u64, fairness_stride: u32) -> Vec<Diagnostic> {
-    bonsai_check::check_adaptive_runtime(cache_shapes, 2, reprogram_cost_us, fairness_stride)
+fn adaptive(cache_shapes: usize, reprogram_cost_us: u64) -> Vec<Diagnostic> {
+    bonsai_check::check_adaptive_runtime(cache_shapes, 2, reprogram_cost_us)
 }
 
 #[test]
 fn bon080_zero_reprogram_cost_thrashes() {
-    let diags = adaptive(8, 0, 4);
+    let diags = adaptive(8, 0);
     assert_emits(&diags, codes::ADAPTIVE_RECONFIG_THRASH);
     assert!(!has_errors(&diags), "thrash wastes time, not correctness");
-    assert!(adaptive(8, 200, 4).is_empty());
+    assert!(adaptive(8, 200).is_empty());
 }
 
 #[test]
 fn bon082_cache_below_job_classes() {
-    let diags = adaptive(1, 200, 4);
+    let diags = adaptive(1, 200);
     assert_emits(&diags, codes::ADAPTIVE_CACHE_BELOW_CLASSES);
     assert!(!has_errors(&diags));
-    assert!(adaptive(2, 200, 4).is_empty());
-}
-
-#[test]
-fn bon083_zero_fairness_stride_starves() {
-    let diags = adaptive(8, 200, 0);
-    assert_emits(&diags, codes::ADAPTIVE_FAIRNESS_STARVATION);
-    assert!(!has_errors(&diags));
-    assert!(adaptive(8, 200, 1).is_empty());
+    assert!(adaptive(2, 200).is_empty());
 }
 
 #[test]
@@ -590,10 +566,10 @@ fn adaptive_codes_fire_through_the_runtime_config() {
         ..bonsai_runtime::RuntimeConfig::default()
     };
     cfg.adaptive.reprogram_cost_us = 0;
-    cfg.adaptive.fairness_stride = 0;
+    cfg.adaptive.cache_shapes = 1;
     let diags = cfg.validate_for_cores(8);
     assert_emits(&diags, codes::ADAPTIVE_RECONFIG_THRASH);
-    assert_emits(&diags, codes::ADAPTIVE_FAIRNESS_STARVATION);
+    assert_emits(&diags, codes::ADAPTIVE_CACHE_BELOW_CLASSES);
     // ...and the default adaptive knobs are lint-clean.
     cfg.adaptive = bonsai_runtime::AdaptiveConfig::default();
     assert!(cfg.validate_for_cores(8).is_empty());

@@ -2,13 +2,16 @@
 //!
 //! ```text
 //! bonsai-serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
-//!              [--pass-workers N] [--adaptive] [--max-payload-mb N]
+//!              [--adaptive] [--max-payload-mb N]
 //!              [--max-inflight N] [--shutdown-token N]
 //!              [--amt-p N] [--amt-l N] [--quiet]
 //! ```
 //!
-//! `--adaptive` selects `PassScheduler::Adaptive` (per-job shape
-//! selection, two-lane queue); the default is `PassScheduler::Fifo`.
+//! Each of the `--workers` job workers sorts one job at a time on its
+//! own thread. `--adaptive` selects `PassScheduler::Adaptive` (per-job
+//! shape selection, two-lane queue); the default is
+//! `PassScheduler::Fifo`. An invalid `--amt-p`/`--amt-l` shape prints
+//! its `BONxxx` diagnostics and exits 1, like any other bad argument.
 //!
 //! Sorts 4-byte `U32Rec` records (the protocol rejects other widths
 //! with `BON075`). Prints `listening on ADDR` once ready, then serves
@@ -52,11 +55,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--queue-depth: {e}"))?;
             }
-            "--pass-workers" => {
-                config.runtime.pass_workers = value("--pass-workers")?
-                    .parse()
-                    .map_err(|e| format!("--pass-workers: {e}"))?;
-            }
             "--adaptive" => config.runtime.scheduler = PassScheduler::Adaptive,
             "--max-payload-mb" => {
                 let mb: u32 = value("--max-payload-mb")?
@@ -90,7 +88,12 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    config.engine = SimEngineConfig::dram_sorter(AmtConfig::new(amt_p, amt_l), 4);
+    let amt = AmtConfig::try_new(amt_p, amt_l).map_err(|diagnostics| {
+        // One line per finding, each under the same prefix as `main`'s.
+        let lines: Vec<String> = diagnostics.iter().map(ToString::to_string).collect();
+        lines.join("\nbonsai-serve: ")
+    })?;
+    config.engine = SimEngineConfig::dram_sorter(amt, 4);
     Ok(Args { addr, config })
 }
 

@@ -44,7 +44,7 @@ pub(crate) const SHAPE_CLASSES: usize = 2;
 /// Knobs of the adaptive scheduler
 /// ([`RuntimeConfig::adaptive`](crate::RuntimeConfig::adaptive)).
 /// Shape-checked by `bonsai_check::check_adaptive_runtime`
-/// (`BON080`–`BON083`); the defaults are lint-clean.
+/// (`BON080`, `BON082`); the defaults are lint-clean.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdaptiveConfig {
     /// Capacity of the compiled-shape cache (distinct validated
@@ -52,27 +52,18 @@ pub struct AdaptiveConfig {
     /// the number of job classes (2) the classes evict each other
     /// (`BON082`).
     pub cache_shapes: usize,
-    /// Jobs with at most this many records are latency class; larger
-    /// jobs are throughput class.
-    pub small_job_records: usize,
     /// Modeled cost of switching the loaded AMT shape, in microseconds.
     /// The planner keeps the current shape unless the optimum wins by
     /// more than this; `0` disables the comparison and thrashes
     /// (`BON080`).
     pub reprogram_cost_us: u64,
-    /// How many consecutive latency-lane jobs may overtake a waiting
-    /// throughput-class job before one is dispatched anyway
-    /// (`0` = pure priority, which can starve large jobs — `BON083`).
-    pub fairness_stride: u32,
 }
 
 impl Default for AdaptiveConfig {
     fn default() -> Self {
         Self {
             cache_shapes: 8,
-            small_job_records: 4096,
             reprogram_cost_us: 200,
-            fairness_stride: 4,
         }
     }
 }
@@ -261,8 +252,7 @@ mod tests {
         assert!(bonsai_check::check_adaptive_runtime(
             d.cache_shapes,
             SHAPE_CLASSES,
-            d.reprogram_cost_us,
-            d.fairness_stride,
+            d.reprogram_cost_us
         )
         .is_empty());
     }

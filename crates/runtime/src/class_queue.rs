@@ -10,10 +10,10 @@
 //! throughput-class jobs without preempting one already running.
 //!
 //! Pure priority starves the throughput lane under a steady latency
-//! stream (`BON083`), so a *fairness stride* bounds the bypass: after
-//! `stride` consecutive latency-lane pops while the throughput lane
-//! waits, one throughput job is dispatched regardless. A `stride` of 0
-//! keeps pure priority.
+//! stream, so a *fairness stride* bounds the bypass: after `stride`
+//! consecutive latency-lane pops while the throughput lane waits, one
+//! throughput job is dispatched regardless. A `stride` of 0 keeps pure
+//! priority; the runtime always builds its queue with a stride of 4.
 //!
 //! Items name their own lane via [`Classed`]. When every item reports
 //! [`JobClass::Latency`] — what [`PassScheduler::Fifo`](crate::PassScheduler::Fifo)
@@ -98,7 +98,7 @@ impl<T: Send + Classed, S: SyncOps> ClassQueue<T, S> {
     /// Creates a queue holding at most `capacity ≥ 1` items across both
     /// lanes. `fairness_stride` bounds how many consecutive latency
     /// pops may bypass a waiting throughput job (0 = pure priority,
-    /// flagged by `BON083`).
+    /// which can starve it).
     #[must_use]
     pub fn new(capacity: usize, fairness_stride: u32) -> Self {
         Self {

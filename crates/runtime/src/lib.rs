@@ -7,8 +7,9 @@
 //!   threads fed by the bounded [`ClassQueue`], whose depth gives
 //!   submitters backpressure instead of unbounded buffering;
 //! - **within a job** — each worker drives
-//!   [`SimEngine::try_sort_pipelined`], which can further spread each
-//!   pass's merge groups over [`RuntimeConfig::pass_workers`] threads.
+//!   [`SimEngine::try_sort_pipelined`] on its own thread, one pass at a
+//!   time; a job's intra-sort parallelism is the optimizer's shape, not
+//!   extra host threads.
 //!
 //! Failures stay per-job: an invalid configuration
 //! ([`JobError::Invalid`], `BONxxx` diagnostics), a livelocked pass
@@ -97,7 +98,7 @@ pub enum PassScheduler {
     /// switches charged through the reconfiguration planner and
     /// validated shapes served from a bounded compiled-shape cache
     /// ([`bonsai_amt::ShapeCache`]). Knobs live in [`AdaptiveConfig`];
-    /// shape checks are `BON080`–`BON083`.
+    /// shape checks are `BON080` and `BON082`.
     Adaptive,
 }
 
@@ -109,19 +110,14 @@ pub struct RuntimeConfig {
     /// Bounded queue depth; a full queue blocks [`Runtime::submit`]
     /// (backpressure).
     pub queue_depth: usize,
-    /// Threads each worker may spend on one pass of a job's merge groups
-    /// (`0` = one per core). The default of `1` keeps one job per core; raise it
-    /// when jobs are few and wide.
-    pub pass_workers: usize,
     /// Lane and shape policy: [`PassScheduler::Fifo`] (the default) or
     /// [`PassScheduler::Adaptive`].
     pub scheduler: PassScheduler,
     /// Per-pass livelock cycle bound handed to the engine; `None` keeps
     /// the engine default.
     pub max_pass_cycles: Option<u64>,
-    /// Knobs of the adaptive scheduler (shape cache size, small-job
-    /// cutoff, reprogram cost, fairness stride). Only
-    /// consulted when [`RuntimeConfig::scheduler`] is
+    /// Knobs of the adaptive scheduler (shape cache size, reprogram
+    /// cost). Only consulted when [`RuntimeConfig::scheduler`] is
     /// [`PassScheduler::Adaptive`].
     pub adaptive: AdaptiveConfig,
 }
@@ -131,7 +127,6 @@ impl Default for RuntimeConfig {
         Self {
             workers: 0,
             queue_depth: 16,
-            pass_workers: 1,
             scheduler: PassScheduler::Fifo,
             max_pass_cycles: None,
             adaptive: AdaptiveConfig::default(),
@@ -141,64 +136,33 @@ impl Default for RuntimeConfig {
 
 impl RuntimeConfig {
     /// Runs the BON05x runtime-topology shape checks against this
-    /// config on a host with `cores` cores sorting `records`-record
-    /// jobs under `engine` (the engine bounds the useful `pass_workers`
-    /// via its first-pass merge-group count).
+    /// config on a host with `cores` cores, plus the BON08x knob checks
+    /// under [`PassScheduler::Adaptive`].
     ///
-    /// Returns an empty vector when the shape is clean; errors mean the
-    /// runtime will misbehave (wedge or panic), warnings mean it will
-    /// waste threads.
+    /// Returns an empty vector when the shape is clean; every finding is
+    /// a warning: the runtime works, it only wastes threads or time.
     #[must_use]
-    pub fn validate_for_engine(
-        &self,
-        engine: Option<&SimEngineConfig>,
-        records: Option<usize>,
-        cores: usize,
-    ) -> Vec<Diagnostic> {
-        let mut diagnostics = bonsai_check::check_runtime_shape(
-            self.workers,
-            self.pass_workers,
-            self.queue_depth,
-            cores,
-        );
-        if let (Some(engine), Some(records)) = (engine, records) {
-            let resolved_pass_workers = if self.pass_workers == 0 {
-                cores.max(1)
-            } else {
-                self.pass_workers
-            };
-            if let Some(max_groups) = engine.max_first_pass_groups(records) {
-                diagnostics.extend(bonsai_check::check_pass_sharding(
-                    resolved_pass_workers,
-                    max_groups,
-                ));
-            }
-        }
+    pub fn validate_for_cores(&self, cores: usize) -> Vec<Diagnostic> {
+        let mut diagnostics =
+            bonsai_check::check_runtime_shape(self.workers, self.queue_depth, cores);
         if self.scheduler == PassScheduler::Adaptive {
             diagnostics.extend(bonsai_check::check_adaptive_runtime(
                 self.adaptive.cache_shapes,
                 adaptive::SHAPE_CLASSES,
                 self.adaptive.reprogram_cost_us,
-                self.adaptive.fairness_stride,
             ));
         }
         diagnostics
     }
-
-    /// [`RuntimeConfig::validate_for_engine`] without an engine bound:
-    /// only the host-shape checks run.
-    #[must_use]
-    pub fn validate_for_cores(&self, cores: usize) -> Vec<Diagnostic> {
-        self.validate_for_engine(None, None, cores)
-    }
-
-    /// [`RuntimeConfig::validate_for_cores`] against this host's actual
-    /// core count.
-    #[must_use]
-    pub fn validate(&self) -> Vec<Diagnostic> {
-        self.validate_for_cores(available_cores())
-    }
 }
+
+/// Latency-class cutoff under [`PassScheduler::Adaptive`]: 4 096 records
+/// are 256 presorted runs, at most two passes even on AMT(4, 16).
+const SMALL_JOB_RECORDS: usize = 4096;
+
+/// Latency-lane dispatches before a waiting throughput job runs anyway:
+/// a large job waits behind at most four small ones.
+const FAIRNESS_STRIDE: u32 = 4;
 
 /// One worker per core when a knob is `0`.
 fn available_cores() -> usize {
@@ -379,7 +343,7 @@ fn run_job<R: Record>(
                 None => engine,
             };
             engine
-                .try_sort_pipelined(job.data, config.pass_workers)
+                .try_sort_pipelined(job.data, 1)
                 .map(|(sorted, mut report)| {
                     if let Some(hit) = cache_hit {
                         report.shape_cache_hits = u64::from(hit);
@@ -472,7 +436,7 @@ impl<R: Record> Runtime<R> {
                 None => Some(result),
             }
         };
-        let queue = ClassQueue::new(config.queue_depth, config.adaptive.fairness_stride);
+        let queue = ClassQueue::new(config.queue_depth, FAIRNESS_STRIDE);
         let pool = WorkerPool::start(workers, queue, runner);
         Self {
             config,
@@ -499,16 +463,13 @@ impl<R: Record> Runtime<R> {
     }
 
     /// The scheduling class the runtime assigns a `records`-record job:
-    /// latency for small jobs under the adaptive scheduler's cutoff
-    /// ([`AdaptiveConfig::small_job_records`]); everything is latency
-    /// class (which makes the queue an exact FIFO) under
-    /// [`PassScheduler::Fifo`].
+    /// latency for jobs of at most 4 096 records under the adaptive
+    /// scheduler; everything is latency class (which makes the queue an
+    /// exact FIFO) under [`PassScheduler::Fifo`].
     #[must_use]
     pub fn classify(&self, records: usize) -> JobClass {
         match self.config.scheduler {
-            PassScheduler::Adaptive if records > self.config.adaptive.small_job_records => {
-                JobClass::Throughput
-            }
+            PassScheduler::Adaptive if records > SMALL_JOB_RECORDS => JobClass::Throughput,
             _ => JobClass::Latency,
         }
     }
@@ -723,12 +684,10 @@ mod tests {
         let shapes = [
             RuntimeConfig {
                 workers: 1,
-                pass_workers: 1,
                 ..RuntimeConfig::default()
             },
             RuntimeConfig {
                 workers: 4,
-                pass_workers: 2,
                 queue_depth: 2,
                 ..RuntimeConfig::default()
             },
@@ -799,12 +758,11 @@ mod tests {
 
     #[test]
     fn panicking_job_fails_alone_and_shutdown_still_joins() {
-        // The panic fires inside a pass worker while its sibling may
-        // still be simulating: the pass must join (scoped threads)
-        // before the job-level catch records the failure.
+        // The panic fires mid-merge while the other worker may still be
+        // sorting: the job-level catch records the failure and the
+        // worker goes on draining the queue.
         let runtime = Runtime::<PanicRec>::start(RuntimeConfig {
             workers: 2,
-            pass_workers: 2,
             ..RuntimeConfig::default()
         });
         let clean = |seed: u32| {
@@ -877,14 +835,6 @@ mod tests {
     /// trivially passes the leak check elsewhere).
     fn count_own_threads() -> usize {
         std::fs::read_dir("/proc/self/task").map_or(0, Iterator::count)
-    }
-
-    #[test]
-    fn default_config_shape_is_lint_clean() {
-        assert!(
-            RuntimeConfig::default().validate().is_empty(),
-            "the default runtime shape must not trip its own lints"
-        );
     }
 
     /// Regression: submitting after the queue was closed out from under

@@ -27,7 +27,8 @@ fn adaptive_config(workers: usize) -> RuntimeConfig {
 
 #[test]
 fn adaptive_sorts_correctly_and_cuts_passes_for_latency_jobs() {
-    let data = uniform_u32(50_000, 5);
+    // At the latency cutoff: the largest job that is latency class.
+    let data = uniform_u32(4_096, 5);
     let fifo = {
         let runtime = Runtime::start(RuntimeConfig {
             workers: 1,
@@ -40,19 +41,18 @@ fn adaptive_sorts_correctly_and_cuts_passes_for_latency_jobs() {
         runtime.finish().remove(0).result.expect("sorts")
     };
     let adaptive = {
-        // Classify the job latency-bound: the latency-optimal design is
-        // the wide tree (fewer merge passes); the throughput-optimal one
-        // trades tree width for fabric copies and keeps the pass count.
-        let mut config = adaptive_config(1);
-        config.adaptive.small_job_records = 100_000;
-        let runtime = Runtime::start(config);
+        // A latency-class job: the latency-optimal design is the wide
+        // tree (fewer merge passes); the throughput-optimal one trades
+        // tree width for fabric copies and keeps the pass count.
+        let runtime = Runtime::start(adaptive_config(1));
+        assert_eq!(runtime.classify(data.len()), JobClass::Latency);
         runtime
             .submit(SortJob::new(0, dram_cfg(), data.clone()))
             .expect("open");
         runtime.finish().remove(0).result.expect("sorts")
     };
     assert_eq!(fifo.sorted, adaptive.sorted, "same sorted output");
-    // 50 000 records in 16-record runs is 3125 runs: AMT(4,16) needs 3
+    // 4 096 records in 16-record runs is 256 runs: AMT(4,16) needs 2
     // merge passes, the optimizer's wide tree strictly fewer.
     assert!(
         adaptive.report.passes.len() < fifo.report.passes.len(),
@@ -60,6 +60,21 @@ fn adaptive_sorts_correctly_and_cuts_passes_for_latency_jobs() {
         adaptive.report.passes.len(),
         fifo.report.passes.len()
     );
+}
+
+#[test]
+fn jobs_of_at_most_4096_records_are_latency_class() {
+    let adaptive = Runtime::<U32Rec>::start(adaptive_config(1));
+    assert_eq!(adaptive.classify(0), JobClass::Latency);
+    assert_eq!(adaptive.classify(4_096), JobClass::Latency);
+    assert_eq!(adaptive.classify(4_097), JobClass::Throughput);
+    let fifo = Runtime::<U32Rec>::start(RuntimeConfig {
+        workers: 1,
+        ..RuntimeConfig::default()
+    });
+    for records in [0, 4_096, 4_097, 1 << 20] {
+        assert_eq!(fifo.classify(records), JobClass::Latency, "{records}");
+    }
 }
 
 #[test]
@@ -89,9 +104,7 @@ fn cache_counters_ride_the_reports_and_aggregate_on_stats() {
 
 #[test]
 fn adaptive_stats_snapshot_counts_lanes_hits_and_reprograms() {
-    let mut config = adaptive_config(1);
-    config.adaptive.small_job_records = 1_000;
-    let runtime = Runtime::start(config);
+    let runtime = Runtime::start(adaptive_config(1));
     let small = uniform_u32(500, 2);
     let big = uniform_u32(20_000, 3);
     assert_eq!(runtime.classify(small.len()), JobClass::Latency);
@@ -135,42 +148,37 @@ fn cache_hit_jobs_are_bit_identical_to_the_cold_job() {
     // Same job through one adaptive runtime, serialized on one worker:
     // the first pays the compile (miss), the rest hit the cache. Output
     // and report must be bit-identical modulo the cache counters
-    // (asserted directly above the comparison) — at one, two and
-    // all-cores pass workers.
-    for pass_workers in [1usize, 2, 0] {
-        let mut config = adaptive_config(1);
-        config.pass_workers = pass_workers;
-        let runtime = Runtime::start(config);
-        let data = uniform_u32(15_000, 42);
-        for id in 0..3 {
-            runtime
-                .submit(SortJob::new(id, dram_cfg(), data.clone()))
-                .expect("open");
-        }
-        let results = runtime.finish();
-        let cold = results[0].result.as_ref().expect("sorts");
-        assert_eq!(cold.report.shape_cache_misses, 1);
-        for hit in &results[1..] {
-            let hit = hit.result.as_ref().expect("sorts");
-            assert_eq!(hit.report.shape_cache_hits, 1, "must be a cache hit");
-            assert_eq!(cold.sorted, hit.sorted, "pass_workers={pass_workers}");
-            assert_eq!(
-                (
-                    cold.report.fast_forwarded_cycles,
-                    cold.report.pipeline_overlap_cycles
-                ),
-                (
-                    hit.report.fast_forwarded_cycles,
-                    hit.report.pipeline_overlap_cycles
-                ),
-                "only the cache counters may differ (pass_workers={pass_workers})"
-            );
-            assert_eq!(
-                cold.report.clone().normalized(),
-                hit.report.clone().normalized(),
-                "cached shape changed the datapath (pass_workers={pass_workers})"
-            );
-        }
+    // (asserted directly above the comparison).
+    let runtime = Runtime::start(adaptive_config(1));
+    let data = uniform_u32(15_000, 42);
+    for id in 0..3 {
+        runtime
+            .submit(SortJob::new(id, dram_cfg(), data.clone()))
+            .expect("open");
+    }
+    let results = runtime.finish();
+    let cold = results[0].result.as_ref().expect("sorts");
+    assert_eq!(cold.report.shape_cache_misses, 1);
+    for hit in &results[1..] {
+        let hit = hit.result.as_ref().expect("sorts");
+        assert_eq!(hit.report.shape_cache_hits, 1, "must be a cache hit");
+        assert_eq!(cold.sorted, hit.sorted);
+        assert_eq!(
+            (
+                cold.report.fast_forwarded_cycles,
+                cold.report.pipeline_overlap_cycles
+            ),
+            (
+                hit.report.fast_forwarded_cycles,
+                hit.report.pipeline_overlap_cycles
+            ),
+            "only the cache counters may differ"
+        );
+        assert_eq!(
+            cold.report.clone().normalized(),
+            hit.report.clone().normalized(),
+            "cached shape changed the datapath"
+        );
     }
 }
 
@@ -219,12 +227,12 @@ impl Record for GateRec {
 #[test]
 fn latency_jobs_overtake_queued_throughput_jobs() {
     let mut config = adaptive_config(1);
-    config.adaptive.small_job_records = 1_000;
     config.queue_depth = 8;
     let runtime = Runtime::start(config);
     let (tx, rx) = std::sync::mpsc::channel();
     let gated: Vec<GateRec> = (0..64u32).map(|i| GateRec(i | 1)).collect();
-    let big: Vec<GateRec> = (0..2_000u32)
+    // Above the 4 096-record latency cutoff: throughput class.
+    let big: Vec<GateRec> = (0..5_000u32)
         .map(|i| GateRec(i.wrapping_mul(7) | 1))
         .collect();
     let small: Vec<GateRec> = (0..100u32)
@@ -298,7 +306,8 @@ fn mixed_load_in_virtual_time(
     };
     sort(uniform_u32(65_536, 6_999));
     let (mut cycles, mut outputs) = (Vec::new(), Vec::new());
-    let queue = ClassQueue::<Queued>::new(config.queue_depth, config.adaptive.fairness_stride);
+    // The runtime's own fairness stride.
+    let queue = ClassQueue::<Queued>::new(config.queue_depth, 4);
     for round in 0..8u64 {
         let smalls = (0..3).map(|s| uniform_u32(1_024, 10_000 + round * 3 + s));
         for data in std::iter::once(uniform_u32(65_536, 7_000 + round)).chain(smalls) {

@@ -118,8 +118,7 @@ fn queue_contention_roundtrip_under_randomized_pacing() {
 }
 
 /// The full runtime under batch traffic at workers 1 / 2 / all-cores,
-/// with one and all-cores DAG workers per job (`pass_workers` 1 and 0),
-/// and a shallow queue forcing real backpressure:
+/// with a shallow queue forcing real backpressure:
 /// results must be complete, id-ordered and identical across shapes.
 #[test]
 fn runtime_batch_identical_across_worker_shapes_and_modes() {
@@ -132,34 +131,30 @@ fn runtime_batch_identical_across_worker_shapes_and_modes() {
 
         let mut reference: Option<Vec<Vec<U32Rec>>> = None;
         for workers in [1, 2, available_cores()] {
-            for pass_workers in [1usize, 0] {
-                let runtime = Runtime::start(RuntimeConfig {
-                    workers,
-                    pass_workers,
-                    queue_depth: 2,
-                    ..RuntimeConfig::default()
-                });
-                for (id, data) in jobs.iter().enumerate() {
-                    runtime
-                        .submit(SortJob::new(id as u64, cfg, data.clone()))
-                        .expect("runtime open");
-                }
-                let results = runtime.finish();
-                assert_eq!(results.len(), jobs.len());
-                let sorted: Vec<Vec<U32Rec>> = results
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, r)| {
-                        assert_eq!(r.id, i as u64, "results must be id-ordered");
-                        r.result.expect("valid jobs sort").sorted
-                    })
-                    .collect();
-                match &reference {
-                    None => reference = Some(sorted),
-                    Some(expected) => assert_eq!(
-                        &sorted, expected,
-                        "workers={workers} pass_workers={pass_workers} changed the output"
-                    ),
+            let runtime = Runtime::start(RuntimeConfig {
+                workers,
+                queue_depth: 2,
+                ..RuntimeConfig::default()
+            });
+            for (id, data) in jobs.iter().enumerate() {
+                runtime
+                    .submit(SortJob::new(id as u64, cfg, data.clone()))
+                    .expect("runtime open");
+            }
+            let results = runtime.finish();
+            assert_eq!(results.len(), jobs.len());
+            let sorted: Vec<Vec<U32Rec>> = results
+                .into_iter()
+                .enumerate()
+                .map(|(i, r)| {
+                    assert_eq!(r.id, i as u64, "results must be id-ordered");
+                    r.result.expect("valid jobs sort").sorted
+                })
+                .collect();
+            match &reference {
+                None => reference = Some(sorted),
+                Some(expected) => {
+                    assert_eq!(&sorted, expected, "workers={workers} changed the output");
                 }
             }
         }
