@@ -461,12 +461,19 @@ fn fold_pass<'a>(
 /// in `(pass, group)` order; `pipeline_overlap_cycles` is the per-pass
 /// barrier's virtual makespan minus the group DAG's, both on the
 /// [`VIRTUAL_WORKERS`] reference pool.
+///
+/// At one worker the caller runs every group in order and calls `poll`
+/// at each yield point: before every group, and inside one at
+/// [`PassSim::run`](crate::passsim::PassSim::run)'s. Wider sorts never
+/// call it.
+#[allow(clippy::too_many_arguments)] // the engine's settings, one by one
 pub(crate) fn sort<R: Record>(
     config: &SimEngineConfig,
     data: Vec<R>,
     workers: usize,
     max_cycles: u64,
     reference: bool,
+    poll: &mut dyn FnMut(),
     #[cfg(feature = "sanitize")] diagnostics: &mut Vec<Diagnostic>,
 ) -> Result<(Vec<R>, SortReport), SortError> {
     let n_records = data.len() as u64;
@@ -477,14 +484,27 @@ pub(crate) fn sort<R: Record>(
     let mut barrier = 0u64;
     let (sorted, mut report, plan) = run_plan(config, data, |runs, pp, stage| {
         let memory = config.memory.shard_view(pp.fan_in);
-        let outputs = map_pass(&mut scratch, 0..pp.groups, |scratch, g| {
+        let group = |scratch: &mut PassScratch<R>, g: usize, poll: &mut dyn FnMut()| {
             let input = group_input(&runs, g, pp.fan_in);
             let (out, stats) = simulate(
-                config, scratch, input, pp.fan_in, memory, stage, max_cycles, reference,
+                config, scratch, input, pp.fan_in, memory, stage, max_cycles, reference, poll,
             )?;
             // Each group leaves exactly one sorted run.
             Ok::<_, SortError>((out.into_records(), stats))
-        })?;
+        };
+        let outputs = match scratch.as_mut_slice() {
+            // What `map_pass` does at one worker, with a yield point
+            // before each group; the first failing group ends the pass.
+            [caller] => (0..pp.groups)
+                .map(|g| {
+                    poll();
+                    group(caller, g, &mut *poll)
+                })
+                .collect::<Result<Vec<_>, _>>()?,
+            pool => map_pass(pool, 0..pp.groups, |scratch, g| {
+                group(scratch, g, &mut || {})
+            })?,
+        };
         let (pass, makespan) = fold_pass(
             stage,
             n_records,
@@ -802,7 +822,15 @@ mod tests {
                 // A new scratch per group: the oracle never reuses one.
                 let memory = config.memory.shard_view(fan_in);
                 let (out, group) = simulate(
-                    config, &mut None, input, fan_in, memory, stage, max_cycles, false,
+                    config,
+                    &mut None,
+                    input,
+                    fan_in,
+                    memory,
+                    stage,
+                    max_cycles,
+                    false,
+                    &mut || {},
                 )?;
                 starts.push(records.len());
                 records.extend(out.into_records());

@@ -143,6 +143,7 @@ impl SimEngine {
                 stage,
                 self.max_pass_cycles,
                 self.reference_loop,
+                &mut || {},
             )?;
             #[cfg(feature = "sanitize")]
             self.diagnostics.extend(
@@ -190,6 +191,29 @@ impl SimEngine {
         data: Vec<R>,
         workers: usize,
     ) -> Result<(Vec<R>, SortReport), SortError> {
+        self.sort_groups(data, workers, &mut || {})
+    }
+
+    /// [`SimEngine::try_sort_pipelined`] on the calling thread alone,
+    /// calling `poll` at every yield point: before each merge group,
+    /// and every 128 simulation steps inside one. `poll` may run other
+    /// work on this thread, another sort included; the sort keeps all
+    /// of its state where it is, so its output and report are those of
+    /// `try_sort_pipelined(data, 1)`.
+    pub fn try_sort_yielding<R: Record>(
+        &mut self,
+        data: Vec<R>,
+        poll: &mut dyn FnMut(),
+    ) -> Result<(Vec<R>, SortReport), SortError> {
+        self.sort_groups(data, 1, poll)
+    }
+
+    fn sort_groups<R: Record>(
+        &mut self,
+        data: Vec<R>,
+        workers: usize,
+        poll: &mut dyn FnMut(),
+    ) -> Result<(Vec<R>, SortReport), SortError> {
         #[cfg(feature = "sanitize")]
         self.diagnostics.clear();
         crate::dag::sort(
@@ -198,6 +222,7 @@ impl SimEngine {
             workers,
             self.max_pass_cycles,
             self.reference_loop,
+            poll,
             #[cfg(feature = "sanitize")]
             &mut self.diagnostics,
         )
@@ -293,6 +318,25 @@ mod tests {
         let (out, report) = SimEngine::new(cfg).sort(vec![U32Rec::new(9)]);
         assert_eq!(out, vec![U32Rec::new(9)]);
         assert_eq!(report.stages(), 0);
+    }
+
+    #[test]
+    fn a_yielding_sort_polls_inside_its_groups_and_changes_nothing() {
+        let cfg = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
+        let data = uniform_u32(20_000, 17);
+        let want = SimEngine::new(cfg).sort_pipelined(data.clone(), 1);
+        // Each poll runs another sort on this thread, as a lent job does.
+        let mut polls = 0u64;
+        let got = SimEngine::new(cfg)
+            .try_sort_yielding(data, &mut || {
+                polls += 1;
+                SimEngine::new(cfg).sort_pipelined(uniform_u32(100, polls), 1);
+            })
+            .expect("sorts");
+        assert_eq!(got, want);
+        // One poll before each group, and more inside them.
+        let groups: u64 = want.1.passes.iter().map(|pass| pass.runs_out).sum();
+        assert!(polls > groups, "{polls} polls for {groups} groups");
     }
 
     #[test]

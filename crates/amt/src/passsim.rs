@@ -25,6 +25,11 @@ use crate::error::SortError;
 use crate::report::PassReport;
 use crate::tree::MergeTree;
 
+/// Steps of [`PassSim::run`]'s loop between two calls of its poll:
+/// ≈ 0.3 ms of a 65 536-record DRAM sort on a 2-vCPU x86 host, where
+/// one 64-way merge group runs ≈ 7 ms.
+const STEPS_PER_POLL: u32 = 128;
+
 /// One merge stage of one tree, advanced cycle by cycle against a
 /// caller-provided [`Memory`] (so several passes can share the memory's
 /// ports and contend for bandwidth, as unrolled trees do on real banks).
@@ -340,15 +345,27 @@ impl<R: Record> PassSim<R> {
     /// full, and a livelocked pass reports a saturating span), and
     /// neither loop ever simulates a cycle `>= max_cycles`, so the two
     /// paths succeed or fail identically.
-    pub fn run(
+    ///
+    /// Every [`STEPS_PER_POLL`] steps the loop calls `poll`: a yield
+    /// point where the caller may run other work on this thread. The
+    /// pass keeps all of its state where it is, so nothing is saved and
+    /// nothing the pass computes can change.
+    pub(crate) fn run(
         &mut self,
         memory: &mut Memory,
         reference: bool,
         max_cycles: u64,
         stage: u32,
+        poll: &mut dyn FnMut(),
     ) -> Result<(), SortError> {
         let mut cycle = 0u64;
+        let mut until_poll = STEPS_PER_POLL;
         loop {
+            until_poll -= 1;
+            if until_poll == 0 {
+                poll();
+                until_poll = STEPS_PER_POLL;
+            }
             if reference {
                 if self.tick(cycle, memory) {
                     return Ok(());
@@ -468,7 +485,8 @@ pub(crate) struct PassStats {
 /// never shows: a reset scratch equals a new one.
 ///
 /// Fails with `BON040` for `stage` when the pass is still running at
-/// `max_cycles` ([`PassSim::run`]).
+/// `max_cycles` ([`PassSim::run`], which also calls `poll` at its yield
+/// points).
 #[allow(clippy::too_many_arguments)] // one pass's whole input, no more
 pub(crate) fn simulate<R: Record>(
     config: &SimEngineConfig,
@@ -479,6 +497,7 @@ pub(crate) fn simulate<R: Record>(
     stage: u32,
     max_cycles: u64,
     reference: bool,
+    poll: &mut dyn FnMut(),
 ) -> Result<(RunSet<R>, PassStats), SortError> {
     let (sim, mem) = match scratch {
         Some(used) => {
@@ -488,7 +507,7 @@ pub(crate) fn simulate<R: Record>(
         }
         None => scratch.insert((PassSim::new(config, runs, fan_in), Memory::new(memory))),
     };
-    sim.run(mem, reference, max_cycles, stage)?;
+    sim.run(mem, reference, max_cycles, stage, poll)?;
     #[cfg(feature = "sanitize")]
     let diagnostics = sim.sanitize_check();
     let (out_runs, mut report) = sim.finish(stage);
@@ -625,7 +644,15 @@ mod tests {
                 let run = |scratch: &mut PassScratch<U32Rec>, bound, reference| {
                     let runs = runs.clone();
                     observe(simulate(
-                        &cfg, scratch, runs, fan_in, memory, 1, bound, reference,
+                        &cfg,
+                        scratch,
+                        runs,
+                        fan_in,
+                        memory,
+                        1,
+                        bound,
+                        reference,
+                        &mut || {},
                     ))
                 };
                 let want = run(&mut None, u64::MAX, false).expect("an unbounded pass finishes");

@@ -155,19 +155,9 @@ impl MemoryConfig {
         self.banks as u64 * self.read_bytes_per_cycle
     }
 
-    /// Aggregate peak write bandwidth in bytes per cycle.
-    pub fn peak_write_bytes_per_cycle(&self) -> u64 {
-        self.banks as u64 * self.write_bytes_per_cycle
-    }
-
     /// Aggregate peak read bandwidth in bytes/second at the default clock.
     pub fn peak_read_bandwidth(&self) -> f64 {
         self.peak_read_bytes_per_cycle() as f64 * DEFAULT_FREQ_HZ
-    }
-
-    /// Aggregate peak write bandwidth in bytes/second at the default clock.
-    pub fn peak_write_bandwidth(&self) -> f64 {
-        self.peak_write_bytes_per_cycle() as f64 * DEFAULT_FREQ_HZ
     }
 
     /// Sustained fraction of peak for `batch_bytes` bursts:
@@ -225,14 +215,6 @@ impl IoBusConfig {
         Self {
             bytes_per_cycle: 32,
             storage_capacity_bytes: 2 << 40,
-        }
-    }
-
-    /// PCIe gen3 x16 host link (~16 GB/s).
-    pub fn pcie_host() -> Self {
-        Self {
-            bytes_per_cycle: 64,
-            storage_capacity_bytes: 0,
         }
     }
 
@@ -332,7 +314,6 @@ mod tests {
     fn aws_f1_preset_matches_paper_numbers() {
         let m = MemoryConfig::ddr4_aws_f1();
         assert!((m.peak_read_bandwidth() - 32e9).abs() < 1.0);
-        assert!((m.peak_write_bandwidth() - 32e9).abs() < 1.0);
         assert_eq!(m.capacity_bytes, 64 << 30);
     }
 
@@ -387,7 +368,6 @@ mod tests {
     #[test]
     fn io_bus_presets() {
         assert!((IoBusConfig::nvme_ssd().peak_bandwidth() - 8e9).abs() < 1.0);
-        assert!((IoBusConfig::pcie_host().peak_bandwidth() - 16e9).abs() < 1.0);
     }
 
     #[test]

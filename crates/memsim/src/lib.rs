@@ -13,8 +13,7 @@
 //!   built from ports, with capacity accounting,
 //! - [`DataLoader`]: the round-robin batched reader of §V-A that keeps
 //!   every AMT leaf buffer fed while saturating the memory ports,
-//! - [`WriteDrain`]: the symmetric batched writer at the tree root,
-//! - [`IoBus`]: the PCIe/SSD I/O bus used by the SSD sorter.
+//! - [`WriteDrain`]: the symmetric batched writer at the tree root.
 //!
 //! All cycle counts are in kernel-clock cycles (250 MHz by default, as in
 //! §VI-A).
@@ -39,4 +38,4 @@ mod memory;
 
 pub use config::{IoBusConfig, LoaderConfig, MemoryConfig, DEFAULT_FREQ_HZ};
 pub use loader::{DataLoader, LeafStatus, WriteDrain};
-pub use memory::{IoBus, Memory, Port, PortStats};
+pub use memory::{Memory, Port, PortStats};

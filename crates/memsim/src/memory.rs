@@ -1,6 +1,6 @@
-//! Cycle-level ports, banked memory and the I/O bus.
+//! Cycle-level ports and banked memory.
 
-use crate::config::{IoBusConfig, MemoryConfig};
+use crate::config::MemoryConfig;
 
 /// Transfer statistics for one port.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -211,56 +211,6 @@ impl Memory {
         let peak = self.config.peak_read_bytes_per_cycle() * elapsed_cycles;
         self.bytes_read() as f64 / peak as f64
     }
-
-    /// Achieved write bandwidth as a fraction of peak over
-    /// `elapsed_cycles`.
-    pub fn write_efficiency(&self, elapsed_cycles: u64) -> f64 {
-        if elapsed_cycles == 0 {
-            return 0.0;
-        }
-        let peak = self.config.peak_write_bytes_per_cycle() * elapsed_cycles;
-        self.bytes_written() as f64 / peak as f64
-    }
-}
-
-/// The I/O bus connecting the FPGA to the host or SSD (one port in each
-/// direction, §III-A3).
-#[derive(Debug, Clone)]
-pub struct IoBus {
-    config: IoBusConfig,
-    ingress: Port,
-    egress: Port,
-}
-
-impl IoBus {
-    /// Builds an I/O bus from its configuration.
-    pub fn new(config: IoBusConfig) -> Self {
-        Self {
-            config,
-            ingress: Port::new(config.bytes_per_cycle, 0),
-            egress: Port::new(config.bytes_per_cycle, 0),
-        }
-    }
-
-    /// The configuration this bus was built from.
-    pub fn config(&self) -> &IoBusConfig {
-        &self.config
-    }
-
-    /// The device-to-FPGA direction.
-    pub fn ingress_mut(&mut self) -> &mut Port {
-        &mut self.ingress
-    }
-
-    /// The FPGA-to-device direction.
-    pub fn egress_mut(&mut self) -> &mut Port {
-        &mut self.egress
-    }
-
-    /// Cycles needed to stream `bytes` one way at peak bus bandwidth.
-    pub fn stream_cycles(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.config.bytes_per_cycle)
-    }
 }
 
 #[cfg(test)]
@@ -345,15 +295,6 @@ mod tests {
         assert_eq!(m.next_write_port_free(), Some(wdone));
         // Both directions busy: the earliest completion wins.
         assert_eq!(m.next_event_cycle(10), done.min(wdone));
-    }
-
-    #[test]
-    fn io_bus_stream_cycles() {
-        let bus = IoBus::new(IoBusConfig::nvme_ssd());
-        assert_eq!(bus.stream_cycles(32), 1);
-        assert_eq!(bus.stream_cycles(33), 2);
-        // 1 GiB at 8 GB/s: 2^30/32 cycles.
-        assert_eq!(bus.stream_cycles(1 << 30), (1 << 30) / 32);
     }
 
     #[test]

@@ -79,15 +79,6 @@ pub fn split_runs<R: Record>(stream: &[R]) -> Result<RunSet<R>, StreamError> {
     Ok(RunSet::from_parts(records, starts))
 }
 
-/// *Zero filter*: strips every terminal record from a stream.
-pub fn filter_terminals<R: Record>(stream: &[R]) -> Vec<R> {
-    stream
-        .iter()
-        .copied()
-        .filter(|r| !r.is_terminal())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,13 +112,6 @@ mod tests {
         let runs = split_runs(&stream).unwrap();
         assert_eq!(runs.num_runs(), 1);
         assert_eq!(runs.records(), recs(&[1]).as_slice());
-    }
-
-    #[test]
-    fn filter_strips_all_terminals() {
-        let runs = RunSet::from_chunks(recs(&[3, 1, 2]), 1);
-        let stream = append_terminals(&runs);
-        assert_eq!(filter_terminals(&stream), recs(&[3, 1, 2]));
     }
 
     #[test]

@@ -7,7 +7,11 @@
 //! — and `close` is a broadcast: every parked producer and consumer
 //! wakes to observe the shutdown. `pop` prefers the **latency** lane:
 //! small deadline-bound jobs overtake the queue position of large
-//! throughput-class jobs without preempting one already running.
+//! throughput-class jobs. A throughput job already running is not
+//! preempted either: its worker takes latency jobs with the
+//! non-blocking [`ClassQueue::try_pop_latency`] at the job's yield
+//! points (the runtime *lends* the worker; see
+//! [`PassScheduler::Adaptive`](crate::PassScheduler::Adaptive)).
 //!
 //! Pure priority starves the throughput lane under a steady latency
 //! stream, so a *fairness stride* bounds the bypass: after `stride`
@@ -44,11 +48,13 @@ pub enum PushError<T> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum JobClass {
     /// Small or deadline-bound: dispatched ahead of queued
-    /// throughput-class jobs.
+    /// throughput-class jobs, or run at a yield point of a running one.
     #[default]
     Latency,
     /// Large batch work: optimized for aggregate bytes/second, may be
-    /// overtaken while queued (never preempted while running).
+    /// overtaken while queued; while running it lends its worker to
+    /// queued latency jobs at yield points, never for more than a
+    /// quarter of its own time.
     Throughput,
 }
 
@@ -213,6 +219,24 @@ impl<T: Send + Classed, S: SyncOps> ClassQueue<T, S> {
         item
     }
 
+    /// Dequeues the latency lane's head without blocking; `None` when
+    /// that lane is empty, whatever the throughput lane holds. A closed
+    /// queue still drains.
+    ///
+    /// This is the *lent* pop: a worker running a throughput job takes
+    /// a latency job at one of the job's yield points. It is not a
+    /// bypass in [`ClassQueue::pop`]'s sense — no worker was free to
+    /// dispatch a waiting throughput job — so it leaves the fairness
+    /// streak alone, and `pop`'s stride bound holds as before. What a
+    /// running job lends is bounded by the runtime, in time.
+    pub fn try_pop_latency(&self) -> Option<T> {
+        let item = S::lock(&self.state).latency.pop_front();
+        if item.is_some() {
+            S::notify_one(&self.not_full);
+        }
+        item
+    }
+
     /// Closes the queue: both lanes still drain, further pushes fail,
     /// and blocked poppers wake up to observe the shutdown.
     pub fn close(&self) {
@@ -314,6 +338,41 @@ mod tests {
         assert_eq!(q.pop(), Some(lat(1)));
         producer.join().unwrap().unwrap();
         assert_eq!(q.len(), 2);
+    }
+
+    #[test]
+    fn try_pop_latency_takes_only_the_latency_lane() {
+        let q = ClassQueue::<Item>::new(4, 1);
+        assert_eq!(q.try_pop_latency(), None, "empty");
+        q.push(thr(100)).unwrap();
+        assert_eq!(q.try_pop_latency(), None, "throughput only");
+        for i in 0..3 {
+            q.push(lat(i)).unwrap();
+        }
+        // Lent pops leave the streak alone: stride 1 still admits
+        // exactly one bypass before `pop` serves the throughput job.
+        assert_eq!(q.try_pop_latency(), Some(lat(0)));
+        assert_eq!(q.try_pop_latency(), Some(lat(1)));
+        assert_eq!(q.pop(), Some(lat(2)));
+        q.push(lat(3)).unwrap();
+        assert_eq!(q.pop(), Some(thr(100)));
+        q.close();
+        assert_eq!(q.try_pop_latency(), Some(lat(3)), "closed still drains");
+        assert_eq!(q.try_pop_latency(), None, "closed and drained");
+    }
+
+    #[test]
+    fn try_pop_latency_frees_a_slot_for_a_blocked_push() {
+        let q = Arc::new(ClassQueue::<Item>::new(1, 4));
+        q.push(lat(1)).unwrap();
+        let producer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.push(thr(2)))
+        };
+        // Nothing but the lent pop frees a slot for the producer.
+        assert_eq!(q.try_pop_latency(), Some(lat(1)));
+        producer.join().unwrap().unwrap();
+        assert_eq!(q.pop(), Some(thr(2)));
     }
 
     #[test]

@@ -7,9 +7,12 @@
 //!   threads fed by the bounded [`ClassQueue`], whose depth gives
 //!   submitters backpressure instead of unbounded buffering;
 //! - **within a job** — each worker drives
-//!   [`SimEngine::try_sort_pipelined`] on its own thread, one pass at a
+//!   [`SimEngine::try_sort_yielding`] on its own thread, one pass at a
 //!   time; a job's intra-sort parallelism is the optimizer's shape, not
-//!   extra host threads.
+//!   extra host threads. Under [`PassScheduler::Adaptive`] a running
+//!   throughput-class job *lends* its worker at the sort's yield points:
+//!   a queued latency-class job runs to completion on the same thread,
+//!   then the large sort resumes where it stopped.
 //!
 //! Failures stay per-job: an invalid configuration
 //! ([`JobError::Invalid`], `BONxxx` diagnostics), a livelocked pass
@@ -67,7 +70,7 @@ mod class_queue;
 mod pool;
 
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bonsai_amt::{SimEngine, SimEngineConfig, SortError, SortReport};
 use bonsai_check::Diagnostic;
@@ -82,7 +85,7 @@ use adaptive::AdaptiveState;
 
 /// How the runtime picks each job's queue lane and AMT shape. Within a
 /// job the merge passes always run group by group
-/// ([`SimEngine::try_sort_pipelined`]).
+/// ([`SimEngine::try_sort_yielding`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PassScheduler {
     /// First in, first out, each job sorted on the shape it was
@@ -99,6 +102,17 @@ pub enum PassScheduler {
     /// validated shapes served from a bounded compiled-shape cache
     /// ([`bonsai_amt::ShapeCache`]). Knobs live in [`AdaptiveConfig`];
     /// shape checks are `BON080` and `BON082`.
+    ///
+    /// Small jobs do not wait out a running large one either: at each
+    /// yield point of a throughput-class sort (before every merge group
+    /// and every 128 simulation steps inside one) its worker runs at
+    /// most one queued latency-class job, through the same shape
+    /// selection, engine and panic isolation as a dispatched job. It
+    /// lends only while the time lent stays within a quarter (the
+    /// fairness stride, 4) of the large job's own time, and a lent job
+    /// never lends. The lent job sorts on the shape the planner selects
+    /// for it, as if it had been dispatched; jobs share no simulated
+    /// state, so every output and report is what it would have been.
     Adaptive,
 }
 
@@ -161,7 +175,8 @@ impl RuntimeConfig {
 const SMALL_JOB_RECORDS: usize = 4096;
 
 /// Latency-lane dispatches before a waiting throughput job runs anyway:
-/// a large job waits behind at most four small ones.
+/// a large job waits behind at most four small ones. A running large job
+/// likewise lends its worker for at most a quarter of its own time.
 const FAIRNESS_STRIDE: u32 = 4;
 
 /// One worker per core when a knob is `0`.
@@ -292,7 +307,8 @@ pub struct JobResult<R> {
     pub ticket: u64,
     /// The sorted output, or why this job failed.
     pub result: Result<JobOutput<R>, JobError>,
-    /// Wall-clock time the worker spent on the job.
+    /// Wall-clock time the worker spent on the job, excluding any time
+    /// it lent to latency-class jobs at the job's yield points.
     pub wall: Duration,
 }
 
@@ -312,15 +328,14 @@ impl<R> Classed for Dispatch<R> {
     }
 }
 
+/// Sorts one job, calling `poll` at the engine's yield points.
 fn run_job<R: Record>(
-    ticket: u64,
     job: SortJob<R>,
     class: JobClass,
     config: &RuntimeConfig,
     adaptive: Option<&Mutex<AdaptiveState>>,
-) -> JobResult<R> {
-    let start = std::time::Instant::now();
-    let id = job.id;
+    poll: &mut dyn FnMut(),
+) -> Result<JobOutput<R>, JobError> {
     // Under the adaptive scheduler the shape selection (optimizer +
     // planner + compiled-shape cache) replaces `SimEngine::try_new`'s
     // validate-then-build; the cache outcome rides on the report.
@@ -335,7 +350,7 @@ fn run_job<R: Record>(
         }
         None => SimEngine::try_new(job.config).map(|engine| (engine, None)),
     };
-    let result = engine
+    engine
         .map_err(JobError::Invalid)
         .and_then(|(engine, cache_hit)| {
             let mut engine = match config.max_pass_cycles {
@@ -343,7 +358,7 @@ fn run_job<R: Record>(
                 None => engine,
             };
             engine
-                .try_sort_pipelined(job.data, 1)
+                .try_sort_yielding(job.data, poll)
                 .map(|(sorted, mut report)| {
                     if let Some(hit) = cache_hit {
                         report.shape_cache_hits = u64::from(hit);
@@ -352,13 +367,7 @@ fn run_job<R: Record>(
                     JobOutput { sorted, report }
                 })
                 .map_err(JobError::Sim)
-        });
-    JobResult {
-        id,
-        ticket,
-        result,
-        wall: start.elapsed(),
-    }
+        })
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -404,7 +413,7 @@ impl<R: Record> Runtime<R> {
         let adaptive = (config.scheduler == PassScheduler::Adaptive)
             .then(|| Arc::new(Mutex::new(AdaptiveState::new(&config.adaptive))));
         let worker_adaptive = adaptive.clone();
-        let runner = move |dispatch: Dispatch<R>| {
+        let runner = move |dispatch: Dispatch<R>, lend: &mut dyn FnMut() -> bool| {
             let Dispatch {
                 ticket,
                 job,
@@ -412,19 +421,34 @@ impl<R: Record> Runtime<R> {
                 reply,
             } = dispatch;
             let id = job.id;
-            let start = std::time::Instant::now();
+            let start = Instant::now();
+            let mut lent = Duration::ZERO;
+            // A throughput job lends its worker to queued latency jobs at
+            // the engine's yield points, one job a call, while the time
+            // lent stays within a FAIRNESS_STRIDE-th of its own.
+            let mut poll = || {
+                if class == JobClass::Throughput
+                    && lent * FAIRNESS_STRIDE <= start.elapsed().saturating_sub(lent)
+                {
+                    let lending = Instant::now();
+                    if lend() {
+                        lent += lending.elapsed();
+                    }
+                }
+            };
             // A panicking job must fail alone: catch it here so the
             // worker survives to drain the rest of the queue, and so
             // shutdown never has to join a dead thread.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_job(ticket, job, class, &config, worker_adaptive.as_deref())
+                run_job(job, class, &config, worker_adaptive.as_deref(), &mut poll)
             }))
-            .unwrap_or_else(|payload| JobResult {
+            .unwrap_or_else(|payload| Err(JobError::Panic(panic_message(payload.as_ref()))));
+            let result = JobResult {
                 id,
                 ticket,
-                result: Err(JobError::Panic(panic_message(payload.as_ref()))),
-                wall: start.elapsed(),
-            });
+                result,
+                wall: start.elapsed().saturating_sub(lent),
+            };
             match reply {
                 // A dropped receiver means the submitter stopped
                 // listening (e.g. its connection died); the result is
@@ -818,13 +842,13 @@ mod tests {
         }
         // Other tests run concurrently in this process, so poll for the
         // count to come back down instead of demanding instant equality.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             if count_own_threads() <= before {
                 break;
             }
             assert!(
-                std::time::Instant::now() < deadline,
+                Instant::now() < deadline,
                 "drop must join every worker thread, panicking job or not"
             );
             std::thread::sleep(Duration::from_millis(10));

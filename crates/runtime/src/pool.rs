@@ -3,7 +3,11 @@
 //! Workers pop jobs from the queue, run them through a shared runner
 //! function and append what it returns — `Some` outputs only, so a job
 //! that delivered its result elsewhere leaves nothing behind — to a
-//! results vector. Like the queue,
+//! results vector. The runner also gets a *lend* callback for the job:
+//! called at one of the job's yield points, it runs at most one queued
+//! latency-class job ([`ClassQueue::try_pop_latency`]) through the same
+//! runner on the same worker and says whether it did. A lent job's own
+//! callback does nothing, so lending never nests. Like the queue,
 //! the pool is generic over a [`SyncOps`] facade: production code uses
 //! [`StdSync`], while `tests/mc_pool_shutdown.rs` drives the full
 //! spawn/drain/shutdown protocol through `bonsai_mc::sync::McSync`.
@@ -48,14 +52,15 @@ impl<J: Send + Classed + 'static, R: Send + 'static, S: SyncOps> std::fmt::Debug
 
 impl<J: Send + Classed + 'static, R: Send + 'static, S: SyncOps> WorkerPool<J, R, S> {
     /// Spawns `workers ≥ 1` threads draining `queue`, each running jobs
-    /// through `runner`. A `Some` return is kept for
+    /// through `runner` together with the job's lend callback (see the
+    /// module doc). A `Some` return is kept for
     /// [`WorkerPool::finish`]; `None` (the job's result already went
     /// where it was wanted) stores nothing, so a pool that is never
     /// finished does not grow with the jobs it has run.
     pub fn start(
         workers: usize,
         queue: ClassQueue<J, S>,
-        runner: impl Fn(J) -> Option<R> + Send + Sync + 'static,
+        runner: impl Fn(J, &mut dyn FnMut() -> bool) -> Option<R> + Send + Sync + 'static,
     ) -> Self {
         let workers = workers.max(1);
         let shared = Arc::new(PoolShared {
@@ -68,10 +73,17 @@ impl<J: Send + Classed + 'static, R: Send + 'static, S: SyncOps> WorkerPool<J, R
                 let shared = Arc::clone(&shared);
                 let runner = Arc::clone(&runner);
                 S::spawn(move || {
-                    while let Some(job) = shared.queue.pop() {
-                        if let Some(result) = runner(job) {
+                    let keep = |result: Option<R>| {
+                        if let Some(result) = result {
                             S::lock::<Vec<R>>(&shared.results).push(result);
                         }
+                    };
+                    let mut lend = || {
+                        let lent = shared.queue.try_pop_latency();
+                        lent.map(|job| keep(runner(job, &mut || false))).is_some()
+                    };
+                    while let Some(job) = shared.queue.pop() {
+                        keep(runner(job, &mut lend));
                     }
                 })
             })
@@ -193,7 +205,7 @@ mod tests {
         depth: usize,
         runner: impl Fn(u32) -> u32 + Send + Sync + 'static,
     ) -> WorkerPool<Job, u32> {
-        WorkerPool::start(workers, ClassQueue::new(depth, 0), move |Job(j)| {
+        WorkerPool::start(workers, ClassQueue::new(depth, 0), move |Job(j), _| {
             Some(runner(j))
         })
     }
@@ -213,12 +225,56 @@ mod tests {
     fn none_results_are_not_stored() {
         // Odd jobs "reply elsewhere": only the even ones are kept.
         let pool: WorkerPool<Job, u32> =
-            WorkerPool::start(1, ClassQueue::new(4, 0), |Job(j)| (j % 2 == 0).then_some(j));
+            WorkerPool::start(1, ClassQueue::new(4, 0), |Job(j), _| {
+                (j % 2 == 0).then_some(j)
+            });
         for j in 0..8 {
             pool.submit(Job(j)).unwrap();
         }
         assert!(pool.stored_results() <= 4);
         assert_eq!(pool.finish(), vec![0, 2, 4, 6]);
+    }
+
+    /// A job in either lane.
+    #[derive(Debug)]
+    struct Laned(u32, JobClass);
+
+    impl Classed for Laned {
+        fn job_class(&self) -> JobClass {
+            self.1
+        }
+    }
+
+    #[test]
+    fn a_running_job_lends_its_worker_one_latency_job_per_call() {
+        use std::sync::{mpsc, Mutex};
+
+        let (started_tx, started) = mpsc::channel();
+        let (go, go_rx) = mpsc::channel::<()>();
+        let go_rx = Mutex::new(go_rx);
+        let pool: WorkerPool<Laned, u32> =
+            WorkerPool::start(1, ClassQueue::new(8, 4), move |Laned(j, _), lend| {
+                if j == 100 {
+                    started_tx.send(()).unwrap();
+                    go_rx.lock().unwrap().recv().unwrap();
+                    assert!(lend(), "job 1 is queued");
+                    assert!(lend(), "job 2 is queued");
+                    assert!(!lend(), "only job 200 is left, and it is not lent");
+                } else {
+                    // Jobs 1 and 2 run lent, job 2 still queued while
+                    // job 1 runs: a lent job has nothing to lend.
+                    assert!(!lend(), "job {j} lent a job");
+                }
+                Some(j)
+            });
+        pool.submit(Laned(100, JobClass::Throughput)).unwrap();
+        started.recv().unwrap();
+        pool.submit(Laned(1, JobClass::Latency)).unwrap();
+        pool.submit(Laned(2, JobClass::Latency)).unwrap();
+        pool.submit(Laned(200, JobClass::Throughput)).unwrap();
+        go.send(()).unwrap();
+        // Completion order: the lent jobs finish inside job 100.
+        assert_eq!(pool.finish(), vec![1, 2, 100, 200]);
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! End-to-end behavior of the adaptive scheduler: per-job shape
 //! selection, compiled-shape cache observability, cached-vs-cold
-//! equivalence through the runtime, deadline-lane dispatch order, and
-//! what the two together buy a mixed load in simulated time.
+//! equivalence through the runtime, deadline-lane dispatch order,
+//! lending a running throughput job's worker to latency jobs, and what
+//! the lanes and shapes together buy a mixed load in simulated time.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use bonsai_amt::{AmtConfig, SimEngineConfig, SortReport};
 use bonsai_gensort::dist::uniform_u32;
 use bonsai_records::{Record, U32Rec};
 use bonsai_runtime::{
-    AdaptiveStats, ClassQueue, Classed, JobClass, PassScheduler, Runtime, RuntimeConfig, SortJob,
+    AdaptiveStats, ClassQueue, Classed, JobClass, JobError, JobOutput, JobResult, PassScheduler,
+    Runtime, RuntimeConfig, SortJob,
 };
 
 fn dram_cfg() -> SimEngineConfig {
@@ -229,7 +232,7 @@ fn latency_jobs_overtake_queued_throughput_jobs() {
     let mut config = adaptive_config(1);
     config.queue_depth = 8;
     let runtime = Runtime::start(config);
-    let (tx, rx) = std::sync::mpsc::channel();
+    let (tx, rx) = mpsc::channel();
     let gated: Vec<GateRec> = (0..64u32).map(|i| GateRec(i | 1)).collect();
     // Above the 4 096-record latency cutoff: throughput class.
     let big: Vec<GateRec> = (0..5_000u32)
@@ -297,7 +300,7 @@ fn mixed_load_in_virtual_time(
     };
     let runtime = Runtime::start(config);
     // One job at a time, so the planner sees them in submission order.
-    let (tx, rx) = std::sync::mpsc::channel();
+    let (tx, rx) = mpsc::channel();
     let sort = |data: Vec<U32Rec>| {
         runtime
             .submit_with_reply(SortJob::new(0, dram_cfg(), data), tx.clone())
@@ -351,4 +354,214 @@ fn adaptive_cuts_small_job_tail_at_no_cost_in_makespan() {
     // the optimizer's shapes finish the whole load 1.456x sooner.
     assert_eq!((fifo_p99, fifo_makespan), (324_566, 324_745));
     assert_eq!((p99, makespan), (117_501, 223_047));
+}
+
+/// Sorts `jobs` on a fresh one-worker adaptive runtime, each submitted
+/// once the one before it has replied: every job alone on the worker,
+/// the planner seeing them in order.
+fn solo_runs<R: Record>(jobs: &[Vec<R>]) -> Vec<Result<JobOutput<R>, JobError>> {
+    let runtime = Runtime::start(adaptive_config(1));
+    let (tx, rx) = mpsc::channel();
+    jobs.iter()
+        .map(|data| {
+            runtime
+                .submit_with_reply(SortJob::new(0, dram_cfg(), data.clone()), tx.clone())
+                .expect("open");
+            rx.recv().expect("replies").result
+        })
+        .collect()
+}
+
+/// On a fresh one-worker runtime under `scheduler`: submits `big` as
+/// job 0, waits until the worker has claimed it, then submits `small`
+/// as job 1. Returns both replies in completion order, once the runtime
+/// has been dropped.
+fn small_after_claimed_big<R: Record>(
+    scheduler: PassScheduler,
+    big: Vec<R>,
+    small: Vec<R>,
+) -> Vec<JobResult<R>> {
+    let runtime = Runtime::start(RuntimeConfig {
+        workers: 1,
+        scheduler,
+        ..RuntimeConfig::default()
+    });
+    let (tx, rx) = mpsc::channel();
+    runtime
+        .submit_with_reply(SortJob::new(0, dram_cfg(), big), tx.clone())
+        .expect("open");
+    while runtime.pending() > 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    runtime
+        .submit_with_reply(SortJob::new(1, dram_cfg(), small), tx)
+        .expect("open");
+    let replies = rx.iter().take(2).collect();
+    drop(runtime);
+    replies
+}
+
+fn ids<R>(replies: &[JobResult<R>]) -> Vec<u64> {
+    replies.iter().map(|r| r.id).collect()
+}
+
+#[test]
+fn a_small_job_runs_inside_a_claimed_large_one_and_sorts_as_it_would_alone() {
+    let jobs = [uniform_u32(65_536, 71), uniform_u32(1_024, 72)];
+    let replies =
+        small_after_claimed_big(PassScheduler::Adaptive, jobs[0].clone(), jobs[1].clone());
+    assert_eq!(ids(&replies), [1, 0], "the small job replies first");
+    let solo = solo_runs(&jobs);
+    for reply in replies {
+        let got = reply.result.expect("sorts");
+        let want = solo[reply.id as usize].as_ref().expect("sorts");
+        assert_eq!(got.sorted, want.sorted, "job {}", reply.id);
+        assert_eq!(
+            got.report.normalized(),
+            want.report.clone().normalized(),
+            "job {}",
+            reply.id
+        );
+    }
+    // Under `Fifo` every job is latency class, and nothing lends.
+    let fifo = small_after_claimed_big(PassScheduler::Fifo, jobs[0].clone(), jobs[1].clone());
+    assert_eq!(ids(&fifo), [0, 1], "a Fifo job never lends its worker");
+}
+
+/// A record whose comparison panics on a poison value: a job that blows
+/// up mid-sort.
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+struct PanicRec(u32);
+
+const POISON: u32 = 0xDEAD_BEEF;
+
+impl PartialOrd for PanicRec {
+    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for PanicRec {
+    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
+        assert!(
+            self.0 != POISON && other.0 != POISON,
+            "poisoned record reached the datapath"
+        );
+        self.0.cmp(&other.0)
+    }
+}
+
+impl Record for PanicRec {
+    type Key = u32;
+    const WIDTH_BYTES: usize = 4;
+    const TERMINAL: Self = PanicRec(0);
+    const MAX: Self = PanicRec(u32::MAX);
+
+    fn key(&self) -> u32 {
+        self.0
+    }
+
+    fn sanitize(self) -> Self {
+        if self.0 == 0 {
+            PanicRec(1)
+        } else {
+            self
+        }
+    }
+}
+
+/// Thread count of this process via /proc (Linux-only; 0 elsewhere,
+/// which passes the check trivially).
+fn count_own_threads() -> usize {
+    std::fs::read_dir("/proc/self/task").map_or(0, Iterator::count)
+}
+
+#[test]
+fn a_panicking_lent_job_fails_alone_and_leaks_no_thread() {
+    let threads = count_own_threads();
+    let records = |n: u32, seed: u32| -> Vec<PanicRec> {
+        (0..n)
+            .map(|i| PanicRec((i ^ seed).wrapping_mul(2_654_435_761) | 1))
+            .collect()
+    };
+    let big = records(20_000, 3);
+    let mut small = records(1_024, 5);
+    small[512] = PanicRec(POISON);
+    let mut replies = small_after_claimed_big(PassScheduler::Adaptive, big.clone(), small);
+    assert_eq!(ids(&replies), [1, 0], "the poisoned job ran lent");
+    match &replies[0].result {
+        Err(JobError::Panic(message)) => assert!(message.contains("poisoned record"), "{message}"),
+        other => panic!("expected JobError::Panic, got {other:?}"),
+    }
+    let got = replies.remove(1).result.expect("the lending job survives");
+    let want = solo_runs(&[big]).remove(0).expect("sorts");
+    assert_eq!(got.sorted, want.sorted);
+    assert_eq!(got.report.normalized(), want.report.normalized());
+    // Other tests run concurrently in this process: wait for the count
+    // to come back down rather than demanding it at once.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while count_own_threads() > threads {
+        assert!(Instant::now() < deadline, "drop must join every worker");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+#[test]
+fn a_large_job_lends_at_most_a_quarter_of_its_own_time() {
+    let runtime = Arc::new(Runtime::start(adaptive_config(1)));
+    let (tx, rx) = mpsc::channel();
+    let big_id = u64::MAX;
+    let submitted = Instant::now();
+    runtime
+        .submit_with_reply(
+            SortJob::new(big_id, dram_cfg(), uniform_u32(65_536, 81)),
+            tx.clone(),
+        )
+        .expect("open");
+    while runtime.pending() > 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // A steady latency stream: the feeder keeps the queue full until
+    // the large job has replied.
+    let stop = Arc::new(AtomicBool::new(false));
+    let feeder = {
+        let (runtime, stop) = (Arc::clone(&runtime), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            for id in 0.. {
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                runtime
+                    .submit_with_reply(
+                        SortJob::new(id, dram_cfg(), uniform_u32(1_024, id)),
+                        tx.clone(),
+                    )
+                    .expect("open");
+            }
+        })
+    };
+    // One worker: every small job that replies before the large one ran
+    // lent inside it.
+    let mut lent = Vec::new();
+    let big = loop {
+        let reply = rx.recv().expect("replies");
+        if reply.id == big_id {
+            break reply;
+        }
+        lent.push(reply.wall);
+    };
+    let observed = submitted.elapsed();
+    stop.store(true, Ordering::SeqCst);
+    feeder.join().expect("feeder");
+    big.result.expect("sorts");
+    let (total, largest) = (lent.iter().sum::<Duration>(), lent.iter().max());
+    let largest = *largest.expect("a steady latency stream is lent to");
+    // The large job's wall is its own time: it excludes what it lent.
+    assert!(big.wall + total <= observed, "{:?} + {total:?}", big.wall);
+    assert!(
+        total <= big.wall / 4 + largest,
+        "lent {total:?} in {} jobs against own {:?}",
+        lent.len(),
+        big.wall
+    );
 }

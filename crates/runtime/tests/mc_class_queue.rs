@@ -12,7 +12,11 @@
 //! - drain-after-close (queued work of both classes still delivers),
 //! - the broadcast-shutdown wakeup with multiple parked consumers,
 //! - the starvation bound: with stride `s`, at most `s` latency items
-//!   bypass a waiting throughput item before it is served.
+//!   bypass a waiting throughput item before it is served;
+//! - the lent pop, `try_pop_latency`, racing a blocking consumer, a
+//!   mixed-class producer and `close`: exactly-once delivery, the
+//!   `not_full` wakeup it owes a blocked producer, and a stride bound
+//!   it leaves alone.
 
 use std::sync::Arc;
 
@@ -224,5 +228,132 @@ fn fairness_stride_bound_holds_on_every_schedule() {
             consumer.join().unwrap();
         })
         .expect("the fairness bound must be schedule-clean");
+    assert!(stats.complete);
+}
+
+/// One delivery counter per item value `0..n`: every item must be taken
+/// exactly once, by whichever thread.
+fn delivery_counters(n: usize) -> Arc<Vec<sync::atomic::AtomicUsize>> {
+    Arc::new((0..n).map(|_| sync::atomic::AtomicUsize::new(0)).collect())
+}
+
+/// A lender (a worker inside a throughput job, polling twice) races a
+/// blocking consumer and a producer pushing `L0, T1, L2` through a
+/// capacity-1 queue, closed once producer and lender are done. Every
+/// item is delivered exactly once and every schedule terminates. A
+/// lent pop that skipped `notify_one(not_full)` deadlocks here: the
+/// producer parks on the full queue, the lender empties it, and the
+/// consumer, woken for the item the lender took, parks again.
+#[test]
+fn lent_pops_deliver_exactly_once_and_wake_a_blocked_producer() {
+    use std::sync::atomic::Ordering;
+
+    let stats = Checker::new()
+        .preemption_budget(1)
+        .max_schedules(1_000_000)
+        .check(|| {
+            let queue = Arc::new(ClassQueue::<Item, McSync>::new(1, 4));
+            let delivered = delivery_counters(3);
+            let producer = {
+                let queue = Arc::clone(&queue);
+                sync::thread::spawn(move || {
+                    for item in [Item::latency(0), Item::throughput(1), Item::latency(2)] {
+                        queue.push(item).expect("queue closes after the producer");
+                    }
+                })
+            };
+            let consumer = {
+                let queue = Arc::clone(&queue);
+                let delivered = Arc::clone(&delivered);
+                sync::thread::spawn(move || {
+                    while let Some(item) = queue.pop() {
+                        delivered[item.value as usize].fetch_add(1, Ordering::SeqCst);
+                    }
+                })
+            };
+            let lender = {
+                let queue = Arc::clone(&queue);
+                let delivered = Arc::clone(&delivered);
+                sync::thread::spawn(move || {
+                    for _ in 0..2 {
+                        if let Some(item) = queue.try_pop_latency() {
+                            assert_eq!(item.class, JobClass::Latency, "lent a throughput job");
+                            delivered[item.value as usize].fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
+                })
+            };
+            producer.join().unwrap();
+            lender.join().unwrap();
+            queue.close();
+            consumer.join().unwrap();
+            for (value, count) in delivered.iter().enumerate() {
+                assert_eq!(count.load(Ordering::SeqCst), 1, "item {value}");
+            }
+        })
+        .expect("lending must be schedule-clean");
+    assert!(
+        stats.complete,
+        "exploration must exhaust the budgeted space"
+    );
+    assert!(
+        stats.schedules > 100,
+        "4 threads at cap 1 is not a trivial space"
+    );
+}
+
+/// `pop`'s stride bound with a lender racing the consumer: stride 1,
+/// the queue preloaded `[T10, L20, L21, L22]`, the lender polling twice.
+/// Whichever latency items the lender takes, the consumer pops exactly
+/// one latency item before the throughput one: lent pops are not
+/// bypasses, so they neither count toward the streak (which would
+/// serve T10 first) nor escape it.
+#[test]
+fn fairness_stride_bound_holds_with_a_lender() {
+    use std::sync::atomic::Ordering;
+
+    let stats = Checker::new()
+        .check(|| {
+            let queue = Arc::new(ClassQueue::<Item, McSync>::new(4, 1));
+            queue.push(Item::throughput(10)).unwrap();
+            for value in 20..23 {
+                queue.push(Item::latency(value)).unwrap();
+            }
+            let delivered = delivery_counters(23);
+            let consumer = {
+                let queue = Arc::clone(&queue);
+                let delivered = Arc::clone(&delivered);
+                sync::thread::spawn(move || {
+                    let mut got = Vec::new();
+                    while let Some(item) = queue.pop() {
+                        delivered[item.value as usize].fetch_add(1, Ordering::SeqCst);
+                        got.push(item.value);
+                    }
+                    assert_eq!(
+                        got.iter().position(|&v| v == 10),
+                        Some(1),
+                        "stride 1 admits one bypass by pop: {got:?}"
+                    );
+                })
+            };
+            let lender = {
+                let queue = Arc::clone(&queue);
+                let delivered = Arc::clone(&delivered);
+                sync::thread::spawn(move || {
+                    for _ in 0..2 {
+                        if let Some(item) = queue.try_pop_latency() {
+                            delivered[item.value as usize].fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
+                })
+            };
+            lender.join().unwrap();
+            queue.close();
+            consumer.join().unwrap();
+            for value in [10, 20, 21, 22] {
+                assert_eq!(delivered[value].load(Ordering::SeqCst), 1, "item {value}");
+            }
+        })
+        .expect("the stride bound must survive lending");
     assert!(stats.complete);
 }

@@ -31,7 +31,9 @@ impl Classed for Job {
 }
 
 fn pool(runner: fn(u32) -> u32) -> WorkerPool<Job, u32, McSync> {
-    WorkerPool::start(2, ClassQueue::new(1, 0), move |Job(job)| Some(runner(job)))
+    WorkerPool::start(2, ClassQueue::new(1, 0), move |Job(job), _| {
+        Some(runner(job))
+    })
 }
 
 /// The pool's full spawn/drain/shutdown protocol: 2 workers over a
