@@ -1,7 +1,7 @@
 //! Compiled-shape cache for the adaptive runtime.
 //!
 //! "Compiling" a shape means running the full cross-config validation
-//! of [`SimEngineConfig::try_validated`] (AMT shape, loader, memory,
+//! of [`SimEngineConfig::validate`] (AMT shape, loader, memory,
 //! loader-vs-memory coupling, presort chunk — the work
 //! [`SimEngine::try_new`] pays on every construction). The adaptive
 //! scheduler selects a shape per job, so repeated shapes would pay that
@@ -25,7 +25,7 @@ use crate::engine::SimEngine;
 /// A shape that already passed the full engine validation. The only way
 /// to obtain one is [`CompiledShape::compile`] (or a [`ShapeCache`]),
 /// so holding one is a proof the configuration is valid: engines minted
-/// from it skip [`SimEngineConfig::try_validated`] entirely.
+/// from it skip [`SimEngineConfig::validate`] entirely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompiledShape {
     config: SimEngineConfig,
@@ -116,21 +116,6 @@ impl ShapeCache {
         Ok(shape)
     }
 
-    /// Shapes currently cached.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Maximum shapes the cache holds.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Lookups served from the cache.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -175,7 +160,7 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses()), (2, 3));
         cache.get_or_compile(&b).expect("valid");
         assert_eq!((cache.hits(), cache.misses()), (2, 4));
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.entries.len(), 2);
     }
 
     #[test]
@@ -186,7 +171,7 @@ mod tests {
         let errs = cache.get_or_compile(&bad).unwrap_err();
         assert!(errs.iter().any(|d| d.code == "BON004"), "{errs:?}");
         assert_eq!(cache.misses(), 1);
-        assert!(cache.is_empty());
+        assert!(cache.entries.is_empty());
         // The same bad shape misses again: failures are never cached.
         cache.get_or_compile(&bad).unwrap_err();
         assert_eq!(cache.misses(), 2);
@@ -209,6 +194,6 @@ mod tests {
         cache.get_or_compile(&dram).expect("valid");
         cache.get_or_compile(&hbm).expect("valid");
         assert_eq!(cache.misses(), 2, "same tree, different backend");
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.entries.len(), 2);
     }
 }

@@ -77,12 +77,6 @@ impl AmtConfig {
     pub fn total_mergers(&self) -> usize {
         self.l - 1
     }
-
-    /// Peak throughput in bytes/second for `record_bytes`-wide records at
-    /// clock `freq_hz` — the `p·f·r` term of Equation 1.
-    pub fn peak_bandwidth(&self, record_bytes: u64, freq_hz: f64) -> f64 {
-        self.p as f64 * freq_hz * record_bytes as f64
-    }
 }
 
 impl core::fmt::Display for AmtConfig {
@@ -164,7 +158,7 @@ impl SimEngineConfig {
 
     /// Validated form of the engine configuration: `Err` with the full
     /// finding list if any error-severity diagnostic fires.
-    pub fn try_validated(self) -> Result<Self, Vec<Diagnostic>> {
+    pub(crate) fn try_validated(self) -> Result<Self, Vec<Diagnostic>> {
         let diagnostics = self.validate();
         if has_errors(&diagnostics) {
             Err(diagnostics)
@@ -195,13 +189,6 @@ mod tests {
             vec![1, 2, 4, 8]
         );
         assert_eq!(amt.total_mergers(), 15);
-    }
-
-    #[test]
-    fn peak_bandwidth_matches_paper() {
-        // p = 32 at 250 MHz on 4-byte records = 32 GB/s (§IV-A).
-        let amt = AmtConfig::new(32, 64);
-        assert!((amt.peak_bandwidth(4, 250e6) - 32e9).abs() < 1.0);
     }
 
     #[test]

@@ -1,68 +1,77 @@
-//! The merge groups of a sort and how they are spread across threads.
+//! How a sort is cut into simulated tasks, and the one loop that runs
+//! them.
 //!
-//! A merge pass is a set of *independent* merge groups: group `g`
-//! merges runs `[g·m, (g+1)·m)` into one output run, touching nobody
-//! else's runs, banks or tree state (§II–III — each group is its own
-//! engine fed by banked memory). `SortPlan` lowers a sort into those
-//! `(pass, group)` tasks. The sort runs one pass at a time, as the
-//! hardware does (§II, Fig. 2: every stage streams the whole array back
-//! to memory and the next stage reads what it wrote): [`map_pass`]
-//! spreads one pass's groups over the calling thread and scoped helper
-//! threads, and the next pass starts once they have all joined. The
-//! functional sort ([`crate::functional`]) spreads its presort and its
-//! merge stages through the same map.
+//! A merge pass merges groups of `m` runs: group `g` merges runs
+//! `[g·m, (g+1)·m)` into one output run, touching nobody else's runs,
+//! banks or tree state (§II–III). A `SortPlan` lowers a sort into
+//! `(pass, task)` tasks, each the simulation of consecutive groups
+//! against the memory the plan binds it to. The sort runs one pass at a
+//! time, as the hardware does (§II, Fig. 2: every stage streams the
+//! whole array back to memory and the next stage reads what it wrote):
+//! [`map_pass`] spreads one pass's tasks over the calling thread and
+//! scoped helper threads, and the next pass starts once they have all
+//! joined. The functional sort ([`crate::functional`]) spreads its
+//! presort and its merge stages through the same map.
 //!
-//! **Determinism guarantee.** Each group is a pure function of
-//! `(config, its input runs, fan-in)`, simulated against a private
-//! memory built from [`bonsai_memsim::MemoryConfig::shard_view`]: the
-//! worker count only changes *where* a group is simulated, never *what*
-//! it computes. Results are folded in `(pass, group)` order after each
-//! pass joins, so sorted output and [`SortReport`] are bit-identical at
-//! every worker count, and on failure the first failing pass's minimum
-//! failing group wins. The unit tests check this against a thread-free
-//! oracle that runs every group in order.
+//! **Determinism guarantee.** Each task is a pure function of
+//! `(config, its input runs, fan-in, memory)`: the worker count only
+//! changes *where* a task is simulated, never *what* it computes.
+//! Results are folded in `(pass, task)` order after each pass joins, so
+//! sorted output and [`SortReport`] are bit-identical at every worker
+//! count, and on failure the first failing pass's minimum failing task
+//! wins. The unit tests check both plans against a thread-free oracle
+//! that runs every task in order.
 //!
-//! **Timing model.** Each group is charged the cycles of its standalone
-//! simulation and a pass reports their sum, i.e. the groups
-//! time-multiplexed on one tree with the pipeline drained between
-//! groups. The fused engine ([`SimEngine::sort`](crate::SimEngine::sort))
-//! instead overlaps adjacent groups in the tree pipeline. Over the 36
-//! non-empty cases of `tests/golden_report.txt` the per-group sum is
-//! 1.00–20.4× the fused total (median 1.29×): equal for one-group
-//! sorts, up to 20.4× on the flash stream, where every standalone group
-//! pays the access latency the fused tree hides; DESIGN.md §5 has the
-//! table and says which number is quoted where.
+//! **Two plans, one loop.** The plans differ only in how a pass is cut
+//! and what that costs. The fused plan (`SortPlan::fused`, behind
+//! [`SimEngine::try_sort`](crate::SimEngine::try_sort)) makes each pass
+//! one task: one tree merging every group back to back against the
+//! whole memory, adjacent groups overlapping in its pipeline. The
+//! per-group plan (`SortPlan::per_group`, behind
+//! `try_sort_pipelined`) makes each group a standalone simulation
+//! against its [`MemoryConfig::shard_view`], so a pass costs the sum of
+//! its groups: time-multiplexed on one tree with the pipeline drained
+//! between them. Over the 36 non-empty cases of
+//! `tests/golden_report.txt` the per-group sum is 1.00–20.4× the fused
+//! total (median 1.29×): equal for one-group sorts, up to 20.4× on the
+//! flash stream, where every standalone group pays the access latency
+//! the fused tree hides; DESIGN.md §5 has the table and says which
+//! number is quoted where.
 //!
 //! **Modelled overlap.** Across passes the dependencies are narrow:
-//! pass-*p+1* group *g* merges exactly the output runs of pass-*p*
-//! groups `[g·m, (g+1)·m)`, so the plan is also a dependency tree.
-//! `pipeline_overlap_cycles` is what a schedule that starts each group
+//! a pass-*p+1* task merges exactly the output runs of a range of
+//! pass-*p* tasks, so the plan is also a dependency tree.
+//! `pipeline_overlap_cycles` is what a schedule that starts each task
 //! as soon as its children drain would save over the per-pass barrier,
-//! both list-scheduled from simulated cycles on the [`VIRTUAL_WORKERS`]
-//! reference pool. It is modelled hardware time; the host executor
-//! itself keeps the barrier.
+//! both list-scheduled from simulated cycles on the plan's virtual pool
+//! ([`VIRTUAL_WORKERS`] wide for the groups, one wide for the fused
+//! tree, which therefore overlaps nothing). It is modelled hardware
+//! time; the host executor itself keeps the barrier.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 use std::sync::Mutex;
 
 #[cfg(feature = "sanitize")]
 use bonsai_check::Diagnostic;
+use bonsai_memsim::MemoryConfig;
 use bonsai_records::run::RunSet;
 use bonsai_records::Record;
 
 use crate::config::SimEngineConfig;
 use crate::error::SortError;
 use crate::functional::presorted_runs;
-use crate::passsim::{simulate, PassScratch, PassStats};
+use crate::passsim::{simulate, PassScratch};
 use crate::report::{PassReport, SortReport};
 
-/// Size of the fixed *virtual* worker pool the utilization counters and
-/// the `pipeline_overlap_cycles` metric are computed against (matching
-/// the 8-core reference host of the runtime lints). A deterministic
-/// list schedule of per-group simulated cycles over this pool — never
-/// wall clock — feeds those counters, so they are bit-identical at
-/// every real worker count and on both simulation loops.
+/// Width of the *virtual* worker pool the per-group plan's utilization
+/// counters and `pipeline_overlap_cycles` are computed against
+/// (matching the 8-core reference host of the runtime lints); the fused
+/// plan's pool is one wide. A deterministic list schedule of per-task
+/// simulated cycles over the pool — never wall clock — feeds those
+/// counters, so they are bit-identical at every real worker count and
+/// on both simulation loops.
 pub const VIRTUAL_WORKERS: usize = 8;
 
 /// One merge pass of a [`SortPlan`].
@@ -74,38 +83,77 @@ pub(crate) struct PassPlan {
     pub(crate) runs_in: usize,
     /// Merge groups (= runs leaving the pass): `ceil(runs_in / fan_in)`.
     pub(crate) groups: usize,
+    /// Tasks the pass is cut into, each simulating consecutive groups:
+    /// one for the fused tree, one per group otherwise.
+    pub(crate) tasks: usize,
+    /// The memory every task of the pass simulates against.
+    pub(crate) memory: MemoryConfig,
 }
 
-/// The `(pass, group)` tasks of one sort: the balanced fan-in schedule
-/// ([`crate::schedule::fan_in_schedule`]) lowered to per-pass group
-/// counts plus the child-range dependency structure.
+impl PassPlan {
+    /// Groups one task merges (the last task may merge fewer).
+    fn groups_per_task(&self) -> usize {
+        self.groups.div_ceil(self.tasks)
+    }
+
+    /// The input runs task `t` merges.
+    pub(crate) fn task_runs(&self, t: usize) -> Range<usize> {
+        let span = self.fan_in * self.groups_per_task();
+        t * span..((t + 1) * span).min(self.runs_in)
+    }
+}
+
+/// The `(pass, task)` tasks of one sort: the balanced fan-in schedule
+/// ([`crate::schedule::fan_in_schedule`]) lowered to passes, how each
+/// pass is cut into tasks and the memory they bind, the width of the
+/// virtual pool the accounting is scheduled on, and the dependency
+/// structure between tasks.
 ///
 /// The dependencies form a tree with one root — the final pass's single
-/// group — which transitively depends on every other task, so no
+/// task — which transitively depends on every other task, so no
 /// schedule can start it early: what a dependency-driven schedule saves
 /// over a per-pass barrier (`pipeline_overlap_cycles`) is each pass's
 /// ragged last wave, not whole passes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct SortPlan {
     passes: Vec<PassPlan>,
-    /// First flat task id of each pass (cumulative group counts), so
-    /// task ids order tasks lexicographically by `(pass, group)`.
+    /// First flat task id of each pass (cumulative task counts), so
+    /// task ids order tasks lexicographically by `(pass, task)`.
     base: Vec<usize>,
     tasks: usize,
+    /// Virtual workers the accounting is list-scheduled on.
+    width: usize,
 }
 
 impl SortPlan {
-    /// Lowers a sort of `initial_runs` presorted runs on an `l`-leaf
-    /// tree into its tasks. Empty (zero passes) when `initial_runs
-    /// <= 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l` is not a power of two `>= 2` (as
-    /// [`crate::schedule::fan_in_schedule`]).
+    /// The fused sort of `initial_runs` presorted runs: every pass is one
+    /// task, the tree merging all of the pass's groups back to back
+    /// against the whole memory, accounted on a one-wide pool. Empty
+    /// (zero passes) when `initial_runs <= 1`.
     #[must_use]
-    pub(crate) fn new(initial_runs: usize, l: usize) -> Self {
-        let fan_ins = crate::schedule::fan_in_schedule(initial_runs as u64, l as u64);
+    pub(crate) fn fused(config: &SimEngineConfig, initial_runs: usize) -> Self {
+        Self::lower(config, initial_runs, 1, |_, _| (1, config.memory))
+    }
+
+    /// The per-group sort of `initial_runs` presorted runs: every group
+    /// is its own task against its share of the banks, accounted on the
+    /// [`VIRTUAL_WORKERS`] pool. Empty when `initial_runs <= 1`.
+    #[must_use]
+    pub(crate) fn per_group(config: &SimEngineConfig, initial_runs: usize) -> Self {
+        Self::lower(config, initial_runs, VIRTUAL_WORKERS, |fan_in, groups| {
+            (groups, config.memory.shard_view(fan_in))
+        })
+    }
+
+    /// Lowers the fan-in schedule into passes, `cut(fan_in, groups)`
+    /// giving each pass's task count and memory.
+    fn lower(
+        config: &SimEngineConfig,
+        initial_runs: usize,
+        width: usize,
+        cut: impl Fn(usize, usize) -> (usize, MemoryConfig),
+    ) -> Self {
+        let fan_ins = crate::schedule::fan_in_schedule(initial_runs as u64, config.amt.l as u64);
         let mut passes = Vec::with_capacity(fan_ins.len());
         let mut base = Vec::with_capacity(fan_ins.len());
         let mut runs = initial_runs;
@@ -113,12 +161,15 @@ impl SortPlan {
         for &m in &fan_ins {
             let fan_in = m as usize;
             let groups = runs.div_ceil(fan_in);
+            let (cut_tasks, memory) = cut(fan_in, groups);
             base.push(tasks);
-            tasks += groups;
+            tasks += cut_tasks;
             passes.push(PassPlan {
                 fan_in,
                 runs_in: runs,
                 groups,
+                tasks: cut_tasks,
+                memory,
             });
             runs = groups;
         }
@@ -126,6 +177,7 @@ impl SortPlan {
             passes,
             base,
             tasks,
+            width,
         }
     }
 
@@ -141,18 +193,24 @@ impl SortPlan {
         self.passes[p]
     }
 
-    /// Total `(pass, group)` tasks in the plan.
+    /// Total `(pass, task)` tasks in the plan.
     #[must_use]
     pub(crate) fn tasks(&self) -> usize {
         self.tasks
     }
 
-    /// Flat task id of `(pass, group)`; ids are lexicographic in
-    /// `(pass, group)`.
+    /// Width of the virtual pool the accounting is scheduled on.
     #[must_use]
-    pub(crate) fn task_id(&self, pass: usize, group: usize) -> usize {
-        debug_assert!(group < self.passes[pass].groups);
-        self.base[pass] + group
+    pub(crate) fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Flat task id of `(pass, task)`; ids are lexicographic in
+    /// `(pass, task)`.
+    #[must_use]
+    pub(crate) fn task_id(&self, pass: usize, task: usize) -> usize {
+        debug_assert!(task < self.passes[pass].tasks);
+        self.base[pass] + task
     }
 
     /// Inverse of [`SortPlan::task_id`].
@@ -165,36 +223,36 @@ impl SortPlan {
         (pass, id - self.base[pass])
     }
 
-    /// The pass-`pass − 1` groups feeding `(pass, group)`'s leaves:
-    /// `[group·m, min((group+1)·m, prev_groups))` for fan-in `m`. The
-    /// ranges of one pass partition the previous pass, so every child
-    /// has exactly one parent.
+    /// The pass-`pass − 1` tasks whose output runs `(pass, task)` merges.
+    /// The ranges of one pass partition the previous pass, so every
+    /// child has exactly one parent.
     ///
     /// # Panics
     ///
-    /// Panics if `pass == 0` (first-pass groups read the presorted
+    /// Panics if `pass == 0` (first-pass tasks read the presorted
     /// input, they have no task dependencies).
     #[must_use]
-    pub(crate) fn deps(&self, pass: usize, group: usize) -> core::ops::Range<usize> {
-        assert!(pass > 0, "pass-0 groups have no dependencies");
-        let m = self.passes[pass].fan_in;
-        let prev = self.passes[pass - 1].groups;
-        group * m..((group + 1) * m).min(prev)
+    pub(crate) fn deps(&self, pass: usize, task: usize) -> Range<usize> {
+        assert!(pass > 0, "pass-0 tasks have no dependencies");
+        let per_child = self.passes[pass - 1].groups_per_task();
+        let runs = self.passes[pass].task_runs(task);
+        runs.start / per_child..runs.end.div_ceil(per_child)
     }
 
-    /// The pass-`pass + 1` group that consumes `(pass, group)`'s output
-    /// run, or `None` in the final pass.
+    /// The pass-`pass + 1` task that consumes `(pass, task)`'s output
+    /// runs, or `None` in the final pass.
     #[must_use]
-    pub(crate) fn parent_group(&self, pass: usize, group: usize) -> Option<usize> {
+    pub(crate) fn parent(&self, pass: usize, task: usize) -> Option<usize> {
         let next = self.passes.get(pass + 1)?;
-        Some(group / next.fan_in)
+        let first_run = task * self.passes[pass].groups_per_task();
+        Some(first_run / (next.fan_in * next.groups_per_task()))
     }
 }
 
 // --- Virtual utilization schedule ----------------------------------------
 
-/// Earliest-free worker in the virtual pool.
-fn argmin(free: &[u64; VIRTUAL_WORKERS]) -> usize {
+/// Earliest-free worker in a virtual pool.
+fn argmin(free: &[u64]) -> usize {
     let mut best = 0;
     for (w, &f) in free.iter().enumerate() {
         if f < free[best] {
@@ -204,22 +262,23 @@ fn argmin(free: &[u64; VIRTUAL_WORKERS]) -> usize {
     best
 }
 
-/// List-schedules one pass's groups (in group order) on the virtual
-/// pool with the pipeline drained between passes — the barrier
+/// List-schedules one pass's tasks (in task order) on a `width`-wide
+/// virtual pool with the pipeline drained between passes — the barrier
 /// schedule. Returns `(makespan, busy)` in simulated cycles.
-fn pass_virtual_schedule(group_cycles: impl IntoIterator<Item = u64>) -> (u64, u64) {
-    let mut free = [0u64; VIRTUAL_WORKERS];
+fn pass_virtual_schedule(width: usize, task_cycles: impl IntoIterator<Item = u64>) -> (u64, u64) {
+    let mut pool = [0u64; VIRTUAL_WORKERS];
+    let free = &mut pool[..width];
     let mut busy = 0u64;
-    for c in group_cycles {
-        let w = argmin(&free);
+    for c in task_cycles {
+        let w = argmin(free);
         free[w] += c;
         busy += c;
     }
-    (free.into_iter().max().unwrap_or(0), busy)
+    (free.iter().copied().max().unwrap_or(0), busy)
 }
 
-/// Deterministic makespan of the group DAG on the virtual pool: an
-/// event-driven list schedule that starts each task once its children
+/// Deterministic makespan of the task DAG on the plan's virtual pool:
+/// an event-driven list schedule that starts each task once its children
 /// are done. Whenever the earliest-free virtual worker comes up, it
 /// claims the ready task it can start soonest (lowest task id on ties);
 /// a task is ready once every child has completed.
@@ -238,14 +297,15 @@ fn dag_virtual_makespan(plan: &SortPlan, cycles: &[u64]) -> u64 {
     if tasks == 0 {
         return 0;
     }
-    let mut free = [0u64; VIRTUAL_WORKERS];
+    let mut pool = [0u64; VIRTUAL_WORKERS];
+    let free = &mut pool[..plan.width()];
     let mut done = vec![0u64; tasks];
     let mut deps_left = initial_deps_left(plan);
-    let mut now: BinaryHeap<Reverse<usize>> = (0..plan.pass(0).groups).map(Reverse).collect();
+    let mut now: BinaryHeap<Reverse<usize>> = (0..plan.pass(0).tasks).map(Reverse).collect();
     let mut later: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
     let mut makespan = 0u64;
     for _ in 0..tasks {
-        let w = argmin(&free);
+        let w = argmin(free);
         while let Some(&Reverse((at, id))) = later.peek() {
             if at > free[w] {
                 break;
@@ -260,17 +320,17 @@ fn dag_virtual_makespan(plan: &SortPlan, cycles: &[u64]) -> u64 {
                 (id, at)
             }
         };
-        let (p, g) = plan.task_of(id);
+        let (p, t) = plan.task_of(id);
         let end = at + cycles[id];
         free[w] = end;
         done[id] = end;
         makespan = makespan.max(end);
-        if let Some(pg) = plan.parent_group(p, g) {
-            let parent = plan.task_id(p + 1, pg);
+        if let Some(pt) = plan.parent(p, t) {
+            let parent = plan.task_id(p + 1, pt);
             deps_left[parent] -= 1;
             if deps_left[parent] == 0 {
                 let ready_at = plan
-                    .deps(p + 1, pg)
+                    .deps(p + 1, pt)
                     .map(|d| done[plan.task_id(p, d)])
                     .max()
                     .unwrap_or(0);
@@ -282,12 +342,12 @@ fn dag_virtual_makespan(plan: &SortPlan, cycles: &[u64]) -> u64 {
 }
 
 /// Unresolved-child count per task id: 0 for pass 0 (ready at once),
-/// the dependency range's length for every later group.
+/// the dependency range's length for every later task.
 fn initial_deps_left(plan: &SortPlan) -> Vec<usize> {
     let mut deps_left = vec![0usize; plan.tasks()];
     for p in 1..plan.num_passes() {
-        for g in 0..plan.pass(p).groups {
-            deps_left[plan.task_id(p, g)] = plan.deps(p, g).len();
+        for t in 0..plan.pass(p).tasks {
+            deps_left[plan.task_id(p, t)] = plan.deps(p, t).len();
         }
     }
     deps_left
@@ -372,104 +432,74 @@ pub(crate) fn resolve_workers(workers: usize) -> usize {
 
 // --- One sort, pass by pass --------------------------------------------------
 
-/// The loop both of [`SimEngine`](crate::SimEngine)'s sorts run:
-/// sanitizes `data`, presorts it into runs, lowers those to their
-/// [`SortPlan`], and hands each pass the previous pass's output runs.
-/// `pass` returns the pass's output runs and report.
-pub(crate) fn run_plan<R: Record>(
-    config: &SimEngineConfig,
-    data: Vec<R>,
-    mut pass: impl FnMut(RunSet<R>, PassPlan, u32) -> Result<(RunSet<R>, PassReport), SortError>,
-) -> Result<(Vec<R>, SortReport, SortPlan), SortError> {
-    let n_records = data.len() as u64;
-    let sanitized = data.into_iter().map(Record::sanitize).collect();
-    // Presorting is pipelined with the first merge stage in hardware
-    // (§VI-C1), so it costs no cycles; it only shortens the stage count.
-    let mut runs = presorted_runs(sanitized, config.initial_run_len());
-    let plan = SortPlan::new(runs.num_runs(), config.amt.l);
-    let mut passes = Vec::with_capacity(plan.num_passes());
-    for p in 0..plan.num_passes() {
-        let (next, report) = pass(runs, plan.pass(p), p as u32 + 1)?;
-        runs = next;
-        passes.push(report);
-    }
-    debug_assert!(runs.num_runs() <= 1, "the plan fully sorts");
-    let report = SortReport::from_passes(passes, n_records, config.loader.record_bytes);
-    Ok((runs.into_records(), report, plan))
+/// Copies runs `range` of `runs` out as a standalone [`RunSet`]: one
+/// task's input.
+fn task_input<R: Record>(runs: &RunSet<R>, range: Range<usize>) -> RunSet<R> {
+    let starts = runs.starts();
+    let from = starts[range.start];
+    let to = starts.get(range.end).copied().unwrap_or(runs.len());
+    let task_starts = starts[range].iter().map(|s| s - from).collect();
+    RunSet::from_parts(runs.records()[from..to].to_vec(), task_starts)
 }
 
-/// Copies group `g`'s runs (`[g·fan_in, (g+1)·fan_in)`, clamped) out of
-/// the pass input as a standalone [`RunSet`].
-fn group_input<R: Record>(runs: &RunSet<R>, g: usize, fan_in: usize) -> RunSet<R> {
-    let lo = g * fan_in;
-    let hi = ((g + 1) * fan_in).min(runs.num_runs());
-    let mut records = Vec::new();
-    let mut starts = Vec::with_capacity(hi - lo);
-    for i in lo..hi {
-        starts.push(records.len());
-        records.extend_from_slice(runs.run(i));
-    }
-    RunSet::from_parts(records, starts)
-}
-
-/// Folds one pass's groups, in group order, into its [`PassReport`];
-/// also returns the pass's barrier makespan on the virtual pool. The
-/// utilization counters come from that deterministic list schedule of
-/// the per-group cycle costs, not from wall clock, so the report stays
-/// bit-identical at every real worker count.
-fn fold_pass<'a>(
+/// Folds one pass's task reports, in task order, into its
+/// [`PassReport`]: every count is the tasks' sum, and the worker
+/// counters come from the list schedule of the tasks' cycles on a
+/// `width`-wide virtual pool, not from wall clock, so the report stays
+/// bit-identical at every real worker count. Also returns the pass's
+/// barrier makespan on that pool.
+pub(crate) fn fold_pass<'a>(
     stage: u32,
-    records: u64,
     runs_in: usize,
-    groups: impl ExactSizeIterator<Item = &'a PassStats> + Clone,
-    #[cfg(feature = "sanitize")] diagnostics: &mut Vec<Diagnostic>,
+    width: usize,
+    tasks: impl Iterator<Item = &'a PassReport> + Clone,
 ) -> (PassReport, u64) {
-    let (makespan, busy) = pass_virtual_schedule(groups.clone().map(|g| g.report.cycles));
+    let (makespan, busy) = pass_virtual_schedule(width, tasks.clone().map(|t| t.cycles));
     let mut pass = PassReport {
         stage,
         cycles: 0,
-        records,
+        records: 0,
         runs_in: runs_in as u64,
-        runs_out: groups.len() as u64,
+        runs_out: 0,
         bytes_read: 0,
         bytes_written: 0,
         input_stalls: 0,
         output_stalls: 0,
         fast_forwarded_cycles: 0,
         busy_worker_cycles: busy,
-        idle_worker_cycles: (VIRTUAL_WORKERS as u64) * makespan - busy,
+        idle_worker_cycles: (width as u64) * makespan - busy,
     };
-    for group in groups.clone().map(|g| &g.report) {
-        pass.cycles += group.cycles;
-        pass.bytes_read += group.bytes_read;
-        pass.bytes_written += group.bytes_written;
-        pass.input_stalls += group.input_stalls;
-        pass.output_stalls += group.output_stalls;
-        pass.fast_forwarded_cycles += group.fast_forwarded_cycles;
-    }
-    #[cfg(feature = "sanitize")]
-    for (g, group) in groups.enumerate() {
-        let tagged = group.diagnostics.iter().cloned();
-        diagnostics.extend(tagged.map(|d| d.with("stage", stage).with("group", g)));
+    for task in tasks {
+        pass.cycles += task.cycles;
+        pass.records += task.records;
+        pass.runs_out += task.runs_out;
+        pass.bytes_read += task.bytes_read;
+        pass.bytes_written += task.bytes_written;
+        pass.input_stalls += task.input_stalls;
+        pass.output_stalls += task.output_stalls;
+        pass.fast_forwarded_cycles += task.fast_forwarded_cycles;
     }
     (pass, makespan)
 }
 
-/// Sorts `data` one pass at a time, each pass's merge groups spread
-/// over `workers` threads by [`map_pass`], every group simulated
-/// against its own bank view on its worker's scratch. Accounting folds
-/// in `(pass, group)` order; `pipeline_overlap_cycles` is the per-pass
-/// barrier's virtual makespan minus the group DAG's, both on the
-/// [`VIRTUAL_WORKERS`] reference pool.
+/// The engine's one pass loop: sanitizes `data`, presorts it into runs,
+/// lowers those to the [`SortPlan`] `plan` builds, and runs each pass's
+/// tasks over `workers` threads by [`map_pass`], every task simulated
+/// against its pass's memory on its worker's scratch. A pass's output
+/// is its tasks' runs, appended in task order. Accounting folds in
+/// `(pass, task)` order; `pipeline_overlap_cycles` is the per-pass
+/// barrier's virtual makespan minus the task DAG's, both on the plan's
+/// pool.
 ///
-/// At one worker the caller runs every group in order and calls `poll`
-/// at each yield point: before every group, and inside one at
+/// At one worker the caller runs every task in order and calls `poll`
+/// at each yield point: before every task, and inside one at
 /// [`PassSim::run`](crate::passsim::PassSim::run)'s. Wider sorts never
 /// call it.
 #[allow(clippy::too_many_arguments)] // the engine's settings, one by one
 pub(crate) fn sort<R: Record>(
     config: &SimEngineConfig,
     data: Vec<R>,
+    plan: fn(&SimEngineConfig, usize) -> SortPlan,
     workers: usize,
     max_cycles: u64,
     reference: bool,
@@ -477,142 +507,189 @@ pub(crate) fn sort<R: Record>(
     #[cfg(feature = "sanitize")] diagnostics: &mut Vec<Diagnostic>,
 ) -> Result<(Vec<R>, SortReport), SortError> {
     let n_records = data.len() as u64;
+    let sanitized = data.into_iter().map(Record::sanitize).collect();
+    // Presorting is pipelined with the first merge stage in hardware
+    // (§VI-C1), so it costs no cycles; it only shortens the stage count.
+    let mut runs = presorted_runs(sanitized, config.initial_run_len());
+    let plan = plan(config, runs.num_runs());
     // Each worker's scratch outlives every pass: at one worker, the
     // caller's lasts the whole sort.
     let mut scratch: Vec<PassScratch<R>> = (0..resolve_workers(workers)).map(|_| None).collect();
-    let mut cycles = Vec::new();
+    let mut passes = Vec::with_capacity(plan.num_passes());
+    let mut cycles = Vec::with_capacity(plan.tasks());
     let mut barrier = 0u64;
-    let (sorted, mut report, plan) = run_plan(config, data, |runs, pp, stage| {
-        let memory = config.memory.shard_view(pp.fan_in);
-        let group = |scratch: &mut PassScratch<R>, g: usize, poll: &mut dyn FnMut()| {
-            let input = group_input(&runs, g, pp.fan_in);
-            let (out, stats) = simulate(
-                config, scratch, input, pp.fan_in, memory, stage, max_cycles, reference, poll,
-            )?;
-            // Each group leaves exactly one sorted run.
-            Ok::<_, SortError>((out.into_records(), stats))
+    for p in 0..plan.num_passes() {
+        let pp = plan.pass(p);
+        let stage = p as u32 + 1;
+        let task = |scratch: &mut PassScratch<R>, input, poll: &mut dyn FnMut()| {
+            simulate(
+                config, scratch, input, pp.fan_in, pp.memory, stage, max_cycles, reference, poll,
+            )
         };
         let outputs = match scratch.as_mut_slice() {
             // What `map_pass` does at one worker, with a yield point
-            // before each group; the first failing group ends the pass.
-            [caller] => (0..pp.groups)
-                .map(|g| {
+            // before each task; the first failing task ends the pass. A
+            // lone task (every fused pass) takes the input, not a copy.
+            [caller] => (0..pp.tasks)
+                .map(|t| {
                     poll();
-                    group(caller, g, &mut *poll)
+                    let input = match pp.tasks {
+                        1 => std::mem::replace(&mut runs, RunSet::single_run(Vec::new())),
+                        _ => task_input(&runs, pp.task_runs(t)),
+                    };
+                    task(caller, input, &mut *poll)
                 })
                 .collect::<Result<Vec<_>, _>>()?,
-            pool => map_pass(pool, 0..pp.groups, |scratch, g| {
-                group(scratch, g, &mut || {})
+            pool => map_pass(pool, 0..pp.tasks, |scratch, t| {
+                task(scratch, task_input(&runs, pp.task_runs(t)), &mut || {})
             })?,
         };
-        let (pass, makespan) = fold_pass(
-            stage,
-            n_records,
-            pp.runs_in,
-            outputs.iter().map(|(_, stats)| stats),
-            #[cfg(feature = "sanitize")]
-            diagnostics,
-        );
+        let reports = outputs.iter().map(|(_, stats)| &stats.report);
+        let (pass, makespan) = fold_pass(stage, pp.runs_in, plan.width(), reports.clone());
+        passes.push(pass);
         barrier += makespan;
-        cycles.extend(outputs.iter().map(|(_, stats)| stats.report.cycles));
-        // The pass input is read; its buffer takes the pass output.
-        let mut records = runs.into_records();
-        records.clear();
-        let mut starts = Vec::with_capacity(pp.groups);
-        for (out, _) in outputs {
-            starts.push(records.len());
-            records.extend(out);
+        cycles.extend(reports.map(|report| report.cycles));
+        #[cfg(feature = "sanitize")]
+        for (t, (_, stats)) in outputs.iter().enumerate() {
+            // A task is one group only where the plan cuts by group.
+            let by_group = pp.tasks == pp.groups;
+            let group = |d: Diagnostic| if by_group { d.with("group", t) } else { d };
+            let tagged = stats.diagnostics.iter().cloned();
+            diagnostics.extend(tagged.map(|d| group(d.with("stage", stage))));
         }
-        Ok((RunSet::from_parts(records, starts), pass))
-    })?;
+        // A lone task's runs are the next input as they are; else the
+        // read input's buffer takes every task's, in task order.
+        runs = match <[_; 1]>::try_from(outputs) {
+            Ok([(out, _)]) => out,
+            Err(outputs) => {
+                let mut records = runs.into_records();
+                records.clear();
+                let mut starts = Vec::with_capacity(pp.groups);
+                for (out, _) in outputs {
+                    let (out, out_starts) = out.into_parts();
+                    let offset = records.len();
+                    starts.extend(out_starts.into_iter().map(|s| s + offset));
+                    records.extend(out);
+                }
+                RunSet::from_parts(records, starts)
+            }
+        };
+    }
+    debug_assert!(runs.num_runs() <= 1, "the plan fully sorts");
+    let mut report = SortReport::from_passes(passes, n_records, config.loader.record_bytes);
     report.pipeline_overlap_cycles = barrier.saturating_sub(dag_virtual_makespan(&plan, &cycles));
-    Ok((sorted, report))
+    Ok((runs.into_records(), report))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AmtConfig;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// An engine configuration with an `l`-leaf tree, for plans.
+    fn config(l: usize) -> SimEngineConfig {
+        SimEngineConfig::dram_sorter(AmtConfig::new(1, l), 4)
+    }
+
+    /// Both plans of `runs` presorted runs on an `l`-leaf tree: the
+    /// per-group plan, then the fused one.
+    fn plans(runs: usize, l: usize) -> [SortPlan; 2] {
+        let cfg = config(l);
+        [SortPlan::per_group(&cfg, runs), SortPlan::fused(&cfg, runs)]
+    }
 
     #[test]
     fn plan_chains_group_counts_and_partitions_deps() {
         // 9375 runs on 16 leaves: 4 passes, fan-ins 8, 8, 16, 16.
-        let plan = SortPlan::new(9375, 16);
-        assert_eq!(plan.num_passes(), 4);
-        let mut runs = 9375;
-        for p in 0..plan.num_passes() {
-            let pp = plan.pass(p);
-            assert_eq!(pp.runs_in, runs);
-            assert_eq!(pp.groups, runs.div_ceil(pp.fan_in));
-            runs = pp.groups;
-            if p > 0 {
-                // The dep ranges partition the previous pass exactly.
-                let mut covered = 0;
-                for g in 0..pp.groups {
-                    let d = plan.deps(p, g);
-                    assert_eq!(d.start, covered);
-                    assert!(!d.is_empty());
-                    covered = d.end;
-                    // ...and each child names this group as its parent.
-                    assert!(d.clone().all(|c| plan.parent_group(p - 1, c) == Some(g)));
+        for plan in plans(9375, 16) {
+            assert_eq!(plan.num_passes(), 4);
+            let mut runs = 9375;
+            for p in 0..plan.num_passes() {
+                let pp = plan.pass(p);
+                assert_eq!(pp.runs_in, runs);
+                assert_eq!(pp.groups, runs.div_ceil(pp.fan_in));
+                // The tasks' input ranges partition the pass input.
+                let mut merged = 0;
+                for t in 0..pp.tasks {
+                    assert_eq!(pp.task_runs(t).start, merged);
+                    merged = pp.task_runs(t).end;
                 }
-                assert_eq!(covered, plan.pass(p - 1).groups);
+                assert_eq!(merged, runs);
+                runs = pp.groups;
+                if p > 0 {
+                    // The dep ranges partition the previous pass exactly.
+                    let mut covered = 0;
+                    for t in 0..pp.tasks {
+                        let d = plan.deps(p, t);
+                        assert_eq!(d.start, covered);
+                        assert!(!d.is_empty());
+                        covered = d.end;
+                        // ...and each child names this task as its parent.
+                        assert!(d.clone().all(|c| plan.parent(p - 1, c) == Some(t)));
+                    }
+                    assert_eq!(covered, plan.pass(p - 1).tasks);
+                }
             }
+            assert_eq!(runs, 1, "the plan fully sorts");
+            assert_eq!(plan.parent(plan.num_passes() - 1, 0), None);
+            assert_eq!(
+                plan.tasks(),
+                (0..plan.num_passes()).map(|p| plan.pass(p).tasks).sum()
+            );
         }
-        assert_eq!(runs, 1, "the plan fully sorts");
-        assert_eq!(plan.parent_group(plan.num_passes() - 1, 0), None);
-        assert_eq!(
-            plan.tasks(),
-            (0..plan.num_passes()).map(|p| plan.pass(p).groups).sum()
-        );
     }
 
     #[test]
     fn task_ids_are_lexicographic_and_invertible() {
-        let plan = SortPlan::new(100, 4);
-        let mut expect = 0;
-        for p in 0..plan.num_passes() {
-            for g in 0..plan.pass(p).groups {
-                assert_eq!(plan.task_id(p, g), expect);
-                assert_eq!(plan.task_of(expect), (p, g));
-                expect += 1;
+        for plan in plans(100, 4) {
+            let mut expect = 0;
+            for p in 0..plan.num_passes() {
+                for t in 0..plan.pass(p).tasks {
+                    assert_eq!(plan.task_id(p, t), expect);
+                    assert_eq!(plan.task_of(expect), (p, t));
+                    expect += 1;
+                }
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "pass-0 groups have no dependencies")]
+    #[should_panic(expected = "pass-0 tasks have no dependencies")]
     fn pass0_deps_panic() {
-        let _ = SortPlan::new(8, 4).deps(0, 0);
+        let _ = SortPlan::per_group(&config(4), 8).deps(0, 0);
     }
 
     #[test]
     fn trivial_plans_are_empty() {
         for runs in [0usize, 1] {
-            let plan = SortPlan::new(runs, 16);
-            assert_eq!(plan.num_passes(), 0);
-            assert_eq!(plan.tasks(), 0);
+            for plan in plans(runs, 16) {
+                assert_eq!(plan.num_passes(), 0);
+                assert_eq!(plan.tasks(), 0);
+            }
         }
     }
 
     #[test]
     fn virtual_schedules_are_consistent() {
-        // One pass of equal groups fills the pool perfectly.
-        let (makespan, busy) = pass_virtual_schedule([10; VIRTUAL_WORKERS]);
+        // One pass of equal tasks fills the pool perfectly...
+        let (makespan, busy) = pass_virtual_schedule(VIRTUAL_WORKERS, [10; VIRTUAL_WORKERS]);
         assert_eq!((makespan, busy), (10, 10 * VIRTUAL_WORKERS as u64));
+        // ...and a one-wide pool runs them back to back.
+        assert_eq!(pass_virtual_schedule(1, [10, 20]), (30, 30));
         // DAG makespan never exceeds the barrier sum and never beats
         // the critical path.
-        let plan = SortPlan::new(64, 4);
+        let [plan, _] = plans(64, 4);
         let cycles: Vec<Vec<u64>> = (0..plan.num_passes())
             .map(|p| {
-                (0..plan.pass(p).groups)
-                    .map(|g| 5 + (g as u64 % 3))
+                (0..plan.pass(p).tasks)
+                    .map(|t| 5 + (t as u64 % 3))
                     .collect()
             })
             .collect();
         let barrier: u64 = cycles
             .iter()
-            .map(|c| pass_virtual_schedule(c.iter().copied()).0)
+            .map(|c| pass_virtual_schedule(VIRTUAL_WORKERS, c.iter().copied()).0)
             .sum();
         let dag = dag_virtual_makespan(&plan, &cycles.concat());
         assert!(dag <= barrier, "{dag} vs {barrier}");
@@ -629,11 +706,11 @@ mod tests {
         if tasks == 0 {
             return 0;
         }
-        let mut free = [0u64; VIRTUAL_WORKERS];
+        let mut free = vec![0u64; plan.width()];
         let mut done = vec![0u64; tasks];
         let mut deps_left = initial_deps_left(plan);
         // Ready tasks with the time their last child completed.
-        let mut ready: Vec<(usize, u64)> = (0..plan.pass(0).groups).map(|g| (g, 0)).collect();
+        let mut ready: Vec<(usize, u64)> = (0..plan.pass(0).tasks).map(|t| (t, 0)).collect();
         let mut makespan = 0u64;
         for _ in 0..tasks {
             let w = argmin(&free);
@@ -645,17 +722,17 @@ mod tests {
                 .min_by_key(|&(_, &(id, at))| (free[w].max(at), id))
                 .expect("a live DAG always has a ready task");
             let (id, at) = ready.swap_remove(pos);
-            let (p, g) = plan.task_of(id);
+            let (p, t) = plan.task_of(id);
             let end = free[w].max(at) + cycles[id];
             free[w] = end;
             done[id] = end;
             makespan = makespan.max(end);
-            if let Some(pg) = plan.parent_group(p, g) {
-                let parent = plan.task_id(p + 1, pg);
+            if let Some(pt) = plan.parent(p, t) {
+                let parent = plan.task_id(p + 1, pt);
                 deps_left[parent] -= 1;
                 if deps_left[parent] == 0 {
                     let ready_at = plan
-                        .deps(p + 1, pg)
+                        .deps(p + 1, pt)
                         .map(|d| done[plan.task_id(p, d)])
                         .max()
                         .unwrap_or(0);
@@ -673,24 +750,29 @@ mod tests {
         for round in 0..300 {
             let runs = rng.range_usize(0, 700);
             let l = 1 << rng.range_usize(1, 6);
-            let plan = SortPlan::new(runs, l);
-            // Zero-cycle tasks, equal costs (ties everywhere) and a
-            // long tail: every way two ready tasks can compare.
-            let spread = [1u64, 2, 50, 10_000][round % 4];
-            let cycles: Vec<u64> = (0..plan.tasks()).map(|_| rng.below_u64(spread)).collect();
-            let want = quadratic_virtual_makespan(&plan, &cycles);
-            assert_eq!(
-                dag_virtual_makespan(&plan, &cycles),
-                want,
-                "round {round}: {runs} runs on {l} leaves"
-            );
-            let barrier: u64 = (0..plan.num_passes())
-                .map(|p| {
-                    let lo = plan.task_id(p, 0);
-                    pass_virtual_schedule(cycles[lo..lo + plan.pass(p).groups].iter().copied()).0
-                })
-                .sum();
-            pipelined += usize::from(want < barrier);
+            for (fused, plan) in plans(runs, l).into_iter().enumerate() {
+                // Zero-cycle tasks, equal costs (ties everywhere) and a
+                // long tail: every way two ready tasks can compare.
+                let spread = [1u64, 2, 50, 10_000][round % 4];
+                let cycles: Vec<u64> = (0..plan.tasks()).map(|_| rng.below_u64(spread)).collect();
+                let want = quadratic_virtual_makespan(&plan, &cycles);
+                let ctx = format!("round {round}: {runs} runs on {l} leaves, fused {fused}");
+                assert_eq!(dag_virtual_makespan(&plan, &cycles), want, "{ctx}");
+                let barrier: u64 = (0..plan.num_passes())
+                    .map(|p| {
+                        let lo = plan.task_id(p, 0);
+                        let pass = cycles[lo..lo + plan.pass(p).tasks].iter().copied();
+                        pass_virtual_schedule(plan.width(), pass).0
+                    })
+                    .sum();
+                if fused == 1 {
+                    // One tree overlaps nothing: every cycle is serial.
+                    assert_eq!(want, barrier, "{ctx}");
+                    assert_eq!(want, cycles.iter().sum::<u64>(), "{ctx}");
+                } else {
+                    pipelined += usize::from(want < barrier);
+                }
+            }
         }
         assert!(pipelined > 20, "few plans overlapped passes: {pipelined}");
     }
@@ -798,30 +880,38 @@ mod tests {
         }
     }
 
-    /// The per-pass barrier without threads or scratch reuse: passes in
-    /// order, every group in order on a new scratch, the shared fold.
-    /// The first failing group in `(pass, group)` order wins.
+    /// Each plan without threads, scratch reuse or the plan's cut: passes
+    /// in order, every task in order on a new scratch, the shared fold.
+    /// The fused sort is one simulation per pass on the whole memory,
+    /// accounted on a one-wide pool; the per-group sort one simulation
+    /// per group on its bank share, on the [`VIRTUAL_WORKERS`] pool. The
+    /// first failing task in `(pass, task)` order wins.
     fn barrier_oracle<R: Record>(
         config: &SimEngineConfig,
         data: Vec<R>,
+        fused: bool,
         max_cycles: u64,
     ) -> Result<(Vec<R>, SortReport), SortError> {
         let n = data.len() as u64;
         let sanitized = data.into_iter().map(Record::sanitize).collect();
         let mut runs = RunSet::from_chunks(sanitized, config.initial_run_len());
-        let plan = SortPlan::new(runs.num_runs(), config.amt.l);
+        let l = config.amt.l as u64;
+        let fan_ins = crate::schedule::fan_in_schedule(runs.num_runs() as u64, l);
         let mut passes = Vec::new();
-        for p in 0..plan.num_passes() {
-            let PassPlan { fan_in, groups, .. } = plan.pass(p);
-            let stage = p as u32 + 1;
+        for (p, &m) in fan_ins.iter().enumerate() {
+            let (fan_in, stage, runs_in) = (m as usize, p as u32 + 1, runs.num_runs());
+            let (per_task, memory, width) = if fused {
+                (runs_in, config.memory, 1)
+            } else {
+                (fan_in, config.memory.shard_view(fan_in), VIRTUAL_WORKERS)
+            };
             let mut records = Vec::with_capacity(runs.len());
-            let mut starts = Vec::with_capacity(groups);
-            let mut stats = Vec::with_capacity(groups);
-            for g in 0..groups {
-                let input = group_input(&runs, g, fan_in);
-                // A new scratch per group: the oracle never reuses one.
-                let memory = config.memory.shard_view(fan_in);
-                let (out, group) = simulate(
+            let mut starts = Vec::new();
+            let mut reports = Vec::new();
+            for lo in (0..runs_in).step_by(per_task) {
+                let input = task_input(&runs, lo..(lo + per_task).min(runs_in));
+                // A new scratch per task: the oracle never reuses one.
+                let (out, task) = simulate(
                     config,
                     &mut None,
                     input,
@@ -832,19 +922,13 @@ mod tests {
                     false,
                     &mut || {},
                 )?;
-                starts.push(records.len());
-                records.extend(out.into_records());
-                stats.push(group);
+                for run in out.iter_runs() {
+                    starts.push(records.len());
+                    records.extend_from_slice(run);
+                }
+                reports.push(task.report);
             }
-            let (pass, _) = fold_pass(
-                stage,
-                n,
-                runs.num_runs(),
-                stats.iter(),
-                #[cfg(feature = "sanitize")]
-                &mut Vec::new(),
-            );
-            passes.push(pass);
+            passes.push(fold_pass(stage, runs_in, width, reports.iter()).0);
             runs = RunSet::from_parts(records, starts);
         }
         let report = SortReport::from_passes(passes, n, config.loader.record_bytes);
@@ -853,7 +937,7 @@ mod tests {
 
     #[test]
     fn dag_matches_the_barrier_oracle_on_random_shapes() {
-        use crate::{AmtConfig, SimEngine};
+        use crate::SimEngine;
         use bonsai_records::U32Rec;
 
         let mut rng = bonsai_rng::Rng::seed_from_u64(0x0DA6_BA22);
@@ -867,25 +951,39 @@ mod tests {
             // ones far wider.
             let len = rng.range_usize(1, if round % 2 == 0 { 20_000 } else { 300 });
             let data: Vec<U32Rec> = (0..len).map(|_| U32Rec::new(rng.next_u32())).collect();
-            let (sorted, report) =
-                barrier_oracle(&cfg, data.clone(), u64::MAX).expect("unbounded passes finish");
-            // Half the final group's cycles: the last pass always trips
-            // the bound, earlier (smaller) groups only sometimes — the
-            // oracle says which (pass, group) fails first.
-            let bound = report.passes.last().map_or(1, |pass| pass.cycles / 2);
-            let livelock = barrier_oracle(&cfg, data.clone(), bound).map(|_| ());
-            for workers in [1usize, 2, 0] {
-                let ctx = format!("round {round} AMT({p}, {l}) len {len} workers {workers}");
-                let (out, mut rep) = SimEngine::new(cfg).sort_pipelined(data.clone(), workers);
-                assert_eq!(out, sorted, "{ctx}: output");
-                // The oracle models no overlap; everything else is exact.
-                rep.pipeline_overlap_cycles = 0;
-                assert_eq!(rep, report, "{ctx}: report");
-                let bounded = SimEngine::new(cfg)
-                    .with_max_pass_cycles(bound)
-                    .try_sort_pipelined(data.clone(), workers)
-                    .map(|_| ());
-                assert_eq!(bounded, livelock, "{ctx}: BON040");
+            for fused in [false, true] {
+                let (sorted, report) = barrier_oracle(&cfg, data.clone(), fused, u64::MAX)
+                    .expect("unbounded passes finish");
+                // Half the final task's cycles: the last pass always
+                // trips the bound, earlier (smaller) tasks only
+                // sometimes — the oracle says which (pass, task) fails
+                // first.
+                let bound = report.passes.last().map_or(1, |pass| pass.cycles / 2);
+                let livelock = barrier_oracle(&cfg, data.clone(), fused, bound).map(|_| ());
+                // The fused sort runs on the calling thread alone.
+                let workers: &[usize] = if fused { &[1] } else { &[1, 2, 0] };
+                for &workers in workers {
+                    let ctx = format!(
+                        "round {round} AMT({p}, {l}) len {len} fused {fused} workers {workers}"
+                    );
+                    let sort = |bound| {
+                        let mut engine = SimEngine::new(cfg).with_max_pass_cycles(bound);
+                        if fused {
+                            engine.try_sort(data.clone())
+                        } else {
+                            engine.try_sort_pipelined(data.clone(), workers)
+                        }
+                    };
+                    let (out, mut rep) = sort(u64::MAX).expect("unbounded passes finish");
+                    assert_eq!(out, sorted, "{ctx}: output");
+                    // The oracle models no overlap, and one tree has
+                    // none; everything else is exact.
+                    if !fused {
+                        rep.pipeline_overlap_cycles = 0;
+                    }
+                    assert_eq!(rep, report, "{ctx}: report");
+                    assert_eq!(sort(bound).map(|_| ()), livelock, "{ctx}: BON040");
+                }
             }
         }
     }

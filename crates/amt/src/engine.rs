@@ -4,13 +4,13 @@ use bonsai_check::Diagnostic;
 use bonsai_records::Record;
 
 use crate::config::SimEngineConfig;
+use crate::dag::SortPlan;
 use crate::error::SortError;
-use crate::passsim::simulate;
 use crate::report::SortReport;
 
 /// Safety bound: a single pass may never exceed this many cycles (a
 /// livelock would otherwise spin forever).
-const MAX_PASS_CYCLES: u64 = 50_000_000_000;
+pub(crate) const MAX_PASS_CYCLES: u64 = 50_000_000_000;
 
 /// The full cycle-approximate sorting engine of §II (Figure 2): it
 /// presorts the input, then repeatedly streams it from (modeled) off-chip
@@ -127,71 +127,32 @@ impl SimEngine {
     /// cycle bound surfaces as a `BON040` [`SortError`] rather than
     /// aborting the process, so a batch runtime can fail one job and
     /// keep going.
+    ///
+    /// One tree on the whole memory: each pass merges all of its groups
+    /// back to back ([`crate::dag`]'s fused plan).
     pub fn try_sort<R: Record>(&mut self, data: Vec<R>) -> Result<(Vec<R>, SortReport), SortError> {
-        #[cfg(feature = "sanitize")]
-        self.diagnostics.clear();
-        // One tree on the whole memory: each pass merges all of its
-        // groups, back to back, on one scratch kept across passes.
-        let mut scratch = None;
-        let (sorted, report, _) = crate::dag::run_plan(&self.config, data, |runs, pass, stage| {
-            let (out, stats) = simulate(
-                &self.config,
-                &mut scratch,
-                runs,
-                pass.fan_in,
-                self.config.memory,
-                stage,
-                self.max_pass_cycles,
-                self.reference_loop,
-                &mut || {},
-            )?;
-            #[cfg(feature = "sanitize")]
-            self.diagnostics.extend(
-                stats
-                    .diagnostics
-                    .into_iter()
-                    .map(|d| d.with("stage", stage)),
-            );
-            Ok((out, stats.report))
-        })?;
-        Ok((sorted, report))
+        self.run(data, SortPlan::fused, 1, &mut || {})
     }
 
     /// Sorts `data` one pass at a time, each pass's merge groups spread
     /// over `workers` threads (`0` = one per core; `1` spawns none) and
     /// each group simulated standalone against its share of the banks
-    /// (see [`crate::dag`]).
+    /// ([`crate::dag`]'s per-group plan).
     ///
     /// The sorted output and the [`SortReport`] are bit-identical at
     /// every worker count, `pipeline_overlap_cycles` (the modelled
     /// virtual-makespan cycles a dependency-driven schedule of the
     /// groups would save over the per-pass barrier) included.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pass exceeds the livelock cycle bound; use
-    /// [`SimEngine::try_sort_pipelined`] for the structured error.
-    pub fn sort_pipelined<R: Record>(
-        &mut self,
-        data: Vec<R>,
-        workers: usize,
-    ) -> (Vec<R>, SortReport) {
-        match self.try_sort_pipelined(data, workers) {
-            Ok(out) => out,
-            Err(err) => panic!("{err}"),
-        }
-    }
-
-    /// Fallible [`SimEngine::sort_pipelined`]: livelocked groups surface
-    /// as `BON040` [`SortError`]s. The first failing pass stops the sort
-    /// and its minimum failing group wins error reporting, independent
-    /// of worker count and completion order.
+    /// Livelocked groups surface as `BON040` [`SortError`]s: the first
+    /// failing pass stops the sort and its minimum failing group wins
+    /// error reporting, independent of worker count and completion
+    /// order.
     pub fn try_sort_pipelined<R: Record>(
         &mut self,
         data: Vec<R>,
         workers: usize,
     ) -> Result<(Vec<R>, SortReport), SortError> {
-        self.sort_groups(data, workers, &mut || {})
+        self.run(data, SortPlan::per_group, workers, &mut || {})
     }
 
     /// [`SimEngine::try_sort_pipelined`] on the calling thread alone,
@@ -205,12 +166,15 @@ impl SimEngine {
         data: Vec<R>,
         poll: &mut dyn FnMut(),
     ) -> Result<(Vec<R>, SortReport), SortError> {
-        self.sort_groups(data, 1, poll)
+        self.run(data, SortPlan::per_group, 1, poll)
     }
 
-    fn sort_groups<R: Record>(
+    /// The one pass loop ([`crate::dag::sort`]) on the plan `plan`
+    /// builds, behind every entry point.
+    fn run<R: Record>(
         &mut self,
         data: Vec<R>,
+        plan: fn(&SimEngineConfig, usize) -> SortPlan,
         workers: usize,
         poll: &mut dyn FnMut(),
     ) -> Result<(Vec<R>, SortReport), SortError> {
@@ -219,6 +183,7 @@ impl SimEngine {
         crate::dag::sort(
             &self.config,
             data,
+            plan,
             workers,
             self.max_pass_cycles,
             self.reference_loop,
@@ -324,13 +289,17 @@ mod tests {
     fn a_yielding_sort_polls_inside_its_groups_and_changes_nothing() {
         let cfg = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
         let data = uniform_u32(20_000, 17);
-        let want = SimEngine::new(cfg).sort_pipelined(data.clone(), 1);
+        let want = SimEngine::new(cfg)
+            .try_sort_pipelined(data.clone(), 1)
+            .expect("sorts");
         // Each poll runs another sort on this thread, as a lent job does.
         let mut polls = 0u64;
         let got = SimEngine::new(cfg)
             .try_sort_yielding(data, &mut || {
                 polls += 1;
-                SimEngine::new(cfg).sort_pipelined(uniform_u32(100, polls), 1);
+                SimEngine::new(cfg)
+                    .try_sort_pipelined(uniform_u32(100, polls), 1)
+                    .expect("lent sort");
             })
             .expect("sorts");
         assert_eq!(got, want);

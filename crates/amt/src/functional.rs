@@ -264,8 +264,8 @@ fn presort<W: Send, R: Record>(workers: &mut [W], data: &mut [R], run_len: usize
 /// Splits `records` into `run_len`-record runs (the last may be
 /// shorter) and sorts each on the calling thread — what
 /// [`RunSet::from_chunks`] does, through the presorter at its sizes.
-/// Both simulator entry points (`dag::run_plan` and
-/// [`crate::UnrolledSim`]) presort through it.
+/// Both simulator loops (`dag::sort` and [`crate::UnrolledSim`])
+/// presort through it.
 ///
 /// # Panics
 ///

@@ -1,7 +1,7 @@
-//! A steppable single-stage pass simulation, shared by both of
-//! [`crate::SimEngine`]'s sorts (one pass at a time on a private memory,
-//! through one `simulate` function) and by [`crate::UnrolledSim`] (λ
-//! trees contending for one memory).
+//! A steppable single-stage pass simulation, shared by the engine's one
+//! pass loop ([`crate::dag`], every task of every plan through one
+//! `simulate` function) and by [`crate::UnrolledSim`] (λ trees
+//! contending for one memory).
 //!
 //! The pass can be driven two ways with bit-identical accounting:
 //!
@@ -161,16 +161,6 @@ impl<R: Record> PassSim<R> {
     /// Returns `true` once the pass has run to completion.
     pub fn is_done(&self) -> bool {
         self.done
-    }
-
-    /// Cycles simulated so far (including fast-forwarded spans).
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// Of [`PassSim::cycles`], how many were fast-forwarded.
-    pub fn fast_forwarded_cycles(&self) -> u64 {
-        self.fast_forwarded
     }
 
     /// Moves what fits of leaf `leaf`'s stream into its FIFO: terminals
@@ -450,10 +440,9 @@ impl<R: Record> PassSim<R> {
             input_stalls: tree_stats.total_input_stalls,
             output_stalls: tree_stats.total_output_stalls,
             fast_forwarded_cycles: self.fast_forwarded,
-            // The fused single-engine path never idles a worker; the
-            // per-group sort's fold overwrites these from the
-            // deterministic virtual-pool schedule.
-            busy_worker_cycles: self.cycles,
+            // A plan's fold (`dag::fold_pass`) schedules its tasks on
+            // the plan's virtual pool and writes these.
+            busy_worker_cycles: 0,
             idle_worker_cycles: 0,
         };
         (out_runs, pass)
@@ -478,7 +467,7 @@ pub(crate) struct PassStats {
 
 /// Simulates one pass merging groups of `fan_in` runs of `runs` to
 /// completion on `scratch`, against a memory built from `memory` — the
-/// whole memory for the fused sort's single tree, a group's
+/// whole memory for the fused plan's single tree, a group's
 /// [`MemoryConfig::shard_view`] for one merge group — and returns the
 /// output runs (terminal-free and sorted) and the accounting. What an
 /// earlier pass left in the scratch, finished or abandoned on an error,

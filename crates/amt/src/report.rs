@@ -30,23 +30,23 @@ pub struct PassReport {
     /// and cleared by [`SortReport::normalized`].
     pub fast_forwarded_cycles: u64,
     /// Simulated cycles a virtual worker spent executing this pass's
-    /// merge groups, summed across the [`VIRTUAL_WORKERS`] reference
-    /// pool (equals `cycles` — every group is simulated exactly once).
-    /// Modelled hardware time, not the host executor's: computed from a
-    /// deterministic list schedule of the per-group cycle costs, never
-    /// from wall-clock threads, so it is bit-identical at every real
-    /// worker count. Observability only.
+    /// tasks, summed across the sort's virtual pool — the
+    /// [`VIRTUAL_WORKERS`] reference pool for the per-group sort, one
+    /// worker for the fused tree (equals `cycles` — every task is
+    /// simulated exactly once). Modelled hardware time, not the host
+    /// executor's: computed from a deterministic list schedule of the
+    /// per-task cycle costs, never from wall-clock threads, so it is
+    /// bit-identical at every real worker count. Observability only.
     ///
     /// [`VIRTUAL_WORKERS`]: crate::dag::VIRTUAL_WORKERS
     pub busy_worker_cycles: u64,
     /// Simulated cycles virtual workers sat idle while this pass ran
-    /// under the per-pass-barrier schedule on the reference pool (pass
-    /// makespan × [`VIRTUAL_WORKERS`] − busy). `0` on the fused
-    /// single-engine path. Modelled time and observability only, like
+    /// under the per-pass-barrier schedule on the sort's virtual pool
+    /// (pass makespan × pool width − busy). `0` on the fused tree's
+    /// one-wide pool. Modelled time and observability only, like
     /// [`busy_worker_cycles`].
     ///
     /// [`busy_worker_cycles`]: PassReport::busy_worker_cycles
-    /// [`VIRTUAL_WORKERS`]: crate::dag::VIRTUAL_WORKERS
     pub idle_worker_cycles: u64,
 }
 
@@ -107,7 +107,7 @@ pub struct SortReport {
 
 impl SortReport {
     /// Builds a report from per-stage passes at the default clock.
-    pub fn from_passes(passes: Vec<PassReport>, n_records: u64, record_bytes: u64) -> Self {
+    pub(crate) fn from_passes(passes: Vec<PassReport>, n_records: u64, record_bytes: u64) -> Self {
         let total_cycles = passes.iter().map(|p| p.cycles).sum();
         let fast_forwarded_cycles = passes.iter().map(|p| p.fast_forwarded_cycles).sum();
         Self {

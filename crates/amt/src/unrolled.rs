@@ -14,12 +14,11 @@ use bonsai_records::run::RunSet;
 use bonsai_records::Record;
 
 use crate::config::SimEngineConfig;
+use crate::dag::{fold_pass, SortPlan};
+use crate::engine::MAX_PASS_CYCLES;
 use crate::functional::presorted_runs;
 use crate::passsim::PassSim;
 use crate::report::{PassReport, SortReport};
-
-/// Safety bound mirroring [`crate::SimEngine`]'s.
-const MAX_CYCLES: u64 = 50_000_000_000;
 
 /// Result of an unrolled co-simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,11 +84,11 @@ impl UnrolledSim {
         let n = sanitized.len();
         let chunk = n.div_ceil(self.lambda).max(1);
 
-        // Per-tree state: remaining stage schedule + current runs.
+        // Per-tree state: the fused plan of its partition, current runs
+        // and one report per finished pass.
         struct TreeState<R> {
             runs: RunSet<R>,
-            fan_ins: Vec<u64>,
-            next_stage: usize,
+            plan: SortPlan,
             active: Option<PassSim<R>>,
             passes: Vec<PassReport>,
         }
@@ -97,14 +96,9 @@ impl UnrolledSim {
             .chunks(chunk)
             .map(|part| {
                 let runs = presorted_runs(part.to_vec(), self.config.initial_run_len());
-                let fan_ins = crate::schedule::fan_in_schedule(
-                    runs.num_runs() as u64,
-                    self.config.amt.l as u64,
-                );
                 TreeState {
+                    plan: SortPlan::fused(&self.config, runs.num_runs()),
                     runs,
-                    fan_ins,
-                    next_stage: 0,
                     active: None,
                     passes: Vec::new(),
                 }
@@ -117,8 +111,9 @@ impl UnrolledSim {
             let mut all_done = true;
             for tree in trees.iter_mut() {
                 // Start the next stage if idle and stages remain.
-                if tree.active.is_none() && tree.next_stage < tree.fan_ins.len() {
-                    let fan_in = tree.fan_ins[tree.next_stage] as usize;
+                let next = tree.passes.len();
+                if tree.active.is_none() && next < tree.plan.num_passes() {
+                    let fan_in = tree.plan.pass(next).fan_in;
                     let runs = std::mem::replace(&mut tree.runs, RunSet::from_unsorted(vec![]));
                     tree.active = Some(PassSim::new(&self.config, runs, fan_in));
                 }
@@ -126,10 +121,11 @@ impl UnrolledSim {
                     all_done = false;
                     if sim.tick(cycle, &mut memory) {
                         let sim = tree.active.take().expect("just ticked");
-                        let (out_runs, pass) = sim.finish(tree.next_stage as u32 + 1);
+                        let (out_runs, pass) = sim.finish(next as u32 + 1);
+                        let (runs_in, width) = (tree.plan.pass(next).runs_in, tree.plan.width());
+                        tree.passes
+                            .push(fold_pass(pass.stage, runs_in, width, [pass].iter()).0);
                         tree.runs = out_runs;
-                        tree.passes.push(pass);
-                        tree.next_stage += 1;
                     }
                 }
             }
@@ -137,7 +133,10 @@ impl UnrolledSim {
                 break;
             }
             cycle += 1;
-            assert!(cycle < MAX_CYCLES, "unrolled sort exceeded cycle bound");
+            assert!(
+                cycle < MAX_PASS_CYCLES,
+                "unrolled sort exceeded cycle bound"
+            );
         }
 
         // Merge-down: combine the λ sorted partitions.

@@ -28,9 +28,13 @@ fn dag_reports_are_worker_count_invariant_on_random_configs() {
         let mut cfg = SimEngineConfig::dram_sorter(AmtConfig::new(p, l), 4);
         cfg.presort = (presort > 1).then_some(presort);
 
-        let (out_1, report_1) = SimEngine::new(cfg).sort_pipelined(data.clone(), 1);
+        let (out_1, report_1) = SimEngine::new(cfg)
+            .try_sort_pipelined(data.clone(), 1)
+            .expect("sorts");
         for workers in WORKERS {
-            let (out_n, report_n) = SimEngine::new(cfg).sort_pipelined(data.clone(), workers);
+            let (out_n, report_n) = SimEngine::new(cfg)
+                .try_sort_pipelined(data.clone(), workers)
+                .expect("sorts");
             assert_eq!(
                 out_1, out_n,
                 "round {round} (p={p} l={l}) workers={workers}: output depends on worker count"
@@ -60,7 +64,9 @@ fn dag_and_fused_agree_on_bytes_moved() {
     let cfg = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
     let (_, fused) = SimEngine::new(cfg).sort(data.clone());
     for workers in WORKERS {
-        let (_, dag) = SimEngine::new(cfg).sort_pipelined(data.clone(), workers);
+        let (_, dag) = SimEngine::new(cfg)
+            .try_sort_pipelined(data.clone(), workers)
+            .expect("sorts");
         assert_eq!(fused.passes.len(), dag.passes.len());
         for (f, s) in fused.passes.iter().zip(&dag.passes) {
             assert_eq!(f.bytes_read, s.bytes_read, "stage {}", f.stage);
@@ -76,8 +82,12 @@ fn dag_and_fused_agree_on_bytes_moved() {
 fn worker_zero_means_auto_and_stays_deterministic() {
     let data: Vec<U32Rec> = bonsai_gensort::dist::uniform_u32(10_000, 23);
     let cfg = SimEngineConfig::dram_sorter(AmtConfig::new(2, 8), 4);
-    let (out_auto, report_auto) = SimEngine::new(cfg).sort_pipelined(data.clone(), 0);
-    let (out_1, report_1) = SimEngine::new(cfg).sort_pipelined(data, 1);
+    let (out_auto, report_auto) = SimEngine::new(cfg)
+        .try_sort_pipelined(data.clone(), 0)
+        .expect("sorts");
+    let (out_1, report_1) = SimEngine::new(cfg)
+        .try_sort_pipelined(data, 1)
+        .expect("sorts");
     assert_eq!(out_auto, out_1);
     assert_eq!(report_auto, report_1);
 }

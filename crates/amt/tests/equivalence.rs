@@ -67,10 +67,14 @@ fn dag_fast_path_matches_reference_at_every_worker_count() {
     for round in 0..8 {
         let cfg = random_config(&mut rng);
         let data = random_data(&mut rng, 20_000);
-        let (out_ref, rep_ref) = engine(cfg, true).sort_pipelined(data.clone(), 1);
+        let (out_ref, rep_ref) = engine(cfg, true)
+            .try_sort_pipelined(data.clone(), 1)
+            .expect("sorts");
         // 0 = one worker per core, the "max" point of the matrix.
         for workers in [1usize, 2, 0] {
-            let (out_fast, rep_fast) = engine(cfg, false).sort_pipelined(data.clone(), workers);
+            let (out_fast, rep_fast) = engine(cfg, false)
+                .try_sort_pipelined(data.clone(), workers)
+                .expect("sorts");
             assert_eq!(
                 out_ref, out_fast,
                 "round {round} workers={workers}: DAG outputs diverge"

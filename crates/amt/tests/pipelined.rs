@@ -54,7 +54,9 @@ fn pipelined_matches_fused_on_random_shapes() {
         let data = random_data(&mut rng, if round % 2 == 0 { 20_000 } else { 200 });
         let (out_fused, rep_fused) = engine(cfg).sort(data.clone());
         for workers in WORKERS {
-            let (out, rep) = engine(cfg).sort_pipelined(data.clone(), workers);
+            let (out, rep) = engine(cfg)
+                .try_sort_pipelined(data.clone(), workers)
+                .expect("sorts");
             assert_eq!(
                 out, out_fused,
                 "round {round} workers={workers}: pipelined output diverges"
@@ -74,9 +76,13 @@ fn pipelined_report_is_bit_identical_across_worker_counts() {
     for round in 0..6 {
         let cfg = random_config(&mut rng);
         let data = random_data(&mut rng, 15_000);
-        let (out_1, rep_1) = engine(cfg).sort_pipelined(data.clone(), 1);
+        let (out_1, rep_1) = engine(cfg)
+            .try_sort_pipelined(data.clone(), 1)
+            .expect("sorts");
         for workers in WORKERS {
-            let (out_n, rep_n) = engine(cfg).sort_pipelined(data.clone(), workers);
+            let (out_n, rep_n) = engine(cfg)
+                .try_sort_pipelined(data.clone(), workers)
+                .expect("sorts");
             assert_eq!(out_1, out_n, "round {round} workers={workers}");
             // Raw equality: even pipeline_overlap_cycles and the
             // busy/idle counters must not see the real thread count.
@@ -93,10 +99,12 @@ fn fast_and_reference_loops_agree_under_pipelined() {
         let data = random_data(&mut rng, 12_000);
         let (out_ref, rep_ref) = engine(cfg)
             .with_reference_loop(true)
-            .sort_pipelined(data.clone(), 2);
+            .try_sort_pipelined(data.clone(), 2)
+            .expect("sorts");
         let (out_fast, rep_fast) = engine(cfg)
             .with_reference_loop(false)
-            .sort_pipelined(data, 2);
+            .try_sort_pipelined(data, 2)
+            .expect("sorts");
         assert_eq!(out_ref, out_fast, "round {round}");
         assert_eq!(rep_ref.fast_forwarded_cycles, 0);
         assert_eq!(
@@ -111,7 +119,7 @@ fn fast_and_reference_loops_agree_under_pipelined() {
 fn utilization_counters_are_consistent() {
     let cfg = SimEngineConfig::dram_sorter(AmtConfig::new(4, 4), 4);
     let data = uniform_u32(30_000, 17);
-    let (_, rep) = engine(cfg).sort_pipelined(data, 2);
+    let (_, rep) = engine(cfg).try_sort_pipelined(data, 2).expect("sorts");
     assert!(rep.stages() >= 3, "shape must be multi-pass");
     for pass in &rep.passes {
         // Every group is simulated exactly once, so virtual busy time
@@ -136,7 +144,7 @@ fn single_pass_shapes_have_zero_overlap() {
     // one group: nothing to pipeline across.
     let cfg = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
     let data = uniform_u32(256, 3);
-    let (_, rep) = engine(cfg).sort_pipelined(data, 0);
+    let (_, rep) = engine(cfg).try_sort_pipelined(data, 0).expect("sorts");
     assert_eq!(rep.stages(), 1);
     assert_eq!(rep.pipeline_overlap_cycles, 0);
 }
@@ -181,7 +189,9 @@ fn multipass_flash_sort_overlaps_only_its_ragged_waves() {
     cfg.loader.batch_bytes = 131_072;
     let data = uniform_u32(2_112, 2026);
     for workers in WORKERS {
-        let (_, rep) = engine(cfg).sort_pipelined(data.clone(), workers);
+        let (_, rep) = engine(cfg)
+            .try_sort_pipelined(data.clone(), workers)
+            .expect("sorts");
         let groups: Vec<u64> = rep.passes.iter().map(|p| p.runs_out).collect();
         assert_eq!(groups, [33, 9, 3, 1], "workers={workers}");
         assert_eq!(rep.pipeline_overlap_cycles, 50_168, "workers={workers}");
@@ -191,11 +201,15 @@ fn multipass_flash_sort_overlaps_only_its_ragged_waves() {
 #[test]
 fn empty_and_single_record_inputs_pipelined() {
     let cfg = SimEngineConfig::dram_sorter(AmtConfig::new(2, 4), 4);
-    let (out, rep) = engine(cfg).sort_pipelined(Vec::<U32Rec>::new(), 2);
+    let (out, rep) = engine(cfg)
+        .try_sort_pipelined(Vec::<U32Rec>::new(), 2)
+        .expect("sorts");
     assert!(out.is_empty());
     assert_eq!(rep.stages(), 0);
     assert_eq!(rep.pipeline_overlap_cycles, 0);
-    let (out, rep) = engine(cfg).sort_pipelined(vec![U32Rec::new(9)], 2);
+    let (out, rep) = engine(cfg)
+        .try_sort_pipelined(vec![U32Rec::new(9)], 2)
+        .expect("sorts");
     assert_eq!(out, vec![U32Rec::new(9)]);
     assert_eq!(rep.stages(), 0);
 }

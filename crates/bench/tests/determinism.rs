@@ -21,9 +21,13 @@ fn every_experiment_config_is_worker_count_invariant() {
         // the simulator's data path is record-typed; u32 keys exercise
         // the same schedule.
         let data = uniform_u32(n_records, 41);
-        let (out_1, report_1) = SimEngine::new(cfg).sort_pipelined(data.clone(), 1);
+        let (out_1, report_1) = SimEngine::new(cfg)
+            .try_sort_pipelined(data.clone(), 1)
+            .expect("sorts");
         for workers in WORKERS {
-            let (out_n, report_n) = SimEngine::new(cfg).sort_pipelined(data.clone(), workers);
+            let (out_n, report_n) = SimEngine::new(cfg)
+                .try_sort_pipelined(data.clone(), workers)
+                .expect("sorts");
             assert_eq!(
                 out_1, out_n,
                 "{target} workers={workers}: output depends on worker count"

@@ -39,11 +39,13 @@ fn every_experiment_config_agrees_across_paths() {
 
         let (out_s, rep_s) = SimEngine::new(cfg)
             .with_reference_loop(true)
-            .sort_pipelined(data.clone(), 1);
+            .try_sort_pipelined(data.clone(), 1)
+            .expect("sorts");
         for w in WORKERS {
             let (o, r) = SimEngine::new(cfg)
                 .with_reference_loop(false)
-                .sort_pipelined(data.clone(), w);
+                .try_sort_pipelined(data.clone(), w)
+                .expect("sorts");
             assert_eq!(out_s, o, "{target} workers={w}: per-group outputs diverge");
             assert_eq!(
                 rep_s.pipeline_overlap_cycles, r.pipeline_overlap_cycles,

@@ -33,12 +33,9 @@ use std::collections::VecDeque;
 
 use bonsai_mc::facade::{StdSync, SyncOps};
 
-/// Why a push did not enqueue; the item is handed back either way.
+/// Why a push did not enqueue; the item is handed back.
 #[derive(Debug, PartialEq, Eq)]
 pub enum PushError<T> {
-    /// The queue is at capacity (non-blocking [`ClassQueue::try_push`]
-    /// only).
-    Full(T),
     /// The queue was closed.
     Closed(T),
 }
@@ -124,22 +121,10 @@ impl<T: Send + Classed, S: SyncOps> ClassQueue<T, S> {
         }
     }
 
-    /// The configured capacity (shared by both lanes).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Items currently queued across both lanes.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         S::lock(&self.state).len()
-    }
-
-    /// Whether both lanes are empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Enqueues `item` in its class's lane, blocking while the queue is
@@ -156,29 +141,6 @@ impl<T: Send + Classed, S: SyncOps> ClassQueue<T, S> {
         });
         if guard.closed {
             return Err(PushError::Closed(item));
-        }
-        match item.job_class() {
-            JobClass::Latency => guard.latency.push_back(item),
-            JobClass::Throughput => guard.throughput.push_back(item),
-        }
-        drop(guard);
-        S::notify_one(&self.not_empty);
-        Ok(())
-    }
-
-    /// Enqueues `item` without blocking.
-    ///
-    /// # Errors
-    ///
-    /// [`PushError::Full`] at capacity, [`PushError::Closed`] after
-    /// [`ClassQueue::close`]; both hand the item back.
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut guard = S::lock(&self.state);
-        if guard.closed {
-            return Err(PushError::Closed(item));
-        }
-        if guard.len() >= self.capacity {
-            return Err(PushError::Full(item));
         }
         match item.job_class() {
             JobClass::Latency => guard.latency.push_back(item),
@@ -329,7 +291,6 @@ mod tests {
         let q = Arc::new(ClassQueue::<Item>::new(2, 4));
         q.push(thr(100)).unwrap();
         q.push(lat(1)).unwrap();
-        assert!(matches!(q.try_push(lat(2)), Err(PushError::Full(_))));
         let producer = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || q.push(lat(2)))

@@ -219,16 +219,6 @@ pub enum SubmitError<R> {
     Closed(Box<SortJob<R>>),
 }
 
-impl<R> SubmitError<R> {
-    /// The rejected job, handed back to the caller.
-    #[must_use]
-    pub fn into_job(self) -> SortJob<R> {
-        match self {
-            SubmitError::Closed(job) => *job,
-        }
-    }
-}
-
 // Manual impls keep `R: Debug` off the public bound (and keep the
 // record payload out of error output).
 impl<R> core::fmt::Debug for SubmitError<R> {
@@ -524,11 +514,9 @@ impl<R: Record> Runtime<R> {
             reply,
         }) {
             Ok(()) => Ok(ticket),
-            // The blocking push only ever fails Closed; hand the job
-            // back instead of dropping (or panicking over) it.
-            Err(PushError::Closed(d) | PushError::Full(d)) => {
-                Err(SubmitError::Closed(Box::new(d.job)))
-            }
+            // A closed queue hands the job back instead of dropping (or
+            // panicking over) it.
+            Err(PushError::Closed(d)) => Err(SubmitError::Closed(Box::new(d.job))),
         }
     }
 
@@ -562,35 +550,6 @@ impl<R: Record> Runtime<R> {
         reply: std::sync::mpsc::Sender<JobResult<R>>,
     ) -> Result<u64, SubmitError<R>> {
         self.dispatch(job, Some(reply))
-    }
-
-    /// Submits a job without blocking; returns its submission ticket.
-    ///
-    /// # Errors
-    ///
-    /// [`PushError::Full`] hands the job back when the queue is at
-    /// capacity (retry or apply backpressure upstream),
-    /// [`PushError::Closed`] after [`Runtime::close`].
-    // The large Err is the point: the rejected job (with its data)
-    // returns to the caller instead of being dropped.
-    #[allow(clippy::result_large_err)]
-    pub fn try_submit(&self, job: SortJob<R>) -> Result<u64, PushError<SortJob<R>>> {
-        let ticket = self
-            .next_ticket
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let class = self.classify(job.data.len());
-        self.pool
-            .try_submit(Dispatch {
-                ticket,
-                job,
-                class,
-                reply: None,
-            })
-            .map(|()| ticket)
-            .map_err(|e| match e {
-                PushError::Full(d) => PushError::Full(d.job),
-                PushError::Closed(d) => PushError::Closed(d.job),
-            })
     }
 
     /// Closes the job queue without consuming the runtime: queued jobs

@@ -36,7 +36,6 @@ struct PoolShared<J: Send + Classed, R: Send, S: SyncOps> {
 pub struct WorkerPool<J: Send + Classed + 'static, R: Send + 'static, S: SyncOps = StdSync> {
     shared: Arc<PoolShared<J, R, S>>,
     handles: Vec<S::JoinHandle>,
-    workers: usize,
 }
 
 impl<J: Send + Classed + 'static, R: Send + 'static, S: SyncOps> std::fmt::Debug
@@ -44,7 +43,7 @@ impl<J: Send + Classed + 'static, R: Send + 'static, S: SyncOps> std::fmt::Debug
 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
-            .field("workers", &self.workers)
+            .field("workers", &self.handles.len())
             .field("queue", &self.shared.queue)
             .finish()
     }
@@ -88,17 +87,7 @@ impl<J: Send + Classed + 'static, R: Send + 'static, S: SyncOps> WorkerPool<J, R
                 })
             })
             .collect();
-        Self {
-            shared,
-            handles,
-            workers,
-        }
-    }
-
-    /// Worker threads in the pool.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
+        Self { shared, handles }
     }
 
     /// Jobs waiting in the queue (not yet claimed by a worker).
@@ -122,16 +111,6 @@ impl<J: Send + Classed + 'static, R: Send + 'static, S: SyncOps> WorkerPool<J, R
     /// down.
     pub fn submit(&self, job: J) -> Result<(), PushError<J>> {
         self.shared.queue.push(job)
-    }
-
-    /// Enqueues a job without blocking.
-    ///
-    /// # Errors
-    ///
-    /// [`PushError::Full`] at capacity, [`PushError::Closed`] after
-    /// shutdown; both hand the job back.
-    pub fn try_submit(&self, job: J) -> Result<(), PushError<J>> {
-        self.shared.queue.try_push(job)
     }
 
     /// Closes the queue without joining the workers: queued jobs still
@@ -298,14 +277,11 @@ mod tests {
     }
 
     #[test]
-    fn submit_after_finish_is_observable_via_try_submit() {
+    fn push_after_finish_returns_closed() {
         let pool = pool(1, 2, |j| j);
         let shared = Arc::clone(&pool.shared);
         let _ = pool.finish();
-        assert_eq!(
-            shared.queue.try_push(Job(9)),
-            Err(PushError::Closed(Job(9)))
-        );
+        assert_eq!(shared.queue.push(Job(9)), Err(PushError::Closed(Job(9))));
     }
 
     #[test]
