@@ -539,8 +539,7 @@ mod tests {
         {
             let mut cfg =
                 SimEngineConfig::with_memory(AmtConfig::new(p, l), 4, memories[round % 4]);
-            cfg.loader.batch_bytes = [256, 1024, 4096][round % 3];
-            cfg.loader.buffer_batches = 1 + (round as u64 / 3) % 3;
+            cfg.loader.batch_bytes = [256, 1024, 4096][round % 3] * (1 + (round as u64 / 3) % 3);
             let fan_in = rng.range_usize(2, l);
             let run_len = [1usize, 16, 90][round % 3];
             let n_runs = rng.range_usize(1, 3 * fan_in);

@@ -278,11 +278,6 @@ impl<R: Record> MergeTree<R> {
         self.edges[0].pop_output()
     }
 
-    /// Records currently queued at the root output.
-    pub fn root_output_len(&self) -> usize {
-        self.edges[0].output_len()
-    }
-
     /// Flushes (terminal records, one per merged group) the root has
     /// emitted so far.
     pub(crate) fn root_flushes(&self) -> u64 {
@@ -1155,7 +1150,7 @@ mod tests {
                             assert_eq!(fast.pop_root(), model.pop_root(), "{ctx}: root output");
                         }
                     }
-                    assert_eq!(fast.root_output_len(), model.root_output_len(), "{ctx}");
+                    assert_eq!(fast.edges[0].output_len(), model.root_output_len(), "{ctx}");
                     if cycle % 7 == 0 {
                         for word in 0..l.div_ceil(64) {
                             assert_eq!(fast.take_freed_leaves(word), model.take_freed_leaves(word));

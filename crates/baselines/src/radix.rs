@@ -163,15 +163,6 @@ struct SendPtr<T>(*mut T);
 unsafe impl<T> Send for SendPtr<T> {}
 unsafe impl<T> Sync for SendPtr<T> {}
 
-/// Measures host throughput of the radix baseline in bytes/second.
-pub fn measure_radix_throughput<R: RadixKey>(data: &[R], threads: usize) -> f64 {
-    let mut copy = data.to_vec();
-    let start = std::time::Instant::now();
-    parallel_radix_sort(&mut copy, threads);
-    let secs = start.elapsed().as_secs_f64();
-    (data.len() * R::WIDTH_BYTES) as f64 / secs.max(1e-12)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,11 +259,5 @@ mod tests {
     fn zero_threads_panics() {
         let mut data = uniform_u32(8, 5);
         parallel_radix_sort(&mut data, 0);
-    }
-
-    #[test]
-    fn throughput_measurement_is_positive() {
-        let data = uniform_u32(100_000, 6);
-        assert!(measure_radix_throughput(&data, 2) > 0.0);
     }
 }

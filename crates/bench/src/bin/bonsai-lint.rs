@@ -3,8 +3,8 @@
 //! With no arguments, lints every configuration the experiment suite
 //! and examples construct — the one engine pass
 //! (`bonsai_model::check::analyze_engine`: shape checks, the pipeline
-//! dataflow checks for deadlock, FIFO flush depth, min-cut bandwidth
-//! and dead components, the latency-bound certification and the static
+//! dataflow checks for FIFO flush depth, min-cut bandwidth and dead
+//! components, the latency-bound certification and the static
 //! throughput floor) plus one model-vs-simulation drift
 //! probe — and exits non-zero if any error-severity `BONxxx`
 //! diagnostic fires. With overrides, lints a
@@ -14,7 +14,6 @@
 //! ```sh
 //! bonsai-lint                        # lint the whole in-repo suite
 //! bonsai-lint --p 6 --l 16           # BON001: p not a power of two
-//! bonsai-lint --buffer-batches 0     # BON030: zero-credit deadlock
 //! bonsai-lint --p 32 --record-bytes 8  # BON032: min-cut infeasible
 //! bonsai-lint --json                 # machine-readable report
 //! ```
@@ -73,7 +72,7 @@ fn emit(findings: &[LintFinding], json: bool) -> ExitCode {
 }
 
 const USAGE: &str = "usage: bonsai-lint [--p N] [--l N] [--batch-bytes N] \
-[--record-bytes N] [--buffer-batches N] [--presort N] \
+[--record-bytes N] [--presort N] \
 [--memory ddr4|single|hbm|ssd] [--banks N] [--payload-bytes N] \
 [--json]
        bonsai-lint --runtime [--workers N] [--queue-depth N] [--cores N] \
@@ -146,7 +145,6 @@ fn engine_flag(
         "--l" => engine.amt.l = args.int(flag) as usize,
         "--batch-bytes" => engine.loader.batch_bytes = args.int(flag),
         "--record-bytes" => engine.loader.record_bytes = args.int(flag),
-        "--buffer-batches" => engine.loader.buffer_batches = args.int(flag),
         "--presort" => engine.presort = Some(args.int(flag) as usize),
         "--banks" => extras.banks = Some(args.int(flag) as usize),
         "--payload-bytes" => extras.payload_bytes = Some(args.int(flag)),

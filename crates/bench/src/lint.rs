@@ -528,7 +528,7 @@ mod tests {
                 target: "b".into(),
                 diagnostics: vec![
                     Diagnostic::error(bonsai_check::codes::BATCH_ZERO, "e"),
-                    Diagnostic::warning(bonsai_check::codes::BUFFER_NOT_DOUBLE, "w"),
+                    Diagnostic::warning(bonsai_check::codes::BURST_EFFICIENCY_LOW, "w"),
                 ],
             },
         ];
@@ -567,12 +567,13 @@ mod tests {
 
     #[test]
     fn raw_lint_runs_the_dataflow_checks() {
-        // Zero buffer batches: credits dry up -> BON030.
+        // 8-byte records at p = 32 need 256 B/cycle; four banks read
+        // 128 -> BON032.
         let mut cfg = raw_engine(32, 64);
-        cfg.loader.buffer_batches = 0;
+        cfg.loader.record_bytes = 8;
         let f = lint_engine(&cfg, &ProbeExtras::default());
         assert!(
-            has_code(&f, bonsai_check::codes::GRAPH_DEADLOCK),
+            has_code(&f, bonsai_check::codes::GRAPH_BANDWIDTH_INFEASIBLE),
             "{:?}",
             f.diagnostics
         );

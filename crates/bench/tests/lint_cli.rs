@@ -161,7 +161,7 @@ fn json_schema_is_identical_across_all_modes() {
             "16",
         ],
         &["--json", "--p", "4", "--l", "16"],
-        &["--json", "--buffer-batches", "0"],
+        &["--json", "--p", "32", "--record-bytes", "8"],
     ] {
         let out = lint(args);
         assert_shared_json_schema(&out);
@@ -174,7 +174,7 @@ fn json_counts_agree_with_exit_codes() {
     assert_eq!(exit_code(&clean), 0);
     assert_eq!(count(&report(&clean), "errors"), 0.0);
 
-    let failing = lint(&["--json", "--buffer-batches", "0"]);
+    let failing = lint(&["--json", "--p", "32", "--record-bytes", "8"]);
     assert_eq!(exit_code(&failing), 1);
     let failing = report(&failing);
     assert!(count(&failing, "errors") > 0.0);
@@ -186,5 +186,5 @@ fn json_counts_agree_with_exit_codes() {
         .iter()
         .filter_map(|d| d.get("code").and_then(Value::as_str))
         .collect();
-    assert!(codes.contains(&"BON030"), "{codes:?}");
+    assert!(codes.contains(&"BON032"), "{codes:?}");
 }

@@ -33,23 +33,3 @@ mod presorter;
 
 pub use network::{merge_network, sorter_network, Network};
 pub use presorter::{HalfMerger, Presorter};
-
-/// Number of compare-and-exchange units in a `2k`-record bitonic
-/// half-merger (`k·(log₂ k + 1)`, the paper's `Θ(k log k)` logic term).
-///
-/// # Panics
-///
-/// Panics if `k` is not a power of two.
-pub fn half_merger_cas_count(k: usize) -> usize {
-    merge_network(2 * k).cas_count()
-}
-
-/// Pipeline depth (in CAS stages) of a `2k`-record bitonic half-merger
-/// (`log₂(2k)`, the paper's "latency log k" up to one stage).
-///
-/// # Panics
-///
-/// Panics if `k` is not a power of two.
-pub fn half_merger_depth(k: usize) -> usize {
-    merge_network(2 * k).depth()
-}

@@ -157,15 +157,6 @@ impl Presorter {
             tail.copy_from_slice(&lanes[..tail.len()]);
         }
     }
-
-    /// Cycles to stream `n` records through the presorter: one chunk per
-    /// cycle plus the pipeline-fill latency.
-    pub fn cycles_for(&self, n: u64) -> u64 {
-        if n == 0 {
-            return 0;
-        }
-        n.div_ceil(self.chunk as u64) + self.depth() as u64
-    }
 }
 
 #[cfg(test)]
@@ -227,14 +218,6 @@ mod tests {
         ps.presort(&mut data);
         assert_eq!(&data[..8], recs(&[1, 2, 3, 4, 6, 7, 8, 9]).as_slice());
         assert_eq!(&data[8..], recs(&[10, 11, 12]).as_slice());
-    }
-
-    #[test]
-    fn presorter_cycles_model() {
-        let ps = Presorter::new(16);
-        assert_eq!(ps.cycles_for(0), 0);
-        // 160 records = 10 chunks + depth(16) = 10 stages.
-        assert_eq!(ps.cycles_for(160), 10 + ps.depth() as u64);
     }
 
     #[test]

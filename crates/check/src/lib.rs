@@ -15,7 +15,7 @@
 //! | `BON00x`   | AMT / record shape   | [`codes::P_NOT_POWER_OF_TWO`] |
 //! | `BON01x`   | Loader / memory      | [`codes::BATCH_BELOW_BUS_WIDTH`] |
 //! | `BON02x`   | Resource model       | [`codes::LUT_BUDGET_EXCEEDED`] |
-//! | `BON03x`   | Pipeline dataflow    | [`codes::GRAPH_DEADLOCK`] |
+//! | `BON03x`   | Pipeline dataflow    | [`codes::GRAPH_FIFO_BELOW_FLUSH`] |
 //! | `BON04x`   | Simulation runtime   | [`codes::SIM_PASS_LIVELOCK`] |
 //! | `BON05x`   | Runtime topology     | [`codes::RUNTIME_QUEUE_BELOW_WORKERS`] |
 //! | `BON06x`   | Static throughput floor | [`codes::THROUGHPUT_FLOOR_UNSOUND`] |
@@ -194,8 +194,6 @@ pub mod codes {
         // --- BON01x: loader / memory ------------------------------------
         /// Loader batch smaller than one DRAM bus beat.
         BATCH_BELOW_BUS_WIDTH = "BON010", Error, "loader batch smaller than one DRAM burst";
-        /// Leaf buffers are not double-buffered.
-        BUFFER_NOT_DOUBLE = "BON011", Warning, "leaf buffers not double-buffered";
         /// Loader batch size is zero bytes.
         BATCH_ZERO = "BON012", Error, "loader batch size is zero";
         /// Memory model has zero banks.
@@ -226,9 +224,6 @@ pub mod codes {
         PRESORT_EXCEEDS_BATCH = "BON026", Warning, "presort chunk exceeds one batch";
 
         // --- BON03x: pipeline dataflow -----------------------------------
-        /// The pipeline can deadlock: a leaf refill edge holds zero
-        /// credits.
-        GRAPH_DEADLOCK = "BON030", Error, "pipeline graph can deadlock";
         /// An edge FIFO is shallower than the consumer's flush requirement.
         GRAPH_FIFO_BELOW_FLUSH = "BON031", Error, "FIFO below the consumer's flush requirement";
         /// Source→sink min-cut bandwidth below the required throughput.
@@ -351,14 +346,10 @@ pub fn check_amt_shape(p: usize, l: usize) -> Vec<Diagnostic> {
     out
 }
 
-/// Check the loader's internal shape: batch size, record width and leaf
-/// buffering. Emits `BON012`, `BON004`, `BON005`, `BON011`.
+/// Check the loader's internal shape: batch size and record width.
+/// Emits `BON012`, `BON004`, `BON005`.
 #[must_use]
-pub fn check_loader_shape(
-    batch_bytes: usize,
-    record_bytes: usize,
-    buffer_batches: usize,
-) -> Vec<Diagnostic> {
+pub fn check_loader_shape(batch_bytes: usize, record_bytes: usize) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     if batch_bytes == 0 {
         out.push(
@@ -379,15 +370,6 @@ pub fn check_loader_shape(
             )
             .with("batch_bytes", batch_bytes)
             .with("record_bytes", record_bytes),
-        );
-    }
-    if buffer_batches < 2 {
-        out.push(
-            Diagnostic::warning(
-                codes::BUFFER_NOT_DOUBLE,
-                "leaf buffers should be at least double-buffered to hide refill latency",
-            )
-            .with("buffer_batches", buffer_batches),
         );
     }
     out
@@ -682,10 +664,10 @@ mod tests {
 
     #[test]
     fn has_errors_ignores_warnings() {
-        let warns = vec![Diagnostic::warning(codes::BUFFER_NOT_DOUBLE, "w")];
+        let warns = vec![Diagnostic::warning(codes::BURST_EFFICIENCY_LOW, "w")];
         assert!(!has_errors(&warns));
         let errs = vec![
-            Diagnostic::warning(codes::BUFFER_NOT_DOUBLE, "w"),
+            Diagnostic::warning(codes::BURST_EFFICIENCY_LOW, "w"),
             Diagnostic::error(codes::BATCH_ZERO, "e"),
         ];
         assert!(has_errors(&errs));
@@ -694,7 +676,7 @@ mod tests {
     #[test]
     fn valid_shapes_produce_no_diagnostics() {
         assert!(check_amt_shape(16, 64).is_empty());
-        assert!(check_loader_shape(4096, 4, 2).is_empty());
+        assert!(check_loader_shape(4096, 4).is_empty());
         assert!(check_memory_shape(4, 32, 32).is_empty());
         assert!(check_loader_against_memory(4096, 32, 8, 1 << 30).is_empty());
         assert!(check_tool_limits(16, 64, 32, 256).is_empty());

@@ -28,7 +28,6 @@ fn draw_config(rng: &mut Rng) -> SimEngineConfig {
     let l = [2usize, 4, 8, 12, 16, 64, 100][rng.below_usize(7)];
     let batch_bytes = [64u64, 100, 512, 4096][rng.below_usize(4)];
     let record_bytes = [4u64, 8, 16][rng.below_usize(3)];
-    let buffer_batches = [0u64, 1, 2, 3][rng.below_usize(4)];
     let presort = [None, Some(2usize), Some(8), Some(10), Some(16)][rng.below_usize(5)];
     let memory = [
         MemoryConfig::ddr4_aws_f1(),
@@ -42,15 +41,14 @@ fn draw_config(rng: &mut Rng) -> SimEngineConfig {
         loader: LoaderConfig {
             batch_bytes,
             record_bytes,
-            buffer_batches,
         },
         memory,
         presort,
     }
 }
 
-/// Draws per sweep. About one draw in nine survives every analysis, so
-/// this simulates some forty accepted configurations.
+/// Draws per sweep. About one draw in seven survives every analysis, so
+/// this simulates some sixty accepted configurations.
 const TRIALS: u64 = 400;
 
 #[test]

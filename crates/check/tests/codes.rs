@@ -56,19 +56,19 @@ fn bon003_p_exceeds_leaves_is_warning() {
 #[test]
 fn bon004_record_width_zero() {
     assert_emits(
-        &bonsai_check::check_loader_shape(4096, 0, 2),
+        &bonsai_check::check_loader_shape(4096, 0),
         codes::RECORD_WIDTH_ZERO,
     );
-    assert!(bonsai_memsim::LoaderConfig::try_new(4096, 0, 2).is_err());
+    assert!(bonsai_memsim::LoaderConfig::try_new(4096, 0).is_err());
 }
 
 #[test]
 fn bon005_batch_not_record_multiple() {
     assert_emits(
-        &bonsai_check::check_loader_shape(4096, 3, 2),
+        &bonsai_check::check_loader_shape(4096, 3),
         codes::BATCH_NOT_RECORD_MULTIPLE,
     );
-    assert!(bonsai_memsim::LoaderConfig::try_new(4096, 3, 2).is_err());
+    assert!(bonsai_memsim::LoaderConfig::try_new(4096, 3).is_err());
 }
 
 #[test]
@@ -80,20 +80,9 @@ fn bon010_batch_below_bus_width() {
 }
 
 #[test]
-fn bon011_buffer_not_double() {
-    let diags = bonsai_check::check_loader_shape(4096, 4, 1);
-    assert_emits(&diags, codes::BUFFER_NOT_DOUBLE);
-    // Warning: the config still constructs.
-    assert!(bonsai_memsim::LoaderConfig::try_new(4096, 4, 1).is_ok());
-}
-
-#[test]
 fn bon012_batch_zero() {
-    assert_emits(
-        &bonsai_check::check_loader_shape(0, 4, 2),
-        codes::BATCH_ZERO,
-    );
-    assert!(bonsai_memsim::LoaderConfig::try_new(0, 4, 2).is_err());
+    assert_emits(&bonsai_check::check_loader_shape(0, 4), codes::BATCH_ZERO);
+    assert!(bonsai_memsim::LoaderConfig::try_new(0, 4).is_err());
 }
 
 #[test]
@@ -251,21 +240,6 @@ fn bon017_zero_write_payload() {
 }
 
 #[test]
-fn bon030_zero_credit_deadlock() {
-    let mut cfg = dram(4, 16, 4);
-    cfg.loader.buffer_batches = 0;
-    let diags = graph_diags(&cfg);
-    assert_emits(&diags, codes::GRAPH_DEADLOCK);
-    // Two leaf edges into each of the eight bottom (level 3) mergers.
-    let edges = "loader->merger_l3_0, loader->merger_l3_0, \
-                 loader->merger_l3_1, loader->merger_l3_1 (+12 more)";
-    assert_eq!(
-        context_of(&diags, codes::GRAPH_DEADLOCK),
-        [("edges", edges.to_string()), ("count", "16".to_string())]
-    );
-}
-
-#[test]
 fn bon031_fifo_below_flush() {
     // 4-wide bottom mergers need 5-record FIFOs; 32-byte batches of
     // 16-byte records double-buffer only 4.
@@ -403,12 +377,12 @@ fn bon036_model_drift_is_a_warning() {
     assert!(!has_errors(&diags));
 }
 
-/// Pins the engine pass over the 20 160-point lattice p ∈ {1..32} ×
-/// ℓ ∈ {2..256} × r ∈ {4, 8, 16} × batch ∈ {32..1024, 4096} B ×
-/// `buffer_batches` ∈ {0..3} × the five memory presets: how often each
-/// code fires (`BON064` on none). The `BON03x` counts are the ones the
-/// pipeline-graph IR (max-flow, critical path, reachability over a
-/// lowered graph) gave before its closed forms replaced it.
+/// Pins the engine pass over the 5 040-point lattice p ∈ {1..32} ×
+/// ℓ ∈ {2..256} × r ∈ {4, 8, 16} × batch ∈ {32..1024, 4096} B × the
+/// five memory presets: how often each code fires (`BON064` on none).
+/// The `BON03x` counts are the ones the pipeline-graph IR (max-flow,
+/// critical path, reachability over a lowered graph) gave before its
+/// closed forms replaced it.
 #[test]
 fn engine_pass_code_counts_over_the_lattice() {
     use bonsai_memsim::{LoaderConfig, MemoryConfig};
@@ -429,38 +403,33 @@ fn engine_pass_code_counts_over_the_lattice() {
     {
         for record_bytes in [4, 8, 16] {
             for batch_bytes in [32, 64, 128, 256, 512, 1024, 4096] {
-                for buffer_batches in 0..4 {
-                    let cfg = bonsai_amt::SimEngineConfig {
-                        amt: bonsai_amt::AmtConfig { p, l },
-                        loader: LoaderConfig {
-                            batch_bytes,
-                            record_bytes,
-                            buffer_batches,
-                        },
-                        memory,
-                        presort: Some(16),
-                    };
-                    points += 1;
-                    for d in bonsai_model::check::analyze_engine(&cfg, None, &hw) {
-                        *counts.entry(d.code).or_insert(0) += 1;
-                    }
+                let cfg = bonsai_amt::SimEngineConfig {
+                    amt: bonsai_amt::AmtConfig { p, l },
+                    loader: LoaderConfig {
+                        batch_bytes,
+                        record_bytes,
+                    },
+                    memory,
+                    presort: Some(16),
+                };
+                points += 1;
+                for d in bonsai_model::check::analyze_engine(&cfg, None, &hw) {
+                    *counts.entry(d.code).or_insert(0) += 1;
                 }
             }
         }
     }
-    assert_eq!(points, 20_160);
+    assert_eq!(points, 5_040);
     assert_eq!(
         counts.into_iter().collect::<Vec<_>>(),
         [
-            (codes::P_EXCEEDS_LEAVES, 4_200),
-            (codes::BUFFER_NOT_DOUBLE, 10_080),
-            (codes::BURST_EFFICIENCY_LOW, 10_944),
-            (codes::PRESORT_EXCEEDS_BATCH, 5_760),
-            (codes::GRAPH_DEADLOCK, 5_040),
-            (codes::GRAPH_FIFO_BELOW_FLUSH, 5_610),
-            (codes::GRAPH_BANDWIDTH_INFEASIBLE, 8_876),
-            (codes::GRAPH_LATENCY_BOUND_VIOLATION, 8_176),
-            (codes::GRAPH_DEAD_COMPONENT, 2_520),
+            (codes::P_EXCEEDS_LEAVES, 1_050),
+            (codes::BURST_EFFICIENCY_LOW, 2_736),
+            (codes::PRESORT_EXCEEDS_BATCH, 1_440),
+            (codes::GRAPH_FIFO_BELOW_FLUSH, 170),
+            (codes::GRAPH_BANDWIDTH_INFEASIBLE, 2_219),
+            (codes::GRAPH_LATENCY_BOUND_VIOLATION, 2_044),
+            (codes::GRAPH_DEAD_COMPONENT, 630),
         ]
     );
 }

@@ -2,8 +2,9 @@
 //!
 //! `gensort` writes 100-byte records to a file; `valsort` validates that
 //! a file is sorted and summarizes it. These functions are the library
-//! equivalents for [`GensortRecord`] files and for files of any
-//! [`WireRecord`] type, used by the external sorter and the CLI.
+//! equivalents for [`GensortRecord`](crate::GensortRecord) files and for
+//! files of any [`WireRecord`] type, used by the external sorter and the
+//! CLI.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -12,7 +13,7 @@ use std::path::Path;
 use bonsai_records::wire::WireRecord;
 use bonsai_records::Record;
 
-use crate::gensort::{GensortGenerator, GensortRecord, GENSORT_RECORD_BYTES};
+use crate::gensort::GensortGenerator;
 
 /// Writes `n` seeded gensort records (100 bytes each) to `path`.
 ///
@@ -26,26 +27,6 @@ pub fn generate_gensort_file(path: &Path, n: u64, seed: u64) -> io::Result<()> {
         w.write_all(&generator.next_record().to_bytes())?;
     }
     w.flush()
-}
-
-/// Reads every gensort record from `path`.
-///
-/// # Errors
-///
-/// Fails on I/O errors or if the file length is not a multiple of 100.
-pub fn read_gensort_file(path: &Path) -> io::Result<Vec<GensortRecord>> {
-    let mut data = Vec::new();
-    BufReader::new(File::open(path)?).read_to_end(&mut data)?;
-    if data.len() % GENSORT_RECORD_BYTES != 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "file length is not a multiple of 100 bytes",
-        ));
-    }
-    Ok(data
-        .chunks_exact(GENSORT_RECORD_BYTES)
-        .map(GensortRecord::from_bytes)
-        .collect())
 }
 
 /// Writes fixed-width wire records to `path`.
@@ -131,6 +112,7 @@ pub fn valsort<R: Record>(records: &[R]) -> ValsortSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gensort::{GensortRecord, GENSORT_RECORD_BYTES};
     use bonsai_records::U32Rec;
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -143,7 +125,12 @@ mod tests {
     fn gensort_file_roundtrip() {
         let path = tmp("roundtrip");
         generate_gensort_file(&path, 100, 9).expect("write");
-        let recs = read_gensort_file(&path).expect("read");
+        let bytes = std::fs::read(&path).expect("read");
+        assert_eq!(bytes.len() % GENSORT_RECORD_BYTES, 0);
+        let recs: Vec<GensortRecord> = bytes
+            .chunks_exact(GENSORT_RECORD_BYTES)
+            .map(GensortRecord::from_bytes)
+            .collect();
         assert_eq!(recs.len(), 100);
         // Regeneration with the same seed is identical.
         let again = GensortGenerator::seeded(9).take_records(100);

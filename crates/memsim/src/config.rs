@@ -1,4 +1,4 @@
-//! Memory, I/O-bus and loader configuration with the paper's presets.
+//! Memory and loader configuration with the paper's presets.
 
 use bonsai_check::{has_errors, Diagnostic};
 
@@ -168,29 +168,22 @@ impl MemoryConfig {
         transfer as f64 / (transfer + self.burst_setup_cycles) as f64
     }
 
-    /// The bank that leaf `leaf` streams its run from: input streams
-    /// stripe round-robin over the banks (`leaf mod banks`). `None` when
-    /// there are no banks at all.
-    pub fn bank_for_leaf(&self, leaf: usize) -> Option<usize> {
-        (self.banks > 0).then(|| leaf % self.banks)
-    }
-
-    /// How many banks serve at least one leaf under the round-robin
-    /// striping of [`MemoryConfig::bank_for_leaf`]. Banks beyond this
-    /// count are idle on the read side: dead hardware (`BON034`), and
-    /// this count times the bank read rate bounds the sustained read
-    /// rate (`BON032`), both judged by `bonsai_model::check::analyze_engine`.
+    /// The bank share of a merge group streaming `leaves` runs in the
+    /// per-group plan: one bank per leaf, at most all of them. This is the
+    /// premise of the dead-hardware and read-rate verdicts (`BON034`,
+    /// `BON032`) of `bonsai_model::check::analyze_engine`. The loader
+    /// itself binds no leaf to a bank: [`crate::DataLoader::tick`] issues
+    /// each burst on any free read port, so one leaf can keep several
+    /// banks busy (`docs/SIMULATOR.md`, "Known deviations").
     pub fn banks_serving(&self, leaves: usize) -> usize {
         self.banks.min(leaves)
     }
 
-    /// The bank view one merge-group shard owns when a pass is sharded
-    /// across its independent groups: a group streaming `active_leaves`
-    /// runs can occupy at most [`MemoryConfig::banks_serving`] of the
-    /// banks (one read stream per active leaf), so its private memory
-    /// keeps the per-bank port shape and drops the banks it can never
-    /// touch. With `banks <= active_leaves` the view is the whole
-    /// memory, so sharding a wide-enough pass changes no bank count.
+    /// The memory one merge group owns in the per-group plan: the same
+    /// per-bank port shape with [`MemoryConfig::banks_serving`] banks for
+    /// its `active_leaves` runs (at least one). With
+    /// `banks <= active_leaves` the view is the whole memory, so a
+    /// wide-enough group changes no bank count.
     #[must_use]
     pub fn shard_view(&self, active_leaves: usize) -> Self {
         Self {
@@ -200,29 +193,10 @@ impl MemoryConfig {
     }
 }
 
-/// Configuration of the I/O bus (PCIe to the host or SSD, §III-A3).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IoBusConfig {
-    /// Bus bytes per cycle (each direction).
-    pub bytes_per_cycle: u64,
-    /// Capacity of the attached storage in bytes (0 = host memory).
-    pub storage_capacity_bytes: u64,
-}
-
-impl IoBusConfig {
-    /// NVMe SSD array: 8 GB/s I/O, 2 TB capacity (§IV-C).
-    pub fn nvme_ssd() -> Self {
-        Self {
-            bytes_per_cycle: 32,
-            storage_capacity_bytes: 2 << 40,
-        }
-    }
-
-    /// Peak bandwidth in bytes/second at the default clock.
-    pub fn peak_bandwidth(&self) -> f64 {
-        self.bytes_per_cycle as f64 * DEFAULT_FREQ_HZ
-    }
-}
+/// Leaf input-buffer capacity in read batches: the hardware FIFO "can
+/// hold two full read batches" (§V-A), so a leaf drains one batch while
+/// the next is in flight. The write drain at the root is sized the same.
+pub const LEAF_BUFFER_BATCHES: u64 = 2;
 
 /// Configuration of the data loader (§V-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -231,24 +205,16 @@ pub struct LoaderConfig {
     pub batch_bytes: u64,
     /// Record width `r` in bytes.
     pub record_bytes: u64,
-    /// Leaf input-buffer capacity in batches (the hardware FIFO "can hold
-    /// two full read batches", §V-A).
-    pub buffer_batches: u64,
 }
 
 impl LoaderConfig {
     /// Validated constructor: returns the analyzer's findings instead of
     /// panicking. Warnings do not fail construction; see
     /// [`LoaderConfig::validate`] to inspect them.
-    pub fn try_new(
-        batch_bytes: u64,
-        record_bytes: u64,
-        buffer_batches: u64,
-    ) -> Result<Self, Vec<Diagnostic>> {
+    pub fn try_new(batch_bytes: u64, record_bytes: u64) -> Result<Self, Vec<Diagnostic>> {
         let cfg = Self {
             batch_bytes,
             record_bytes,
-            buffer_batches,
         };
         let diagnostics = cfg.validate();
         if has_errors(&diagnostics) {
@@ -259,13 +225,9 @@ impl LoaderConfig {
     }
 
     /// Runs the static analyzer over this loader configuration
-    /// (`BON004`, `BON005`, `BON011`, `BON012`).
+    /// (`BON004`, `BON005`, `BON012`).
     pub fn validate(&self) -> Vec<Diagnostic> {
-        bonsai_check::check_loader_shape(
-            self.batch_bytes as usize,
-            self.record_bytes as usize,
-            self.buffer_batches as usize,
-        )
+        bonsai_check::check_loader_shape(self.batch_bytes as usize, self.record_bytes as usize)
     }
 
     /// Cross-checks the loader against the memory it streams from
@@ -279,13 +241,12 @@ impl LoaderConfig {
         )
     }
 
-    /// The paper's default: 4 KB batches, double-buffered.
+    /// The paper's default: 4 KB batches.
     pub fn paper_default(record_bytes: u64) -> Self {
         assert!(record_bytes > 0, "record width must be positive");
         Self {
             batch_bytes: 4096,
             record_bytes,
-            buffer_batches: 2,
         }
     }
 
@@ -294,15 +255,9 @@ impl LoaderConfig {
         (self.batch_bytes / self.record_bytes).max(1)
     }
 
-    /// Leaf buffer capacity in records.
+    /// Leaf buffer capacity in records: [`LEAF_BUFFER_BATCHES`] batches.
     pub fn buffer_records(&self) -> u64 {
-        self.batch_records() * self.buffer_batches
-    }
-
-    /// On-chip memory consumed by `leaves` input buffers, in bytes — the
-    /// `b·ℓ` left-hand side of Equation 10.
-    pub fn bram_bytes(&self, leaves: u64) -> u64 {
-        self.batch_bytes * self.buffer_batches * leaves
+        self.batch_records() * LEAF_BUFFER_BATCHES
     }
 }
 
@@ -346,52 +301,26 @@ mod tests {
         let l = LoaderConfig::paper_default(4);
         assert_eq!(l.batch_records(), 1024);
         assert_eq!(l.buffer_records(), 2048);
-        // Equation 10: 256 leaves at 4KB double-buffered = 2 MiB of BRAM.
-        assert_eq!(l.bram_bytes(256), 2 << 20);
     }
 
     #[test]
-    fn bank_striping_round_robins_leaves() {
+    fn a_group_is_served_by_one_bank_per_leaf_at_most() {
         let m = MemoryConfig::ddr4_aws_f1();
-        assert_eq!(m.bank_for_leaf(0), Some(0));
-        assert_eq!(m.bank_for_leaf(5), Some(1));
         assert_eq!(m.banks_serving(2), 2);
+        assert_eq!(m.banks_serving(3), 3);
+        assert_eq!(m.banks_serving(6), 4);
         assert_eq!(m.banks_serving(64), 4);
+        assert_eq!(m.shard_view(3).banks, 3);
         let none = MemoryConfig {
             banks: 0,
             ..MemoryConfig::ddr4_aws_f1()
         };
-        assert_eq!(none.bank_for_leaf(3), None);
         assert_eq!(none.banks_serving(64), 0);
     }
 
     #[test]
-    fn io_bus_presets() {
-        assert!((IoBusConfig::nvme_ssd().peak_bandwidth() - 8e9).abs() < 1.0);
-    }
-
-    #[test]
-    fn striping_with_non_divisible_leaf_counts_loads_low_banks_heavier() {
-        // 6 leaves over 4 banks: banks 0 and 1 take two leaves, banks 2
-        // and 3 take one — and every bank serves at least one leaf.
-        let m = MemoryConfig::ddr4_aws_f1();
-        let mut per_bank = [0usize; 4];
-        for leaf in 0..6 {
-            per_bank[m.bank_for_leaf(leaf).expect("has banks")] += 1;
-        }
-        assert_eq!(per_bank, [2, 2, 1, 1]);
-        assert_eq!(m.banks_serving(6), 4);
-        // Fewer leaves than banks: only the first `leaves` banks serve.
-        assert_eq!(m.banks_serving(3), 3);
-        assert_eq!(m.shard_view(3).banks, 3);
-    }
-
-    #[test]
-    fn single_bank_striping_is_degenerate_but_total() {
+    fn single_bank_shard_view_is_the_whole_memory() {
         let m = MemoryConfig::ddr4_single_bank();
-        for leaf in [0usize, 1, 7, 1000] {
-            assert_eq!(m.bank_for_leaf(leaf), Some(0));
-        }
         assert_eq!(m.banks_serving(0), 0);
         assert_eq!(m.banks_serving(64), 1);
         let view = m.shard_view(64);

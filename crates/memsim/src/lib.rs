@@ -36,6 +36,6 @@ mod config;
 mod loader;
 mod memory;
 
-pub use config::{IoBusConfig, LoaderConfig, MemoryConfig, DEFAULT_FREQ_HZ};
-pub use loader::{DataLoader, LeafStatus, WriteDrain};
+pub use config::{LoaderConfig, MemoryConfig, DEFAULT_FREQ_HZ, LEAF_BUFFER_BATCHES};
+pub use loader::{DataLoader, WriteDrain};
 pub use memory::{Memory, Port, PortStats};

@@ -10,18 +10,18 @@ use bonsai_check::{codes, Diagnostic};
 
 /// Introspection snapshot of one leaf buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeafStatus {
+pub(crate) struct LeafStatus {
     /// Records still in off-chip memory, not yet requested.
-    pub remaining: u64,
+    remaining: u64,
     /// Records currently in transit from memory.
-    pub in_flight: u64,
+    in_flight: u64,
     /// Records buffered on-chip, ready to consume.
-    pub buffered: u64,
+    buffered: u64,
 }
 
 impl LeafStatus {
     /// Returns `true` when the leaf has no data anywhere in the pipeline.
-    pub fn is_exhausted(&self) -> bool {
+    fn is_exhausted(&self) -> bool {
         self.remaining == 0 && self.in_flight == 0 && self.buffered == 0
     }
 }
@@ -186,7 +186,7 @@ impl DataLoader {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn leaf_status(&self, i: usize) -> LeafStatus {
+    pub(crate) fn leaf_status(&self, i: usize) -> LeafStatus {
         let l = &self.leaves[i];
         LeafStatus {
             remaining: l.remaining,
@@ -214,7 +214,7 @@ impl DataLoader {
     }
 
     /// Returns `true` when leaf `i` will never produce more records.
-    pub fn is_exhausted(&self, i: usize) -> bool {
+    pub(crate) fn is_exhausted(&self, i: usize) -> bool {
         self.leaf_status(i).is_exhausted()
     }
 
@@ -575,6 +575,28 @@ mod tests {
         }
     }
 
+    /// The loader issues each burst on any free read port, not on a bank
+    /// bound to the leaf: one leaf already streams from two of the four
+    /// DDR4 banks, and two leaves keep all four busy.
+    #[test]
+    fn bursts_go_to_any_free_read_port() {
+        let bursts_per_bank = |leaves: usize| {
+            let mut mem = Memory::new(MemoryConfig::ddr4_aws_f1());
+            let mut loader = DataLoader::new(LoaderConfig::paper_default(4), vec![1 << 30; leaves]);
+            for cycle in 0..20_000 {
+                loader.tick(cycle, &mut mem);
+                for i in 0..leaves {
+                    loader.consume(i, loader.available(i));
+                }
+            }
+            (0..mem.banks())
+                .map(|b| mem.read_port_mut(b).stats().bursts)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bursts_per_bank(1), [146, 146, 0, 0]);
+        assert_eq!(bursts_per_bank(2), [146, 146, 146, 146]);
+    }
+
     #[test]
     fn loader_respects_buffer_capacity() {
         let cfg = LoaderConfig::paper_default(4);
@@ -728,15 +750,15 @@ mod tests {
 
     /// `hungry` and `next_delivery` are caches of what a full scan of
     /// the leaves would find; under random consumption, short tails and
-    /// every buffer depth they must equal that scan after every tick.
+    /// leaf buffers from 128 to 6 144 records they must equal that scan
+    /// after every tick.
     #[test]
     fn loader_counters_match_a_full_rescan() {
         let mut rng = bonsai_rng::Rng::seed_from_u64(0x10AD_0015);
         for round in 0..24 {
             let cfg = LoaderConfig {
-                batch_bytes: [256, 1024, 4096][round % 3],
+                batch_bytes: [256, 1024, 4096][round % 3] * (1 + (round as u64 / 3) % 3),
                 record_bytes: 4,
-                buffer_batches: 1 + (round as u64 / 3) % 3,
             };
             let mut mem = Memory::new(if round % 2 == 0 {
                 MemoryConfig::ddr4_aws_f1()
@@ -790,7 +812,6 @@ mod tests {
         let cfg = LoaderConfig {
             batch_bytes: 256,
             record_bytes: 4,
-            buffer_batches: 2,
         };
         let mut rng = bonsai_rng::Rng::seed_from_u64(0x2E5E_0019);
         let first: Vec<u64> = (0..70).map(|_| rng.below_u64(400)).collect();

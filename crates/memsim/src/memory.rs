@@ -46,7 +46,7 @@ impl Port {
     }
 
     /// Returns `true` when the port can accept a burst at `cycle`.
-    pub fn is_free(&self, cycle: u64) -> bool {
+    pub(crate) fn is_free(&self, cycle: u64) -> bool {
         self.free_at <= cycle
     }
 

@@ -42,7 +42,6 @@ fn loader_conserves_records() {
         let cfg = LoaderConfig {
             batch_bytes: batch,
             record_bytes: 4,
-            buffer_batches: 2,
         };
         let total: u64 = leaves.iter().sum();
         let mut mem = Memory::new(MemoryConfig::ddr4_aws_f1());

@@ -23,6 +23,7 @@ use crate::resource::Footprint;
 use crate::{perf, resource};
 use bonsai_amt::{SimEngine, SimEngineConfig};
 use bonsai_check::{codes, has_errors, Diagnostic};
+use bonsai_memsim::LEAF_BUFFER_BATCHES;
 
 /// Relative slack granted to the model before `BON033` fires: the model
 /// may predict down to `bound / (1 + CERTIFY_TOLERANCE)` to absorb the
@@ -104,7 +105,7 @@ pub fn check_full_config(
 const CERTIFY_BYTES: u64 = 1 << 30;
 
 /// The static pass over one engine configuration: the shape checks,
-/// then the dataflow checks of the composed pipeline (`BON030`–`BON035`,
+/// then the dataflow checks of the composed pipeline (`BON031`–`BON035`,
 /// each a closed form over the configuration), the Eq. 1 latency-bound
 /// certification (`BON033`) on that pipeline's max-flow and critical
 /// path and, for configurations clean so far, the static throughput
@@ -174,7 +175,7 @@ fn name_some(count: usize, name: impl Fn(usize) -> String) -> String {
 
 /// What [`dataflow`] finds in one configuration.
 struct Dataflow {
-    /// `BON030`, `BON031`, `BON032`, `BON034`, `BON035`, in that order.
+    /// `BON031`, `BON032`, `BON034`, `BON035`, in that order.
     diagnostics: Vec<Diagnostic>,
     /// Sustained memory-to-memory rate in bytes per cycle.
     max_flow: u64,
@@ -187,11 +188,12 @@ struct Dataflow {
 /// channels — each a closed form over the configuration. With ℓ leaves,
 /// `w` the bottom merger width, `n = max(banks, 1)` channels per
 /// direction, `serving = max(min(banks, ℓ), [banks = 0])` read channels
-/// that feed a leaf (leaf `j` reads bank `j mod banks`), and `R` / `W`
-/// the per-bank read / write rates (0 without banks):
+/// that feed a leaf (the per-group plan's bank share,
+/// `MemoryConfig::banks_serving`: one bank per leaf; the simulated
+/// loader issues on any free port, see `docs/SIMULATOR.md`), and
+/// `R` / `W` the per-bank read / write rates (0 without banks):
 ///
-/// - `BON030` ⇔ `buffer_batches == 0`: the ℓ leaf edges hold no credit.
-/// - `BON031` ⇔ a leaf buffer (`batch_records · buffer_batches`) holds
+/// - `BON031` ⇔ a leaf buffer (`batch_records · LEAF_BUFFER_BATCHES`) holds
 ///   fewer than `w + 1` records, the §V-B tuple plus terminal (the ℓ
 ///   leaf edges), or a write channel's `batch_bytes / payload_bytes`
 ///   holds none (both edges of every write channel).
@@ -213,7 +215,7 @@ fn dataflow(config: &SimEngineConfig, payload_bytes: u64) -> Dataflow {
     let levels = amt.levels();
     let bottom = levels - 1;
     let need = amt.merger_width_at_level(bottom) as u64 + 1;
-    let leaf_depth = loader.batch_bytes / loader.record_bytes * loader.buffer_batches;
+    let leaf_depth = loader.batch_bytes / loader.record_bytes * LEAF_BUFFER_BATCHES;
     let channels = memory.banks.max(1);
     let serving = memory
         .banks_serving(leaves)
@@ -227,17 +229,6 @@ fn dataflow(config: &SimEngineConfig, payload_bytes: u64) -> Dataflow {
     let leaf_edge = |j: usize| format!("loader->merger_l{bottom}_{}", j / 2);
 
     let mut diagnostics = Vec::new();
-    if loader.buffer_batches == 0 {
-        diagnostics.push(
-            Diagnostic::error(
-                codes::GRAPH_DEADLOCK,
-                "zero-credit edge: the producer can never obtain a send credit",
-            )
-            .with("edges", name_some(leaves, leaf_edge))
-            .with("count", leaves),
-        );
-    }
-
     let shallow_leaves = if leaf_depth < need { leaves } else { 0 };
     let shallow_writes = if loader.batch_bytes / payload_bytes == 0 {
         2 * channels

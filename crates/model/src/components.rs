@@ -72,19 +72,6 @@ impl ComponentLibrary {
         }
     }
 
-    /// Builds a library from custom component measurements.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `narrow.record_bits < wide.record_bits`.
-    pub fn from_tables(narrow: ComponentTable, wide: ComponentTable) -> Self {
-        assert!(
-            narrow.record_bits < wide.record_bits,
-            "tables must be ordered by record width"
-        );
-        Self { narrow, wide }
-    }
-
     /// Looks a cost up in one table, extrapolating `k > 32` with the
     /// `Θ(k·log 2k)` growth law.
     fn table_cost(table: &[u64; 6], k: usize) -> f64 {

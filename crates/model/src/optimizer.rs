@@ -127,39 +127,18 @@ pub fn throughput_order(a: &RankedConfig, b: &RankedConfig) -> core::cmp::Orderi
 #[derive(Debug, Clone)]
 pub struct BonsaiOptimizer {
     hw: HardwareParams,
-    lib: ComponentLibrary,
-    /// Presorted run length fed to the first stage (16 in the paper).
-    presort: usize,
 }
+
+/// Presorted run length the presorter feeds to the first stage (16 in
+/// the paper). Every search also scores each tree without it.
+const PRESORT: usize = 16;
 
 impl BonsaiOptimizer {
     /// Creates an optimizer for the given hardware with the paper's
-    /// component library and 16-record presorter.
+    /// component library ([`ComponentLibrary::paper`]) and 16-record
+    /// presorter.
     pub fn new(hw: HardwareParams) -> Self {
-        Self {
-            hw,
-            lib: ComponentLibrary::paper(),
-            presort: 16,
-        }
-    }
-
-    /// Replaces the component cost library.
-    #[must_use]
-    pub fn with_library(mut self, lib: ComponentLibrary) -> Self {
-        self.lib = lib;
-        self
-    }
-
-    /// Sets the presorted run length (1 disables the presorter).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `presort` is zero.
-    #[must_use]
-    pub fn with_presort(mut self, presort: usize) -> Self {
-        assert!(presort >= 1, "presort run length must be positive");
-        self.presort = presort;
-        self
+        Self { hw }
     }
 
     /// The hardware this optimizer targets.
@@ -216,13 +195,13 @@ impl BonsaiOptimizer {
         mut visit: impl FnMut(RankedConfig),
     ) {
         let bits = array.record_bits();
-        // (run length, LUTs) of the configured presorter, if any.
-        let presorter =
-            (self.presort > 1).then(|| (self.presort, resource::presorter_lut(self.presort, bits)));
+        let lib = ComponentLibrary::paper();
+        // (run length, LUTs) with the presorter and without it.
+        let presorters = [(PRESORT, resource::presorter_lut(PRESORT, bits)), (1, 0)];
         for p in self.candidate_ps() {
             for l in self.candidate_ls() {
-                let tree = resource::amt_lut(&self.lib, p, l, bits);
-                for (presort, presorter_lut) in presorter.into_iter().chain([(1, 0)]) {
+                let tree = resource::amt_lut(&lib, p, l, bits);
+                for (presort, presorter_lut) in presorters {
                     let tree_lut = tree + presorter_lut;
                     for &pipeline in pipelines {
                         for unroll_log in 0..=6 {
@@ -283,7 +262,7 @@ impl BonsaiOptimizer {
     ) -> Option<RankedConfig> {
         let chunk = (presort > 1).then_some(presort);
         let tree = resource::tree_lut(
-            &self.lib,
+            &ComponentLibrary::paper(),
             config.throughput_p,
             config.leaves_l,
             array.record_bits(),
@@ -372,7 +351,8 @@ mod tests {
 
     /// The enumerate-then-sort search this crate shipped before the
     /// search costed each tree once and kept a running minimum, kept
-    /// word for word (`self` became `opt`, and `resource::config_fits`
+    /// word for word (`self` became `opt`, `opt.lib` and `opt.presort`
+    /// the paper's library and [`PRESORT`], and `resource::config_fits`
     /// and `resource::presorter_lut` are inlined as they were then, the
     /// presorter still counted off a built network) as the oracle the
     /// search is checked against.
@@ -401,12 +381,8 @@ mod tests {
             lut_ok && bram_ok
         }
 
-        fn presort_choices(opt: &BonsaiOptimizer) -> Vec<usize> {
-            if opt.presort > 1 {
-                vec![opt.presort, 1]
-            } else {
-                vec![1]
-            }
+        fn presort_choices() -> Vec<usize> {
+            vec![PRESORT, 1]
         }
 
         fn score(
@@ -428,7 +404,7 @@ mod tests {
             };
             let throughput = perf::eq7_throughput(&opt.hw, p, array.record_bytes, pipeline, unroll);
             let copies = (unroll * pipeline) as u64;
-            let per_tree = resource::amt_lut(&opt.lib, p, l, array.record_bits())
+            let per_tree = resource::amt_lut(&ComponentLibrary::paper(), p, l, array.record_bits())
                 + if presort > 1 {
                     presorter_lut(presort, array.record_bits())
                 } else {
@@ -457,10 +433,10 @@ mod tests {
                         for unroll_log in 0..=6 {
                             let unroll = 1usize << unroll_log;
                             let copies = unroll * pipeline;
-                            for presort in presort_choices(opt) {
+                            for presort in presort_choices() {
                                 let chunk = (presort > 1).then_some(presort);
                                 if !config_fits(
-                                    &opt.lib,
+                                    &ComponentLibrary::paper(),
                                     &opt.hw,
                                     p,
                                     l,
@@ -518,11 +494,11 @@ mod tests {
         }
     }
 
-    /// Random hardware, record widths, sizes (2 … 2^40 records, the
-    /// adaptive runtime's 1 024 and 65 536 buckets among them) and
-    /// presorters: the search ranks exactly as the reference does, each
-    /// optimum is its ranking's first entry, and `evaluate` re-scores
-    /// every ranked entry to itself.
+    /// Random hardware, record widths and sizes (2 … 2^40 records, the
+    /// adaptive runtime's 1 024 and 65 536 buckets among them): the
+    /// search ranks exactly as the reference does, each optimum is its
+    /// ranking's first entry, and `evaluate` re-scores every ranked entry
+    /// to itself.
     #[test]
     fn search_matches_the_reference_enumerate_then_sort() {
         let mut rng = bonsai_rng::Rng::seed_from_u64(0x0971_4123);
@@ -548,10 +524,8 @@ mod tests {
                 }
             };
             let array = ArrayParams::new(n_records, record_bytes);
-            let presort = [16, 1][rng.below_usize(2)];
-            let opt = BonsaiOptimizer::new(hw).with_presort(presort);
-            let context =
-                format!("round {round}: n={n_records} r={record_bytes} presort={presort}");
+            let opt = BonsaiOptimizer::new(hw);
+            let context = format!("round {round}: n={n_records} r={record_bytes}");
 
             let by_latency = opt.ranked_by_latency(&array);
             assert_eq!(
@@ -631,7 +605,7 @@ mod tests {
         // latency-optimal AMT is (8, 256): p just high enough for the
         // low bandwidth, l as large as possible.
         let hw = HardwareParams::aws_f1_ssd().with_beta_dram(8e9);
-        let opt = BonsaiOptimizer::new(hw).with_presort(1);
+        let opt = BonsaiOptimizer::new(hw);
         let best = opt.latency_optimal(&u32_array(16)).expect("feasible");
         assert_eq!(best.config.leaves_l, 256);
         assert!(

@@ -1,5 +1,7 @@
 //! The Bonsai input parameters (Table II of the paper).
 
+use bonsai_memsim::LEAF_BUFFER_BATCHES;
+
 /// Array parameters (Table IIa): what is being sorted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ArrayParams {
@@ -96,7 +98,7 @@ impl HardwareParams {
             beta_dram: 32e9,
             beta_io: 16e9,
             c_dram: 64 << 30,
-            c_bram: 256 * 2 * 4096, // 2 MiB: 256 leaves, double-buffered 4 KB
+            c_bram: 256 * LEAF_BUFFER_BATCHES * 4096, // 2 MiB: 256 leaves, double-buffered 4 KB
             c_lut: 862_128,
             batch_bytes: 4096,
             freq_hz: 250e6,
@@ -143,10 +145,11 @@ impl HardwareParams {
         self
     }
 
-    /// BRAM bytes consumed by `leaves` double-buffered leaf batches —
-    /// the left-hand side of Equation 10.
+    /// BRAM bytes consumed by `leaves` leaf buffers of
+    /// [`LEAF_BUFFER_BATCHES`] batches each — the left-hand side of
+    /// Equation 10.
     pub fn loader_bram_bytes(&self, leaves: u64) -> u64 {
-        self.batch_bytes * 2 * leaves
+        self.batch_bytes * LEAF_BUFFER_BATCHES * leaves
     }
 }
 

@@ -134,7 +134,7 @@ impl ResourceTriple {
 /// Calibrated per leaf from Table IV (ℓ = 64: 110 102 LUT, 604 550 FF,
 /// 960 BRAM blocks): the loader's wide FIFOs, address pointers and
 /// arbitration dominate, all scaling linearly in ℓ.
-pub fn data_loader_resources(leaves: usize) -> ResourceTriple {
+pub(crate) fn data_loader_resources(leaves: usize) -> ResourceTriple {
     ResourceTriple {
         lut: (leaves as u64 * 110_102) / 64,
         ff: (leaves as u64 * 604_550) / 64,
@@ -156,7 +156,7 @@ pub struct SystemResources {
 }
 
 /// F1 VU9P resources available to the kernel (Table IV "Available").
-pub const AWS_F1_AVAILABLE: ResourceTriple = ResourceTriple {
+pub(crate) const AWS_F1_AVAILABLE: ResourceTriple = ResourceTriple {
     lut: 862_128,
     ff: 1_761_817,
     bram_blocks: 1_600,

@@ -357,7 +357,7 @@ impl ResponseHeader {
 
 /// Serializes records into their contiguous wire payload.
 #[must_use]
-pub fn encode_records<R: WireRecord>(records: &[R]) -> Vec<u8> {
+pub(crate) fn encode_records<R: WireRecord>(records: &[R]) -> Vec<u8> {
     let mut buf = vec![0u8; records.len() * R::WIRE_BYTES];
     for (chunk, record) in buf.chunks_exact_mut(R::WIRE_BYTES).zip(records) {
         record.write_to(chunk);

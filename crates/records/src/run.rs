@@ -200,11 +200,6 @@ impl<R: Record> RunSet<R> {
         self.starts.len()
     }
 
-    /// Returns `true` when the whole array is one sorted run.
-    pub fn is_fully_sorted(&self) -> bool {
-        self.num_runs() <= 1
-    }
-
     /// Borrows the underlying records.
     pub fn records(&self) -> &[R] {
         &self.records
@@ -318,7 +313,6 @@ mod tests {
         let rs = RunSet::from_unsorted(recs(&[5, 4, 3]));
         assert_eq!(rs.num_runs(), 3);
         assert!(rs.validate().is_ok());
-        assert!(!rs.is_fully_sorted());
     }
 
     #[test]
@@ -337,14 +331,14 @@ mod tests {
     fn empty_run_set_is_sorted() {
         let rs: RunSet<U32Rec> = RunSet::from_unsorted(vec![]);
         assert!(rs.is_empty());
-        assert!(rs.is_fully_sorted());
+        assert_eq!(rs.num_runs(), 0);
         assert!(rs.validate().is_ok());
     }
 
     #[test]
     fn single_run_roundtrip() {
         let rs = RunSet::single_run(recs(&[1, 2, 3]));
-        assert!(rs.is_fully_sorted());
+        assert_eq!(rs.num_runs(), 1);
         assert_eq!(rs.iter_runs().count(), 1);
         assert_eq!(rs.into_records(), recs(&[1, 2, 3]));
     }

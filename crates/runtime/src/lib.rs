@@ -578,7 +578,6 @@ mod tests {
     use super::*;
     use bonsai_amt::AmtConfig;
     use bonsai_gensort::dist::uniform_u32;
-    use bonsai_memsim::LoaderConfig;
     use bonsai_records::U32Rec;
 
     fn dram_cfg() -> SimEngineConfig {
@@ -611,10 +610,7 @@ mod tests {
     #[test]
     fn invalid_job_fails_alone() {
         let mut bad = dram_cfg();
-        bad.loader = LoaderConfig {
-            record_bytes: 0,
-            ..bad.loader
-        };
+        bad.loader.record_bytes = 0;
         let runtime = Runtime::start(RuntimeConfig {
             workers: 2,
             ..RuntimeConfig::default()

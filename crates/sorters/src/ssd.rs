@@ -85,7 +85,7 @@ impl SsdSorter {
     }
 
     /// Number of phase-two merge stages for an array of `bytes`.
-    pub fn phase2_stages(&self, bytes: u64) -> u32 {
+    pub(crate) fn phase2_stages(&self, bytes: u64) -> u32 {
         let runs = bytes.div_ceil(self.chunk_bytes);
         bonsai_records::run::stages_needed(runs, self.phase2_leaves as u64)
     }
