@@ -62,7 +62,7 @@ use bonsai_records::Record;
 use crate::config::SimEngineConfig;
 use crate::error::SortError;
 use crate::functional::presorted_runs;
-use crate::passsim::{simulate, PassScratch};
+use crate::passsim::{park, simulate, unpark, PassScratch};
 use crate::report::{PassReport, SortReport};
 
 /// Width of the *virtual* worker pool the per-group plan's utilization
@@ -512,69 +512,85 @@ pub(crate) fn sort<R: Record>(
     // (§VI-C1), so it costs no cycles; it only shortens the stage count.
     let mut runs = presorted_runs(sanitized, config.initial_run_len());
     let plan = plan(config, runs.num_runs());
-    // Each worker's scratch outlives every pass: at one worker, the
-    // caller's lasts the whole sort.
-    let mut scratch: Vec<PassScratch<R>> = (0..resolve_workers(workers)).map(|_| None).collect();
+    // Each worker's scratch outlives every pass. At one worker it is
+    // the scratch this thread parked for the configuration, parked
+    // again once the passes end, finished or failed.
+    let mut scratch: Vec<PassScratch<R>> = match resolve_workers(workers) {
+        1 => vec![unpark(config)],
+        workers => (0..workers).map(|_| None).collect(),
+    };
     let mut passes = Vec::with_capacity(plan.num_passes());
     let mut cycles = Vec::with_capacity(plan.tasks());
     let mut barrier = 0u64;
-    for p in 0..plan.num_passes() {
-        let pp = plan.pass(p);
-        let stage = p as u32 + 1;
-        let task = |scratch: &mut PassScratch<R>, input, poll: &mut dyn FnMut()| {
-            simulate(
-                config, scratch, input, pp.fan_in, pp.memory, stage, max_cycles, reference, poll,
-            )
-        };
-        let outputs = match scratch.as_mut_slice() {
-            // What `map_pass` does at one worker, with a yield point
-            // before each task; the first failing task ends the pass. A
-            // lone task (every fused pass) takes the input, not a copy.
-            [caller] => (0..pp.tasks)
-                .map(|t| {
-                    poll();
-                    let input = match pp.tasks {
-                        1 => std::mem::replace(&mut runs, RunSet::single_run(Vec::new())),
-                        _ => task_input(&runs, pp.task_runs(t)),
-                    };
-                    task(caller, input, &mut *poll)
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            pool => map_pass(pool, 0..pp.tasks, |scratch, t| {
-                task(scratch, task_input(&runs, pp.task_runs(t)), &mut || {})
-            })?,
-        };
-        let reports = outputs.iter().map(|(_, stats)| &stats.report);
-        let (pass, makespan) = fold_pass(stage, pp.runs_in, plan.width(), reports.clone());
-        passes.push(pass);
-        barrier += makespan;
-        cycles.extend(reports.map(|report| report.cycles));
-        #[cfg(feature = "sanitize")]
-        for (t, (_, stats)) in outputs.iter().enumerate() {
-            // A task is one group only where the plan cuts by group.
-            let by_group = pp.tasks == pp.groups;
-            let group = |d: Diagnostic| if by_group { d.with("group", t) } else { d };
-            let tagged = stats.diagnostics.iter().cloned();
-            diagnostics.extend(tagged.map(|d| group(d.with("stage", stage))));
-        }
-        // A lone task's runs are the next input as they are; else the
-        // read input's buffer takes every task's, in task order.
-        runs = match <[_; 1]>::try_from(outputs) {
-            Ok([(out, _)]) => out,
-            Err(outputs) => {
-                let mut records = runs.into_records();
-                records.clear();
-                let mut starts = Vec::with_capacity(pp.groups);
-                for (out, _) in outputs {
-                    let (out, out_starts) = out.into_parts();
-                    let offset = records.len();
-                    starts.extend(out_starts.into_iter().map(|s| s + offset));
-                    records.extend(out);
-                }
-                RunSet::from_parts(records, starts)
+    let outcome = 'passes: {
+        for p in 0..plan.num_passes() {
+            let pp = plan.pass(p);
+            let stage = p as u32 + 1;
+            let task = |scratch: &mut PassScratch<R>, input, poll: &mut dyn FnMut()| {
+                simulate(
+                    config, scratch, input, pp.fan_in, pp.memory, stage, max_cycles, reference,
+                    poll,
+                )
+            };
+            let outputs = match scratch.as_mut_slice() {
+                // What `map_pass` does at one worker, with a yield point
+                // before each task; the first failing task ends the pass. A
+                // lone task (every fused pass) takes the input, not a copy.
+                [caller] => (0..pp.tasks)
+                    .map(|t| {
+                        poll();
+                        let input = match pp.tasks {
+                            1 => std::mem::replace(&mut runs, RunSet::single_run(Vec::new())),
+                            _ => task_input(&runs, pp.task_runs(t)),
+                        };
+                        task(caller, input, &mut *poll)
+                    })
+                    .collect::<Result<Vec<_>, _>>(),
+                pool => map_pass(pool, 0..pp.tasks, |scratch, t| {
+                    task(scratch, task_input(&runs, pp.task_runs(t)), &mut || {})
+                }),
+            };
+            let outputs = match outputs {
+                Ok(outputs) => outputs,
+                Err(err) => break 'passes Err(err),
+            };
+            let reports = outputs.iter().map(|(_, stats)| &stats.report);
+            let (pass, makespan) = fold_pass(stage, pp.runs_in, plan.width(), reports.clone());
+            passes.push(pass);
+            barrier += makespan;
+            cycles.extend(reports.map(|report| report.cycles));
+            #[cfg(feature = "sanitize")]
+            for (t, (_, stats)) in outputs.iter().enumerate() {
+                // A task is one group only where the plan cuts by group.
+                let by_group = pp.tasks == pp.groups;
+                let group = |d: Diagnostic| if by_group { d.with("group", t) } else { d };
+                let tagged = stats.diagnostics.iter().cloned();
+                diagnostics.extend(tagged.map(|d| group(d.with("stage", stage))));
             }
-        };
+            // A lone task's runs are the next input as they are; else the
+            // read input's buffer takes every task's, in task order.
+            runs = match <[_; 1]>::try_from(outputs) {
+                Ok([(out, _)]) => out,
+                Err(outputs) => {
+                    let mut records = runs.into_records();
+                    records.clear();
+                    let mut starts = Vec::with_capacity(pp.groups);
+                    for (out, _) in outputs {
+                        let (out, out_starts) = out.into_parts();
+                        let offset = records.len();
+                        starts.extend(out_starts.into_iter().map(|s| s + offset));
+                        records.extend(out);
+                    }
+                    RunSet::from_parts(records, starts)
+                }
+            };
+        }
+        Ok(())
+    };
+    if let [caller] = scratch.as_mut_slice() {
+        park(config, caller.take());
     }
+    outcome?;
     debug_assert!(runs.num_runs() <= 1, "the plan fully sorts");
     let mut report = SortReport::from_passes(passes, n_records, config.loader.record_bytes);
     report.pipeline_overlap_cycles = barrier.saturating_sub(dag_virtual_makespan(&plan, &cycles));

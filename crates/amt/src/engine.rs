@@ -308,6 +308,127 @@ mod tests {
         assert!(polls > groups, "{polls} polls for {groups} groups");
     }
 
+    /// How a cross-job test sort is called.
+    #[derive(Debug, Clone, Copy)]
+    enum Entry {
+        Fused,
+        PerGroup,
+        Yielding,
+    }
+
+    /// One sort of the cross-job test: shape, entry point, loop, an
+    /// optional livelock bound, and its input's size and seed.
+    #[derive(Debug, Clone, Copy)]
+    struct Job {
+        config: SimEngineConfig,
+        entry: Entry,
+        reference: bool,
+        bound: Option<u64>,
+        records: usize,
+        seed: u64,
+    }
+
+    /// What `job` returns on `R` records, sanitizer findings included,
+    /// printed; `poll` is the yielding entry's.
+    fn outcome<R: Record>(job: &Job, make: fn(u32) -> R, poll: &mut dyn FnMut()) -> String {
+        let data: Vec<R> = uniform_u32(job.records, job.seed)
+            .into_iter()
+            .map(|r| make(r.0))
+            .collect();
+        let mut engine = SimEngine::new(job.config).with_reference_loop(job.reference);
+        if let Some(bound) = job.bound {
+            engine = engine.with_max_pass_cycles(bound);
+        }
+        let result = match job.entry {
+            Entry::Fused => engine.try_sort(data),
+            Entry::PerGroup => engine.try_sort_pipelined(data, 1),
+            Entry::Yielding => engine.try_sort_yielding(data, poll),
+        };
+        #[cfg(feature = "sanitize")]
+        let findings = format!("{:?}", engine.sanitizer_diagnostics());
+        #[cfg(not(feature = "sanitize"))]
+        let findings = String::new();
+        format!("{result:?} {findings}")
+    }
+
+    /// `job` on its record type (`wide`: `U64Rec`, else `U32Rec`).
+    fn typed_outcome(job: &Job, wide: bool, poll: &mut dyn FnMut()) -> String {
+        if wide {
+            outcome(
+                job,
+                |v| bonsai_records::U64Rec::new(u64::from(v) << 16 | 1),
+                poll,
+            )
+        } else {
+            outcome(job, U32Rec::new, poll)
+        }
+    }
+
+    /// `job` on a new thread, where nothing is parked.
+    fn on_new_thread(job: Job, wide: bool) -> String {
+        std::thread::spawn(move || typed_outcome(&job, wide, &mut || {}))
+            .join()
+            .expect("the sort thread")
+    }
+
+    /// Sorts that run one after another on a thread share the scratch
+    /// it parks, and none of them can tell: a seeded sequence of sorts
+    /// on this thread — three shapes, two record types on the same
+    /// shape, both loops, every entry point, sorts cut off by `BON040`
+    /// and sorts nested in a yielding sort's poll — each returns what
+    /// the same sort returns on a new thread: output, report or error,
+    /// and the sanitizer's findings.
+    #[test]
+    fn sorts_sharing_a_thread_match_sorts_on_new_threads() {
+        let shapes = [
+            SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4),
+            SimEngineConfig::dram_sorter(AmtConfig::new(2, 2), 4),
+            SimEngineConfig::with_memory(
+                AmtConfig::new(8, 64),
+                4,
+                bonsai_memsim::MemoryConfig::hbm_u50(),
+            ),
+        ];
+        let mut rng = bonsai_rng::Rng::seed_from_u64(0x5C2A_0031);
+        let job = |rng: &mut bonsai_rng::Rng| Job {
+            config: shapes[rng.below_usize(shapes.len())],
+            entry: [Entry::Fused, Entry::PerGroup, Entry::Yielding][rng.below_usize(3)],
+            reference: rng.chance_percent(25),
+            bound: rng.chance_percent(20).then(|| rng.range_u64(20, 400)),
+            records: [0, 1, 17, 300, 1_500, 4_000][rng.below_usize(6)],
+            seed: rng.next_u64(),
+        };
+        let (mut failed, mut nested) = (0, 0);
+        for step in 0..60 {
+            let (outer, wide) = (job(&mut rng), rng.chance_percent(50));
+            // A yielding sort runs a sort of its own every fifth poll.
+            let inner: Vec<(Job, bool)> = (0..4)
+                .map(|_| (job(&mut rng), rng.chance_percent(50)))
+                .collect();
+            let mut ran = Vec::new();
+            let mut polls = 0;
+            let got = typed_outcome(&outer, wide, &mut || {
+                polls += 1;
+                if polls % 5 == 0 && ran.len() < inner.len() {
+                    let (job, wide) = inner[ran.len()];
+                    ran.push(typed_outcome(&job, wide, &mut || {}));
+                }
+            });
+            let ctx = format!("step {step}: {outer:?} wide {wide}");
+            assert_eq!(got, on_new_thread(outer, wide), "{ctx}");
+            for (i, got) in ran.iter().enumerate() {
+                let (job, wide) = inner[i];
+                assert_eq!(*got, on_new_thread(job, wide), "{ctx}, nested {i}");
+            }
+            failed += usize::from(got.starts_with("Err"));
+            nested += ran.len();
+        }
+        assert!(
+            failed >= 5 && nested >= 5,
+            "{failed} failed, {nested} nested"
+        );
+    }
+
     #[test]
     fn bytes_moved_equals_full_round_trips() {
         let n = 4_096usize;

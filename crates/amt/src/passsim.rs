@@ -15,6 +15,9 @@
 //!   folded into the same `cycles`/stall counters the per-cycle loop
 //!   would have produced (see `docs/SIMULATOR.md` for the argument).
 
+use std::any::Any;
+use std::cell::RefCell;
+
 use bonsai_memsim::{DataLoader, Memory, MemoryConfig, WriteDrain};
 use bonsai_merge_hw::stream::split_runs;
 use bonsai_records::run::RunSet;
@@ -156,6 +159,15 @@ impl<R: Record> PassSim<R> {
         self.done = false;
         self.cycles = 0;
         self.fast_forwarded = 0;
+    }
+
+    /// Frees the buffers whose size follows the job rather than the
+    /// configuration: the leaf streams and the output stream. The tree,
+    /// loader and drain stay allocated; [`PassSim::reset`] rebuilds the
+    /// streams before the scratch runs again.
+    fn release_streams(&mut self) {
+        self.leaf_streams.fill_with(Vec::new);
+        self.out_stream = Vec::new();
     }
 
     /// Returns `true` once the pass has run to completion.
@@ -452,8 +464,61 @@ impl<R: Record> PassSim<R> {
 /// One worker's simulation state: the pass (tree, streams, loader and
 /// drain) and the memory it runs against, built by the worker's first
 /// pass and reset for every later one — a pass costs its streams'
-/// growth, not the ≈100 allocations of a new tree. Lives for one sort.
-pub(crate) type PassScratch<R> = Option<(PassSim<R>, Memory)>;
+/// growth, not the ≈100 allocations of a new tree. A one-worker sort
+/// takes it from its thread's park ([`unpark`]) and parks it again when
+/// it ends ([`park`]), so it also outlives the sort.
+pub(crate) type PassScratch<R> = Option<Box<(PassSim<R>, Memory)>>;
+
+/// Scratches one thread keeps parked: a runtime worker's own job shape
+/// and the shape of the job it lends itself to.
+const PARKED_SCRATCHES: usize = 2;
+
+thread_local! {
+    /// This thread's parked scratches, each a boxed
+    /// `(PassSim<R>, Memory)` with the configuration it was built for,
+    /// the least recently parked first.
+    static PARKED: RefCell<Vec<(SimEngineConfig, Box<dyn Any>)>> =
+        const { RefCell::new(Vec::new()) };
+}
+
+/// Whether a parked entry is a scratch for `config` and `R`.
+fn parked_for<R: Record>(
+    config: &SimEngineConfig,
+    entry: &(SimEngineConfig, Box<dyn Any>),
+) -> bool {
+    entry.0 == *config && entry.1.is::<(PassSim<R>, Memory)>()
+}
+
+/// Takes the scratch this thread parked for `config` and records of
+/// type `R`, or an empty one. The sort holds it until it ends, so a
+/// sort nested in its poll never shares it and builds its own.
+pub(crate) fn unpark<R: Record>(config: &SimEngineConfig) -> PassScratch<R> {
+    PARKED.with_borrow_mut(|parked| {
+        let at = parked
+            .iter()
+            .position(|entry| parked_for::<R>(config, entry))?;
+        parked.remove(at).1.downcast().ok()
+    })
+}
+
+/// Parks a finished sort's `scratch` on this thread for the next sort
+/// of `config` and `R`, its job-sized streams released. It replaces an
+/// entry for the same key and pushes out the least recently parked one
+/// beyond [`PARKED_SCRATCHES`]. A reset scratch equals a new one, so
+/// what earlier jobs left in it never shows.
+pub(crate) fn park<R: Record>(config: &SimEngineConfig, scratch: PassScratch<R>) {
+    let Some(mut scratch) = scratch else {
+        return;
+    };
+    scratch.0.release_streams();
+    PARKED.with_borrow_mut(|parked| {
+        parked.retain(|entry| !parked_for::<R>(config, entry));
+        if parked.len() == PARKED_SCRATCHES {
+            parked.remove(0);
+        }
+        parked.push((*config, scratch));
+    });
+}
 
 /// What one simulated pass adds to its sort's accounting: its
 /// [`PassReport`], memory traffic included, and under `sanitize` the
@@ -492,9 +557,12 @@ pub(crate) fn simulate<R: Record>(
         Some(used) => {
             used.0.reset(runs, fan_in);
             used.1.reset(memory);
-            used
+            &mut **used
         }
-        None => scratch.insert((PassSim::new(config, runs, fan_in), Memory::new(memory))),
+        None => &mut **scratch.insert(Box::new((
+            PassSim::new(config, runs, fan_in),
+            Memory::new(memory),
+        ))),
     };
     sim.run(mem, reference, max_cycles, stage, poll)?;
     #[cfg(feature = "sanitize")]

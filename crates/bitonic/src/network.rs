@@ -120,28 +120,46 @@ pub fn merge_network(n: usize) -> Network {
 pub fn sorter_network(n: usize) -> Network {
     assert_power_of_two(n, "sorter network width");
     assert!(n >= 2, "sorter network needs at least two lanes");
-    let mut stages = Vec::new();
+    let mut stages: Vec<Vec<(usize, usize)>> = Vec::new();
+    sorter_blocks(n, |start, j, ascending| {
+        if start == 0 {
+            stages.push(Vec::with_capacity(n / 2));
+        }
+        let stage = stages.last_mut().expect("every stage opens at lane 0");
+        stage.extend((start..start + j).map(|i| {
+            if ascending {
+                (i, i + j) // ascending block
+            } else {
+                (i + j, i) // descending block
+            }
+        }));
+    });
+    Network::new(n, stages)
+}
+
+/// Batcher's bitonic sorter over `n` lanes, block by block: calls
+/// `block(start, j, ascending)` for each stage's blocks in lane order,
+/// the stages in pipeline order. A block compares lane `start + t` with
+/// lane `start + j + t` for every `t < j` and keeps the smaller record
+/// on the lower lane when `ascending`, on the upper one otherwise.
+///
+/// The sorter's one definition: [`sorter_network`] lists its CAS units
+/// and the presorter runs it on a lane array.
+#[inline(always)]
+pub(crate) fn sorter_blocks(n: usize, mut block: impl FnMut(usize, usize, bool)) {
     let mut k = 2;
     while k <= n {
         let mut j = k / 2;
         while j >= 1 {
-            let mut stage = Vec::with_capacity(n / 2);
-            for i in 0..n {
-                let l = i ^ j;
-                if l > i {
-                    if i & k == 0 {
-                        stage.push((i, l)); // ascending block
-                    } else {
-                        stage.push((l, i)); // descending block
-                    }
-                }
+            let mut start = 0;
+            while start < n {
+                block(start, j, start & k == 0);
+                start += 2 * j;
             }
-            stages.push(stage);
             j /= 2;
         }
         k *= 2;
     }
-    Network::new(n, stages)
 }
 
 #[cfg(test)]

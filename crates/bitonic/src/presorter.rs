@@ -2,7 +2,7 @@
 
 use bonsai_records::Record;
 
-use crate::network::{merge_network, sorter_network, Network};
+use crate::network::{merge_network, sorter_blocks, Network};
 
 /// A `2k`-record bitonic half-merger: merges two sorted `k`-record tuples
 /// into one sorted `2k`-record tuple (§II-A).
@@ -91,6 +91,9 @@ impl HalfMerger {
 ///
 /// The paper uses a 16-record presorter in front of the first merge stage,
 /// which removes one merge stage and saves 10–20 % of total sort time.
+/// On the host a chunk is a `[R; chunk]` lane array, one type per
+/// supported width, so the network's compare-and-exchange schedule
+/// ([`sorter_network`](crate::sorter_network)'s) is fixed at compile time.
 ///
 /// # Example
 ///
@@ -106,7 +109,6 @@ impl HalfMerger {
 #[derive(Debug, Clone)]
 pub struct Presorter {
     chunk: usize,
-    network: Network,
 }
 
 impl Presorter {
@@ -114,16 +116,14 @@ impl Presorter {
     ///
     /// # Panics
     ///
-    /// Panics if `chunk` is not a power of two or is less than 2.
+    /// Panics unless `chunk` is a power of two from 2 to 64, the widths
+    /// the presorter is built for.
     pub fn new(chunk: usize) -> Self {
         assert!(
-            chunk.is_power_of_two() && chunk >= 2,
-            "presorter chunk must be a power of two >= 2"
+            chunk.is_power_of_two() && (2..=64).contains(&chunk),
+            "presorter chunk must be a power of two from 2 to 64"
         );
-        Self {
-            chunk,
-            network: sorter_network(chunk),
-        }
+        Self { chunk }
     }
 
     /// Chunk length in records.
@@ -131,38 +131,146 @@ impl Presorter {
         self.chunk
     }
 
-    /// Pipeline depth in cycles.
+    /// Pipeline depth in cycles: `log₂c·(log₂c+1)/2` stages.
     pub fn depth(&self) -> usize {
-        self.network.depth()
+        let log = self.chunk.trailing_zeros() as usize;
+        log * (log + 1) / 2
     }
 
-    /// Number of compare-and-exchange units.
+    /// Number of compare-and-exchange units: `c/2` per stage.
     pub fn cas_count(&self) -> usize {
-        self.network.cas_count()
+        self.depth() * self.chunk / 2
     }
 
     /// Sorts each consecutive `chunk`-record chunk of `data` in place. A
     /// trailing partial chunk is padded with [`Record::MAX`] internally.
     pub fn presort<R: Record>(&self, data: &mut [R]) {
-        let mut chunks = data.chunks_exact_mut(self.chunk);
-        for chunk in &mut chunks {
-            self.network.apply(chunk);
-        }
-        let tail = chunks.into_remainder();
-        if !tail.is_empty() {
-            // The padding sorts to the end, behind the tail's records.
-            let mut lanes = vec![R::MAX; self.chunk];
-            lanes[..tail.len()].copy_from_slice(tail);
-            self.network.apply(&mut lanes);
-            tail.copy_from_slice(&lanes[..tail.len()]);
+        match self.chunk {
+            2 => presort_lanes::<R, 2>(data),
+            4 => presort_lanes::<R, 4>(data),
+            8 => presort_lanes::<R, 8>(data),
+            16 => presort_lanes::<R, 16>(data),
+            32 => presort_lanes::<R, 32>(data),
+            64 => presort_lanes::<R, 64>(data),
+            _ => unreachable!("Presorter::new admits only these widths"),
         }
     }
+}
+
+/// Sorts every `W`-record chunk of `data` on a lane array; the partial
+/// tail is padded with [`Record::MAX`], which sorts behind its records.
+fn presort_lanes<R: Record, const W: usize>(data: &mut [R]) {
+    let mut chunks = data.chunks_exact_mut(W);
+    for chunk in &mut chunks {
+        sort_lanes::<R, W>(chunk.try_into().expect("an exact chunk"));
+    }
+    let tail = chunks.into_remainder();
+    if !tail.is_empty() {
+        let mut lanes = [R::MAX; W];
+        lanes[..tail.len()].copy_from_slice(tail);
+        sort_lanes(&mut lanes);
+        tail.copy_from_slice(&lanes[..tail.len()]);
+    }
+}
+
+/// Runs the bitonic sorter over `W` lanes. With the width a constant,
+/// every block's bounds are known at compile time, so each block is a
+/// straight compare-and-exchange of two lane ranges, which the compiler
+/// may vectorize. A unit is one compare and a select, as wired in
+/// hardware; it selects which of the two records goes where and then
+/// copies them, so a wide record is not moved word by word through
+/// each select. Never inlined: one copy per width serves the whole
+/// chunks and the padded tail, which keeps the six widths' unrolled
+/// code small.
+#[inline(never)]
+fn sort_lanes<T: Ord + Copy, const W: usize>(lanes: &mut [T; W]) {
+    sorter_blocks(W, |start, j, ascending| {
+        let (low, high) = lanes[start..start + 2 * j].split_at_mut(j);
+        for (x, y) in low.iter_mut().zip(high) {
+            let (a, b) = (*x, *y);
+            let swap = if ascending { b < a } else { a < b };
+            let (to_x, to_y) = if swap { (&b, &a) } else { (&a, &b) };
+            *x = *to_x;
+            *y = *to_y;
+        }
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::sorter_network;
     use bonsai_records::{U32Rec, W512Rec};
+    use core::cell::RefCell;
+    use core::cmp::Ordering;
+
+    std::thread_local! {
+        /// Every comparison a probe lane made, as `(self, other)`.
+        static COMPARED: RefCell<Vec<(u8, u8)>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// A lane that logs its comparisons.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    struct Probe(u8);
+
+    impl Ord for Probe {
+        fn cmp(&self, other: &Self) -> Ordering {
+            COMPARED.with_borrow_mut(|log| log.push((self.0, other.0)));
+            self.0.cmp(&other.0)
+        }
+    }
+
+    impl PartialOrd for Probe {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    /// The CAS units `sort_lanes` runs over `W` lanes, in order, read
+    /// back from the comparisons of distinct probe values: each unit
+    /// compares the record on its `hi` lane with the one on its `lo`
+    /// lane, and a replay on value positions turns them into lanes.
+    fn compiled_units<const W: usize>(seed: usize) -> Vec<(usize, usize)> {
+        let mut lanes: [Probe; W] = core::array::from_fn(|i| Probe(((i * 37 + seed) % W) as u8));
+        let mut at: Vec<usize> = vec![0; W];
+        for (lane, probe) in lanes.iter().enumerate() {
+            at[usize::from(probe.0)] = lane;
+        }
+        COMPARED.with_borrow_mut(Vec::clear);
+        sort_lanes(&mut lanes);
+        let compared = COMPARED.with_borrow_mut(core::mem::take);
+        compared
+            .into_iter()
+            .map(|(hi_value, lo_value)| {
+                let (lo, hi) = (at[usize::from(lo_value)], at[usize::from(hi_value)]);
+                if hi_value < lo_value {
+                    at.swap(usize::from(lo_value), usize::from(hi_value));
+                }
+                (lo, hi)
+            })
+            .collect()
+    }
+
+    /// The presorter runs exactly `sorter_network(w)`'s CAS units in
+    /// pipeline order, at every width.
+    #[test]
+    fn compiled_schedule_is_the_sorter_network_flattened() {
+        fn check<const W: usize>() {
+            let want: Vec<(usize, usize)> = sorter_network(W).stages().concat();
+            for seed in 0..3 {
+                assert_eq!(compiled_units::<W>(seed), want, "{W} lanes");
+            }
+            let ps = Presorter::new(W);
+            assert_eq!(ps.depth(), sorter_network(W).depth());
+            assert_eq!(ps.cas_count(), want.len());
+        }
+        check::<2>();
+        check::<4>();
+        check::<8>();
+        check::<16>();
+        check::<32>();
+        check::<64>();
+    }
 
     fn recs(vals: &[u32]) -> Vec<U32Rec> {
         vals.iter().map(|&v| U32Rec::new(v)).collect()

@@ -99,11 +99,12 @@ fn presorter_output_is_chunkwise_sorted_permutation() {
 }
 
 /// A lane value: one of a handful of keys, so most CAS units compare
-/// equal records, and one draw in five is `R::MAX`, the presorter's
-/// padding value.
+/// equal records; one draw in five is `R::MAX`, the presorter's padding
+/// value, and one in twenty is `R::TERMINAL`, the run delimiter.
 fn lane<R: Record>(rng: &mut Rng, make: fn(u64) -> R) -> R {
     match rng.below_u64(5 * 4) {
         v if v % 5 == 0 => R::MAX,
+        1 => R::TERMINAL,
         v => make(v),
     }
 }
@@ -131,7 +132,8 @@ fn network_equals_sort_unstable_at_every_width_and_record_type() {
 
 /// `Presorter::presort` equals `sort_unstable` on every chunk, the
 /// partial tail included (it is padded with `MAX`, which ties with the
-/// tail's own `MAX` records).
+/// tail's own `MAX` records), at every width the presorter is built
+/// for, for every record type and with `TERMINAL` records in the input.
 #[test]
 fn presort_equals_sort_unstable_per_chunk_and_tail() {
     fn typed<R: Record>(make: fn(u64) -> R) {
@@ -139,13 +141,21 @@ fn presort_equals_sort_unstable_per_chunk_and_tail() {
         for chunk in (1..=6).map(|log| 1usize << log) {
             let ps = Presorter::new(chunk);
             for len in [0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + chunk / 2 + 1] {
-                let mut data: Vec<R> = (0..len).map(|_| lane(&mut rng, make)).collect();
-                let mut want = data.clone();
-                want.chunks_mut(chunk).for_each(<[R]>::sort_unstable);
-                ps.presort(&mut data);
-                assert_eq!(data, want, "chunk {chunk} len {len}");
+                for _ in 0..8 {
+                    let mut data: Vec<R> = (0..len).map(|_| lane(&mut rng, make)).collect();
+                    let mut want = data.clone();
+                    want.chunks_mut(chunk).for_each(<[R]>::sort_unstable);
+                    ps.presort(&mut data);
+                    assert_eq!(data, want, "chunk {chunk} len {len}");
+                }
             }
         }
     }
     every_record_type!(typed);
+}
+
+#[test]
+#[should_panic(expected = "from 2 to 64")]
+fn presorter_rejects_a_width_it_is_not_built_for() {
+    let _ = Presorter::new(128);
 }

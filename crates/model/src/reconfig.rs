@@ -42,6 +42,10 @@ pub struct JobPlan {
 /// [`ReconfigPlanner::total_seconds`] accounting lets callers compare
 /// policies.
 ///
+/// The optimizer search behind each class's plan runs again only when
+/// that class's array changes: a stream of same-size jobs pays for the
+/// keep-or-reprogram decision and the accounting alone.
+///
 /// # Example
 ///
 /// ```
@@ -64,6 +68,34 @@ pub struct ReconfigPlanner {
     current: Option<(FullConfig, usize)>,
     total_seconds: f64,
     reprograms: u32,
+    latency_search: Remembered,
+    throughput_search: Remembered,
+}
+
+/// One optimizer search and the array it answered. A search is a pure
+/// function of the hardware and the array, so the planner keeps the
+/// last one per job class, one entry each: the design is chosen once
+/// and reused, as a loaded bitstream is (§I).
+#[derive(Debug, Clone, Copy, Default)]
+struct Remembered(Option<(ArrayParams, Result<RankedConfig, OptimizerError>)>);
+
+impl Remembered {
+    /// The search for `array`: the remembered one if it answered the
+    /// same array, else `search(array)`, which is remembered instead.
+    fn get(
+        &mut self,
+        array: &ArrayParams,
+        search: impl FnOnce(&ArrayParams) -> Result<RankedConfig, OptimizerError>,
+    ) -> Result<RankedConfig, OptimizerError> {
+        match self.0 {
+            Some((seen, result)) if seen == *array => result,
+            _ => {
+                let result = search(array);
+                self.0 = Some((*array, result));
+                result
+            }
+        }
+    }
 }
 
 impl ReconfigPlanner {
@@ -84,6 +116,8 @@ impl ReconfigPlanner {
             current: None,
             total_seconds: 0.0,
             reprograms: 0,
+            latency_search: Remembered::default(),
+            throughput_search: Remembered::default(),
         }
     }
 
@@ -138,7 +172,10 @@ impl ReconfigPlanner {
         array: &ArrayParams,
         deadline_s: Option<f64>,
     ) -> Result<JobPlan, OptimizerError> {
-        let best = self.optimizer.latency_optimal(array)?;
+        let optimizer = &self.optimizer;
+        let best = self
+            .latency_search
+            .get(array, |array| optimizer.latency_optimal(array))?;
         let keep = match self.current_latency(array) {
             Some(kept) if kept.latency_s <= best.latency_s + self.reprogram_seconds => {
                 let busts_deadline = deadline_s.is_some_and(|d| {
@@ -183,7 +220,10 @@ impl ReconfigPlanner {
     ///
     /// Returns [`OptimizerError`] when no configuration fits the device.
     pub fn plan_throughput_job(&mut self, array: &ArrayParams) -> Result<JobPlan, OptimizerError> {
-        let best = self.optimizer.throughput_optimal(array)?;
+        let optimizer = &self.optimizer;
+        let best = self
+            .throughput_search
+            .get(array, |array| optimizer.throughput_optimal(array))?;
         let best_s = array.total_bytes() as f64 / best.throughput;
         let keep = self
             .current_latency(array)
@@ -344,6 +384,68 @@ mod tests {
             assert_eq!(p.current().expect("programmed"), loaded);
         }
         assert!(p.reprograms() >= 1);
+    }
+
+    /// A planner that remembers its searches decides every job as one
+    /// that searches again for each: over seeded sequences of latency
+    /// and throughput jobs, sizes repeating and changing, three record
+    /// widths, every hardware preset and with and without deadlines,
+    /// every [`JobPlan`], the reprogram count and the charged total are
+    /// equal to the last bit.
+    #[test]
+    fn remembered_searches_plan_every_job_as_fresh_ones() {
+        let presets = [
+            HardwareParams::aws_f1(),
+            HardwareParams::aws_f1_single_bank(),
+            HardwareParams::hbm_u50(),
+            HardwareParams::aws_f1_ssd(),
+        ];
+        let mut rng = bonsai_rng::Rng::seed_from_u64(0x9EC0_0031);
+        for (round, hw) in presets.into_iter().cycle().take(12).enumerate() {
+            let reprogram_s = [0.0, 2e-4, 4.3][round % 3];
+            let mut remembering = ReconfigPlanner::new(hw, reprogram_s);
+            let mut searching = ReconfigPlanner::new(hw, reprogram_s);
+            let mut array = ArrayParams::new(1 << 10, 4);
+            for job in 0..160 {
+                // Keep the size for a while, then jump: to another
+                // bucket, record width or a size already seen.
+                if rng.chance_percent(40) {
+                    let records = 1u64 << rng.range_u64(4, 34);
+                    let width = [4, 8, 16][rng.below_usize(3)];
+                    array = ArrayParams::new(records, width);
+                }
+                // The oracle searches for every job.
+                searching.latency_search = Remembered::default();
+                searching.throughput_search = Remembered::default();
+                let plan = |planner: &mut ReconfigPlanner| match job % 5 {
+                    0 | 3 => planner.plan_throughput_job(&array),
+                    1 => planner.plan_job(&array),
+                    _ => {
+                        let deadline = 10f64.powf(rng_deadline(round, job));
+                        planner.plan_job_with_deadline(&array, Some(deadline))
+                    }
+                };
+                let want = plan(&mut searching);
+                let got = plan(&mut remembering);
+                let ctx = format!("round {round} job {job} {array:?}");
+                assert_eq!(got, want, "{ctx}");
+                assert_eq!(remembering.current(), searching.current(), "{ctx}");
+                assert_eq!(remembering.reprograms(), searching.reprograms(), "{ctx}");
+                assert_eq!(
+                    remembering.total_seconds().to_bits(),
+                    searching.total_seconds().to_bits(),
+                    "{ctx}"
+                );
+            }
+            assert!(remembering.reprograms() > 1, "round {round}: no switch");
+        }
+
+        /// A deadline exponent from 10⁻⁷ to 10¹ s, the same for both
+        /// planners of one job.
+        fn rng_deadline(round: usize, job: usize) -> f64 {
+            let mut rng = bonsai_rng::Rng::seed_from_u64((round * 1000 + job) as u64);
+            -7.0 + 8.0 * rng.next_f64()
+        }
     }
 
     #[test]

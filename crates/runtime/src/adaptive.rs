@@ -19,9 +19,13 @@
 //! ([`AdaptiveConfig::reprogram_cost_us`]), which is what keeps an
 //! alternating job mix from thrashing shapes (`BON080`).
 //!
-//! The model picks the shape; [`ShapeCache`] makes it cheap to realize:
-//! repeated shapes skip the full cross-config validation and plan
-//! lowering of `SimEngine::try_new`, and the per-job
+//! The model picks the shape; the planner remembers its last search per
+//! class, so a job of an already planned size bucket costs the
+//! keep-or-reprogram decision alone. [`ShapeCache`] makes the shape
+//! cheap to realize: repeated shapes skip the full cross-config
+//! validation and plan lowering of `SimEngine::try_new`, and the
+//! engine's sort takes the pass scratch the worker's thread parked for
+//! the shape instead of building a tree. The per-job
 //! [`SortReport`](bonsai_amt::SortReport) carries `shape_cache_hits` /
 //! `shape_cache_misses` so the hit rate is observable end to end
 //! (`bonsai-net` aggregates the same counters on its `ServerStats`).

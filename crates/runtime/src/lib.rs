@@ -14,6 +14,12 @@
 //!   a queued latency-class job runs to completion on the same thread,
 //!   then the large sort resumes where it stopped.
 //!
+//! A job pays for its simulation, not for set-up a previous job already
+//! did: the engine parks its pass scratch (tree, loader, drain, memory)
+//! on the worker's thread between sorts, one per shape for the worker's
+//! own jobs and the ones it lends to, and under the adaptive scheduler
+//! the planner searches again only when a class's size bucket changes.
+//!
 //! Failures stay per-job: an invalid configuration
 //! ([`JobError::Invalid`], `BONxxx` diagnostics), a livelocked pass
 //! ([`JobError::Sim`], `BON040`) or even a panicking job
