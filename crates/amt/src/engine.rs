@@ -21,6 +21,9 @@ pub(crate) const MAX_PASS_CYCLES: u64 = 50_000_000_000;
 /// semantics dictate, so the report validates the paper's analytic model
 /// (§VI-B: measured within 10 % of predicted).
 ///
+/// Every entry point runs the whole sort on the calling thread, one
+/// pass at a time, as the hardware runs its stages.
+///
 /// See the crate-level example for usage.
 #[derive(Debug, Clone)]
 pub struct SimEngine {
@@ -129,53 +132,46 @@ impl SimEngine {
     /// keep going.
     ///
     /// One tree on the whole memory: each pass merges all of its groups
-    /// back to back ([`crate::dag`]'s fused plan).
+    /// back to back (the fused plan).
     pub fn try_sort<R: Record>(&mut self, data: Vec<R>) -> Result<(Vec<R>, SortReport), SortError> {
-        self.run(data, SortPlan::fused, 1, &mut || {})
+        self.run(data, SortPlan::fused, &mut || {})
     }
 
-    /// Sorts `data` one pass at a time, each pass's merge groups spread
-    /// over `workers` threads (`0` = one per core; `1` spawns none) and
-    /// each group simulated standalone against its share of the banks
-    /// ([`crate::dag`]'s per-group plan).
-    ///
-    /// The sorted output and the [`SortReport`] are bit-identical at
-    /// every worker count, `pipeline_overlap_cycles` (the modelled
-    /// virtual-makespan cycles a dependency-driven schedule of the
-    /// groups would save over the per-pass barrier) included.
+    /// Sorts `data` one pass at a time, each merge group simulated
+    /// standalone against its share of the banks (the per-group plan).
     /// Livelocked groups surface as `BON040` [`SortError`]s: the first
-    /// failing pass stops the sort and its minimum failing group wins
-    /// error reporting, independent of worker count and completion
-    /// order.
+    /// failing group stops the sort.
+    ///
+    /// `workers` is ignored, and kept so that existing callers compile:
+    /// like every sort of the engine, this one runs on the calling
+    /// thread alone.
     pub fn try_sort_pipelined<R: Record>(
         &mut self,
         data: Vec<R>,
-        workers: usize,
+        _workers: usize,
     ) -> Result<(Vec<R>, SortReport), SortError> {
-        self.run(data, SortPlan::per_group, workers, &mut || {})
+        self.run(data, SortPlan::per_group, &mut || {})
     }
 
-    /// [`SimEngine::try_sort_pipelined`] on the calling thread alone,
-    /// calling `poll` at every yield point: before each merge group,
-    /// and every 128 simulation steps inside one. `poll` may run other
-    /// work on this thread, another sort included; the sort keeps all
-    /// of its state where it is, so its output and report are those of
-    /// `try_sort_pipelined(data, 1)`.
+    /// [`SimEngine::try_sort_pipelined`], calling `poll` at every yield
+    /// point: before each merge group, and every 128 simulation steps
+    /// inside one. `poll` may run other work on this thread, another
+    /// sort included; the sort keeps all of its state where it is, so
+    /// its output and report are those of `try_sort_pipelined`.
     pub fn try_sort_yielding<R: Record>(
         &mut self,
         data: Vec<R>,
         poll: &mut dyn FnMut(),
     ) -> Result<(Vec<R>, SortReport), SortError> {
-        self.run(data, SortPlan::per_group, 1, poll)
+        self.run(data, SortPlan::per_group, poll)
     }
 
-    /// The one pass loop ([`crate::dag::sort`]) on the plan `plan`
-    /// builds, behind every entry point.
+    /// The one pass loop (`dag::sort`) on the plan `plan` builds,
+    /// behind every entry point.
     fn run<R: Record>(
         &mut self,
         data: Vec<R>,
         plan: fn(&SimEngineConfig, usize) -> SortPlan,
-        workers: usize,
         poll: &mut dyn FnMut(),
     ) -> Result<(Vec<R>, SortReport), SortError> {
         #[cfg(feature = "sanitize")]
@@ -184,7 +180,6 @@ impl SimEngine {
             &self.config,
             data,
             plan,
-            workers,
             self.max_pass_cycles,
             self.reference_loop,
             poll,

@@ -13,7 +13,7 @@
 //!   over the workers in contiguous blocks.
 //! - **Stages.** A merge stage is a list of tasks, each some run slices
 //!   and the disjoint `&mut` output range they fill, spread by
-//!   [`crate::dag::map_pass`] over the calling thread and one scoped
+//!   `map_pass` over the calling thread and one scoped
 //!   helper per further core, every worker with its own [`LoserTree`].
 //!   A group is one task unless its output exceeds `n / workers`
 //!   records (the last stage of a sort is one group of all `n`); then it
@@ -31,14 +31,13 @@
 //! gigabyte-scale data and pairs it with the analytic performance model
 //! for timing.
 
-use core::convert::Infallible;
 use core::ops::Range;
+use std::sync::Mutex;
 
 use bonsai_bitonic::Presorter;
 use bonsai_records::run::RunSet;
 use bonsai_records::Record;
 
-use crate::dag::{map_pass, resolve_workers};
 use crate::loser_tree::LoserTree;
 
 /// The widest presorter: runs up to this long go through the bitonic
@@ -58,12 +57,59 @@ const MIN_SHARE: usize = 1 << 14;
 /// take a fair share of a small sort's time.
 fn trees_for<R: Record>(records: usize, workers: usize) -> Vec<LoserTree<R>> {
     let most = records.div_ceil(MIN_SHARE);
-    let workers = if most > 1 {
-        resolve_workers(workers).min(most)
-    } else {
-        1
+    let workers = match workers {
+        _ if most <= 1 => 1,
+        0 => std::thread::available_parallelism().map_or(1, |cores| cores.get().min(most)),
+        workers => workers.min(most),
     };
     (0..workers).map(|_| LoserTree::default()).collect()
+}
+
+/// Runs `task(scratch, item)` once for every item of `items`. An item
+/// is whatever a task owns: a block of presort chunks, or a merge
+/// task's runs and the `&mut` output range they fill. There is one
+/// worker per `scratch` element, each handed only its own: the calling
+/// thread is worker 0, and `min(scratch.len(), items) − 1` scoped
+/// threads are the rest, every worker taking the next unclaimed item
+/// from one shared iterator. One worker spawns nothing.
+///
+/// # Panics
+///
+/// Panics if `scratch` is empty. A panicking task is re-raised with
+/// its own payload once every thread has joined.
+fn map_pass<W, T, I, F>(scratch: &mut [W], items: I, task: F)
+where
+    W: Send,
+    I: IntoIterator<Item = T>,
+    I::IntoIter: ExactSizeIterator + Send,
+    F: Fn(&mut W, T) + Sync,
+{
+    let items = items.into_iter();
+    let threads = scratch.len().min(items.len()).max(1);
+    let (caller, helpers) = scratch.split_first_mut().expect("a pass needs a worker");
+    // The lock is held only to take the next item; the task runs
+    // outside it, so a panicking task cannot poison it.
+    let next = Mutex::new(items);
+    let work = |scratch: &mut W| loop {
+        let claimed = next.lock().expect("taking an item never panics").next();
+        let Some(item) = claimed else {
+            return;
+        };
+        task(scratch, item);
+    };
+    std::thread::scope(|s| {
+        let handles: Vec<_> = helpers[..threads - 1]
+            .iter_mut()
+            .map(|scratch| s.spawn(|| work(scratch)))
+            .collect();
+        // A panic here is re-raised by `scope` after it joins the rest.
+        work(caller);
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
 }
 
 /// Merges `k` sorted runs into one sorted vector (the [`LoserTree`]
@@ -229,9 +275,8 @@ fn merge_stage<R: Record>(
         }
     }
     let mut workers: Vec<_> = trees.iter_mut().map(|tree| (tree, Vec::new())).collect();
-    let Ok(_) = map_pass(&mut workers, tasks, |(tree, cursors), task| {
+    map_pass(&mut workers, tasks, |(tree, cursors), task| {
         task.run(tree, cursors);
-        Ok::<_, Infallible>(())
     });
     starts.iter().copied().step_by(fan_in).collect()
 }
@@ -252,12 +297,9 @@ fn presort<W: Send, R: Record>(workers: &mut [W], data: &mut [R], run_len: usize
     let network =
         (run_len.is_power_of_two() && run_len <= MAX_PRESORTER).then(|| Presorter::new(run_len));
     let block = data.len().div_ceil(run_len).div_ceil(workers.len()).max(1) * run_len;
-    let Ok(_) = map_pass(workers, data.chunks_mut(block), |_, block| {
-        match &network {
-            Some(network) => network.presort(block),
-            None => block.chunks_mut(run_len).for_each(<[R]>::sort_unstable),
-        }
-        Ok::<_, Infallible>(())
+    map_pass(workers, data.chunks_mut(block), |_, block| match &network {
+        Some(network) => network.presort(block),
+        None => block.chunks_mut(run_len).for_each(<[R]>::sort_unstable),
     });
 }
 
@@ -376,6 +418,7 @@ mod tests {
     use bonsai_records::run::stages_needed;
     use bonsai_records::{KvRec, Packed16, U128Rec, U32Rec, U64Rec, W256Rec, W512Rec};
     use bonsai_rng::Rng;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     /// The worker counts every parallel test runs at (`0` = one per core).
     const WORKERS: [usize; 4] = [1, 2, 3, 0];
@@ -539,7 +582,7 @@ mod tests {
     struct Spy(u32);
 
     static CALLER: std::sync::OnceLock<std::thread::ThreadId> = std::sync::OnceLock::new();
-    static ELSEWHERE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    static ELSEWHERE: AtomicUsize = AtomicUsize::new(0);
 
     impl PartialOrd for Spy {
         fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
@@ -550,7 +593,7 @@ mod tests {
     impl Ord for Spy {
         fn cmp(&self, other: &Self) -> core::cmp::Ordering {
             if CALLER.get() != Some(&std::thread::current().id()) {
-                ELSEWHERE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                ELSEWHERE.fetch_add(1, Ordering::Relaxed);
             }
             self.0.cmp(&other.0)
         }
@@ -580,11 +623,11 @@ mod tests {
             let data: Vec<Spy> = uniform_u32(n, 32).iter().map(|r| Spy(r.0)).collect();
             let mut expected = data.clone();
             expected.sort_unstable_by_key(|r| r.0);
-            let before = ELSEWHERE.load(std::sync::atomic::Ordering::Relaxed);
+            let before = ELSEWHERE.load(Ordering::Relaxed);
             let (out, stages) = sort_balanced_on(data, 16, 16, workers);
             assert_eq!(stages, want_stages, "n {n}");
             assert!(out == expected, "n {n}");
-            let after = ELSEWHERE.load(std::sync::atomic::Ordering::Relaxed);
+            let after = ELSEWHERE.load(Ordering::Relaxed);
             assert_eq!(after, before, "n {n}: a comparison ran off the caller");
         }
     }
@@ -726,6 +769,89 @@ mod tests {
             {
                 check_cut(&views, &sorted, rank, i < 2);
             }
+        }
+    }
+
+    #[test]
+    fn map_pass_runs_every_item_once() {
+        let caller = std::thread::current().id();
+        for workers in [1usize, 2, 8] {
+            // No item, one, fewer than the widest pool, more than any.
+            for items in [0usize, 1, 5, 37] {
+                let runs: Vec<AtomicUsize> = (0..items).map(|_| AtomicUsize::new(0)).collect();
+                let elsewhere = AtomicUsize::new(0);
+                // Each worker counts the items it ran in its scratch.
+                let mut ran = vec![0usize; workers];
+                map_pass(&mut ran, 0..items, |ran, i| {
+                    runs[i].fetch_add(1, Ordering::Relaxed);
+                    if std::thread::current().id() != caller {
+                        elsewhere.fetch_add(1, Ordering::Relaxed);
+                    }
+                    *ran += 1;
+                });
+                let ctx = format!("workers {workers} items {items}");
+                assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1), "{ctx}");
+                assert_eq!(ran.iter().sum::<usize>(), items, "{ctx}");
+                // Only the first `min(workers, items)` scratches are lent,
+                // and one worker is the calling thread.
+                assert!(ran[items.max(1).min(workers)..].iter().all(|&n| n == 0));
+                if workers == 1 {
+                    assert_eq!(elsewhere.load(Ordering::Relaxed), 0, "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn map_pass_hands_out_owned_items() {
+        // Disjoint `&mut` ranges of one buffer, as the functional sort's
+        // merge tasks are: each task fills its own.
+        for workers in [1usize, 2, 8] {
+            let mut buffer = vec![0usize; 100];
+            let items = buffer.chunks_mut(7).enumerate();
+            map_pass(&mut vec![(); workers], items, |(), (i, chunk)| {
+                chunk.fill(i + 1);
+            });
+            let filled = buffer.iter().enumerate().all(|(at, &v)| v == at / 7 + 1);
+            assert!(filled, "workers {workers}");
+        }
+    }
+
+    #[test]
+    fn map_pass_reraises_a_panic_with_its_payload_after_every_thread_joined() {
+        use std::time::Duration;
+
+        for workers in [1usize, 2, 8] {
+            let caller = std::thread::current().id();
+            let helper_claimed = AtomicBool::new(false);
+            let in_flight = AtomicUsize::new(0);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                map_pass(&mut vec![(); workers], 0..16, |(), g| {
+                    // With helpers, the panic comes from a spawned thread
+                    // while the other workers are mid-task: the first
+                    // helper to claim a group panics, and every worker
+                    // holds its group until that has happened.
+                    let helper = std::thread::current().id() != caller;
+                    if helper && !helper_claimed.swap(true, Ordering::SeqCst) {
+                        panic!("group {g} panicked");
+                    }
+                    if workers == 1 && g == 3 {
+                        panic!("group {g} panicked");
+                    }
+                    in_flight.fetch_add(1, Ordering::SeqCst);
+                    while workers > 1 && !helper_claimed.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    std::thread::sleep(Duration::from_millis(2));
+                    in_flight.fetch_sub(1, Ordering::SeqCst);
+                });
+            }));
+            let payload = outcome.expect_err("a task panicked");
+            let text = payload
+                .downcast_ref::<String>()
+                .expect("the task's own payload, not a replacement");
+            assert!(text.ends_with(" panicked"), "workers {workers}: {text}");
+            assert_eq!(in_flight.load(Ordering::SeqCst), 0, "workers {workers}");
         }
     }
 }

@@ -17,7 +17,7 @@
 //! - [`SimEngine`]: a full cycle-approximate merge-sort engine that
 //!   streams real data through the tree, fed by the `bonsai-memsim` data
 //!   loader, producing sorted output plus cycle-exact timing
-//!   ([`SortReport`]),
+//!   ([`SortReport`]); every sort runs on the calling thread,
 //! - [`functional`]: a fast, functionally identical execution path
 //!   (loser-tree `ℓ`-way merges) for data sizes where cycle simulation
 //!   is unnecessary.
@@ -41,7 +41,7 @@
 
 mod cache;
 mod config;
-pub mod dag;
+mod dag;
 mod engine;
 mod error;
 pub mod functional;
@@ -54,7 +54,6 @@ mod unrolled;
 
 pub use cache::{CompiledShape, ShapeCache};
 pub use config::{AmtConfig, SimEngineConfig};
-pub use dag::VIRTUAL_WORKERS;
 pub use engine::SimEngine;
 pub use error::SortError;
 /// [`functional::kway_merge`] under the name the loser tree was first

@@ -1,5 +1,5 @@
 //! A steppable single-stage pass simulation, shared by the engine's one
-//! pass loop ([`crate::dag`], every task of every plan through one
+//! pass loop (`dag::sort`, every task of every plan through one
 //! `simulate` function) and by [`crate::UnrolledSim`] (λ trees
 //! contending for one memory).
 //!
@@ -452,21 +452,17 @@ impl<R: Record> PassSim<R> {
             input_stalls: tree_stats.total_input_stalls,
             output_stalls: tree_stats.total_output_stalls,
             fast_forwarded_cycles: self.fast_forwarded,
-            // A plan's fold (`dag::fold_pass`) schedules its tasks on
-            // the plan's virtual pool and writes these.
-            busy_worker_cycles: 0,
-            idle_worker_cycles: 0,
         };
         (out_runs, pass)
     }
 }
 
-/// One worker's simulation state: the pass (tree, streams, loader and
-/// drain) and the memory it runs against, built by the worker's first
-/// pass and reset for every later one — a pass costs its streams'
-/// growth, not the ≈100 allocations of a new tree. A one-worker sort
-/// takes it from its thread's park ([`unpark`]) and parks it again when
-/// it ends ([`park`]), so it also outlives the sort.
+/// A sort's simulation state: the pass (tree, streams, loader and
+/// drain) and the memory it runs against, built by the sort's first
+/// task and reset for every later one — a task costs its streams'
+/// growth, not the ≈100 allocations of a new tree. A sort takes it
+/// from its thread's park ([`unpark`]) and parks it again when it ends
+/// ([`park`]), so it also outlives the sort.
 pub(crate) type PassScratch<R> = Option<Box<(PassSim<R>, Memory)>>;
 
 /// Scratches one thread keeps parked: a runtime worker's own job shape

@@ -29,25 +29,6 @@ pub struct PassReport {
     /// Observability only: always `0` on the reference per-cycle path,
     /// and cleared by [`SortReport::normalized`].
     pub fast_forwarded_cycles: u64,
-    /// Simulated cycles a virtual worker spent executing this pass's
-    /// tasks, summed across the sort's virtual pool — the
-    /// [`VIRTUAL_WORKERS`] reference pool for the per-group sort, one
-    /// worker for the fused tree (equals `cycles` — every task is
-    /// simulated exactly once). Modelled hardware time, not the host
-    /// executor's: computed from a deterministic list schedule of the
-    /// per-task cycle costs, never from wall-clock threads, so it is
-    /// bit-identical at every real worker count. Observability only.
-    ///
-    /// [`VIRTUAL_WORKERS`]: crate::dag::VIRTUAL_WORKERS
-    pub busy_worker_cycles: u64,
-    /// Simulated cycles virtual workers sat idle while this pass ran
-    /// under the per-pass-barrier schedule on the sort's virtual pool
-    /// (pass makespan × pool width − busy). `0` on the fused tree's
-    /// one-wide pool. Modelled time and observability only, like
-    /// [`busy_worker_cycles`].
-    ///
-    /// [`busy_worker_cycles`]: PassReport::busy_worker_cycles
-    pub idle_worker_cycles: u64,
 }
 
 impl PassReport {
@@ -80,15 +61,9 @@ pub struct SortReport {
     /// Total simulated cycles the fast-forward scheduler skipped instead
     /// of ticking (see [`PassReport::fast_forwarded_cycles`]).
     pub fast_forwarded_cycles: u64,
-    /// Virtual-makespan cycles a schedule that starts each merge group
-    /// as soon as its child groups drain would save over the
-    /// per-pass-barrier schedule, both on the
-    /// [`VIRTUAL_WORKERS`](crate::dag::VIRTUAL_WORKERS) reference pool:
-    /// barrier makespan − group-DAG makespan. Modelled hardware time,
-    /// not the host executor's (which keeps the barrier). Always `0` on
-    /// the fused path. Observability only (cleared by
-    /// [`SortReport::normalized`]), and deterministic: derived from
-    /// per-group simulated cycles, not wall clock.
+    /// Always `0`: the engine runs one pass at a time on the calling
+    /// thread, so no pass overlaps the next. Kept for the benchmark,
+    /// whose `amt.engine.pipeline_overlap_cycles` metric reads it.
     pub pipeline_overlap_cycles: u64,
     /// How many times the adaptive runtime served this job's engine
     /// from its compiled-shape cache (skipping config validation and
@@ -207,8 +182,6 @@ mod tests {
             input_stalls: 0,
             output_stalls: 0,
             fast_forwarded_cycles: 0,
-            busy_worker_cycles: cycles,
-            idle_worker_cycles: 0,
         }
     }
 

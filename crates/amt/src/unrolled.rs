@@ -14,7 +14,7 @@ use bonsai_records::run::RunSet;
 use bonsai_records::Record;
 
 use crate::config::SimEngineConfig;
-use crate::dag::{fold_pass, SortPlan};
+use crate::dag::SortPlan;
 use crate::engine::MAX_PASS_CYCLES;
 use crate::functional::presorted_runs;
 use crate::passsim::PassSim;
@@ -122,9 +122,7 @@ impl UnrolledSim {
                     if sim.tick(cycle, &mut memory) {
                         let sim = tree.active.take().expect("just ticked");
                         let (out_runs, pass) = sim.finish(next as u32 + 1);
-                        let (runs_in, width) = (tree.plan.pass(next).runs_in, tree.plan.width());
-                        tree.passes
-                            .push(fold_pass(pass.stage, runs_in, width, [pass].iter()).0);
+                        tree.passes.push(pass);
                         tree.runs = out_runs;
                     }
                 }

@@ -1,21 +1,18 @@
-//! Worker-count invariance of the per-group sort.
+//! Determinism of the per-group sort.
 //!
-//! Its whole contract is that `workers` is a
-//! wall-clock knob and nothing else: for any configuration, every worker
-//! count must produce the same sorted output and the same per-pass cycle
-//! counts, bit for bit. These tests draw randomized configurations and
-//! check the invariant; the in-repo experiment configs are covered by
-//! the bench crate's determinism suite.
+//! A sort is a pure function of its configuration and input: sorting
+//! the same data again on the same thread, which reuses the pass
+//! scratch the first sort parked there, must give the same sorted output
+//! and the same report, bit for bit. These tests draw randomized
+//! configurations and check that; the in-repo experiment configs are
+//! covered by the bench crate's determinism suite.
 
 use bonsai_amt::{AmtConfig, SimEngine, SimEngineConfig};
 use bonsai_records::U32Rec;
 use bonsai_rng::Rng;
 
-/// Worker counts compared against 1 (`0` = one per core).
-const WORKERS: [usize; 4] = [1, 2, 3, 0];
-
 #[test]
-fn dag_reports_are_worker_count_invariant_on_random_configs() {
+fn dag_reports_repeat_on_random_configs() {
     let mut rng = Rng::seed_from_u64(0xA370_0040);
     for round in 0..24 {
         let len = rng.range_usize(1, 30_000);
@@ -31,19 +28,14 @@ fn dag_reports_are_worker_count_invariant_on_random_configs() {
         let (out_1, report_1) = SimEngine::new(cfg)
             .try_sort_pipelined(data.clone(), 1)
             .expect("sorts");
-        for workers in WORKERS {
-            let (out_n, report_n) = SimEngine::new(cfg)
-                .try_sort_pipelined(data.clone(), workers)
-                .expect("sorts");
-            assert_eq!(
-                out_1, out_n,
-                "round {round} (p={p} l={l}) workers={workers}: output depends on worker count"
-            );
-            assert_eq!(
-                report_1, report_n,
-                "round {round} (p={p} l={l}) workers={workers}: report depends on worker count"
-            );
-        }
+        let (out_2, report_2) = SimEngine::new(cfg)
+            .try_sort_pipelined(data.clone(), 1)
+            .expect("sorts");
+        assert_eq!(out_1, out_2, "round {round} (p={p} l={l}): output repeats");
+        assert_eq!(
+            report_1, report_2,
+            "round {round} (p={p} l={l}): report repeats"
+        );
 
         // The per-group sort sorts exactly like the fused engine (the
         // timing models differ; the data path must not).
@@ -63,31 +55,15 @@ fn dag_and_fused_agree_on_bytes_moved() {
     let data: Vec<U32Rec> = bonsai_gensort::dist::uniform_u32(40_000, 17);
     let cfg = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
     let (_, fused) = SimEngine::new(cfg).sort(data.clone());
-    for workers in WORKERS {
-        let (_, dag) = SimEngine::new(cfg)
-            .try_sort_pipelined(data.clone(), workers)
-            .expect("sorts");
-        assert_eq!(fused.passes.len(), dag.passes.len());
-        for (f, s) in fused.passes.iter().zip(&dag.passes) {
-            assert_eq!(f.bytes_read, s.bytes_read, "stage {}", f.stage);
-            assert_eq!(f.bytes_written, s.bytes_written, "stage {}", f.stage);
-            assert_eq!(f.runs_in, s.runs_in);
-            assert_eq!(f.runs_out, s.runs_out);
-            assert_eq!(f.records, s.records);
-        }
-    }
-}
-
-#[test]
-fn worker_zero_means_auto_and_stays_deterministic() {
-    let data: Vec<U32Rec> = bonsai_gensort::dist::uniform_u32(10_000, 23);
-    let cfg = SimEngineConfig::dram_sorter(AmtConfig::new(2, 8), 4);
-    let (out_auto, report_auto) = SimEngine::new(cfg)
-        .try_sort_pipelined(data.clone(), 0)
-        .expect("sorts");
-    let (out_1, report_1) = SimEngine::new(cfg)
+    let (_, dag) = SimEngine::new(cfg)
         .try_sort_pipelined(data, 1)
         .expect("sorts");
-    assert_eq!(out_auto, out_1);
-    assert_eq!(report_auto, report_1);
+    assert_eq!(fused.passes.len(), dag.passes.len());
+    for (f, s) in fused.passes.iter().zip(&dag.passes) {
+        assert_eq!(f.bytes_read, s.bytes_read, "stage {}", f.stage);
+        assert_eq!(f.bytes_written, s.bytes_written, "stage {}", f.stage);
+        assert_eq!(f.runs_in, s.runs_in);
+        assert_eq!(f.runs_out, s.runs_out);
+        assert_eq!(f.records, s.records);
+    }
 }

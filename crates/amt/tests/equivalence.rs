@@ -62,7 +62,7 @@ fn fast_path_matches_reference_on_random_configs() {
 }
 
 #[test]
-fn dag_fast_path_matches_reference_at_every_worker_count() {
+fn dag_fast_path_matches_reference_on_random_configs() {
     let mut rng = Rng::seed_from_u64(0xEC01_2303);
     for round in 0..8 {
         let cfg = random_config(&mut rng);
@@ -70,25 +70,15 @@ fn dag_fast_path_matches_reference_at_every_worker_count() {
         let (out_ref, rep_ref) = engine(cfg, true)
             .try_sort_pipelined(data.clone(), 1)
             .expect("sorts");
-        // 0 = one worker per core, the "max" point of the matrix.
-        for workers in [1usize, 2, 0] {
-            let (out_fast, rep_fast) = engine(cfg, false)
-                .try_sort_pipelined(data.clone(), workers)
-                .expect("sorts");
-            assert_eq!(
-                out_ref, out_fast,
-                "round {round} workers={workers}: DAG outputs diverge"
-            );
-            assert_eq!(
-                rep_ref.pipeline_overlap_cycles, rep_fast.pipeline_overlap_cycles,
-                "round {round} workers={workers}: overlap depends on the loop"
-            );
-            assert_eq!(
-                rep_ref.clone().normalized(),
-                rep_fast.normalized(),
-                "round {round} workers={workers}: DAG reports diverge"
-            );
-        }
+        let (out_fast, rep_fast) = engine(cfg, false)
+            .try_sort_pipelined(data, 1)
+            .expect("sorts");
+        assert_eq!(out_ref, out_fast, "round {round}: DAG outputs diverge");
+        assert_eq!(
+            rep_ref.normalized(),
+            rep_fast.normalized(),
+            "round {round}: DAG reports diverge"
+        );
     }
 }
 

