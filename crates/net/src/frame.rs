@@ -24,6 +24,13 @@
 //! `docs/diagnostics.md`). Malformed frames decode to a structured
 //! [`WireError`] — never a panic — so one bad frame cannot take down a
 //! connection thread, let alone the server.
+//!
+//! Requests have one decoder, generic over [`Read`]: the server reads
+//! every connection with it, and [`decode_request`] runs it on a slice.
+//!
+//! The all-zero record is the engine's terminal record (§V-B), so the
+//! service sanitizes it like every other entry point: a `U32Rec`
+//! request `[0, 5, 0]` comes back `[1, 1, 5]`.
 
 use std::io::{self, Read, Write};
 
@@ -265,6 +272,16 @@ fn split_header(buf: &[u8; HEADER_BYTES]) -> (u32, u16, u16, u64, u32) {
     (magic, version, field, job_id, payload_len)
 }
 
+fn check_magic_and_version(magic: u32, version: u16) -> Result<(), WireError> {
+    if magic != MAGIC {
+        return Err(WireError::BadMagic { found: magic });
+    }
+    if version != VERSION {
+        return Err(WireError::BadVersion { found: version });
+    }
+    Ok(())
+}
+
 impl RequestHeader {
     /// Encodes this header into its 20-byte wire form.
     #[must_use]
@@ -280,12 +297,7 @@ impl RequestHeader {
     /// [`WireError::BadMagic`] / [`WireError::BadVersion`].
     pub fn decode(buf: &[u8; HEADER_BYTES]) -> Result<Self, WireError> {
         let (magic, version, record_width, job_id, payload_len) = split_header(buf);
-        if magic != MAGIC {
-            return Err(WireError::BadMagic { found: magic });
-        }
-        if version != VERSION {
-            return Err(WireError::BadVersion { found: version });
-        }
+        check_magic_and_version(magic, version)?;
         Ok(Self {
             record_width,
             job_id,
@@ -339,12 +351,7 @@ impl ResponseHeader {
     /// [`WireError::BadMagic`] / [`WireError::BadVersion`].
     pub fn decode(buf: &[u8; HEADER_BYTES]) -> Result<Self, WireError> {
         let (magic, version, status, job_id, payload_len) = split_header(buf);
-        if magic != MAGIC {
-            return Err(WireError::BadMagic { found: magic });
-        }
-        if version != VERSION {
-            return Err(WireError::BadVersion { found: version });
-        }
+        check_magic_and_version(magic, version)?;
         Ok(Self {
             status,
             job_id,
@@ -385,35 +392,31 @@ pub fn decode_records<R: WireRecord>(payload: &[u8]) -> Result<Vec<R>, WireError
 }
 
 /// Decodes one full request frame from a byte slice (header +
-/// payload), validating against `expected_width` / `max_payload`.
-/// The pure-slice entry point the property tests drive; the server's
-/// streaming reader makes the same checks in the same order.
+/// payload), validating against `R` and `max_payload`. This is the
+/// server's request reader run on a slice, so it makes the server's
+/// checks in the server's order.
 ///
 /// # Errors
 ///
-/// [`WireError::Truncated`] when the slice ends early, plus everything
-/// [`RequestHeader::decode`] and [`RequestHeader::validate`] emit.
+/// [`WireError::Truncated`] when the slice ends early (an empty one
+/// included), [`WireError::UnsupportedWidth`] for a control frame, plus
+/// everything [`RequestHeader::decode`] and [`RequestHeader::validate`]
+/// emit.
 pub fn decode_request<R: WireRecord>(
-    bytes: &[u8],
+    mut bytes: &[u8],
     max_payload: u32,
 ) -> Result<(RequestHeader, Vec<R>), WireError> {
-    if bytes.len() < HEADER_BYTES {
-        return Err(WireError::Truncated {
+    match read_request(&mut bytes, max_payload).expect("reading a slice cannot fail") {
+        Incoming::Request(header, records) => Ok((header, records)),
+        Incoming::Closed => Err(WireError::Truncated {
             context: "request header",
-        });
+        }),
+        Incoming::Control(_) => Err(WireError::UnsupportedWidth {
+            found: 0,
+            expected: R::WIRE_BYTES as u16,
+        }),
+        Incoming::Rejected { err, .. } => Err(err),
     }
-    let header_bytes: &[u8; HEADER_BYTES] =
-        bytes[..HEADER_BYTES].try_into().expect("sliced to size");
-    let header = RequestHeader::decode(header_bytes)?;
-    header.validate(R::WIRE_BYTES as u16, max_payload)?;
-    let payload = &bytes[HEADER_BYTES..];
-    if payload.len() < header.payload_len as usize {
-        return Err(WireError::Truncated {
-            context: "request payload",
-        });
-    }
-    let records = decode_records(&payload[..header.payload_len as usize])?;
-    Ok((header, records))
 }
 
 /// Encodes one full request frame (header + record payload).
@@ -429,6 +432,103 @@ pub fn encode_request<R: WireRecord>(job_id: u64, records: &[R]) -> Vec<u8> {
     frame.extend_from_slice(&header.encode());
     frame.extend_from_slice(&payload);
     frame
+}
+
+// --- request reader ----------------------------------------------------
+
+/// What [`read_request`] found at a frame boundary.
+#[derive(Debug)]
+pub(crate) enum Incoming<R> {
+    /// The stream ended before the first byte of a frame: a clean close.
+    Closed,
+    /// A control frame (`record_width == 0`, `payload_len == 0`) with
+    /// this job id.
+    Control(u64),
+    /// A valid request and its records.
+    Request(RequestHeader, Vec<R>),
+    /// A malformed frame, to be answered with `err` under `job_id` (0
+    /// when the header is incomplete or its magic wrong). `framed` says
+    /// whether the payload was skipped so the next frame can be read;
+    /// when it is `false` the connection must close.
+    Rejected {
+        job_id: u64,
+        err: WireError,
+        framed: bool,
+    },
+}
+
+impl<R> Incoming<R> {
+    fn truncated(job_id: u64, context: &'static str) -> Self {
+        let err = WireError::Truncated { context };
+        Self::Rejected {
+            job_id,
+            err,
+            framed: false,
+        }
+    }
+}
+
+/// Reads one request frame, checking in this order: a whole header, its
+/// magic and version, the width-0 control frame, [`RequestHeader::validate`]
+/// against `R` and `max_payload`, and a whole payload. After a
+/// recoverable error it skips the declared payload, if the frame limit
+/// allows, so the stream stays framed.
+///
+/// # Errors
+///
+/// A read error of `stream` other than `Interrupted`.
+pub(crate) fn read_request<R: WireRecord>(
+    stream: &mut impl Read,
+    max_payload: u32,
+) -> io::Result<Incoming<R>> {
+    let mut head = Vec::with_capacity(HEADER_BYTES);
+    stream.take(HEADER_BYTES as u64).read_to_end(&mut head)?;
+    let Ok(head) = <&[u8; HEADER_BYTES]>::try_from(head.as_slice()) else {
+        return Ok(match head.len() {
+            0 => Incoming::Closed,
+            _ => Incoming::truncated(0, "request header"),
+        });
+    };
+    let (magic, version, record_width, job_id, payload_len) = split_header(head);
+    let header = RequestHeader {
+        record_width,
+        job_id,
+        payload_len,
+    };
+    let trusted = check_magic_and_version(magic, version);
+    if trusted.is_ok() && record_width == 0 && payload_len == 0 {
+        return Ok(Incoming::Control(job_id));
+    }
+    if let Err(err) = trusted.and_then(|()| header.validate(R::WIRE_BYTES as u16, max_payload)) {
+        let len = u64::from(payload_len);
+        let framed = err.recoverable()
+            && payload_len <= max_payload
+            && io::copy(&mut stream.by_ref().take(len), &mut io::sink()).is_ok_and(|n| n == len);
+        // Past a wrong magic not even the job id can be trusted.
+        let job_id = if matches!(err, WireError::BadMagic { .. }) {
+            0
+        } else {
+            job_id
+        };
+        return Ok(Incoming::Rejected {
+            job_id,
+            err,
+            framed,
+        });
+    }
+    let mut payload = Vec::with_capacity(payload_len as usize);
+    stream
+        .take(u64::from(payload_len))
+        .read_to_end(&mut payload)?;
+    if payload.len() < payload_len as usize {
+        return Ok(Incoming::truncated(job_id, "request payload"));
+    }
+    // `validate` admitted whole records of `R`'s width only.
+    let records = payload
+        .chunks_exact(R::WIRE_BYTES)
+        .map(R::read_from)
+        .collect();
+    Ok(Incoming::Request(header, records))
 }
 
 // --- blocking stream helpers -------------------------------------------

@@ -4,8 +4,6 @@
 //! per-client backpressure, and failure isolation — one connection's
 //! malformed frames or failing jobs never disturb another.
 
-use std::time::Duration;
-
 use bonsai_amt::{AmtConfig, SimEngineConfig};
 use bonsai_net::{Client, Reply, Server, ServerConfig};
 use bonsai_records::{Record, U32Rec};
@@ -65,6 +63,20 @@ fn one_client_roundtrips_jobs_of_many_sizes() {
     let stats = server.shutdown();
     assert_eq!(stats.jobs_ok, 5);
     assert_eq!(stats.wire_errors, 0);
+}
+
+#[test]
+fn the_terminal_record_is_sanitized_like_every_other_entry_point() {
+    let server = spawn_server(test_config());
+    let mut client = Client::<U32Rec>::connect(server.local_addr()).expect("connect");
+    let data = [U32Rec::new(0), U32Rec::new(5), U32Rec::new(0)];
+    match client.sort(61, &data).expect("round trip") {
+        Reply::Sorted { records, .. } => {
+            assert_eq!(records, [U32Rec::new(1), U32Rec::new(1), U32Rec::new(5)]);
+        }
+        Reply::ServerError { code, message, .. } => panic!("{code}: {message}"),
+    }
+    assert_eq!(server.shutdown().jobs_ok, 1);
 }
 
 #[test]
@@ -190,7 +202,10 @@ fn recoverable_wire_errors_keep_the_connection_alive() {
     bytes.extend_from_slice(&[0u8; 8]);
     client.send_raw(&bytes).expect("raw");
     match client.recv().expect("reply") {
-        Reply::ServerError { code, .. } => assert_eq!(code, "BON071"),
+        Reply::ServerError { job_id, code, .. } => {
+            assert_eq!(job_id, 11);
+            assert_eq!(code, "BON071");
+        }
         other => panic!("expected BON071, got {other:?}"),
     }
 
@@ -449,7 +464,6 @@ fn dropped_client_mid_flight_does_not_wedge_the_server() {
         }
         // Drop without reading a single reply.
     }
-    std::thread::sleep(Duration::from_millis(100));
     let mut survivor = Client::<U32Rec>::connect(addr).expect("connect");
     assert_sorts(&mut survivor, 1, &random_records(&mut rng, 100));
     server.shutdown();
