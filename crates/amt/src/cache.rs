@@ -9,13 +9,11 @@
 //! distinct shape and hands back a [`CompiledShape`] from which
 //! [`SimEngine`]s are minted without re-validation.
 //!
-//! The cache is bounded (LRU eviction) and counts hits and misses; the
-//! runtime copies those counters onto each job's
-//! [`SortReport`](crate::SortReport) (`shape_cache_hits` /
-//! `shape_cache_misses`) and `bonsai-net` aggregates them on its
-//! `ServerStats`. A cached engine is *bit-identical* in behaviour to a
-//! cold one — the `shape_cache` equivalence suite compares output and
-//! reports, fused and per group.
+//! The cache is bounded (LRU eviction) and counts hits, misses and
+//! evictions; the adaptive runtime reports them in its `AdaptiveStats`,
+//! which `bonsai-net` snapshots on its `ServerStats`. A cached engine is
+//! *bit-identical* in behaviour to a cold one — the `shape_cache`
+//! equivalence suite compares output and reports, fused and per group.
 
 use bonsai_check::Diagnostic;
 
@@ -48,8 +46,8 @@ impl CompiledShape {
 
     /// Mints a fresh engine without re-validating the configuration.
     /// Behaviourally identical to `SimEngine::try_new(config).unwrap()`:
-    /// same defaults (livelock bound, loop selection from the
-    /// environment), same sorted output, same reports.
+    /// same defaults (the livelock bound, the event-driven loop), same
+    /// sorted output, same reports.
     pub fn engine(&self) -> SimEngine {
         SimEngine::prevalidated(self.config)
     }

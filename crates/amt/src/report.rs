@@ -65,19 +65,6 @@ pub struct SortReport {
     /// thread, so no pass overlaps the next. Kept for the benchmark,
     /// whose `amt.engine.pipeline_overlap_cycles` metric reads it.
     pub pipeline_overlap_cycles: u64,
-    /// How many times the adaptive runtime served this job's engine
-    /// from its compiled-shape cache (skipping config validation and
-    /// plan lowering). `0` everywhere outside the adaptive scheduler.
-    /// Observability only, like [`fast_forwarded_cycles`]
-    /// (cleared by [`SortReport::normalized`]).
-    ///
-    /// [`fast_forwarded_cycles`]: SortReport::fast_forwarded_cycles
-    pub shape_cache_hits: u64,
-    /// Cache-miss counterpart of [`shape_cache_hits`]: the job's shape
-    /// had to be compiled (validated + lowered) before sorting.
-    ///
-    /// [`shape_cache_hits`]: SortReport::shape_cache_hits
-    pub shape_cache_misses: u64,
 }
 
 impl SortReport {
@@ -93,17 +80,15 @@ impl SortReport {
             freq_hz: DEFAULT_FREQ_HZ,
             fast_forwarded_cycles,
             pipeline_overlap_cycles: 0,
-            shape_cache_hits: 0,
-            shape_cache_misses: 0,
         }
     }
 
     /// The report with its observability-only counters cleared —
-    /// `fast_forwarded_cycles` (here and on every pass),
-    /// `pipeline_overlap_cycles` and the shape-cache counters — which is
-    /// what the equivalence suites compare: those fields say *how* the
-    /// host ran the simulation, never what was simulated. A test that
-    /// needs one of them pinned asserts it directly.
+    /// `fast_forwarded_cycles` (here and on every pass) and
+    /// `pipeline_overlap_cycles` — which is what the equivalence suites
+    /// compare: those fields say *how* the host ran the simulation,
+    /// never what was simulated. A test that needs one of them pinned
+    /// asserts it directly.
     #[must_use]
     pub fn normalized(mut self) -> Self {
         self.fast_forwarded_cycles = 0;
@@ -111,8 +96,6 @@ impl SortReport {
             pass.fast_forwarded_cycles = 0;
         }
         self.pipeline_overlap_cycles = 0;
-        self.shape_cache_hits = 0;
-        self.shape_cache_misses = 0;
         self
     }
 
@@ -223,8 +206,6 @@ mod tests {
         let mut r = SortReport::from_passes(vec![p], 4000, 4);
         assert_eq!(r.fast_forwarded_cycles, 7);
         r.pipeline_overlap_cycles = 5;
-        r.shape_cache_hits = 1;
-        r.shape_cache_misses = 2;
         let expected = SortReport::from_passes(vec![pass(1, 1000, 4000)], 4000, 4);
         assert_eq!(r.normalized(), expected);
     }

@@ -3,7 +3,7 @@
 //! same sorted output, same `SortReport` — fused and per group. The
 //! cache may only skip validation work, never change the datapath.
 
-use bonsai_amt::{AmtConfig, ShapeCache, SimEngine, SimEngineConfig, SortReport};
+use bonsai_amt::{AmtConfig, ShapeCache, SimEngine, SimEngineConfig};
 use bonsai_gensort::dist::uniform_u32;
 use bonsai_records::U32Rec;
 
@@ -17,13 +17,6 @@ fn shapes() -> Vec<SimEngineConfig> {
             bonsai_memsim::MemoryConfig::hbm_u50(),
         ),
     ]
-}
-
-/// Engine-level reports never carry cache counters (the adaptive
-/// runtime stamps them afterwards), so equality here is exact.
-fn assert_cold_counters(report: &SortReport) {
-    assert_eq!(report.shape_cache_hits, 0);
-    assert_eq!(report.shape_cache_misses, 0);
 }
 
 #[test]
@@ -44,7 +37,6 @@ fn cache_hit_is_bit_identical_to_cold_compile_fused_and_pipelined() {
         let cached = hit.engine().try_sort(data.clone()).expect("sorts");
         assert_eq!(cold.0, cached.0, "fused output must match");
         assert_eq!(cold.1, cached.1, "fused report must match");
-        assert_cold_counters(&cached.1);
 
         // Per group.
         let cold = SimEngine::try_new(config)

@@ -181,32 +181,11 @@ impl ReconfigPlanner {
                 let busts_deadline = deadline_s.is_some_and(|d| {
                     kept.latency_s > d && best.latency_s + self.reprogram_seconds <= d
                 });
-                (!busts_deadline).then_some(kept)
+                (!busts_deadline).then_some((kept, kept.latency_s))
             }
             _ => None,
         };
-        let plan = match keep {
-            Some(kept) => JobPlan {
-                decision: Decision::Keep,
-                config: kept.config,
-                presort: kept.presort,
-                sort_seconds: kept.latency_s,
-                total_seconds: kept.latency_s,
-            },
-            None => {
-                self.current = Some((best.config, best.presort));
-                self.reprograms += 1;
-                JobPlan {
-                    decision: Decision::Reprogram,
-                    config: best.config,
-                    presort: best.presort,
-                    sort_seconds: best.latency_s,
-                    total_seconds: best.latency_s + self.reprogram_seconds,
-                }
-            }
-        };
-        self.total_seconds += plan.total_seconds;
-        Ok(plan)
+        Ok(self.charge(keep, &best, best.latency_s))
     }
 
     /// Plans one *throughput-class* job: same keep-or-reprogram rule,
@@ -229,6 +208,19 @@ impl ReconfigPlanner {
             .current_latency(array)
             .map(|kept| (kept, array.total_bytes() as f64 / kept.throughput))
             .filter(|(_, kept_s)| *kept_s <= best_s + self.reprogram_seconds);
+        Ok(self.charge(keep, &best, best_s))
+    }
+
+    /// The keep-or-reprogram bookkeeping both plans share: with `keep`
+    /// (the loaded design and its sort time) the job runs on the loaded
+    /// design; without, the device is reprogrammed to `best`, whose sort
+    /// takes `best_s`. Either way the job's charge joins the total.
+    fn charge(
+        &mut self,
+        keep: Option<(RankedConfig, f64)>,
+        best: &RankedConfig,
+        best_s: f64,
+    ) -> JobPlan {
         let plan = match keep {
             Some((kept, kept_s)) => JobPlan {
                 decision: Decision::Keep,
@@ -250,7 +242,7 @@ impl ReconfigPlanner {
             }
         };
         self.total_seconds += plan.total_seconds;
-        Ok(plan)
+        plan
     }
 }
 

@@ -235,20 +235,14 @@ impl core::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// Maps a response `status` back to its stable code string (`0` is
-/// success and has no code).
+/// success and has no code): the registered `BON07x` code whose digits
+/// are `status`, the inverse of [`WireError::status`].
 #[must_use]
 pub fn code_for_status(status: u16) -> Option<&'static str> {
-    match status {
-        70 => Some(codes::WIRE_BAD_MAGIC),
-        71 => Some(codes::WIRE_BAD_VERSION),
-        72 => Some(codes::WIRE_TRUNCATED),
-        73 => Some(codes::WIRE_PAYLOAD_OVERSIZED),
-        74 => Some(codes::WIRE_PAYLOAD_RAGGED),
-        75 => Some(codes::WIRE_WIDTH_UNSUPPORTED),
-        76 => Some(codes::WIRE_SERVER_CLOSED),
-        77 => Some(codes::WIRE_JOB_FAILED),
-        _ => None,
-    }
+    codes::ALL
+        .iter()
+        .map(|info| info.code)
+        .find(|code| code.starts_with("BON07") && code[3..].parse() == Ok(status))
 }
 
 // --- header codec ------------------------------------------------------

@@ -95,7 +95,7 @@ pub struct ServerStats {
     /// compiled-shape cache (always 0 unless the underlying runtime
     /// runs with `scheduler = adaptive`).
     pub shape_cache_hits: u64,
-    /// Adaptive shape lookups that paid validation + plan lowering.
+    /// Adaptive shape lookups that paid the shape's validation.
     pub shape_cache_misses: u64,
     /// Modeled device reprograms taken by the adaptive planner.
     pub reprograms: u64,
@@ -268,7 +268,12 @@ fn accept_loop<R: WireRecord>(listener: &TcpListener, shared: &Arc<Shared<R>>) {
                     .name("bonsai-net-conn".into())
                     .spawn(move || serve_conn(stream, &conn_shared))
                     .expect("spawn connection thread");
-                shared.conns.lock().expect("conns lock").push(handle);
+                let mut conns = shared.conns.lock().expect("conns lock");
+                // A finished connection's handle has nothing left to
+                // join: drop it, so a long-lived server holds one handle
+                // per open connection, not per connection ever accepted.
+                conns.retain(|conn| !conn.is_finished());
+                conns.push(handle);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 thread::sleep(Duration::from_millis(5));
@@ -473,7 +478,8 @@ mod tests {
     //! checks that each job id its client sends is answered exactly once
     //! (sorted, or a `BON07x`) or, where the client vanished, consumed and
     //! discarded, and the matrix checks after each case that the threads
-    //! it started are gone.
+    //! it started are gone. Then the accept loop, over loopback: it keeps
+    //! no handle of a connection that has ended.
 
     use std::collections::{BTreeMap, VecDeque};
     use std::sync::atomic::AtomicUsize;
@@ -481,7 +487,18 @@ mod tests {
     use bonsai_records::{Record, U32Rec};
 
     use super::*;
+    use crate::client::Client;
     use crate::frame::{Reply, RequestHeader, HEADER_BYTES};
+
+    /// Held by each test here that starts `bonsai-` threads: the matrix
+    /// counts them, so they must not overlap.
+    static BONSAI_THREADS: Mutex<()> = Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        BONSAI_THREADS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     /// One step of a scripted read half; past the last step it reads EOF.
     enum Step<'a> {
@@ -823,6 +840,7 @@ mod tests {
         ];
         // One thread runs the cases in turn, so each count compares
         // like with like.
+        let _serial = serial();
         let matrix = thread::Builder::new()
             .name("bonsai-net-faults".into())
             .spawn(move || {
@@ -846,5 +864,32 @@ mod tests {
         if let Err(panic) = matrix.join() {
             std::panic::resume_unwind(panic);
         }
+    }
+
+    /// 32 connections in turn, each sorting one job and closing: the
+    /// accept loop drops the handles of those that have ended instead
+    /// of holding all 32 until shutdown.
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let _serial = serial();
+        let server = Server::<U32Rec>::bind(
+            "127.0.0.1:0",
+            ServerConfig {
+                runtime: RuntimeConfig {
+                    workers: 1,
+                    ..RuntimeConfig::default()
+                },
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind loopback");
+        for id in 0..32 {
+            let mut client = Client::<U32Rec>::connect(server.local_addr()).expect("connect");
+            let reply = client.sort(id, &job(id)).expect("one reply");
+            assert_eq!(answers("reap", &[reply]), want(&[(id, "sorted")]));
+        }
+        let held = server.shared.conns.lock().expect("conns lock").len();
+        assert!(held < 32, "{held} handles kept for 32 closed connections");
+        assert_eq!(server.shutdown().connections, 32);
     }
 }

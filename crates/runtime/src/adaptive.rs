@@ -23,12 +23,12 @@
 //! class, so a job of an already planned size bucket costs the
 //! keep-or-reprogram decision alone. [`ShapeCache`] makes the shape
 //! cheap to realize: repeated shapes skip the full cross-config
-//! validation and plan lowering of `SimEngine::try_new`, and the
-//! engine's sort takes the pass scratch the worker's thread parked for
-//! the shape instead of building a tree. The per-job
-//! [`SortReport`](bonsai_amt::SortReport) carries `shape_cache_hits` /
-//! `shape_cache_misses` so the hit rate is observable end to end
-//! (`bonsai-net` aggregates the same counters on its `ServerStats`).
+//! validation of `SimEngine::try_new`, and the engine's sort takes the
+//! pass scratch the worker's thread parked for the shape instead of
+//! building a tree. The cache's hits and misses are counted here, in
+//! [`AdaptiveStats`], and nowhere else: a job's
+//! [`SortReport`](bonsai_amt::SortReport) is the engine's own
+//! (`bonsai-net` snapshots the counters on its `ServerStats`).
 
 use std::collections::HashMap;
 
@@ -79,7 +79,7 @@ impl Default for AdaptiveConfig {
 pub struct AdaptiveStats {
     /// Shape lookups served from the compiled-shape cache.
     pub shape_cache_hits: u64,
-    /// Shape lookups that paid validation + plan lowering.
+    /// Shape lookups that paid the validation.
     pub shape_cache_misses: u64,
     /// Cached shapes evicted to make room (LRU).
     pub shape_cache_evictions: u64,
@@ -101,15 +101,6 @@ pub(crate) struct AdaptiveState {
     reprogram_seconds: f64,
     latency_jobs: u64,
     throughput_jobs: u64,
-}
-
-/// What [`AdaptiveState::select`] resolved for one job.
-#[derive(Debug)]
-pub(crate) struct Selection {
-    /// The validated shape the job will sort on.
-    pub shape: CompiledShape,
-    /// Whether the shape came out of the cache (vs. a fresh compile).
-    pub cache_hit: bool,
 }
 
 impl AdaptiveState {
@@ -155,24 +146,18 @@ impl AdaptiveState {
         base: &SimEngineConfig,
         records: usize,
         class: JobClass,
-    ) -> Result<Selection, Vec<Diagnostic>> {
+    ) -> Result<CompiledShape, Vec<Diagnostic>> {
         match class {
             JobClass::Latency => self.latency_jobs += 1,
             JobClass::Throughput => self.throughput_jobs += 1,
         }
         let target = self.plan_shape(base, records, class).unwrap_or(*base);
-        let hits_before = self.cache.hits();
-        let shape = match self.cache.get_or_compile(&target) {
-            Ok(shape) => shape,
+        match self.cache.get_or_compile(&target) {
             // A clamped model shape can still lose validation against
             // this job's loader; the submitted config is the contract.
-            Err(_) if target != *base => self.cache.get_or_compile(base)?,
-            Err(diagnostics) => return Err(diagnostics),
-        };
-        Ok(Selection {
-            shape,
-            cache_hit: self.cache.hits() > hits_before,
-        })
+            Err(_) if target != *base => self.cache.get_or_compile(base),
+            selected => selected,
+        }
     }
 
     /// Runs the optimizer + planner for one job, returning the realized
@@ -266,11 +251,11 @@ mod tests {
         let mut state = AdaptiveState::new(&AdaptiveConfig::default());
         let base = dram(4, 16);
         let first = state.select(&base, 50_000, JobClass::Throughput).unwrap();
-        assert!(!first.cache_hit);
-        for _ in 0..3 {
+        assert_eq!(state.stats().shape_cache_misses, 1);
+        for hits in 1..=3 {
             let next = state.select(&base, 50_000, JobClass::Throughput).unwrap();
-            assert!(next.cache_hit);
-            assert_eq!(next.shape.config(), first.shape.config());
+            assert_eq!(state.stats().shape_cache_hits, hits);
+            assert_eq!(next.config(), first.config());
         }
         let stats = state.stats();
         assert_eq!(stats.shape_cache_hits, 3);
@@ -285,7 +270,7 @@ mod tests {
         // 64 records in 16-record presorted runs: 4 runs. ℓ must not
         // exceed the next power of two (4); p must not exceed ℓ.
         let sel = state.select(&base, 64, JobClass::Latency).unwrap();
-        let amt = sel.shape.config().amt;
+        let amt = sel.config().amt;
         assert!(amt.l <= 4, "ℓ={} for a 4-run job", amt.l);
         assert!(amt.p <= amt.l);
         assert_eq!(state.stats().latency_jobs, 1);
@@ -308,7 +293,7 @@ mod tests {
         let base = dram(4, 16);
         for records in [0, 1] {
             let sel = state.select(&base, records, JobClass::Latency).unwrap();
-            assert_eq!(*sel.shape.config(), base);
+            assert_eq!(*sel.config(), base);
         }
     }
 

@@ -24,22 +24,21 @@
 //! ([`JobError::Invalid`], `BONxxx` diagnostics), a livelocked pass
 //! ([`JobError::Sim`], `BON040`) or even a panicking job
 //! ([`JobError::Panic`]) fails that [`JobResult`] while the rest of the
-//! batch keeps sorting. A job's report does not depend on the worker
-//! count: each job is sorted on one worker's thread, as a pure function
-//! of its shape and data.
+//! batch keeps sorting. A job's output and report are exactly what
+//! [`SimEngine::try_sort_yielding`] returns for its shape and data: each
+//! job is sorted on one worker's thread, the runtime adds nothing to
+//! the report, and neither depends on the worker count.
 //!
-//! Results come back two ways:
-//!
-//! - **batch** — [`Runtime::finish`] consumes the runtime and returns
-//!   every [`JobResult`] in submission order (by the runtime-assigned
-//!   [`JobResult::ticket`], so caller-chosen [`SortJob::id`]s may
-//!   collide freely — the id is an opaque tag, echoed back untouched);
-//! - **streaming** — [`Runtime::submit_with_reply`] attaches a
-//!   completion channel to one job, and the worker delivers that
-//!   [`JobResult`] the moment it finishes, while the runtime keeps
-//!   accepting jobs. This is what a long-lived front end (for example
-//!   `bonsai-net`'s TCP server) sits on: `finish` never has to be
-//!   called just to see a result.
+//! A result leaves the runtime one way: [`Runtime::submit_with_reply`]
+//! attaches a completion channel to each job, and the worker sends that
+//! [`JobResult`] down it the moment the job finishes, while the runtime
+//! keeps accepting jobs. Jobs may share one channel; the
+//! runtime-assigned [`JobResult::ticket`] that `submit_with_reply`
+//! returns tells their results apart, so caller-chosen [`SortJob::id`]s
+//! may collide freely (the id is an opaque tag, echoed back untouched).
+//! The runtime stores no result, so a long-lived front end (for example
+//! `bonsai-net`'s TCP server) does not grow with the jobs it has served,
+//! and [`Runtime::finish`] only drains the queue and joins the workers.
 //!
 //! The queue and pool are generic over the `bonsai_mc` sync facade:
 //! production builds monomorphize to plain `std::sync` (zero overhead),
@@ -53,20 +52,27 @@
 //! # Example
 //!
 //! ```
+//! use std::sync::mpsc;
+//!
 //! use bonsai_amt::{AmtConfig, SimEngineConfig};
 //! use bonsai_gensort::dist::uniform_u32;
 //! use bonsai_runtime::{Runtime, RuntimeConfig, SortJob};
 //!
 //! let cfg = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
 //! let runtime = Runtime::start(RuntimeConfig::default());
+//! let (tx, rx) = mpsc::channel();
 //! for id in 0..4 {
 //!     runtime
-//!         .submit(SortJob::new(id, cfg, uniform_u32(10_000, id)))
+//!         .submit_with_reply(SortJob::new(id, cfg, uniform_u32(10_000, id)), tx.clone())
 //!         .expect("runtime is open");
 //! }
-//! let results = runtime.finish();
+//! // Each job's sender goes with its result: the channel ends after
+//! // the fourth.
+//! drop(tx);
+//! let results: Vec<_> = rx.iter().collect();
 //! assert_eq!(results.len(), 4);
 //! assert!(results.iter().all(|r| r.result.is_ok()));
+//! runtime.finish();
 //! ```
 
 #![warn(missing_docs)]
@@ -76,6 +82,7 @@ mod adaptive;
 mod class_queue;
 mod pool;
 
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -128,8 +135,8 @@ pub enum PassScheduler {
 pub struct RuntimeConfig {
     /// Worker threads draining the job queue (`0` = one per core).
     pub workers: usize,
-    /// Bounded queue depth; a full queue blocks [`Runtime::submit`]
-    /// (backpressure).
+    /// Bounded queue depth; a full queue blocks
+    /// [`Runtime::submit_with_reply`] (backpressure).
     pub queue_depth: usize,
     /// Lane and shape policy: [`PassScheduler::Fifo`] (the default) or
     /// [`PassScheduler::Adaptive`].
@@ -199,8 +206,8 @@ fn available_cores() -> usize {
 pub struct SortJob<R> {
     /// Caller-chosen identifier, echoed in the [`JobResult`]. An opaque
     /// tag: the runtime never interprets it, and ids may collide across
-    /// submitters — results are attributed and ordered by the
-    /// runtime-assigned [`JobResult::ticket`], not by this id.
+    /// submitters — results are attributed by the runtime-assigned
+    /// [`JobResult::ticket`], not by this id.
     pub id: u64,
     /// Engine configuration for this job.
     pub config: SimEngineConfig,
@@ -215,9 +222,9 @@ impl<R> SortJob<R> {
     }
 }
 
-/// Why [`Runtime::submit`] rejected a job. The job rides along so the
-/// caller gets its records back instead of losing them to the error
-/// path.
+/// Why [`Runtime::submit_with_reply`] rejected a job. The job rides
+/// along so the caller gets its records back instead of losing them to
+/// the error path.
 pub enum SubmitError<R> {
     /// The queue was closed (by [`Runtime::close`], typically from
     /// another handle to an `Arc`-shared runtime) before the job could
@@ -299,8 +306,9 @@ pub struct JobResult<R> {
     /// echoed back untouched (it may collide with other jobs' ids).
     pub id: u64,
     /// Runtime-assigned monotonic submission ticket, unique per
-    /// runtime. [`Runtime::finish`] orders results by this, so
-    /// colliding caller ids can never misattribute or reorder results.
+    /// runtime: the value [`Runtime::submit_with_reply`] returned for
+    /// this job, so colliding caller ids can never misattribute
+    /// results that share a channel.
     pub ticket: u64,
     /// The sorted output, or why this job failed.
     pub result: Result<JobOutput<R>, JobError>,
@@ -310,13 +318,12 @@ pub struct JobResult<R> {
 }
 
 /// What travels through the queue: the job plus its ticket, scheduling
-/// class and an optional completion channel (`None` = collect for
-/// `finish`).
+/// class and completion channel.
 struct Dispatch<R> {
     ticket: u64,
     job: SortJob<R>,
     class: JobClass,
-    reply: Option<std::sync::mpsc::Sender<JobResult<R>>>,
+    reply: Sender<JobResult<R>>,
 }
 
 impl<R> Classed for Dispatch<R> {
@@ -335,36 +342,24 @@ fn run_job<R: Record>(
 ) -> Result<JobOutput<R>, JobError> {
     // Under the adaptive scheduler the shape selection (optimizer +
     // planner + compiled-shape cache) replaces `SimEngine::try_new`'s
-    // validate-then-build; the cache outcome rides on the report.
+    // validate-then-build.
     let engine = match adaptive {
-        Some(state) => {
-            let mut state = state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            state
-                .select(&job.config, job.data.len(), class)
-                .map(|selection| (selection.shape.engine(), Some(selection.cache_hit)))
-        }
-        None => SimEngine::try_new(job.config).map(|engine| (engine, None)),
+        Some(state) => state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .select(&job.config, job.data.len(), class)
+            .map(|shape| shape.engine()),
+        None => SimEngine::try_new(job.config),
+    }
+    .map_err(JobError::Invalid)?;
+    let mut engine = match config.max_pass_cycles {
+        Some(bound) => engine.with_max_pass_cycles(bound),
+        None => engine,
     };
-    engine
-        .map_err(JobError::Invalid)
-        .and_then(|(engine, cache_hit)| {
-            let mut engine = match config.max_pass_cycles {
-                Some(bound) => engine.with_max_pass_cycles(bound),
-                None => engine,
-            };
-            engine
-                .try_sort_yielding(job.data, poll)
-                .map(|(sorted, mut report)| {
-                    if let Some(hit) = cache_hit {
-                        report.shape_cache_hits = u64::from(hit);
-                        report.shape_cache_misses = u64::from(!hit);
-                    }
-                    JobOutput { sorted, report }
-                })
-                .map_err(JobError::Sim)
-        })
+    let (sorted, report) = engine
+        .try_sort_yielding(job.data, poll)
+        .map_err(JobError::Sim)?;
+    Ok(JobOutput { sorted, report })
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -375,16 +370,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "job panicked".to_string())
 }
 
-/// A worker pool sorting batches of [`SortJob`]s.
+/// A worker pool sorting [`SortJob`]s.
 ///
-/// Submissions flow through a bounded queue; [`Runtime::finish`] closes
-/// the queue, joins the workers and returns every collected
-/// [`JobResult`] in submission order (by [`JobResult::ticket`]).
-/// Jobs submitted with [`Runtime::submit_with_reply`] stream their
-/// result through the caller's channel the moment they complete
-/// instead, so a long-lived service never has to consume the runtime to
-/// observe results. Dropping the runtime without `finish` also closes
-/// the queue and joins the workers, discarding any collected results.
+/// Submissions flow through a bounded queue, and each job's
+/// [`JobResult`] goes out through the channel it was submitted with
+/// ([`Runtime::submit_with_reply`]) the moment it completes.
+/// [`Runtime::finish`] closes the queue, lets the workers drain it and
+/// joins them; dropping the runtime does the same.
 #[derive(Debug)]
 pub struct Runtime<R: Record> {
     config: RuntimeConfig,
@@ -392,10 +384,7 @@ pub struct Runtime<R: Record> {
     // The adaptive brain (shape cache + planners), shared with the
     // workers; `None` under `PassScheduler::Fifo`.
     adaptive: Option<Arc<Mutex<AdaptiveState>>>,
-    // Reply-path results are delivered through their channel and return
-    // `None` from the runner, which the pool does not store, so an
-    // always-on service does not accumulate anything per job.
-    pool: WorkerPool<Dispatch<R>, JobResult<R>>,
+    pool: WorkerPool<Dispatch<R>>,
 }
 
 impl<R: Record> Runtime<R> {
@@ -440,22 +429,15 @@ impl<R: Record> Runtime<R> {
                 run_job(job, class, &config, worker_adaptive.as_deref(), &mut poll)
             }))
             .unwrap_or_else(|payload| Err(JobError::Panic(panic_message(payload.as_ref()))));
-            let result = JobResult {
+            // A dropped receiver means the submitter stopped listening
+            // (e.g. its connection died): `send` fails at once and the
+            // result is discarded, never wedging the worker.
+            let _ = reply.send(JobResult {
                 id,
                 ticket,
                 result,
                 wall: start.elapsed().saturating_sub(lent),
-            };
-            match reply {
-                // A dropped receiver means the submitter stopped
-                // listening (e.g. its connection died); the result is
-                // discarded, never wedging the worker.
-                Some(tx) => {
-                    let _ = tx.send(result);
-                    None
-                }
-                None => Some(result),
-            }
+            });
         };
         let queue = ClassQueue::new(config.queue_depth, FAIRNESS_STRIDE);
         let pool = WorkerPool::start(workers, queue, runner);
@@ -505,10 +487,22 @@ impl<R: Record> Runtime<R> {
         self.pool.pending()
     }
 
-    fn dispatch(
+    /// Submits a job whose [`JobResult`] is delivered through `reply`
+    /// as soon as a worker completes it. Blocks while the queue is full
+    /// (backpressure) and returns the submission ticket.
+    ///
+    /// If the receiver is dropped before the job completes, the result
+    /// is discarded — the worker never blocks on delivery.
+    ///
+    /// # Errors
+    ///
+    /// [`SubmitError::Closed`] hands the job back if the queue was
+    /// closed — e.g. by [`Runtime::close`] on another handle to an
+    /// `Arc`-shared runtime.
+    pub fn submit_with_reply(
         &self,
         job: SortJob<R>,
-        reply: Option<std::sync::mpsc::Sender<JobResult<R>>>,
+        reply: Sender<JobResult<R>>,
     ) -> Result<u64, SubmitError<R>> {
         let ticket = self
             .next_ticket
@@ -527,61 +521,33 @@ impl<R: Record> Runtime<R> {
         }
     }
 
-    /// Submits a job, blocking while the queue is full (backpressure),
-    /// and returns its submission ticket.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::Closed`] hands the job back if the queue was
-    /// closed — e.g. by [`Runtime::close`] on another handle to an
-    /// `Arc`-shared runtime. (This used to be an `unreachable!` panic.)
-    pub fn submit(&self, job: SortJob<R>) -> Result<u64, SubmitError<R>> {
-        self.dispatch(job, None)
-    }
-
-    /// Submits a job whose [`JobResult`] is delivered through `reply`
-    /// as soon as a worker completes it, instead of being collected for
-    /// [`Runtime::finish`]. Blocks while the queue is full
-    /// (backpressure) and returns the submission ticket.
-    ///
-    /// If the receiver is dropped before the job completes, the result
-    /// is discarded — the worker never blocks on delivery.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::Closed`] hands the job back if the queue was
-    /// closed.
-    pub fn submit_with_reply(
-        &self,
-        job: SortJob<R>,
-        reply: std::sync::mpsc::Sender<JobResult<R>>,
-    ) -> Result<u64, SubmitError<R>> {
-        self.dispatch(job, Some(reply))
-    }
-
     /// Closes the job queue without consuming the runtime: queued jobs
-    /// still drain (and reply-path results still deliver), but every
-    /// subsequent submit gets its job back as [`SubmitError::Closed`].
+    /// still drain and reply, but every subsequent submit gets its job
+    /// back as [`SubmitError::Closed`].
     /// This is the shutdown seam for `Arc`-shared runtimes — a server
     /// can stop intake while connection handlers still hold clones.
     pub fn close(&self) {
         self.pool.close();
     }
 
-    /// Drains the queue, stops the workers and returns every collected
-    /// job result in submission order ([`JobResult::ticket`]). Results
-    /// already streamed through [`Runtime::submit_with_reply`] channels
-    /// are not duplicated here.
-    #[must_use]
-    pub fn finish(self) -> Vec<JobResult<R>> {
-        let mut results = self.pool.finish();
-        results.sort_by_key(|r| r.ticket);
-        results
+    /// Closes the queue, lets the workers drain it (every queued job
+    /// still replies) and joins them.
+    ///
+    /// # Panics
+    ///
+    /// If a worker thread itself died, after every worker has been
+    /// joined. A panicking job does not count: it fails alone as
+    /// [`JobError::Panic`].
+    pub fn finish(self) {
+        self.pool.finish();
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+
     use super::*;
     use bonsai_amt::AmtConfig;
     use bonsai_gensort::dist::uniform_u32;
@@ -591,26 +557,28 @@ mod tests {
         SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4)
     }
 
-    #[test]
-    fn batch_sorts_every_job_in_id_order() {
-        let runtime = Runtime::start(RuntimeConfig {
-            workers: 2,
-            ..RuntimeConfig::default()
-        });
-        let inputs: Vec<Vec<U32Rec>> = (0..6).map(|id| uniform_u32(5_000, id)).collect();
-        for (id, data) in inputs.iter().enumerate() {
+    /// Runs `jobs` through a runtime of `config` on one shared reply
+    /// channel, finishes it, and returns every result in submission
+    /// (ticket) order.
+    fn run_all<R: Record>(config: RuntimeConfig, jobs: Vec<SortJob<R>>) -> Vec<JobResult<R>> {
+        let runtime = Runtime::start(config);
+        let (tx, rx) = mpsc::channel();
+        for job in jobs {
             runtime
-                .submit(SortJob::new(id as u64, dram_cfg(), data.clone()))
+                .submit_with_reply(job, tx.clone())
                 .expect("runtime open");
         }
-        let results = runtime.finish();
-        assert_eq!(results.len(), 6);
-        for (id, r) in results.iter().enumerate() {
-            assert_eq!(r.id, id as u64, "results must be ordered by job id");
-            let out = r.result.as_ref().expect("valid jobs succeed");
-            assert!(out.sorted.windows(2).all(|w| w[0] <= w[1]));
-            assert_eq!(out.sorted.len(), inputs[id].len());
-            assert!(out.report.total_cycles > 0);
+        drop(tx);
+        runtime.finish();
+        let mut results: Vec<JobResult<R>> = rx.iter().collect();
+        results.sort_by_key(|r| r.ticket);
+        results
+    }
+
+    fn workers(workers: usize) -> RuntimeConfig {
+        RuntimeConfig {
+            workers,
+            ..RuntimeConfig::default()
         }
     }
 
@@ -618,20 +586,14 @@ mod tests {
     fn invalid_job_fails_alone() {
         let mut bad = dram_cfg();
         bad.loader.record_bytes = 0;
-        let runtime = Runtime::start(RuntimeConfig {
-            workers: 2,
-            ..RuntimeConfig::default()
-        });
-        runtime
-            .submit(SortJob::new(0, dram_cfg(), uniform_u32(2_000, 1)))
-            .expect("runtime open");
-        runtime
-            .submit(SortJob::new(1, bad, uniform_u32(2_000, 2)))
-            .expect("runtime open");
-        runtime
-            .submit(SortJob::new(2, dram_cfg(), uniform_u32(2_000, 3)))
-            .expect("runtime open");
-        let results = runtime.finish();
+        let results = run_all(
+            workers(2),
+            vec![
+                SortJob::new(0, dram_cfg(), uniform_u32(2_000, 1)),
+                SortJob::new(1, bad, uniform_u32(2_000, 2)),
+                SortJob::new(2, dram_cfg(), uniform_u32(2_000, 3)),
+            ],
+        );
         assert!(results[0].result.is_ok());
         assert!(results[2].result.is_ok(), "batch survives a bad job");
         match &results[1].result {
@@ -646,15 +608,14 @@ mod tests {
 
     #[test]
     fn livelock_bound_fails_the_job_not_the_process() {
-        let runtime = Runtime::<U32Rec>::start(RuntimeConfig {
-            workers: 1,
+        let config = RuntimeConfig {
             max_pass_cycles: Some(10),
-            ..RuntimeConfig::default()
-        });
-        runtime
-            .submit(SortJob::new(0, dram_cfg(), uniform_u32(50_000, 4)))
-            .expect("runtime open");
-        let results = runtime.finish();
+            ..workers(1)
+        };
+        let results = run_all(
+            config,
+            vec![SortJob::new(0, dram_cfg(), uniform_u32(50_000, 4))],
+        );
         match &results[0].result {
             Err(JobError::Sim(err)) => {
                 assert_eq!(err.code(), bonsai_check::codes::SIM_PASS_LIVELOCK);
@@ -664,39 +625,46 @@ mod tests {
         }
     }
 
+    /// Under either scheduler and any runtime shape, a job's output is
+    /// exactly what the engine it is sorted on returns, report fields
+    /// compared by `==`: the runtime adds nothing to the report.
     #[test]
     fn reports_are_identical_across_runtime_shapes() {
         let data = uniform_u32(20_000, 9);
-        let shapes = [
-            RuntimeConfig {
-                workers: 1,
-                ..RuntimeConfig::default()
-            },
-            RuntimeConfig {
-                workers: 4,
-                queue_depth: 2,
-                ..RuntimeConfig::default()
-            },
-        ];
-        let outputs: Vec<JobOutput<U32Rec>> = shapes
-            .iter()
-            .map(|&shape| {
-                let runtime = Runtime::start(shape);
-                for id in 0..3 {
-                    runtime
-                        .submit(SortJob::new(id, dram_cfg(), data.clone()))
-                        .expect("runtime open");
-                }
-                let mut results = runtime.finish();
+        for scheduler in [PassScheduler::Fifo, PassScheduler::Adaptive] {
+            // The engine a job of this scheduler sorts on, run directly.
+            let mut engine = match scheduler {
+                PassScheduler::Fifo => SimEngine::try_new(dram_cfg()).expect("valid"),
+                PassScheduler::Adaptive => AdaptiveState::new(&AdaptiveConfig::default())
+                    .select(&dram_cfg(), data.len(), JobClass::Throughput)
+                    .expect("valid")
+                    .engine(),
+            };
+            let (sorted, report) = engine
+                .try_sort_yielding(data.clone(), &mut || {})
+                .expect("sorts");
+            let want = JobOutput { sorted, report };
+            for (workers, queue_depth) in [(1, 16), (4, 2)] {
+                let config = RuntimeConfig {
+                    workers,
+                    queue_depth,
+                    scheduler,
+                    ..RuntimeConfig::default()
+                };
+                let jobs = (0..3)
+                    .map(|id| SortJob::new(id, dram_cfg(), data.clone()))
+                    .collect();
+                let results = run_all(config, jobs);
                 assert_eq!(results.len(), 3);
-                results.remove(0).result.expect("sorts")
-            })
-            .collect();
-        assert_eq!(outputs[0].sorted, outputs[1].sorted);
-        assert_eq!(
-            outputs[0].report, outputs[1].report,
-            "reports must not depend on worker shape"
-        );
+                for r in results {
+                    assert_eq!(
+                        r.result.expect("sorts"),
+                        want,
+                        "{scheduler:?} on {workers} workers"
+                    );
+                }
+            }
+        }
     }
 
     /// A record whose *comparison* panics on a poison value — the
@@ -747,10 +715,6 @@ mod tests {
         // The panic fires mid-merge while the other worker may still be
         // sorting: the job-level catch records the failure and the
         // worker goes on draining the queue.
-        let runtime = Runtime::<PanicRec>::start(RuntimeConfig {
-            workers: 2,
-            ..RuntimeConfig::default()
-        });
         let clean = |seed: u32| {
             (0..3_000u32)
                 .map(|i| PanicRec(i.wrapping_mul(2_654_435_761).wrapping_add(seed) | 1))
@@ -758,19 +722,17 @@ mod tests {
         };
         let mut poisoned = clean(7);
         poisoned[1_234] = PanicRec(POISON);
-        runtime
-            .submit(SortJob::new(0, dram_cfg(), clean(1)))
-            .expect("runtime open");
-        runtime
-            .submit(SortJob::new(1, dram_cfg(), poisoned))
-            .expect("runtime open");
-        runtime
-            .submit(SortJob::new(2, dram_cfg(), clean(2)))
-            .expect("runtime open");
         // finish() joins every worker; if the panic had killed a worker
         // instead of failing the job, the remaining jobs could sit in
         // the queue forever and this would hang (tier-1 timeout).
-        let results = runtime.finish();
+        let results = run_all(
+            workers(2),
+            vec![
+                SortJob::new(0, dram_cfg(), clean(1)),
+                SortJob::new(1, dram_cfg(), poisoned),
+                SortJob::new(2, dram_cfg(), clean(2)),
+            ],
+        );
         assert_eq!(results.len(), 3, "every job must produce a result");
         assert!(results[0].result.is_ok());
         assert!(results[2].result.is_ok(), "batch survives a panicking job");
@@ -789,15 +751,13 @@ mod tests {
     fn drop_after_panicking_job_neither_wedges_nor_leaks() {
         let before = count_own_threads();
         {
-            let runtime = Runtime::<PanicRec>::start(RuntimeConfig {
-                workers: 2,
-                ..RuntimeConfig::default()
-            });
+            let runtime = Runtime::<PanicRec>::start(workers(2));
             let data: Vec<PanicRec> = (0..2_000u32)
                 .map(|i| PanicRec(if i == 999 { POISON } else { i | 1 }))
                 .collect();
+            let (tx, _rx) = mpsc::channel();
             runtime
-                .submit(SortJob::new(0, dram_cfg(), data))
+                .submit_with_reply(SortJob::new(0, dram_cfg(), data), tx)
                 .expect("runtime open");
             // Dropped without finish: the drop closes the queue, which
             // unparks any worker still waiting in pop, then joins both.
@@ -829,35 +789,31 @@ mod tests {
     /// as a structured error instead.
     #[test]
     fn submit_after_close_hands_the_job_back() {
-        let runtime = Runtime::start(RuntimeConfig {
-            workers: 1,
-            ..RuntimeConfig::default()
-        });
+        let runtime = Runtime::start(workers(1));
         let data = uniform_u32(1_000, 3);
         runtime.close();
-        match runtime.submit(SortJob::new(42, dram_cfg(), data.clone())) {
+        let (tx, rx) = mpsc::channel();
+        match runtime.submit_with_reply(SortJob::new(42, dram_cfg(), data.clone()), tx) {
             Err(SubmitError::Closed(job)) => {
                 assert_eq!(job.id, 42, "the rejected job comes back intact");
                 assert_eq!(job.data, data, "with its records");
             }
             Ok(ticket) => panic!("closed runtime accepted ticket {ticket}"),
         }
+        runtime.finish();
         assert!(
-            runtime.finish().is_empty(),
-            "nothing was enqueued after close"
+            rx.recv().is_err(),
+            "nothing was enqueued after close, so nothing replies"
         );
     }
 
     /// Regression: caller-chosen ids may collide (independent clients
-    /// pick their own); results must still come back in submission
-    /// order with each output attributable to its own submission via
-    /// the runtime-assigned ticket.
+    /// pick their own); each result must still be attributable to its
+    /// own submission via the runtime-assigned ticket.
     #[test]
     fn colliding_ids_are_ordered_and_attributed_by_ticket() {
-        let runtime = Runtime::start(RuntimeConfig {
-            workers: 2,
-            ..RuntimeConfig::default()
-        });
+        let runtime = Runtime::start(workers(2));
+        let (tx, rx) = mpsc::channel();
         // Three jobs, all claiming id 7, with distinguishable sizes.
         let sizes = [1_000usize, 2_000, 3_000];
         let tickets: Vec<u64> = sizes
@@ -865,7 +821,10 @@ mod tests {
             .enumerate()
             .map(|(i, &n)| {
                 runtime
-                    .submit(SortJob::new(7, dram_cfg(), uniform_u32(n, i as u64)))
+                    .submit_with_reply(
+                        SortJob::new(7, dram_cfg(), uniform_u32(n, i as u64)),
+                        tx.clone(),
+                    )
                     .expect("runtime open")
             })
             .collect();
@@ -873,11 +832,15 @@ mod tests {
             tickets.windows(2).all(|w| w[0] < w[1]),
             "tickets are monotonic: {tickets:?}"
         );
-        let results = runtime.finish();
+        drop(tx);
+        let results: Vec<JobResult<U32Rec>> = rx.iter().collect();
         assert_eq!(results.len(), 3);
-        for (i, r) in results.iter().enumerate() {
+        for r in &results {
             assert_eq!(r.id, 7, "caller tag echoed untouched");
-            assert_eq!(r.ticket, tickets[i], "submission order preserved");
+            let i = tickets
+                .iter()
+                .position(|&t| t == r.ticket)
+                .expect("a ticket the runtime handed out");
             let out = r.result.as_ref().expect("sorts");
             assert_eq!(
                 out.sorted.len(),
@@ -885,18 +848,15 @@ mod tests {
                 "result {i} must belong to submission {i}, not another id-7 job"
             );
         }
+        runtime.finish();
     }
 
-    /// The streaming completion path: each result arrives through the
-    /// reply channel as its job finishes, without consuming the
-    /// runtime, and `finish` does not return those results again.
+    /// The completion path: each result arrives through the reply
+    /// channel as its job finishes, without consuming the runtime.
     #[test]
     fn submit_with_reply_streams_results_as_they_finish() {
-        let runtime = Runtime::start(RuntimeConfig {
-            workers: 2,
-            ..RuntimeConfig::default()
-        });
-        let (tx, rx) = std::sync::mpsc::channel();
+        let runtime = Runtime::start(workers(2));
+        let (tx, rx) = mpsc::channel();
         let inputs: Vec<Vec<U32Rec>> = (0..4).map(|id| uniform_u32(4_000, id)).collect();
         for (id, data) in inputs.iter().enumerate() {
             runtime
@@ -909,7 +869,7 @@ mod tests {
         drop(tx);
         // Results stream in completion order while the runtime is live.
         let mut streamed: Vec<JobResult<U32Rec>> = rx.iter().collect();
-        assert_eq!(streamed.len(), 4, "every reply-path job streams back");
+        assert_eq!(streamed.len(), 4, "every job streams back");
         streamed.sort_by_key(|r| r.ticket);
         for (id, r) in streamed.iter().enumerate() {
             assert_eq!(r.id, id as u64);
@@ -917,91 +877,93 @@ mod tests {
             assert!(out.sorted.windows(2).all(|w| w[0] <= w[1]));
             assert_eq!(out.sorted.len(), inputs[id].len());
         }
-        assert!(
-            runtime.finish().is_empty(),
-            "streamed results must not be collected a second time"
-        );
+        runtime.finish();
     }
 
-    /// Regression: the pool used to keep one `None` per reply-path job
-    /// until `finish`, so a server that never finishes grew by a
-    /// full-width empty slot per job served. Reply-path jobs must leave
-    /// nothing stored, while they run and at `finish`.
-    #[test]
-    fn reply_path_jobs_leave_nothing_in_the_pool() {
-        let runtime = Runtime::start(RuntimeConfig {
-            workers: 2,
-            ..RuntimeConfig::default()
-        });
-        let (tx, rx) = std::sync::mpsc::channel();
-        let jobs = 64;
-        for id in 0..jobs {
-            runtime
-                .submit_with_reply(
-                    SortJob::new(id, dram_cfg(), uniform_u32(64, id)),
-                    tx.clone(),
-                )
-                .expect("runtime open");
-            assert_eq!(runtime.pool.stored_results(), 0, "after submitting {id}");
+    /// A record whose comparison waits until [`GATE_OPEN`] is set: a job
+    /// of them holds its worker, so the jobs behind it stay queued.
+    #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+    struct GateRec(u32);
+
+    static GATE_OPEN: AtomicBool = AtomicBool::new(false);
+
+    impl PartialOrd for GateRec {
+        fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
+            Some(self.cmp(other))
         }
-        drop(tx);
-        assert_eq!(rx.iter().count() as u64, jobs, "every job replies");
-        assert_eq!(runtime.pool.stored_results(), 0);
-        assert!(runtime.finish().is_empty());
     }
 
-    /// Streamed and batch-collected runs of the same jobs produce
-    /// bit-identical outputs and reports: the completion path must not
-    /// disturb the sort itself.
-    #[test]
-    fn reply_path_is_bit_identical_to_batch_path() {
-        let data = uniform_u32(10_000, 77);
-        let batch = {
-            let runtime = Runtime::start(RuntimeConfig {
-                workers: 2,
-                ..RuntimeConfig::default()
-            });
-            runtime
-                .submit(SortJob::new(0, dram_cfg(), data.clone()))
-                .expect("runtime open");
-            runtime.finish().remove(0).result.expect("sorts")
-        };
-        let streamed = {
-            let runtime = Runtime::start(RuntimeConfig {
-                workers: 2,
-                ..RuntimeConfig::default()
-            });
-            let (tx, rx) = std::sync::mpsc::channel();
-            runtime
-                .submit_with_reply(SortJob::new(0, dram_cfg(), data.clone()), tx)
-                .expect("runtime open");
-            let result = rx.recv().expect("reply delivered");
-            drop(runtime);
-            result.result.expect("sorts")
-        };
-        assert_eq!(batch.sorted, streamed.sorted);
-        assert_eq!(batch.report, streamed.report);
+    impl Ord for GateRec {
+        fn cmp(&self, other: &Self) -> core::cmp::Ordering {
+            while !GATE_OPEN.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            self.0.cmp(&other.0)
+        }
     }
 
-    /// A dropped reply receiver (a client that hung up) must not wedge
-    /// or kill the worker; later jobs still complete.
+    impl Record for GateRec {
+        type Key = u32;
+        const WIDTH_BYTES: usize = 4;
+        const TERMINAL: Self = GateRec(0);
+        const MAX: Self = GateRec(u32::MAX);
+
+        fn key(&self) -> u32 {
+            self.0
+        }
+
+        fn sanitize(self) -> Self {
+            if self.0 == 0 {
+                GateRec(1)
+            } else {
+                self
+            }
+        }
+    }
+
+    /// A client that hangs up while its job is still queued: the worker
+    /// runs the job, discards the result its dropped receiver can no
+    /// longer take, and goes on to the next job; `finish` returns.
     #[test]
-    fn dropped_reply_receiver_does_not_disturb_the_pool() {
-        let runtime = Runtime::start(RuntimeConfig {
-            workers: 1,
-            ..RuntimeConfig::default()
-        });
-        let (tx, rx) = std::sync::mpsc::channel();
-        drop(rx);
+    fn a_reply_channel_dropped_while_queued_is_discarded() {
+        let gated = |seed: u32| -> Vec<GateRec> {
+            (0..64u32)
+                .map(|i| GateRec((i.wrapping_mul(2_654_435_761) ^ seed) | 1))
+                .collect()
+        };
+        let runtime = Runtime::start(workers(1));
+        let (tx, rx) = mpsc::channel();
+        // Job 0 holds the one worker at its first comparison.
         runtime
-            .submit_with_reply(SortJob::new(0, dram_cfg(), uniform_u32(2_000, 5)), tx)
+            .submit_with_reply(SortJob::new(0, dram_cfg(), gated(0)), tx.clone())
             .expect("runtime open");
+        while runtime.pending() > 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (orphan_tx, orphan_rx) = mpsc::channel();
         runtime
-            .submit(SortJob::new(1, dram_cfg(), uniform_u32(2_000, 6)))
+            .submit_with_reply(SortJob::new(1, dram_cfg(), gated(1)), orphan_tx)
             .expect("runtime open");
-        let results = runtime.finish();
-        assert_eq!(results.len(), 1, "only the batch job is collected");
-        assert_eq!(results[0].id, 1);
-        assert!(results[0].result.is_ok());
+        assert_eq!(runtime.pending(), 1, "job 1 waits behind the running job 0");
+        drop(orphan_rx);
+        runtime
+            .submit_with_reply(SortJob::new(2, dram_cfg(), gated(2)), tx)
+            .expect("runtime open");
+        GATE_OPEN.store(true, Ordering::SeqCst);
+        // One worker runs the jobs in order: job 2 answers only after
+        // the worker is done with job 1's orphaned result. A worker
+        // blocked on it would time out here instead of wedging.
+        let replies: Vec<u64> = (0..2)
+            .map(|_| {
+                let reply = rx
+                    .recv_timeout(Duration::from_secs(60))
+                    .expect("the job behind the orphan answers");
+                assert!(reply.result.is_ok(), "job {} sorts", reply.id);
+                reply.id
+            })
+            .collect();
+        assert_eq!(replies, [0, 2]);
+        runtime.finish();
+        assert!(rx.recv().is_err(), "no sender outlives finish");
     }
 }

@@ -1,22 +1,22 @@
 //! A generic worker pool draining a [`ClassQueue`].
 //!
-//! Workers pop jobs from the queue, run them through a shared runner
-//! function and append what it returns — `Some` outputs only, so a job
-//! that delivered its result elsewhere leaves nothing behind — to a
-//! results vector. The runner also gets a *lend* callback for the job:
-//! called at one of the job's yield points, it runs at most one queued
-//! latency-class job ([`ClassQueue::try_pop_latency`]) through the same
-//! runner on the same worker and says whether it did. A lent job's own
-//! callback does nothing, so lending never nests. Like the queue,
-//! the pool is generic over a [`SyncOps`] facade: production code uses
-//! [`StdSync`], while `tests/mc_pool_shutdown.rs` drives the full
-//! spawn/drain/shutdown protocol through `bonsai_mc::sync::McSync`.
+//! Workers pop jobs from the queue and run each through a shared runner
+//! function, which delivers the job's outcome itself (the runtime sends
+//! it down the job's reply channel): the pool stores nothing. The runner
+//! also gets a *lend* callback for the job: called at one of the job's
+//! yield points, it runs at most one queued latency-class job
+//! ([`ClassQueue::try_pop_latency`]) through the same runner on the
+//! same worker and says whether it did. A lent job's own callback does
+//! nothing, so lending never nests. Like the queue, the pool is generic
+//! over a [`SyncOps`] facade: production code uses [`StdSync`], while
+//! `tests/mc_pool_shutdown.rs` drives the full spawn/drain/shutdown
+//! protocol through `bonsai_mc::sync::McSync`.
 //!
 //! Shutdown is owned by the pool, not the caller:
 //!
-//! - [`WorkerPool::finish`] closes the queue, joins every worker and
-//!   hands back the results (panicking — after all joins — only if a
-//!   worker thread itself died).
+//! - [`WorkerPool::finish`] closes the queue and joins every worker
+//!   (panicking — after all joins — only if a worker thread itself
+//!   died).
 //! - Dropping the pool without calling `finish` closes the queue, then
 //!   joins the workers anyway, so an abandoned pool can neither wedge
 //!   parked workers nor leak detached threads.
@@ -27,80 +27,54 @@ use bonsai_mc::facade::{StdSync, SyncOps};
 
 use crate::class_queue::{ClassQueue, Classed, PushError};
 
-struct PoolShared<J: Send + Classed, R: Send, S: SyncOps> {
-    queue: ClassQueue<J, S>,
-    results: S::Mutex<Vec<R>>,
-}
-
 /// A fixed-size worker pool draining a [`ClassQueue`].
-pub struct WorkerPool<J: Send + Classed + 'static, R: Send + 'static, S: SyncOps = StdSync> {
-    shared: Arc<PoolShared<J, R, S>>,
+pub struct WorkerPool<J: Send + Classed + 'static, S: SyncOps = StdSync> {
+    queue: Arc<ClassQueue<J, S>>,
     handles: Vec<S::JoinHandle>,
 }
 
-impl<J: Send + Classed + 'static, R: Send + 'static, S: SyncOps> std::fmt::Debug
-    for WorkerPool<J, R, S>
-{
+impl<J: Send + Classed + 'static, S: SyncOps> std::fmt::Debug for WorkerPool<J, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
             .field("workers", &self.handles.len())
-            .field("queue", &self.shared.queue)
+            .field("queue", &self.queue)
             .finish()
     }
 }
 
-impl<J: Send + Classed + 'static, R: Send + 'static, S: SyncOps> WorkerPool<J, R, S> {
+impl<J: Send + Classed + 'static, S: SyncOps> WorkerPool<J, S> {
     /// Spawns `workers ≥ 1` threads draining `queue`, each running jobs
     /// through `runner` together with the job's lend callback (see the
-    /// module doc). A `Some` return is kept for
-    /// [`WorkerPool::finish`]; `None` (the job's result already went
-    /// where it was wanted) stores nothing, so a pool that is never
-    /// finished does not grow with the jobs it has run.
+    /// module doc).
     pub fn start(
         workers: usize,
         queue: ClassQueue<J, S>,
-        runner: impl Fn(J, &mut dyn FnMut() -> bool) -> Option<R> + Send + Sync + 'static,
+        runner: impl Fn(J, &mut dyn FnMut() -> bool) + Send + Sync + 'static,
     ) -> Self {
-        let workers = workers.max(1);
-        let shared = Arc::new(PoolShared {
-            queue,
-            results: S::mutex_named("pool.results", Vec::new()),
-        });
+        let queue = Arc::new(queue);
         let runner = Arc::new(runner);
-        let handles = (0..workers)
+        let handles = (0..workers.max(1))
             .map(|_| {
-                let shared = Arc::clone(&shared);
+                let queue = Arc::clone(&queue);
                 let runner = Arc::clone(&runner);
                 S::spawn(move || {
-                    let keep = |result: Option<R>| {
-                        if let Some(result) = result {
-                            S::lock::<Vec<R>>(&shared.results).push(result);
-                        }
-                    };
                     let mut lend = || {
-                        let lent = shared.queue.try_pop_latency();
-                        lent.map(|job| keep(runner(job, &mut || false))).is_some()
+                        let lent = queue.try_pop_latency();
+                        lent.map(|job| runner(job, &mut || false)).is_some()
                     };
-                    while let Some(job) = shared.queue.pop() {
-                        keep(runner(job, &mut lend));
+                    while let Some(job) = queue.pop() {
+                        runner(job, &mut lend);
                     }
                 })
             })
             .collect();
-        Self { shared, handles }
+        Self { queue, handles }
     }
 
     /// Jobs waiting in the queue (not yet claimed by a worker).
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.shared.queue.len()
-    }
-
-    /// Results collected so far and not yet handed out by
-    /// [`WorkerPool::finish`].
-    #[must_use]
-    pub fn stored_results(&self) -> usize {
-        S::lock::<Vec<R>>(&self.shared.results).len()
+        self.queue.len()
     }
 
     /// Enqueues a job, blocking while the queue is full.
@@ -110,7 +84,7 @@ impl<J: Send + Classed + 'static, R: Send + 'static, S: SyncOps> WorkerPool<J, R
     /// [`PushError::Closed`] hands the job back after the pool shut
     /// down.
     pub fn submit(&self, job: J) -> Result<(), PushError<J>> {
-        self.shared.queue.push(job)
+        self.queue.push(job)
     }
 
     /// Closes the queue without joining the workers: queued jobs still
@@ -118,54 +92,50 @@ impl<J: Send + Classed + 'static, R: Send + 'static, S: SyncOps> WorkerPool<J, R
     /// workers exit once the queue is empty. [`WorkerPool::finish`] (or
     /// drop) still joins them.
     pub fn close(&self) {
-        self.shared.queue.close();
+        self.queue.close();
     }
 
-    /// Closes the queue, joins every worker and returns the collected
-    /// results (in completion order).
+    /// Closes the queue, joins every worker and returns the messages of
+    /// those whose thread died. Closing first matters: joining a worker
+    /// still parked in `pop` would wedge forever.
+    fn close_and_join(&mut self) -> Vec<String> {
+        self.queue.close();
+        self.handles
+            .drain(..)
+            .filter_map(|handle| S::join(handle).err())
+            .collect()
+    }
+
+    /// Closes the queue, lets the workers drain it and joins them all.
     ///
     /// # Panics
     ///
     /// If a worker thread itself panicked — but only after every other
     /// worker has been joined, so no thread is ever leaked on the way
     /// out.
-    #[must_use]
-    pub fn finish(mut self) -> Vec<R> {
-        self.shared.queue.close();
-        let mut worker_failures: Vec<String> = Vec::new();
-        for handle in self.handles.drain(..) {
-            if let Err(message) = S::join(handle) {
-                worker_failures.push(message);
-            }
-        }
-        // Drop runs after this; handles are drained and the queue is
-        // already closed, so it is a no-op either way.
-        let results = std::mem::take(&mut *S::lock(&self.shared.results));
+    pub fn finish(mut self) {
+        let worker_failures = self.close_and_join();
         assert!(
             worker_failures.is_empty(),
             "runtime worker panicked: {}",
             worker_failures.join("; ")
         );
-        results
     }
 }
 
-impl<J: Send + Classed + 'static, R: Send + 'static, S: SyncOps> Drop for WorkerPool<J, R, S> {
+impl<J: Send + Classed + 'static, S: SyncOps> Drop for WorkerPool<J, S> {
     fn drop(&mut self) {
-        // Close first: joining a worker still parked in `pop` would
-        // wedge the drop forever.
-        self.shared.queue.close();
-        // Join even if a worker panicked: swallowing the Err here
-        // keeps drop from double-panicking while still reclaiming
-        // every thread.
-        for handle in self.handles.drain(..) {
-            let _ = S::join(handle);
-        }
+        // Join even if a worker panicked: ignoring the failures here
+        // keeps drop from double-panicking while still reclaiming every
+        // thread. After `finish` there is nothing left to join.
+        let _ = self.close_and_join();
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::mpsc;
+
     use super::*;
     use crate::class_queue::JobClass;
 
@@ -179,39 +149,29 @@ mod tests {
         }
     }
 
+    /// A pool whose runner sends `runner(j)` down the returned channel.
     fn pool(
         workers: usize,
         depth: usize,
         runner: impl Fn(u32) -> u32 + Send + Sync + 'static,
-    ) -> WorkerPool<Job, u32> {
-        WorkerPool::start(workers, ClassQueue::new(depth, 0), move |Job(j), _| {
-            Some(runner(j))
-        })
+    ) -> (WorkerPool<Job>, mpsc::Receiver<u32>) {
+        let (tx, rx) = mpsc::channel();
+        let pool = WorkerPool::start(workers, ClassQueue::new(depth, 0), move |Job(j), _| {
+            let _ = tx.send(runner(j));
+        });
+        (pool, rx)
     }
 
     #[test]
-    fn collects_all_results() {
-        let pool = pool(2, 4, |j| j * 10);
+    fn runs_every_job_exactly_once() {
+        let (pool, rx) = pool(2, 4, |j| j * 10);
         for j in 0..8 {
             pool.submit(Job(j)).unwrap();
         }
-        let mut results = pool.finish();
+        pool.finish();
+        let mut results: Vec<u32> = rx.iter().collect();
         results.sort_unstable();
         assert_eq!(results, (0..8).map(|j| j * 10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn none_results_are_not_stored() {
-        // Odd jobs "reply elsewhere": only the even ones are kept.
-        let pool: WorkerPool<Job, u32> =
-            WorkerPool::start(1, ClassQueue::new(4, 0), |Job(j), _| {
-                (j % 2 == 0).then_some(j)
-            });
-        for j in 0..8 {
-            pool.submit(Job(j)).unwrap();
-        }
-        assert!(pool.stored_results() <= 4);
-        assert_eq!(pool.finish(), vec![0, 2, 4, 6]);
     }
 
     /// A job in either lane.
@@ -226,12 +186,13 @@ mod tests {
 
     #[test]
     fn a_running_job_lends_its_worker_one_latency_job_per_call() {
-        use std::sync::{mpsc, Mutex};
+        use std::sync::Mutex;
 
         let (started_tx, started) = mpsc::channel();
         let (go, go_rx) = mpsc::channel::<()>();
         let go_rx = Mutex::new(go_rx);
-        let pool: WorkerPool<Laned, u32> =
+        let (done_tx, done) = mpsc::channel();
+        let pool: WorkerPool<Laned> =
             WorkerPool::start(1, ClassQueue::new(8, 4), move |Laned(j, _), lend| {
                 if j == 100 {
                     started_tx.send(()).unwrap();
@@ -244,7 +205,7 @@ mod tests {
                     // job 1 runs: a lent job has nothing to lend.
                     assert!(!lend(), "job {j} lent a job");
                 }
-                Some(j)
+                done_tx.send(j).unwrap();
             });
         pool.submit(Laned(100, JobClass::Throughput)).unwrap();
         started.recv().unwrap();
@@ -252,17 +213,15 @@ mod tests {
         pool.submit(Laned(2, JobClass::Latency)).unwrap();
         pool.submit(Laned(200, JobClass::Throughput)).unwrap();
         go.send(()).unwrap();
+        pool.finish();
         // Completion order: the lent jobs finish inside job 100.
-        assert_eq!(pool.finish(), vec![1, 2, 100, 200]);
+        assert_eq!(done.iter().collect::<Vec<_>>(), vec![1, 2, 100, 200]);
     }
 
     #[test]
     fn drop_without_finish_joins_workers() {
-        let completed = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let observer = Arc::clone(&completed);
-        let pool = pool(2, 4, move |j| {
+        let (pool, rx) = pool(2, 4, |j| {
             std::thread::sleep(std::time::Duration::from_millis(2));
-            observer.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             j + 1
         });
         for j in 0..4 {
@@ -273,20 +232,20 @@ mod tests {
         drop(pool);
         // Joining means drop blocked until the workers drained the
         // queue — every submitted job ran before drop returned.
-        assert_eq!(completed.load(std::sync::atomic::Ordering::SeqCst), 4);
+        assert_eq!(rx.try_iter().count(), 4);
     }
 
     #[test]
     fn push_after_finish_returns_closed() {
-        let pool = pool(1, 2, |j| j);
-        let shared = Arc::clone(&pool.shared);
-        let _ = pool.finish();
-        assert_eq!(shared.queue.push(Job(9)), Err(PushError::Closed(Job(9))));
+        let (pool, _rx) = pool(1, 2, |j| j);
+        let queue = Arc::clone(&pool.queue);
+        pool.finish();
+        assert_eq!(queue.push(Job(9)), Err(PushError::Closed(Job(9))));
     }
 
     #[test]
     fn panicking_runner_does_not_wedge_finish() {
-        let pool = pool(2, 4, |j| {
+        let (pool, _rx) = pool(2, 4, |j| {
             assert!(j != 3, "runner rejects job 3");
             j
         });

@@ -30,23 +30,33 @@ impl Classed for Job {
     }
 }
 
-fn pool(runner: fn(u32) -> u32) -> WorkerPool<Job, u32, McSync> {
-    WorkerPool::start(2, ClassQueue::new(1, 0), move |Job(job), _| {
-        Some(runner(job))
-    })
+/// What the runner recorded: one entry per run, in completion order.
+type Runs = Arc<sync::Mutex<Vec<u32>>>;
+
+/// A 2-worker pool over a depth-1 queue whose runner records
+/// `runner(job)` for every job it runs in a mutex it owns; the returned
+/// handle reads it back.
+fn pool(runner: fn(u32) -> u32) -> (WorkerPool<Job, McSync>, Runs) {
+    let runs: Runs = Arc::new(sync::Mutex::named("runs", Vec::new()));
+    let recorded = Arc::clone(&runs);
+    let pool = WorkerPool::start(2, ClassQueue::new(1, 0), move |Job(job), _| {
+        recorded.lock().push(runner(job));
+    });
+    (pool, runs)
 }
 
 /// The pool's full spawn/drain/shutdown protocol: 2 workers over a
-/// depth-1 queue, 2 jobs, `finish`. Every schedule must run both jobs,
-/// join both workers and return both results.
+/// depth-1 queue, 2 jobs, `finish`. Every schedule must run both jobs
+/// exactly once and join both workers.
 #[test]
 fn pool_spawn_drain_shutdown_is_exhaustively_clean() {
     let stats = Checker::new()
         .check(|| {
-            let pool = pool(|job| job * 10);
+            let (pool, runs) = pool(|job| job * 10);
             pool.submit(Job(1)).ok().expect("pool is open");
             pool.submit(Job(2)).ok().expect("pool is open");
-            let mut results = pool.finish();
+            pool.finish();
+            let mut results = runs.lock().clone();
             results.sort_unstable();
             assert_eq!(results, vec![10, 20], "every job ran exactly once");
         })
@@ -61,9 +71,10 @@ fn pool_spawn_drain_shutdown_is_exhaustively_clean() {
 fn pool_drop_without_finish_is_exhaustively_clean() {
     let stats = Checker::new()
         .check(|| {
-            let pool = pool(|job| job + 1);
+            let (pool, runs) = pool(|job| job + 1);
             pool.submit(Job(5)).ok().expect("pool is open");
             drop(pool);
+            assert_eq!(*runs.lock(), vec![6], "drop drained the queue");
         })
         .expect("abandoned-pool shutdown must be schedule-clean");
     assert!(stats.complete);

@@ -1,9 +1,12 @@
 //! Batch sorting under heavy traffic: a bounded job queue feeding a
-//! worker pool, with per-job failure isolation.
+//! worker pool, with per-job failure isolation. Every result comes back
+//! on the reply channel its job was submitted with.
 //!
 //! ```sh
 //! cargo run --release --example batch_runtime
 //! ```
+
+use std::sync::mpsc;
 
 use bonsai::amt::{AmtConfig, SimEngineConfig};
 use bonsai::gensort::dist::uniform_u32;
@@ -29,18 +32,25 @@ fn main() {
         SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4),
         SimEngineConfig::dram_sorter(AmtConfig::new(8, 64), 4),
     ];
+    //    All six jobs share one reply channel.
+    let (tx, rx) = mpsc::channel();
     let jobs = 6u64;
     for id in 0..jobs {
         let cfg = shapes[(id % 2) as usize];
         runtime
-            .submit(SortJob::new(id, cfg, uniform_u32(100_000, id)))
+            .submit_with_reply(SortJob::new(id, cfg, uniform_u32(100_000, id)), tx.clone())
             .expect("runtime open");
     }
+    // Each job's sender goes with its result, so once ours is dropped
+    // the channel ends after the last reply.
+    drop(tx);
 
-    // 3. Collect. Results come back ordered by job id whatever order
-    //    the workers finished in, and a failed job (invalid config,
-    //    BON040 livelock) fails alone — the batch keeps sorting.
-    let results = runtime.finish();
+    // 3. Collect. Results arrive in completion order; sorting by the
+    //    ticket `submit_with_reply` returned restores submission order.
+    //    A failed job (invalid config, BON040 livelock) fails alone —
+    //    the batch keeps sorting.
+    let mut results: Vec<_> = rx.iter().collect();
+    results.sort_by_key(|r| r.ticket);
     for r in &results {
         match &r.result {
             Ok(out) => {
@@ -66,5 +76,8 @@ fn main() {
         }
     }
     assert_eq!(results.len() as u64, jobs);
+    // Every job has replied: closing the queue and joining the workers
+    // is all that is left.
+    runtime.finish();
     println!("batch of {jobs} jobs complete");
 }
