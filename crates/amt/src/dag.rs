@@ -9,7 +9,11 @@
 //! calling thread, one pass at a time, as the hardware does (§II,
 //! Fig. 2: every stage streams the whole array back to memory and the
 //! next stage reads what it wrote): a pass's tasks run in order, and the
-//! next pass reads the runs they wrote.
+//! next pass reads the runs they wrote. A sort holds two buffers, the
+//! pass's input and the next pass's: a task reads its runs where they
+//! lie in the first, and its zero filter appends its output runs to the
+//! second (§V-B); the two swap between passes. Every plan runs this one
+//! body, whatever its task count.
 //!
 //! **Determinism.** Each task is a pure function of `(config, its input
 //! runs, fan-in, memory)`. Every task of a sort runs on the thread's one
@@ -63,6 +67,8 @@ pub(crate) struct PassPlan {
     pub(crate) tasks: usize,
     /// The memory every task of the pass simulates against.
     pub(crate) memory: MemoryConfig,
+    /// The pass's stage number (1-based, as in §II).
+    pub(crate) stage: u32,
 }
 
 impl PassPlan {
@@ -111,7 +117,7 @@ impl SortPlan {
         let fan_ins = crate::schedule::fan_in_schedule(initial_runs as u64, config.amt.l as u64);
         let mut passes = Vec::with_capacity(fan_ins.len());
         let mut runs = initial_runs;
-        for &m in &fan_ins {
+        for (p, &m) in fan_ins.iter().enumerate() {
             let fan_in = m as usize;
             let groups = runs.div_ceil(fan_in);
             let (tasks, memory) = cut(fan_in, groups);
@@ -121,6 +127,7 @@ impl SortPlan {
                 groups,
                 tasks,
                 memory,
+                stage: p as u32 + 1,
             });
             runs = groups;
         }
@@ -141,16 +148,6 @@ impl SortPlan {
 }
 
 // --- One sort, pass by pass --------------------------------------------------
-
-/// Copies runs `range` of `runs` out as a standalone [`RunSet`]: one
-/// task's input.
-fn task_input<R: Record>(runs: &RunSet<R>, range: Range<usize>) -> RunSet<R> {
-    let starts = runs.starts();
-    let from = starts[range.start];
-    let to = starts.get(range.end).copied().unwrap_or(runs.len());
-    let task_starts = starts[range].iter().map(|s| s - from).collect();
-    RunSet::from_parts(runs.records()[from..to].to_vec(), task_starts)
-}
 
 /// Folds one pass's task reports, in task order, into its
 /// [`PassReport`]: every count is the tasks' sum.
@@ -186,8 +183,9 @@ fn fold_pass<'a>(stage: u32, tasks: impl IntoIterator<Item = &'a PassReport>) ->
 /// tasks in order on the calling thread, every task simulated against
 /// its pass's memory on one scratch: the one this thread parked for the
 /// configuration, parked again once the passes end, finished or failed.
-/// A pass's output is its tasks' runs, appended in task order, and its
-/// report their fold.
+/// A task reads its runs where they lie in the pass's input and appends
+/// its output runs to the other of the sort's two buffers, which the
+/// next pass reads; a pass's report is its tasks' fold.
 ///
 /// `poll` is called at every yield point: before each task, and inside
 /// one at [`PassSim::run`](crate::passsim::PassSim::run)'s.
@@ -207,66 +205,56 @@ pub(crate) fn sort<R: Record>(
     let mut runs = presorted_runs(sanitized, config.initial_run_len());
     let plan = plan(config, runs.num_runs());
     let mut scratch = unpark(config);
+    // The next pass's input, which every task appends to; it swaps with
+    // the input the pass read once the pass ends.
+    let (mut records, mut starts) = (Vec::new(), Vec::new());
     let mut passes = Vec::with_capacity(plan.num_passes());
     let outcome = 'passes: {
         for p in 0..plan.num_passes() {
             let pp = plan.pass(p);
-            let stage = p as u32 + 1;
-            // The first failing task ends the sort. A lone task (every
-            // fused pass) takes the input, not a copy.
-            let outputs = (0..pp.tasks)
-                .map(|t| {
-                    poll();
-                    let input = match pp.tasks {
-                        1 => std::mem::replace(&mut runs, RunSet::single_run(Vec::new())),
-                        _ => task_input(&runs, pp.task_runs(t)),
-                    };
-                    simulate(
-                        config,
-                        &mut scratch,
-                        input,
-                        pp.fan_in,
-                        pp.memory,
-                        stage,
-                        max_cycles,
-                        reference,
-                        &mut *poll,
-                    )
-                })
-                .collect::<Result<Vec<_>, _>>();
-            let outputs = match outputs {
-                Ok(outputs) => outputs,
-                Err(err) => break 'passes Err(err),
-            };
-            passes.push(fold_pass(
-                stage,
-                outputs.iter().map(|(_, stats)| &stats.report),
-            ));
+            records.reserve(runs.len());
+            starts.reserve(pp.groups);
+            let mut pass = fold_pass(pp.stage, []);
             #[cfg(feature = "sanitize")]
-            for (t, (_, stats)) in outputs.iter().enumerate() {
-                // A task is one group only where the plan cuts by group.
-                let by_group = pp.tasks == pp.groups;
-                let group = |d: Diagnostic| if by_group { d.with("group", t) } else { d };
-                let tagged = stats.diagnostics.iter().cloned();
-                diagnostics.extend(tagged.map(|d| group(d.with("stage", stage))));
-            }
-            // A lone task's runs are the next input as they are; else the
-            // read input's buffer takes every task's, in task order.
-            runs = match <[_; 1]>::try_from(outputs) {
-                Ok([(out, _)]) => out,
-                Err(outputs) => {
-                    let mut records = runs.into_records();
-                    records.clear();
-                    let mut starts = Vec::with_capacity(pp.groups);
-                    for (out, _) in outputs {
-                        let (out, out_starts) = out.into_parts();
-                        let offset = records.len();
-                        starts.extend(out_starts.into_iter().map(|s| s + offset));
-                        records.extend(out);
+            let found_before = diagnostics.len();
+            for t in 0..pp.tasks {
+                poll();
+                // The first failing task ends the sort.
+                let stats = match simulate(
+                    config,
+                    &mut scratch,
+                    &runs,
+                    &pp,
+                    t,
+                    (&mut records, &mut starts),
+                    max_cycles,
+                    reference,
+                    &mut *poll,
+                ) {
+                    Ok(stats) => stats,
+                    Err(err) => {
+                        // A failed pass reports its error, not its findings.
+                        #[cfg(feature = "sanitize")]
+                        diagnostics.truncate(found_before);
+                        break 'passes Err(err);
                     }
-                    RunSet::from_parts(records, starts)
+                };
+                pass = fold_pass(pp.stage, [&pass, &stats.report]);
+                #[cfg(feature = "sanitize")]
+                {
+                    // A task is one group only where the plan cuts by group.
+                    let by_group = pp.tasks == pp.groups;
+                    let group = |d: Diagnostic| if by_group { d.with("group", t) } else { d };
+                    let tagged = stats.diagnostics.into_iter();
+                    diagnostics.extend(tagged.map(|d| group(d.with("stage", pp.stage))));
                 }
-            };
+            }
+            passes.push(pass);
+            let next =
+                RunSet::from_parts(std::mem::take(&mut records), std::mem::take(&mut starts));
+            (records, starts) = std::mem::replace(&mut runs, next).into_parts();
+            records.clear();
+            starts.clear();
         }
         Ok(())
     };
@@ -326,11 +314,22 @@ mod tests {
         }
     }
 
-    /// Each plan without scratch reuse or the plan's cut: passes in
-    /// order, every task in order on a new scratch, the shared fold. The
-    /// fused sort is one simulation per pass on the whole memory; the
-    /// per-group sort one simulation per group on its bank share. The
-    /// first failing task in `(pass, task)` order wins.
+    /// Copies runs `range` of `runs` out as a standalone [`RunSet`]: one
+    /// task's input.
+    fn task_input<R: Record>(runs: &RunSet<R>, range: Range<usize>) -> RunSet<R> {
+        let starts = runs.starts();
+        let from = starts[range.start];
+        let to = starts.get(range.end).copied().unwrap_or(runs.len());
+        let task_starts = starts[range].iter().map(|s| s - from).collect();
+        RunSet::from_parts(runs.records()[from..to].to_vec(), task_starts)
+    }
+
+    /// Each plan without scratch reuse, in-place buffers or the plan's
+    /// cut: passes in order, every task's input copied out and simulated
+    /// in order on a new scratch, the shared fold. The fused sort is one
+    /// simulation per pass on the whole memory; the per-group sort one
+    /// simulation per group on its bank share. The first failing task in
+    /// `(pass, task)` order wins.
     fn barrier_oracle<R: Record>(
         config: &SimEngineConfig,
         data: Vec<R>,
@@ -355,22 +354,27 @@ mod tests {
             let mut reports = Vec::new();
             for lo in (0..runs_in).step_by(per_task) {
                 let input = task_input(&runs, lo..(lo + per_task).min(runs_in));
-                // A new scratch per task: the oracle never reuses one.
-                let (out, task) = simulate(
-                    config,
-                    &mut None,
-                    input,
+                // The copy is a whole pass of one task.
+                let whole = PassPlan {
                     fan_in,
+                    runs_in: input.num_runs(),
+                    groups: input.num_runs().div_ceil(fan_in),
+                    tasks: 1,
                     memory,
                     stage,
+                };
+                // A new scratch per task: the oracle never reuses one.
+                let task = simulate(
+                    config,
+                    &mut None,
+                    &input,
+                    &whole,
+                    0,
+                    (&mut records, &mut starts),
                     max_cycles,
                     false,
                     &mut || {},
                 )?;
-                for run in out.iter_runs() {
-                    starts.push(records.len());
-                    records.extend_from_slice(run);
-                }
                 reports.push(task.report);
             }
             passes.push(fold_pass(stage, &reports));

@@ -365,43 +365,13 @@ pub(crate) fn sort_balanced_on<R: Record>(
     sort_on(data, initial_run_len, fan_ins, workers)
 }
 
-/// Executes one merge stage: every group of `fan_in` consecutive runs is
-/// merged into one run, exactly as the AMT does with `ℓ = fan_in`, on
-/// every core.
-///
-/// # Panics
-///
-/// Panics if `fan_in < 2`.
-pub fn merge_pass<R: Record>(runs: &RunSet<R>, fan_in: usize) -> RunSet<R> {
-    let mut trees = trees_for(runs.len(), 0);
-    let mut merged = vec![R::MAX; runs.len()];
-    let starts = merge_stage(
-        &mut trees,
-        runs.records(),
-        runs.starts(),
-        fan_in,
-        &mut merged,
-    );
-    RunSet::from_parts(merged, starts)
-}
-
 /// Sorts `data` with the AMT merge schedule on every core: presort into
-/// `initial_run_len`-record runs, then `ℓ`-way merge stages until one
-/// run remains. Returns the sorted data and the number of merge stages
-/// executed (the `ceil(log_ℓ(N / a))` of Equation 1).
-///
-/// # Panics
-///
-/// Panics if `fan_in < 2` or `initial_run_len == 0`.
-pub fn sort<R: Record>(data: Vec<R>, fan_in: usize, initial_run_len: usize) -> (Vec<R>, u32) {
-    assert!(fan_in >= 2, "merge fan-in must be at least 2");
-    sort_on(data, initial_run_len, core::iter::repeat(fan_in), 0)
-}
-
-/// Like [`sort`], but with the balanced per-stage fan-in schedule of
-/// [`crate::schedule::fan_in_schedule`] on an `ℓ`-leaf tree — exactly
-/// the schedule the cycle-approximate [`crate::SimEngine`] executes, so
-/// outputs and stage counts match it bit for bit.
+/// `initial_run_len`-record runs, then the balanced per-stage fan-in
+/// schedule of [`crate::schedule::fan_in_schedule`] on an `ℓ`-leaf tree
+/// until one run remains — exactly the schedule the cycle-approximate
+/// [`crate::SimEngine`] executes, so outputs and stage counts match it
+/// bit for bit. Returns the sorted data and the number of merge stages
+/// executed (the minimum `ceil(log_ℓ(N / a))` of Equation 1).
 ///
 /// # Panics
 ///
@@ -443,7 +413,7 @@ mod tests {
         let data = uniform_u32(100_000, 21);
         let mut expected: Vec<U32Rec> = data.clone();
         expected.sort_unstable();
-        let (out, _) = sort(data, 16, 16);
+        let (out, _) = sort_balanced(data, 16, 16);
         assert_eq!(out, expected);
     }
 
@@ -453,7 +423,7 @@ mod tests {
         let mut expected: Vec<U64Rec> = data.clone();
         expected.sort_unstable();
         for fan_in in [2, 4, 64, 256] {
-            let (out, _) = sort(data.clone(), fan_in, 1);
+            let (out, _) = sort_balanced(data.clone(), fan_in, 1);
             assert_eq!(out, expected, "fan_in = {fan_in}");
         }
     }
@@ -466,7 +436,7 @@ mod tests {
             (5000, 256, 16),
         ] {
             let data = uniform_u32(n, 23);
-            let (_, stages) = sort(data, fan_in, presort);
+            let (_, stages) = sort_balanced(data, fan_in, presort);
             let runs0 = (n as u64).div_ceil(presort as u64);
             assert_eq!(stages, stages_needed(runs0, fan_in as u64), "n={n}");
         }
@@ -475,10 +445,24 @@ mod tests {
     #[test]
     fn duplicate_heavy_input_is_stable_under_schedule() {
         let data = Distribution::FewDistinct(2).generate_u32(50_000, 24);
-        let (out, _) = sort(data.clone(), 8, 16);
+        let (out, _) = sort_balanced(data.clone(), 8, 16);
         let mut expected = data;
         expected.sort_unstable();
         assert_eq!(out, expected);
+    }
+
+    /// One merge stage of `runs` at `fan_in` on every core.
+    fn merge_pass<R: Record>(runs: &RunSet<R>, fan_in: usize) -> RunSet<R> {
+        let mut trees = trees_for(runs.len(), 0);
+        let mut merged = vec![R::MAX; runs.len()];
+        let starts = merge_stage(
+            &mut trees,
+            runs.records(),
+            runs.starts(),
+            fan_in,
+            &mut merged,
+        );
+        RunSet::from_parts(merged, starts)
     }
 
     #[test]

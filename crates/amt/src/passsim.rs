@@ -3,6 +3,12 @@
 //! `simulate` function) and by [`crate::UnrolledSim`] (λ trees
 //! contending for one memory).
 //!
+//! A pass moves its data as the hardware does (§V-B, Fig. 2). It reads
+//! its task's runs where they lie in the caller's pass input, appending
+//! a terminal after each run it feeds a leaf (*zero append*), and
+//! [`PassSim::finish`] strips the terminals from the root's output as
+//! it appends the runs to the caller's next-pass input (*zero filter*).
+//!
 //! The pass can be driven two ways with bit-identical accounting:
 //!
 //! - [`PassSim::tick`] — the reference per-cycle loop: one call per
@@ -17,13 +23,14 @@
 
 use std::any::Any;
 use std::cell::RefCell;
+use std::ops::Range;
 
-use bonsai_memsim::{DataLoader, Memory, MemoryConfig, WriteDrain};
-use bonsai_merge_hw::stream::split_runs;
+use bonsai_memsim::{DataLoader, Memory, WriteDrain};
 use bonsai_records::run::RunSet;
 use bonsai_records::Record;
 
 use crate::config::SimEngineConfig;
+use crate::dag::PassPlan;
 use crate::error::SortError;
 use crate::report::PassReport;
 use crate::tree::MergeTree;
@@ -67,12 +74,18 @@ pub struct PassSim<R> {
 }
 
 impl<R: Record> PassSim<R> {
-    /// Prepares one stage that merges groups of `fan_in` runs.
+    /// Prepares one stage that merges groups of `fan_in` runs of
+    /// `runs[task]`.
     ///
     /// # Panics
     ///
     /// Panics unless `2 <= fan_in <= l`.
-    pub fn new(config: &SimEngineConfig, runs: RunSet<R>, fan_in: usize) -> Self {
+    pub fn new(
+        config: &SimEngineConfig,
+        runs: &RunSet<R>,
+        task: Range<usize>,
+        fan_in: usize,
+    ) -> Self {
         let l = config.amt.l;
         let mut sim = Self {
             l,
@@ -92,25 +105,26 @@ impl<R: Record> PassSim<R> {
             cycles: 0,
             fast_forwarded: 0,
         };
-        sim.reset(runs, fan_in);
+        sim.reset(runs, task, fan_in);
         sim
     }
 
     /// Re-arms the simulation for another stage on the same
-    /// configuration, merging groups of `fan_in` runs of `runs`: the
-    /// tree, loader and drain return to their just-built state
-    /// (`sanitize` probes included), every counter to zero, and the
-    /// streams are rebuilt in place — whatever state the previous pass
-    /// was left in, finished or abandoned on an error. Allocates only
-    /// where a stream outgrows the capacity earlier passes left behind.
+    /// configuration, merging groups of `fan_in` runs of `runs[task]`,
+    /// read where they lie: the tree, loader and drain return to their
+    /// just-built state (`sanitize` probes included), every counter to
+    /// zero, and the streams are rebuilt in place — whatever state the
+    /// previous pass was left in, finished or abandoned on an error.
+    /// Allocates only where a stream outgrows the capacity earlier
+    /// passes left behind.
     ///
     /// # Panics
     ///
     /// Panics unless `2 <= fan_in <= l`.
-    pub fn reset(&mut self, runs: RunSet<R>, fan_in: usize) {
+    pub fn reset(&mut self, runs: &RunSet<R>, task: Range<usize>, fan_in: usize) {
         let l = self.l;
         assert!(fan_in >= 2 && fan_in <= l, "fan-in must be in [2, l]");
-        let groups = runs.num_runs().div_ceil(fan_in);
+        let groups = task.len().div_ceil(fan_in);
 
         // Build the ℓ leaf streams, each terminal-delimited; leaves with
         // no run in a group get bare terminals so every leaf sees exactly
@@ -122,31 +136,25 @@ impl<R: Record> PassSim<R> {
         let log_l = l.trailing_zeros();
         let bitrev = |j: usize| j.reverse_bits() >> (usize::BITS - log_l);
         self.leaf_payload.fill(0);
-        for (run_idx, run) in runs.iter_runs().enumerate() {
-            self.leaf_payload[bitrev(run_idx % fan_in)] += run.len() as u64;
+        for (j, run_idx) in task.clone().enumerate() {
+            self.leaf_payload[bitrev(j % fan_in)] += runs.run(run_idx).len() as u64;
         }
         for (stream, &payload) in self.leaf_streams.iter_mut().zip(&self.leaf_payload) {
             stream.clear();
             stream.reserve(payload as usize + groups);
         }
-        for g in 0..groups {
-            for j in 0..fan_in {
-                let run_idx = g * fan_in + j;
-                if run_idx < runs.num_runs() {
-                    self.leaf_streams[bitrev(j)].extend_from_slice(runs.run(run_idx));
-                }
+        for group in task.clone().step_by(fan_in) {
+            for (j, run_idx) in (group..task.end.min(group + fan_in)).enumerate() {
+                self.leaf_streams[bitrev(j)].extend_from_slice(runs.run(run_idx));
             }
             for stream in &mut self.leaf_streams {
                 stream.push(R::TERMINAL);
             }
         }
 
-        self.n_records = runs.len() as u64;
-        self.runs_in = runs.num_runs() as u64;
+        self.n_records = self.leaf_payload.iter().sum();
+        self.runs_in = task.len() as u64;
         self.groups = groups as u64;
-        // The input is copied out; free it before sizing the output.
-        drop(runs);
-
         self.leaf_pos.fill(0);
         // Every stream ends in at least one terminal per group.
         self.leaves_open = if groups == 0 { 0 } else { l };
@@ -428,23 +436,34 @@ impl<R: Record> PassSim<R> {
         out
     }
 
-    /// The finished pass's output runs and report.
+    /// The finished pass's report. Its output runs go, through the zero
+    /// filter, onto the end of the caller's next-pass input: payload
+    /// appended to `records`, and each run's start to `starts`.
     ///
     /// # Panics
     ///
     /// Panics if the pass is not done.
-    pub fn finish(&self, stage: u32) -> (RunSet<R>, PassReport) {
+    pub fn finish(&self, stage: u32, records: &mut Vec<R>, starts: &mut Vec<usize>) -> PassReport {
         assert!(self.done, "pass must run to completion before finish()");
         debug_assert_eq!(self.drain.completed_records(), self.n_records);
-        let out_runs = split_runs(&self.out_stream).expect("root output is terminal-delimited");
-        debug_assert_eq!(out_runs.len() as u64, self.n_records);
+        debug_assert!(
+            self.out_stream.last().is_none_or(Record::is_terminal),
+            "root output is terminal-delimited"
+        );
+        let runs_before = starts.len();
+        for run in self.out_stream.split(R::is_terminal) {
+            if !run.is_empty() {
+                starts.push(records.len());
+                records.extend_from_slice(run);
+            }
+        }
         let tree_stats = self.tree.stats();
-        let pass = PassReport {
+        PassReport {
             stage,
             cycles: self.cycles,
             records: self.n_records,
             runs_in: self.runs_in,
-            runs_out: out_runs.num_runs() as u64,
+            runs_out: (starts.len() - runs_before) as u64,
             // Byte counters live in the shared Memory; the caller fills
             // these in when it owns the memory exclusively.
             bytes_read: 0,
@@ -452,8 +471,7 @@ impl<R: Record> PassSim<R> {
             input_stalls: tree_stats.total_input_stalls,
             output_stalls: tree_stats.total_output_stalls,
             fast_forwarded_cycles: self.fast_forwarded,
-        };
-        (out_runs, pass)
+        }
     }
 }
 
@@ -526,58 +544,60 @@ pub(crate) struct PassStats {
     pub(crate) diagnostics: Vec<bonsai_check::Diagnostic>,
 }
 
-/// Simulates one pass merging groups of `fan_in` runs of `runs` to
-/// completion on `scratch`, against a memory built from `memory` — the
-/// whole memory for the fused plan's single tree, a group's
-/// [`MemoryConfig::shard_view`] for one merge group — and returns the
-/// output runs (terminal-free and sorted) and the accounting. What an
-/// earlier pass left in the scratch, finished or abandoned on an error,
-/// never shows: a reset scratch equals a new one.
+/// Simulates task `task` of `pass` to completion on `scratch`: its
+/// groups of the runs of `runs` ([`PassPlan::task_runs`]), read where
+/// they lie, merged against the pass's memory — the whole memory for
+/// the fused plan's single tree, a group's bank share for one merge
+/// group. The output runs (terminal-free and sorted) go onto the end of
+/// `next`, the next pass's records and run starts, and the accounting
+/// is returned. What an earlier pass left in the scratch, finished or
+/// abandoned on an error, never shows: a reset scratch equals a new one.
 ///
-/// Fails with `BON040` for `stage` when the pass is still running at
-/// `max_cycles` ([`PassSim::run`], which also calls `poll` at its yield
-/// points).
-#[allow(clippy::too_many_arguments)] // one pass's whole input, no more
+/// Fails with `BON040` for the pass's stage when the task is still
+/// running at `max_cycles` ([`PassSim::run`], which also calls `poll`
+/// at its yield points).
+#[allow(clippy::too_many_arguments)] // one task's whole input, no more
 pub(crate) fn simulate<R: Record>(
     config: &SimEngineConfig,
     scratch: &mut PassScratch<R>,
-    runs: RunSet<R>,
-    fan_in: usize,
-    memory: MemoryConfig,
-    stage: u32,
+    runs: &RunSet<R>,
+    pass: &PassPlan,
+    task: usize,
+    next: (&mut Vec<R>, &mut Vec<usize>),
     max_cycles: u64,
     reference: bool,
     poll: &mut dyn FnMut(),
-) -> Result<(RunSet<R>, PassStats), SortError> {
+) -> Result<PassStats, SortError> {
+    let task_runs = pass.task_runs(task);
     let (sim, mem) = match scratch {
         Some(used) => {
-            used.0.reset(runs, fan_in);
-            used.1.reset(memory);
+            used.0.reset(runs, task_runs, pass.fan_in);
+            used.1.reset(pass.memory);
             &mut **used
         }
         None => &mut **scratch.insert(Box::new((
-            PassSim::new(config, runs, fan_in),
-            Memory::new(memory),
+            PassSim::new(config, runs, task_runs, pass.fan_in),
+            Memory::new(pass.memory),
         ))),
     };
-    sim.run(mem, reference, max_cycles, stage, poll)?;
+    sim.run(mem, reference, max_cycles, pass.stage, poll)?;
     #[cfg(feature = "sanitize")]
     let diagnostics = sim.sanitize_check();
-    let (out_runs, mut report) = sim.finish(stage);
+    let mut report = sim.finish(pass.stage, next.0, next.1);
     report.bytes_read = mem.bytes_read();
     report.bytes_written = mem.bytes_written();
-    let stats = PassStats {
+    Ok(PassStats {
         report,
         #[cfg(feature = "sanitize")]
         diagnostics,
-    };
-    Ok((out_runs, stats))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::AmtConfig;
+    use bonsai_memsim::MemoryConfig;
     use bonsai_records::U32Rec;
 
     /// The candidate sets are caches of what a scan of every leaf would
@@ -610,7 +630,8 @@ mod tests {
             let data: Vec<U32Rec> = (0..rng.range_usize(1, n_runs * run_len))
                 .map(|_| U32Rec::new(rng.next_u32().max(1)))
                 .collect();
-            let mut sim = PassSim::new(&cfg, RunSet::from_chunks(data, run_len), fan_in);
+            let runs = RunSet::from_chunks(data, run_len);
+            let mut sim = PassSim::new(&cfg, &runs, 0..runs.num_runs(), fan_in);
             let mut memory = Memory::new(cfg.memory.shard_view(fan_in));
             let mut cycle = 0u64;
             while !sim.is_done() {
@@ -639,7 +660,8 @@ mod tests {
                 cycle += sim.advance(cycle, &mut memory);
                 assert!(cycle < 50_000_000, "{ctx}: livelock");
             }
-            let (out, _) = sim.finish(1);
+            let (mut out, mut starts) = (Vec::new(), Vec::new());
+            sim.finish(1, &mut out, &mut starts);
             assert_eq!(out.len() as u64, sim.n_records);
         }
         // The sets are worth having: most leaves are not on them.
@@ -657,14 +679,15 @@ mod tests {
         type Observed = (Vec<U32Rec>, PassReport, String);
 
         fn observe(
-            result: Result<(RunSet<U32Rec>, PassStats), SortError>,
+            result: Result<PassStats, SortError>,
+            out: Vec<U32Rec>,
         ) -> Result<Observed, SortError> {
-            result.map(|(out, stats)| {
+            result.map(|stats| {
                 #[cfg(feature = "sanitize")]
                 let findings = format!("{:?}", stats.diagnostics);
                 #[cfg(not(feature = "sanitize"))]
                 let findings = String::new();
-                (out.into_records(), stats.report, findings)
+                (out, stats.report, findings)
             })
         }
 
@@ -693,19 +716,28 @@ mod tests {
                 } else {
                     cfg.memory.shard_view(fan_in)
                 };
+                let pass = PassPlan {
+                    fan_in,
+                    runs_in: runs.num_runs(),
+                    groups: runs.num_runs().div_ceil(fan_in),
+                    tasks: 1,
+                    memory,
+                    stage: 1,
+                };
                 let run = |scratch: &mut PassScratch<U32Rec>, bound, reference| {
-                    let runs = runs.clone();
-                    observe(simulate(
+                    let (mut out, mut starts) = (Vec::new(), Vec::new());
+                    let stats = simulate(
                         &cfg,
                         scratch,
-                        runs,
-                        fan_in,
-                        memory,
-                        1,
+                        &runs,
+                        &pass,
+                        0,
+                        (&mut out, &mut starts),
                         bound,
                         reference,
                         &mut || {},
-                    ))
+                    );
+                    observe(stats, out)
                 };
                 let want = run(&mut None, u64::MAX, false).expect("an unbounded pass finishes");
                 // Every third pass is cut off half way: the scratch is

@@ -114,16 +114,17 @@ impl UnrolledSim {
                 let next = tree.passes.len();
                 if tree.active.is_none() && next < tree.plan.num_passes() {
                     let fan_in = tree.plan.pass(next).fan_in;
-                    let runs = std::mem::replace(&mut tree.runs, RunSet::from_unsorted(vec![]));
-                    tree.active = Some(PassSim::new(&self.config, runs, fan_in));
+                    let all = 0..tree.runs.num_runs();
+                    tree.active = Some(PassSim::new(&self.config, &tree.runs, all, fan_in));
                 }
                 if let Some(sim) = tree.active.as_mut() {
                     all_done = false;
                     if sim.tick(cycle, &mut memory) {
                         let sim = tree.active.take().expect("just ticked");
-                        let (out_runs, pass) = sim.finish(next as u32 + 1);
-                        tree.passes.push(pass);
-                        tree.runs = out_runs;
+                        let (mut records, mut starts) = (Vec::new(), Vec::new());
+                        tree.passes
+                            .push(sim.finish(next as u32 + 1, &mut records, &mut starts));
+                        tree.runs = RunSet::from_parts(records, starts);
                     }
                 }
             }

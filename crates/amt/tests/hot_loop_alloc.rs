@@ -18,7 +18,7 @@
 mod common;
 
 use bonsai_amt::passsim::PassSim;
-use bonsai_amt::{AmtConfig, SimEngineConfig};
+use bonsai_amt::{AmtConfig, PassReport, SimEngineConfig};
 use bonsai_gensort::dist::uniform_u32;
 use bonsai_memsim::Memory;
 use bonsai_records::run::RunSet;
@@ -48,16 +48,24 @@ fn run_to_completion(sim: &mut PassSim<U32Rec>, memory: &mut Memory, reference: 
     }
 }
 
+/// The finished pass's output records, run starts and report.
+fn finish(sim: &PassSim<U32Rec>) -> (Vec<U32Rec>, Vec<usize>, PassReport) {
+    let (mut records, mut starts) = (Vec::new(), Vec::new());
+    let pass = sim.finish(1, &mut records, &mut starts);
+    (records, starts, pass)
+}
+
 fn drive(reference: bool) -> u64 {
     let cfg = config();
-    let mut sim = PassSim::new(&cfg, presorted_runs(&cfg, 30_000, 9), 16);
+    let runs = presorted_runs(&cfg, 30_000, 9);
+    let mut sim = PassSim::new(&cfg, &runs, 0..runs.num_runs(), 16);
     let mut memory = Memory::new(cfg.memory);
 
     let ((), allocs) = common::count_allocs(|| run_to_completion(&mut sim, &mut memory, reference));
 
     // Teardown sanity (unarmed): the pass actually ran to completion.
-    let (out_runs, pass) = sim.finish(1);
-    assert_eq!(out_runs.len(), 30_000);
+    let (out, _, pass) = finish(&sim);
+    assert_eq!(out.len(), 30_000);
     assert!(pass.cycles > 0);
     allocs
 }
@@ -76,13 +84,15 @@ fn simulation_loop_is_allocation_free_on_both_paths() {
 fn reset_scratch_runs_a_second_group_without_allocating() {
     for reference in [false, true] {
         let cfg = config();
-        let mut sim = PassSim::new(&cfg, presorted_runs(&cfg, 30_000, 9), 16);
+        let first = presorted_runs(&cfg, 30_000, 9);
+        let mut sim = PassSim::new(&cfg, &first, 0..first.num_runs(), 16);
         let mut memory = Memory::new(cfg.memory.shard_view(16));
         run_to_completion(&mut sim, &mut memory, reference);
 
         let second = presorted_runs(&cfg, 9_000, 10);
+        let all = 0..second.num_runs();
         let ((), allocs) = common::count_allocs(|| {
-            sim.reset(second, 8);
+            sim.reset(&second, all.clone(), 8);
             memory.reset(cfg.memory.shard_view(8));
             run_to_completion(&mut sim, &mut memory, reference);
         });
@@ -92,12 +102,12 @@ fn reset_scratch_runs_a_second_group_without_allocating() {
         );
 
         // Unarmed: the reused scratch computed what a new one computes.
-        let mut fresh = PassSim::new(&cfg, presorted_runs(&cfg, 9_000, 10), 8);
+        let mut fresh = PassSim::new(&cfg, &second, all, 8);
         let mut fresh_memory = Memory::new(cfg.memory.shard_view(8));
         run_to_completion(&mut fresh, &mut fresh_memory, reference);
-        let (out_runs, pass) = sim.finish(1);
-        assert_eq!(out_runs.len(), 9_000);
-        assert_eq!((out_runs, pass), fresh.finish(1));
+        let reused = finish(&sim);
+        assert_eq!(reused.0.len(), 9_000);
+        assert_eq!(reused, finish(&fresh));
         assert_eq!(memory.bytes_read(), fresh_memory.bytes_read());
         assert_eq!(memory.bytes_written(), fresh_memory.bytes_written());
     }

@@ -1,8 +1,11 @@
 //! Randomized cross-validation inside the AMT crate: the loser-tree
-//! kernel against `sort_unstable`, and the cycle engine against the
-//! functional schedule built on that kernel.
+//! kernel against `sort_unstable`, the cycle engine against the
+//! functional schedule built on that kernel, and every simulated pass
+//! against the physical floors of the memory it ran on.
 
+use bonsai_amt::schedule::fan_in_schedule;
 use bonsai_amt::{functional, loser_tree_merge, AmtConfig, SimEngine, SimEngineConfig};
+use bonsai_memsim::MemoryConfig;
 use bonsai_records::U32Rec;
 use bonsai_rng::Rng;
 
@@ -53,25 +56,63 @@ fn engine_equals_functional_schedule() {
     }
 }
 
+/// No simulated pass beats the hardware it runs on: every pass takes at
+/// least as many cycles as its root needs to emit its records (`p` per
+/// cycle) and as its memory needs to read and to write its bytes (every
+/// bank's port busy every cycle). The memory is the one the pass ran
+/// against: the whole memory for the fused plan, each group's
+/// `shard_view(fan_in)` for the per-group plan, whose pass is the sum
+/// of its groups. A pass that drops cycles it skipped, or moves bytes
+/// no port carried, fails here without a golden table.
 #[test]
-fn merge_pass_preserves_multiset_and_shrinks_runs() {
-    let mut rng = Rng::seed_from_u64(0xA370_0003);
-    for _ in 0..48 {
-        let len = rng.range_usize(1, 1_499);
-        let chunk = rng.range_usize(1, 39);
-        let fan_in = rng.range_usize(2, 19);
-        let data: Vec<U32Rec> = (0..len)
-            .map(|_| U32Rec::new(rng.next_u32().max(1)))
-            .collect();
-        let runs = bonsai_records::run::RunSet::from_chunks(data.clone(), chunk);
-        let before = runs.num_runs();
-        let after = functional::merge_pass(&runs, fan_in);
-        assert!(after.validate().is_ok());
-        assert_eq!(after.num_runs(), before.div_ceil(fan_in));
-        let mut a: Vec<U32Rec> = data;
-        let mut b = after.into_records();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
+fn no_pass_beats_its_physical_floors_on_either_plan() {
+    let presets = [
+        MemoryConfig::ddr4_aws_f1(),
+        MemoryConfig::ddr4_single_bank(),
+        MemoryConfig::hbm_u50(),
+        MemoryConfig::throttled_to_ssd(),
+        MemoryConfig::ssd_direct(),
+    ];
+    let mut rng = Rng::seed_from_u64(0xA370_0005);
+    let mut passes = 0;
+    for round in 0..120 {
+        let (p, l) = (1 << rng.range_usize(0, 4), 1 << rng.range_usize(1, 8));
+        let mut cfg = SimEngineConfig::with_memory(AmtConfig::new(p, l), 4, presets[round % 5]);
+        if rng.chance_percent(50) {
+            cfg = cfg.without_presort();
+        }
+        let len = rng.range_usize(0, 40_000);
+        let data: Vec<U32Rec> = (0..len).map(|_| U32Rec::new(rng.next_u32())).collect();
+        let runs = len.div_ceil(cfg.initial_run_len()) as u64;
+        let fan_ins = fan_in_schedule(runs, l as u64);
+        let (_, fused) = SimEngine::new(cfg).try_sort(data.clone()).expect("sorts");
+        let (_, per_group) = SimEngine::new(cfg)
+            .try_sort_pipelined(data, 1)
+            .expect("sorts");
+        for (plan, report) in [("fused", fused), ("per-group", per_group)] {
+            assert_eq!(report.passes.len(), fan_ins.len());
+            for (pass, &fan_in) in report.passes.iter().zip(&fan_ins) {
+                let memory = match plan {
+                    "fused" => cfg.memory,
+                    _ => cfg.memory.shard_view(fan_in as usize),
+                };
+                let banks = memory.banks as u64;
+                let floor = [
+                    pass.records.div_ceil(p as u64),
+                    pass.bytes_read
+                        .div_ceil(banks * memory.read_bytes_per_cycle),
+                    pass.bytes_written
+                        .div_ceil(banks * memory.write_bytes_per_cycle),
+                ];
+                assert!(
+                    floor.iter().all(|&f| pass.cycles >= f),
+                    "round {round} AMT({p}, {l}) {len} records, {plan} stage {}: {} cycles, floors {floor:?}",
+                    pass.stage,
+                    pass.cycles,
+                );
+                passes += 1;
+            }
+        }
     }
+    assert!(passes > 500, "only {passes} passes checked");
 }

@@ -36,7 +36,7 @@ pub fn generate_gensort_file(path: &Path, n: u64, seed: u64) -> io::Result<()> {
 /// Propagates any I/O error.
 pub fn write_wire_file<R: WireRecord>(path: &Path, records: &[R]) -> io::Result<()> {
     let mut w = BufWriter::new(File::create(path)?);
-    let mut buf = vec![0u8; R::WIRE_BYTES];
+    let mut buf = vec![0u8; R::WIDTH_BYTES];
     for rec in records {
         rec.write_to(&mut buf);
         w.write_all(&buf)?;
@@ -52,13 +52,16 @@ pub fn write_wire_file<R: WireRecord>(path: &Path, records: &[R]) -> io::Result<
 pub fn read_wire_file<R: WireRecord>(path: &Path) -> io::Result<Vec<R>> {
     let mut data = Vec::new();
     BufReader::new(File::open(path)?).read_to_end(&mut data)?;
-    if data.len() % R::WIRE_BYTES != 0 {
+    if data.len() % R::WIDTH_BYTES != 0 {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "file length is not a multiple of the record width",
         ));
     }
-    Ok(data.chunks_exact(R::WIRE_BYTES).map(R::read_from).collect())
+    Ok(data
+        .chunks_exact(R::WIDTH_BYTES)
+        .map(R::read_from)
+        .collect())
 }
 
 /// Summary produced by [`valsort`] — the fields the reference `valsort`

@@ -14,8 +14,12 @@
 //!   to `k` records per cycle with the same stall, back-pressure and
 //!   single-cycle flush semantics as the hardware unit built from two
 //!   bitonic half-mergers (§II-A); [`KMerger`] is a merge step that owns
-//!   its edges,
-//! - [`stream`]: zero-append / zero-filter helpers.
+//!   its edges.
+//!
+//! The *zero append* and *zero filter* units live where the streams
+//! are: the pass simulation in `bonsai-amt` appends a terminal after
+//! every run it feeds a leaf and strips terminals from the root's output
+//! as it writes the next pass's input.
 //!
 //! The model is *throughput- and occupancy-accurate*: a merger moves `k`
 //! records per cycle exactly when the hardware would (inputs available and
@@ -52,7 +56,6 @@
 
 mod edge;
 mod merger;
-pub mod stream;
 
 pub use edge::{Edge, FifoFullError};
 pub use merger::{KMerger, MergeStep, MergerStats, Side};

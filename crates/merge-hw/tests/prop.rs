@@ -1,9 +1,7 @@
 //! Randomized tests: the cycle-level merger is functionally a perfect
 //! 2-way merge for arbitrary run shapes, and its throughput is k/cycle.
 
-use bonsai_merge_hw::stream::{append_terminals, split_runs};
 use bonsai_merge_hw::{KMerger, Side};
-use bonsai_records::run::RunSet;
 use bonsai_records::{Record, U32Rec};
 use bonsai_rng::Rng;
 
@@ -77,7 +75,16 @@ fn merger_merges_runs_pairwise() {
         let right = sorted_runs(&mut rng, 5, 40);
         let n_pairs = left.len().min(right.len());
         let out = drive_merger(k, &left[..n_pairs], &right[..n_pairs]);
-        let runs = split_runs(&out).expect("terminal-delimited output");
+        assert!(
+            out.last().is_some_and(Record::is_terminal),
+            "ends with a terminal"
+        );
+        // The runs between terminals, empty ones dropped.
+        let runs: Vec<Vec<u32>> = out
+            .split(Record::is_terminal)
+            .filter(|run| !run.is_empty())
+            .map(|run| run.iter().map(|r| r.0).collect())
+            .collect();
 
         // Each output run must be the sorted multiset union of the pair.
         let mut run_idx = 0;
@@ -85,13 +92,12 @@ fn merger_merges_runs_pairwise() {
             let mut expected: Vec<u32> = left[i].iter().chain(right[i].iter()).copied().collect();
             expected.sort_unstable();
             if expected.is_empty() {
-                continue; // empty merged runs vanish in split_runs
+                continue; // empty merged runs are dropped above
             }
-            let got: Vec<u32> = runs.run(run_idx).iter().map(|r| r.0).collect();
-            assert_eq!(&got, &expected, "pair {i}");
+            assert_eq!(runs[run_idx], expected, "pair {i}");
             run_idx += 1;
         }
-        assert_eq!(run_idx, runs.num_runs());
+        assert_eq!(run_idx, runs.len());
     }
 }
 
@@ -105,22 +111,6 @@ fn merger_emits_one_terminal_per_pair() {
         let out = drive_merger(4, &left[..n_pairs], &right[..n_pairs]);
         let terminals = out.iter().filter(|r| r.is_terminal()).count();
         assert_eq!(terminals, n_pairs);
-    }
-}
-
-#[test]
-fn zero_append_filter_roundtrip() {
-    let mut rng = Rng::seed_from_u64(0x3E26_0003);
-    for _ in 0..64 {
-        let len = rng.below_usize(100);
-        let chunk = rng.range_usize(1, 15);
-        let recs: Vec<U32Rec> = (0..len)
-            .map(|_| U32Rec::new(rng.next_u32().max(1)))
-            .collect();
-        let runs = RunSet::from_chunks(recs, chunk);
-        let stream = append_terminals(&runs);
-        let back = split_runs(&stream).expect("well-formed stream");
-        assert_eq!(back.records(), runs.records());
     }
 }
 

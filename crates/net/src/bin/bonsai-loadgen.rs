@@ -3,7 +3,6 @@
 //! ```text
 //! bonsai-loadgen [--addr HOST:PORT] [--clients N] [--jobs N]
 //!                [--records N] [--seed N] [--window N]
-//! bonsai-loadgen --malformed MODE [--addr HOST:PORT]
 //! bonsai-loadgen --shutdown TOKEN [--addr HOST:PORT]
 //! ```
 //!
@@ -14,19 +13,13 @@
 //! contract). Prints the aggregate `jobs/sec`; exits nonzero on any
 //! mismatch, drop, or duplicate.
 //!
-//! `--malformed` sends one deliberately broken frame
-//! (`bad-magic | bad-version | truncated | oversized | ragged | width`),
-//! checks the server answers with the right stable `BON07x` code, and
-//! proves isolation: fatal modes close only that connection (a fresh
-//! one still sorts), recoverable modes leave the same connection
-//! usable. `--shutdown` sends the graceful-shutdown control frame.
+//! `--shutdown` sends the graceful-shutdown control frame.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use bonsai_gensort::dist::uniform_u32;
-use bonsai_net::frame::RequestHeader;
 use bonsai_net::{Client, Reply};
 use bonsai_records::{Record, U32Rec};
 
@@ -37,7 +30,6 @@ struct Args {
     records: usize,
     seed: u64,
     window: usize,
-    malformed: Option<String>,
     shutdown: Option<u64>,
 }
 
@@ -49,7 +41,6 @@ fn parse_args() -> Result<Args, String> {
         records: 4096,
         seed: 42,
         window: 4,
-        malformed: None,
         shutdown: None,
     };
     let mut args = std::env::args().skip(1);
@@ -82,7 +73,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--window: {e}"))?;
             }
-            "--malformed" => parsed.malformed = Some(value("--malformed")?),
             "--shutdown" => {
                 parsed.shutdown = Some(
                     value("--shutdown")?
@@ -222,113 +212,6 @@ fn run_load(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// One crafted-malformed-frame scenario: the raw bytes, the stable code
-/// the server must answer with, and whether that code closes the
-/// connection.
-fn malformed_frame(mode: &str) -> Result<(Vec<u8>, &'static str, bool), String> {
-    let frame = |record_width: u16, job_id: u64, payload_len: u32| {
-        RequestHeader {
-            record_width,
-            job_id,
-            payload_len,
-        }
-        .encode()
-        .to_vec()
-    };
-    match mode {
-        "bad-magic" => {
-            let mut bytes = frame(4, 1, 0);
-            bytes[0] ^= 0xFF;
-            Ok((bytes, "BON070", true))
-        }
-        "bad-version" => {
-            let mut bytes = frame(4, 1, 0);
-            bytes[4] = 0x09;
-            bytes[5] = 0x00;
-            Ok((bytes, "BON071", false))
-        }
-        "truncated" => {
-            // Declare 400 payload bytes, deliver only 100.
-            let mut bytes = frame(4, 2, 400);
-            bytes.extend_from_slice(&[0u8; 100]);
-            Ok((bytes, "BON072", true))
-        }
-        "oversized" => Ok((frame(4, 3, u32::MAX), "BON073", true)),
-        "ragged" => {
-            let mut bytes = frame(4, 4, 10);
-            bytes.extend_from_slice(&[0u8; 10]);
-            Ok((bytes, "BON074", false))
-        }
-        "width" => {
-            let mut bytes = frame(8, 5, 16);
-            bytes.extend_from_slice(&[0u8; 16]);
-            Ok((bytes, "BON075", false))
-        }
-        other => Err(format!(
-            "unknown --malformed mode {other} (want bad-magic | bad-version | truncated | oversized | ragged | width)"
-        )),
-    }
-}
-
-fn sort_roundtrip(client: &mut Client<U32Rec>, seed: u64) -> Result<usize, String> {
-    let data = uniform_u32(256, seed);
-    let mut expected: Vec<U32Rec> = data.iter().map(|r| r.sanitize()).collect();
-    expected.sort_unstable();
-    match client.sort(999, &data).map_err(|e| format!("sort: {e}"))? {
-        Reply::Sorted { records, .. } if records == expected => Ok(records.len()),
-        Reply::Sorted { .. } => Err("sorted output mismatch".into()),
-        Reply::ServerError { code, message, .. } => Err(format!("{code}: {message}")),
-    }
-}
-
-fn run_malformed(args: &Args, mode: &str) -> Result<(), String> {
-    let (bytes, expect_code, fatal) = malformed_frame(mode)?;
-    let mut client =
-        Client::<U32Rec>::connect(&args.addr).map_err(|e| format!("connect {}: {e}", args.addr))?;
-    client
-        .send_raw(&bytes)
-        .map_err(|e| format!("send_raw: {e}"))?;
-    if mode == "truncated" {
-        client
-            .finish_writes()
-            .map_err(|e| format!("finish_writes: {e}"))?;
-    }
-    let (code, message) = match client.recv().map_err(|e| format!("recv: {e}"))? {
-        Reply::ServerError { code, message, .. } => (code, message),
-        Reply::Sorted { job_id, .. } => {
-            return Err(format!("job {job_id}: server accepted a malformed frame"));
-        }
-    };
-    if code != expect_code {
-        return Err(format!("expected {expect_code}, got {code}: {message}"));
-    }
-    println!("malformed={mode} code={code} message={message}");
-    if fatal {
-        match client.recv() {
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::UnexpectedEof | std::io::ErrorKind::ConnectionReset
-                ) => {}
-            other => {
-                return Err(format!(
-                    "connection should be closed after {expect_code}, got {other:?}"
-                ));
-            }
-        }
-        let mut fresh = Client::<U32Rec>::connect(&args.addr)
-            .map_err(|e| format!("reconnect {}: {e}", args.addr))?;
-        let sorted = sort_roundtrip(&mut fresh, args.seed)?;
-        println!("server still serving after {expect_code} (sorted {sorted} records on a fresh connection)");
-    } else {
-        let sorted = sort_roundtrip(&mut client, args.seed)?;
-        println!(
-            "connection survived {expect_code} (sorted {sorted} records on the same connection)"
-        );
-    }
-    Ok(())
-}
-
 fn run_shutdown(args: &Args, token: u64) -> Result<(), String> {
     let mut client =
         Client::<U32Rec>::connect(&args.addr).map_err(|e| format!("connect {}: {e}", args.addr))?;
@@ -353,9 +236,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let outcome = if let Some(mode) = args.malformed.clone() {
-        run_malformed(&args, &mode)
-    } else if let Some(token) = args.shutdown {
+    let outcome = if let Some(token) = args.shutdown {
         run_shutdown(&args, token)
     } else {
         run_load(&args)

@@ -80,7 +80,7 @@ impl<R: WireRecord> Client<R> {
 
     /// Writes raw bytes to the stream, bypassing the frame encoder.
     /// This exists to *test* the server's malformed-frame handling
-    /// (`bonsai-loadgen --malformed`); a correct client never needs it.
+    /// (`tests/loopback.rs`); a correct client never needs it.
     ///
     /// # Errors
     ///

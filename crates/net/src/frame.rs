@@ -283,22 +283,6 @@ impl RequestHeader {
         encode_header(self.record_width, self.job_id, self.payload_len)
     }
 
-    /// Decodes a request header, checking magic and version (the two
-    /// fields that gate whether the rest can be trusted at all).
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::BadMagic`] / [`WireError::BadVersion`].
-    pub fn decode(buf: &[u8; HEADER_BYTES]) -> Result<Self, WireError> {
-        let (magic, version, record_width, job_id, payload_len) = split_header(buf);
-        check_magic_and_version(magic, version)?;
-        Ok(Self {
-            record_width,
-            job_id,
-            payload_len,
-        })
-    }
-
     /// Validates the payload declaration against a server that sorts
     /// `expected_width`-byte records and buffers at most `max_payload`
     /// bytes per frame.
@@ -359,8 +343,8 @@ impl ResponseHeader {
 /// Serializes records into their contiguous wire payload.
 #[must_use]
 pub(crate) fn encode_records<R: WireRecord>(records: &[R]) -> Vec<u8> {
-    let mut buf = vec![0u8; records.len() * R::WIRE_BYTES];
-    for (chunk, record) in buf.chunks_exact_mut(R::WIRE_BYTES).zip(records) {
+    let mut buf = vec![0u8; records.len() * R::WIDTH_BYTES];
+    for (chunk, record) in buf.chunks_exact_mut(R::WIDTH_BYTES).zip(records) {
         record.write_to(chunk);
     }
     buf
@@ -373,14 +357,14 @@ pub(crate) fn encode_records<R: WireRecord>(records: &[R]) -> Vec<u8> {
 /// [`WireError::Ragged`] if the buffer is not a whole number of
 /// records.
 pub fn decode_records<R: WireRecord>(payload: &[u8]) -> Result<Vec<R>, WireError> {
-    if !payload.len().is_multiple_of(R::WIRE_BYTES) {
+    if !payload.len().is_multiple_of(R::WIDTH_BYTES) {
         return Err(WireError::Ragged {
             payload_len: payload.len() as u32,
-            record_width: R::WIRE_BYTES as u16,
+            record_width: R::WIDTH_BYTES as u16,
         });
     }
     Ok(payload
-        .chunks_exact(R::WIRE_BYTES)
+        .chunks_exact(R::WIDTH_BYTES)
         .map(R::read_from)
         .collect())
 }
@@ -393,9 +377,9 @@ pub fn decode_records<R: WireRecord>(payload: &[u8]) -> Result<Vec<R>, WireError
 /// # Errors
 ///
 /// [`WireError::Truncated`] when the slice ends early (an empty one
-/// included), [`WireError::UnsupportedWidth`] for a control frame, plus
-/// everything [`RequestHeader::decode`] and [`RequestHeader::validate`]
-/// emit.
+/// included), [`WireError::BadMagic`] and [`WireError::BadVersion`] for a
+/// header that cannot be trusted, [`WireError::UnsupportedWidth`] for a
+/// control frame, plus everything [`RequestHeader::validate`] emits.
 pub fn decode_request<R: WireRecord>(
     mut bytes: &[u8],
     max_payload: u32,
@@ -407,7 +391,7 @@ pub fn decode_request<R: WireRecord>(
         }),
         Incoming::Control(_) => Err(WireError::UnsupportedWidth {
             found: 0,
-            expected: R::WIRE_BYTES as u16,
+            expected: R::WIDTH_BYTES as u16,
         }),
         Incoming::Rejected { err, .. } => Err(err),
     }
@@ -418,7 +402,7 @@ pub fn decode_request<R: WireRecord>(
 pub fn encode_request<R: WireRecord>(job_id: u64, records: &[R]) -> Vec<u8> {
     let payload = encode_records(records);
     let header = RequestHeader {
-        record_width: R::WIRE_BYTES as u16,
+        record_width: R::WIDTH_BYTES as u16,
         job_id,
         payload_len: payload.len() as u32,
     };
@@ -493,7 +477,7 @@ pub(crate) fn read_request<R: WireRecord>(
     if trusted.is_ok() && record_width == 0 && payload_len == 0 {
         return Ok(Incoming::Control(job_id));
     }
-    if let Err(err) = trusted.and_then(|()| header.validate(R::WIRE_BYTES as u16, max_payload)) {
+    if let Err(err) = trusted.and_then(|()| header.validate(R::WIDTH_BYTES as u16, max_payload)) {
         let len = u64::from(payload_len);
         let framed = err.recoverable()
             && payload_len <= max_payload
@@ -519,7 +503,7 @@ pub(crate) fn read_request<R: WireRecord>(
     }
     // `validate` admitted whole records of `R`'s width only.
     let records = payload
-        .chunks_exact(R::WIRE_BYTES)
+        .chunks_exact(R::WIDTH_BYTES)
         .map(R::read_from)
         .collect();
     Ok(Incoming::Request(header, records))
@@ -645,7 +629,11 @@ mod tests {
             job_id: 0xDEAD_BEEF_0123,
             payload_len: 4096,
         };
-        assert_eq!(RequestHeader::decode(&req.encode()), Ok(req));
+        let mut frame = req.encode().to_vec();
+        frame.resize(HEADER_BYTES + 4096, 0);
+        let (header, records) =
+            decode_request::<U32Rec>(&frame, DEFAULT_MAX_PAYLOAD).expect("valid");
+        assert_eq!((header, records.len()), (req, 1024));
         let resp = ResponseHeader {
             status: 77,
             job_id: 7,
@@ -669,7 +657,7 @@ mod tests {
         }
         .encode();
         buf[0] ^= 0xFF;
-        let err = RequestHeader::decode(&buf).expect_err("magic corrupted");
+        let err = decode_request::<U32Rec>(&buf, DEFAULT_MAX_PAYLOAD).expect_err("magic corrupted");
         assert_eq!(err.code(), codes::WIRE_BAD_MAGIC);
         assert!(!err.recoverable(), "desync closes the connection");
 
@@ -680,7 +668,7 @@ mod tests {
         }
         .encode();
         buf[4] = 9;
-        let err = RequestHeader::decode(&buf).expect_err("version bumped");
+        let err = decode_request::<U32Rec>(&buf, DEFAULT_MAX_PAYLOAD).expect_err("version bumped");
         assert_eq!(err.code(), codes::WIRE_BAD_VERSION);
         assert!(err.recoverable(), "framing is intact, connection lives");
     }

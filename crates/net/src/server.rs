@@ -448,7 +448,7 @@ fn serve_stream<R: WireRecord>(read: impl Read, write: impl Write + Send, shared
                 Incoming::Control(job_id) => {
                     let err = WireError::UnsupportedWidth {
                         found: 0,
-                        expected: R::WIRE_BYTES as u16,
+                        expected: R::WIDTH_BYTES as u16,
                     };
                     reply_err(writer, shared, job_id, &err);
                 }

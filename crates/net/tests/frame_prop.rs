@@ -23,11 +23,11 @@ fn roundtrip_many<R: WireRecord + PartialEq + std::fmt::Debug>(
         let job_id = rng.next_u64();
         let records = random_records(rng, n, &make);
         let bytes = frame::encode_request(job_id, &records);
-        assert_eq!(bytes.len(), HEADER_BYTES + n * R::WIRE_BYTES);
+        assert_eq!(bytes.len(), HEADER_BYTES + n * R::WIDTH_BYTES);
         let (header, decoded) =
             frame::decode_request::<R>(&bytes, DEFAULT_MAX_PAYLOAD).expect("valid frame decodes");
         assert_eq!(header.job_id, job_id);
-        assert_eq!(header.record_width as usize, R::WIRE_BYTES);
+        assert_eq!(header.record_width as usize, R::WIDTH_BYTES);
         assert_eq!(decoded, records);
     }
 }

@@ -10,8 +10,8 @@ use crate::{KvRec, Packed16, Record, U128Rec, U32Rec, U64Rec};
 
 /// A record with a fixed-width binary wire format.
 ///
-/// Implementations must round-trip: `read_from(write_to(r)) == r`, with
-/// `WIRE_BYTES == Self::WIDTH_BYTES`.
+/// Implementations must round-trip: `read_from(write_to(r)) == r`, in
+/// [`Record::WIDTH_BYTES`] bytes.
 ///
 /// # Example
 ///
@@ -24,29 +24,24 @@ use crate::{KvRec, Packed16, Record, U128Rec, U32Rec, U64Rec};
 /// assert_eq!(U32Rec::read_from(&buf), U32Rec::new(0xABCD));
 /// ```
 pub trait WireRecord: Record {
-    /// Serialized width in bytes (equals [`Record::WIDTH_BYTES`]).
-    const WIRE_BYTES: usize;
-
     /// Writes the record into `buf`.
     ///
     /// # Panics
     ///
-    /// Panics if `buf.len() != WIRE_BYTES`.
+    /// Panics if `buf.len() != WIDTH_BYTES`.
     fn write_to(&self, buf: &mut [u8]);
 
     /// Reads a record from `buf`.
     ///
     /// # Panics
     ///
-    /// Panics if `buf.len() != WIRE_BYTES`.
+    /// Panics if `buf.len() != WIDTH_BYTES`.
     fn read_from(buf: &[u8]) -> Self;
 }
 
 macro_rules! le_wire {
     ($ty:ident, $inner:ty, $bytes:expr) => {
         impl WireRecord for $ty {
-            const WIRE_BYTES: usize = $bytes;
-
             fn write_to(&self, buf: &mut [u8]) {
                 assert_eq!(buf.len(), $bytes, "wire buffer size mismatch");
                 buf.copy_from_slice(&self.0.to_le_bytes());
@@ -67,8 +62,6 @@ le_wire!(U64Rec, u64, 8);
 le_wire!(U128Rec, u128, 16);
 
 impl WireRecord for KvRec {
-    const WIRE_BYTES: usize = 16;
-
     fn write_to(&self, buf: &mut [u8]) {
         assert_eq!(buf.len(), 16, "wire buffer size mismatch");
         buf[..8].copy_from_slice(&self.key().to_le_bytes());
@@ -86,8 +79,6 @@ impl WireRecord for KvRec {
 }
 
 impl WireRecord for Packed16 {
-    const WIRE_BYTES: usize = 16;
-
     fn write_to(&self, buf: &mut [u8]) {
         assert_eq!(buf.len(), 16, "wire buffer size mismatch");
         buf.copy_from_slice(&self.into_inner().to_le_bytes());
@@ -110,7 +101,7 @@ mod tests {
     use super::*;
 
     fn roundtrip<R: WireRecord>(r: R) {
-        let mut buf = vec![0u8; R::WIRE_BYTES];
+        let mut buf = vec![0u8; R::WIDTH_BYTES];
         r.write_to(&mut buf);
         assert_eq!(R::read_from(&buf), r);
     }
@@ -122,13 +113,6 @@ mod tests {
         roundtrip(U128Rec::new(u128::MAX / 7));
         roundtrip(KvRec::new(42, u64::MAX));
         roundtrip(Packed16::from_parts((1 << 80) - 1, (1 << 48) - 1));
-    }
-
-    #[test]
-    fn wire_width_matches_record_width() {
-        assert_eq!(U32Rec::WIRE_BYTES, U32Rec::WIDTH_BYTES);
-        assert_eq!(KvRec::WIRE_BYTES, KvRec::WIDTH_BYTES);
-        assert_eq!(Packed16::WIRE_BYTES, Packed16::WIDTH_BYTES);
     }
 
     #[test]

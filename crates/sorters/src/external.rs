@@ -120,7 +120,7 @@ impl ExternalSorter {
         output: &Path,
         run_dir: &Path,
     ) -> io::Result<ExternalSortStats> {
-        let chunk_records = (self.mem_budget_bytes / R::WIRE_BYTES).max(1);
+        let chunk_records = (self.mem_budget_bytes / R::WIDTH_BYTES).max(1);
         let mut stats = ExternalSortStats {
             records: 0,
             initial_runs: 0,
@@ -180,7 +180,7 @@ impl<R: WireRecord> RecordReader<R> {
     fn open(path: &Path) -> io::Result<Self> {
         Ok(Self {
             inner: BufReader::new(File::open(path)?),
-            buf: vec![0u8; R::WIRE_BYTES],
+            buf: vec![0u8; R::WIDTH_BYTES],
             _marker: core::marker::PhantomData,
         })
     }
@@ -212,13 +212,13 @@ impl<R: WireRecord> RecordReader<R> {
 
 fn write_run<R: WireRecord>(path: &Path, records: &[R]) -> io::Result<u64> {
     let mut w = BufWriter::new(File::create(path)?);
-    let mut buf = vec![0u8; R::WIRE_BYTES];
+    let mut buf = vec![0u8; R::WIDTH_BYTES];
     for rec in records {
         rec.write_to(&mut buf);
         w.write_all(&buf)?;
     }
     w.flush()?;
-    Ok((records.len() * R::WIRE_BYTES) as u64)
+    Ok((records.len() * R::WIDTH_BYTES) as u64)
 }
 
 /// Streams a k-way merge of sorted run files into `output` through the
@@ -240,12 +240,12 @@ fn merge_run_files<R: WireRecord>(inputs: &[PathBuf], output: &Path) -> io::Resu
     tree.reset(heads, (true, R::MAX));
 
     let mut w = BufWriter::new(File::create(output)?);
-    let mut buf = vec![0u8; R::WIRE_BYTES];
+    let mut buf = vec![0u8; R::WIDTH_BYTES];
     let mut written = 0u64;
     while live > 0 {
         tree.head().1.write_to(&mut buf);
         w.write_all(&buf)?;
-        written += R::WIRE_BYTES as u64;
+        written += R::WIDTH_BYTES as u64;
         let next = readers[tree.winner()].read_head()?;
         live -= usize::from(next.0);
         tree.replace_winner(next);

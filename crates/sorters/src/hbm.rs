@@ -128,7 +128,7 @@ impl HbmSorter {
         // Parallel phase: sort λ address ranges independently; merge-down:
         // pairwise merge stages until one run remains.
         let chunk = data.len().div_ceil(lambda).max(1);
-        let (sorted, _) = functional::sort(data, 2, chunk);
+        let (sorted, _) = functional::sort_balanced(data, 2, chunk);
         Ok((sorted, report))
     }
 }

@@ -149,7 +149,7 @@ impl SsdSorter {
         // Phase one: sort each DRAM-sized chunk independently; phase two:
         // merge the chunk runs 256 at a time.
         let chunk_records = (self.chunk_bytes as usize / R::WIDTH_BYTES).max(1);
-        let (sorted, _) = functional::sort(data, self.phase2_leaves, chunk_records);
+        let (sorted, _) = functional::sort_balanced(data, self.phase2_leaves, chunk_records);
         Ok((sorted, report))
     }
 }
