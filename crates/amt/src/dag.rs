@@ -10,10 +10,11 @@
 //! Fig. 2: every stage streams the whole array back to memory and the
 //! next stage reads what it wrote): a pass's tasks run in order, and the
 //! next pass reads the runs they wrote. A sort holds two buffers, the
-//! pass's input and the next pass's: a task reads its runs where they
-//! lie in the first, and its zero filter appends its output runs to the
-//! second (§V-B); the two swap between passes. Every plan runs this one
-//! body, whatever its task count.
+//! pass's input and the next pass's, and no other copy of its records:
+//! a task's leaves read its runs where they lie in the first, and its
+//! root's zero filter appends its output runs to the second (§V-B); the
+//! two swap between passes. Every plan runs this one body, whatever its
+//! task count.
 //!
 //! **Determinism.** Each task is a pure function of `(config, its input
 //! runs, fan-in, memory)`. Every task of a sort runs on the thread's one
@@ -44,13 +45,12 @@ use std::ops::Range;
 #[cfg(feature = "sanitize")]
 use bonsai_check::Diagnostic;
 use bonsai_memsim::MemoryConfig;
-use bonsai_records::run::RunSet;
 use bonsai_records::Record;
 
 use crate::config::SimEngineConfig;
 use crate::error::SortError;
 use crate::functional::presorted_runs;
-use crate::passsim::{park, simulate, unpark};
+use crate::passsim::{park, simulate, swap_passes, unpark};
 use crate::report::{PassReport, SortReport};
 
 /// One merge pass of a [`SortPlan`].
@@ -207,13 +207,13 @@ pub(crate) fn sort<R: Record>(
     let mut scratch = unpark(config);
     // The next pass's input, which every task appends to; it swaps with
     // the input the pass read once the pass ends.
-    let (mut records, mut starts) = (Vec::new(), Vec::new());
+    let mut next = (Vec::new(), Vec::new());
     let mut passes = Vec::with_capacity(plan.num_passes());
     let outcome = 'passes: {
         for p in 0..plan.num_passes() {
             let pp = plan.pass(p);
-            records.reserve(runs.len());
-            starts.reserve(pp.groups);
+            next.0.reserve(runs.len());
+            next.1.reserve(pp.groups);
             let mut pass = fold_pass(pp.stage, []);
             #[cfg(feature = "sanitize")]
             let found_before = diagnostics.len();
@@ -226,7 +226,7 @@ pub(crate) fn sort<R: Record>(
                     &runs,
                     &pp,
                     t,
-                    (&mut records, &mut starts),
+                    &mut next,
                     max_cycles,
                     reference,
                     &mut *poll,
@@ -250,11 +250,7 @@ pub(crate) fn sort<R: Record>(
                 }
             }
             passes.push(pass);
-            let next =
-                RunSet::from_parts(std::mem::take(&mut records), std::mem::take(&mut starts));
-            (records, starts) = std::mem::replace(&mut runs, next).into_parts();
-            records.clear();
-            starts.clear();
+            swap_passes(&mut runs, &mut next);
         }
         Ok(())
     };
@@ -269,6 +265,7 @@ pub(crate) fn sort<R: Record>(
 mod tests {
     use super::*;
     use crate::AmtConfig;
+    use bonsai_records::run::RunSet;
 
     /// An engine configuration with an `l`-leaf tree, for plans.
     fn config(l: usize) -> SimEngineConfig {
@@ -349,8 +346,7 @@ mod tests {
             } else {
                 (fan_in, config.memory.shard_view(fan_in))
             };
-            let mut records = Vec::with_capacity(runs.len());
-            let mut starts = Vec::new();
+            let mut next = (Vec::with_capacity(runs.len()), Vec::new());
             let mut reports = Vec::new();
             for lo in (0..runs_in).step_by(per_task) {
                 let input = task_input(&runs, lo..(lo + per_task).min(runs_in));
@@ -370,7 +366,7 @@ mod tests {
                     &input,
                     &whole,
                     0,
-                    (&mut records, &mut starts),
+                    &mut next,
                     max_cycles,
                     false,
                     &mut || {},
@@ -378,7 +374,7 @@ mod tests {
                 reports.push(task.report);
             }
             passes.push(fold_pass(stage, &reports));
-            runs = RunSet::from_parts(records, starts);
+            runs = RunSet::from_parts(next.0, next.1);
         }
         let report = SortReport::from_passes(passes, n, config.loader.record_bytes);
         Ok((runs.into_records(), report))

@@ -3,11 +3,14 @@
 //! `simulate` function) and by [`crate::UnrolledSim`] (λ trees
 //! contending for one memory).
 //!
-//! A pass moves its data as the hardware does (§V-B, Fig. 2). It reads
-//! its task's runs where they lie in the caller's pass input, appending
-//! a terminal after each run it feeds a leaf (*zero append*), and
-//! [`PassSim::finish`] strips the terminals from the root's output as
-//! it appends the runs to the caller's next-pass input (*zero filter*).
+//! A pass moves its data as the hardware does (§V-B, Fig. 2), between
+//! the caller's two buffers and nothing else. Each leaf reads its run
+//! of the current merge group where it lies in the pass's input, as the
+//! data loader fetches a leaf's run by address, and closes it with a
+//! terminal (*zero append*); the root's output goes through the *zero
+//! filter* as it leaves the tree, its payload appended to the next
+//! pass's records and each run's start to its run starts. The pass
+//! itself holds only state sized by the tree.
 //!
 //! The pass can be driven two ways with bit-identical accounting:
 //!
@@ -20,6 +23,10 @@
 //!   `min(loader, drain).next_event_cycle()` and the skipped span is
 //!   folded into the same `cycles`/stall counters the per-cycle loop
 //!   would have produced (see `docs/SIMULATOR.md` for the argument).
+//!
+//! Every call of one pass gets the same two buffers: the input it was
+//! reset for, and the next pass's `(records, starts)`, which the pass
+//! only appends to.
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -40,33 +47,59 @@ use crate::tree::MergeTree;
 /// one 64-way merge group runs ≈ 7 ms.
 const STEPS_PER_POLL: u32 = 128;
 
+/// The next pass's input as a pass appends to it: its records and the
+/// start of each of its runs.
+pub(crate) type NextPass<R> = (Vec<R>, Vec<usize>);
+
+/// The leaf that run `j` of a merge group feeds on an `l`-leaf tree:
+/// `j` with its `log2 ℓ` bits reversed. Consecutive runs land in
+/// opposite subtrees, so partial groups still feed both root inputs and
+/// the root sustains full throughput (this is the leaf/address mapping
+/// the hardware data loader uses). The map is its own inverse: leaf
+/// `leaf` merges run `bitrev(leaf, l)` of each group.
+fn bitrev(j: usize, l: usize) -> usize {
+    j.reverse_bits() >> (usize::BITS - l.trailing_zeros())
+}
+
 /// One merge stage of one tree, advanced cycle by cycle against a
 /// caller-provided [`Memory`] (so several passes can share the memory's
 /// ports and contend for bandwidth, as unrolled trees do on real banks).
 ///
 /// A `PassSim` is also a reusable scratch: [`PassSim::reset`] re-arms it
 /// for another group of runs on the same configuration, keeping the
-/// tree's FIFOs, the leaf and output streams and the loader/drain queues
-/// allocated, and is indistinguishable from a [`PassSim::new`] built for
-/// that group.
+/// tree's FIFOs and the loader/drain queues allocated, and is
+/// indistinguishable from a [`PassSim::new`] built for that group.
 #[derive(Debug)]
 pub struct PassSim<R> {
     l: usize,
+    fan_in: usize,
+    /// The task's runs, indices into the pass input.
+    task: Range<usize>,
     n_records: u64,
-    runs_in: u64,
     /// Merge groups in this pass (= output runs = root flushes expected).
-    groups: u64,
-    leaf_streams: Vec<Vec<R>>,
-    leaf_pos: Vec<usize>,
-    /// Payload records per leaf stream (what the loader has to fetch).
+    groups: usize,
+    /// Each leaf's cursor, `(group, offset)`: the merge group whose run
+    /// it feeds and how many of that run's records it has fed. A leaf
+    /// whose group is `groups` has closed its last run.
+    cursors: Vec<(usize, usize)>,
+    /// Payload records per leaf (what the loader has to fetch).
     leaf_payload: Vec<u64>,
-    /// Leaves with `leaf_pos < leaf_streams.len()`, i.e. still holding
-    /// records to feed; `0` means the pass's input is fully on chip.
+    /// Leaves that have not closed their last run; `0` means the pass's
+    /// input is fully on chip.
     leaves_open: usize,
     tree: MergeTree<R>,
     loader: DataLoader,
     drain: WriteDrain,
-    out_stream: Vec<R>,
+    /// The zero filter's count of the payload records of the output run
+    /// still open, already appended to the next pass's records; `0`
+    /// once the last record out was a terminal.
+    open_run: usize,
+    /// Payload records out of the root.
+    payload_out: u64,
+    /// Terminals out of the root.
+    terminals_out: u64,
+    /// Non-empty runs the zero filter closed.
+    runs_out: u64,
     draining_signalled: bool,
     done: bool,
     cycles: u64,
@@ -89,17 +122,20 @@ impl<R: Record> PassSim<R> {
         let l = config.amt.l;
         let mut sim = Self {
             l,
+            fan_in,
+            task: 0..0,
             n_records: 0,
-            runs_in: 0,
             groups: 0,
-            leaf_streams: vec![Vec::new(); l],
-            leaf_pos: vec![0; l],
+            cursors: vec![(0, 0); l],
             leaf_payload: vec![0; l],
             leaves_open: 0,
             tree: MergeTree::new(config.amt),
             loader: DataLoader::new(config.loader, vec![0; l]),
             drain: WriteDrain::new(config.loader),
-            out_stream: Vec::new(),
+            open_run: 0,
+            payload_out: 0,
+            terminals_out: 0,
+            runs_out: 0,
             draining_signalled: false,
             done: false,
             cycles: 0,
@@ -112,11 +148,9 @@ impl<R: Record> PassSim<R> {
     /// Re-arms the simulation for another stage on the same
     /// configuration, merging groups of `fan_in` runs of `runs[task]`,
     /// read where they lie: the tree, loader and drain return to their
-    /// just-built state (`sanitize` probes included), every counter to
-    /// zero, and the streams are rebuilt in place — whatever state the
-    /// previous pass was left in, finished or abandoned on an error.
-    /// Allocates only where a stream outgrows the capacity earlier
-    /// passes left behind.
+    /// just-built state (`sanitize` probes included), every cursor and
+    /// counter to zero — whatever state the previous pass was left in,
+    /// finished or abandoned on an error. Allocates nothing.
     ///
     /// # Panics
     ///
@@ -124,58 +158,29 @@ impl<R: Record> PassSim<R> {
     pub fn reset(&mut self, runs: &RunSet<R>, task: Range<usize>, fan_in: usize) {
         let l = self.l;
         assert!(fan_in >= 2 && fan_in <= l, "fan-in must be in [2, l]");
-        let groups = task.len().div_ceil(fan_in);
-
-        // Build the ℓ leaf streams, each terminal-delimited; leaves with
-        // no run in a group get bare terminals so every leaf sees exactly
-        // `groups` runs (run/group alignment). Within a group, run `j` is
-        // placed on leaf `bitrev(j)`: consecutive runs land in opposite
-        // subtrees, so partial groups still feed both root inputs and the
-        // root sustains full throughput (this is the leaf/address mapping
-        // the hardware data loader uses).
-        let log_l = l.trailing_zeros();
-        let bitrev = |j: usize| j.reverse_bits() >> (usize::BITS - log_l);
         self.leaf_payload.fill(0);
-        for (j, run_idx) in task.clone().enumerate() {
-            self.leaf_payload[bitrev(j % fan_in)] += runs.run(run_idx).len() as u64;
+        for (j, run) in task.clone().enumerate() {
+            self.leaf_payload[bitrev(j % fan_in, l)] += runs.run(run).len() as u64;
         }
-        for (stream, &payload) in self.leaf_streams.iter_mut().zip(&self.leaf_payload) {
-            stream.clear();
-            stream.reserve(payload as usize + groups);
-        }
-        for group in task.clone().step_by(fan_in) {
-            for (j, run_idx) in (group..task.end.min(group + fan_in)).enumerate() {
-                self.leaf_streams[bitrev(j)].extend_from_slice(runs.run(run_idx));
-            }
-            for stream in &mut self.leaf_streams {
-                stream.push(R::TERMINAL);
-            }
-        }
-
         self.n_records = self.leaf_payload.iter().sum();
-        self.runs_in = task.len() as u64;
-        self.groups = groups as u64;
-        self.leaf_pos.fill(0);
-        // Every stream ends in at least one terminal per group.
-        self.leaves_open = if groups == 0 { 0 } else { l };
+        self.groups = task.len().div_ceil(fan_in);
+        self.fan_in = fan_in;
+        self.task = task;
+        self.cursors.fill((0, 0));
+        // Every leaf closes one run per group, empty or not, so every
+        // leaf sees exactly `groups` runs (run/group alignment).
+        self.leaves_open = if self.groups == 0 { 0 } else { l };
         self.tree.reset();
         self.loader.reset(&self.leaf_payload);
         self.drain.reset();
-        self.out_stream.clear();
-        self.out_stream.reserve(self.n_records as usize + groups);
+        self.open_run = 0;
+        self.payload_out = 0;
+        self.terminals_out = 0;
+        self.runs_out = 0;
         self.draining_signalled = false;
         self.done = false;
         self.cycles = 0;
         self.fast_forwarded = 0;
-    }
-
-    /// Frees the buffers whose size follows the job rather than the
-    /// configuration: the leaf streams and the output stream. The tree,
-    /// loader and drain stay allocated; [`PassSim::reset`] rebuilds the
-    /// streams before the scratch runs again.
-    fn release_streams(&mut self) {
-        self.leaf_streams.fill_with(Vec::new);
-        self.out_stream = Vec::new();
     }
 
     /// Returns `true` once the pass has run to completion.
@@ -183,57 +188,83 @@ impl<R: Record> PassSim<R> {
         self.done
     }
 
-    /// Moves what fits of leaf `leaf`'s stream into its FIFO: terminals
-    /// flow freely (generated on chip by the zero-append unit), payload
-    /// is gated by the loader. Free FIFO space and loader availability
-    /// are sampled once and the records move as one batch. Returns
-    /// `true` when any record moved.
-    ///
-    /// A leaf left behind has hit the end of its stream, a full FIFO, or
-    /// an empty loader buffer in front of a payload record — states only
-    /// its merger consuming input or a burst landing can end, which is
-    /// what makes the candidate sets in [`PassSim::step`] sufficient.
+    /// The run leaf `leaf` merges in group `group`: run
+    /// `bitrev(leaf)` of the group, empty where the group has no such
+    /// run.
     #[inline]
-    fn feed_leaf(&mut self, leaf: usize) -> bool {
-        let stream = &self.leaf_streams[leaf];
-        let pos = self.leaf_pos[leaf];
-        if pos == stream.len() {
+    fn leaf_run<'a>(&self, runs: &'a RunSet<R>, leaf: usize, group: usize) -> &'a [R] {
+        let lane = bitrev(leaf, self.l);
+        let run = self.task.start + group * self.fan_in + lane;
+        if lane < self.fan_in && run < self.task.end {
+            runs.run(run)
+        } else {
+            &[]
+        }
+    }
+
+    /// Moves what fits of leaf `leaf`'s runs into its FIFO: payload is
+    /// gated by the loader, and a run's terminal flows freely once its
+    /// payload is in (generated on chip by the zero-append unit), after
+    /// which the leaf goes on with its next group's run. Free FIFO space
+    /// and loader availability are sampled once; each run's chunk and
+    /// its terminal move as one push. Returns `true` when any record
+    /// moved.
+    ///
+    /// A leaf left behind has closed its last run, filled its FIFO, or
+    /// emptied its loader buffer in front of a payload record — states
+    /// only its merger consuming input or a burst landing can end, which
+    /// is what makes the candidate sets in [`PassSim::step`] sufficient.
+    #[inline]
+    fn feed_leaf(&mut self, leaf: usize, runs: &RunSet<R>) -> bool {
+        let (mut group, mut offset) = self.cursors[leaf];
+        if group == self.groups {
             return false;
         }
-        let free = self.tree.leaf_free(leaf);
-        if free == 0 {
-            return false;
-        }
-        let avail = self.loader.available(leaf);
-        let mut take = 0usize;
-        let mut payload = 0u64;
-        for rec in &stream[pos..stream.len().min(pos + free)] {
-            if !rec.is_terminal() {
-                if payload == avail {
-                    break;
-                }
-                payload += 1;
+        let mut room = self.tree.leaf_free(leaf);
+        // Payload beyond the FIFO's room cannot move anyway.
+        let mut avail = self.loader.available(leaf).min(room as u64) as usize;
+        let mut payload = 0;
+        while room > 0 {
+            let run = self.leaf_run(runs, leaf, group);
+            let take = (run.len() - offset).min(room).min(avail);
+            let chunk = &run[offset..offset + take];
+            offset += take;
+            room -= take;
+            avail -= take;
+            payload += take;
+            let close = offset == run.len() && room > 0;
+            if take > 0 || close {
+                self.tree.push_leaf_run(leaf, chunk, close);
             }
-            take += 1;
-        }
-        if take == 0 {
-            return false;
+            if !close {
+                break;
+            }
+            room -= 1;
+            group += 1;
+            offset = 0;
+            if group == self.groups {
+                self.leaves_open -= 1;
+                break;
+            }
         }
         if payload > 0 {
-            self.loader.consume(leaf, payload);
+            self.loader.consume(leaf, payload as u64);
         }
-        let pushed = self.tree.push_leaf_slice(leaf, &stream[pos..pos + take]);
-        debug_assert_eq!(pushed, take, "leaf_free promised space");
-        self.leaf_pos[leaf] = pos + take;
-        if pos + take == stream.len() {
-            self.leaves_open -= 1;
-        }
-        true
+        // Every record pushed moved the cursor.
+        let moved = (group, offset) != self.cursors[leaf];
+        self.cursors[leaf] = (group, offset);
+        moved
     }
 
     /// Simulates exactly one cycle; returns `true` when any state in the
     /// pass changed (the quiescence signal the fast path keys on).
-    fn step(&mut self, cycle: u64, memory: &mut Memory) -> bool {
+    fn step(
+        &mut self,
+        cycle: u64,
+        memory: &mut Memory,
+        runs: &RunSet<R>,
+        next: &mut NextPass<R>,
+    ) -> bool {
         self.cycles += 1;
         let mut changed = self.loader.tick(cycle, memory);
 
@@ -248,28 +279,40 @@ impl<R: Record> PassSim<R> {
                 while candidates != 0 {
                     let leaf = 64 * word + candidates.trailing_zeros() as usize;
                     candidates &= candidates - 1;
-                    changed |= self.feed_leaf(leaf);
+                    changed |= self.feed_leaf(leaf, runs);
                 }
             }
         }
 
         changed |= self.tree.tick();
 
-        // Zero filter + packer: move root output into the write drain;
-        // terminals mark run boundaries and cost no bandwidth. The
-        // drain's free space is sampled once and the cycle's payload is
-        // handed over in one call.
+        // Zero filter + packer: move root output into the write drain
+        // and the next pass's buffers; terminals mark run boundaries and
+        // cost no bandwidth. The drain's free space is sampled once and
+        // the cycle's payload is handed over in one call.
+        let (records, starts) = next;
         let space = self.drain.free_space();
         let mut payload = 0u64;
         while payload < space {
             let Some(rec) = self.tree.pop_root() else {
                 break;
             };
-            payload += u64::from(!rec.is_terminal());
-            self.out_stream.push(rec);
             changed = true;
+            if rec.is_terminal() {
+                self.terminals_out += 1;
+                if self.open_run > 0 {
+                    starts.push(records.len() - self.open_run);
+                    self.runs_out += 1;
+                    self.open_run = 0;
+                }
+            } else {
+                records.push(rec);
+                self.open_run += 1;
+                payload += 1;
+            }
         }
         if payload > 0 {
+            self.payload_out += payload;
             self.drain.push_records(payload);
         }
 
@@ -278,7 +321,7 @@ impl<R: Record> PassSim<R> {
         // so the walk over its nodes runs at the end of the pass only.
         if !self.draining_signalled
             && self.leaves_open == 0
-            && self.tree.root_flushes() == self.groups
+            && self.tree.root_flushes() == self.groups as u64
             && self.tree.is_drained()
         {
             self.drain.set_draining();
@@ -294,18 +337,26 @@ impl<R: Record> PassSim<R> {
         changed
     }
 
-    /// Advances one cycle against `memory` — the reference per-cycle
-    /// loop. Returns `true` when done.
-    pub fn tick(&mut self, cycle: u64, memory: &mut Memory) -> bool {
+    /// Advances one cycle against `memory`, reading the pass input
+    /// `runs` and appending to `next` — the reference per-cycle loop.
+    /// Returns `true` when done.
+    pub fn tick(
+        &mut self,
+        cycle: u64,
+        memory: &mut Memory,
+        runs: &RunSet<R>,
+        next: &mut NextPass<R>,
+    ) -> bool {
         if self.done {
             return true;
         }
-        self.step(cycle, memory);
+        self.step(cycle, memory, runs, next);
         self.done
     }
 
-    /// Advances the pass by *at least* one cycle, returning how many
-    /// simulated cycles were consumed — the event-driven fast path.
+    /// Advances the pass by *at least* one cycle, reading the pass input
+    /// `runs` and appending to `next`, and returns how many simulated
+    /// cycles were consumed — the event-driven fast path.
     ///
     /// The cycle at `cycle` is always simulated exactly. If it changed
     /// nothing, the pass is quiescent: every later cycle is a provable
@@ -317,15 +368,21 @@ impl<R: Record> PassSim<R> {
     /// on the reference loop.
     ///
     /// Check [`PassSim::is_done`] after each call.
-    pub fn advance(&mut self, cycle: u64, memory: &mut Memory) -> u64 {
+    pub fn advance(
+        &mut self,
+        cycle: u64,
+        memory: &mut Memory,
+        runs: &RunSet<R>,
+        next: &mut NextPass<R>,
+    ) -> u64 {
         if self.done {
             return 1;
         }
-        let changed = self.step(cycle, memory);
+        let changed = self.step(cycle, memory, runs, next);
         if changed || self.done {
             return 1;
         }
-        let next = match (
+        let event = match (
             self.loader.next_event_cycle(cycle, memory),
             self.drain.next_event_cycle(cycle, memory),
         ) {
@@ -336,8 +393,8 @@ impl<R: Record> PassSim<R> {
             // saturates the caller's livelock bound.
             (None, None) => return u64::MAX - cycle,
         };
-        debug_assert!(next > cycle, "events must be in the future");
-        let skip = next.saturating_sub(cycle + 1);
+        debug_assert!(event > cycle, "events must be in the future");
+        let skip = event.saturating_sub(cycle + 1);
         if skip > 0 {
             self.cycles += skip;
             self.fast_forwarded += skip;
@@ -346,23 +403,27 @@ impl<R: Record> PassSim<R> {
         1 + skip
     }
 
-    /// Drives the pass to completion against `memory` — on the reference
-    /// per-cycle loop when `reference` is true, else on the event-driven
-    /// fast path. A pass still unfinished when the simulated clock
-    /// reaches `max_cycles` fails with the `BON040` livelock
-    /// [`SortError`] for `stage`. The bound is checked against the same
-    /// simulated clock on both loops (fast-forwarded spans count in
-    /// full, and a livelocked pass reports a saturating span), and
-    /// neither loop ever simulates a cycle `>= max_cycles`, so the two
-    /// paths succeed or fail identically.
+    /// Drives the pass to completion against `memory`, reading the pass
+    /// input `runs` and appending to `next` — on the reference per-cycle
+    /// loop when `reference` is true, else on the event-driven fast
+    /// path. A pass still unfinished when the simulated clock reaches
+    /// `max_cycles` fails with the `BON040` livelock [`SortError`] for
+    /// `stage`. The bound is checked against the same simulated clock on
+    /// both loops (fast-forwarded spans count in full, and a livelocked
+    /// pass reports a saturating span), and neither loop ever simulates
+    /// a cycle `>= max_cycles`, so the two paths succeed or fail
+    /// identically.
     ///
     /// Every [`STEPS_PER_POLL`] steps the loop calls `poll`: a yield
     /// point where the caller may run other work on this thread. The
     /// pass keeps all of its state where it is, so nothing is saved and
     /// nothing the pass computes can change.
+    #[allow(clippy::too_many_arguments)] // the pass's two buffers, its bound and its poll
     pub(crate) fn run(
         &mut self,
         memory: &mut Memory,
+        runs: &RunSet<R>,
+        next: &mut NextPass<R>,
         reference: bool,
         max_cycles: u64,
         stage: u32,
@@ -377,12 +438,12 @@ impl<R: Record> PassSim<R> {
                 until_poll = STEPS_PER_POLL;
             }
             if reference {
-                if self.tick(cycle, memory) {
+                if self.tick(cycle, memory, runs, next) {
                     return Ok(());
                 }
                 cycle += 1;
             } else {
-                let consumed = self.advance(cycle, memory);
+                let consumed = self.advance(cycle, memory, runs, next);
                 if self.done {
                     return Ok(());
                 }
@@ -397,7 +458,8 @@ impl<R: Record> PassSim<R> {
     /// Runs every sanitizer probe over the pass: merger-level findings
     /// from the tree (`BON101`–`BON103`), loader and drain byte
     /// accounting (`BON105`), end-to-end record conservation (`BON104`)
-    /// and the root's terminal-flush protocol (`BON106`).
+    /// and the root's terminal-flush protocol (`BON106`), the last two
+    /// on the zero filter's counts.
     ///
     /// Call after the pass is done; only available with the `sanitize`
     /// feature.
@@ -408,27 +470,26 @@ impl<R: Record> PassSim<R> {
         out.extend(self.loader.sanitize_check());
         out.extend(self.drain.sanitize_check());
         if self.done {
-            let payload_out = self.out_stream.iter().filter(|r| !r.is_terminal()).count() as u64;
-            if payload_out != self.n_records || self.drain.completed_records() != self.n_records {
+            if self.payload_out != self.n_records
+                || self.drain.completed_records() != self.n_records
+            {
                 out.push(
                     Diagnostic::error(
                         codes::SAN_PASS_CONSERVATION,
                         "merge pass lost or duplicated records end to end",
                     )
                     .with("records_in", self.n_records)
-                    .with("payload_out", payload_out)
+                    .with("payload_out", self.payload_out)
                     .with("records_written", self.drain.completed_records()),
                 );
             }
-            let terminals = self.out_stream.iter().filter(|r| r.is_terminal()).count() as u64;
-            let ends_with_terminal = self.out_stream.last().is_none_or(Record::is_terminal);
-            if terminals != self.groups || !ends_with_terminal {
+            if self.terminals_out != self.groups as u64 || self.open_run != 0 {
                 out.push(
                     Diagnostic::error(
                         codes::SAN_FLUSH_PROTOCOL,
                         "root output must carry exactly one terminal per merge group and end with one",
                     )
-                    .with("terminals", terminals)
+                    .with("terminals", self.terminals_out)
                     .with("groups", self.groups),
                 );
             }
@@ -436,34 +497,23 @@ impl<R: Record> PassSim<R> {
         out
     }
 
-    /// The finished pass's report. Its output runs go, through the zero
-    /// filter, onto the end of the caller's next-pass input: payload
-    /// appended to `records`, and each run's start to `starts`.
+    /// The finished pass's report; its output runs are already on the
+    /// end of the next pass's buffers.
     ///
     /// # Panics
     ///
     /// Panics if the pass is not done.
-    pub fn finish(&self, stage: u32, records: &mut Vec<R>, starts: &mut Vec<usize>) -> PassReport {
+    pub fn finish(&self, stage: u32) -> PassReport {
         assert!(self.done, "pass must run to completion before finish()");
         debug_assert_eq!(self.drain.completed_records(), self.n_records);
-        debug_assert!(
-            self.out_stream.last().is_none_or(Record::is_terminal),
-            "root output is terminal-delimited"
-        );
-        let runs_before = starts.len();
-        for run in self.out_stream.split(R::is_terminal) {
-            if !run.is_empty() {
-                starts.push(records.len());
-                records.extend_from_slice(run);
-            }
-        }
+        debug_assert_eq!(self.open_run, 0, "root output is terminal-delimited");
         let tree_stats = self.tree.stats();
         PassReport {
             stage,
             cycles: self.cycles,
             records: self.n_records,
-            runs_in: self.runs_in,
-            runs_out: (starts.len() - runs_before) as u64,
+            runs_in: self.task.len() as u64,
+            runs_out: self.runs_out,
             // Byte counters live in the shared Memory; the caller fills
             // these in when it owns the memory exclusively.
             bytes_read: 0,
@@ -475,12 +525,22 @@ impl<R: Record> PassSim<R> {
     }
 }
 
-/// A sort's simulation state: the pass (tree, streams, loader and
-/// drain) and the memory it runs against, built by the sort's first
-/// task and reset for every later one — a task costs its streams'
-/// growth, not the ≈100 allocations of a new tree. A sort takes it
-/// from its thread's park ([`unpark`]) and parks it again when it ends
-/// ([`park`]), so it also outlives the sort.
+/// Ends a pass's buffers: the next pass's runs become the input
+/// `runs`, and the buffers the finished pass read, emptied, become
+/// `next` for the pass after.
+pub(crate) fn swap_passes<R: Record>(runs: &mut RunSet<R>, next: &mut NextPass<R>) {
+    let (records, starts) = std::mem::take(next);
+    *next = std::mem::replace(runs, RunSet::from_parts(records, starts)).into_parts();
+    next.0.clear();
+    next.1.clear();
+}
+
+/// A sort's simulation state: the pass (tree, loader and drain) and the
+/// memory it runs against, built by the sort's first task and reset for
+/// every later one — a task costs no allocation, not the ≈100 of a new
+/// tree. A sort takes it from its thread's park ([`unpark`]) and parks
+/// it again when it ends ([`park`]), so it also outlives the sort. Its
+/// size follows the configuration, never the job.
 pub(crate) type PassScratch<R> = Option<Box<(PassSim<R>, Memory)>>;
 
 /// Scratches one thread keeps parked: a runtime worker's own job shape
@@ -516,15 +576,14 @@ pub(crate) fn unpark<R: Record>(config: &SimEngineConfig) -> PassScratch<R> {
 }
 
 /// Parks a finished sort's `scratch` on this thread for the next sort
-/// of `config` and `R`, its job-sized streams released. It replaces an
-/// entry for the same key and pushes out the least recently parked one
-/// beyond [`PARKED_SCRATCHES`]. A reset scratch equals a new one, so
-/// what earlier jobs left in it never shows.
+/// of `config` and `R`. It replaces an entry for the same key and
+/// pushes out the least recently parked one beyond
+/// [`PARKED_SCRATCHES`]. A reset scratch equals a new one, so what
+/// earlier jobs left in it never shows.
 pub(crate) fn park<R: Record>(config: &SimEngineConfig, scratch: PassScratch<R>) {
-    let Some(mut scratch) = scratch else {
+    let Some(scratch) = scratch else {
         return;
     };
-    scratch.0.release_streams();
     PARKED.with_borrow_mut(|parked| {
         parked.retain(|entry| !parked_for::<R>(config, entry));
         if parked.len() == PARKED_SCRATCHES {
@@ -563,7 +622,7 @@ pub(crate) fn simulate<R: Record>(
     runs: &RunSet<R>,
     pass: &PassPlan,
     task: usize,
-    next: (&mut Vec<R>, &mut Vec<usize>),
+    next: &mut NextPass<R>,
     max_cycles: u64,
     reference: bool,
     poll: &mut dyn FnMut(),
@@ -580,10 +639,10 @@ pub(crate) fn simulate<R: Record>(
             Memory::new(pass.memory),
         ))),
     };
-    sim.run(mem, reference, max_cycles, pass.stage, poll)?;
+    sim.run(mem, runs, next, reference, max_cycles, pass.stage, poll)?;
     #[cfg(feature = "sanitize")]
     let diagnostics = sim.sanitize_check();
-    let mut report = sim.finish(pass.stage, next.0, next.1);
+    let mut report = sim.finish(pass.stage);
     report.bytes_read = mem.bytes_read();
     report.bytes_written = mem.bytes_written();
     Ok(PassStats {
@@ -599,6 +658,17 @@ mod tests {
     use crate::config::AmtConfig;
     use bonsai_memsim::MemoryConfig;
     use bonsai_records::U32Rec;
+
+    /// The next record leaf `leaf` would push: the next payload record
+    /// of its run in its current group, that run's terminal once the
+    /// payload is all in, or nothing once it has closed its last run.
+    fn next_record(sim: &PassSim<U32Rec>, runs: &RunSet<U32Rec>, leaf: usize) -> Option<U32Rec> {
+        let (group, offset) = sim.cursors[leaf];
+        (group < sim.groups).then(|| {
+            let run = sim.leaf_run(runs, leaf, group);
+            run.get(offset).copied().unwrap_or(U32Rec::TERMINAL)
+        })
+    }
 
     /// The candidate sets are caches of what a scan of every leaf would
     /// find: on random shapes, memories and group sizes, before every
@@ -633,6 +703,7 @@ mod tests {
             let runs = RunSet::from_chunks(data, run_len);
             let mut sim = PassSim::new(&cfg, &runs, 0..runs.num_runs(), fan_in);
             let mut memory = Memory::new(cfg.memory.shard_view(fan_in));
+            let mut next = (Vec::new(), Vec::new());
             let mut cycle = 0u64;
             while !sim.is_done() {
                 let ctx = format!("round {round} AMT({p}, {l}) cycle {cycle}");
@@ -646,10 +717,9 @@ mod tests {
                     let (word, bit) = (leaf / 64, leaf % 64);
                     let listed = ((sim.tree.freed_leaves()[word] | landed[word]) >> bit) & 1 == 1;
                     candidates += u64::from(listed);
-                    let (stream, pos) = (&sim.leaf_streams[leaf], sim.leaf_pos[leaf]);
-                    let feedable = pos < stream.len()
-                        && sim.tree.leaf_free(leaf) > 0
-                        && (stream[pos].is_terminal() || loader.available(leaf) > 0);
+                    let feedable = sim.tree.leaf_free(leaf) > 0
+                        && next_record(&sim, &runs, leaf)
+                            .is_some_and(|rec| rec.is_terminal() || loader.available(leaf) > 0);
                     fed += u64::from(feedable);
                     assert!(
                         listed || !feedable,
@@ -657,12 +727,11 @@ mod tests {
                     );
                 }
                 steps += l as u64;
-                cycle += sim.advance(cycle, &mut memory);
+                cycle += sim.advance(cycle, &mut memory, &runs, &mut next);
                 assert!(cycle < 50_000_000, "{ctx}: livelock");
             }
-            let (mut out, mut starts) = (Vec::new(), Vec::new());
-            sim.finish(1, &mut out, &mut starts);
-            assert_eq!(out.len() as u64, sim.n_records);
+            sim.finish(1);
+            assert_eq!(next.0.len() as u64, sim.n_records);
         }
         // The sets are worth having: most leaves are not on them.
         assert!(fed > 0 && candidates < steps / 2, "{candidates} of {steps}");
@@ -725,19 +794,19 @@ mod tests {
                     stage: 1,
                 };
                 let run = |scratch: &mut PassScratch<U32Rec>, bound, reference| {
-                    let (mut out, mut starts) = (Vec::new(), Vec::new());
+                    let mut next = (Vec::new(), Vec::new());
                     let stats = simulate(
                         &cfg,
                         scratch,
                         &runs,
                         &pass,
                         0,
-                        (&mut out, &mut starts),
+                        &mut next,
                         bound,
                         reference,
                         &mut || {},
                     );
-                    observe(stats, out)
+                    observe(stats, next.0)
                 };
                 let want = run(&mut None, u64::MAX, false).expect("an unbounded pass finishes");
                 // Every third pass is cut off half way: the scratch is
@@ -762,6 +831,60 @@ mod tests {
                 }
             }
             assert!(failed >= 4, "too few BON040 passes: {failed}");
+        }
+    }
+
+    /// The conservation (`BON104`) and flush-protocol (`BON106`) probes
+    /// read the zero filter's counts: real passes — one group and many,
+    /// full groups and a partial last one, DRAM and flash — report
+    /// neither, and a finished pass with each count tampered with
+    /// reports its code.
+    #[cfg(feature = "sanitize")]
+    #[test]
+    fn sanitize_reads_the_zero_filter_counts() {
+        use bonsai_check::codes;
+
+        fn codes_of(sim: &mut PassSim<U32Rec>) -> Vec<&'static str> {
+            sim.sanitize_check().iter().map(|d| d.code).collect()
+        }
+
+        let mut rng = bonsai_rng::Rng::seed_from_u64(0xB0_0104);
+        let ssd =
+            SimEngineConfig::with_memory(AmtConfig::new(8, 64), 4, MemoryConfig::ssd_direct());
+        for (cfg, fan_in, n) in [
+            (
+                SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4),
+                16,
+                3_000,
+            ),
+            (
+                SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4),
+                3,
+                1_000,
+            ),
+            (ssd, 64, 2_000),
+        ] {
+            let data: Vec<U32Rec> = (0..n).map(|_| U32Rec::new(rng.next_u32().max(1))).collect();
+            let runs = RunSet::from_chunks(data, 16);
+            let mut sim = PassSim::new(&cfg, &runs, 0..runs.num_runs(), fan_in);
+            let mut memory = Memory::new(cfg.memory);
+            let mut next = (Vec::new(), Vec::new());
+            let mut cycle = 0u64;
+            while !sim.is_done() {
+                cycle += sim.advance(cycle, &mut memory, &runs, &mut next);
+            }
+            let ctx = format!("AMT({}, {}) fan-in {fan_in}", cfg.amt.p, cfg.amt.l);
+            assert_eq!(codes_of(&mut sim), Vec::<&str>::new(), "{ctx}: a real pass");
+            assert_eq!(next.1.len(), sim.groups, "{ctx}: one run out per group");
+
+            sim.payload_out -= 1;
+            assert_eq!(codes_of(&mut sim), [codes::SAN_PASS_CONSERVATION], "{ctx}");
+            sim.payload_out += 1;
+            sim.terminals_out += 1;
+            assert_eq!(codes_of(&mut sim), [codes::SAN_FLUSH_PROTOCOL], "{ctx}");
+            sim.terminals_out -= 1;
+            sim.open_run = 1;
+            assert_eq!(codes_of(&mut sim), [codes::SAN_FLUSH_PROTOCOL], "{ctx}");
         }
     }
 }

@@ -247,6 +247,27 @@ impl<R: Record> MergeTree<R> {
             .push_input_slice(&mut self.edges[edge], recs)
     }
 
+    /// Pushes `chunk`, the next records of one run, into leaf `leaf`,
+    /// then the terminal that ends the run when `close` is set (zero
+    /// append) — under one wake, as one leaf feed. The caller has
+    /// checked that `chunk.len() + close` records fit
+    /// ([`MergeTree::leaf_free`]).
+    #[inline]
+    pub(crate) fn push_leaf_run(&mut self, leaf: usize, chunk: &[R], close: bool) {
+        let (node, edge) = self.leaf_port(leaf);
+        self.wake(node, self.tick_count);
+        let (step, port) = (&mut self.nodes[node].step, &mut self.edges[edge]);
+        let mut pushed = step.push_input_slice(port, chunk);
+        if close {
+            pushed += step.push_input_slice(port, &[R::TERMINAL]);
+        }
+        debug_assert_eq!(
+            pushed,
+            chunk.len() + usize::from(close),
+            "leaf_free promised space"
+        );
+    }
+
     /// Takes (returns and clears) one 64-leaf word of the freed-port
     /// set: bit `b` of word `w` is leaf `64·w + b`, set when that port's
     /// FIFO may have gained room since the word was last taken. A feeder

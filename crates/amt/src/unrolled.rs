@@ -17,7 +17,7 @@ use crate::config::SimEngineConfig;
 use crate::dag::SortPlan;
 use crate::engine::MAX_PASS_CYCLES;
 use crate::functional::presorted_runs;
-use crate::passsim::PassSim;
+use crate::passsim::{swap_passes, NextPass, PassSim};
 use crate::report::{PassReport, SortReport};
 
 /// Result of an unrolled co-simulation.
@@ -84,10 +84,11 @@ impl UnrolledSim {
         let n = sanitized.len();
         let chunk = n.div_ceil(self.lambda).max(1);
 
-        // Per-tree state: the fused plan of its partition, current runs
-        // and one report per finished pass.
+        // Per-tree state: the fused plan of its partition, current runs,
+        // the next pass's buffers and one report per finished pass.
         struct TreeState<R> {
             runs: RunSet<R>,
+            next: NextPass<R>,
             plan: SortPlan,
             active: Option<PassSim<R>>,
             passes: Vec<PassReport>,
@@ -99,6 +100,7 @@ impl UnrolledSim {
                 TreeState {
                     plan: SortPlan::fused(&self.config, runs.num_runs()),
                     runs,
+                    next: (Vec::new(), Vec::new()),
                     active: None,
                     passes: Vec::new(),
                 }
@@ -119,12 +121,10 @@ impl UnrolledSim {
                 }
                 if let Some(sim) = tree.active.as_mut() {
                     all_done = false;
-                    if sim.tick(cycle, &mut memory) {
-                        let sim = tree.active.take().expect("just ticked");
-                        let (mut records, mut starts) = (Vec::new(), Vec::new());
-                        tree.passes
-                            .push(sim.finish(next as u32 + 1, &mut records, &mut starts));
-                        tree.runs = RunSet::from_parts(records, starts);
+                    if sim.tick(cycle, &mut memory, &tree.runs, &mut tree.next) {
+                        tree.passes.push(sim.finish(next as u32 + 1));
+                        tree.active = None;
+                        swap_passes(&mut tree.runs, &mut tree.next);
                     }
                 }
             }

@@ -9,9 +9,10 @@
 //! records on AMT(32, 64). The second job allocates fewer times than the
 //! first by at least what building the tree alone allocates.
 //!
-//! A pass reads each task's runs where they lie and appends its output
-//! to the sort's other buffer, so a warm sort allocates what its passes
-//! grow, not what its groups copy.
+//! A pass's leaves read each task's runs where they lie and its root
+//! appends the output to the sort's other buffer, so a warm sort
+//! allocates what its passes grow, not what its groups copy, and holds
+//! one input-sized buffer beyond its input.
 //!
 //! The `sanitize` feature's probes record findings on the heap, so the
 //! file is compiled out under that feature, like `hot_loop_alloc`.
@@ -48,42 +49,57 @@ fn a_second_job_of_a_shape_reuses_the_first_ones_tree() {
     );
 }
 
-/// A warm sort allocates fewer than once per five merge groups on the
-/// per-group plan, and no more than 60 times on the fused one. On
-/// AMT(4, 16), 150 000 records presort into 9 375 runs that four
-/// passes merge in 1 172 + 147 + 10 + 1 groups. Counted on the thread's
-/// third sort of each plan, after two have warmed its parked scratch.
-#[test]
-fn a_warm_sort_allocates_per_sort_not_per_group() {
+/// The thread's third sort of 150 000 `U32Rec` on AMT(4, 16), after two
+/// have warmed its parked scratch — the fused plan's or the per-group
+/// plan's — and what it did to the heap beyond its handed-in input.
+/// The records presort into 9 375 runs that four passes merge in
+/// 1 172 + 147 + 10 + 1 groups.
+fn warm_third_sort(fused: bool) -> common::HeapUse {
     let config = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
     let data = uniform_u32(150_000, 3);
-    let warm = |sort: &dyn Fn(Vec<U32Rec>) -> u64| {
-        sort(data.clone());
-        sort(data.clone());
-        sort(data.clone())
-    };
-    let per_group = warm(&|data| {
+    let sort = |data: Vec<U32Rec>| {
         let engine = SimEngine::new(config);
-        let (out, allocs) = common::count_allocs(move || {
+        let (out, heap) = common::measure(move || {
             let mut engine = engine;
-            engine.try_sort_yielding(data, &mut || {})
+            if fused {
+                engine.try_sort(data)
+            } else {
+                engine.try_sort_yielding(data, &mut || {})
+            }
         });
         let (_, report) = out.expect("the job sorts");
         assert_eq!(report.stages(), 4);
-        allocs
-    });
-    let fused = warm(&|data| {
-        let engine = SimEngine::new(config);
-        let (out, allocs) = common::count_allocs(move || {
-            let mut engine = engine;
-            engine.try_sort(data)
-        });
-        out.expect("the job sorts");
-        allocs
-    });
-    assert!(
-        per_group < 1_330 / 5,
-        "per-group plan: {per_group} allocations"
-    );
-    assert!(fused <= 60, "fused plan: {fused} allocations");
+        heap
+    };
+    sort(data.clone());
+    sort(data.clone());
+    sort(data)
+}
+
+/// A warm sort allocates a handful of times, whatever its group count:
+/// on the per-group plan its 1 330 groups are as many tasks.
+#[test]
+fn a_warm_sort_allocates_per_sort_not_per_group() {
+    let per_group = warm_third_sort(false).allocs;
+    let fused = warm_third_sort(true).allocs;
+    assert!(per_group <= 10, "per-group plan: {per_group} allocations");
+    assert!(fused <= 10, "fused plan: {fused} allocations");
+}
+
+/// A warm sort holds its input and one input-sized buffer, the next
+/// pass's, and little else: its leaves read the pass's input where it
+/// lies and its root writes the next pass's input, so at its peak it
+/// has allocated at most 1.25× the input's bytes beyond the input its
+/// caller handed in (the run starts and the parked scratch are the
+/// rest), on either plan.
+#[test]
+fn a_warm_sort_holds_one_buffer_beyond_its_input() {
+    let input_bytes = (150_000 * size_of::<U32Rec>()) as f64;
+    for fused in [false, true] {
+        let peak = warm_third_sort(fused).peak_bytes as f64 / input_bytes;
+        assert!(
+            peak <= 1.25,
+            "fused {fused}: peak live bytes {peak:.2}x the input's"
+        );
+    }
 }

@@ -18,7 +18,8 @@
 //! answered with a stable `BON07x` error response (and only the
 //! desynchronizing kinds close that one connection); a job that fails —
 //! or even panics — server-side comes back as `BON077` on its own
-//! connection while every other client keeps sorting.
+//! connection while every other client keeps sorting. A thread the OS
+//! refuses closes only the connection it was for.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -135,6 +136,14 @@ struct Shared<R: WireRecord> {
     stop: AtomicBool,
     conns: Mutex<Vec<JoinHandle<()>>>,
     stats: StatsInner,
+    /// Where a connection's threads come from: [`named_thread`], or in
+    /// tests one that fails as a spawn the OS refuses does.
+    thread: fn(&'static str) -> io::Result<thread::Builder>,
+}
+
+/// A builder for a thread named `name`.
+fn named_thread(name: &'static str) -> io::Result<thread::Builder> {
+    Ok(thread::Builder::new().name(name.into()))
 }
 
 impl<R: WireRecord> Shared<R> {
@@ -145,6 +154,7 @@ impl<R: WireRecord> Shared<R> {
             stop: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
             stats: StatsInner::default(),
+            thread: named_thread,
         }
     }
 
@@ -187,10 +197,8 @@ impl<R: WireRecord> Server<R> {
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared::new(config));
         let accept_shared = Arc::clone(&shared);
-        let accept = thread::Builder::new()
-            .name("bonsai-net-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_shared))
-            .expect("spawn accept thread");
+        let accept = named_thread("bonsai-net-accept")?
+            .spawn(move || accept_loop(&listener, &accept_shared))?;
         Ok(Self {
             shared,
             accept: Some(accept),
@@ -264,10 +272,17 @@ fn accept_loop<R: WireRecord>(listener: &TcpListener, shared: &Arc<Shared<R>>) {
             Ok((stream, _peer)) => {
                 shared.stats.connections.fetch_add(1, Ordering::Relaxed);
                 let conn_shared = Arc::clone(shared);
-                let handle = thread::Builder::new()
-                    .name("bonsai-net-conn".into())
-                    .spawn(move || serve_conn(stream, &conn_shared))
-                    .expect("spawn connection thread");
+                let spawned = (shared.thread)("bonsai-net-conn")
+                    .and_then(|conn| conn.spawn(move || serve_conn(stream, &conn_shared)));
+                let handle = match spawned {
+                    Ok(handle) => handle,
+                    // The socket went with the thread's closure, so the
+                    // client sees its connection close; accept goes on.
+                    Err(e) => {
+                        eprintln!("bonsai-serve: no thread for a connection, closed it: {e}");
+                        continue;
+                    }
+                };
                 let mut conns = shared.conns.lock().expect("conns lock");
                 // A finished connection's handle has nothing left to
                 // join: drop it, so a long-lived server holds one handle
@@ -414,10 +429,18 @@ fn serve_stream<R: WireRecord>(read: impl Read, write: impl Write + Send, shared
     let (tx, results) = mpsc::channel::<JobResult<R>>();
     thread::scope(|scope| {
         let (writer, release) = (&writer, &release);
-        let writer_thread = thread::Builder::new()
-            .name("bonsai-net-writer".into())
-            .spawn_scoped(scope, move || writer_loop(results, writer, release, shared))
-            .expect("spawn writer thread");
+        let spawned = (shared.thread)("bonsai-net-writer").and_then(|thread| {
+            thread.spawn_scoped(scope, move || writer_loop(results, writer, release, shared))
+        });
+        // Without a writer no reply could go out: end the connection
+        // before it reads a frame.
+        let writer_thread = match spawned {
+            Ok(handle) => handle,
+            Err(e) => {
+                eprintln!("bonsai-serve: no writer thread for a connection, closed it: {e}");
+                return;
+            }
+        };
         loop {
             reader.idle = true;
             // A read error ends the connection: the socket failed, or
@@ -829,14 +852,33 @@ mod tests {
         })
     }
 
+    /// A thread source that fails as a spawn the OS refuses does.
+    fn refused(_: &'static str) -> io::Result<thread::Builder> {
+        Err(io::Error::new(io::ErrorKind::WouldBlock, "no thread"))
+    }
+
+    /// The OS refuses the connection's writer thread: the connection
+    /// ends before it reads a frame, so no job runs and none is
+    /// answered, and nothing panics.
+    fn writer_thread_refused() {
+        let mut shared = shared(2);
+        shared.thread = refused;
+        let read = script(vec![Step::Bytes(requests(50..53))], usize::MAX);
+        let (replies, faults) = serve(&shared, read, Sink::new(usize::MAX, io::ErrorKind::Other));
+        assert!(replies.is_empty(), "writer refused: {replies:?}");
+        assert_eq!(faults, 0, "writer refused: nothing written");
+        assert_eq!(stats(&shared).jobs_ok, 0, "writer refused: no job ran");
+    }
+
     #[test]
     fn connection_faults_end_in_exactly_once_or_error() {
-        let cases: [(&str, fn()); 5] = [
+        let cases: [(&str, fn()); 6] = [
             ("EOF at every offset", eof_at_every_offset),
             ("short reads between polls", short_reads_between_polls),
             ("client vanishes mid-reply", client_vanishes_mid_reply),
             ("stalled reader", stalled_reader),
             ("shutdown with a full window", shutdown_with_a_full_window),
+            ("writer thread refused", writer_thread_refused),
         ];
         // One thread runs the cases in turn, so each count compares
         // like with like.
@@ -891,5 +933,57 @@ mod tests {
         let held = server.shared.conns.lock().expect("conns lock").len();
         assert!(held < 32, "{held} handles kept for 32 closed connections");
         assert_eq!(server.shutdown().connections, 32);
+    }
+
+    /// The OS refuses the first connection's thread: that socket closes
+    /// at once, and the accept loop goes on to serve the next client.
+    #[test]
+    fn a_refused_connection_thread_closes_only_its_socket() {
+        static REFUSED_ONCE: AtomicBool = AtomicBool::new(false);
+        fn refuse_first_connection(name: &'static str) -> io::Result<thread::Builder> {
+            if name == "bonsai-net-conn" && !REFUSED_ONCE.swap(true, Ordering::SeqCst) {
+                return refused(name);
+            }
+            named_thread(name)
+        }
+
+        let _serial = serial();
+        let mut shared = shared(2);
+        shared.thread = refuse_first_connection;
+        let shared = Arc::new(shared);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        listener
+            .set_nonblocking(true)
+            .expect("nonblocking listener");
+        let addr = listener.local_addr().expect("bound address");
+        thread::scope(|scope| {
+            let accept = scope.spawn(|| accept_loop(&listener, &shared));
+            // Raw sockets with a read timeout: a dead accept loop fails
+            // the test instead of hanging it.
+            let connect = || {
+                let stream = TcpStream::connect(addr).expect("connect");
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(10)))
+                    .expect("read timeout");
+                stream
+            };
+            let closed = connect().read(&mut [0u8; 1]);
+            assert!(
+                matches!(closed, Ok(0)),
+                "a refused connection reads EOF: {closed:?}"
+            );
+            let mut second = connect();
+            second.write_all(&request(7)).expect("send a job");
+            let reply = frame::read_response(&mut second).expect("one reply");
+            assert_eq!(answers("after a refusal", &[reply]), want(&[(7, "sorted")]));
+            drop(second);
+            shared.begin_stop();
+            accept.join().expect("the accept loop ends at shutdown");
+        });
+        let conns = std::mem::take(&mut *shared.conns.lock().expect("conns lock"));
+        for conn in conns {
+            conn.join().expect("a connection thread ends");
+        }
+        assert_eq!(stats(&shared).connections, 2);
     }
 }
