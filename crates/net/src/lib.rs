@@ -14,9 +14,10 @@
 //! - **streaming completions** — results leave the server the moment a
 //!   job finishes ([`bonsai_runtime::Runtime::submit_with_reply`]), in
 //!   completion order, paired to requests by echoed job id;
-//! - **backpressure** — the runtime's bounded queue plus a per-client
-//!   in-flight cap ([`ServerConfig::max_inflight_per_client`]) keep a
-//!   flood of clients from ballooning server memory;
+//! - **backpressure** — the runtime's bounded queue, a per-client
+//!   in-flight cap ([`ServerConfig::max_inflight_per_client`]) and a
+//!   fixed cap on open connections keep a flood of clients from
+//!   ballooning server memory;
 //! - **failure isolation** — malformed frames get stable `BON07x`
 //!   error responses (see `docs/diagnostics.md`), and only the
 //!   desynchronizing kinds close that one connection; a failing or

@@ -3,7 +3,13 @@
 //!
 //! One listener thread accepts connections; each connection gets a
 //! *reader* thread (frames in, jobs submitted) and a *writer* thread
-//! (results out, in completion order). Jobs flow through the runtime's
+//! (results out, in completion order). The listener thread blocks in
+//! `accept`, so a client's first frame is read as soon as it connects;
+//! shutdown wakes it with one loopback connect to the bound port, which
+//! it drops uncounted, as it drops any connection that arrives once
+//! shutdown has begun. At most `MAX_CONNECTIONS` connections are served
+//! at once: one past that is answered with a `BON076` frame (job id 0)
+//! and closed. Jobs flow through the runtime's
 //! bounded queue, so a flood of clients backs up into blocking
 //! [`Runtime::submit_with_reply`] calls instead of unbounded buffering,
 //! and each connection additionally caps its own in-flight jobs
@@ -22,10 +28,10 @@
 //! refuses closes only the connection it was for.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -42,6 +48,26 @@ const POLL: Duration = Duration::from_millis(50);
 /// connection is abandoned (`40 × POLL` = a two-second grace window for
 /// a client to finish the frame it started).
 const SHUTDOWN_GRACE_POLLS: u32 = 40;
+
+/// Connections served at once. Each costs a reader and a writer thread
+/// and may hold one decoded frame; one accepted past the cap gets a
+/// `BON076` frame and is closed. Twice the 64 clients of CI's loadgen
+/// session, so a connection that follows them before their threads have
+/// ended is still served.
+#[cfg(not(test))]
+const MAX_CONNECTIONS: usize = 128;
+#[cfg(test)]
+const MAX_CONNECTIONS: usize = 8;
+
+/// How long an accept error that is not one connection's own waits
+/// before the next `accept` (running out of descriptors, say, which
+/// only a closing connection cures).
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
+
+/// How long shutdown's wake connect may take. It can only be slow when
+/// the backlog is full, and then the accept loop is about to return a
+/// queued client and see the stop anyway.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Knobs of the sort server.
 #[derive(Debug, Clone, Copy)]
@@ -82,7 +108,8 @@ impl Default for ServerConfig {
 /// Counters the server accumulates over its lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Connections accepted.
+    /// Connections accepted before shutdown began, those turned away at
+    /// the connection cap included.
     pub connections: u64,
     /// Jobs sorted and streamed back (`status 0`).
     pub jobs_ok: u64,
@@ -134,11 +161,21 @@ struct Shared<R: WireRecord> {
     runtime: Runtime<R>,
     config: ServerConfig,
     stop: AtomicBool,
+    /// Paired with `stopped`: [`Server::wait`] sleeps on it until
+    /// `stop` is set.
+    stop_lock: Mutex<()>,
+    stopped: Condvar,
+    /// Where [`Shared::begin_stop`] connects to wake the accept loop
+    /// (see [`connectable`]); `None` when nothing accepts.
+    wake: Option<SocketAddr>,
     conns: Mutex<Vec<JoinHandle<()>>>,
     stats: StatsInner,
     /// Where a connection's threads come from: [`named_thread`], or in
     /// tests one that fails as a spawn the OS refuses does.
     thread: fn(&'static str) -> io::Result<thread::Builder>,
+    /// How the accept loop takes its next connection:
+    /// [`TcpListener::accept`], or in tests one that fails first.
+    accept: fn(&TcpListener) -> io::Result<(TcpStream, SocketAddr)>,
 }
 
 /// A builder for a thread named `name`.
@@ -152,18 +189,48 @@ impl<R: WireRecord> Shared<R> {
             runtime: Runtime::start(config.runtime),
             config,
             stop: AtomicBool::new(false),
+            stop_lock: Mutex::new(()),
+            stopped: Condvar::new(),
+            wake: None,
             conns: Mutex::new(Vec::new()),
             stats: StatsInner::default(),
             thread: named_thread,
+            accept: TcpListener::accept,
         }
     }
 
     /// Stops intake: connections close at their next frame boundary and
     /// the runtime refuses new jobs, while accepted ones still finish.
+    /// The first call wakes [`Server::wait`] and the accept loop; later
+    /// ones do nothing.
     fn begin_stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        if self.stop.swap(true, Ordering::SeqCst) {
+            return;
+        }
         self.runtime.close();
+        // A waiter checks `stop` holding the lock, so once the lock has
+        // been taken here it is either past its check or asleep.
+        drop(self.stop_lock.lock().expect("stop lock"));
+        self.stopped.notify_all();
+        if let Some(addr) = self.wake {
+            if let Err(e) = TcpStream::connect_timeout(&addr, WAKE_TIMEOUT) {
+                eprintln!("bonsai-serve: could not wake the accept loop at {addr}: {e}");
+            }
+        }
     }
+}
+
+/// Where to connect to reach a listener bound at `bound`: the address
+/// itself, or the loopback of its family when it is unspecified
+/// (`0.0.0.0`, `[::]`), which is not an address one can connect to
+/// everywhere.
+fn connectable(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
 /// A running sort server; dropping (or [`Server::shutdown`]) stops the
@@ -193,12 +260,14 @@ impl<R: WireRecord> Server<R> {
     /// Propagates the bind failure.
     pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let shared = Arc::new(Shared::new(config));
+        let shared = Arc::new(Shared {
+            wake: Some(connectable(local_addr)),
+            ..Shared::new(config)
+        });
         let accept_shared = Arc::clone(&shared);
         let accept = named_thread("bonsai-net-accept")?
-            .spawn(move || accept_loop(&listener, &accept_shared))?;
+            .spawn(move || accept_loop(listener, &accept_shared))?;
         Ok(Self {
             shared,
             accept: Some(accept),
@@ -227,11 +296,13 @@ impl<R: WireRecord> Server<R> {
         self.shared.stop.load(Ordering::SeqCst)
     }
 
-    /// Blocks until shutdown is initiated — by [`Server::shutdown`]
-    /// from another thread or by a client's shutdown-token frame.
+    /// Blocks until shutdown is initiated, which while the server is
+    /// borrowed only a client's shutdown-token frame can do; returns at
+    /// once if it already has been.
     pub fn wait(&self) {
+        let mut guard = self.shared.stop_lock.lock().expect("stop lock");
         while !self.is_stopping() {
-            thread::sleep(POLL);
+            guard = self.shared.stopped.wait(guard).expect("stop lock");
         }
     }
 
@@ -263,38 +334,67 @@ impl<R: WireRecord> Drop for Server<R> {
     }
 }
 
-fn accept_loop<R: WireRecord>(listener: &TcpListener, shared: &Arc<Shared<R>>) {
+/// Takes connections until shutdown begins. It owns the listener, so
+/// however it ends, by a stop or a panic, the socket closes and a client
+/// still in the backlog sees its connection reset rather than wait.
+fn accept_loop<R: WireRecord>(listener: TcpListener, shared: &Arc<Shared<R>>) {
     loop {
+        let accepted = (shared.accept)(&listener);
+        // Once shutdown has begun, whatever `accept` returned (shutdown's
+        // own wake connection, or a client too late) is dropped uncounted.
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                shared.stats.connections.fetch_add(1, Ordering::Relaxed);
-                let conn_shared = Arc::clone(shared);
-                let spawned = (shared.thread)("bonsai-net-conn")
-                    .and_then(|conn| conn.spawn(move || serve_conn(stream, &conn_shared)));
-                let handle = match spawned {
-                    Ok(handle) => handle,
-                    // The socket went with the thread's closure, so the
-                    // client sees its connection close; accept goes on.
-                    Err(e) => {
-                        eprintln!("bonsai-serve: no thread for a connection, closed it: {e}");
-                        continue;
-                    }
-                };
-                let mut conns = shared.conns.lock().expect("conns lock");
-                // A finished connection's handle has nothing left to
-                // join: drop it, so a long-lived server holds one handle
-                // per open connection, not per connection ever accepted.
-                conns.retain(|conn| !conn.is_finished());
-                conns.push(handle);
+        match accepted {
+            Ok((stream, _peer)) => admit(stream, shared),
+            // That one connection failed before it was taken: take the
+            // next.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::ConnectionAborted
+                        | io::ErrorKind::ConnectionReset
+                        | io::ErrorKind::Interrupted
+                ) => {}
+            // Out of descriptors or memory, say: the next `accept` may
+            // succeed once something is freed, and only a stop ends the
+            // loop.
+            Err(e) => {
+                eprintln!("bonsai-serve: accept failed, retrying: {e}");
+                thread::sleep(ACCEPT_BACKOFF);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => return,
         }
+    }
+}
+
+/// Serves an accepted connection on its own thread, or, with
+/// [`MAX_CONNECTIONS`] already open, answers it with one `BON076` frame
+/// (job id 0) and closes it.
+fn admit<R: WireRecord>(mut stream: TcpStream, shared: &Arc<Shared<R>>) {
+    shared.stats.connections.fetch_add(1, Ordering::Relaxed);
+    let open = {
+        let mut conns = shared.conns.lock().expect("conns lock");
+        // A finished connection's handle has nothing left to join: drop
+        // it, so the server holds one handle per open connection, not per
+        // connection ever accepted, and the cap counts open ones.
+        conns.retain(|conn| !conn.is_finished());
+        conns.len()
+    };
+    if open >= MAX_CONNECTIONS {
+        if shared.config.log {
+            eprintln!("bonsai-serve: {MAX_CONNECTIONS} connections open, turned one away (BON076)");
+        }
+        let _ = frame::write_response_err(&mut stream, 0, &WireError::Closed);
+        return;
+    }
+    let conn_shared = Arc::clone(shared);
+    let spawned = (shared.thread)("bonsai-net-conn")
+        .and_then(|conn| conn.spawn(move || serve_conn(stream, &conn_shared)));
+    match spawned {
+        Ok(handle) => shared.conns.lock().expect("conns lock").push(handle),
+        // The socket went with the thread's closure, so the client sees
+        // its connection close; accept goes on.
+        Err(e) => eprintln!("bonsai-serve: no thread for a connection, closed it: {e}"),
     }
 }
 
@@ -502,7 +602,10 @@ mod tests {
     //! (sorted, or a `BON07x`) or, where the client vanished, consumed and
     //! discarded, and the matrix checks after each case that the threads
     //! it started are gone. Then the accept loop, over loopback: it keeps
-    //! no handle of a connection that has ended.
+    //! no handle of a connection that has ended, survives accept errors
+    //! and refused threads, closes its listener when it dies, caps the
+    //! connections it serves, and every way of stopping the server ends
+    //! it promptly.
 
     use std::collections::{BTreeMap, VecDeque};
     use std::sync::atomic::AtomicUsize;
@@ -837,9 +940,10 @@ mod tests {
         }
     }
 
-    /// Threads of this process named `bonsai-…`. The matrix runs on one,
-    /// and every thread it starts is named so or inherits its name,
-    /// while the harness's threads are named after their tests.
+    /// Threads of this process named `bonsai-…`. A thread-counting test
+    /// runs its cases on one ([`without_leaked_threads`]), and every
+    /// thread a case starts is named so or inherits its name, while the
+    /// harness's threads are named after their tests.
     fn bonsai_threads() -> usize {
         std::fs::read_dir("/proc/self/task").map_or(0, |tasks| {
             tasks
@@ -870,21 +974,16 @@ mod tests {
         assert_eq!(stats(&shared).jobs_ok, 0, "writer refused: no job ran");
     }
 
-    #[test]
-    fn connection_faults_end_in_exactly_once_or_error() {
-        let cases: [(&str, fn()); 6] = [
-            ("EOF at every offset", eof_at_every_offset),
-            ("short reads between polls", short_reads_between_polls),
-            ("client vanishes mid-reply", client_vanishes_mid_reply),
-            ("stalled reader", stalled_reader),
-            ("shutdown with a full window", shutdown_with_a_full_window),
-            ("writer thread refused", writer_thread_refused),
-        ];
-        // One thread runs the cases in turn, so each count compares
-        // like with like.
+    /// A case of a thread-counting test: its name and its body.
+    type Case = (String, Box<dyn FnOnce() + Send>);
+
+    /// Runs `cases` in turn on one thread named `bonsai-{name}`, so that
+    /// each count compares like with like, and checks after each case
+    /// that every thread it started is gone.
+    fn without_leaked_threads(name: &str, cases: Vec<Case>) {
         let _serial = serial();
-        let matrix = thread::Builder::new()
-            .name("bonsai-net-faults".into())
+        let runner = thread::Builder::new()
+            .name(format!("bonsai-{name}"))
             .spawn(move || {
                 let baseline = bonsai_threads();
                 for (case, run) in cases {
@@ -902,19 +1001,48 @@ mod tests {
                     assert_eq!(now, baseline, "{case}: a thread outlived it");
                 }
             })
-            .expect("spawn the matrix thread");
-        if let Err(panic) = matrix.join() {
+            .expect("spawn the thread-counting runner");
+        if let Err(panic) = runner.join() {
             std::panic::resume_unwind(panic);
         }
     }
 
-    /// 32 connections in turn, each sorting one job and closing: the
-    /// accept loop drops the handles of those that have ended instead
-    /// of holding all 32 until shutdown.
     #[test]
-    fn finished_connection_threads_are_reaped() {
-        let _serial = serial();
-        let server = Server::<U32Rec>::bind(
+    fn connection_faults_end_in_exactly_once_or_error() {
+        let cases: [(&str, fn()); 6] = [
+            ("EOF at every offset", eof_at_every_offset),
+            ("short reads between polls", short_reads_between_polls),
+            ("client vanishes mid-reply", client_vanishes_mid_reply),
+            ("stalled reader", stalled_reader),
+            ("shutdown with a full window", shutdown_with_a_full_window),
+            ("writer thread refused", writer_thread_refused),
+        ];
+        let cases = cases
+            .into_iter()
+            .map(|(case, run)| (case.to_string(), Box::new(run) as Box<dyn FnOnce() + Send>))
+            .collect();
+        without_leaked_threads("net-faults", cases);
+    }
+
+    /// A loopback listener for `shared`'s accept loop, with `shared` set
+    /// to wake that loop at shutdown.
+    fn listen(shared: &mut Shared<U32Rec>) -> (TcpListener, SocketAddr) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("bound address");
+        shared.wake = Some(addr);
+        (listener, addr)
+    }
+
+    /// Joins the connection threads `shared`'s accept loop started.
+    fn join_conns(shared: &Shared<U32Rec>) {
+        let conns = std::mem::take(&mut *shared.conns.lock().expect("conns lock"));
+        for conn in conns {
+            conn.join().expect("a connection thread ends");
+        }
+    }
+
+    fn small_server() -> Server<U32Rec> {
+        Server::bind(
             "127.0.0.1:0",
             ServerConfig {
                 runtime: RuntimeConfig {
@@ -924,11 +1052,38 @@ mod tests {
                 ..ServerConfig::default()
             },
         )
-        .expect("bind loopback");
+        .expect("bind loopback")
+    }
+
+    /// One round trip of job `id` on `client`.
+    #[track_caller]
+    fn sorts(client: &mut Client<U32Rec>, id: u64) {
+        let reply = client.sort(id, &job(id)).expect("one reply");
+        assert_eq!(answers("round trip", &[reply]), want(&[(id, "sorted")]));
+    }
+
+    /// How many of `server`'s connection threads are running.
+    fn open_conns(server: &Server<U32Rec>) -> usize {
+        let conns = server.shared.conns.lock().expect("conns lock");
+        conns.iter().filter(|conn| !conn.is_finished()).count()
+    }
+
+    /// 32 connections in turn, each sorting one job and closing: the
+    /// accept loop drops the handles of those that have ended instead
+    /// of holding all 32 until shutdown.
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let _serial = serial();
+        let server = small_server();
         for id in 0..32 {
+            // A connection's thread can outlive its client's close for a
+            // moment, and a busy host can stack up enough of them to
+            // reach the cap.
+            while open_conns(&server) >= MAX_CONNECTIONS {
+                thread::yield_now();
+            }
             let mut client = Client::<U32Rec>::connect(server.local_addr()).expect("connect");
-            let reply = client.sort(id, &job(id)).expect("one reply");
-            assert_eq!(answers("reap", &[reply]), want(&[(id, "sorted")]));
+            sorts(&mut client, id);
         }
         let held = server.shared.conns.lock().expect("conns lock").len();
         assert!(held < 32, "{held} handles kept for 32 closed connections");
@@ -950,14 +1105,10 @@ mod tests {
         let _serial = serial();
         let mut shared = shared(2);
         shared.thread = refuse_first_connection;
+        let (listener, addr) = listen(&mut shared);
         let shared = Arc::new(shared);
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        listener
-            .set_nonblocking(true)
-            .expect("nonblocking listener");
-        let addr = listener.local_addr().expect("bound address");
         thread::scope(|scope| {
-            let accept = scope.spawn(|| accept_loop(&listener, &shared));
+            let accept = scope.spawn(|| accept_loop(listener, &shared));
             // Raw sockets with a read timeout: a dead accept loop fails
             // the test instead of hanging it.
             let connect = || {
@@ -980,10 +1131,205 @@ mod tests {
             shared.begin_stop();
             accept.join().expect("the accept loop ends at shutdown");
         });
-        let conns = std::mem::take(&mut *shared.conns.lock().expect("conns lock"));
-        for conn in conns {
-            conn.join().expect("a connection thread ends");
-        }
+        join_conns(&shared);
         assert_eq!(stats(&shared).connections, 2);
+    }
+
+    /// `accept` fails for one connection and then as a process out of
+    /// descriptors does: the loop goes on, and the client behind the
+    /// failures is served.
+    #[test]
+    fn accept_errors_never_end_the_loop() {
+        static CALLS: AtomicUsize = AtomicUsize::new(0);
+        fn failing_first(listener: &TcpListener) -> io::Result<(TcpStream, SocketAddr)> {
+            match CALLS.fetch_add(1, Ordering::SeqCst) {
+                0 => Err(io::ErrorKind::ConnectionAborted.into()),
+                // EMFILE.
+                1 => Err(io::Error::from_raw_os_error(24)),
+                _ => listener.accept(),
+            }
+        }
+
+        let _serial = serial();
+        let mut shared = shared(2);
+        shared.accept = failing_first;
+        let (listener, addr) = listen(&mut shared);
+        let shared = Arc::new(shared);
+        thread::scope(|scope| {
+            let accept = scope.spawn(|| accept_loop(listener, &shared));
+            let mut client = Client::<U32Rec>::connect(addr).expect("connect");
+            sorts(&mut client, 8);
+            drop(client);
+            shared.begin_stop();
+            accept.join().expect("the accept loop ends at shutdown");
+        });
+        join_conns(&shared);
+        assert!(CALLS.load(Ordering::SeqCst) >= 3, "both failures were met");
+        assert_eq!(stats(&shared).connections, 1);
+    }
+
+    /// The accept thread dies: its thread source panics on the first
+    /// connection. The listener dies with it, so a client queued in the
+    /// backlog behind that connection gets an error from
+    /// [`Client::sort`] instead of waiting for a reply forever.
+    #[test]
+    fn a_dead_accept_loop_resets_its_backlog() {
+        fn panics(name: &'static str) -> io::Result<thread::Builder> {
+            panic!("no {name} thread, and no way to go on");
+        }
+
+        let _serial = serial();
+        let mut shared = shared(2);
+        shared.thread = panics;
+        let (listener, addr) = listen(&mut shared);
+        let shared = Arc::new(shared);
+        // Both handshakes complete into the backlog before anything
+        // accepts.
+        let first = Client::<U32Rec>::connect(addr).expect("connect");
+        let mut queued = Client::<U32Rec>::connect(addr).expect("connect");
+        let died = thread::scope(|scope| scope.spawn(|| accept_loop(listener, &shared)).join());
+        assert!(died.is_err(), "the accept thread panicked");
+        // On a thread, so that a hang fails the test instead.
+        let (done, sorted) = mpsc::channel();
+        let sorting = thread::spawn(move || done.send(queued.sort(9, &job(9))));
+        let reply = sorted
+            .recv_timeout(Duration::from_secs(10))
+            .expect("Client::sort returns");
+        assert!(reply.is_err(), "a queued client reads an error: {reply:?}");
+        sorting
+            .join()
+            .expect("the sorting thread ends")
+            .expect("the reply was received");
+        drop(first);
+    }
+
+    /// With [`MAX_CONNECTIONS`] open, the next client reads one `BON076`
+    /// frame with job id 0 and then EOF. Once an open connection ends, a
+    /// client is served again: the cap counts open connections.
+    #[test]
+    fn connections_past_the_cap_are_turned_away() {
+        let _serial = serial();
+        let server = small_server();
+        let addr = server.local_addr();
+        let mut open: Vec<Client<U32Rec>> = (0..MAX_CONNECTIONS as u64)
+            .map(|id| {
+                let mut client = Client::connect(addr).expect("connect");
+                sorts(&mut client, id);
+                client
+            })
+            .collect();
+        // A raw socket with a read timeout: a server that serves it
+        // fails the test instead of hanging it.
+        let mut turned_away = TcpStream::connect(addr).expect("connect");
+        turned_away
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        match frame::read_response::<_, U32Rec>(&mut turned_away) {
+            Ok(Reply::ServerError { job_id, code, .. }) => {
+                assert_eq!((job_id, code.as_str()), (0, "BON076"));
+            }
+            other => panic!("expected BON076 past the cap, got {other:?}"),
+        }
+        let closed = turned_away.read(&mut [0u8; 1]);
+        assert!(matches!(closed, Ok(0)), "then EOF: {closed:?}");
+        drop(open.pop());
+        while open_conns(&server) == MAX_CONNECTIONS {
+            thread::yield_now();
+        }
+        let mut next = Client::<U32Rec>::connect(addr).expect("connect");
+        sorts(&mut next, 99);
+        drop((open, next));
+        // The cap's worth, the one turned away and the next one served.
+        assert_eq!(server.shutdown().connections, MAX_CONNECTIONS as u64 + 2);
+    }
+
+    /// What a server has seen when it is shut down.
+    #[derive(Debug, Clone, Copy)]
+    enum Before {
+        Nothing,
+        /// A client that sorted one job and stays connected.
+        AnIdleClient,
+        /// A client's shutdown-token frame.
+        TheTokenFrame,
+    }
+
+    const TOKEN: u64 = 0x570B;
+
+    /// A server bound at `addr` shuts down within two seconds of being
+    /// asked, and its counters never see the connection that woke its
+    /// accept loop. A token frame also wakes a thread in
+    /// [`Server::wait`].
+    fn stops_promptly(addr: &str, before: Before) {
+        let config = ServerConfig {
+            runtime: RuntimeConfig {
+                workers: 1,
+                ..RuntimeConfig::default()
+            },
+            shutdown_token: Some(TOKEN),
+            ..ServerConfig::default()
+        };
+        let server = Arc::new(Server::<U32Rec>::bind(addr, config).expect("bind"));
+        let to = connectable(server.local_addr());
+        let (client, connections) = match before {
+            Before::Nothing => (None, 0),
+            Before::AnIdleClient => {
+                let mut client = Client::connect(to).expect("connect");
+                sorts(&mut client, 1);
+                (Some(client), 1)
+            }
+            Before::TheTokenFrame => {
+                let (woke, woken) = mpsc::channel();
+                let waiting = Arc::clone(&server);
+                let waiter = thread::spawn(move || {
+                    waiting.wait();
+                    woke.send(()).expect("the test listens");
+                });
+                let mut client = Client::connect(to).expect("connect");
+                let ack = client.request_shutdown(TOKEN).expect("ack");
+                assert!(
+                    matches!(&ack, Reply::Sorted { job_id: TOKEN, records } if records.is_empty()),
+                    "{addr}: {ack:?}"
+                );
+                woken
+                    .recv_timeout(Duration::from_secs(2))
+                    .unwrap_or_else(|_| panic!("{addr}: the token frame did not end wait()"));
+                waiter.join().expect("the waiter ends");
+                (Some(client), 1)
+            }
+        };
+        let server = Arc::into_inner(server).expect("no other owner is left");
+        // On a thread, so that a hang fails the test instead.
+        let (done, stopped) = mpsc::channel();
+        let stopping = thread::spawn(move || done.send(server.shutdown()));
+        let stats = stopped
+            .recv_timeout(Duration::from_secs(2))
+            .unwrap_or_else(|_| panic!("{addr}, {before:?}: shutdown took over 2 s"));
+        stopping
+            .join()
+            .expect("shutdown ends")
+            .expect("its counters were received");
+        assert_eq!(stats.connections, connections, "{addr}, {before:?}");
+        drop(client);
+    }
+
+    /// Every stop path on every kind of bound address: `Server::shutdown`
+    /// on an idle server and on one with an idle client, and a token
+    /// frame followed by `shutdown`, on `127.0.0.1`, `0.0.0.0` and `[::]`.
+    #[test]
+    fn every_stop_path_ends_the_server_promptly() {
+        let mut cases: Vec<Case> = Vec::new();
+        for addr in ["127.0.0.1:0", "0.0.0.0:0", "[::]:0"] {
+            if let Err(e) = TcpListener::bind(addr) {
+                eprintln!("skipping {addr}: this host cannot bind it: {e}");
+                continue;
+            }
+            for before in [Before::Nothing, Before::AnIdleClient, Before::TheTokenFrame] {
+                cases.push((
+                    format!("{addr}, {before:?}"),
+                    Box::new(move || stops_promptly(addr, before)),
+                ));
+            }
+        }
+        without_leaked_threads("net-stops", cases);
     }
 }
