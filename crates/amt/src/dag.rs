@@ -2,14 +2,14 @@
 //! them.
 //!
 //! A merge pass merges groups of `m` runs: group `g` merges runs
-//! `[g·m, (g+1)·m)` into one output run, touching nobody else's runs,
-//! banks or tree state (§II–III). A `SortPlan` lowers a sort into
-//! passes, each cut into tasks, each the simulation of consecutive
-//! groups against the memory the plan binds it to. The sort runs on the
-//! calling thread, one pass at a time, as the hardware does (§II,
-//! Fig. 2: every stage streams the whole array back to memory and the
-//! next stage reads what it wrote): a pass's tasks run in order, and the
-//! next pass reads the runs they wrote. A sort holds two buffers, the
+//! `[g·m, (g+1)·m)` into one output run, reading no other group's runs
+//! (§II–III). A `SortPlan` lowers a sort into passes, each cut into
+//! tasks, each the simulation of consecutive groups against the sort's
+//! whole memory. The sort runs on the calling thread, one pass at a
+//! time, as the hardware does (§II, Fig. 2: every stage streams the
+//! whole array back to memory and the next stage reads what it wrote):
+//! a pass's tasks run in order, and the next pass reads the runs they
+//! wrote. A sort holds two buffers, the
 //! pass's input and the next pass's, and no other copy of its records:
 //! a task's leaves read its runs where they lie in the first, and its
 //! root's zero filter appends its output runs to the second (§V-B); the
@@ -17,34 +17,33 @@
 //! task count.
 //!
 //! **Determinism.** Each task is a pure function of `(config, its input
-//! runs, fan-in, memory)`. Every task of a sort runs on the thread's one
-//! pass scratch, which a reset makes equal to a new one, so sorted
-//! output and [`SortReport`] depend on nothing else. Reports fold in
+//! runs, fan-in)`. Every task of a sort runs on the thread's one pass
+//! scratch, which a reset makes equal to a new one, so sorted output
+//! and [`SortReport`] depend on nothing else. Reports fold in
 //! `(pass, task)` order, and the first failing task ends the sort with
 //! its error. The unit tests check both plans against an oracle that
 //! builds a new scratch for every task.
 //!
-//! **Two plans, one loop.** The plans differ only in how a pass is cut
-//! and what that costs. The fused plan (`SortPlan::fused`, behind
-//! [`SimEngine::try_sort`](crate::SimEngine::try_sort)) makes each pass
-//! one task: one tree merging every group back to back against the
-//! whole memory, adjacent groups overlapping in its pipeline. The
-//! per-group plan (`SortPlan::per_group`, behind
-//! `try_sort_pipelined`) makes each group a standalone simulation
-//! against its [`MemoryConfig::shard_view`], so a pass costs the sum of
-//! its groups: time-multiplexed on one tree with the pipeline drained
-//! between them. Over the 36 non-empty cases of
-//! `tests/golden_report.txt` the per-group sum is 1.00–20.4× the fused
-//! total (median 1.29×): equal for one-group sorts, up to 20.4× on the
-//! flash stream, where every standalone group pays the access latency
-//! the fused tree hides; DESIGN.md §5 has the table and says which
-//! number is quoted where.
+//! **Two plans, one loop.** The plans differ only in whether a pass's
+//! groups share the tree's pipeline. The fused plan (`SortPlan::fused`,
+//! behind [`SimEngine::try_sort`](crate::SimEngine::try_sort)) makes
+//! each pass one task: one tree merging every group back to back,
+//! adjacent groups overlapping in its pipeline. The per-group plan
+//! (`SortPlan::per_group`, behind `try_sort_pipelined`) makes each group
+//! a standalone simulation, so a pass costs the sum of its groups:
+//! time-multiplexed on one tree with the pipeline drained between them.
+//! Every task of either plan streams from the whole memory, as the
+//! loader issues each batch on any free bank port (§V-A). Over the 36
+//! non-empty cases of `tests/golden_report.txt` the per-group sum is
+//! 1.00–20.4× the fused total (median 1.29×): equal for one-group
+//! sorts, up to 20.4× on the flash stream, where every standalone group
+//! pays the access latency the fused tree hides; DESIGN.md §5 has the
+//! table and says which number is quoted where.
 
 use std::ops::Range;
 
 #[cfg(feature = "sanitize")]
 use bonsai_check::Diagnostic;
-use bonsai_memsim::MemoryConfig;
 use bonsai_records::Record;
 
 use crate::config::SimEngineConfig;
@@ -65,8 +64,6 @@ pub(crate) struct PassPlan {
     /// Tasks the pass is cut into, each simulating consecutive groups:
     /// one for the fused tree, one per group otherwise.
     pub(crate) tasks: usize,
-    /// The memory every task of the pass simulates against.
-    pub(crate) memory: MemoryConfig,
     /// The pass's stage number (1-based, as in §II).
     pub(crate) stage: u32,
 }
@@ -81,7 +78,7 @@ impl PassPlan {
 
 /// The passes of one sort: the balanced fan-in schedule
 /// ([`crate::schedule::fan_in_schedule`]) lowered to passes, each with
-/// how it is cut into tasks and the memory they bind.
+/// how it is cut into tasks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct SortPlan {
     passes: Vec<PassPlan>,
@@ -89,44 +86,34 @@ pub(crate) struct SortPlan {
 
 impl SortPlan {
     /// The fused sort of `initial_runs` presorted runs: every pass is one
-    /// task, the tree merging all of the pass's groups back to back
-    /// against the whole memory. Empty (zero passes) when
-    /// `initial_runs <= 1`.
+    /// task, the tree merging all of the pass's groups back to back.
+    /// Empty (zero passes) when `initial_runs <= 1`.
     #[must_use]
     pub(crate) fn fused(config: &SimEngineConfig, initial_runs: usize) -> Self {
-        Self::lower(config, initial_runs, |_, _| (1, config.memory))
+        Self::lower(config, initial_runs, |_| 1)
     }
 
     /// The per-group sort of `initial_runs` presorted runs: every group
-    /// is its own task against its share of the banks. Empty when
-    /// `initial_runs <= 1`.
+    /// is its own task. Empty when `initial_runs <= 1`.
     #[must_use]
     pub(crate) fn per_group(config: &SimEngineConfig, initial_runs: usize) -> Self {
-        Self::lower(config, initial_runs, |fan_in, groups| {
-            (groups, config.memory.shard_view(fan_in))
-        })
+        Self::lower(config, initial_runs, |groups| groups)
     }
 
-    /// Lowers the fan-in schedule into passes, `cut(fan_in, groups)`
-    /// giving each pass's task count and memory.
-    fn lower(
-        config: &SimEngineConfig,
-        initial_runs: usize,
-        cut: impl Fn(usize, usize) -> (usize, MemoryConfig),
-    ) -> Self {
+    /// Lowers the fan-in schedule into passes, `cut(groups)` giving each
+    /// pass's task count.
+    fn lower(config: &SimEngineConfig, initial_runs: usize, cut: fn(usize) -> usize) -> Self {
         let fan_ins = crate::schedule::fan_in_schedule(initial_runs as u64, config.amt.l as u64);
         let mut passes = Vec::with_capacity(fan_ins.len());
         let mut runs = initial_runs;
         for (p, &m) in fan_ins.iter().enumerate() {
             let fan_in = m as usize;
             let groups = runs.div_ceil(fan_in);
-            let (tasks, memory) = cut(fan_in, groups);
             passes.push(PassPlan {
                 fan_in,
                 runs_in: runs,
                 groups,
-                tasks,
-                memory,
+                tasks: cut(groups),
                 stage: p as u32 + 1,
             });
             runs = groups;
@@ -181,7 +168,7 @@ fn fold_pass<'a>(stage: u32, tasks: impl IntoIterator<Item = &'a PassReport>) ->
 /// The engine's one pass loop: sanitizes `data`, presorts it into runs,
 /// lowers those to the [`SortPlan`] `plan` builds, and runs each pass's
 /// tasks in order on the calling thread, every task simulated against
-/// its pass's memory on one scratch: the one this thread parked for the
+/// the whole memory on one scratch: the one this thread parked for the
 /// configuration, parked again once the passes end, finished or failed.
 /// A task reads its runs where they lie in the pass's input and appends
 /// its output runs to the other of the sort's two buffers, which the
@@ -241,13 +228,12 @@ pub(crate) fn sort<R: Record>(
                 };
                 pass = fold_pass(pp.stage, [&pass, &stats.report]);
                 #[cfg(feature = "sanitize")]
-                {
-                    // A task is one group only where the plan cuts by group.
-                    let by_group = pp.tasks == pp.groups;
-                    let group = |d: Diagnostic| if by_group { d.with("group", t) } else { d };
-                    let tagged = stats.diagnostics.into_iter();
-                    diagnostics.extend(tagged.map(|d| group(d.with("stage", pp.stage))));
-                }
+                diagnostics.extend(
+                    stats
+                        .diagnostics
+                        .into_iter()
+                        .map(|d| d.with("stage", pp.stage)),
+                );
             }
             passes.push(pass);
             swap_passes(&mut runs, &mut next);
@@ -324,9 +310,8 @@ mod tests {
     /// Each plan without scratch reuse, in-place buffers or the plan's
     /// cut: passes in order, every task's input copied out and simulated
     /// in order on a new scratch, the shared fold. The fused sort is one
-    /// simulation per pass on the whole memory; the per-group sort one
-    /// simulation per group on its bank share. The first failing task in
-    /// `(pass, task)` order wins.
+    /// simulation per pass; the per-group sort one simulation per group.
+    /// The first failing task in `(pass, task)` order wins.
     fn barrier_oracle<R: Record>(
         config: &SimEngineConfig,
         data: Vec<R>,
@@ -341,11 +326,7 @@ mod tests {
         let mut passes = Vec::new();
         for (p, &m) in fan_ins.iter().enumerate() {
             let (fan_in, stage, runs_in) = (m as usize, p as u32 + 1, runs.num_runs());
-            let (per_task, memory) = if fused {
-                (runs_in, config.memory)
-            } else {
-                (fan_in, config.memory.shard_view(fan_in))
-            };
+            let per_task = if fused { runs_in } else { fan_in };
             let mut next = (Vec::with_capacity(runs.len()), Vec::new());
             let mut reports = Vec::new();
             for lo in (0..runs_in).step_by(per_task) {
@@ -356,7 +337,6 @@ mod tests {
                     runs_in: input.num_runs(),
                     groups: input.num_runs().div_ceil(fan_in),
                     tasks: 1,
-                    memory,
                     stage,
                 };
                 // A new scratch per task: the oracle never reuses one.

@@ -132,15 +132,16 @@ impl SimEngine {
     /// keep going.
     ///
     /// One tree on the whole memory: each pass merges all of its groups
-    /// back to back (the fused plan).
+    /// back to back, adjacent groups sharing its pipeline (the fused
+    /// plan).
     pub fn try_sort<R: Record>(&mut self, data: Vec<R>) -> Result<(Vec<R>, SortReport), SortError> {
         self.run(data, SortPlan::fused, &mut || {})
     }
 
     /// Sorts `data` one pass at a time, each merge group simulated
-    /// standalone against its share of the banks (the per-group plan).
-    /// Livelocked groups surface as `BON040` [`SortError`]s: the first
-    /// failing group stops the sort.
+    /// standalone on the whole memory, the tree's pipeline drained
+    /// between groups (the per-group plan). Livelocked groups surface as
+    /// `BON040` [`SortError`]s: the first failing group stops the sort.
     ///
     /// `workers` is ignored, and kept so that existing callers compile:
     /// like every sort of the engine, this one runs on the calling

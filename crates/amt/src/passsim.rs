@@ -536,11 +536,11 @@ pub(crate) fn swap_passes<R: Record>(runs: &mut RunSet<R>, next: &mut NextPass<R
 }
 
 /// A sort's simulation state: the pass (tree, loader and drain) and the
-/// memory it runs against, built by the sort's first task and reset for
-/// every later one — a task costs no allocation, not the ≈100 of a new
-/// tree. A sort takes it from its thread's park ([`unpark`]) and parks
-/// it again when it ends ([`park`]), so it also outlives the sort. Its
-/// size follows the configuration, never the job.
+/// whole memory it runs against, built by the sort's first task and
+/// reset for every later one — a task costs no allocation, not the ≈100
+/// of a new tree. A sort takes it from its thread's park ([`unpark`])
+/// and parks it again when it ends ([`park`]), so it also outlives the
+/// sort. Its size follows the configuration, never the job.
 pub(crate) type PassScratch<R> = Option<Box<(PassSim<R>, Memory)>>;
 
 /// Scratches one thread keeps parked: a runtime worker's own job shape
@@ -595,7 +595,7 @@ pub(crate) fn park<R: Record>(config: &SimEngineConfig, scratch: PassScratch<R>)
 
 /// What one simulated pass adds to its sort's accounting: its
 /// [`PassReport`], memory traffic included, and under `sanitize` the
-/// probes' findings, not yet tagged with a stage or group.
+/// probes' findings, not yet tagged with a stage.
 #[derive(Debug)]
 pub(crate) struct PassStats {
     pub(crate) report: PassReport,
@@ -605,11 +605,10 @@ pub(crate) struct PassStats {
 
 /// Simulates task `task` of `pass` to completion on `scratch`: its
 /// groups of the runs of `runs` ([`PassPlan::task_runs`]), read where
-/// they lie, merged against the pass's memory — the whole memory for
-/// the fused plan's single tree, a group's bank share for one merge
-/// group. The output runs (terminal-free and sorted) go onto the end of
-/// `next`, the next pass's records and run starts, and the accounting
-/// is returned. What an earlier pass left in the scratch, finished or
+/// they lie, merged against the sort's whole memory (`config.memory`;
+/// every task of every plan gets all of it). The output runs
+/// (terminal-free and sorted) go onto the end of `next`, the next
+/// pass's records and run starts, and the accounting is returned. What an earlier pass left in the scratch, finished or
 /// abandoned on an error, never shows: a reset scratch equals a new one.
 ///
 /// Fails with `BON040` for the pass's stage when the task is still
@@ -631,12 +630,12 @@ pub(crate) fn simulate<R: Record>(
     let (sim, mem) = match scratch {
         Some(used) => {
             used.0.reset(runs, task_runs, pass.fan_in);
-            used.1.reset(pass.memory);
+            used.1.reset();
             &mut **used
         }
         None => &mut **scratch.insert(Box::new((
             PassSim::new(config, runs, task_runs, pass.fan_in),
-            Memory::new(pass.memory),
+            Memory::new(config.memory),
         ))),
     };
     sim.run(mem, runs, next, reference, max_cycles, pass.stage, poll)?;
@@ -702,7 +701,7 @@ mod tests {
                 .collect();
             let runs = RunSet::from_chunks(data, run_len);
             let mut sim = PassSim::new(&cfg, &runs, 0..runs.num_runs(), fan_in);
-            let mut memory = Memory::new(cfg.memory.shard_view(fan_in));
+            let mut memory = Memory::new(cfg.memory);
             let mut next = (Vec::new(), Vec::new());
             let mut cycle = 0u64;
             while !sim.is_done() {
@@ -737,12 +736,10 @@ mod tests {
         assert!(fed > 0 && candidates < steps / 2, "{candidates} of {steps}");
     }
 
-    /// One scratch carried through passes of differing fan-in, size and
-    /// memory (a group's bank view, or the whole memory as the fused
-    /// sort uses it) — including right after a pass abandoned on
-    /// `BON040` — must yield what a new scratch yields for each: output
-    /// runs, the whole report and (under `sanitize`) the probes'
-    /// findings.
+    /// One scratch carried through passes of differing fan-in and size
+    /// — including right after a pass abandoned on `BON040` — must
+    /// yield what a new scratch yields for each: output runs, the whole
+    /// report and (under `sanitize`) the probes' findings.
     #[test]
     fn reused_scratch_matches_a_new_one_group_after_group() {
         type Observed = (Vec<U32Rec>, PassReport, String);
@@ -780,17 +777,11 @@ mod tests {
                     .map(|_| U32Rec::new(rng.next_u32().max(1)))
                     .collect();
                 let runs = RunSet::from_chunks(data, run_len);
-                let memory = if step % 4 == 3 {
-                    cfg.memory
-                } else {
-                    cfg.memory.shard_view(fan_in)
-                };
                 let pass = PassPlan {
                     fan_in,
                     runs_in: runs.num_runs(),
                     groups: runs.num_runs().div_ceil(fan_in),
                     tasks: 1,
-                    memory,
                     stage: 1,
                 };
                 let run = |scratch: &mut PassScratch<U32Rec>, bound, reference| {

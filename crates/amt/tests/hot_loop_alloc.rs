@@ -91,15 +91,15 @@ fn simulation_loop_is_allocation_free_on_both_paths() {
 }
 
 /// A scratch that has run one group runs the next — fewer records, a
-/// narrower fan-in, a smaller bank view — without touching the heap at
-/// all: the counter is armed around `reset` and the loop together.
+/// narrower fan-in — without touching the heap at all: the counter is
+/// armed around both resets and the loop together.
 #[test]
 fn reset_scratch_runs_a_second_group_without_allocating() {
     for reference in [false, true] {
         let cfg = config();
         let first = presorted_runs(&cfg, 30_000, 9);
         let mut sim = PassSim::new(&cfg, &first, 0..first.num_runs(), 16);
-        let mut memory = Memory::new(cfg.memory.shard_view(16));
+        let mut memory = Memory::new(cfg.memory);
         let mut next = reserved_for(&first);
         run_to_completion(&mut sim, &mut memory, &first, &mut next, reference);
 
@@ -108,7 +108,7 @@ fn reset_scratch_runs_a_second_group_without_allocating() {
         let mut reused = reserved_for(&second);
         let ((), allocs) = common::count_allocs(|| {
             sim.reset(&second, all.clone(), 8);
-            memory.reset(cfg.memory.shard_view(8));
+            memory.reset();
             run_to_completion(&mut sim, &mut memory, &second, &mut reused, reference);
         });
         assert_eq!(
@@ -118,7 +118,7 @@ fn reset_scratch_runs_a_second_group_without_allocating() {
 
         // Unarmed: the reused scratch computed what a new one computes.
         let mut fresh = PassSim::new(&cfg, &second, all, 8);
-        let mut fresh_memory = Memory::new(cfg.memory.shard_view(8));
+        let mut fresh_memory = Memory::new(cfg.memory);
         let mut fresh_next = (Vec::new(), Vec::new());
         run_to_completion(
             &mut fresh,

@@ -59,11 +59,12 @@ fn engine_equals_functional_schedule() {
 /// No simulated pass beats the hardware it runs on: every pass takes at
 /// least as many cycles as its root needs to emit its records (`p` per
 /// cycle) and as its memory needs to read and to write its bytes (every
-/// bank's port busy every cycle). The memory is the one the pass ran
-/// against: the whole memory for the fused plan, each group's
-/// `shard_view(fan_in)` for the per-group plan, whose pass is the sum
-/// of its groups. A pass that drops cycles it skipped, or moves bytes
-/// no port carried, fails here without a golden table.
+/// bank's port busy every cycle). Both plans stream every group from
+/// the whole memory; the per-group plan's pass is the sum of its
+/// groups. A pass that drops cycles it skipped, or moves bytes no port
+/// carried, fails here without a golden table. A pass of one group is
+/// one simulation on either plan, so its report is the same on both,
+/// fast-forwarded cycles included.
 #[test]
 fn no_pass_beats_its_physical_floors_on_either_plan() {
     let presets = [
@@ -74,7 +75,7 @@ fn no_pass_beats_its_physical_floors_on_either_plan() {
         MemoryConfig::ssd_direct(),
     ];
     let mut rng = Rng::seed_from_u64(0xA370_0005);
-    let mut passes = 0;
+    let (mut passes, mut one_group) = (0, 0);
     for round in 0..120 {
         let (p, l) = (1 << rng.range_usize(0, 4), 1 << rng.range_usize(1, 8));
         let mut cfg = SimEngineConfig::with_memory(AmtConfig::new(p, l), 4, presets[round % 5]);
@@ -89,30 +90,39 @@ fn no_pass_beats_its_physical_floors_on_either_plan() {
         let (_, per_group) = SimEngine::new(cfg)
             .try_sort_pipelined(data, 1)
             .expect("sorts");
-        for (plan, report) in [("fused", fused), ("per-group", per_group)] {
+        let ctx = format!("round {round} AMT({p}, {l}) {len} records");
+        let banks = cfg.memory.banks as u64;
+        let (read, write) = (
+            banks * cfg.memory.read_bytes_per_cycle,
+            banks * cfg.memory.write_bytes_per_cycle,
+        );
+        for (plan, report) in [("fused", &fused), ("per-group", &per_group)] {
             assert_eq!(report.passes.len(), fan_ins.len());
-            for (pass, &fan_in) in report.passes.iter().zip(&fan_ins) {
-                let memory = match plan {
-                    "fused" => cfg.memory,
-                    _ => cfg.memory.shard_view(fan_in as usize),
-                };
-                let banks = memory.banks as u64;
+            for pass in &report.passes {
                 let floor = [
                     pass.records.div_ceil(p as u64),
-                    pass.bytes_read
-                        .div_ceil(banks * memory.read_bytes_per_cycle),
-                    pass.bytes_written
-                        .div_ceil(banks * memory.write_bytes_per_cycle),
+                    pass.bytes_read.div_ceil(read),
+                    pass.bytes_written.div_ceil(write),
                 ];
                 assert!(
                     floor.iter().all(|&f| pass.cycles >= f),
-                    "round {round} AMT({p}, {l}) {len} records, {plan} stage {}: {} cycles, floors {floor:?}",
+                    "{ctx}, {plan} stage {}: {} cycles, floors {floor:?}",
                     pass.stage,
                     pass.cycles,
                 );
                 passes += 1;
             }
         }
+        for (fused, per_group) in fused.passes.iter().zip(&per_group.passes) {
+            if fused.runs_out == 1 {
+                assert_eq!(fused, per_group, "{ctx}, stage {}", fused.stage);
+                one_group += 1;
+            }
+        }
     }
     assert!(passes > 500, "only {passes} passes checked");
+    assert!(
+        one_group > 100,
+        "only {one_group} one-group passes compared"
+    );
 }

@@ -167,30 +167,6 @@ impl MemoryConfig {
         let transfer = batch_bytes.div_ceil(self.read_bytes_per_cycle.max(1));
         transfer as f64 / (transfer + self.burst_setup_cycles) as f64
     }
-
-    /// The bank share of a merge group streaming `leaves` runs in the
-    /// per-group plan: one bank per leaf, at most all of them. This is the
-    /// premise of the dead-hardware and read-rate verdicts (`BON034`,
-    /// `BON032`) of `bonsai_model::check::analyze_engine`. The loader
-    /// itself binds no leaf to a bank: [`crate::DataLoader::tick`] issues
-    /// each burst on any free read port, so one leaf can keep several
-    /// banks busy (`docs/SIMULATOR.md`, "Known deviations").
-    pub fn banks_serving(&self, leaves: usize) -> usize {
-        self.banks.min(leaves)
-    }
-
-    /// The memory one merge group owns in the per-group plan: the same
-    /// per-bank port shape with [`MemoryConfig::banks_serving`] banks for
-    /// its `active_leaves` runs (at least one). With
-    /// `banks <= active_leaves` the view is the whole memory, so a
-    /// wide-enough group changes no bank count.
-    #[must_use]
-    pub fn shard_view(&self, active_leaves: usize) -> Self {
-        Self {
-            banks: self.banks_serving(active_leaves.max(1)).max(1),
-            ..*self
-        }
-    }
 }
 
 /// Leaf input-buffer capacity in read batches: the hardware FIFO "can
@@ -301,54 +277,5 @@ mod tests {
         let l = LoaderConfig::paper_default(4);
         assert_eq!(l.batch_records(), 1024);
         assert_eq!(l.buffer_records(), 2048);
-    }
-
-    #[test]
-    fn a_group_is_served_by_one_bank_per_leaf_at_most() {
-        let m = MemoryConfig::ddr4_aws_f1();
-        assert_eq!(m.banks_serving(2), 2);
-        assert_eq!(m.banks_serving(3), 3);
-        assert_eq!(m.banks_serving(6), 4);
-        assert_eq!(m.banks_serving(64), 4);
-        assert_eq!(m.shard_view(3).banks, 3);
-        let none = MemoryConfig {
-            banks: 0,
-            ..MemoryConfig::ddr4_aws_f1()
-        };
-        assert_eq!(none.banks_serving(64), 0);
-    }
-
-    #[test]
-    fn single_bank_shard_view_is_the_whole_memory() {
-        let m = MemoryConfig::ddr4_single_bank();
-        assert_eq!(m.banks_serving(0), 0);
-        assert_eq!(m.banks_serving(64), 1);
-        let view = m.shard_view(64);
-        assert_eq!(view.banks, 1);
-        assert_eq!(view, m, "the whole memory is its own shard view");
-    }
-
-    #[test]
-    fn zero_leaf_shard_view_still_yields_a_usable_memory() {
-        // A group with no active leaves (or a zero-bank memory) must
-        // not produce a bankless — hence portless — shard view: the
-        // net lowering and the pass sharder both assume at least one
-        // read channel exists.
-        let m = MemoryConfig::ddr4_aws_f1();
-        assert_eq!(m.banks_serving(0), 0, "serving count itself is honest");
-        assert_eq!(m.shard_view(0).banks, 1, "clamped for the degenerate group");
-        let none = MemoryConfig {
-            banks: 0,
-            ..MemoryConfig::ddr4_aws_f1()
-        };
-        assert_eq!(none.shard_view(0).banks, 1);
-        assert_eq!(none.shard_view(64).banks, 1);
-        // Everything but the bank count is preserved by the view.
-        let view = m.shard_view(2);
-        assert_eq!(view.banks, 2);
-        assert_eq!(view.read_bytes_per_cycle, m.read_bytes_per_cycle);
-        assert_eq!(view.write_bytes_per_cycle, m.write_bytes_per_cycle);
-        assert_eq!(view.capacity_bytes, m.capacity_bytes);
-        assert_eq!(view.burst_setup_cycles, m.burst_setup_cycles);
     }
 }

@@ -96,34 +96,29 @@ pub struct Memory {
 }
 
 impl Memory {
-    /// Builds a memory from its configuration.
-    pub fn new(config: MemoryConfig) -> Self {
-        let mut memory = Self {
-            config,
-            read_ports: Vec::new(),
-            write_ports: Vec::new(),
-        };
-        memory.reset(config);
-        memory
-    }
-
-    /// Rebuilds the memory for `config` — idle ports, zeroed statistics
-    /// — reusing the port storage, so it allocates only when `config`
-    /// has more banks than any this memory has held.
+    /// Builds a memory from its configuration: idle ports, zeroed
+    /// statistics.
     ///
     /// # Panics
     ///
     /// Panics if `config.banks` is zero.
-    pub fn reset(&mut self, config: MemoryConfig) {
+    pub fn new(config: MemoryConfig) -> Self {
         assert!(config.banks > 0, "memory needs at least one bank");
-        self.config = config;
         let setup = config.burst_setup_cycles;
-        self.read_ports.clear();
-        self.read_ports
-            .extend((0..config.banks).map(|_| Port::new(config.read_bytes_per_cycle, setup)));
-        self.write_ports.clear();
-        self.write_ports
-            .extend((0..config.banks).map(|_| Port::new(config.write_bytes_per_cycle, setup)));
+        let ports = |bytes_per_cycle| vec![Port::new(bytes_per_cycle, setup); config.banks];
+        Self {
+            config,
+            read_ports: ports(config.read_bytes_per_cycle),
+            write_ports: ports(config.write_bytes_per_cycle),
+        }
+    }
+
+    /// Returns the memory to its just-built state — idle ports, zeroed
+    /// statistics — without touching the heap.
+    pub fn reset(&mut self) {
+        for port in self.read_ports.iter_mut().chain(&mut self.write_ports) {
+            *port = Port::new(port.bytes_per_cycle, port.setup_cycles);
+        }
     }
 
     /// The configuration this memory was built from.
@@ -257,18 +252,15 @@ mod tests {
     }
 
     #[test]
-    fn reset_memory_is_idle_with_the_new_bank_count() {
+    fn reset_memory_is_idle() {
         let mut m = Memory::new(MemoryConfig::ddr4_aws_f1());
-        m.read_port_mut(3).try_start(0, 4096).expect("free port");
+        m.read_port_mut(0).try_start(0, 4096).expect("free port");
         m.write_port_mut(0).try_start(0, 4096).expect("free port");
-        m.reset(MemoryConfig::ddr4_aws_f1().shard_view(2));
-        assert_eq!(m.banks(), 2);
-        assert_eq!((m.bytes_read(), m.bytes_written()), (0, 0));
-        assert_eq!(m.next_read_port_free(), Some(0));
-        assert_eq!(m.free_write_port(0), Some(0));
-        m.reset(MemoryConfig::ddr4_aws_f1());
+        m.reset();
         assert_eq!(m.banks(), 4);
+        assert_eq!((m.bytes_read(), m.bytes_written()), (0, 0));
         assert_eq!(m.free_read_port(0), Some(0));
+        assert_eq!(m.free_write_port(0), Some(0));
     }
 
     #[test]

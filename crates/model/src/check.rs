@@ -188,9 +188,9 @@ struct Dataflow {
 /// channels — each a closed form over the configuration. With ℓ leaves,
 /// `w` the bottom merger width, `n = max(banks, 1)` channels per
 /// direction, `serving = max(min(banks, ℓ), [banks = 0])` read channels
-/// that feed a leaf (the per-group plan's bank share,
-/// `MemoryConfig::banks_serving`: one bank per leaf; the simulated
-/// loader issues on any free port, see `docs/SIMULATOR.md`), and
+/// that feed a leaf (this check's own static rule of one bank per leaf;
+/// the simulated loader issues on any free port and no simulated plan
+/// splits the banks, see `docs/SIMULATOR.md`), and
 /// `R` / `W` the per-bank read / write rates (0 without banks):
 ///
 /// - `BON031` ⇔ a leaf buffer (`batch_records · LEAF_BUFFER_BATCHES`) holds
@@ -217,9 +217,7 @@ fn dataflow(config: &SimEngineConfig, payload_bytes: u64) -> Dataflow {
     let need = amt.merger_width_at_level(bottom) as u64 + 1;
     let leaf_depth = loader.batch_bytes / loader.record_bytes * LEAF_BUFFER_BATCHES;
     let channels = memory.banks.max(1);
-    let serving = memory
-        .banks_serving(leaves)
-        .max(usize::from(memory.banks == 0));
+    let serving = memory.banks.min(leaves).max(usize::from(memory.banks == 0));
     let (read, write) = if memory.banks == 0 {
         (0, 0)
     } else {

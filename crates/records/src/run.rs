@@ -179,12 +179,6 @@ impl<R: Record> RunSet<R> {
         Self { records, starts }
     }
 
-    /// Builds a single-run set from fully sorted data.
-    pub fn single_run(records: Vec<R>) -> Self {
-        let starts = if records.is_empty() { vec![] } else { vec![0] };
-        Self { records, starts }
-    }
-
     /// Total number of records.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -333,14 +327,6 @@ mod tests {
         assert!(rs.is_empty());
         assert_eq!(rs.num_runs(), 0);
         assert!(rs.validate().is_ok());
-    }
-
-    #[test]
-    fn single_run_roundtrip() {
-        let rs = RunSet::single_run(recs(&[1, 2, 3]));
-        assert_eq!(rs.num_runs(), 1);
-        assert_eq!(rs.iter_runs().count(), 1);
-        assert_eq!(rs.into_records(), recs(&[1, 2, 3]));
     }
 
     #[test]
