@@ -3,11 +3,10 @@
 //! With no arguments, lints every configuration the experiment suite
 //! and examples construct — the one engine pass
 //! (`bonsai_model::check::analyze_engine`: shape checks, the pipeline
-//! dataflow checks for FIFO flush depth, min-cut bandwidth and dead
-//! components, the latency-bound certification and the static
-//! throughput floor) plus one model-vs-simulation drift
-//! probe — and exits non-zero if any error-severity `BONxxx`
-//! diagnostic fires. With overrides, lints a
+//! dataflow checks for FIFO flush depth and min-cut bandwidth, the
+//! latency-bound certification and the static throughput floor) plus
+//! one model-vs-simulation drift probe — and exits non-zero if any
+//! error-severity `BONxxx` diagnostic fires. With overrides, lints a
 //! single raw configuration instead — the hook CI uses to prove the
 //! linter rejects a deliberately broken config:
 //!
@@ -73,7 +72,7 @@ fn emit(findings: &[LintFinding], json: bool) -> ExitCode {
 
 const USAGE: &str = "usage: bonsai-lint [--p N] [--l N] [--batch-bytes N] \
 [--record-bytes N] [--presort N] \
-[--memory ddr4|single|hbm|ssd] [--banks N] [--payload-bytes N] \
+[--memory ddr4|single|hbm|ssd] [--payload-bytes N] \
 [--json]
        bonsai-lint --runtime [--workers N] [--queue-depth N] [--cores N] \
 [--cache-shapes N] [--reprogram-us N] [--json]
@@ -146,7 +145,6 @@ fn engine_flag(
         "--batch-bytes" => engine.loader.batch_bytes = args.int(flag),
         "--record-bytes" => engine.loader.record_bytes = args.int(flag),
         "--presort" => engine.presort = Some(args.int(flag) as usize),
-        "--banks" => extras.banks = Some(args.int(flag) as usize),
         "--payload-bytes" => extras.payload_bytes = Some(args.int(flag)),
         "--memory" => {
             engine.memory = match args.0.next().as_deref() {

@@ -139,6 +139,7 @@ fn usage_errors_exit_two() {
         &["--runtime", "--pass-workers", "2"], // the retired runtime
         &["--runtime", "--records", "1000"],   // knobs and their probe
         &["--runtime", "--fairness-stride", "0"],
+        &["--banks", "0"], // the retired zero-bank probe
     ] {
         let out = lint(args);
         assert_eq!(exit_code(&out), 2, "{args:?}");

@@ -232,10 +232,6 @@ pub mod codes {
         /// latency lower bound (critical path / min-cut certification
         /// failed).
         GRAPH_LATENCY_BOUND_VIOLATION = "BON033", Error, "model predicts below the static latency bound";
-        /// A node lies on no source→sink dataflow path.
-        GRAPH_DEAD_COMPONENT = "BON034", Error, "node on no source->sink path";
-        /// A memory-channel node has zero assigned banks.
-        GRAPH_CHANNEL_ZERO_BANKS = "BON035", Error, "memory channel has zero assigned banks";
         /// Model latency drifted beyond tolerance from a SimEngine probe.
         GRAPH_MODEL_DRIFT = "BON036", Warning, "model drifted from simulation beyond tolerance";
 

@@ -47,8 +47,8 @@ fn draw_config(rng: &mut Rng) -> SimEngineConfig {
     }
 }
 
-/// Draws per sweep. About one draw in seven survives every analysis, so
-/// this simulates some sixty accepted configurations.
+/// Draws per sweep. About one draw in five survives every analysis, so
+/// this simulates some eighty accepted configurations.
 const TRIALS: u64 = 400;
 
 #[test]
@@ -133,20 +133,36 @@ fn bon031_config_still_completes_in_simulation() {
     assert_eq!(out, expected);
 }
 
+/// The paper's shapes, and two trees with fewer leaves than banks: the
+/// loader issues each burst on any free bank port, so every bank serves
+/// and the analyzer accepts them.
 #[test]
 fn every_paper_preset_is_analyzer_clean_and_sanitizer_clean() {
     let presets = [
         SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4),
         SimEngineConfig::dram_sorter(AmtConfig::new(8, 64), 4),
         SimEngineConfig::dram_sorter(AmtConfig::new(2, 8), 4).without_presort(),
+        SimEngineConfig::dram_sorter(AmtConfig::new(2, 2), 4),
+        SimEngineConfig::with_memory(AmtConfig::new(4, 4), 4, MemoryConfig::hbm_u50()),
     ];
     for cfg in presets {
-        assert!(!has_errors(&analyze(&cfg)), "preset {cfg:?} rejected");
+        let diags = analyze(&cfg);
+        assert!(!has_errors(&diags), "preset {cfg:?} rejected: {diags:?}");
         let data = uniform_u32(3_000, 77);
         let mut engine = SimEngine::new(cfg);
-        let (out, _) = engine.sort(data);
+        let (out, report) = engine.sort(data);
         assert!(out.windows(2).all(|w| w[0] <= w[1]));
         assert!(engine.sanitizer_diagnostics().is_empty());
+        let array = ArrayParams {
+            n_records: out.len() as u64,
+            record_bytes: cfg.loader.record_bytes,
+        };
+        let ceiling = static_cycle_ceiling(&cfg, &array).expect("bounded");
+        assert!(
+            report.total_cycles <= ceiling,
+            "{cfg:?} simulated {} cycles > static ceiling {ceiling}",
+            report.total_cycles
+        );
     }
 }
 

@@ -105,17 +105,17 @@ pub fn check_full_config(
 const CERTIFY_BYTES: u64 = 1 << 30;
 
 /// The static pass over one engine configuration: the shape checks,
-/// then the dataflow checks of the composed pipeline (`BON031`–`BON035`,
-/// each a closed form over the configuration), the Eq. 1 latency-bound
-/// certification (`BON033`) on that pipeline's max-flow and critical
-/// path and, for configurations clean so far, the static throughput
-/// floor (`BON064`).
+/// then the dataflow checks of the composed pipeline (`BON031`,
+/// `BON032`, each a closed form over the configuration), the Eq. 1
+/// latency-bound certification (`BON033`) on that pipeline's max-flow
+/// and critical path and, for configurations clean so far, the static
+/// throughput floor (`BON064`).
 ///
 /// `payload_bytes` is the width written back per record; `None` means
 /// the full record width. `Some(0)` is `BON017`: each write channel
-/// would have to buffer infinitely many records per batch. A payload of
-/// zero, an invalid tree shape or a zero record width leaves no
-/// pipeline to judge, so the pass stops after the shape checks.
+/// would have to buffer infinitely many records per batch. The pass
+/// judges only the engine [`SimEngine::try_new`] would build, so any
+/// shape error stops it after the shape checks.
 #[must_use]
 pub fn analyze_engine(
     config: &SimEngineConfig,
@@ -132,10 +132,10 @@ pub fn analyze_engine(
             .with("payload_bytes", 0),
         );
     }
-    let record_bytes = config.loader.record_bytes;
-    if payload_bytes == Some(0) || record_bytes == 0 || has_errors(&config.amt.validate()) {
+    if has_errors(&diagnostics) {
         return diagnostics;
     }
+    let record_bytes = config.loader.record_bytes;
     let flow = dataflow(config, payload_bytes.unwrap_or(record_bytes));
     diagnostics.extend(flow.diagnostics);
     // Built by hand: `from_bytes` asserts divisibility, and a record
@@ -175,7 +175,7 @@ fn name_some(count: usize, name: impl Fn(usize) -> String) -> String {
 
 /// What [`dataflow`] finds in one configuration.
 struct Dataflow {
-    /// `BON031`, `BON032`, `BON034`, `BON035`, in that order.
+    /// `BON031`, `BON032`, in that order.
     diagnostics: Vec<Diagnostic>,
     /// Sustained memory-to-memory rate in bytes per cycle.
     max_flow: u64,
@@ -185,30 +185,25 @@ struct Dataflow {
 
 /// The dataflow checks of the composed pipeline — read channels →
 /// loader → leaf buffers → merger/coupler tree → write drain → write
-/// channels — each a closed form over the configuration. With ℓ leaves,
-/// `w` the bottom merger width, `n = max(banks, 1)` channels per
-/// direction, `serving = max(min(banks, ℓ), [banks = 0])` read channels
-/// that feed a leaf (this check's own static rule of one bank per leaf;
-/// the simulated loader issues on any free port and no simulated plan
-/// splits the banks, see `docs/SIMULATOR.md`), and
-/// `R` / `W` the per-bank read / write rates (0 without banks):
+/// channels — each a closed form over the configuration, on the whole
+/// memory the simulated loader issues to (any burst on any free bank
+/// port). With ℓ leaves, `w` the bottom merger width, and `R` / `W`
+/// the read / write rates of each bank, one read and one write channel:
 ///
 /// - `BON031` ⇔ a leaf buffer (`batch_records · LEAF_BUFFER_BATCHES`) holds
 ///   fewer than `w + 1` records, the §V-B tuple plus terminal (the ℓ
 ///   leaf edges), or a write channel's `batch_bytes / payload_bytes`
 ///   holds none (both edges of every write channel).
-/// - max-flow = `min(serving·R, p·r, n·W)`, and `BON032` ⇔ it is below
-///   the root's `p·r`. The cut is the serving read channels (all `n`
-///   when `R = 0`) while `serving·R ≤ n·W`, the write channels otherwise.
+/// - max-flow = `min(banks·R, p·r, banks·W)`, and `BON032` ⇔ it is below
+///   the root's `p·r`. The cut is the read channels while `R ≤ W`, the
+///   write channels otherwise.
 /// - critical path = `2·burst_setup + 2 + log₂ℓ + min(log₂p, log₂ℓ − 1)`:
 ///   a setup per channel, the loader, the drain, one cycle per merger
 ///   level and one per coupler.
-/// - `BON034` ⇔ `serving < n`: channels `serving..n` read for no leaf.
-/// - `BON035` ⇔ `banks == 0`.
 ///
 /// No other term can bind: an internal tree FIFO holds `max(8·w, 16)`
 /// records, and every tree level carries at least the root's `p·r`.
-/// Needs a valid tree shape and non-zero record and payload widths.
+/// Needs a configuration without shape errors and a non-zero payload.
 fn dataflow(config: &SimEngineConfig, payload_bytes: u64) -> Dataflow {
     let (amt, loader, memory) = (config.amt, config.loader, config.memory);
     let leaves = amt.l;
@@ -216,20 +211,15 @@ fn dataflow(config: &SimEngineConfig, payload_bytes: u64) -> Dataflow {
     let bottom = levels - 1;
     let need = amt.merger_width_at_level(bottom) as u64 + 1;
     let leaf_depth = loader.batch_bytes / loader.record_bytes * LEAF_BUFFER_BATCHES;
-    let channels = memory.banks.max(1);
-    let serving = memory.banks.min(leaves).max(usize::from(memory.banks == 0));
-    let (read, write) = if memory.banks == 0 {
-        (0, 0)
-    } else {
-        (memory.read_bytes_per_cycle, memory.write_bytes_per_cycle)
-    };
+    let banks = memory.banks;
+    let (read, write) = (memory.read_bytes_per_cycle, memory.write_bytes_per_cycle);
     // Two leaf edges per bottom merger.
     let leaf_edge = |j: usize| format!("loader->merger_l{bottom}_{}", j / 2);
 
     let mut diagnostics = Vec::new();
     let shallow_leaves = if leaf_depth < need { leaves } else { 0 };
     let shallow_writes = if loader.batch_bytes / payload_bytes == 0 {
-        2 * channels
+        2 * banks
     } else {
         0
     };
@@ -251,17 +241,14 @@ fn dataflow(config: &SimEngineConfig, payload_bytes: u64) -> Dataflow {
     }
 
     let required = amt.p as u64 * loader.record_bytes;
-    let read_cut = serving as u64 * read;
-    let write_cut = channels as u64 * write;
+    let read_cut = banks as u64 * read;
+    let write_cut = banks as u64 * write;
     let max_flow = read_cut.min(required).min(write_cut);
     if max_flow < required {
         let bottleneck = if read_cut <= write_cut {
-            // A channel that reads nothing is cut whether or not it
-            // serves a leaf.
-            let cut = if read == 0 { channels } else { serving };
-            name_some(cut, |c| format!("source->chan_r{c} ({read} B/cyc)"))
+            name_some(banks, |c| format!("source->chan_r{c} ({read} B/cyc)"))
         } else {
-            name_some(channels, |c| format!("drain->chan_w{c} ({write} B/cyc)"))
+            name_some(banks, |c| format!("drain->chan_w{c} ({write} B/cyc)"))
         };
         diagnostics.push(
             Diagnostic::error(
@@ -271,31 +258,6 @@ fn dataflow(config: &SimEngineConfig, payload_bytes: u64) -> Dataflow {
             .with("max_flow_bytes_per_cycle", max_flow)
             .with("required_bytes_per_cycle", required)
             .with("bottleneck", bottleneck),
-        );
-    }
-
-    if serving < channels {
-        let dead = channels - serving;
-        diagnostics.push(
-            Diagnostic::error(
-                codes::GRAPH_DEAD_COMPONENT,
-                "node lies on no source->sink dataflow path (dead hardware)",
-            )
-            .with(
-                "nodes",
-                name_some(dead, |i| format!("chan_r{}", serving + i)),
-            )
-            .with("count", dead),
-        );
-    }
-    if memory.banks == 0 {
-        diagnostics.push(
-            Diagnostic::error(
-                codes::GRAPH_CHANNEL_ZERO_BANKS,
-                "memory channel has zero assigned banks",
-            )
-            .with("channels", "chan_r0, chan_w0")
-            .with("count", 2),
         );
     }
 
@@ -331,22 +293,14 @@ fn certify_latency_bound(
     critical_path: u64,
 ) -> Vec<Diagnostic> {
     let presort = config.presort.unwrap_or(1);
-    if presort == 0 {
-        // BON025 is already reported, and Eq. 1 has no stage count for
-        // zero-length initial runs (`perf::stages` asserts on it).
-        return Vec::new();
-    }
     let s = perf::stages(array.n_records, config.amt.l, presort);
     if s == 0 {
         return Vec::new();
     }
     let f = hw.freq_hz;
     let model_secs = perf::eq1_latency(array, hw, config.amt.p, config.amt.l, presort);
-    let bound_secs = if cut == 0 {
-        f64::INFINITY
-    } else {
-        f64::from(s) * array.total_bytes() as f64 / (cut as f64 * f) + critical_path as f64 / f
-    };
+    let bound_secs =
+        f64::from(s) * array.total_bytes() as f64 / (cut as f64 * f) + critical_path as f64 / f;
     if model_secs * (1.0 + CERTIFY_TOLERANCE) < bound_secs {
         vec![Diagnostic::error(
             codes::GRAPH_LATENCY_BOUND_VIOLATION,
@@ -617,11 +571,10 @@ mod tests {
         // loader, the drain, four merger levels and two couplers.
         let flow = dataflow(&SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4), 4);
         assert_eq!(flow.critical_path, 24);
-        // A tree with fewer leaves than DDR4 banks needs a memory with
-        // no more banks than leaves, or the spare channels are dead.
+        // A tree with fewer leaves than DDR4 banks still reads on all
+        // four: the loader issues each burst on any free bank port.
         for (p, l) in [(1, 2), (2, 4)] {
-            let single = MemoryConfig::ddr4_single_bank();
-            let config = SimEngineConfig::with_memory(AmtConfig::new(p, l), 4, single);
+            let config = SimEngineConfig::dram_sorter(AmtConfig::new(p, l), 4);
             assert_eq!(dataflow(&config, 4).diagnostics, Vec::new(), "AMT({p},{l})");
         }
     }

@@ -29,7 +29,7 @@
 
 use std::io::{self, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
@@ -168,6 +168,11 @@ struct Shared<R: WireRecord> {
     /// Where [`Shared::begin_stop`] connects to wake the accept loop
     /// (see [`connectable`]); `None` when nothing accepts.
     wake: Option<SocketAddr>,
+    /// Connections being served, the count [`MAX_CONNECTIONS`] caps:
+    /// [`admit`] takes a place before it spawns a connection's thread,
+    /// and that connection's [`OpenSlot`] gives it back.
+    open: AtomicUsize,
+    /// The connection threads, held only so shutdown can join them.
     conns: Mutex<Vec<JoinHandle<()>>>,
     stats: StatsInner,
     /// Where a connection's threads come from: [`named_thread`], or in
@@ -192,6 +197,7 @@ impl<R: WireRecord> Shared<R> {
             stop_lock: Mutex::new(()),
             stopped: Condvar::new(),
             wake: None,
+            open: AtomicUsize::new(0),
             conns: Mutex::new(Vec::new()),
             stats: StatsInner::default(),
             thread: named_thread,
@@ -367,33 +373,47 @@ fn accept_loop<R: WireRecord>(listener: TcpListener, shared: &Arc<Shared<R>>) {
     }
 }
 
+/// One connection's place in [`Shared::open`], given back when this
+/// drops: at the end of the connection's thread, in a panic there too,
+/// or with the closure of a spawn that was refused.
+struct OpenSlot<R: WireRecord>(Arc<Shared<R>>);
+
+impl<R: WireRecord> Drop for OpenSlot<R> {
+    fn drop(&mut self) {
+        self.0.open.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// Serves an accepted connection on its own thread, or, with
 /// [`MAX_CONNECTIONS`] already open, answers it with one `BON076` frame
 /// (job id 0) and closes it.
 fn admit<R: WireRecord>(mut stream: TcpStream, shared: &Arc<Shared<R>>) {
     shared.stats.connections.fetch_add(1, Ordering::Relaxed);
-    let open = {
-        let mut conns = shared.conns.lock().expect("conns lock");
-        // A finished connection's handle has nothing left to join: drop
-        // it, so the server holds one handle per open connection, not per
-        // connection ever accepted, and the cap counts open ones.
-        conns.retain(|conn| !conn.is_finished());
-        conns.len()
-    };
-    if open >= MAX_CONNECTIONS {
+    // Only this thread takes places, so the count cannot rise between
+    // the check and the take.
+    if shared.open.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
         if shared.config.log {
             eprintln!("bonsai-serve: {MAX_CONNECTIONS} connections open, turned one away (BON076)");
         }
         let _ = frame::write_response_err(&mut stream, 0, &WireError::Closed);
         return;
     }
-    let conn_shared = Arc::clone(shared);
+    shared.open.fetch_add(1, Ordering::SeqCst);
+    let slot = OpenSlot(Arc::clone(shared));
     let spawned = (shared.thread)("bonsai-net-conn")
-        .and_then(|conn| conn.spawn(move || serve_conn(stream, &conn_shared)));
+        .and_then(|conn| conn.spawn(move || serve_conn(stream, &slot.0)));
     match spawned {
-        Ok(handle) => shared.conns.lock().expect("conns lock").push(handle),
-        // The socket went with the thread's closure, so the client sees
-        // its connection close; accept goes on.
+        Ok(handle) => {
+            let mut conns = shared.conns.lock().expect("conns lock");
+            // A finished connection's handle has nothing left to join:
+            // drop it, so the server holds one handle per open
+            // connection, not per connection ever accepted.
+            conns.retain(|conn| !conn.is_finished());
+            conns.push(handle);
+        }
+        // The socket and the slot went with the thread's closure, so the
+        // client sees its connection close and its place is free again;
+        // accept goes on.
         Err(e) => eprintln!("bonsai-serve: no thread for a connection, closed it: {e}"),
     }
 }
@@ -1062,10 +1082,9 @@ mod tests {
         assert_eq!(answers("round trip", &[reply]), want(&[(id, "sorted")]));
     }
 
-    /// How many of `server`'s connection threads are running.
+    /// How many connections `server` serves, the count its cap reads.
     fn open_conns(server: &Server<U32Rec>) -> usize {
-        let conns = server.shared.conns.lock().expect("conns lock");
-        conns.iter().filter(|conn| !conn.is_finished()).count()
+        server.shared.open.load(Ordering::SeqCst)
     }
 
     /// 32 connections in turn, each sorting one job and closing: the
@@ -1133,6 +1152,40 @@ mod tests {
         });
         join_conns(&shared);
         assert_eq!(stats(&shared).connections, 2);
+        assert_eq!(shared.open.load(Ordering::SeqCst), 0, "places held");
+    }
+
+    /// A connection's thread panics (its writer's thread source does):
+    /// the client reads the socket close, and the place it held under
+    /// the cap is free again.
+    #[test]
+    fn a_panicking_connection_gives_its_place_back() {
+        fn panics_for_the_writer(name: &'static str) -> io::Result<thread::Builder> {
+            assert_ne!(name, "bonsai-net-writer", "no writer, and no way to go on");
+            named_thread(name)
+        }
+
+        let _serial = serial();
+        let mut shared = shared(2);
+        shared.thread = panics_for_the_writer;
+        let (listener, addr) = listen(&mut shared);
+        let shared = Arc::new(shared);
+        thread::scope(|scope| {
+            let accept = scope.spawn(|| accept_loop(listener, &shared));
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("read timeout");
+            let closed = stream.read(&mut [0u8; 1]);
+            assert!(matches!(closed, Ok(0)), "the socket closes: {closed:?}");
+            shared.begin_stop();
+            accept.join().expect("the accept loop ends at shutdown");
+        });
+        let conns = std::mem::take(&mut *shared.conns.lock().expect("conns lock"));
+        for conn in conns {
+            assert!(conn.join().is_err(), "the connection thread panicked");
+        }
+        assert_eq!(shared.open.load(Ordering::SeqCst), 0, "places held");
     }
 
     /// `accept` fails for one connection and then as a process out of
