@@ -37,8 +37,8 @@
 //! non-empty cases of `tests/golden_report.txt` the per-group sum is
 //! 1.00–20.4× the fused total (median 1.29×): equal for one-group
 //! sorts, up to 20.4× on the flash stream, where every standalone group
-//! pays the access latency the fused tree hides; DESIGN.md §5 has the
-//! table and says which number is quoted where.
+//! pays the access latency the fused tree hides; DESIGN.md §5, "Two
+//! timings", has the table and says which number is quoted where.
 
 use std::ops::Range;
 

@@ -12,7 +12,9 @@
 //! head exceeds, so a match is one `<` and three selects: no `Option`,
 //! no empty-node test, and no tie-break, because records that compare
 //! equal are bit-identical (`Ord` and `Eq` are derived on every
-//! [`Record`]). DESIGN.md §5 has the measurements.
+//! [`Record`]). DESIGN.md §4, "Host merge kernel and the host sort",
+//! gives the design; `bonsai-benchmark` times the kernel
+//! (`amt.loser_tree.kway_ns_per_record.*`).
 
 use bonsai_records::Record;
 

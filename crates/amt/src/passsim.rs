@@ -22,7 +22,8 @@
 //!   event, so the clock jumps straight to
 //!   `min(loader, drain).next_event_cycle()` and the skipped span is
 //!   folded into the same `cycles`/stall counters the per-cycle loop
-//!   would have produced (see `docs/SIMULATOR.md` for the argument).
+//!   would have produced (`docs/SIMULATOR.md`, "The event-driven fast
+//!   path", gives the argument).
 //!
 //! Every call of one pass gets the same two buffers: the input it was
 //! reset for, and the next pass's `(records, starts)`, which the pass

@@ -1,100 +1,11 @@
-//! Cycle-level ablation study of the Bonsai design choices (DESIGN.md §5):
-//!
-//! 1. terminal-record single-cycle flush vs a hypothetical d-cycle flush,
-//! 2. data-loader read batching (64 B … 4 KB),
-//! 3. the p-vs-ℓ trade-off at a fixed LUT budget.
-//!
-//! Run with `--release`.
-
-use bonsai_amt::{AmtConfig, PassReport, SimEngine, SimEngineConfig};
-use bonsai_bench::table::Table;
-use bonsai_gensort::dist::uniform_u32;
-use bonsai_model::resource::amt_lut;
-use bonsai_model::ComponentLibrary;
-
-fn flush_ablation(n: usize) -> String {
-    let mut t = Table::new(vec![
-        "initial run len",
-        "stages",
-        "cycles",
-        "root flushes est.",
-        "cycles if flush cost 8",
-    ]);
-    for presort in [1usize, 4, 16] {
-        let mut cfg = SimEngineConfig::dram_sorter(AmtConfig::new(8, 16), 4);
-        cfg.presort = (presort > 1).then_some(presort);
-        let data = uniform_u32(n, 11);
-        let (_, report) = SimEngine::new(cfg).sort(data);
-        // Flushes per stage ~ groups = runs_in / fan_in, summed over all
-        // mergers; estimate from run counts.
-        let flushes: u64 = report.passes.iter().map(|p| p.runs_out * 15).sum();
-        t.row(vec![
-            presort.to_string(),
-            report.stages().to_string(),
-            report.total_cycles.to_string(),
-            flushes.to_string(),
-            (report.total_cycles + 7 * flushes).to_string(),
-        ]);
-    }
-    format!(
-        "Ablation 1: terminal-record flush (single-cycle, §V-B) on {n} records.\nShort initial runs flush constantly; a multi-cycle flush scheme would add\nthe final column's overhead.\n\n{}",
-        t.render()
-    )
-}
-
-fn loader_batch_ablation(n: usize) -> String {
-    let mut t = Table::new(vec!["batch bytes", "cycles", "effective rec/cycle"]);
-    for batch in [64u64, 256, 1024, 4096] {
-        let mut cfg = SimEngineConfig::dram_sorter(AmtConfig::new(8, 16), 4);
-        cfg.loader.batch_bytes = batch;
-        let data = uniform_u32(n, 12);
-        let (_, report) = SimEngine::new(cfg).sort(data);
-        let rpc = report
-            .passes
-            .iter()
-            .map(PassReport::records_per_cycle)
-            .sum::<f64>()
-            / report.passes.len().max(1) as f64;
-        t.row(vec![
-            batch.to_string(),
-            report.total_cycles.to_string(),
-            format!("{rpc:.2}"),
-        ]);
-    }
-    format!(
-        "Ablation 2: data-loader read batching (§V-A) on {n} records.\nSmall bursts pay DRAM setup latency on every read and starve the tree.\n\n{}",
-        t.render()
-    )
-}
-
-fn p_vs_l(n: usize) -> String {
-    let lib = ComponentLibrary::paper();
-    let mut t = Table::new(vec!["config", "LUT", "stages", "cycles", "rec/cycle"]);
-    for (p, l) in [(32usize, 16usize), (16, 64), (8, 256), (4, 256)] {
-        let cfg = SimEngineConfig::dram_sorter(AmtConfig::new(p, l), 4);
-        let data = uniform_u32(n, 13);
-        let (_, report) = SimEngine::new(cfg).sort(data);
-        let rpc = n as f64 * report.stages() as f64 / report.total_cycles as f64;
-        t.row(vec![
-            format!("AMT({p}, {l})"),
-            amt_lut(&lib, p, l, 32).to_string(),
-            report.stages().to_string(),
-            report.total_cycles.to_string(),
-            format!("{rpc:.2}"),
-        ]);
-    }
-    format!(
-        "Ablation 3: p vs l at comparable logic budgets on {n} records.\nHigh p finishes each stage faster; high l needs fewer stages. The optimizer\npicks p to just saturate memory bandwidth, then spends the rest on l (§VI-B2).\n\n{}",
-        t.render()
-    )
-}
+//! Prints the cycle-level ablations of the Bonsai design choices
+//! (`bonsai_bench::experiments::ablations`; DESIGN.md §4, "Ablations").
+//! Run with `--release`; pass a record count to change the array size.
 
 fn main() {
     let n: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(200_000);
-    println!("{}", flush_ablation(n));
-    println!("{}", loader_batch_ablation(n));
-    println!("{}", p_vs_l(n));
+    println!("{}", bonsai_bench::experiments::ablations::render(n));
 }

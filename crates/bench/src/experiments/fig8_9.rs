@@ -46,11 +46,16 @@ pub fn figure_amts() -> Vec<AmtConfig> {
     ]
 }
 
+/// One figure shape on the DRAM sorter, as the figures simulate it.
+pub fn config(amt: AmtConfig) -> SimEngineConfig {
+    SimEngineConfig::dram_sorter(amt, 4)
+}
+
 /// Simulates one AMT on `n_records` uniform u32 records and compares
 /// against the model.
 pub fn validate(amt: AmtConfig, n_records: usize, seed: u64) -> Point {
     let data = uniform_u32(n_records, seed);
-    let cfg = SimEngineConfig::dram_sorter(amt, 4);
+    let cfg = config(amt);
     let (_, report) = SimEngine::new(cfg).sort(data);
 
     // Plug the *simulated platform's* sustained bandwidth into Eq. 1:

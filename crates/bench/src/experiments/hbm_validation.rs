@@ -30,10 +30,20 @@ pub struct UnrollPoint {
     pub total_lut: u64,
 }
 
+/// The §VI-D `(λ, p, ℓ)` triples: one p = 32 tree, two p = 16 trees
+/// and four p = 8 trees, each of 64 leaves. `bonsai-lint` lints these
+/// shapes, both as one tree's engine and as the λ-way full design.
+pub const SHAPES: [(usize, usize, usize); 3] = [(1, 32, 64), (2, 16, 64), (4, 8, 64)];
+
+/// The engine configuration of one of the λ trees.
+pub fn config(p: usize, l: usize) -> SimEngineConfig {
+    SimEngineConfig::dram_sorter(AmtConfig::new(p, l), 4)
+}
+
 /// Co-simulates `lambda × AMT(p, l)` on the shared F1 memory.
 pub fn measure(lambda: usize, p: usize, l: usize, n_total: usize) -> UnrollPoint {
-    let amt = AmtConfig::new(p, l);
-    let cfg = SimEngineConfig::dram_sorter(amt, 4);
+    let cfg = config(p, l);
+    let amt = cfg.amt;
     let data = uniform_u32(n_total, lambda as u64);
     let (_, report) = UnrolledSim::new(cfg, lambda).sort(data);
     UnrollPoint {
@@ -44,13 +54,12 @@ pub fn measure(lambda: usize, p: usize, l: usize, n_total: usize) -> UnrollPoint
     }
 }
 
-/// The three validation configurations of §VI-D over `n_total` records.
+/// The [`SHAPES`] of §VI-D over `n_total` records.
 pub fn sweep(n_total: usize) -> Vec<UnrollPoint> {
-    vec![
-        measure(1, 32, 64, n_total),
-        measure(2, 16, 64, n_total),
-        measure(4, 8, 64, n_total),
-    ]
+    SHAPES
+        .iter()
+        .map(|&(lambda, p, l)| measure(lambda, p, l, n_total))
+        .collect()
 }
 
 /// Renders the §VI-D validation table.

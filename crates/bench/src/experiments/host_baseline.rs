@@ -12,12 +12,7 @@
 //! The `AMT functional` row runs every merge group through the one
 //! loser-tree kernel (`bonsai_amt::LoserTree`), on every core: the
 //! presort and each merge stage are spread over one worker per core,
-//! and the last stage's one wide merge is cut by output rank. On the
-//! 2-vCPU build host at 4 M records that row read 0.03 GB/s while the
-//! merge was a binary heap with a `Vec` per group, 0.08–0.10 GB/s with
-//! the kernel on one thread, and 0.14–0.17 GB/s on both cores with the
-//! presort through the bitonic network (`sort_unstable` 0.20–0.25,
-//! 1-thread radix 0.33–0.44 in the same runs).
+//! and the last stage's one wide merge is cut by output rank.
 
 use std::time::Instant;
 

@@ -1,5 +1,6 @@
 //! One module per table/figure of the paper's evaluation.
 
+pub mod ablations;
 pub mod fig10;
 pub mod fig11;
 pub mod fig12;

@@ -12,32 +12,64 @@ use bonsai_memsim::MemoryConfig;
 
 use crate::table::Table;
 
+/// One SSD-sorter phase of the validation table.
+#[derive(Debug, Clone, Copy)]
+pub struct Phase {
+    /// The table's phase column.
+    pub name: &'static str,
+    /// The table's design column.
+    pub design: &'static str,
+    /// Root throughput of the phase's tree.
+    pub p: usize,
+    /// Leaves of the phase's tree.
+    pub l: usize,
+    /// The rate the paper reports, as the table prints it.
+    pub paper_gbps: &'static str,
+}
+
+/// The two phases §VI-E validates; `bonsai-lint` lints their trees.
+pub const PHASES: [Phase; 2] = [
+    Phase {
+        name: "phase one (per pipeline stage)",
+        design: "AMT(8, 64), 1 bank",
+        p: 8,
+        l: 64,
+        paper_gbps: "7.19",
+    },
+    Phase {
+        name: "phase two (wide merge)",
+        design: "AMT(8, 256), throttled",
+        p: 8,
+        l: 256,
+        paper_gbps: "~8",
+    },
+];
+
+/// An AMT on memory throttled to 8 GB/s.
+pub fn config(amt: AmtConfig) -> SimEngineConfig {
+    SimEngineConfig::with_memory(amt, 4, MemoryConfig::throttled_to_ssd())
+}
+
 /// Simulated sustained streaming rate (bytes/s while merging) of an AMT
 /// on memory throttled to 8 GB/s.
 pub fn throttled_rate(amt: AmtConfig, n: usize) -> f64 {
-    let cfg = SimEngineConfig::with_memory(amt, 4, MemoryConfig::throttled_to_ssd());
     let data = uniform_u32(n, 0x55D);
-    let (_, report) = SimEngine::new(cfg).sort(data);
+    let (_, report) = SimEngine::new(config(amt)).sort(data);
     report.throughput() * report.stages() as f64
 }
 
 /// Renders the §VI-E validation.
 pub fn render(n: usize) -> String {
     let mut t = Table::new(vec!["phase", "design", "simulated GB/s", "paper GB/s"]);
-    let phase1 = throttled_rate(AmtConfig::new(8, 64), n);
-    t.row(vec![
-        "phase one (per pipeline stage)".into(),
-        "AMT(8, 64), 1 bank".into(),
-        format!("{:.2}", phase1 / 1e9),
-        "7.19".into(),
-    ]);
-    let phase2 = throttled_rate(AmtConfig::new(8, 256), n);
-    t.row(vec![
-        "phase two (wide merge)".into(),
-        "AMT(8, 256), throttled".into(),
-        format!("{:.2}", phase2 / 1e9),
-        "~8".into(),
-    ]);
+    for phase in PHASES {
+        let rate = throttled_rate(AmtConfig::new(phase.p, phase.l), n);
+        t.row(vec![
+            phase.name.into(),
+            phase.design.into(),
+            format!("{:.2}", rate / 1e9),
+            phase.paper_gbps.into(),
+        ]);
+    }
     format!(
         "§VI-E validation: both SSD-sorter phases saturate the 8 GB/s flash bound\n(DRAM throttled to SSD speed, {n} records)\n\n{}",
         t.render()

@@ -1,7 +1,7 @@
 //! Table IV: resource-utilization breakdown of the optimal DRAM sorter.
 
 use bonsai_model::resource::SystemResources;
-use bonsai_model::ComponentLibrary;
+use bonsai_model::{ComponentLibrary, FullConfig};
 
 use crate::table::Table;
 
@@ -13,9 +13,27 @@ pub const PAPER_ROWS: &[(&str, u64, u64, u64)] = &[
     ("Total", 287_672, 768_906, 960),
 ];
 
+/// The paper's synthesized DRAM sorter: one AMT(32, 64) of 32-bit
+/// records behind a 16-record presorter. `bonsai-lint` lints it.
+pub const DESIGN: FullConfig = FullConfig {
+    throughput_p: 32,
+    leaves_l: 64,
+    unroll: 1,
+    pipeline: 1,
+};
+
+/// The presorter chunk of [`DESIGN`].
+pub const PRESORT: usize = 16;
+
 /// Our modeled breakdown for the paper's AMT(32, 64) DRAM sorter.
 pub fn modeled() -> SystemResources {
-    SystemResources::dram_sorter(&ComponentLibrary::paper(), 32, 64, 32, Some(16))
+    SystemResources::dram_sorter(
+        &ComponentLibrary::paper(),
+        DESIGN.throughput_p,
+        DESIGN.leaves_l,
+        32,
+        Some(PRESORT),
+    )
 }
 
 /// Renders Table IV with model-vs-paper columns.

@@ -13,7 +13,7 @@ use bonsai_amt::{AmtConfig, SimEngine, SimEngineConfig};
 use bonsai_gensort::dist::uniform_u32;
 use bonsai_model::resource::amt_lut;
 use bonsai_model::ComponentLibrary;
-use bonsai_records::{KvRec, Record, U32Rec, U64Rec};
+use bonsai_records::{KvRec, Record, U64Rec};
 
 use crate::table::Table;
 
@@ -30,57 +30,61 @@ pub struct WidthPoint {
     pub lut: u64,
 }
 
-fn simulate_generic<R: Record>(amt: AmtConfig, data: Vec<R>) -> f64 {
-    let cfg = SimEngineConfig::dram_sorter(amt, R::WIDTH_BYTES as u64);
+/// The swept `(record bytes, p)` pairs: `p·r` is 32 bytes a cycle on
+/// each, so each tree streams the same bytes per cycle. `bonsai-lint`
+/// lints these shapes.
+pub const SHAPES: [(u64, usize); 3] = [(4, 8), (8, 4), (16, 2)];
+
+/// Every tree of the sweep has 64 leaves.
+const LEAVES: usize = 64;
+
+/// The DRAM sorter at one sweep point.
+pub fn config(record_bytes: u64, p: usize) -> SimEngineConfig {
+    SimEngineConfig::dram_sorter(AmtConfig::new(p, LEAVES), record_bytes)
+}
+
+fn stream_rate<R: Record>(cfg: SimEngineConfig, data: Vec<R>) -> f64 {
+    debug_assert_eq!(cfg.loader.record_bytes, R::WIDTH_BYTES as u64);
     let (_, report) = SimEngine::new(cfg).sort(data);
     report.throughput() * report.stages() as f64
 }
 
-/// Runs the sweep at a fixed total byte volume (`total_bytes`).
+/// Runs the sweep at a fixed total byte volume (`total_bytes`). The
+/// `i`-th width draws its keys from seed `i + 1`; a wider record keeps
+/// the key in its high bits and the index below it.
 pub fn sweep(total_bytes: usize) -> Vec<WidthPoint> {
     let lib = ComponentLibrary::paper();
-    let mut out = Vec::new();
-
-    // 4-byte records through AMT(8, 64): 8 GB/s-class stream.
-    let n4 = total_bytes / 4;
-    let amt4 = AmtConfig::new(8, 64);
-    out.push(WidthPoint {
-        record_bytes: 4,
-        amt: amt4,
-        stream_rate: simulate_generic::<U32Rec>(amt4, uniform_u32(n4, 1)),
-        lut: amt_lut(&lib, 8, 64, 32),
-    });
-
-    // 8-byte records through AMT(4, 64): same p·r.
-    let n8 = total_bytes / 8;
-    let amt8 = AmtConfig::new(4, 64);
-    let data8: Vec<U64Rec> = uniform_u32(n8, 2)
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| U64Rec::new((u64::from(r.0) << 20) | i as u64).sanitize())
-        .collect();
-    out.push(WidthPoint {
-        record_bytes: 8,
-        amt: amt8,
-        stream_rate: simulate_generic::<U64Rec>(amt8, data8),
-        lut: amt_lut(&lib, 4, 64, 64),
-    });
-
-    // 16-byte records through AMT(2, 64): same p·r.
-    let n16 = total_bytes / 16;
-    let amt16 = AmtConfig::new(2, 64);
-    let data16: Vec<KvRec> = uniform_u32(n16, 3)
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| KvRec::new(u64::from(r.0), i as u64).sanitize())
-        .collect();
-    out.push(WidthPoint {
-        record_bytes: 16,
-        amt: amt16,
-        stream_rate: simulate_generic::<KvRec>(amt16, data16),
-        lut: amt_lut(&lib, 2, 64, 128),
-    });
-    out
+    (1u64..)
+        .zip(SHAPES)
+        .map(|(seed, (record_bytes, p))| {
+            let cfg = config(record_bytes, p);
+            let keys = uniform_u32(total_bytes / record_bytes as usize, seed);
+            let stream_rate = match record_bytes {
+                4 => stream_rate(cfg, keys),
+                8 => stream_rate(
+                    cfg,
+                    keys.into_iter()
+                        .enumerate()
+                        .map(|(i, r)| U64Rec::new((u64::from(r.0) << 20) | i as u64).sanitize())
+                        .collect(),
+                ),
+                16 => stream_rate(
+                    cfg,
+                    keys.into_iter()
+                        .enumerate()
+                        .map(|(i, r)| KvRec::new(u64::from(r.0), i as u64).sanitize())
+                        .collect(),
+                ),
+                other => unreachable!("SHAPES has no {other}-byte record"),
+            };
+            WidthPoint {
+                record_bytes,
+                amt: cfg.amt,
+                stream_rate,
+                lut: amt_lut(&lib, p, LEAVES, 8 * record_bytes as u32),
+            }
+        })
+        .collect()
 }
 
 /// Renders the §VI-F2 width-scaling table.

@@ -10,12 +10,13 @@
 
 use bonsai_amt::{AmtConfig, SimEngineConfig};
 use bonsai_check::Diagnostic;
-use bonsai_memsim::MemoryConfig;
 use bonsai_model::check::{analyze_engine, check_full_config, model_drift_probe};
 use bonsai_model::{ArrayParams, BonsaiOptimizer, ComponentLibrary, FullConfig, HardwareParams};
 use bonsai_runtime::{PassScheduler, RuntimeConfig};
 
-use crate::experiments::fig8_9;
+use crate::experiments::{
+    ablations, fig8_9, hbm_validation, ssd_validation, table4, width_scaling,
+};
 
 /// Record count for the model-drift simulation probe; small enough that
 /// the probe costs milliseconds, large enough for several merge stages.
@@ -39,76 +40,48 @@ impl LintFinding {
 }
 
 /// Every cycle-simulation configuration the experiment suite runs,
-/// labelled by its table/figure.
+/// labelled by its table/figure. Each exhibit module owns its list;
+/// this only reads them.
 pub fn engine_targets() -> Vec<(String, SimEngineConfig)> {
     let mut targets = Vec::new();
-
-    // Figures 8/9: the model-validation shapes on the DRAM sorter.
     for amt in fig8_9::figure_amts() {
-        targets.push((
-            format!("fig8_9/{amt}"),
-            SimEngineConfig::dram_sorter(amt, 4),
-        ));
+        targets.push((format!("fig8_9/{amt}"), fig8_9::config(amt)));
     }
-
-    // §VI-D HBM validation: λ unrolled copies of narrower trees.
-    for (lambda, p, l) in [(1usize, 32usize, 64usize), (2, 16, 64), (4, 8, 64)] {
+    for (lambda, p, l) in hbm_validation::SHAPES {
         targets.push((
             format!("hbm_validation/lambda{lambda}_p{p}_l{l}"),
-            SimEngineConfig::dram_sorter(AmtConfig::new(p, l), 4),
+            hbm_validation::config(p, l),
         ));
     }
-
-    // §VI-E SSD validation: both phases on the throttled memory.
-    for l in [64usize, 256] {
+    for phase in ssd_validation::PHASES {
         targets.push((
-            format!("ssd_validation/p8_l{l}"),
-            SimEngineConfig::with_memory(AmtConfig::new(8, l), 4, MemoryConfig::throttled_to_ssd()),
+            format!("ssd_validation/p{}_l{}", phase.p, phase.l),
+            ssd_validation::config(AmtConfig::new(phase.p, phase.l)),
         ));
     }
-
-    // Record-width scaling: wider records at proportionally lower p.
-    for (p, record_bytes) in [(8usize, 4u64), (4, 8), (2, 16)] {
+    for (record_bytes, p) in width_scaling::SHAPES {
         targets.push((
             format!("width_scaling/p{p}_r{record_bytes}"),
-            SimEngineConfig::dram_sorter(AmtConfig::new(p, 64), record_bytes),
+            width_scaling::config(record_bytes, p),
         ));
     }
-
-    // Ablation benches: p-vs-ℓ shapes and the presorter on/off pair.
-    for (p, l) in [(16usize, 16usize), (8, 64), (4, 256)] {
-        targets.push((
-            format!("ablations/p{p}_l{l}"),
-            SimEngineConfig::dram_sorter(AmtConfig::new(p, l), 4),
-        ));
+    for (label, cfg) in ablations::configs() {
+        targets.push((format!("ablations/{label}"), cfg));
     }
-    targets.push((
-        "ablations/no_presort".into(),
-        SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4).without_presort(),
-    ));
-
     targets
 }
 
 /// Every full (replicated) configuration the resource-model experiments
 /// and the optimizer-driven examples rely on, with its presorter chunk.
 pub fn model_targets() -> Vec<(String, FullConfig, Option<usize>)> {
-    let mut targets = vec![
-        // Table IV: the synthesized DRAM sorter.
-        (
-            "table4/dram_sorter".into(),
-            FullConfig {
-                throughput_p: 32,
-                leaves_l: 64,
-                unroll: 1,
-                pipeline: 1,
-            },
-            Some(16),
-        ),
-    ];
+    let mut targets = vec![(
+        "table4/dram_sorter".into(),
+        table4::DESIGN,
+        Some(table4::PRESORT),
+    )];
 
     // §VI-D: the unrolled HBM configurations.
-    for (lambda, p, l) in [(1usize, 32usize, 64usize), (2, 16, 64), (4, 8, 64)] {
+    for (lambda, p, l) in hbm_validation::SHAPES {
         targets.push((
             format!("hbm_validation/lambda{lambda}"),
             FullConfig {
@@ -381,6 +354,30 @@ mod tests {
         for f in &findings {
             assert!(!f.has_errors(), "{}: {:?}", f.target, f.diagnostics);
         }
+    }
+
+    /// The exhibit set's verdict, pinned: no error, and exactly the two
+    /// warnings the ablations draw on purpose. A config an exhibit adds
+    /// or changes shows up here as a diff.
+    #[test]
+    fn exhibit_configs_draw_exactly_the_intended_warnings() {
+        let findings = lint_all();
+        assert!(findings.iter().all(|f| !f.has_errors()));
+        let mut warnings: Vec<(&str, &str)> = findings
+            .iter()
+            .flat_map(|f| f.diagnostics.iter().map(|d| (f.target.as_str(), d.code)))
+            .collect();
+        warnings.sort_unstable();
+        assert_eq!(
+            warnings,
+            [
+                (
+                    "ablations/loader_batch64",
+                    bonsai_check::codes::BURST_EFFICIENCY_LOW
+                ),
+                ("ablations/p32_l16", bonsai_check::codes::P_EXCEEDS_LEAVES),
+            ]
+        );
     }
 
     /// The CLI's default engine with `p`/`l` set field by field (no

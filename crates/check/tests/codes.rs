@@ -628,6 +628,37 @@ fn bon106_flush_protocol_registered_as_error() {
 
 // --- Documentation sync ----------------------------------------------
 
+/// The codes `docs/diagnostics.md` lists under "Retired codes", and the
+/// doc with that section cut out.
+fn split_retired(doc: &str) -> (Vec<String>, String) {
+    let start = doc
+        .find("\n## Retired codes\n")
+        .expect("docs/diagnostics.md has a Retired codes section");
+    let end = doc[start + 1..]
+        .find("\n## ")
+        .map_or(doc.len(), |i| start + 1 + i);
+    let retired = doc[start..end]
+        .lines()
+        .filter_map(|l| l.strip_prefix("### "))
+        .map(|l| l.chars().take(6).collect())
+        .collect();
+    (retired, [&doc[..start], &doc[end..]].concat())
+}
+
+/// Every `BONxxx` token in `text` that is neither registered nor in
+/// `retired`.
+fn unknown_codes(text: &str, retired: &[String]) -> Vec<String> {
+    text.split(|c: char| !c.is_alphanumeric())
+        .filter(|token| {
+            token.strip_prefix("BON").is_some_and(|digits| {
+                digits.len() == 3 && digits.chars().all(|c| c.is_ascii_digit())
+            })
+        })
+        .filter(|token| codes::lookup(token).is_none() && !retired.iter().any(|c| c == token))
+        .map(str::to_owned)
+        .collect()
+}
+
 /// `docs/diagnostics.md` is the user-facing catalogue and, under
 /// "Retired codes", the record of every number that left the registry.
 /// Every registered code must have a live section; every retired code
@@ -636,21 +667,7 @@ fn bon106_flush_protocol_registered_as_error() {
 #[test]
 fn diagnostics_doc_covers_every_registered_code() {
     let doc = include_str!("../../../docs/diagnostics.md");
-    let start = doc
-        .find("\n## Retired codes\n")
-        .expect("docs/diagnostics.md has a Retired codes section");
-    let end = doc[start + 1..]
-        .find("\n## ")
-        .map_or(doc.len(), |i| start + 1 + i);
-    let (retired, live) = (&doc[start..end], [&doc[..start], &doc[end..]].concat());
-    let headed = |section: &str| -> Vec<String> {
-        section
-            .lines()
-            .filter_map(|l| l.strip_prefix("### "))
-            .map(|l| l.chars().take(6).collect())
-            .collect()
-    };
-    let retired_codes = headed(retired);
+    let (retired_codes, live) = split_retired(doc);
     assert!(!retired_codes.is_empty(), "no retired code is recorded");
     for info in codes::ALL {
         assert!(
@@ -666,14 +683,121 @@ fn diagnostics_doc_covers_every_registered_code() {
             "{code} is listed under Retired codes but registered again"
         );
     }
-    for token in doc.split(|c: char| !c.is_alphanumeric()) {
-        if let Some(digits) = token.strip_prefix("BON") {
-            if digits.len() == 3 && digits.chars().all(|c| c.is_ascii_digit()) {
-                assert!(
-                    codes::lookup(token).is_some() || retired_codes.iter().any(|c| c == token),
-                    "docs/diagnostics.md references {token}, neither registered nor retired"
-                );
+    let unknown = unknown_codes(doc, &retired_codes);
+    assert!(
+        unknown.is_empty(),
+        "docs/diagnostics.md references {unknown:?}, neither registered nor retired"
+    );
+}
+
+/// The prose docs a reader is sent to. `crates/benchmark/README.md` is
+/// left out: it belongs to the benchmark crate, which changes only with
+/// the benchmark.
+const PROSE_DOCS: [&str; 5] = [
+    "README.md",
+    "DESIGN.md",
+    "docs/SIMULATOR.md",
+    "docs/MODEL_CHECKER.md",
+    "EXPERIMENTS.md",
+];
+
+/// File extensions that mark a token as a path into the repository.
+const PATH_EXTENSIONS: [&str; 6] = ["rs", "md", "toml", "json", "txt", "yml"];
+
+/// The workspace's binary and example target names: the stems of every
+/// `src/bin/*.rs` and `examples/*.rs`, at the root and in each crate,
+/// plus every `name` of a `[[bin]]` / `[[example]]` manifest table.
+fn workspace_targets(root: &std::path::Path) -> (Vec<String>, Vec<String>) {
+    let stems = |dir: std::path::PathBuf| -> Vec<String> {
+        std::fs::read_dir(dir)
+            .into_iter()
+            .flatten()
+            .filter_map(|entry| {
+                let path = entry.ok()?.path();
+                (path.extension()? == "rs")
+                    .then(|| path.file_stem()?.to_str().map(str::to_owned))?
+            })
+            .collect()
+    };
+    let mut packages = vec![root.to_path_buf()];
+    packages.extend(
+        std::fs::read_dir(root.join("crates"))
+            .expect("crates/ is readable")
+            .map(|entry| entry.expect("crates/ entry").path()),
+    );
+    let (mut bins, mut examples) = (Vec::new(), Vec::new());
+    for package in packages {
+        bins.extend(stems(package.join("src/bin")));
+        examples.extend(stems(package.join("examples")));
+        let manifest = std::fs::read_to_string(package.join("Cargo.toml")).unwrap_or_default();
+        let mut table = "";
+        for line in manifest.lines().map(str::trim) {
+            if line.starts_with('[') {
+                table = line;
+            } else if let Some(name) = line
+                .strip_prefix("name = \"")
+                .and_then(|rest| rest.strip_suffix('"'))
+            {
+                match table {
+                    "[[bin]]" => bins.push(name.to_owned()),
+                    "[[example]]" => examples.push(name.to_owned()),
+                    _ => {}
+                }
             }
         }
     }
+    (bins, examples)
+}
+
+/// Every name the prose docs cite resolves: a path with a file
+/// extension (or one under a top-level directory) exists, from the
+/// repository root or from the doc's own directory; every
+/// `--bin NAME` / `--example NAME` is a workspace target; and every
+/// `BONxxx` is registered or retired.
+#[test]
+fn prose_docs_cite_only_names_that_exist() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let (retired, _) = split_retired(include_str!("../../../docs/diagnostics.md"));
+    let (bins, examples) = workspace_targets(&root);
+    let top_level: Vec<String> = std::fs::read_dir(&root)
+        .expect("the repository root is readable")
+        .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
+        .collect();
+    let mut faults = Vec::new();
+    for doc in PROSE_DOCS {
+        let text = std::fs::read_to_string(root.join(doc)).expect("the doc is readable");
+        let dir = std::path::Path::new(doc).parent().expect("a relative path");
+        let is_path_char = |c: char| c.is_ascii_alphanumeric() || "_./-".contains(c);
+        for token in text.split(|c: char| !is_path_char(c)) {
+            let token = token.trim_end_matches('.');
+            let has_extension = token
+                .rsplit_once('.')
+                .is_some_and(|(stem, ext)| !stem.is_empty() && PATH_EXTENSIONS.contains(&ext));
+            let under_top_level = token
+                .split_once('/')
+                .is_some_and(|(first, _)| top_level.iter().any(|t| t == first));
+            if (has_extension || under_top_level)
+                && !root.join(token).exists()
+                && !root.join(dir).join(token).exists()
+            {
+                faults.push(format!("{doc}: no such path `{token}`"));
+            }
+        }
+        let words: Vec<&str> = text.split_whitespace().collect();
+        for pair in words.windows(2) {
+            let name = pair[1].trim_end_matches(|c: char| !c.is_ascii_alphanumeric());
+            let known = match pair[0].trim_start_matches(['`', '(']) {
+                "--bin" => &bins,
+                "--example" => &examples,
+                _ => continue,
+            };
+            if !known.iter().any(|t| t == name) {
+                faults.push(format!("{doc}: no workspace target `{} {name}`", pair[0]));
+            }
+        }
+        for code in unknown_codes(&text, &retired) {
+            faults.push(format!("{doc}: {code} is neither registered nor retired"));
+        }
+    }
+    assert!(faults.is_empty(), "{}", faults.join("\n"));
 }

@@ -400,15 +400,19 @@ pub fn static_cycle_ceiling(config: &SimEngineConfig, array: &ArrayParams) -> Op
     if stages == 0 || array.n_records == 0 {
         return None;
     }
+    // Validation passed and `n ≥ 1`, so nothing below is zero: the
+    // batch and both port rates (BON012, BON014), the record width
+    // (BON004) and so `batches`, the depth (BON002 keeps ℓ ≥ 2) and the
+    // initial run length (BON025), hence `runs`.
     let n = array.n_records;
     let total_bytes = n.saturating_mul(config.loader.record_bytes);
-    let batch = config.loader.batch_bytes.max(1);
-    let batches = total_bytes.div_ceil(batch).max(1);
+    let batch = config.loader.batch_bytes;
+    let batches = total_bytes.div_ceil(batch);
     let setup = config.memory.burst_setup_cycles;
-    let read_rate = config.memory.read_bytes_per_cycle.max(1);
-    let write_rate = config.memory.write_bytes_per_cycle.max(1);
+    let read_rate = config.memory.read_bytes_per_cycle;
+    let write_rate = config.memory.write_bytes_per_cycle;
     let p = config.amt.p as u64;
-    let depth = (config.amt.levels() as u64).max(1);
+    let depth = config.amt.levels() as u64;
     let presort_depth = if presort > 1 {
         let stages = u64::from(presort.ilog2());
         stages * stages + 2
@@ -417,7 +421,7 @@ pub fn static_cycle_ceiling(config: &SimEngineConfig, array: &ArrayParams) -> Op
     };
     // Runs only ever shrink across stages; the first stage's count
     // bounds them all.
-    let runs = n.div_ceil(config.initial_run_len().max(1) as u64).max(1);
+    let runs = n.div_ceil(config.initial_run_len() as u64);
 
     // The loader issues at least one burst per leaf stream per pass on
     // top of the per-batch transfers, so the leaf count rides the
