@@ -12,7 +12,6 @@ use bonsai_amt::{AmtConfig, SimEngineConfig};
 use bonsai_check::Diagnostic;
 use bonsai_model::check::{analyze_engine, check_full_config, model_drift_probe};
 use bonsai_model::{ArrayParams, BonsaiOptimizer, ComponentLibrary, FullConfig, HardwareParams};
-use bonsai_runtime::{PassScheduler, RuntimeConfig};
 
 use crate::experiments::{
     ablations, fig8_9, hbm_validation, ssd_validation, table4, width_scaling,
@@ -105,56 +104,6 @@ pub fn model_targets() -> Vec<(String, FullConfig, Option<usize>)> {
     targets
 }
 
-/// Reference core count the in-repo runtime shapes are linted against.
-/// Fixed (rather than the actual host's) so `lint_all` reports the same
-/// findings on every machine; the CLI's `--runtime` mode uses the real
-/// host count unless `--cores` overrides it.
-pub const REF_CORES: usize = 8;
-
-/// Every runtime topology the repo itself runs: the default shape,
-/// one worker and one worker per core (the two ends the runtime's
-/// determinism tests compare), and the adaptive-scheduler shape
-/// `bonsai-serve --adaptive` and the benchmark's `svc_mixed` run (whose
-/// `validate_for_cores` additionally runs the BON08x knob checks).
-pub fn runtime_targets() -> Vec<(String, RuntimeConfig)> {
-    vec![
-        ("runtime/default".into(), RuntimeConfig::default()),
-        (
-            "runtime/serial".into(),
-            RuntimeConfig {
-                workers: 1,
-                ..RuntimeConfig::default()
-            },
-        ),
-        (
-            "runtime/per_core".into(),
-            RuntimeConfig {
-                workers: 0,
-                ..RuntimeConfig::default()
-            },
-        ),
-        (
-            "runtime/adaptive".into(),
-            RuntimeConfig {
-                scheduler: PassScheduler::Adaptive,
-                ..RuntimeConfig::default()
-            },
-        ),
-    ]
-}
-
-/// The BON05x topology pass over every in-repo runtime shape, judged
-/// on the [`REF_CORES`] reference host.
-pub fn lint_runtime_all() -> Vec<LintFinding> {
-    runtime_targets()
-        .into_iter()
-        .map(|(target, cfg)| LintFinding {
-            target,
-            diagnostics: cfg.validate_for_cores(REF_CORES),
-        })
-        .collect()
-}
-
 /// Runs the static pass over every in-repo configuration:
 /// [`analyze_engine`] (shape checks, pipeline dataflow checks,
 /// latency-bound certification, static throughput floor) for every
@@ -167,7 +116,7 @@ pub fn lint_all() -> Vec<LintFinding> {
     for (target, cfg) in engine_targets() {
         findings.push(LintFinding {
             target,
-            diagnostics: analyze_engine(&cfg, None, &hw),
+            diagnostics: analyze_engine(&cfg, &hw),
         });
     }
     for (target, cfg, presort) in model_targets() {
@@ -183,49 +132,20 @@ pub fn lint_all() -> Vec<LintFinding> {
         target: format!("drift_probe/amt4_16_n{DRIFT_PROBE_RECORDS}"),
         diagnostics: model_drift_probe(&probe_cfg, &hw, DRIFT_PROBE_RECORDS, 7),
     });
-    // The runtime topologies the repo itself spins up (BON05x).
-    findings.extend(lint_runtime_all());
     findings
-}
-
-/// The probe values `bonsai-lint` accepts that no configuration struct
-/// has a field for; everything else on its command line is parsed
-/// straight onto [`SimEngineConfig`] / [`RuntimeConfig`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ProbeExtras {
-    /// Write-back payload width override; `Some(0)` is the `BON017`
-    /// probe.
-    pub payload_bytes: Option<u64>,
-    /// Host core count to judge a topology against; `None` = this
-    /// machine.
-    pub cores: Option<usize>,
-}
-
-/// Runs the BON05x topology pass over one raw runtime configuration
-/// (plus the BON08x knob checks when it selects
-/// [`PassScheduler::Adaptive`]).
-pub fn lint_runtime(cfg: &RuntimeConfig, extras: &ProbeExtras) -> LintFinding {
-    let cores = extras.cores.unwrap_or_else(|| {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    });
-    LintFinding {
-        // `pw1`: every job runs its passes on its own worker.
-        target: format!("cli/runtime_w{}_pw1_q{}", cfg.workers, cfg.queue_depth),
-        diagnostics: cfg.validate_for_cores(cores),
-    }
 }
 
 /// Runs the full engine pass ([`analyze_engine`]) over one raw engine
 /// configuration — built field by field, deliberately bypassing the
 /// panicking constructors so malformed shapes reach the analyzer
 /// instead of aborting.
-pub fn lint_engine(cfg: &SimEngineConfig, extras: &ProbeExtras) -> LintFinding {
+pub fn lint_engine(cfg: &SimEngineConfig) -> LintFinding {
     LintFinding {
         target: format!(
             "cli/p{}_l{}_b{}_r{}",
             cfg.amt.p, cfg.amt.l, cfg.loader.batch_bytes, cfg.loader.record_bytes
         ),
-        diagnostics: analyze_engine(cfg, extras.payload_bytes, &HardwareParams::aws_f1()),
+        diagnostics: analyze_engine(cfg, &HardwareParams::aws_f1()),
     }
 }
 
@@ -345,7 +265,6 @@ pub fn render_json(findings: &[LintFinding]) -> (String, usize, usize) {
 mod tests {
     use super::*;
     use bonsai_benchmark::json::Value;
-    use bonsai_runtime::AdaptiveConfig;
 
     #[test]
     fn every_in_repo_config_is_clean_of_errors() {
@@ -395,106 +314,15 @@ mod tests {
 
     #[test]
     fn raw_override_catches_bad_shapes() {
-        let f = lint_engine(&raw_engine(6, 16), &ProbeExtras::default());
+        let f = lint_engine(&raw_engine(6, 16));
         assert!(f.has_errors());
         assert!(has_code(&f, bonsai_check::codes::P_NOT_POWER_OF_TWO));
 
         let mut cfg = raw_engine(4, 16);
         cfg.loader.batch_bytes = 16;
-        let f = lint_engine(&cfg, &ProbeExtras::default());
+        let f = lint_engine(&cfg);
         assert!(
             has_code(&f, bonsai_check::codes::BATCH_BELOW_BUS_WIDTH),
-            "{:?}",
-            f.diagnostics
-        );
-    }
-
-    #[test]
-    fn in_repo_runtime_shapes_are_fully_clean() {
-        for f in lint_runtime_all() {
-            assert!(
-                f.diagnostics.is_empty(),
-                "{}: {:?}",
-                f.target,
-                f.diagnostics
-            );
-        }
-    }
-
-    #[test]
-    fn raw_runtime_lint_catches_bad_topologies() {
-        let on_cores = |cores| ProbeExtras {
-            cores: Some(cores),
-            ..ProbeExtras::default()
-        };
-
-        // A zero-depth queue holds one job, too few for an explicit
-        // pool of two: BON055 (warning).
-        let f = lint_runtime(
-            &RuntimeConfig {
-                workers: 2,
-                queue_depth: 0,
-                ..RuntimeConfig::default()
-            },
-            &on_cores(8),
-        );
-        assert!(!f.has_errors());
-        assert!(has_code(
-            &f,
-            bonsai_check::codes::RUNTIME_QUEUE_BELOW_WORKERS
-        ));
-
-        // Oversubscription is judged on the *stated* core count, not
-        // the machine the lint happens to run on.
-        let f = lint_runtime(
-            &RuntimeConfig {
-                workers: 8,
-                ..RuntimeConfig::default()
-            },
-            &on_cores(4),
-        );
-        assert!(has_code(&f, bonsai_check::codes::RUNTIME_OVERSUBSCRIBED));
-    }
-
-    #[test]
-    fn raw_adaptive_lint_fires_the_bon08x_codes() {
-        let on_8_cores = ProbeExtras {
-            cores: Some(8),
-            ..ProbeExtras::default()
-        };
-        let adaptive = |edit: fn(&mut AdaptiveConfig)| {
-            let mut cfg = RuntimeConfig {
-                scheduler: PassScheduler::Adaptive,
-                ..RuntimeConfig::default()
-            };
-            edit(&mut cfg.adaptive);
-            lint_runtime(&cfg, &on_8_cores)
-        };
-
-        // The defaults are lint-clean.
-        let f = adaptive(|_| {});
-        assert!(f.diagnostics.is_empty(), "{:?}", f.diagnostics);
-
-        // Zero reprogram cost thrashes shapes: BON080 (warning).
-        let f = adaptive(|a| a.reprogram_cost_us = 0);
-        assert!(!f.has_errors());
-        assert!(has_code(&f, bonsai_check::codes::ADAPTIVE_RECONFIG_THRASH));
-
-        // One cached shape for the runtime's two job classes: BON082
-        // (warning).
-        let f = adaptive(|a| a.cache_shapes = 1);
-        assert!(has_code(
-            &f,
-            bonsai_check::codes::ADAPTIVE_CACHE_BELOW_CLASSES
-        ));
-
-        // A FIFO runtime never consults the same broken knobs, so its
-        // lint stays BON08x-free.
-        let mut cfg = RuntimeConfig::default();
-        cfg.adaptive.reprogram_cost_us = 0;
-        let f = lint_runtime(&cfg, &on_8_cores);
-        assert!(
-            !f.diagnostics.iter().any(|d| d.code.starts_with("BON08")),
             "{:?}",
             f.diagnostics
         );
@@ -554,23 +382,9 @@ mod tests {
         // 128 -> BON032.
         let mut cfg = raw_engine(32, 64);
         cfg.loader.record_bytes = 8;
-        let f = lint_engine(&cfg, &ProbeExtras::default());
+        let f = lint_engine(&cfg);
         assert!(
             has_code(&f, bonsai_check::codes::GRAPH_BANDWIDTH_INFEASIBLE),
-            "{:?}",
-            f.diagnostics
-        );
-
-        // Zero write payload: only the engine pass can see this (BON017).
-        let f = lint_engine(
-            &raw_engine(32, 64),
-            &ProbeExtras {
-                payload_bytes: Some(0),
-                ..ProbeExtras::default()
-            },
-        );
-        assert!(
-            has_code(&f, bonsai_check::codes::WRITE_PAYLOAD_ZERO),
             "{:?}",
             f.diagnostics
         );
@@ -580,7 +394,7 @@ mod tests {
         // built.
         let mut cfg = raw_engine(32, 64);
         cfg.memory.banks = 0;
-        let f = lint_engine(&cfg, &ProbeExtras::default());
+        let f = lint_engine(&cfg);
         assert!(
             has_code(&f, bonsai_check::codes::MEMORY_ZERO_BANKS)
                 && !f.diagnostics.iter().any(|d| d.code.starts_with("BON03")),
@@ -591,7 +405,7 @@ mod tests {
 
     #[test]
     fn shape_errors_are_reported_once() {
-        let f = lint_engine(&raw_engine(6, 16), &ProbeExtras::default());
+        let f = lint_engine(&raw_engine(6, 16));
         let bon001 = f
             .diagnostics
             .iter()

@@ -1,14 +1,15 @@
 //! Exit-code and `--json` schema contract test for the `bonsai-lint`
-//! binary, across both modes: the default config pass and `--runtime`.
+//! binary, which has one mode: the engine pass over the in-repo configs
+//! or over one raw configuration.
 //!
 //! The contract under test (documented in the binary's `--help`):
 //!
 //! - exit 0: no error-severity diagnostics (warnings allowed),
 //! - exit 1: at least one `BONxxx` error fired,
 //! - exit 2: invalid command line,
-//! - `--json` emits one JSON object with the same
-//!   `{"targets": [...], "errors": N, "warnings": N}` schema in every
-//!   mode — one serializer, no per-mode dialects.
+//! - `--json` emits one JSON object with the
+//!   `{"targets": [...], "errors": N, "warnings": N}` schema, clean or
+//!   failing.
 
 use bonsai_benchmark::json::{self, Value};
 use std::process::{Command, Output};
@@ -58,26 +59,13 @@ fn assert_shared_json_schema(out: &Output) {
 
 #[test]
 fn clean_invocations_exit_zero_in_every_mode() {
-    for args in [
-        &["--p", "4", "--l", "16"][..],
-        &["--runtime", "--cores", "8"],
-        &[
-            "--runtime",
-            "--workers",
-            "4",
-            "--queue-depth",
-            "8",
-            "--cores",
-            "8",
-        ],
-    ] {
+    // The in-repo suite, and one raw configuration.
+    for args in [&[][..], &["--p", "4", "--l", "16"]] {
         let out = lint(args);
         assert_eq!(exit_code(&out), 0, "{args:?}: {}", stdout(&out));
     }
 }
 
-/// Only the engine pass has error codes; every runtime finding is a
-/// warning (see `warnings_alone_keep_exit_zero`).
 #[test]
 fn error_findings_exit_one() {
     for (args, code) in [
@@ -97,28 +85,19 @@ fn error_findings_exit_one() {
 #[test]
 fn warnings_alone_keep_exit_zero() {
     for (args, code) in [
-        // A zero-depth queue holds one job, too few for eight workers.
-        (
-            &[
-                "--runtime",
-                "--workers",
-                "8",
-                "--queue-depth",
-                "0",
-                "--cores",
-                "16",
-            ][..],
-            "BON055",
-        ),
-        // One cached shape for the runtime's two job classes.
-        (
-            &["--runtime", "--cache-shapes", "1", "--cores", "8"],
-            "BON082",
-        ),
+        // A root wider than the leaf count: the tree runs, wasting width.
+        (&["--p", "32", "--l", "16"][..], "BON003"),
+        // A 64-byte batch spends most of each burst on setup.
+        (&["--batch-bytes", "64"], "BON016"),
     ] {
         let out = lint(args);
         assert_eq!(exit_code(&out), 0, "{args:?}: {}", stdout(&out));
-        assert!(stdout(&out).contains(code), "{args:?}: {}", stdout(&out));
+        let report = stdout(&out);
+        assert!(report.contains(code), "{args:?}: {report}");
+        assert!(
+            report.ends_with("0 error(s), 1 warning(s)\n"),
+            "{args:?}: {report}"
+        );
     }
 }
 
@@ -126,20 +105,25 @@ fn warnings_alone_keep_exit_zero() {
 fn usage_errors_exit_two() {
     for args in [
         &["--frobnicate"][..],
-        &["--p"],                   // missing value
-        &["--runtime", "--p", "4"], // mixed modes
-        &["--workers", "2"],        // runtime flag without --runtime
-        &["--dump-graph", "dot"],   // the deleted graph dump,
-        &["--prove"],               // the deleted prover's mode...
-        &["--prove-selftest"],      // ...and each of its flags are
-        &["--state-budget", "4"],   // unknown flags now
+        &["--p"],                 // missing value
+        &["--dump-graph", "dot"], // the deleted graph dump,
+        &["--prove"],             // the deleted prover's mode...
+        &["--prove-selftest"],    // ...and each of its flags are
+        &["--state-budget", "4"], // unknown flags now
         &["--credit-slack", "2"],
         &["--replay-records", "0"],
         &["--assume-throughput", "1"],
+        &["--runtime"],      // the deleted runtime mode...
+        &["--workers", "2"], // ...each of its flags...
+        &["--queue-depth", "2"],
+        &["--cores", "8"],
+        &["--cache-shapes", "1"], // ...and its adaptive knobs
+        &["--reprogram-us", "0"],
         &["--runtime", "--pass-workers", "2"], // the retired runtime
         &["--runtime", "--records", "1000"],   // knobs and their probe
         &["--runtime", "--fairness-stride", "0"],
-        &["--banks", "0"], // the retired zero-bank probe
+        &["--banks", "0"],         // the retired zero-bank probe
+        &["--payload-bytes", "0"], // the retired write-payload probe
     ] {
         let out = lint(args);
         assert_eq!(exit_code(&out), 2, "{args:?}");
@@ -150,17 +134,6 @@ fn usage_errors_exit_two() {
 fn json_schema_is_identical_across_all_modes() {
     for args in [
         &["--json", "--p", "6", "--l", "16"][..],
-        &["--json", "--runtime", "--cores", "8"],
-        &[
-            "--json",
-            "--runtime",
-            "--workers",
-            "8",
-            "--queue-depth",
-            "0",
-            "--cores",
-            "16",
-        ],
         &["--json", "--p", "4", "--l", "16"],
         &["--json", "--p", "32", "--record-bytes", "8"],
     ] {

@@ -8,7 +8,7 @@
 //! checks that the configuration types in `bonsai-amt`, `bonsai-memsim`
 //! and `bonsai-model` call from their `try_new` constructors.
 //!
-//! Three code ranges are reserved:
+//! The code ranges, one per layer:
 //!
 //! | Range      | Layer                | Example |
 //! |------------|----------------------|---------|
@@ -20,7 +20,6 @@
 //! | `BON05x`   | Runtime topology     | [`codes::RUNTIME_QUEUE_BELOW_WORKERS`] |
 //! | `BON06x`   | Static throughput floor | [`codes::THROUGHPUT_FLOOR_UNSOUND`] |
 //! | `BON07x`   | Wire protocol        | [`codes::WIRE_BAD_MAGIC`] |
-//! | `BON08x`   | Adaptive runtime     | [`codes::ADAPTIVE_RECONFIG_THRASH`] |
 //! | `BON09x`   | External sorter      | [`codes::EXTERNAL_SORTER_INVALID`] |
 //! | `BON1xx`   | Simulation sanitizer | [`codes::SAN_FIFO_OVERFLOW`] |
 //!
@@ -204,8 +203,6 @@ pub mod codes {
         CAPACITY_BELOW_BATCH = "BON015", Error, "memory capacity below one batch";
         /// Burst setup overhead wastes most of the bandwidth.
         BURST_EFFICIENCY_LOW = "BON016", Warning, "burst efficiency below 50%";
-        /// Write-back payload width is zero bytes.
-        WRITE_PAYLOAD_ZERO = "BON017", Error, "write-back payload width is zero";
 
         // --- BON02x: resource model -------------------------------------
         /// Configuration exceeds the LUT budget (Eq. 9).
@@ -270,14 +267,6 @@ pub mod codes {
         /// BON040 livelock, or a panicking job); the payload carries the
         /// underlying diagnostic text.
         WIRE_JOB_FAILED = "BON077", Error, "accepted job failed server-side";
-
-        // --- BON08x: adaptive runtime -----------------------------------
-        /// Zero reprogram cost disables the keep-vs-switch comparison: the
-        /// planner chases the per-job optimum and thrashes shapes.
-        ADAPTIVE_RECONFIG_THRASH = "BON080", Warning, "zero reprogram cost makes the planner thrash shapes";
-        /// The compiled-shape cache holds fewer shapes than the scheduler's
-        /// job classes; the classes evict each other on every alternation.
-        ADAPTIVE_CACHE_BELOW_CLASSES = "BON082", Warning, "shape cache smaller than the scheduler's job classes";
 
         // --- BON09x: external sorter ------------------------------------
         /// `ExternalSorter::try_new` got a zero memory budget or a merge
@@ -556,7 +545,9 @@ pub fn check_presort(chunk: usize, batch_records: usize) -> Vec<Diagnostic> {
 /// `workers` follows the runtime convention that `0` means "one per
 /// core"; `cores` is the host core count, the oversubscription bound.
 /// Every job runs its passes on its own worker's thread, so the worker
-/// count is the runtime's thread count.
+/// count is the runtime's thread count. `bonsai-serve`, the program
+/// that takes these knobs on its command line, prints the findings at
+/// startup.
 #[must_use]
 pub fn check_runtime_shape(workers: usize, queue_depth: usize, cores: usize) -> Vec<Diagnostic> {
     let cores = cores.max(1);
@@ -586,43 +577,6 @@ pub fn check_runtime_shape(workers: usize, queue_depth: usize, cores: usize) -> 
             )
             .with("queue_depth", queue_depth)
             .with("workers", workers),
-        );
-    }
-    out
-}
-
-/// Check the adaptive scheduler's knobs (`BON080`, `BON082`).
-///
-/// `cache_shapes` is the compiled-shape cache capacity, `shape_classes`
-/// the number of distinct job classes the scheduler selects shapes for
-/// (the two-lane runtime has 2: latency and throughput) and
-/// `reprogram_cost_us` the modeled shape-switch cost.
-#[must_use]
-pub fn check_adaptive_runtime(
-    cache_shapes: usize,
-    shape_classes: usize,
-    reprogram_cost_us: u64,
-) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    if reprogram_cost_us == 0 {
-        out.push(
-            Diagnostic::warning(
-                codes::ADAPTIVE_RECONFIG_THRASH,
-                "a zero reprogram cost disables the keep-vs-switch comparison; the \
-                 planner reprograms to every job's optimum and thrashes shapes",
-            )
-            .with("reprogram_cost_us", reprogram_cost_us),
-        );
-    }
-    if cache_shapes < shape_classes {
-        out.push(
-            Diagnostic::warning(
-                codes::ADAPTIVE_CACHE_BELOW_CLASSES,
-                "the compiled-shape cache holds fewer shapes than the scheduler's job \
-                 classes; alternating classes evict each other and every lookup misses",
-            )
-            .with("cache_shapes", cache_shapes)
-            .with("shape_classes", shape_classes),
         );
     }
     out

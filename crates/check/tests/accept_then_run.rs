@@ -18,7 +18,7 @@ use bonsai_rng::Rng;
 
 /// The referee: the whole static engine pass.
 fn analyze(cfg: &SimEngineConfig) -> Vec<Diagnostic> {
-    analyze_engine(cfg, None, &HardwareParams::aws_f1())
+    analyze_engine(cfg, &HardwareParams::aws_f1())
 }
 
 /// Draws a config from a space that includes both valid and invalid

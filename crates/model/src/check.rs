@@ -111,32 +111,16 @@ const CERTIFY_BYTES: u64 = 1 << 30;
 /// and critical path and, for configurations clean so far, the static
 /// throughput floor (`BON064`).
 ///
-/// `payload_bytes` is the width written back per record; `None` means
-/// the full record width. `Some(0)` is `BON017`: each write channel
-/// would have to buffer infinitely many records per batch. The pass
-/// judges only the engine [`SimEngine::try_new`] would build, so any
-/// shape error stops it after the shape checks.
+/// The pass judges only the engine [`SimEngine::try_new`] would build,
+/// so any shape error stops it after the shape checks.
 #[must_use]
-pub fn analyze_engine(
-    config: &SimEngineConfig,
-    payload_bytes: Option<u64>,
-    hw: &HardwareParams,
-) -> Vec<Diagnostic> {
+pub fn analyze_engine(config: &SimEngineConfig, hw: &HardwareParams) -> Vec<Diagnostic> {
     let mut diagnostics = config.validate();
-    if payload_bytes == Some(0) {
-        diagnostics.push(
-            Diagnostic::error(
-                codes::WRITE_PAYLOAD_ZERO,
-                "cannot lower to a pipeline graph: write-back payload width is zero",
-            )
-            .with("payload_bytes", 0),
-        );
-    }
     if has_errors(&diagnostics) {
         return diagnostics;
     }
     let record_bytes = config.loader.record_bytes;
-    let flow = dataflow(config, payload_bytes.unwrap_or(record_bytes));
+    let flow = dataflow(config);
     diagnostics.extend(flow.diagnostics);
     // Built by hand: `from_bytes` asserts divisibility, and a record
     // width that does not divide the array (`--record-bytes 12`) is a
@@ -192,8 +176,7 @@ struct Dataflow {
 ///
 /// - `BON031` ⇔ a leaf buffer (`batch_records · LEAF_BUFFER_BATCHES`) holds
 ///   fewer than `w + 1` records, the §V-B tuple plus terminal (the ℓ
-///   leaf edges), or a write channel's `batch_bytes / payload_bytes`
-///   holds none (both edges of every write channel).
+///   leaf edges).
 /// - max-flow = `min(banks·R, p·r, banks·W)`, and `BON032` ⇔ it is below
 ///   the root's `p·r`. The cut is the read channels while `R ≤ W`, the
 ///   write channels otherwise.
@@ -203,8 +186,8 @@ struct Dataflow {
 ///
 /// No other term can bind: an internal tree FIFO holds `max(8·w, 16)`
 /// records, and every tree level carries at least the root's `p·r`.
-/// Needs a configuration without shape errors and a non-zero payload.
-fn dataflow(config: &SimEngineConfig, payload_bytes: u64) -> Dataflow {
+/// Needs a configuration without shape errors.
+fn dataflow(config: &SimEngineConfig) -> Dataflow {
     let (amt, loader, memory) = (config.amt, config.loader, config.memory);
     let leaves = amt.l;
     let levels = amt.levels();
@@ -213,30 +196,23 @@ fn dataflow(config: &SimEngineConfig, payload_bytes: u64) -> Dataflow {
     let leaf_depth = loader.batch_bytes / loader.record_bytes * LEAF_BUFFER_BATCHES;
     let banks = memory.banks;
     let (read, write) = (memory.read_bytes_per_cycle, memory.write_bytes_per_cycle);
-    // Two leaf edges per bottom merger.
-    let leaf_edge = |j: usize| format!("loader->merger_l{bottom}_{}", j / 2);
 
     let mut diagnostics = Vec::new();
-    let shallow_leaves = if leaf_depth < need { leaves } else { 0 };
-    let shallow_writes = if loader.batch_bytes / payload_bytes == 0 {
-        2 * banks
-    } else {
-        0
-    };
-    let shallow = shallow_leaves + shallow_writes;
-    if shallow > 0 {
-        let edge = |i: usize| match i.checked_sub(shallow_leaves) {
-            None => format!("{} (depth {leaf_depth}, need {need})", leaf_edge(i)),
-            Some(w) if w % 2 == 0 => format!("drain->chan_w{} (depth 0, need 1)", w / 2),
-            Some(w) => format!("chan_w{}->sink (depth 0, need 1)", w / 2),
+    if leaf_depth < need {
+        // Two leaf edges per bottom merger.
+        let edge = |i: usize| {
+            format!(
+                "loader->merger_l{bottom}_{} (depth {leaf_depth}, need {need})",
+                i / 2
+            )
         };
         diagnostics.push(
             Diagnostic::error(
                 codes::GRAPH_FIFO_BELOW_FLUSH,
                 "FIFO depth below the consumer's flush requirement (k-record tuple + terminal)",
             )
-            .with("edges", name_some(shallow, edge))
-            .with("count", shallow),
+            .with("edges", name_some(leaves, edge))
+            .with("count", leaves),
         );
     }
 
@@ -562,24 +538,24 @@ mod tests {
     }
 
     fn engine_pass(config: &SimEngineConfig) -> Vec<Diagnostic> {
-        analyze_engine(config, None, &HardwareParams::aws_f1())
+        analyze_engine(config, &HardwareParams::aws_f1())
     }
 
     #[test]
     fn dataflow_numbers_follow_the_tree_arithmetic() {
         // AMT(32, 64) on 4-byte records needs exactly the 128 B/cyc the
         // four DDR4 banks read.
-        let flow = dataflow(&SimEngineConfig::dram_sorter(AmtConfig::new(32, 64), 4), 4);
+        let flow = dataflow(&SimEngineConfig::dram_sorter(AmtConfig::new(32, 64), 4));
         assert_eq!((flow.max_flow, flow.diagnostics), (128, Vec::new()));
         // AMT(4, 16) fills through two 8-cycle channel setups, the
         // loader, the drain, four merger levels and two couplers.
-        let flow = dataflow(&SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4), 4);
+        let flow = dataflow(&SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4));
         assert_eq!(flow.critical_path, 24);
         // A tree with fewer leaves than DDR4 banks still reads on all
         // four: the loader issues each burst on any free bank port.
         for (p, l) in [(1, 2), (2, 4)] {
             let config = SimEngineConfig::dram_sorter(AmtConfig::new(p, l), 4);
-            assert_eq!(dataflow(&config, 4).diagnostics, Vec::new(), "AMT({p},{l})");
+            assert_eq!(dataflow(&config).diagnostics, Vec::new(), "AMT({p},{l})");
         }
     }
 

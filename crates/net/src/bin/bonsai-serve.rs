@@ -11,7 +11,10 @@
 //! own thread. `--adaptive` selects `PassScheduler::Adaptive` (per-job
 //! shape selection, two-lane queue); the default is
 //! `PassScheduler::Fifo`. An invalid `--amt-p`/`--amt-l` shape prints
-//! its `BONxxx` diagnostics and exits 1, like any other bad argument.
+//! its `BONxxx` diagnostics and exits 1, like any other bad argument. A
+//! `--workers`/`--queue-depth` pair that wastes threads on this host
+//! (`BON054`, `BON055`) is printed the same way, as a warning, and the
+//! server starts anyway.
 //!
 //! Sorts 4-byte `U32Rec` records (the protocol rejects other widths
 //! with `BON075`). Prints `listening on ADDR` once ready, then serves
@@ -22,6 +25,7 @@
 use std::process::ExitCode;
 
 use bonsai_amt::{AmtConfig, SimEngineConfig};
+use bonsai_check::check_runtime_shape;
 use bonsai_net::{Server, ServerConfig};
 use bonsai_records::U32Rec;
 use bonsai_runtime::PassScheduler;
@@ -105,6 +109,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let runtime = &args.config.runtime;
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    for warning in check_runtime_shape(runtime.workers, runtime.queue_depth, cores) {
+        eprintln!("bonsai-serve: {warning}");
+    }
     let server = match Server::<U32Rec>::bind(&args.addr, args.config) {
         Ok(server) => server,
         Err(e) => {

@@ -45,9 +45,9 @@
 //! while `tests/mc_class_queue.rs` and `tests/mc_pool_shutdown.rs`
 //! instantiate the same code with the model checker's shims and
 //! exhaustively explore the queue and shutdown protocols.
-//! Static shape checks for [`RuntimeConfig`] live in
-//! [`bonsai_check::check_runtime_shape`] (BON05x) and are surfaced by
-//! `bonsai-lint --runtime`.
+//! The static shape check of a worker count and queue depth is
+//! [`bonsai_check::check_runtime_shape`] (BON05x); `bonsai-serve`, which
+//! takes both on its command line, prints its findings at startup.
 //!
 //! # Example
 //!
@@ -114,8 +114,7 @@ pub enum PassScheduler {
     /// throughput-optimal for the throughput class — with shape
     /// switches charged through the reconfiguration planner and
     /// validated shapes served from a bounded compiled-shape cache
-    /// ([`bonsai_amt::ShapeCache`]). Knobs live in [`AdaptiveConfig`];
-    /// shape checks are `BON080` and `BON082`.
+    /// ([`bonsai_amt::ShapeCache`]). Knobs live in [`AdaptiveConfig`].
     ///
     /// Small jobs do not wait out a running large one either: at each
     /// yield point of a throughput-class sort (before every merge group
@@ -159,28 +158,6 @@ impl Default for RuntimeConfig {
             max_pass_cycles: None,
             adaptive: AdaptiveConfig::default(),
         }
-    }
-}
-
-impl RuntimeConfig {
-    /// Runs the BON05x runtime-topology shape checks against this
-    /// config on a host with `cores` cores, plus the BON08x knob checks
-    /// under [`PassScheduler::Adaptive`].
-    ///
-    /// Returns an empty vector when the shape is clean; every finding is
-    /// a warning: the runtime works, it only wastes threads or time.
-    #[must_use]
-    pub fn validate_for_cores(&self, cores: usize) -> Vec<Diagnostic> {
-        let mut diagnostics =
-            bonsai_check::check_runtime_shape(self.workers, self.queue_depth, cores);
-        if self.scheduler == PassScheduler::Adaptive {
-            diagnostics.extend(bonsai_check::check_adaptive_runtime(
-                self.adaptive.cache_shapes,
-                adaptive::SHAPE_CLASSES,
-                self.adaptive.reprogram_cost_us,
-            ));
-        }
-        diagnostics
     }
 }
 

@@ -107,8 +107,7 @@ impl DramSorter {
     pub fn sort<R: Record>(&self, data: Vec<R>) -> Result<(Vec<R>, SorterReport), SorterError> {
         let array = ArrayParams::new(data.len() as u64, R::WIDTH_BYTES as u64);
         let plan = self.plan(&array)?;
-        let (sorted, stages) =
-            functional::sort_balanced(data, plan.config.leaves_l, plan.presort.max(1));
+        let (sorted, stages) = functional::sort_balanced(data, plan.config.leaves_l, plan.presort);
         debug_assert_eq!(stages, plan.stages);
         let report = self.modeled_report(&array, &plan);
         Ok((sorted, report))
@@ -228,8 +227,7 @@ mod tests {
         for n in [2usize, 17, 100_000, 1_000_000] {
             let plan = sorter().plan(&ArrayParams::new(n as u64, 4)).expect("fits");
             let data = uniform_u32(n, 5);
-            let (_, stages) =
-                functional::sort_balanced(data, plan.config.leaves_l, plan.presort.max(1));
+            let (_, stages) = functional::sort_balanced(data, plan.config.leaves_l, plan.presort);
             assert_eq!(stages, plan.stages, "n = {n}");
         }
     }
