@@ -740,7 +740,12 @@ mod tests {
     /// One scratch carried through passes of differing fan-in and size
     /// — including right after a pass abandoned on `BON040` — must
     /// yield what a new scratch yields for each: output runs, the whole
-    /// report and (under `sanitize`) the probes' findings.
+    /// report and (under `sanitize`) the probes' findings. Each pass runs
+    /// with its tree held to the worklist, held to the dense schedule
+    /// and switching freely, on new and reused scratches alike, and
+    /// must yield the same every time. Switching freely, the DRAM
+    /// AMT(4, 16) tree must go dense on its 300-record runs and the
+    /// SSD AMT(8, 128) tree never.
     #[test]
     fn reused_scratch_matches_a_new_one_group_after_group() {
         type Observed = (Vec<U32Rec>, PassReport, String);
@@ -762,14 +767,17 @@ mod tests {
             SimEngineConfig::with_memory(AmtConfig::new(8, 128), 4, MemoryConfig::ssd_direct());
         ssd.loader.batch_bytes = 131_072;
         let mut rng = bonsai_rng::Rng::seed_from_u64(0x5C2A_0019);
-        for cfg in [
-            SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4),
-            SimEngineConfig::dram_sorter(AmtConfig::new(2, 2), 4),
-            ssd,
+        for (cfg, goes_dense) in [
+            (
+                SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4),
+                Some(true),
+            ),
+            (SimEngineConfig::dram_sorter(AmtConfig::new(2, 2), 4), None),
+            (ssd, Some(false)),
         ] {
             let l = cfg.amt.l;
             let mut scratch: PassScratch<U32Rec> = None;
-            let mut failed = 0;
+            let (mut failed, mut went_dense) = (0, 0);
             for step in 0..24 {
                 let fan_in = rng.range_usize(2, l);
                 let n_runs = rng.range_usize(1, fan_in);
@@ -800,7 +808,11 @@ mod tests {
                     );
                     observe(stats, next.0)
                 };
-                let want = run(&mut None, u64::MAX, false).expect("an unbounded pass finishes");
+                crate::tree::pin_schedule(None);
+                let mut first = None;
+                let want = run(&mut first, u64::MAX, false).expect("an unbounded pass finishes");
+                let first = first.expect("the pass made a scratch");
+                went_dense += u64::from(first.0.tree.switches()[0] > 0);
                 // Every third pass is cut off half way: the scratch is
                 // abandoned mid-pass, records in every FIFO.
                 let bound = if step % 3 == 1 {
@@ -808,21 +820,35 @@ mod tests {
                 } else {
                     u64::MAX
                 };
-                let fresh = run(&mut None, bound, false);
-                let reused = run(&mut scratch, bound, step % 2 == 0).map(|(out, mut report, f)| {
-                    // The reference loop (even steps) fast-forwards nothing.
-                    if step % 2 == 0 {
-                        report.fast_forwarded_cycles = want.1.fast_forwarded_cycles;
+                for pin in [Some(false), Some(true), None] {
+                    crate::tree::pin_schedule(pin);
+                    let ctx = format!("{pin:?} AMT({}, {l}) step {step}", cfg.amt.p);
+                    let fresh = run(&mut None, bound, false);
+                    let reused =
+                        run(&mut scratch, bound, step % 2 == 0).map(|(out, mut report, f)| {
+                            // The reference loop (even steps) fast-forwards nothing.
+                            if step % 2 == 0 {
+                                report.fast_forwarded_cycles = want.1.fast_forwarded_cycles;
+                            }
+                            (out, report, f)
+                        });
+                    assert_eq!(reused, fresh, "{ctx}");
+                    match fresh {
+                        Ok(got) => assert_eq!(got, want, "{ctx}"),
+                        Err(_) => failed += 1,
                     }
-                    (out, report, f)
-                });
-                assert_eq!(reused, fresh, "AMT({}, {l}) step {step}", cfg.amt.p);
-                match fresh {
-                    Ok(got) => assert_eq!(got, want),
-                    Err(_) => failed += 1,
                 }
             }
-            assert!(failed >= 4, "too few BON040 passes: {failed}");
+            crate::tree::pin_schedule(None);
+            assert!(failed >= 3 * 4, "too few BON040 passes: {failed}");
+            if let Some(dense) = goes_dense {
+                assert_eq!(
+                    went_dense > 0,
+                    dense,
+                    "AMT({}, {l}): {went_dense} passes went dense",
+                    cfg.amt.p
+                );
+            }
         }
     }
 

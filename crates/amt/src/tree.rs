@@ -59,6 +59,23 @@ pub struct TreeStats {
 /// edge's child side is full, input stall otherwise) is exactly what
 /// per-cycle ticks would have recorded, so cycle and stall counters are
 /// bit-identical to the always-tick schedule.
+///
+/// # Two schedules
+///
+/// The worklist pays for itself only while most mergers are idle. On a
+/// busy tree its wakes, settles and deactivations cost more than the
+/// ticks they skip, so the tree also has the always-tick schedule
+/// itself: every merger, deepest first, with none of that bookkeeping.
+/// It measures its own activity — the mergers whose tick or coupler
+/// changed state, averaged over a window of 64 stepped ticks — and
+/// runs dense from a mean of half its nodes until the mean drops below
+/// a third of them. Entering settles every node's arrears, so the
+/// dense schedule owes none. While dense, the worklist holds every
+/// node, or none after a tick that changed nothing, either of which is
+/// a valid worklist to leave on. A [`MergeTree::fast_forward`] always
+/// leaves, since only the worklist settles the span it skips. Both
+/// schedules run the same cycle, so nothing the tree reports depends
+/// on which one ran.
 #[derive(Debug, Clone)]
 pub struct MergeTree<R> {
     config: AmtConfig,
@@ -73,6 +90,16 @@ pub struct MergeTree<R> {
     /// The worklist: bit `i % 64` of word `i / 64` is set while node `i`
     /// has to be ticked.
     active: Vec<u64>,
+    /// Whether [`MergeTree::tick`] runs the dense schedule.
+    dense: bool,
+    /// Ticks stepped in the current activity window.
+    window_ticks: u64,
+    /// Mergers whose tick or coupler changed state, summed over the
+    /// window's ticks.
+    window_busy: u64,
+    /// Schedule switches since the last reset: into dense, out of it.
+    #[cfg(test)]
+    switches: [u64; 2],
     /// Leaf ports (same bit layout, over leaves) whose FIFO may have
     /// gained room since [`MergeTree::take_freed_leaves`] last handed
     /// them out: both ports of every deepest-level merger whose tick
@@ -88,6 +115,34 @@ struct Node<R> {
     /// Tree ticks already reflected in the merger's `MergerStats`;
     /// `tick_count - accounted` is the node's stall arrears.
     accounted: u64,
+}
+
+/// Ticks over which a tree averages its activity before it picks a
+/// schedule.
+const WINDOW: u64 = 64;
+
+/// The share of its nodes (numerator, denominator) a worklist tree's
+/// mean activity must reach for it to switch to the dense schedule.
+const DENSE_ENTER: (u64, u64) = (1, 2);
+
+/// The share of its nodes a dense tree's mean activity must stay at or
+/// above for it to stay dense. Below [`DENSE_ENTER`], so a tree near
+/// the threshold does not switch every window.
+const DENSE_LEAVE: (u64, u64) = (1, 3);
+
+#[cfg(test)]
+thread_local! {
+    /// The schedule every tree on this thread is held to, if any.
+    static PINNED: std::cell::Cell<Option<bool>> = const { std::cell::Cell::new(None) };
+}
+
+/// Holds every tree on the calling thread to the dense schedule
+/// (`Some(true)`), to the worklist (`Some(false)`), or lets each pick
+/// by its activity (`None`). A pinned tree still leaves dense on a
+/// [`MergeTree::fast_forward`] and returns at the end of its next tick.
+#[cfg(test)]
+pub(crate) fn pin_schedule(dense: Option<bool>) {
+    PINNED.set(dense);
 }
 
 /// Sets bit `idx` of a bitset: bit `idx % 64` of word `idx / 64`.
@@ -143,6 +198,11 @@ impl<R: Record> MergeTree<R> {
             first_leaf_node: (config.l / 2) - 1,
             tick_count: 0,
             active: vec![0; nodes.len().div_ceil(64)],
+            dense: false,
+            window_ticks: 0,
+            window_busy: 0,
+            #[cfg(test)]
+            switches: [0; 2],
             freed_leaves: vec![0; config.l.div_ceil(64)],
             nodes,
             edges,
@@ -153,9 +213,9 @@ impl<R: Record> MergeTree<R> {
 
     /// Returns the tree to its just-built state — every edge empty, no
     /// run in progress, clock and statistics at zero, `sanitize` probes
-    /// fresh, every merger on the worklist and every leaf port marked
-    /// free — keeping all `2ℓ − 1` edge allocations for the next merge
-    /// group.
+    /// fresh, every merger on the worklist, the worklist schedule with a
+    /// new activity window, and every leaf port marked free — keeping
+    /// all `2ℓ − 1` edge allocations for the next merge group.
     pub fn reset(&mut self) {
         for node in &mut self.nodes {
             node.step.reset();
@@ -166,7 +226,16 @@ impl<R: Record> MergeTree<R> {
         }
         self.tick_count = 0;
         set_low_bits(&mut self.active, self.nodes.len());
+        self.dense = false;
+        self.window_ticks = 0;
+        self.window_busy = 0;
         set_low_bits(&mut self.freed_leaves, self.config.l);
+        #[cfg(test)]
+        {
+            // A new tree owes no arrears, so it may start dense.
+            self.dense = PINNED.get().unwrap_or(false);
+            self.switches = [0; 2];
+        }
     }
 
     /// The tree's shape.
@@ -288,6 +357,13 @@ impl<R: Record> MergeTree<R> {
         &self.freed_leaves
     }
 
+    /// Schedule switches since the last reset: into the dense schedule,
+    /// and out of it.
+    #[cfg(test)]
+    pub(crate) fn switches(&self) -> [u64; 2] {
+        self.switches
+    }
+
     /// Pops the next root output record, if any.
     pub fn pop_root(&mut self) -> Option<R> {
         if self.edges[0].output_len() == 0 {
@@ -310,15 +386,101 @@ impl<R: Record> MergeTree<R> {
     /// of the edge, so the root sees this cycle's production — modeling
     /// the fully pipelined hardware datapath.
     ///
-    /// Only worklist nodes are ticked; skipped nodes' stall cycles accrue
-    /// as arrears (see the type-level docs). Returns `true` when any
+    /// On the worklist schedule only worklist nodes are ticked, and
+    /// skipped nodes' stall cycles accrue as arrears; on the dense one
+    /// every node is (see the type-level docs). Returns `true` when any
     /// merger or coupler changed state this cycle. A `false` return is
     /// stable: with no external push or pop, every future tick is also a
     /// no-op, so the caller may [`MergeTree::fast_forward`].
     pub fn tick(&mut self) -> bool {
         let now = self.tick_count;
         self.tick_count = now + 1;
-        let mut tree_changed = false;
+        let busy = if self.dense {
+            self.tick_dense(now)
+        } else {
+            self.tick_sparse(now)
+        };
+        self.window_busy += busy as u64;
+        self.window_ticks += 1;
+        if self.window_ticks == WINDOW {
+            self.end_window();
+        }
+        #[cfg(test)]
+        if let Some(dense) = PINNED.get() {
+            self.set_dense(dense);
+        }
+        busy > 0
+    }
+
+    /// Picks the schedule from the window's mean activity and opens the
+    /// next window.
+    fn end_window(&mut self) {
+        let (num, den) = if self.dense { DENSE_LEAVE } else { DENSE_ENTER };
+        let dense = self.window_busy * den >= num * WINDOW * self.nodes.len() as u64;
+        #[cfg(test)]
+        let dense = PINNED.get().unwrap_or(dense);
+        self.set_dense(dense);
+        self.window_ticks = 0;
+        self.window_busy = 0;
+    }
+
+    /// Moves the tree onto the dense schedule or back onto the worklist.
+    fn set_dense(&mut self, dense: bool) {
+        if dense && !self.dense {
+            // The dense schedule settles nothing, so it starts with no
+            // node in arrears.
+            let now = self.tick_count;
+            for idx in 0..self.nodes.len() {
+                self.settle(idx, now);
+            }
+        }
+        #[cfg(test)]
+        if dense != self.dense {
+            self.switches[usize::from(!dense)] += 1;
+        }
+        self.dense = dense;
+    }
+
+    /// One cycle on the dense schedule: every merger ticks, deepest
+    /// first, and couples what it can into its parent, which ticks later
+    /// this cycle. No node owes arrears here, and none is woken, settled
+    /// or taken off the worklist. Returns how many mergers' tick or
+    /// coupler changed state.
+    fn tick_dense(&mut self, now: u64) -> usize {
+        let mut busy = 0;
+        for idx in (self.first_leaf_node..self.nodes.len()).rev() {
+            let (node_changed, coupler_moved) = self.tick_in_place(idx, now);
+            if coupler_moved {
+                self.nodes[(idx - 1) / 2].step.couple(&mut self.edges[idx]);
+            }
+            if node_changed {
+                let left_leaf = 2 * (idx - self.first_leaf_node);
+                self.freed_leaves[left_leaf / 64] |= 0b11 << (left_leaf % 64);
+            }
+            busy += usize::from(node_changed || coupler_moved);
+        }
+        for idx in (0..self.first_leaf_node).rev() {
+            let (node_changed, coupler_moved) = self.tick_in_place(idx, now);
+            if coupler_moved {
+                self.nodes[(idx - 1) / 2].step.couple(&mut self.edges[idx]);
+            }
+            busy += usize::from(node_changed || coupler_moved);
+        }
+        // Every node is on the worklist, a valid list to leave on, or
+        // none once nothing moved: the list the worklist schedule leaves
+        // after such a tick, and the quiescence `fast_forward` checks.
+        if busy > 0 {
+            set_low_bits(&mut self.active, self.nodes.len());
+        } else {
+            self.active.fill(0);
+        }
+        busy
+    }
+
+    /// One cycle on the worklist schedule. Returns how many mergers'
+    /// tick or coupler changed state.
+    fn tick_sparse(&mut self, now: u64) -> usize {
+        let mut busy = 0;
         for word in (0..self.active.len()).rev() {
             // Highest set bit first, which is the always-tick order
             // (deepest node first). The word is read again after every
@@ -335,7 +497,7 @@ impl<R: Record> MergeTree<R> {
                 let bit = 63 - pending.leading_zeros() as usize;
                 unvisited = (1 << bit) - 1;
                 if self.visit(64 * word + bit, now) {
-                    tree_changed = true;
+                    busy += 1;
                 } else {
                     // Pure stall (already recorded by its own tick):
                     // freeze the node until an event can unblock it.
@@ -343,7 +505,24 @@ impl<R: Record> MergeTree<R> {
                 }
             }
         }
-        tree_changed
+        busy
+    }
+
+    /// Ticks node `idx` in place on its three edges, its stats then
+    /// accounted through cycle `now`. Returns whether the merger changed
+    /// state and whether its coupler has records to move: output on its
+    /// edge and room on the parent's side, which the root's edge never
+    /// has.
+    #[inline(always)]
+    fn tick_in_place(&mut self, idx: usize, now: u64) -> (bool, bool) {
+        let (edges_upto, edges_read) = self.edges.split_at_mut(2 * idx + 1);
+        let (Some(out), [left, right, ..]) = (edges_upto.get_mut(idx), edges_read) else {
+            unreachable!("node indices name existing nodes, each with three edges");
+        };
+        let node = &mut self.nodes[idx];
+        let node_changed = node.step.tick(left, right, out);
+        node.accounted = now + 1;
+        (node_changed, out.output_len() > 0 && out.input_free() > 0)
     }
 
     /// Ticks node `idx` in place on its three edges, couples its output
@@ -354,17 +533,7 @@ impl<R: Record> MergeTree<R> {
         // A node woken mid-previous-tick may still owe one stall cycle;
         // settle before ticking so stats stay exact.
         self.settle(idx, now);
-        let (edges_upto, edges_read) = self.edges.split_at_mut(2 * idx + 1);
-        let (Some(out), [left, right, ..]) = (edges_upto.get_mut(idx), edges_read) else {
-            unreachable!("worklist bits name existing nodes, each with three edges");
-        };
-        let node = &mut self.nodes[idx];
-        let node_changed = node.step.tick(left, right, out);
-        node.accounted = now + 1;
-
-        // The coupler. The root's edge has no parent side, so it never
-        // has room.
-        let coupler_moved = out.output_len() > 0 && out.input_free() > 0;
+        let (node_changed, coupler_moved) = self.tick_in_place(idx, now);
         if coupler_moved {
             // The parent's input is about to change: settle its arrears
             // and put it on the worklist.
@@ -406,13 +575,17 @@ impl<R: Record> MergeTree<R> {
     /// [`MergeTree::tick`] returned `false`, which guarantees every node
     /// was deactivated and each skipped cycle is a stall identical to the
     /// last one; the span lands in the same per-node stall counters via
-    /// the arrears mechanism.
+    /// the arrears mechanism, which only the worklist schedule settles,
+    /// so the tree leaves the dense one.
     pub fn fast_forward(&mut self, cycles: u64) {
+        // Both schedules empty the worklist on a tick that changed
+        // nothing, and only external pushes and pops refill it.
         debug_assert!(
             self.active.iter().all(|&word| word == 0),
             "fast-forward requires a quiescent tree (last tick returned false)"
         );
         self.tick_count += cycles;
+        self.set_dense(false);
     }
 
     /// Node `idx`'s merge step with its input edges and output edge.
@@ -1073,8 +1246,24 @@ mod tests {
     /// same findings. After every `tick` the worklist also has to be
     /// *complete*: no node off it could make progress, and no child off
     /// it holds output its parent's side has room for.
+    ///
+    /// The scripts run three times: on the worklist schedule alone,
+    /// where the worklist must also equal the oracle's; on the dense
+    /// schedule alone; and switching freely, where each shape must
+    /// enter and leave the dense schedule as a script's feed rate
+    /// changes half way through.
     #[test]
     fn tick_matches_the_heap_of_mergers_oracle_on_random_scripts() {
+        for pin in [Some(false), Some(true), None] {
+            pin_schedule(pin);
+            oracle_scripts(pin);
+        }
+        pin_schedule(None);
+    }
+
+    /// The oracle scripts with every tree held to `pin` (see
+    /// [`pin_schedule`]).
+    fn oracle_scripts(pin: Option<bool>) {
         let mut rng = bonsai_rng::Rng::seed_from_u64(0x7EE5_0024);
         for (p, l, scripts, cycles) in [
             (4, 2, 12, 400),
@@ -1083,8 +1272,12 @@ mod tests {
             (32, 256, 6, 400),
         ] {
             let (mut idle_ticks, mut flushes, mut coupled_to_full) = (0u64, 0u64, 0u64);
+            let mut switches = [0u64; 2];
+            let mut reset_tree = None;
             for script in 0..scripts {
-                let mut fast: MergeTree<U32Rec> = MergeTree::new(AmtConfig::new(p, l));
+                let mut fast: MergeTree<U32Rec> = reset_tree
+                    .take()
+                    .unwrap_or_else(|| MergeTree::new(AmtConfig::new(p, l)));
                 let mut model = reference::MergeTree::new(AmtConfig::new(p, l));
                 // Per leaf: next key of the current run, records left in it.
                 let mut runs = vec![(1u32, 0usize); l];
@@ -1092,10 +1285,16 @@ mod tests {
                 // fast, and how often the root is popped: starved
                 // subtrees, saturated ones and back-pressure from the top.
                 let fed_leaves = [l, l, l / 2 + 1, 2][script % 4];
-                let feed_pct = [100, 30, 60, 8][(script / 2) % 4];
                 let pop_every = [1, 1, 5, 23][script % 4];
                 for cycle in 0..cycles {
-                    let ctx = format!("AMT({p}, {l}) script {script} cycle {cycle}");
+                    let ctx = format!("{pin:?} AMT({p}, {l}) script {script} cycle {cycle}");
+                    // Half way through, the feed rate changes: a busy
+                    // tree goes silent, a quiet one busy.
+                    let feed_pct = if 2 * cycle < cycles {
+                        [100, 30, 60, 8]
+                    } else {
+                        [0, 60, 30, 100]
+                    }[(script / 2) % 4];
                     for (leaf, (key, left_in_run)) in runs.iter_mut().enumerate().take(fed_leaves) {
                         if !rng.chance_percent(feed_pct) {
                             continue;
@@ -1127,7 +1326,14 @@ mod tests {
                     idle_ticks += u64::from(!changed);
                     assert_eq!(fast.stats(), model.stats(), "{ctx}: tree stats");
                     assert_eq!(fast.root_flushes(), model.root_flushes(), "{ctx}: flushes");
-                    assert_eq!(fast.active, model.active(), "{ctx}: worklist");
+                    match pin {
+                        Some(false) => {
+                            assert!(!fast.dense, "{ctx}: pinned to the worklist");
+                            assert_eq!(fast.active, model.active(), "{ctx}: worklist");
+                        }
+                        Some(true) => assert!(fast.dense, "{ctx}: pinned dense"),
+                        None => {}
+                    }
                     assert_eq!(fast.freed_leaves(), model.freed_leaves(), "{ctx}: freed");
                     assert_eq!(fast.is_drained(), model.is_drained(), "{ctx}: drained");
                     for leaf in 0..l {
@@ -1179,28 +1385,37 @@ mod tests {
                     }
                 }
                 flushes += fast.stats().root_flushes;
+                switches[0] += fast.switches[0];
+                switches[1] += fast.switches[1];
                 #[cfg(feature = "sanitize")]
                 assert_eq!(
                     format!("{:?}", fast.sanitize_check()),
                     format!("{:?}", model.sanitize_check()),
-                    "AMT({p}, {l}) script {script}: findings"
+                    "{pin:?} AMT({p}, {l}) script {script}: findings"
                 );
                 if script == 2 {
                     // A reset tree is a new one: the next script runs on it.
                     fast.reset();
                     assert_eq!(fast.stats(), TreeStats::default());
                     assert!(fast.is_drained() && fast.tick_count() == 0);
+                    reset_tree = Some(fast);
                 }
             }
             assert!(
                 flushes > 0 && idle_ticks > 0,
-                "AMT({p}, {l}): {flushes} flushes, {idle_ticks} idle ticks"
+                "{pin:?} AMT({p}, {l}): {flushes} flushes, {idle_ticks} idle ticks"
             );
             // A lone node has no parent to back-pressure it.
             assert!(
                 l == 2 || coupled_to_full > 0,
-                "AMT({p}, {l}): scripts must fill a parent's side of some edge"
+                "{pin:?} AMT({p}, {l}): scripts must fill a parent's side of some edge"
             );
+            if pin.is_none() {
+                assert!(
+                    switches[0] > 0 && switches[1] > 0,
+                    "AMT({p}, {l}): the scripts must switch both ways, not {switches:?}"
+                );
+            }
         }
     }
 
