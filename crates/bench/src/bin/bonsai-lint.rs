@@ -2,10 +2,9 @@
 //!
 //! With no arguments, lints every configuration the experiment suite
 //! and examples construct — the one engine pass
-//! (`bonsai_model::check::analyze_engine`: shape checks, the pipeline
-//! dataflow checks for FIFO flush depth and min-cut bandwidth, the
-//! latency-bound certification and the static throughput floor) plus
-//! one model-vs-simulation drift probe — and exits non-zero if any
+//! (`bonsai_model::check::analyze_engine`: shape checks, then the
+//! pipeline dataflow checks for FIFO flush depth and min-cut bandwidth)
+//! and the resource-model checks — and exits non-zero if any
 //! error-severity `BONxxx` diagnostic fires. With overrides, lints a
 //! single raw configuration instead — the hook CI uses to prove the
 //! linter rejects a deliberately broken config:
@@ -29,9 +28,8 @@ const USAGE: &str = "usage: bonsai-lint [--p N] [--l N] [--batch-bytes N] \
 [--record-bytes N] [--presort N] [--memory ddr4|single|hbm|ssd] [--json]
 
 Without overrides, lints every in-repo experiment configuration (shape
-checks, pipeline dataflow checks, latency-bound certification, static
-throughput floor, drift probe). With overrides, lints a single raw
-engine configuration.
+checks, pipeline dataflow checks, resource-model checks). With
+overrides, lints a single raw engine configuration.
 
   --json             emit the report as a JSON object for CI annotation
 

@@ -7,19 +7,20 @@
 //! only at the moment that experiment executes. This pass front-loads
 //! the whole suite so CI rejects a bad config before any simulation
 //! spends minutes on it.
+//!
+//! The pass judges configurations only. It runs no simulation, and the
+//! engine checks read nothing but the engine configuration; how close
+//! the analytical model comes to the simulator is a measurement, which
+//! the model-validation tests make.
 
 use bonsai_amt::{AmtConfig, SimEngineConfig};
 use bonsai_check::Diagnostic;
-use bonsai_model::check::{analyze_engine, check_full_config, model_drift_probe};
+use bonsai_model::check::{analyze_engine, check_full_config};
 use bonsai_model::{ArrayParams, BonsaiOptimizer, ComponentLibrary, FullConfig, HardwareParams};
 
 use crate::experiments::{
     ablations, fig8_9, hbm_validation, ssd_validation, table4, width_scaling,
 };
-
-/// Record count for the model-drift simulation probe; small enough that
-/// the probe costs milliseconds, large enough for several merge stages.
-const DRIFT_PROBE_RECORDS: usize = 20_000;
 
 /// One linted configuration: where it came from and what the analyzer
 /// said about it.
@@ -105,10 +106,8 @@ pub fn model_targets() -> Vec<(String, FullConfig, Option<usize>)> {
 }
 
 /// Runs the static pass over every in-repo configuration:
-/// [`analyze_engine`] (shape checks, pipeline dataflow checks,
-/// latency-bound certification, static throughput floor) for every
-/// engine target, the resource-model checks for every full config, plus
-/// one model-vs-simulation drift probe.
+/// [`analyze_engine`] (shape checks, pipeline dataflow checks) for every
+/// engine target and the resource-model checks for every full config.
 pub fn lint_all() -> Vec<LintFinding> {
     let lib = ComponentLibrary::paper();
     let hw = HardwareParams::aws_f1();
@@ -116,7 +115,7 @@ pub fn lint_all() -> Vec<LintFinding> {
     for (target, cfg) in engine_targets() {
         findings.push(LintFinding {
             target,
-            diagnostics: analyze_engine(&cfg, &hw),
+            diagnostics: analyze_engine(&cfg),
         });
     }
     for (target, cfg, presort) in model_targets() {
@@ -125,13 +124,6 @@ pub fn lint_all() -> Vec<LintFinding> {
             diagnostics: check_full_config(&lib, &hw, &cfg, 32, presort),
         });
     }
-    // One tolerance-gated drift probe: Eq. 1 against an actual engine
-    // run on the paper's reference shape.
-    let probe_cfg = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
-    findings.push(LintFinding {
-        target: format!("drift_probe/amt4_16_n{DRIFT_PROBE_RECORDS}"),
-        diagnostics: model_drift_probe(&probe_cfg, &hw, DRIFT_PROBE_RECORDS, 7),
-    });
     findings
 }
 
@@ -145,7 +137,7 @@ pub fn lint_engine(cfg: &SimEngineConfig) -> LintFinding {
             "cli/p{}_l{}_b{}_r{}",
             cfg.amt.p, cfg.amt.l, cfg.loader.batch_bytes, cfg.loader.record_bytes
         ),
-        diagnostics: analyze_engine(cfg, &HardwareParams::aws_f1()),
+        diagnostics: analyze_engine(cfg),
     }
 }
 

@@ -70,15 +70,23 @@ fn clean_invocations_exit_zero_in_every_mode() {
 fn error_findings_exit_one() {
     for (args, code) in [
         (&["--p", "6", "--l", "16"][..], "BON001"),
-        // Values the certification's own arithmetic used to abort on:
-        // a record width that does not divide the certification array,
-        // and zero-length presorted runs.
+        // Values the engine pass's arithmetic once aborted on: a record
+        // width that does not divide the batch, and zero-length
+        // presorted runs.
         (&["--record-bytes", "12"], "BON005"),
         (&["--presort", "0"], "BON025"),
+        // A root wider than the one SSD-throttled channel: the min cut
+        // alone rejects it.
+        (&["--p", "16", "--memory", "ssd"], "BON032"),
     ] {
         let out = lint(args);
         assert_eq!(exit_code(&out), 1, "{args:?}: {}", stdout(&out));
-        assert!(stdout(&out).contains(code), "{args:?}: {}", stdout(&out));
+        let report = stdout(&out);
+        assert!(report.contains(code), "{args:?}: {report}");
+        assert!(
+            report.ends_with("1 error(s), 0 warning(s)\n"),
+            "{args:?}: {report}"
+        );
     }
 }
 

@@ -18,7 +18,6 @@
 //! | `BON03x`   | Pipeline dataflow    | [`codes::GRAPH_FIFO_BELOW_FLUSH`] |
 //! | `BON04x`   | Simulation runtime   | [`codes::SIM_PASS_LIVELOCK`] |
 //! | `BON05x`   | Runtime topology     | [`codes::RUNTIME_QUEUE_BELOW_WORKERS`] |
-//! | `BON06x`   | Static throughput floor | [`codes::THROUGHPUT_FLOOR_UNSOUND`] |
 //! | `BON07x`   | Wire protocol        | [`codes::WIRE_BAD_MAGIC`] |
 //! | `BON09x`   | External sorter      | [`codes::EXTERNAL_SORTER_INVALID`] |
 //! | `BON1xx`   | Simulation sanitizer | [`codes::SAN_FIFO_OVERFLOW`] |
@@ -225,12 +224,6 @@ pub mod codes {
         GRAPH_FIFO_BELOW_FLUSH = "BON031", Error, "FIFO below the consumer's flush requirement";
         /// Source→sink min-cut bandwidth below the required throughput.
         GRAPH_BANDWIDTH_INFEASIBLE = "BON032", Error, "min-cut bandwidth below required throughput";
-        /// The analytical model predicts below the pipeline's static
-        /// latency lower bound (critical path / min-cut certification
-        /// failed).
-        GRAPH_LATENCY_BOUND_VIOLATION = "BON033", Error, "model predicts below the static latency bound";
-        /// Model latency drifted beyond tolerance from a SimEngine probe.
-        GRAPH_MODEL_DRIFT = "BON036", Warning, "model drifted from simulation beyond tolerance";
 
         // --- BON04x: simulation runtime ---------------------------------
         /// A simulated merge pass exceeded its livelock cycle bound.
@@ -241,10 +234,6 @@ pub mod codes {
         RUNTIME_OVERSUBSCRIBED = "BON054", Warning, "job workers oversubscribe the host cores";
         /// Queue depth below the worker count starves the pool.
         RUNTIME_QUEUE_BELOW_WORKERS = "BON055", Warning, "queue depth below worker count starves the pool";
-
-        // --- BON06x: static throughput floor ----------------------------
-        /// The static throughput floor exceeds an observed/model throughput.
-        THROUGHPUT_FLOOR_UNSOUND = "BON064", Error, "static throughput floor exceeds observed throughput";
 
         // --- BON07x: wire protocol (bonsai-net) -------------------------
         /// A wire frame's magic word did not match; the byte stream is

@@ -4,6 +4,7 @@
 //! the severity the registry declares.
 
 use bonsai_check::{codes, has_errors, Diagnostic, Severity};
+use bonsai_model::check::analyze_engine;
 
 /// Asserts `diags` contains `code` and that its severity matches the
 /// registry entry.
@@ -222,18 +223,13 @@ fn context_of(diags: &[Diagnostic], code: &str) -> Vec<(&'static str, String)> {
     found[0].context.clone()
 }
 
-/// The one engine pass.
-fn graph_diags(cfg: &bonsai_amt::SimEngineConfig) -> Vec<Diagnostic> {
-    bonsai_model::check::analyze_engine(cfg, &bonsai_model::HardwareParams::aws_f1())
-}
-
 #[test]
 fn bon031_fifo_below_flush() {
     // 4-wide bottom mergers need 5-record FIFOs; 32-byte batches of
     // 16-byte records double-buffer only 4.
     let mut cfg = dram(8, 4, 16);
     cfg.loader.batch_bytes = 32;
-    let diags = graph_diags(&cfg);
+    let diags = analyze_engine(&cfg);
     assert_emits(&diags, codes::GRAPH_FIFO_BELOW_FLUSH);
     // Exactly four offenders: all named, none elided.
     let edges = "loader->merger_l1_0 (depth 4, need 5), loader->merger_l1_0 (depth 4, need 5), \
@@ -246,7 +242,7 @@ fn bon031_fifo_below_flush() {
     // the two records a 1-wide bottom merger needs.
     let mut cfg = dram(2, 4, 32);
     cfg.loader.batch_bytes = 32;
-    let diags = graph_diags(&cfg);
+    let diags = analyze_engine(&cfg);
     assert!(
         !diags
             .iter()
@@ -258,7 +254,7 @@ fn bon031_fifo_below_flush() {
 #[test]
 fn bon032_min_cut_below_required() {
     // p=32 of 8-byte records needs 256 B/cyc; DDR4 reads 128.
-    let diags = graph_diags(&dram(32, 64, 8));
+    let diags = analyze_engine(&dram(32, 64, 8));
     assert_emits(&diags, codes::GRAPH_BANDWIDTH_INFEASIBLE);
     let bottleneck = "source->chan_r0 (32 B/cyc), source->chan_r1 (32 B/cyc), \
                       source->chan_r2 (32 B/cyc), source->chan_r3 (32 B/cyc)";
@@ -281,7 +277,7 @@ fn bon032_write_side_bottleneck() {
         write_bytes_per_cycle: 8,
         ..bonsai_memsim::MemoryConfig::ddr4_aws_f1()
     };
-    let diags = graph_diags(&cfg);
+    let diags = analyze_engine(&cfg);
     assert_emits(&diags, codes::GRAPH_BANDWIDTH_INFEASIBLE);
     let bottleneck = "drain->chan_w0 (8 B/cyc), drain->chan_w1 (8 B/cyc), \
                       drain->chan_w2 (8 B/cyc), drain->chan_w3 (8 B/cyc)";
@@ -295,40 +291,15 @@ fn bon032_write_side_bottleneck() {
     );
 }
 
-#[test]
-fn bon033_model_promises_more_than_the_min_cut() {
-    // p=16 on SSD-throttled memory: Eq. 1 with the F1 card claims twice
-    // what the one throttled channel can carry.
-    let config = bonsai_amt::SimEngineConfig::with_memory(
-        bonsai_amt::AmtConfig::new(16, 64),
-        4,
-        bonsai_memsim::MemoryConfig::throttled_to_ssd(),
-    );
-    assert_emits(&graph_diags(&config), codes::GRAPH_LATENCY_BOUND_VIOLATION);
-}
-
-#[test]
-fn bon036_model_drift_is_a_warning() {
-    // A model card claiming 10x the engine's clock drifts past any
-    // tolerance — but drift must not reject the config.
-    let mut hw = bonsai_model::HardwareParams::aws_f1();
-    hw.freq_hz *= 10.0;
-    hw.beta_dram *= 10.0;
-    let diags = bonsai_model::check::model_drift_probe(&dram(4, 16, 4), &hw, 20_000, 7);
-    assert_emits(&diags, codes::GRAPH_MODEL_DRIFT);
-    assert!(!has_errors(&diags));
-}
-
 /// Pins the engine pass over the 5 040-point lattice p ∈ {1..32} ×
 /// ℓ ∈ {2..256} × r ∈ {4, 8, 16} × batch ∈ {32..1024, 4096} B × the
-/// five memory presets: how often each code fires (`BON064` on none).
+/// five memory presets: how often each code fires.
 /// The dataflow codes judge the whole memory, as every simulated sort
 /// uses it: `BON032` fires only where all the banks together read or
 /// write less than the root's `p·r` bytes per cycle.
 #[test]
 fn engine_pass_code_counts_over_the_lattice() {
     use bonsai_memsim::{LoaderConfig, MemoryConfig};
-    let hw = bonsai_model::HardwareParams::aws_f1();
     let presets = [
         MemoryConfig::ddr4_aws_f1(),
         MemoryConfig::ddr4_single_bank(),
@@ -355,7 +326,7 @@ fn engine_pass_code_counts_over_the_lattice() {
                     presort: Some(16),
                 };
                 points += 1;
-                for d in bonsai_model::check::analyze_engine(&cfg, &hw) {
+                for d in analyze_engine(&cfg) {
                     *counts.entry(d.code).or_insert(0) += 1;
                 }
             }
@@ -370,7 +341,6 @@ fn engine_pass_code_counts_over_the_lattice() {
             (codes::PRESORT_EXCEEDS_BATCH, 1_440),
             (codes::GRAPH_FIFO_BELOW_FLUSH, 170),
             (codes::GRAPH_BANDWIDTH_INFEASIBLE, 2_128),
-            (codes::GRAPH_LATENCY_BOUND_VIOLATION, 1_960),
         ]
     );
 }

@@ -16,6 +16,7 @@ use bonsai::gensort::io::{generate_gensort_file, read_wire_file, valsort};
 use bonsai::model::{ArrayParams, BonsaiOptimizer, HardwareParams};
 use bonsai::records::{KvRec, Packed16, U32Rec, U64Rec};
 use bonsai::sorters::{DramSorter, ExternalSorter, SsdSorter};
+use bonsai_check::{codes, Diagnostic};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -101,11 +102,28 @@ fn parse_size(s: &str) -> Result<u64, String> {
     } else {
         (s, 1)
     };
-    digits
+    let value = digits
         .trim()
         .parse::<u64>()
-        .map(|v| v * mult)
-        .map_err(|e| format!("bad size `{s}`: {e}"))
+        .map_err(|e| format!("bad size `{s}`: {e}"))?;
+    value
+        .checked_mul(mult)
+        .ok_or_else(|| format!("bad size `{s}`: more than {} bytes", u64::MAX))
+}
+
+/// `--record-bytes`, 4 by default; a zero width is `BON004`.
+fn record_bytes(flags: &Flags) -> Result<u64, String> {
+    let record_bytes: u64 = flags
+        .get("record-bytes")
+        .unwrap_or("4")
+        .parse()
+        .map_err(|e| format!("bad --record-bytes: {e}"))?;
+    if record_bytes == 0 {
+        let zero = Diagnostic::error(codes::RECORD_WIDTH_ZERO, "record width must be positive")
+            .with("record_bytes", record_bytes);
+        return Err(zero.to_string());
+    }
+    Ok(record_bytes)
 }
 
 fn platform(flags: &Flags) -> Result<HardwareParams, String> {
@@ -117,6 +135,14 @@ fn platform(flags: &Flags) -> Result<HardwareParams, String> {
     };
     if let Some(beta) = flags.get("beta") {
         let gbps: f64 = beta.parse().map_err(|e| format!("bad --beta: {e}"))?;
+        if gbps.is_nan() || gbps <= 0.0 {
+            let bad = Diagnostic::error(
+                codes::MEMORY_ZERO_BANDWIDTH,
+                "memory bandwidth must be positive",
+            )
+            .with("beta_gb_s", gbps);
+            return Err(bad.to_string());
+        }
         hw = hw.with_beta_dram(gbps * 1e9);
     }
     Ok(hw)
@@ -124,11 +150,7 @@ fn platform(flags: &Flags) -> Result<HardwareParams, String> {
 
 fn cmd_plan(flags: &Flags) -> Result<(), String> {
     let bytes = parse_size(flags.required("size")?)?;
-    let record_bytes: u64 = flags
-        .get("record-bytes")
-        .unwrap_or("4")
-        .parse()
-        .map_err(|e| format!("bad --record-bytes: {e}"))?;
+    let record_bytes = record_bytes(flags)?;
     let top: usize = flags
         .get("top")
         .unwrap_or("5")
@@ -231,11 +253,7 @@ fn cmd_valsort(flags: &Flags) -> Result<(), String> {
 
 fn cmd_project(flags: &Flags) -> Result<(), String> {
     let bytes = parse_size(flags.required("size")?)?;
-    let record_bytes: u64 = flags
-        .get("record-bytes")
-        .unwrap_or("4")
-        .parse()
-        .map_err(|e| format!("bad --record-bytes: {e}"))?;
+    let record_bytes = record_bytes(flags)?;
     let report = match DramSorter::new(HardwareParams::aws_f1()).project(bytes, record_bytes) {
         Ok(r) => r,
         Err(_) => SsdSorter::new(HardwareParams::aws_f1_ssd()).project(bytes, record_bytes),
